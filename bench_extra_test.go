@@ -4,6 +4,7 @@
 package distinct_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ import (
 func trainedBenchEngine(b *testing.B, workers int) *core.Engine {
 	b.Helper()
 	w := benchWorld(b)
-	e, err := core.NewEngine(w.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
 		SkipExpand:  []string{dblp.TitleAttr},
@@ -35,7 +36,7 @@ func trainedBenchEngine(b *testing.B, workers int) *core.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	return e
@@ -49,7 +50,7 @@ func BenchmarkFeatureExtractionWorkers(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(map[int]string{1: "w1", 4: "w4"}[workers], func(b *testing.B) {
 			w := benchWorld(b)
-			e, err := core.NewEngine(w.DB, core.Config{
+			e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 				RefRelation: dblp.ReferenceRelation,
 				RefAttr:     dblp.ReferenceAttr,
 				SkipExpand:  []string{dblp.TitleAttr},
@@ -61,7 +62,9 @@ func BenchmarkFeatureExtractionWorkers(b *testing.B) {
 			refs := e.RefsForName("Wei Wang")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.PathSimilarities(refs)
+				if _, err := e.PathSimilaritiesCtx(context.Background(), refs); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -80,7 +83,7 @@ func BenchmarkDisambiguateAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := core.NewEngine(w.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
 		SkipExpand:  []string{dblp.TitleAttr},
@@ -93,12 +96,12 @@ func BenchmarkDisambiguateAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.DisambiguateAll(20)
+		res, err := e.DisambiguateAllCtx(context.Background(), core.BatchOptions{MinRefs: 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +125,7 @@ func BenchmarkDisambiguateAllMetrics(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	e, err := core.NewEngine(w.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
 		SkipExpand:  []string{dblp.TitleAttr},
@@ -136,12 +139,12 @@ func BenchmarkDisambiguateAllMetrics(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.DisambiguateAll(20)
+		res, err := e.DisambiguateAllCtx(context.Background(), core.BatchOptions{MinRefs: 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +166,7 @@ func BenchmarkDisambiguateAllTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := core.NewEngine(w.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
 		SkipExpand:  []string{dblp.TitleAttr},
@@ -176,14 +179,14 @@ func BenchmarkDisambiguateAllTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := trace.New(trace.Options{SamplePairEvery: 64})
-		e.SetTrace(tr)
-		res, err := e.DisambiguateAll(20)
+		ctx := trace.ContextWithSpan(context.Background(), tr.Root())
+		res, err := e.DisambiguateAllCtx(ctx, core.BatchOptions{MinRefs: 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +226,11 @@ func BenchmarkBlocking(b *testing.B) {
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e.SetMinSim(core.DefaultMinSim)
-			if got := e.DisambiguateRefs(refs); len(got) == 0 {
+			got, err := e.DisambiguateRefsCtx(context.Background(), refs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got) == 0 {
 				b.Fatal("no groups")
 			}
 		}

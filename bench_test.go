@@ -8,6 +8,7 @@
 package distinct_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -149,7 +150,7 @@ func BenchmarkAblationClusterMeasures(b *testing.B) {
 func benchEngine(b *testing.B) (*core.Engine, *dblp.World) {
 	b.Helper()
 	w := benchWorld(b)
-	e, err := core.NewEngine(w.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
 		SkipExpand:  []string{dblp.TitleAttr},
@@ -228,10 +229,15 @@ func BenchmarkRandomWalk(b *testing.B) {
 func BenchmarkSimilarityMatrix(b *testing.B) {
 	e, _ := benchEngine(b)
 	refs := e.RefsForName("Wei Wang")
-	e.PathSimilarities(refs) // warm the neighborhood cache
+	ctx := context.Background()
+	if _, err := e.PathSimilaritiesCtx(ctx, refs); err != nil { // warm the neighborhood cache
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.PathSimilarities(refs)
+		if _, err := e.PathSimilaritiesCtx(ctx, refs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -350,7 +356,7 @@ func BenchmarkPathLengthAblation(b *testing.B) {
 		b.Run(map[int]string{2: "len2", 3: "len3", 4: "len4"}[maxLen], func(b *testing.B) {
 			w := benchWorld(b)
 			for i := 0; i < b.N; i++ {
-				e, err := core.NewEngine(w.DB, core.Config{
+				e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 					RefRelation: dblp.ReferenceRelation,
 					RefAttr:     dblp.ReferenceAttr,
 					SkipExpand:  []string{dblp.TitleAttr},
@@ -364,13 +370,13 @@ func BenchmarkPathLengthAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := e.Train(); err != nil {
+				if _, err := e.TrainCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				var sumF float64
 				names := w.AmbiguousNames()
 				for _, name := range names {
-					pred, err := e.DisambiguateName(name)
+					pred, err := e.DisambiguateNameCtx(context.Background(), name)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -163,6 +163,7 @@ func TestChaosCancelEveryStage(t *testing.T) {
 	}{
 		{"core.expand", "expand", phaseOpen},
 		{"core.enumerate", "enumerate", phaseOpen},
+		{"core.compile_plans", "compile_plans", phaseOpen},
 		{"core.trainset", "trainset", phaseTrain},
 		{"core.features", "features", phaseTrain},
 		{"core.train_svm", "train_svm", phaseTrain},

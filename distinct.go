@@ -205,7 +205,7 @@ func OpenCtx(ctx context.Context, db *Database, cfg Config) (*Engine, error) {
 // Train constructs the automatic training set, fits the two SVM models and
 // installs learned join-path weights (unless the engine is unsupervised, in
 // which case the report is informational and uniform weights remain).
-func (e *Engine) Train() (*TrainReport, error) { return e.inner.Train() }
+func (e *Engine) Train() (*TrainReport, error) { return e.inner.TrainCtx(context.Background()) }
 
 // TrainCtx is Train under a context: cancellation is observed at every
 // training stage boundary, between feature-extraction items, and between
@@ -219,7 +219,7 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 // per inferred real object. The returned tuple IDs belong to the engine's
 // expanded database, accessible via DB.
 func (e *Engine) Disambiguate(name string) ([][]TupleID, error) {
-	return e.inner.DisambiguateName(name)
+	return e.inner.DisambiguateNameCtx(context.Background(), name)
 }
 
 // DisambiguateCtx is Disambiguate under a context: cancellation is observed
@@ -232,7 +232,13 @@ func (e *Engine) DisambiguateCtx(ctx context.Context, name string) ([][]TupleID,
 
 // DisambiguateRefs clusters an explicit set of references (expanded-DB IDs).
 func (e *Engine) DisambiguateRefs(refs []TupleID) [][]TupleID {
-	return e.inner.DisambiguateRefs(refs)
+	groups, err := e.inner.DisambiguateRefsCtx(context.Background(), refs)
+	if err != nil {
+		// A background run can fail only by a recovered worker panic
+		// (*fault.PanicError, stack attached): re-raise it.
+		panic(err)
+	}
+	return groups
 }
 
 // Refs returns the references carrying the name, in the engine's database.
@@ -297,7 +303,7 @@ const (
 // references and reports the names whose references split into more than
 // one group — the suspected homonyms in the whole database.
 func (e *Engine) DisambiguateAll(minRefs int) (*BatchResult, error) {
-	return e.inner.DisambiguateAll(minRefs)
+	return e.inner.DisambiguateAllCtx(context.Background(), BatchOptions{MinRefs: minRefs})
 }
 
 // DisambiguateAllCtx is DisambiguateAll under a context and per-name

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"distinct/internal/cluster"
@@ -9,7 +10,7 @@ import (
 func TestDisambiguateAuto(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	groups, err := e.DisambiguateNameAuto("Wei Wang")
@@ -36,12 +37,12 @@ func TestSetMeasureChangesClustering(t *testing.T) {
 	e := newTestEngine(t, w, false)
 	e.SetMeasure(cluster.SingleLink)
 	e.SetMinSim(0.15)
-	a, err := e.DisambiguateName("Wei Wang")
+	a, err := e.DisambiguateNameCtx(context.Background(), "Wei Wang")
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetMeasure(cluster.Combined)
-	b, err := e.DisambiguateName("Wei Wang")
+	b, err := e.DisambiguateNameCtx(context.Background(), "Wei Wang")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,28 +106,19 @@ type BatchOptions struct {
 	RetryGate func() bool
 }
 
-// DisambiguateAll runs DISTINCT over every name with at least minRefs
-// references — the "clean the whole database" operation a downstream user
-// wants. Names whose references all collapse into one group are counted
-// but not returned; names that split are reported with their groups.
-//
-// minRefs below 2 is treated as 2 (a single reference cannot split).
-func (e *Engine) DisambiguateAll(minRefs int) (*BatchResult, error) {
-	return e.DisambiguateAllCtx(context.Background(), BatchOptions{MinRefs: minRefs})
-}
-
-// DisambiguateAllCtx is DisambiguateAll under a context and per-name
-// budgets (see BatchOptions and the BatchResult partial-results contract).
-// Cancellation of ctx is observed between names and between chunks inside
-// each name's stages; the returned error is wrapped with the stage that
-// observed it, and the partial BatchResult is still returned.
+// DisambiguateAllCtx runs DISTINCT over every name with at least
+// opts.MinRefs references — the "clean the whole database" operation a
+// downstream user wants — under per-name budgets (see BatchOptions and the
+// BatchResult partial-results contract). Names whose references all
+// collapse into one group are counted but not returned; names that split
+// are reported with their groups. Cancellation of ctx is observed between
+// names and between chunks inside each name's stages; the returned error is
+// wrapped with the stage that observed it, and the partial BatchResult is
+// still returned.
 func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*BatchResult, error) {
 	minRefs := opts.MinRefs
 	if minRefs < 2 {
 		minRefs = 2
-	}
-	if err := checkStage(ctx, "batch"); err != nil {
-		return nil, err
 	}
 	rs := e.db.Schema.Relation(e.cfg.RefRelation)
 	ai := rs.AttrIndex(e.cfg.RefAttr)
@@ -153,16 +144,20 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 		jobs = append(jobs, job{name: name, refs: refs})
 		allRefs = append(allRefs, refs...)
 	}
-	if err := e.ext.PrefetchCtx(ctx, allRefs, e.cfg.Workers, e.root()); err != nil {
+	// The sweep-wide prefetch is not part of the batch stage: its span is a
+	// sibling of "batch", under ctx's span.
+	if err := e.ext.PrefetchCtx(trace.ContextWithSpan(ctx, e.span(ctx)), allRefs, e.cfg.Workers); err != nil {
 		return nil, stageErr("prefetch", err)
 	}
 
-	sp := e.obs.StartStage("batch")
 	// One "batch" span with one child span per name. Per-name spans are
 	// created from worker goroutines, so their ids and sibling order are
 	// scheduling-dependent; each is uniquely named "name:<shared name>",
 	// which is what the golden trace test sorts on.
-	bsp := e.root().Start("batch", trace.Int("names", int64(len(jobs))))
+	st, ctx, err := e.begin(ctx, stageBatch, trace.Int("names", int64(len(jobs))))
+	if err != nil {
+		return nil, err
+	}
 	// Per-name latency lands in a histogram; the clock reads are guarded so
 	// a disabled registry costs nothing per name.
 	latency := e.obs.Histogram("batch.name_seconds", nil)
@@ -175,9 +170,9 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 
 	batchErr := parallelForCtx(ctx, len(jobs), e.cfg.Workers, func(i int) error {
 		name, refs := jobs[i].name, jobs[i].refs
-		nsp := bsp.Start(trace.NameSpanPrefix+name, trace.Int("refs", int64(len(refs))))
+		nsp := st.sp.Start(trace.NameSpanPrefix+name, trace.Int("refs", int64(len(refs))))
 		t0 := time.Now()
-		groups, inc, err := e.attemptLadder(ctx, nsp, name, refs, opts)
+		groups, inc, err := e.attemptLadder(trace.ContextWithSpan(ctx, nsp), name, refs, opts)
 		if err != nil {
 			// The parent context ended: not a per-name incident. Stop the
 			// batch; the caller gets the partial result plus the error.
@@ -208,8 +203,7 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 			completed++
 		}
 	}
-	sp.End(completed)
-	bsp.End()
+	batchErr = st.end(completed, batchErr)
 
 	res := &BatchResult{NamesExamined: completed}
 	for i, j := range jobs {
@@ -239,10 +233,7 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 		}
 		return res.Split[i].Name < res.Split[j].Name
 	})
-	if batchErr != nil {
-		return res, stageErr("batch", batchErr)
-	}
-	return res, nil
+	return res, batchErr
 }
 
 // singleGroup is the conservative fallback for a name the batch could not

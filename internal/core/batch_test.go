@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,10 +16,10 @@ import (
 func TestDisambiguateAllFindsInjectedHomonyms(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.DisambiguateAll(3)
+	res, err := e.DisambiguateAllCtx(context.Background(), BatchOptions{MinRefs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestDisambiguateAllFindsInjectedHomonyms(t *testing.T) {
 		}
 	}
 	// minRefs below 2 is clamped, not an error.
-	if _, err := e.DisambiguateAll(0); err != nil {
+	if _, err := e.DisambiguateAllCtx(context.Background(), BatchOptions{MinRefs: 0}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +59,7 @@ func TestDisambiguateAllFindsInjectedHomonyms(t *testing.T) {
 func TestTuneMinSimSelectsSeparatingThreshold(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.TuneMinSim(nil, 20, 1)
@@ -164,11 +165,11 @@ func TestTuneMinSimBitIdenticalToReference(t *testing.T) {
 	cfg := engineConfig(w, true)
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	e, err := NewEngine(w.DB, cfg)
+	e, err := NewEngineCtx(context.Background(), w.DB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -224,7 +225,7 @@ func TestTuneMinSimFailsWithoutRareNames(t *testing.T) {
 	cfg.Train.MaxLastFreq = 1
 	// Exclude everything by making rarity unsatisfiable for names with refs.
 	cfg.Train.MinRefs = 2
-	e, err := NewEngine(w.DB, cfg)
+	e, err := NewEngineCtx(context.Background(), w.DB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestSetMeasureAndMinSim(t *testing.T) {
 func TestNameAffinityAndSampling(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Affinity of an ambiguous name with itself is positive (its refs share

@@ -48,25 +48,15 @@ func (u *unionFind) union(a, b int) {
 // blocks partitions the references into connected components of the
 // shared-neighbor relation, considering only join paths with a positive
 // resemblance or walk weight. Each block lists indexes into refs, blocks
-// ordered by smallest member, members ascending.
-func (e *Engine) blocks(refs []reldb.TupleID) [][]int {
-	out, err := e.blocksCtxAt(context.Background(), nil, refs)
-	rethrow(err)
-	return out
-}
-
-// blocksCtxAt is blocks with the stage span parented under parent and
-// cancellation observed at the stage boundary and during prefetch.
-func (e *Engine) blocksCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) ([][]int, error) {
-	if err := checkStage(ctx, "blocks"); err != nil {
+// ordered by smallest member, members ascending. Cancellation is observed
+// at the stage boundary and during prefetch.
+func (e *Engine) blocks(ctx context.Context, refs []reldb.TupleID) ([][]int, error) {
+	st, ctx, err := e.begin(ctx, stageBlocks, trace.Int("refs", int64(len(refs))))
+	if err != nil {
 		return nil, err
 	}
-	sp := e.obs.StartStage("blocks")
-	tsp := parent.Start("blocks", trace.Int("refs", int64(len(refs))))
-	defer func() { sp.End(len(refs)) }()
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-		tsp.End()
-		return nil, stageErr("prefetch", err)
+	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
+		return nil, st.end(0, stageErr("prefetch", err))
 	}
 	uf := newUnionFind(len(refs))
 	nbsAll := e.ext.NeighborhoodsAll(refs, nil)
@@ -118,24 +108,16 @@ func (e *Engine) blocksCtxAt(ctx context.Context, parent *trace.Span, refs []rel
 		e.obs.Counter("blocks.pairs_kept").Add(kept)
 		e.obs.Counter("blocks.pairs_pruned").Add(naive - kept)
 	}
-	tsp.SetAttrs(trace.Int("blocks", int64(len(out))))
-	tsp.End()
-	return out, nil
+	st.sp.SetAttrs(trace.Int("blocks", int64(len(out))))
+	return out, st.end(len(refs), nil)
 }
 
 // disambiguateBlocked clusters each block independently; exact for
 // MinSim > 0 (see the comment above). Output clusters are ordered by their
 // smallest reference position, matching the unblocked path bit for bit.
-func (e *Engine) disambiguateBlocked(refs []reldb.TupleID) [][]reldb.TupleID {
-	groups, err := e.disambiguateBlockedCtxAt(context.Background(), nil, refs)
-	rethrow(err)
-	return groups
-}
-
-// disambiguateBlockedCtxAt is disambiguateBlocked with stage spans parented
-// under parent and cancellation observed between blocks.
-func (e *Engine) disambiguateBlockedCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
-	blocks, err := e.blocksCtxAt(ctx, parent, refs)
+// Cancellation is observed between blocks.
+func (e *Engine) disambiguateBlocked(ctx context.Context, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
+	blocks, err := e.blocks(ctx, refs)
 	if err != nil {
 		return nil, err
 	}
@@ -159,11 +141,11 @@ func (e *Engine) disambiguateBlockedCtxAt(ctx context.Context, parent *trace.Spa
 		if len(sub) == 1 {
 			clusters = [][]reldb.TupleID{sub}
 		} else {
-			m, err := e.similaritiesCtxAt(ctx, parent, sub)
+			m, err := e.similarities(ctx, sub)
 			if err != nil {
 				return nil, err
 			}
-			if clusters, err = e.clusterRefsCtxAt(ctx, parent, sub, m); err != nil {
+			if clusters, err = e.clusterRefs(ctx, sub, m); err != nil {
 				return nil, err
 			}
 		}

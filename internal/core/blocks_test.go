@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestBlocksPartition(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")
-	blocks := e.blocks(refs)
+	blocks := mustBlocks(t, e, refs)
 	seen := make(map[int]bool)
 	for _, b := range blocks {
 		if len(b) == 0 {
@@ -53,14 +54,17 @@ func TestBlocksPartition(t *testing.T) {
 func TestBlockedMatchesUnblocked(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range w.AmbiguousNames() {
 		refs := e.RefsForName(name)
 		for _, minSim := range []float64{0.001, 0.005, 0.05} {
 			e.SetMinSim(minSim)
-			blocked := e.disambiguateBlocked(refs)
+			blocked, err := e.disambiguateBlocked(context.Background(), refs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			plain := ClusterMatrix(refs, e.Similarities(refs), e.cfg.Measure, minSim)
 			if !reflect.DeepEqual(blocked, plain) {
 				t.Fatalf("%s at min-sim %v: blocked %v != plain %v", name, minSim, blocked, plain)
@@ -74,7 +78,7 @@ func TestBlocksIgnoreZeroWeightPaths(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")
-	before := len(e.blocks(refs))
+	before := len(mustBlocks(t, e, refs))
 	// Zero out every weight except the first path's: components can only
 	// grow coarser or stay equal in count.
 	n := len(e.Paths())
@@ -83,7 +87,7 @@ func TestBlocksIgnoreZeroWeightPaths(t *testing.T) {
 	if err := e.SetWeights(wv, wv); err != nil {
 		t.Fatal(err)
 	}
-	after := len(e.blocks(refs))
+	after := len(mustBlocks(t, e, refs))
 	if after < before {
 		t.Errorf("restricting paths reduced block count: %d -> %d", before, after)
 	}
@@ -93,11 +97,11 @@ func TestBlocksSingleRef(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")[:1]
-	blocks := e.blocks(refs)
+	blocks := mustBlocks(t, e, refs)
 	if len(blocks) != 1 || len(blocks[0]) != 1 {
 		t.Errorf("blocks = %v", blocks)
 	}
-	groups := e.DisambiguateRefs(refs)
+	groups := mustGroups(t, e, refs)
 	if len(groups) != 1 || groups[0][0] != refs[0] {
 		t.Errorf("groups = %v", groups)
 	}

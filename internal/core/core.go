@@ -148,30 +148,16 @@ type Engine struct {
 	matCache *matrixCache
 
 	timings Timings
-	obs     *obs.Registry // nil when observability is off
-	tr      *trace.Trace  // nil when tracing is off
+	obs     *obs.Registry         // nil when observability is off
+	stages  [numStages]*obs.Stage // pre-resolved stage handles (nil when off)
+	tr      *trace.Trace          // nil when tracing is off
 }
 
-// root returns the trace's root span (nil when tracing is off), the default
-// parent for stage spans opened outside a batch sweep.
-func (e *Engine) root() *trace.Span { return e.tr.Root() }
-
-// SetTrace attaches (or, with nil, detaches) a trace after construction, so
-// a long-lived engine can record each batch run into its own trace. The
-// construction-time stages (expand, enumerate) belong to whatever trace was
-// set in Config at that point.
-func (e *Engine) SetTrace(tr *trace.Trace) { e.tr = tr }
-
-// NewEngine expands the database, enumerates join paths, and installs
-// uniform path weights (call Train to replace them with learned weights).
-// The input database is not modified.
-func NewEngine(db *reldb.Database, cfg Config) (*Engine, error) {
-	return NewEngineCtx(context.Background(), db, cfg)
-}
-
-// NewEngineCtx is NewEngine under a context: the expand and enumerate
-// stages observe cancellation at their boundaries and return the context's
-// error wrapped with the stage name.
+// NewEngineCtx expands the database, enumerates join paths, compiles them
+// into CSR plans, and installs uniform path weights (call TrainCtx to
+// replace them with learned weights). The input database is not modified.
+// Each stage observes cancellation at its boundary and returns the
+// context's error wrapped with the stage name.
 func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	rs := db.Schema.Relation(cfg.RefRelation)
@@ -185,74 +171,64 @@ func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine,
 	if rs.Attrs[ai].FK == "" {
 		return nil, fmt.Errorf("core: reference attribute %s.%s must be a foreign key to the name relation", cfg.RefRelation, cfg.RefAttr)
 	}
-
-	if err := checkStage(ctx, "expand"); err != nil {
-		return nil, err
+	e := &Engine{cfg: cfg, obs: cfg.Obs, tr: cfg.Trace}
+	for id, name := range stageNames {
+		e.stages[id] = cfg.Obs.Stage(name)
 	}
+
 	t0 := time.Now()
-	sp := cfg.Obs.StartStage("expand")
-	tsp := cfg.Trace.Start("expand")
-	ex, idMap, err := reldb.ExpandAttributes(db, cfg.SkipExpand...)
+	st, _, err := e.begin(ctx, stageExpand)
 	if err != nil {
-		return nil, fmt.Errorf("core: attribute expansion: %w", err)
-	}
-	sp.End(ex.NumTuples())
-	tsp.SetAttrs(trace.Int("tuples", int64(ex.NumTuples())))
-	tsp.End()
-	expandDur := time.Since(t0)
-
-	if err := checkStage(ctx, "enumerate"); err != nil {
 		return nil, err
 	}
+	e.db, e.idMap, err = reldb.ExpandAttributes(db, cfg.SkipExpand...)
+	if err != nil {
+		return nil, st.end(0, err)
+	}
+	st.sp.SetAttrs(trace.Int("tuples", int64(e.db.NumTuples())))
+	st.end(e.db.NumTuples(), nil)
+	e.timings.Expand = time.Since(t0)
+
 	t0 = time.Now()
-	sp = cfg.Obs.StartStage("enumerate")
-	tsp = cfg.Trace.Start("enumerate")
-	paths := reldb.EnumerateJoinPaths(ex.Schema, cfg.RefRelation, reldb.EnumerateOptions{
+	if st, _, err = e.begin(ctx, stageEnumerate); err != nil {
+		return nil, err
+	}
+	e.paths = reldb.EnumerateJoinPaths(e.db.Schema, cfg.RefRelation, reldb.EnumerateOptions{
 		MaxLen: cfg.MaxPathLen,
 		ExcludeFirst: []reldb.Step{
 			{Rel: cfg.RefRelation, Attr: cfg.RefAttr, Forward: true},
 		},
 	})
-	sp.End(len(paths))
-	tsp.SetAttrs(trace.Int("paths", int64(len(paths))))
-	tsp.End()
-	enumDur := time.Since(t0)
-	if len(paths) == 0 {
+	st.sp.SetAttrs(trace.Int("paths", int64(len(e.paths))))
+	st.end(len(e.paths), nil)
+	e.timings.Enumerate = time.Since(t0)
+	if len(e.paths) == 0 {
 		return nil, fmt.Errorf("core: no join paths from %s within length %d", cfg.RefRelation, cfg.MaxPathLen)
 	}
 
-	e := &Engine{
-		cfg:   cfg,
-		db:    ex,
-		idMap: idMap,
-		paths: paths,
-		ext:   sim.NewExtractor(ex, paths),
-		obs:   cfg.Obs,
-		tr:    cfg.Trace,
-	}
+	e.ext = sim.NewExtractor(e.db, e.paths)
 	e.ext.SetMetrics(cfg.Obs)
 	e.ext.SetWorkers(cfg.Workers)
-	e.obs.Gauge("engine.paths").Set(float64(len(paths)))
-	e.timings.Expand = expandDur
-	e.timings.Enumerate = enumDur
+	e.obs.Gauge("engine.paths").Set(float64(len(e.paths)))
 
 	// Compile the join paths into CSR plans now, so the one-off cost lands
 	// in engine construction (and its own stage span) instead of inflating
 	// the first propagation. Distinct hops compile in parallel under
 	// Config.Workers; the plan is shared read-only by all workers.
 	t0 = time.Now()
-	sp = cfg.Obs.StartStage("compile_plans")
-	tsp = cfg.Trace.Start("compile_plans")
-	before := ex.HopCompiles()
-	hops, edges, _ := e.ext.CompilePlansCtx(ctx)
-	sp.End(hops)
-	tsp.SetAttrs(trace.Int("hops", int64(hops)), trace.Int("edges", int64(edges)))
-	if ex.HopCompiles() == before {
+	st, sctx, err := e.begin(ctx, stageCompilePlans)
+	if err != nil {
+		return nil, err
+	}
+	before := e.db.HopCompiles()
+	hops, edges, _ := e.ext.CompilePlansCtx(sctx)
+	st.sp.SetAttrs(trace.Int("hops", int64(hops)), trace.Int("edges", int64(edges)))
+	if e.db.HopCompiles() == before {
 		// Every hop plan came out of the database's shared cache — an engine
 		// opened over an already-warm database compiles nothing.
-		tsp.SetAttrs(trace.Bool("reused", true))
+		st.sp.SetAttrs(trace.Bool("reused", true))
 	}
-	tsp.End()
+	st.end(hops, nil)
 	e.timings.CompilePlans = time.Since(t0)
 	e.obs.Counter("prop.csr_hops").Add(int64(hops))
 	e.obs.Counter("prop.csr_edges").Add(int64(edges))
@@ -344,94 +320,79 @@ func normalize(w []float64) []float64 {
 	return out
 }
 
-// Train builds the automatic training set, learns SVM models for both
+// TrainCtx builds the automatic training set, learns SVM models for both
 // similarity measures, and installs the learned path weights. If the
-// engine's configuration is unsupervised, Train still reports the would-be
-// models but leaves uniform weights in place.
-func (e *Engine) Train() (*TrainReport, error) {
-	return e.TrainCtx(context.Background())
-}
-
-// TrainCtx is Train under a context: cancellation is observed at the
-// trainset / features / train_svm stage boundaries, between feature
-// extraction items, and between SVM optimisation passes, and returns the
-// context's error wrapped with the stage name.
+// engine's configuration is unsupervised, TrainCtx still reports the
+// would-be models but leaves uniform weights in place. Cancellation is
+// observed at the trainset / features / train_svm stage boundaries, between
+// feature extraction items, and between SVM optimisation passes, and
+// returns the context's error wrapped with the stage name.
 func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	total := time.Now()
-	if err := checkStage(ctx, "trainset"); err != nil {
+	t0 := total
+	st, _, err := e.begin(ctx, stageTrainset)
+	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	sp := e.obs.StartStage("trainset")
-	tsp := e.root().Start("trainset")
 	ts, err := trainset.Build(e.db, e.cfg.RefRelation, e.cfg.RefAttr, e.cfg.Train)
 	if err != nil {
-		return nil, fmt.Errorf("core: training set: %w", err)
+		return nil, st.end(0, err)
 	}
-	sp.End(len(ts.Pairs))
-	tsp.SetAttrs(
+	st.sp.SetAttrs(
 		trace.Int("pairs", int64(len(ts.Pairs))),
 		trace.Int("positive", int64(ts.NumPositive)),
 		trace.Int("negative", int64(ts.NumNegative)))
-	tsp.End()
+	st.end(len(ts.Pairs), nil)
 	e.obs.Counter("trainset.positive").Add(int64(ts.NumPositive))
 	e.obs.Counter("trainset.negative").Add(int64(ts.NumNegative))
 	e.timings.TrainSet = time.Since(t0)
 
-	if err := checkStage(ctx, "features"); err != nil {
+	t0 = time.Now()
+	st, sctx, err := e.begin(ctx, stageFeatures, trace.Int("pairs", int64(len(ts.Pairs))))
+	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	sp = e.obs.StartStage("features")
-	tsp = e.root().Start("features", trace.Int("pairs", int64(len(ts.Pairs))))
 	refs := make([]reldb.TupleID, 0, 2*len(ts.Pairs))
 	for _, p := range ts.Pairs {
 		refs = append(refs, p.R1, p.R2)
 	}
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-		tsp.End()
-		return nil, stageErr("prefetch", err)
+	if err := e.ext.PrefetchCtx(sctx, refs, e.cfg.Workers); err != nil {
+		return nil, st.end(0, stageErr("prefetch", err))
 	}
 	resemEx := make([]svm.Example, len(ts.Pairs))
 	walkEx := make([]svm.Example, len(ts.Pairs))
-	err = parallelForCtx(ctx, len(ts.Pairs), e.cfg.Workers, func(i int) error {
+	err = parallelForCtx(sctx, len(ts.Pairs), e.cfg.Workers, func(i int) error {
 		p := ts.Pairs[i]
 		resemEx[i] = svm.Example{X: e.ext.ResemVector(p.R1, p.R2), Y: p.Label}
 		walkEx[i] = svm.Example{X: e.ext.WalkVector(p.R1, p.R2), Y: p.Label}
 		return nil
 	})
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("features", err)
+		return nil, st.end(0, err)
 	}
-	sp.End(len(ts.Pairs))
-	tsp.End()
+	st.end(len(ts.Pairs), nil)
 	e.timings.Features = time.Since(t0)
 
 	// Per-path similarities span orders of magnitude; scale each feature to
 	// [0,1] for training, then fold the scale factors back into the weights
 	// so they apply to raw similarities at clustering time.
-	if err := checkStage(ctx, "train_svm"); err != nil {
+	t0 = time.Now()
+	st, sctx, err = e.begin(ctx, stageTrainSVM, trace.Int("paths", int64(len(e.paths))))
+	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	sp = e.obs.StartStage("train_svm")
-	tsp = e.root().Start("train_svm", trace.Int("paths", int64(len(e.paths))))
 	resemScaler := svm.FitScaler(resemEx)
 	walkScaler := svm.FitScaler(walkEx)
 	resemScaled := resemScaler.Transform(resemEx)
 	walkScaled := walkScaler.Transform(walkEx)
-	resemModel, err := svm.TrainDCDCtx(ctx, resemScaled, e.cfg.SVM)
+	resemModel, err := svm.TrainDCDCtx(sctx, resemScaled, e.cfg.SVM)
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("train_svm", fmt.Errorf("resemblance SVM: %w", err))
+		return nil, st.end(0, fmt.Errorf("resemblance SVM: %w", err))
 	}
-	walkModel, err := svm.TrainDCDCtx(ctx, walkScaled, e.cfg.SVM)
+	walkModel, err := svm.TrainDCDCtx(sctx, walkScaled, e.cfg.SVM)
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("train_svm", fmt.Errorf("walk SVM: %w", err))
+		return nil, st.end(0, fmt.Errorf("walk SVM: %w", err))
 	}
-	sp.End(2 * len(ts.Pairs))
 	e.timings.TrainSVM = time.Since(t0)
 	e.timings.TotalTrain = time.Since(total)
 
@@ -448,21 +409,21 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	}
 	e.obs.Gauge("svm.resem_accuracy").Set(rep.ResemAccuracy)
 	e.obs.Gauge("svm.walk_accuracy").Set(rep.WalkAccuracy)
-	if tsp != nil {
+	if st.sp != nil {
 		// One event per learned path weight; the run report renders these
 		// as the join-path weight table.
 		for p := range e.paths {
-			tsp.Event("path_weight",
+			st.sp.Event("path_weight",
 				trace.String("path", e.paths[p].String()),
 				trace.Float("resem_w", rep.ResemWeights[p]),
 				trace.Float("walk_w", rep.WalkWeights[p]))
 		}
-		tsp.SetAttrs(
+		st.sp.SetAttrs(
 			trace.Float("resem_accuracy", rep.ResemAccuracy),
 			trace.Float("walk_accuracy", rep.WalkAccuracy),
 			trace.Bool("supervised", e.cfg.Supervised))
 	}
-	tsp.End()
+	st.end(2*len(ts.Pairs), nil)
 	if e.cfg.Supervised {
 		e.resemW = rep.ResemWeights
 		e.walkW = rep.WalkWeights
@@ -523,55 +484,37 @@ func (pm *PathMatrices) NumRefs() int {
 	return len(pm.R[0])
 }
 
-// PathSimilarities computes the per-path similarity matrices among refs.
+// PathSimilaritiesCtx computes the per-path similarity matrices among refs.
 // Neighborhoods are prefetched and the pairwise rows computed in parallel
 // under Config.Workers. For each (i,j) pair one fused merge-scan per path
 // yields the resemblance and both directed walk probabilities at once.
-func (e *Engine) PathSimilarities(refs []reldb.TupleID) *PathMatrices {
-	pm, err := e.pathSimilaritiesCtxAt(context.Background(), e.root(), refs)
-	rethrow(err)
-	return pm
-}
-
-// PathSimilaritiesCtx is PathSimilarities under a context: cancellation is
-// observed at the stage boundary and between pairwise rows.
-func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (*PathMatrices, error) {
-	return e.pathSimilaritiesCtxAt(ctx, e.root(), refs)
-}
-
-// pathSimilaritiesCtxAt is PathSimilaritiesCtx with the stage span parented
-// under parent (nil parent: tracing off or disabled for this call).
+// Cancellation is observed at the stage boundary and between pairwise rows.
 //
 // With matrix reuse enabled, a block already computed for the same
 // (refs, database version) is returned as-is; the stage span still appears
 // — once, carrying reused=true — so sweeps show the reuse instead of
 // logging identical heavyweight spans per variant.
-func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) (*PathMatrices, error) {
-	if err := checkStage(ctx, "path_sims"); err != nil {
-		return nil, err
-	}
+func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (*PathMatrices, error) {
 	n := len(refs)
 	np := len(e.paths)
 	pairs := n * (n - 1) / 2
-	sp := e.obs.StartStage("path_sims")
-	tsp := parent.Start("path_sims",
+	st, ctx, err := e.begin(ctx, stagePathSims,
 		trace.Int("refs", int64(n)), trace.Int("pairs", int64(pairs)))
+	if err != nil {
+		return nil, err
+	}
 	version := e.db.Version()
 	if e.matCache != nil {
 		if pm := e.matCache.get(refs, version, np); pm != nil {
 			e.obs.Counter("core.matrix_cache_hits").Inc()
-			tsp.SetAttrs(trace.Bool("reused", true))
-			sp.End(0) // no pairwise work done
-			tsp.End()
-			return pm, nil
+			st.sp.SetAttrs(trace.Bool("reused", true))
+			return pm, st.end(0, nil) // no pairwise work done
 		}
 		e.obs.Counter("core.matrix_cache_misses").Inc()
 	}
 	pm := NewPathMatrices(np, n)
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-		sp.End(0)
-		tsp.End()
-		return nil, stageErr("prefetch", err)
+	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
+		return nil, st.end(0, stageErr("prefetch", err))
 	}
 	nbs := e.ext.NeighborhoodsAll(refs, nil)
 	nn := n * n
@@ -580,7 +523,7 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 	// row, each path intersects i's neighborhood against the whole candidate
 	// block in one batched scatter/probe pass (sim.BatchScratch.Block),
 	// bit-identical to per-pair PairKernel calls.
-	err := parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
+	err = parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
 		nc := n - i - 1
 		if nc == 0 {
 			return nil
@@ -606,18 +549,14 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 		return nil
 	})
 	if err != nil {
-		sp.End(0)
-		tsp.End()
-		return nil, stageErr("path_sims", err)
+		return nil, st.end(0, err)
 	}
 	if e.matCache != nil {
 		if ev := e.matCache.put(refs, version, pm); ev > 0 {
 			e.obs.Counter("core.matrix_cache_evictions").Add(ev)
 		}
 	}
-	sp.End(pairs)
-	tsp.End()
-	return pm, nil
+	return pm, st.end(pairs, nil)
 }
 
 // Combine folds per-path matrices into one similarity matrix under the
@@ -656,47 +595,44 @@ func Combine(pm *PathMatrices, resemW, walkW []float64) cluster.Matrix {
 // the engine's current weights: R[i][j] is the weighted set resemblance,
 // W[i][j] the weighted directed walk probability from i to j.
 func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
-	m, err := e.similaritiesCtxAt(context.Background(), e.root(), refs)
+	m, err := e.similarities(context.Background(), refs)
 	rethrow(err)
 	return m
 }
 
-// similaritiesCtxAt is Similarities with the stage span parented under
-// parent and cancellation observed between pairwise rows. When the trace
-// was built with SamplePairEvery, every Nth pair (by triangular pair index
-// — deterministic, no RNG) gets a "pair" event with its Explain-style
-// per-path breakdown attached to the stage span.
+// similarities is Similarities under a context, observed between pairwise
+// rows. When the stage span's trace was built with SamplePairEvery, every
+// Nth pair (by triangular pair index — deterministic, no RNG) gets a "pair"
+// event with its Explain-style per-path breakdown attached to the span.
 //
 // With matrix reuse enabled, the combined matrix is derived from the cached
 // (or freshly cached) per-path matrices via Combine — the same floats,
 // since both accumulate per-path contributions in ascending path order.
-func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) (cluster.Matrix, error) {
-	if err := checkStage(ctx, "similarities"); err != nil {
+func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluster.Matrix, error) {
+	n := len(refs)
+	pairs := n * (n - 1) / 2
+	st, ctx, err := e.begin(ctx, stageSimilarities,
+		trace.Int("refs", int64(n)), trace.Int("pairs", int64(pairs)))
+	if err != nil {
 		return cluster.Matrix{}, err
 	}
-	n := len(refs)
-	sp := e.obs.StartStage("similarities")
-	tsp := parent.Start("similarities",
-		trace.Int("refs", int64(n)), trace.Int("pairs", int64(n*(n-1)/2)))
-	defer func() { sp.End(n * (n - 1) / 2); tsp.End() }()
-
 	var m cluster.Matrix
 	if e.matCache != nil {
-		pm, err := e.pathSimilaritiesCtxAt(ctx, tsp, refs)
+		pm, err := e.PathSimilaritiesCtx(ctx, refs)
 		if err != nil {
-			return cluster.Matrix{}, err
+			return cluster.Matrix{}, st.end(0, err)
 		}
 		m = Combine(pm, e.resemW, e.walkW)
 	} else {
 		m = cluster.NewMatrix(n)
-		if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-			return cluster.Matrix{}, stageErr("prefetch", err)
+		if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
+			return cluster.Matrix{}, st.end(0, stageErr("prefetch", err))
 		}
 		nbs := e.ext.NeighborhoodsAll(refs, nil)
 		// Resolved once per stage: the per-row injection point below costs
 		// one nil check per row when fault injection is off.
 		freg := fault.From(ctx)
-		err := parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
+		err = parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
 			if freg != nil {
 				if err := freg.Fire(ctx, "core.similarities.row"); err != nil {
 					return err
@@ -739,15 +675,13 @@ func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs
 			return nil
 		})
 		if err != nil {
-			return cluster.Matrix{}, stageErr("similarities", err)
+			return cluster.Matrix{}, st.end(0, err)
 		}
 	}
-	if tsp != nil {
-		if every := e.tr.SamplePairEvery(); every > 0 {
-			e.samplePairs(tsp, refs, m, every)
-		}
+	if every := st.sp.Trace().SamplePairEvery(); every > 0 {
+		e.samplePairs(st.sp, refs, m, every)
 	}
-	return m, nil
+	return m, st.end(pairs, nil)
 }
 
 // samplePairs attaches "pair" events with Explain-style per-path breakdowns
@@ -807,33 +741,22 @@ func ClusterMatrix(refs []reldb.TupleID, m cluster.Matrix, measure cluster.Measu
 }
 
 // clusterRefs is ClusterMatrix under the engine's own measure, threshold,
-// and observability registry, wrapped in a "cluster" stage span.
-func (e *Engine) clusterRefs(refs []reldb.TupleID, m cluster.Matrix) [][]reldb.TupleID {
-	groups, err := e.clusterRefsCtxAt(context.Background(), e.root(), refs, m)
-	rethrow(err)
-	return groups
-}
-
-// clusterRefsCtxAt is clusterRefs with the stage span parented under parent
-// and cancellation observed between merge iterations; the clusterer
-// receives the span and emits its merge and cut events there.
-func (e *Engine) clusterRefsCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID, m cluster.Matrix) ([][]reldb.TupleID, error) {
-	if err := checkStage(ctx, "cluster"); err != nil {
+// and observability registry, wrapped in a "cluster" stage with
+// cancellation observed between merge iterations; the clusterer receives
+// the stage span and emits its merge and cut events there.
+func (e *Engine) clusterRefs(ctx context.Context, refs []reldb.TupleID, m cluster.Matrix) ([][]reldb.TupleID, error) {
+	st, ctx, err := e.begin(ctx, stageCluster, trace.Int("refs", int64(len(refs))))
+	if err != nil {
 		return nil, err
 	}
-	sp := e.obs.StartStage("cluster")
-	tsp := parent.Start("cluster", trace.Int("refs", int64(len(refs))))
 	idx, err := cluster.AgglomerateCtx(ctx, len(refs), m, cluster.Options{
-		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Obs: e.obs, Span: tsp,
+		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Obs: e.obs, Span: st.sp,
 	})
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("cluster", err)
+		return nil, st.end(0, err)
 	}
-	sp.End(len(refs))
-	tsp.SetAttrs(trace.Int("clusters", int64(len(idx))))
-	tsp.End()
-	return groupRefs(refs, idx), nil
+	st.sp.SetAttrs(trace.Int("clusters", int64(len(idx))))
+	return groupRefs(refs, idx), st.end(len(refs), nil)
 }
 
 // groupRefs maps clusters of row indexes back to reference IDs.
@@ -848,25 +771,12 @@ func groupRefs(refs []reldb.TupleID, idx [][]int) [][]reldb.TupleID {
 	return out
 }
 
-// DisambiguateRefs clusters the given references (expanded-database IDs)
-// and returns groups of reference IDs, one group per inferred real object.
-func (e *Engine) DisambiguateRefs(refs []reldb.TupleID) [][]reldb.TupleID {
-	groups, err := e.disambiguateRefsCtxAt(context.Background(), e.root(), refs)
-	rethrow(err)
-	return groups
-}
-
-// DisambiguateRefsCtx is DisambiguateRefs under a context: cancellation
-// (and any injected fault) surfaces as an error wrapped with the stage
-// that observed it.
+// DisambiguateRefsCtx clusters the given references (expanded-database
+// IDs) and returns groups of reference IDs, one group per inferred real
+// object. Stage spans parent under ctx's span (the engine trace's root when
+// ctx carries none). Cancellation (and any injected fault) surfaces as an
+// error wrapped with the stage that observed it.
 func (e *Engine) DisambiguateRefsCtx(ctx context.Context, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
-	return e.disambiguateRefsCtxAt(ctx, e.root(), refs)
-}
-
-// disambiguateRefsCtxAt is DisambiguateRefsCtx with all stage spans
-// parented under parent (a per-name span during batch sweeps, the root
-// otherwise).
-func (e *Engine) disambiguateRefsCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
 	if len(refs) == 0 {
 		return nil, nil
 	}
@@ -874,25 +784,20 @@ func (e *Engine) disambiguateRefsCtxAt(ctx context.Context, parent *trace.Span, 
 	// components can never merge, so clustering per component is exact and
 	// avoids the quadratic pairwise stage across components.
 	if e.cfg.MinSim > 0 {
-		return e.disambiguateBlockedCtxAt(ctx, parent, refs)
+		return e.disambiguateBlocked(ctx, refs)
 	}
-	m, err := e.similaritiesCtxAt(ctx, parent, refs)
+	m, err := e.similarities(ctx, refs)
 	if err != nil {
 		return nil, err
 	}
-	return e.clusterRefsCtxAt(ctx, parent, refs, m)
+	return e.clusterRefs(ctx, refs, m)
 }
 
-// DisambiguateName clusters every reference carrying the name.
-func (e *Engine) DisambiguateName(name string) ([][]reldb.TupleID, error) {
-	return e.DisambiguateNameCtx(context.Background(), name)
-}
-
-// DisambiguateNameCtx is DisambiguateName under a context.
+// DisambiguateNameCtx clusters every reference carrying the name.
 func (e *Engine) DisambiguateNameCtx(ctx context.Context, name string) ([][]reldb.TupleID, error) {
 	refs := e.RefsForName(name)
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("core: no references named %q", name)
 	}
-	return e.disambiguateRefsCtxAt(ctx, e.root(), refs)
+	return e.DisambiguateRefsCtx(ctx, refs)
 }

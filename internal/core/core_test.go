@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,7 +51,7 @@ func engineConfig(w *dblp.World, supervised bool) Config {
 
 func newTestEngine(t testing.TB, w *dblp.World, supervised bool) *Engine {
 	t.Helper()
-	e, err := NewEngine(w.DB, engineConfig(w, supervised))
+	e, err := NewEngineCtx(context.Background(), w.DB, engineConfig(w, supervised))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +60,13 @@ func newTestEngine(t testing.TB, w *dblp.World, supervised bool) *Engine {
 
 func TestNewEngineValidation(t *testing.T) {
 	w := testWorld(t)
-	if _, err := NewEngine(w.DB, Config{RefRelation: "Nope", RefAttr: "author"}); err == nil {
+	if _, err := NewEngineCtx(context.Background(), w.DB, Config{RefRelation: "Nope", RefAttr: "author"}); err == nil {
 		t.Error("unknown relation accepted")
 	}
-	if _, err := NewEngine(w.DB, Config{RefRelation: "Publish", RefAttr: "nope"}); err == nil {
+	if _, err := NewEngineCtx(context.Background(), w.DB, Config{RefRelation: "Publish", RefAttr: "nope"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, err := NewEngine(w.DB, Config{RefRelation: "Publications", RefAttr: "title"}); err == nil {
+	if _, err := NewEngineCtx(context.Background(), w.DB, Config{RefRelation: "Publications", RefAttr: "title"}); err == nil {
 		t.Error("non-FK reference attribute accepted")
 	}
 }
@@ -149,7 +150,7 @@ func TestSetWeights(t *testing.T) {
 func TestTrainProducesUsefulModel(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	rep, err := e.Train()
+	rep, err := e.TrainCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestUnsupervisedTrainKeepsUniform(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	before, _ := e.Weights()
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := e.Weights()
@@ -204,11 +205,11 @@ func TestUnsupervisedTrainKeepsUniform(t *testing.T) {
 func TestDisambiguateRecoversIdentities(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range w.AmbiguousNames() {
-		pred, err := e.DisambiguateName(name)
+		pred, err := e.DisambiguateNameCtx(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,14 +232,14 @@ func TestDisambiguateRecoversIdentities(t *testing.T) {
 func TestDisambiguateEdgeCases(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
-	if _, err := e.DisambiguateName("No Such Person"); err == nil {
+	if _, err := e.DisambiguateNameCtx(context.Background(), "No Such Person"); err == nil {
 		t.Error("unknown name accepted")
 	}
-	if got := e.DisambiguateRefs(nil); got != nil {
+	if got := mustGroups(t, e, nil); got != nil {
 		t.Errorf("empty refs gave %v", got)
 	}
 	refs := e.RefsForName("Wei Wang")[:1]
-	got := e.DisambiguateRefs(refs)
+	got := mustGroups(t, e, refs)
 	if len(got) != 1 || len(got[0]) != 1 {
 		t.Errorf("single ref clustering = %v", got)
 	}
@@ -291,4 +292,36 @@ func TestSignalSeparation(t *testing.T) {
 	if sameAvg <= diffAvg*2 {
 		t.Errorf("same-identity similarity (%v) not clearly above different-identity (%v)", sameAvg, diffAvg)
 	}
+}
+
+// mustBlocks is blocks on a background context, failing the test on error.
+func mustBlocks(t testing.TB, e *Engine, refs []reldb.TupleID) [][]int {
+	t.Helper()
+	blocks, err := e.blocks(context.Background(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blocks
+}
+
+// mustGroups is DisambiguateRefsCtx on a background context, failing the
+// test on error.
+func mustGroups(t testing.TB, e *Engine, refs []reldb.TupleID) [][]reldb.TupleID {
+	t.Helper()
+	groups, err := e.DisambiguateRefsCtx(context.Background(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
+}
+
+// mustPathSims is PathSimilaritiesCtx on a background context, failing the
+// test on error.
+func mustPathSims(t testing.TB, e *Engine, refs []reldb.TupleID) *PathMatrices {
+	t.Helper()
+	pm, err := e.PathSimilaritiesCtx(context.Background(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pm
 }

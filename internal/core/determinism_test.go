@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestPipelineReproducible(t *testing.T) {
 	w := testWorld(t)
 	build := func() *Engine {
 		e := newTestEngine(t, w, true)
-		if _, err := e.Train(); err != nil {
+		if _, err := e.TrainCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -27,11 +28,11 @@ func TestPipelineReproducible(t *testing.T) {
 		}
 	}
 	for _, name := range w.AmbiguousNames() {
-		a, err := e1.DisambiguateName(name)
+		a, err := e1.DisambiguateNameCtx(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e2.DisambiguateName(name)
+		b, err := e2.DisambiguateNameCtx(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,19 +58,19 @@ func TestPipelineReproducible(t *testing.T) {
 func TestTrainingSeedMatters(t *testing.T) {
 	w := testWorld(t)
 	cfg := engineConfig(w, true)
-	e1, err := NewEngine(w.DB, cfg)
+	e1, err := NewEngineCtx(context.Background(), w.DB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Train(); err != nil {
+	if _, err := e1.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Train.Seed = 999
-	e2, err := NewEngine(w.DB, cfg)
+	e2, err := NewEngineCtx(context.Background(), w.DB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.Train(); err != nil {
+	if _, err := e2.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	r1, _ := e1.Weights()

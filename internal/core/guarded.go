@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"distinct/internal/fault"
-	"distinct/internal/obs/trace"
 	"distinct/internal/reldb"
 )
 
@@ -32,15 +31,15 @@ import (
 // clean path (nil when clean; Elapsed is left for the caller to stamp). A
 // non-nil error is returned only when the parent ctx itself ended — then
 // groups and incident are nil and the caller owns the partial-result
-// contract. Stage spans parent under nsp (nil = tracing off).
-func (e *Engine) attemptLadder(ctx context.Context, nsp *trace.Span, name string, refs []reldb.TupleID, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
+// contract. Stage spans parent under ctx's span.
+func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.TupleID, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
 	// attempt runs one disambiguation under eng (the full engine or its
 	// degraded view), converting a panic anywhere in the name's stages into
 	// a *fault.PanicError instead of killing the caller.
 	attempt := func(eng *Engine, nctx context.Context) (groups [][]reldb.TupleID, err error) {
 		err = guard(func() error {
 			var aerr error
-			groups, aerr = eng.disambiguateRefsCtxAt(nctx, nsp, refs)
+			groups, aerr = eng.DisambiguateRefsCtx(nctx, refs)
 			return aerr
 		})
 		return groups, err
@@ -114,34 +113,26 @@ func (e *Engine) attemptLadder(ctx context.Context, nsp *trace.Span, name string
 	}
 }
 
-// DisambiguateNameGuarded is the serving-path entry point: DisambiguateName
-// under the full per-name resilience ladder. Unlike DisambiguateNameCtx —
-// which surfaces panics and budget blowouts as errors — a guarded lookup
-// always produces groups unless the parent ctx itself ended: a blown
-// NameTimeout degrades (top-k paths) and then falls back to one conservative
-// group, a panic is isolated into an incident, and the returned Incident
-// (nil on the clean path, Elapsed stamped) tells the caller exactly what
-// happened so it can be reported to the requester.
+// DisambiguateNameGuarded is the serving-path entry point:
+// DisambiguateNameCtx under the full per-name resilience ladder. Unlike
+// DisambiguateNameCtx — which surfaces panics and budget blowouts as errors
+// — a guarded lookup always produces groups unless the parent ctx itself
+// ended: a blown NameTimeout degrades (top-k paths) and then falls back to
+// one conservative group, a panic is isolated into an incident, and the
+// returned Incident (nil on the clean path, Elapsed stamped) tells the
+// caller exactly what happened so it can be reported to the requester.
+//
+// Stage spans parent under ctx's span: the serving layer puts a per-request
+// trace's name span there, so a tail-sampled request captures the engine's
+// decisions for exactly that request (stages, merges, incidents) without
+// the engine holding any global trace.
 func (e *Engine) DisambiguateNameGuarded(ctx context.Context, name string, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
-	return e.DisambiguateNameGuardedAt(ctx, nil, name, opts)
-}
-
-// DisambiguateNameGuardedAt is DisambiguateNameGuarded with the stage spans
-// parented under sp instead of the engine trace's root — the serving layer
-// passes a per-request trace's name span here, so a tail-sampled request
-// captures the engine's decisions for exactly that request (stages, merges,
-// incidents) without the engine holding any global trace. A nil sp falls
-// back to the engine trace root (nil when tracing is off, like every span).
-func (e *Engine) DisambiguateNameGuardedAt(ctx context.Context, sp *trace.Span, name string, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
 	refs := e.RefsForName(name)
 	if len(refs) == 0 {
 		return nil, nil, fmt.Errorf("core: no references named %q", name)
 	}
-	if sp == nil {
-		sp = e.root()
-	}
 	t0 := time.Now()
-	groups, inc, err := e.attemptLadder(ctx, sp, name, refs, opts)
+	groups, inc, err := e.attemptLadder(ctx, name, refs, opts)
 	if inc != nil {
 		inc.Elapsed = time.Since(t0)
 	}

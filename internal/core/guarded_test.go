@@ -13,7 +13,7 @@ import (
 func TestDisambiguateNameGuardedCleanMatchesDirect(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	groups, inc, err := e.DisambiguateNameGuarded(context.Background(), "Wei Wang", BatchOptions{})
@@ -23,7 +23,7 @@ func TestDisambiguateNameGuardedCleanMatchesDirect(t *testing.T) {
 	if inc != nil {
 		t.Fatalf("clean run produced incident %+v", inc)
 	}
-	direct, err := e.DisambiguateName("Wei Wang")
+	direct, err := e.DisambiguateNameCtx(context.Background(), "Wei Wang")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestDisambiguateNameGuardedUnknownName(t *testing.T) {
 func TestDisambiguateNameGuardedPanicIncident(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	f := fault.NewRegistry(1)
@@ -75,7 +75,7 @@ func TestDisambiguateNameGuardedPanicIncident(t *testing.T) {
 func TestDisambiguateNameGuardedErrorIncident(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	f := fault.NewRegistry(1)
@@ -95,7 +95,7 @@ func TestDisambiguateNameGuardedErrorIncident(t *testing.T) {
 func TestDisambiguateNameGuardedTimeoutLadder(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// An injected delay far past the budget forces the first attempt over;
@@ -119,7 +119,7 @@ func TestDisambiguateNameGuardedTimeoutLadder(t *testing.T) {
 func TestDisambiguateNameGuardedForceDegraded(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	refs := e.RefsForName("Wei Wang")
@@ -143,7 +143,7 @@ func TestDisambiguateNameGuardedForceDegraded(t *testing.T) {
 func TestDisambiguateNameGuardedRetryGateRefused(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Every attempt blows the budget; a closed retry gate must keep the
@@ -178,7 +178,7 @@ func TestDisambiguateNameGuardedRetryGateRefused(t *testing.T) {
 func TestDisambiguateNameGuardedParentCancelled(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

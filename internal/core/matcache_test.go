@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestEngineMatrixReuse(t *testing.T) {
 	w := testWorld(t)
 	reg := obs.NewRegistry()
 	tr := trace.New(trace.Options{})
-	e, err := NewEngine(w.DB, func() Config {
+	e, err := NewEngineCtx(context.Background(), w.DB, func() Config {
 		c := engineConfig(w, false)
 		c.Obs = reg
 		c.Trace = tr
@@ -99,11 +100,11 @@ func TestEngineMatrixReuse(t *testing.T) {
 	e.EnableMatrixReuse(0)
 	refs := e.RefsForName("Wei Wang")[:10]
 
-	pm1 := e.PathSimilarities(refs)
+	pm1 := mustPathSims(t, e, refs)
 	if got := e.MatrixCacheLen(); got != 1 {
 		t.Fatalf("MatrixCacheLen after first compute = %d, want 1", got)
 	}
-	pm2 := e.PathSimilarities(refs)
+	pm2 := mustPathSims(t, e, refs)
 	if pm1 != pm2 {
 		t.Fatal("second PathSimilarities recomputed instead of reusing the cached block")
 	}
@@ -157,7 +158,7 @@ func TestEngineMatrixReuse(t *testing.T) {
 	// Mutating the database bumps its version: the old entry can never be
 	// served again.
 	insertAnyTuple(t, e.db)
-	pm3 := e.PathSimilarities(refs)
+	pm3 := mustPathSims(t, e, refs)
 	if pm3 == pm1 {
 		t.Fatal("PathSimilarities served a stale block after an insert")
 	}

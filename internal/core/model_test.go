@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func TestModelRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -37,11 +38,11 @@ func TestModelRoundTrip(t *testing.T) {
 		}
 	}
 	// Same clustering behaviour after the transfer.
-	a, err := e.DisambiguateName("Wei Wang")
+	a, err := e.DisambiguateNameCtx(context.Background(), "Wei Wang")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e2.DisambiguateName("Wei Wang")
+	b, err := e2.DisambiguateNameCtx(context.Background(), "Wei Wang")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 	run := func(workers int) ([][]float64, [][][]int32) {
 		cfg := engineConfig(w, false)
 		cfg.Workers = workers
-		e, err := NewEngine(w.DB, cfg)
+		e, err := NewEngineCtx(context.Background(), w.DB, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 		m := e.Similarities(refs)
 		var clusterings [][][]int32
 		for _, name := range w.AmbiguousNames() {
-			pred, err := e.DisambiguateName(name)
+			pred, err := e.DisambiguateNameCtx(context.Background(), name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,13 @@ func TestParallelFor(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		n := 100
 		out := make([]int, n)
-		parallelFor(n, workers, func(i int) { out[i] = i * i })
+		err := parallelForCtx(context.Background(), n, workers, func(i int) error {
+			out[i] = i * i
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range out {
 			if out[i] != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, out[i])
@@ -74,8 +80,15 @@ func TestParallelFor(t *testing.T) {
 		}
 	}
 	// n = 0 must not hang or panic, whatever the worker request.
-	parallelFor(0, 4, func(int) { t.Fatal("body called for n=0") })
-	parallelFor(0, 0, func(int) { t.Fatal("body called for n=0, workers=0") })
+	for _, workers := range []int{4, 0} {
+		err := parallelForCtx(context.Background(), 0, workers, func(int) error {
+			t.Fatalf("body called for n=0, workers=%d", workers)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=0 workers=%d: %v", workers, err)
+		}
+	}
 }
 
 // TestParallelForMoreWorkersThanItems: requesting far more workers than
@@ -85,10 +98,14 @@ func TestParallelForMoreWorkersThanItems(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		var calls atomic.Int64
 		perIndex := make([]atomic.Int32, n)
-		parallelFor(n, 64, func(i int) {
+		err := parallelForCtx(context.Background(), n, 64, func(i int) error {
 			calls.Add(1)
 			perIndex[i].Add(1)
+			return nil
 		})
+		if err != nil {
+			t.Fatalf("n=%d workers=64: %v", n, err)
+		}
 		if got := calls.Load(); got != int64(n) {
 			t.Fatalf("n=%d workers=64: body ran %d times", n, got)
 		}
@@ -155,21 +172,22 @@ func TestParallelForCtxPanicRecovered(t *testing.T) {
 			t.Errorf("workers=%d: recovered %+v with %d stack bytes", workers, pe.Value, len(pe.Stack))
 		}
 	}
-	// The non-context wrapper re-raises with the worker stack attached.
+	// rethrow re-raises a recovered worker panic with its stack attached.
 	defer func() {
 		v := recover()
 		if v == nil {
-			t.Fatal("parallelFor swallowed the panic")
+			t.Fatal("rethrow swallowed the panic")
 		}
 		if s, ok := v.(string); !ok || !strings.Contains(s, "recovered worker stack") {
 			t.Fatalf("re-raised panic %v lacks the worker stack", v)
 		}
 	}()
-	parallelFor(4, 2, func(i int) {
+	rethrow(parallelForCtx(context.Background(), 4, 2, func(i int) error {
 		if i == 1 {
 			panic("rethrown")
 		}
-	})
+		return nil
+	}))
 }
 
 // TestParallelForCtxBodyErrorStops: the first body error is returned and

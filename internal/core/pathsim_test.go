@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")[:12]
-	pm := e.PathSimilarities(refs)
+	pm := mustPathSims(t, e, refs)
 	if pm.NumRefs() != 12 {
 		t.Fatalf("NumRefs = %d", pm.NumRefs())
 	}
@@ -67,7 +68,7 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 func TestMergeProfile(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	refs := e.RefsForName("Wei Wang")
@@ -121,7 +122,7 @@ func TestEngineTimingsAccessor(t *testing.T) {
 	if tm.Expand <= 0 || tm.Enumerate < 0 {
 		t.Errorf("construction timings %+v not recorded", tm)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tm = e.Timings()

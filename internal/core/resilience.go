@@ -1,6 +1,7 @@
-// Resilience layer: stage-boundary context checks and fault points, stage
-// error wrapping, panic-isolating parallel iteration, and the degraded
-// engine view used by per-name budget retries. See DESIGN.md §10.
+// Resilience layer: stage error wrapping, panic-isolating parallel
+// iteration, and the degraded engine view used by per-name budget retries.
+// Stage-boundary context checks and fault points live in the stage
+// primitive (stage.go). See DESIGN.md §10.
 
 package core
 
@@ -69,21 +70,6 @@ func incidentStage(err error) string {
 		}
 	}
 	return ""
-}
-
-// checkStage is the per-stage resilience boundary: it observes context
-// cancellation and gives whatever fault registry travels in ctx its
-// injection point ("core." + stage). The production fast path — background
-// context, no registry — is an Err() nil check plus one context Value
-// lookup per stage, nowhere near any per-pair loop.
-func checkStage(ctx context.Context, stage string) error {
-	if err := ctx.Err(); err != nil {
-		return &StageError{Stage: stage, Err: err}
-	}
-	if err := fault.Point(ctx, "core."+stage); err != nil {
-		return stageErr(stage, err)
-	}
-	return nil
 }
 
 // guard runs f, converting a panic on this goroutine into a *fault.PanicError
@@ -167,20 +153,6 @@ func parallelForCtx(ctx context.Context, n, workers int, body func(i int) error)
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// parallelFor runs body(i) for i in [0,n) on `workers` goroutines
-// (0 = GOMAXPROCS). body must write only to per-index state. It is
-// parallelForCtx without cancellation; a worker panic — impossible on the
-// pipeline's own inputs — is re-raised on the caller with the worker's
-// stack, preserving the pre-resilience contract of the non-context entry
-// points.
-func parallelFor(n, workers int, body func(i int)) {
-	err := parallelForCtx(context.Background(), n, workers, func(i int) error {
-		body(i)
-		return nil
-	})
-	rethrow(err)
 }
 
 // rethrow re-raises an error that cannot legitimately occur on a

@@ -43,9 +43,10 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 		{label: "unsupervised, with expansion", skip: []string{dblp.TitleAttr}},
 		{label: "unsupervised, without expansion", skip: noExpand},
 	}
+	ctx := h.Opts.ctx()
 	var rows []ExpansionRow
 	for _, cfg := range configs {
-		engine, err := core.NewEngine(h.World.DB, core.Config{
+		engine, err := core.NewEngineCtx(ctx, h.World.DB, core.Config{
 			RefRelation: dblp.ReferenceRelation,
 			RefAttr:     dblp.ReferenceAttr,
 			SkipExpand:  cfg.skip,
@@ -67,7 +68,7 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 		// for the per-path matrices.
 		engine.EnableMatrixReuse(0)
 		if cfg.supervised {
-			if _, err := engine.Train(); err != nil {
+			if _, err := engine.TrainCtx(ctx); err != nil {
 				return nil, err
 			}
 		}
@@ -76,7 +77,7 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 			engine.SetMinSim(minSim)
 			ms := make([]eval.Metrics, len(names))
 			for i, name := range names {
-				pred, err := engine.DisambiguateName(name)
+				pred, err := engine.DisambiguateNameCtx(ctx, name)
 				if err != nil {
 					return eval.Metrics{}, err
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -38,7 +39,8 @@ func MusicEvaluation(cfg music.Config, seed int64) (*MusicResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, err := core.NewEngine(cat.DB, core.Config{
+	ctx := context.Background()
+	engine, err := core.NewEngineCtx(ctx, cat.DB, core.Config{
 		RefRelation: music.ReferenceRelation,
 		RefAttr:     music.ReferenceAttr,
 		Supervised:  true,
@@ -54,7 +56,7 @@ func MusicEvaluation(cfg music.Config, seed int64) (*MusicResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := engine.Train(); err != nil {
+	if _, err := engine.TrainCtx(ctx); err != nil {
 		return nil, err
 	}
 	tune, err := engine.TuneMinSim(nil, 40, seed)
@@ -70,7 +72,10 @@ func MusicEvaluation(cfg music.Config, seed int64) (*MusicResult, error) {
 	var ms []eval.Metrics
 	for _, title := range cat.AmbiguousTitles() {
 		refs := engine.MapRefs(cat.Refs(title))
-		pred := engine.DisambiguateRefs(refs)
+		pred, err := engine.DisambiguateRefsCtx(ctx, refs)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: music %s: %w", title, err)
+		}
 		var gold eval.Clustering
 		for _, g := range cat.GoldClusters(title) {
 			gold = append(gold, engine.MapRefs(g))

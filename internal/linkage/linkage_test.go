@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestRelationalVerificationSeparates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngine(w.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
 		SkipExpand:  []string{dblp.TitleAttr},
@@ -167,7 +168,7 @@ func TestRelationalVerificationSeparates(t *testing.T) {
 	}
 	// Learned weights matter here: uniform weights inflate the affinity of
 	// unrelated people through shared years and publishers.
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	pairs, err := FindDuplicateNames(w.DB, dblp.ReferenceRelation, dblp.ReferenceAttr, Options{

@@ -1,6 +1,7 @@
 package music
 
 import (
+	"context"
 	"testing"
 
 	"distinct/internal/cluster"
@@ -107,7 +108,7 @@ func TestGenerateDeterminism(t *testing.T) {
 // on the catalog's own rare titles.
 func TestEngineOnCatalog(t *testing.T) {
 	c := testCatalog(t)
-	e, err := core.NewEngine(c.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), c.DB, core.Config{
 		RefRelation: ReferenceRelation,
 		RefAttr:     ReferenceAttr,
 		Supervised:  true,
@@ -122,13 +123,16 @@ func TestEngineOnCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var ms []eval.Metrics
 	for _, title := range c.AmbiguousTitles() {
 		refs := e.MapRefs(c.Refs(title))
-		pred := e.DisambiguateRefs(refs)
+		pred, err := e.DisambiguateRefsCtx(context.Background(), refs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var gold eval.Clustering
 		for _, g := range c.GoldClusters(title) {
 			gold = append(gold, e.MapRefs(g))

@@ -42,18 +42,19 @@ func BenchmarkHistogramObserveEnabled(b *testing.B) {
 
 func BenchmarkSpanNil(b *testing.B) {
 	var r *Registry
+	st := r.Stage("bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := r.StartStage("bench")
+		sp := st.Start()
 		sp.End(1)
 	}
 }
 
 func BenchmarkSpanEnabled(b *testing.B) {
-	r := NewRegistry()
+	st := NewRegistry().Stage("bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := r.StartStage("bench")
+		sp := st.Start()
 		sp.End(1)
 	}
 }

@@ -147,7 +147,7 @@ type Stage struct {
 // Span measures one invocation of a pipeline stage: wall time plus the
 // process-wide heap allocation delta while it was open (an upper bound on
 // the stage's own allocations when other goroutines run concurrently). The
-// zero Span (from a nil registry) is inert and its End returns immediately
+// zero Span (from a nil Stage) is inert and its End returns immediately
 // without reading any clock.
 type Span struct {
 	stage       *Stage
@@ -262,8 +262,14 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// stage returns the named stage aggregate, creating it on first use.
-func (r *Registry) stage(name string) *Stage {
+// Stage returns the named stage aggregate, creating it on first use (nil on
+// a nil registry). Callers resolve it once and Start spans on the handle, so
+// opening a span never takes the registry mutex. A stage appears in
+// snapshots once its first span has ended.
+func (r *Registry) Stage(name string) *Stage {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.stages[name]
@@ -274,15 +280,15 @@ func (r *Registry) stage(name string) *Stage {
 	return s
 }
 
-// StartStage opens a span on the named pipeline stage. On a nil registry it
-// returns the inert zero Span without touching the clock.
-func (r *Registry) StartStage(name string) Span {
-	if r == nil {
+// Start opens a span on the stage. On a nil Stage it returns the inert zero
+// Span without touching the clock.
+func (s *Stage) Start() Span {
+	if s == nil {
 		return Span{}
 	}
 	objs, bytes := readAllocs()
 	return Span{
-		stage:       r.stage(name),
+		stage:       s,
 		start:       time.Now(),
 		startAllocs: objs,
 		startBytes:  bytes,
@@ -401,16 +407,22 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Histograms[name] = hs
 		}
 	}
-	if len(r.stages) > 0 {
-		snap.Stages = make(map[string]StageSnapshot, len(r.stages))
-		for name, s := range r.stages {
-			snap.Stages[name] = StageSnapshot{
-				Count:  s.count.Load(),
-				WallNs: s.wallNs.Load(),
-				Items:  s.items.Load(),
-				Allocs: s.allocs.Load(),
-				Bytes:  s.bytes.Load(),
-			}
+	for name, s := range r.stages {
+		// Handles are resolved ahead of use; a stage that has not completed
+		// a span yet stays out of the snapshot.
+		count := s.count.Load()
+		if count == 0 {
+			continue
+		}
+		if snap.Stages == nil {
+			snap.Stages = make(map[string]StageSnapshot, len(r.stages))
+		}
+		snap.Stages[name] = StageSnapshot{
+			Count:  count,
+			WallNs: s.wallNs.Load(),
+			Items:  s.items.Load(),
+			Allocs: s.allocs.Load(),
+			Bytes:  s.bytes.Load(),
 		}
 	}
 	return snap

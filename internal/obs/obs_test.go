@@ -56,7 +56,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("y").Add(1)
 	r.Histogram("z", nil).Observe(1)
 	r.Histogram("z", nil).ObserveDuration(time.Second)
-	sp := r.StartStage("stage")
+	sp := r.Stage("stage").Start()
 	sp.End(100)
 	if c := r.Counter("x").Value(); c != 0 {
 		t.Errorf("nil counter value = %d", c)
@@ -82,7 +82,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 
 func TestSpanRecordsStage(t *testing.T) {
 	r := NewRegistry()
-	sp := r.StartStage("work")
+	sp := r.Stage("work").Start()
 	// Allocate well past the checked threshold: the runtime's allocation
 	// stats are gathered from per-P caches and a read may miss a not-yet
 	// flushed tail, so the delta can undercount by a few size classes.
@@ -118,7 +118,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("a.b").Add(7)
 	r.Gauge("g").Set(1.5)
 	r.Histogram("h", []float64{1}).Observe(0.5)
-	r.StartStage("s").End(3)
+	r.Stage("s").Start().End(3)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -154,7 +154,7 @@ func TestConcurrentHammer(t *testing.T) {
 				r.Counter("hammer.count2").Add(2)
 				r.Gauge("hammer.gauge").Add(1)
 				h.Observe(float64(i % 10))
-				sp := r.StartStage("hammer.stage")
+				sp := r.Stage("hammer.stage").Start()
 				sp.End(1)
 				if i%100 == 0 {
 					_ = r.Snapshot()

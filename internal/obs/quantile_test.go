@@ -108,7 +108,7 @@ func TestSnapshotWriteText(t *testing.T) {
 	r.Counter("pairs.computed").Add(42)
 	r.Gauge("minsim").Set(0.25)
 	r.Histogram("lat", []float64{1, 2}).Observe(1.5)
-	r.StartStage("cluster").End(7)
+	r.Stage("cluster").Start().End(7)
 	var b strings.Builder
 	if err := r.Snapshot().WriteText(&b); err != nil {
 		t.Fatal(err)

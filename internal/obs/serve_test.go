@@ -29,7 +29,7 @@ func getBody(t *testing.T, url string) []byte {
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served.pairs").Add(12)
-	r.StartStage("served.stage").End(5)
+	r.Stage("served.stage").Start().End(5)
 
 	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()

@@ -19,6 +19,7 @@
 package trace
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -205,6 +206,33 @@ func (s *Span) EventAll(events []Event) {
 	}
 	t.numEvents += len(events)
 	t.mu.Unlock()
+}
+
+// Trace returns the trace the span belongs to (nil on a nil span).
+func (s *Span) Trace() *Trace {
+	if s == nil {
+		return nil
+	}
+	return s.tr
+}
+
+// spanKey is the context key a span travels under.
+type spanKey struct{}
+
+// ContextWithSpan returns a context carrying sp, so work started under it
+// parents its spans there without being handed the span. A nil sp returns
+// ctx itself, allocating nothing.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, sp)
+}
+
+// SpanFromContext returns the span ctx carries (nil when it carries none).
+func SpanFromContext(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
 }
 
 // ID returns the span's trace-unique id (0 for the root, -1 on nil).

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"distinct/internal/core"
-	"distinct/internal/obs/trace"
 	"distinct/internal/reldb"
 )
 
@@ -48,16 +47,6 @@ type Mutator interface {
 	Bump() int64
 }
 
-// TracedBackend is the optional tracing extension of Backend: a backend
-// that can parent the engine's stage spans under a caller-provided span.
-// The server type-asserts for it when per-request trace capture is on
-// (Options.TailDir), so plain Backends — the deterministic test stubs —
-// keep compiling untouched.
-type TracedBackend interface {
-	// DisambiguateAt is Disambiguate with stage spans parented under sp.
-	DisambiguateAt(ctx context.Context, sp *trace.Span, name string, opts core.BatchOptions) (groups [][]string, inc *core.Incident, err error)
-}
-
 // EngineBackend adapts a trained core engine to the Backend interface,
 // rendering each reference through renderAttr (e.g. dblp's "paper-key").
 // Keys inside each group are sorted so responses are deterministic.
@@ -72,14 +61,11 @@ func NewEngineBackend(eng *core.Engine, renderAttr string) *EngineBackend {
 	return &EngineBackend{eng: eng, renderAttr: renderAttr}
 }
 
+// Disambiguate runs the engine's guarded lookup. The engine's stage spans
+// parent under the span ctx carries (trace.ContextWithSpan), so a
+// per-request trace captures this computation's decisions.
 func (b *EngineBackend) Disambiguate(ctx context.Context, name string, opts core.BatchOptions) ([][]string, *core.Incident, error) {
-	return b.DisambiguateAt(ctx, nil, name, opts)
-}
-
-// DisambiguateAt implements TracedBackend: the engine's stage spans parent
-// under sp, so a per-request trace captures this computation's decisions.
-func (b *EngineBackend) DisambiguateAt(ctx context.Context, sp *trace.Span, name string, opts core.BatchOptions) ([][]string, *core.Incident, error) {
-	groups, inc, err := b.eng.DisambiguateNameGuardedAt(ctx, sp, name, opts)
+	groups, inc, err := b.eng.DisambiguateNameGuarded(ctx, name, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,7 +47,7 @@ func chaosEngine(t *testing.T) *core.Engine {
 			chaosErr = err
 			return
 		}
-		eng, err := core.NewEngine(w.DB, core.Config{
+		eng, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 			RefRelation: dblp.ReferenceRelation,
 			RefAttr:     dblp.ReferenceAttr,
 			SkipExpand:  []string{dblp.TitleAttr},
@@ -63,7 +63,7 @@ func chaosEngine(t *testing.T) *core.Engine {
 			chaosErr = err
 			return
 		}
-		if _, err := eng.Train(); err != nil {
+		if _, err := eng.TrainCtx(context.Background()); err != nil {
 			chaosErr = err
 			return
 		}

@@ -15,6 +15,7 @@ import (
 
 	"distinct/internal/core"
 	flightrec "distinct/internal/obs/flight"
+	"distinct/internal/obs/trace"
 )
 
 // nopResponseWriter is a ResponseWriter whose methods allocate nothing, so
@@ -358,5 +359,47 @@ func TestCachedResultCarriesNoTrace(t *testing.T) {
 	}
 	if res2.trace != nil {
 		t.Error("cached result still carries the first request's trace")
+	}
+}
+
+// TestTailTraceCapturesEngineStages drives a real engine through the
+// serving path with tail tracing on: the request's name span travels to the
+// engine in ctx, so the written artifact's name span must hold the engine's
+// own blocks, similarities and cluster stages.
+func TestTailTraceCapturesEngineStages(t *testing.T) {
+	dir := t.TempDir()
+	s := engineServer(t, nil, func(o *Options) {
+		o.TailDir = dir
+		o.TailSlow = time.Nanosecond // every request tail-samples
+		o.CacheBytes = -1
+	})
+	if w, _ := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", ""); w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	snap := s.flightRec.Snapshot()
+	if len(snap.Slowest) != 1 || snap.Slowest[0].TraceFile == "" {
+		t.Fatalf("slow lane = %+v, want one record with a trace artifact", snap.Slowest)
+	}
+	f, err := trace.ReadFileJSON(snap.Slowest[0].TraceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nameSpan *trace.SpanNode
+	for _, c := range f.Root.Children {
+		if c.Name == trace.NameSpanPrefix+"Wei Wang" {
+			nameSpan = c
+		}
+	}
+	if nameSpan == nil {
+		t.Fatalf("artifact has no name span: %+v", f.Root)
+	}
+	children := make(map[string]bool)
+	for _, c := range nameSpan.Children {
+		children[c.Name] = true
+	}
+	for _, want := range []string{"blocks", "similarities", "cluster"} {
+		if !children[want] {
+			t.Errorf("name span lacks a %q child; children: %v", want, children)
+		}
 	}
 }

@@ -217,7 +217,6 @@ var errShedding = errors.New("serve: shedding load")
 // obs.ServeHandler (or any http.Server), Drain before exit.
 type Server struct {
 	backend     Backend
-	traced      TracedBackend // backend's tracing extension, nil if unsupported
 	reg         *obs.Registry
 	cache       *resultCache
 	neg         *negCache
@@ -254,6 +253,7 @@ type Server struct {
 	// Pre-resolved obs handles: registry lookups take the registry mutex,
 	// so the request path resolves each handle once here and updates
 	// atomics from then on. All nil (and free) on a nil registry.
+	computeStage *obs.Stage
 	cRequests    *obs.Counter
 	hSeconds     *obs.Histogram
 	cCacheHits   *obs.Counter
@@ -311,7 +311,6 @@ func New(opts Options) (*Server, error) {
 		batchFanout: opts.BatchFanout,
 		fault:       opts.Fault,
 	}
-	s.traced, _ = opts.Backend.(TracedBackend)
 	switch {
 	case opts.MaxStale < 0:
 		// staleness disabled: a version bump invalidates immediately
@@ -401,6 +400,7 @@ func New(opts Options) (*Server, error) {
 	s.instrumented = s.flightRec != nil || s.access != nil || s.reg != nil || s.brown != nil
 
 	reg := opts.Obs
+	s.computeStage = reg.Stage("serve.compute")
 	s.cRequests = reg.Counter("serve.requests")
 	s.hSeconds = reg.Histogram("serve.request_seconds", nil)
 	s.cCacheHits = reg.Counter("serve.cache_hits")
@@ -789,10 +789,11 @@ func (s *Server) allowRetry() bool {
 // request must never take the process down.
 //
 // Under tail sampling (Options.TailDir) each compute carries its own
-// engine trace: the backend's stage spans parent under a per-request name
-// span, and the finished trace rides the result so the flight recorder can
-// write it as an artifact if the request turns out slow or errored. Every
-// coalesced waiter shares the one trace; the cache stores a copy without it.
+// engine trace: a per-request name span travels in the ctx handed to the
+// backend, whose stage spans parent under it, and the finished trace rides
+// the result so the flight recorder can write it as an artifact if the
+// request turns out slow or errored. Every coalesced waiter shares the one
+// trace; the cache stores a copy without it.
 func (s *Server) compute(fctx context.Context, name string, version int64) (res *NameResult, err error) {
 	var tr *trace.Trace
 	var nsp *trace.Span
@@ -835,7 +836,7 @@ func (s *Server) compute(fctx context.Context, name string, version int64) (res 
 		return nil, ferr
 	}
 	s.cComputes.Inc()
-	sp := s.reg.StartStage("serve.compute")
+	sp := s.computeStage.Start()
 	opts := core.BatchOptions{
 		NameTimeout:   s.nameTimeout,
 		DegradedPaths: s.degraded,
@@ -852,13 +853,7 @@ func (s *Server) compute(fctx context.Context, name string, version int64) (res 
 		s.retries.onAttempt()
 		opts.RetryGate = s.allowRetry
 	}
-	var groups [][]string
-	var inc *core.Incident
-	if s.traced != nil && nsp != nil {
-		groups, inc, err = s.traced.DisambiguateAt(fctx, nsp, name, opts)
-	} else {
-		groups, inc, err = s.backend.Disambiguate(fctx, name, opts)
-	}
+	groups, inc, err := s.backend.Disambiguate(trace.ContextWithSpan(fctx, nsp), name, opts)
 	sp.End(1)
 	if err != nil {
 		return nil, err

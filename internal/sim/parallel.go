@@ -19,28 +19,25 @@ import (
 // The sparse finalisation (sort + Σ Fwd) also runs on the workers, so a
 // prefetched reference costs the serving path nothing but a cache read.
 func (e *Extractor) Prefetch(refs []reldb.TupleID, workers int) {
-	e.PrefetchSpan(refs, workers, nil)
-}
-
-// PrefetchSpan is Prefetch that, when parent is non-nil, records the work as
-// a "prefetch" child span carrying how many references were requested and
-// how many actually propagated (the rest were cache hits). A fully warm
-// cache records propagated=0, so batch sweeps show per-name prefetch spans
-// that did no work — which is itself the interesting fact.
-func (e *Extractor) PrefetchSpan(refs []reldb.TupleID, workers int, parent *trace.Span) {
 	// Background context never cancels and carries no fault registry, so
 	// the error return is impossible and safely discarded.
-	_ = e.PrefetchCtx(context.Background(), refs, workers, parent)
+	_ = e.PrefetchCtx(context.Background(), refs, workers)
 }
 
-// PrefetchCtx is PrefetchSpan under a context: cancellation (and the
+// PrefetchCtx is Prefetch under a context: cancellation (and the
 // "sim.prefetch" fault point) is observed between per-reference
 // propagations, so the latency to abort is bounded by one propagation. On
 // error, neighborhoods already computed are still merged into the cache —
 // the cache only ever gains entries, so a partial prefetch is safe and the
 // work is not wasted on a degraded retry. A worker panic is recovered into
 // a *fault.PanicError instead of killing the process.
-func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, workers int, parent *trace.Span) error {
+//
+// When ctx carries a trace span (trace.ContextWithSpan), the work is
+// recorded as a "prefetch" child span carrying how many references were
+// requested and how many actually propagated (the rest were cache hits). A
+// fully warm cache records propagated=0, so batch sweeps show per-name
+// prefetch spans that did no work — which is itself the interesting fact.
+func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, workers int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -67,14 +64,14 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 	e.prefetchRequested.Add(int64(len(refs)))
 	e.prefetchDeduped.Add(int64(len(refs) - len(todo)))
 	e.prefetchPropagated.Add(int64(len(todo)))
-	tsp := parent.Start("prefetch",
+	tsp := trace.SpanFromContext(ctx).Start("prefetch",
 		trace.Int("requested", int64(len(refs))),
 		trace.Int("propagated", int64(len(todo))))
 	defer tsp.End()
 	if len(todo) == 0 {
 		return nil
 	}
-	sp := e.obs.StartStage("prefetch")
+	sp := e.prefetchStage.Start()
 	defer func() { sp.End(len(todo)) }()
 	if workers > len(todo) {
 		workers = len(todo)

@@ -291,7 +291,7 @@ type Extractor struct {
 	// Metric handles resolved once by SetMetrics; nil handles (the
 	// default) make every update a no-op nil check, keeping the cache's
 	// hot path free of registry lookups.
-	obs                *obs.Registry
+	prefetchStage      *obs.Stage
 	cacheHits          *obs.Counter
 	cacheMisses        *obs.Counter
 	prefetchRequested  *obs.Counter
@@ -319,7 +319,7 @@ func (e *Extractor) Paths() []reldb.JoinPath { return e.paths }
 // sim.prefetch_propagated describe Prefetch batches, and the "prefetch"
 // stage records the propagation work itself.
 func (e *Extractor) SetMetrics(r *obs.Registry) {
-	e.obs = r
+	e.prefetchStage = r.Stage("prefetch")
 	e.cacheHits = r.Counter("sim.cache_hits")
 	e.cacheMisses = r.Counter("sim.cache_misses")
 	e.prefetchRequested = r.Counter("sim.prefetch_requested")

@@ -20,6 +20,8 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go test ./..."
 go test ./...
+echo "== cmd/distinctbench (its own module: root ./... never compiles it)"
+(cd cmd/distinctbench && go vet . && go test .)
 echo "== go test -race ./..."
 go test -race ./...
 echo "== chaos quick tier (fault injection, -race, seed 1)"
