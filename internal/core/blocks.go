@@ -19,6 +19,10 @@ import (
 // classic inverted-index blocking of the record-linkage literature, made
 // exact here by the structure of the measures.
 
+// pathUsed reports whether join path p carries a nonzero resemblance or
+// walk weight; any other path adds nothing to any similarity.
+func (e *Engine) pathUsed(p int) bool { return e.resemW[p] != 0 || e.walkW[p] != 0 }
+
 // unionFind is a standard disjoint-set with path halving.
 type unionFind struct{ parent []int }
 
@@ -59,26 +63,32 @@ func (e *Engine) blocks(ctx context.Context, refs []reldb.TupleID) ([][]int, err
 		return nil, st.end(0, stageErr("prefetch", err))
 	}
 	uf := newUnionFind(len(refs))
-	nbsAll := e.ext.NeighborhoodsAll(refs, nil)
-	// Inverted index: (path, neighbor tuple) -> first reference seen with
-	// it; later references union with the first. The pair is packed into
-	// one word (TupleID is 32-bit; path counts are far below 2^32) so the
-	// map hashes 8 bytes instead of a 16-byte struct.
-	first := make(map[uint64]int)
-	for i := range refs {
-		nbs := nbsAll[i]
-		for p := range e.paths {
-			if e.resemW[p] == 0 && e.walkW[p] == 0 {
-				continue
-			}
-			pk := uint64(p) << 32
-			for _, t := range nbs[p].Keys {
-				k := pk | uint64(uint32(t))
-				if j, ok := first[k]; ok {
-					uf.union(i, j)
+	nbs := e.ext.NeighborhoodsAll(refs, nil)
+	// Inverted index, one path at a time: first[t] is the first reference
+	// seen holding neighbor tuple t along the path, -1 before any; later
+	// holders union with it. Components do not depend on the order of the
+	// unions, so walking path by path finds the same blocks as any other
+	// order. first is the kernel scratch's dense tuple array, handed back
+	// all -1 by walking the keys again.
+	s := e.ext.BatchScratch()
+	defer e.ext.PutBatchScratch(s)
+	for p := range e.paths {
+		if !e.pathUsed(p) {
+			continue
+		}
+		first := s.TupleIndex(nbs, p)
+		for i := range refs {
+			for _, t := range nbs[i][p].Keys {
+				if j := first[t]; j >= 0 {
+					uf.union(i, int(j))
 				} else {
-					first[k] = i
+					first[t] = int32(i)
 				}
+			}
+		}
+		for i := range refs {
+			for _, t := range nbs[i][p].Keys {
+				first[t] = -1
 			}
 		}
 	}

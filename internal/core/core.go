@@ -517,30 +517,24 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 		return nil, st.end(0, stageErr("prefetch", err))
 	}
 	nbs := e.ext.NeighborhoodsAll(refs, nil)
+	ix := e.ext.IndexBlock(nbs, nil)
+	defer e.ext.PutBlockIndex(ix)
 	nn := n * n
 	// Row i fills entries (i,j) and (j,i) for j > i: every matrix cell is
 	// written by exactly one row worker, so rows can run concurrently. Per
-	// row, each path intersects i's neighborhood against the whole candidate
-	// block in one batched scatter/probe pass (sim.BatchScratch.Block),
-	// bit-identical to per-pair PairKernel calls.
+	// row and path, the postings index yields only the partners that share
+	// a neighbor tuple (sim.BlockIndex.Row), bit-identical to per-pair
+	// PairKernel calls; every other cell stays the exact zero PairKernel
+	// returns.
 	err = parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
-		nc := n - i - 1
-		if nc == 0 {
-			return nil
-		}
 		s := e.ext.BatchScratch()
 		defer e.ext.PutBatchScratch(s)
-		cands, out := s.GrowBuffers(nc)
-		ni := nbs[i]
 		for p := 0; p < np; p++ {
-			for j := i + 1; j < n; j++ {
-				cands[j-i-1] = nbs[j][p]
-			}
-			s.Block(ni[p], cands, out)
+			js, out := ix.Row(s, p, i)
 			base := p * nn
 			row := base + i*n
-			for k := range out {
-				j := i + 1 + k
+			for k, j := range js {
+				j := int(j)
 				pm.RFlat[row+j], pm.RFlat[base+j*n+i] = out[k].Resem, out[k].Resem
 				pm.WFlat[row+j] = out[k].WalkAB
 				pm.WFlat[base+j*n+i] = out[k].WalkBA
@@ -629,6 +623,11 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 			return cluster.Matrix{}, st.end(0, stageErr("prefetch", err))
 		}
 		nbs := e.ext.NeighborhoodsAll(refs, nil)
+		// One index per block over every weighted path, built before the
+		// row pass, so the rows below keep one fan-out and one fault point
+		// per row.
+		ix := e.ext.IndexBlock(nbs, e.pathUsed)
+		defer e.ext.PutBlockIndex(ix)
 		// Resolved once per stage: the per-row injection point below costs
 		// one nil check per row when fault injection is off.
 		freg := fault.From(ctx)
@@ -638,30 +637,22 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 					return err
 				}
 			}
-			nc := n - i - 1
-			if nc == 0 {
-				return nil
-			}
 			s := e.ext.BatchScratch()
 			defer e.ext.PutBatchScratch(s)
-			cands, out := s.GrowBuffers(nc)
-			ni := nbs[i]
 			rowR, rowW := m.R[i], m.W[i]
-			// Per path, one batched block pass over the row's candidates;
+			// Per path, the partners sharing a neighbor tuple with i;
 			// contributions accumulate into the row in ascending path order —
 			// the same order (and therefore the same floats) as the per-pair
-			// loop this replaces.
+			// loop. A partner sharing nothing would add an exact zero to a
+			// cell that is never -0, which leaves it unchanged, so it is
+			// skipped.
 			for p := range e.paths {
-				rw, ww := e.resemW[p], e.walkW[p]
-				if rw == 0 && ww == 0 {
+				if !e.pathUsed(p) {
 					continue
 				}
-				for j := i + 1; j < n; j++ {
-					cands[j-i-1] = nbs[j][p]
-				}
-				s.Block(ni[p], cands, out)
-				for k := range out {
-					j := i + 1 + k
+				rw, ww := e.resemW[p], e.walkW[p]
+				js, out := ix.Row(s, p, i)
+				for k, j := range js {
 					rowR[j] += rw * out[k].Resem
 					rowW[j] += ww * out[k].WalkAB
 					m.W[j][i] += ww * out[k].WalkBA

@@ -2,180 +2,285 @@ package sim
 
 import (
 	"distinct/internal/prop"
+	"distinct/internal/reldb"
 )
 
-// This file is the batched counterpart of the pair-at-a-time kernel in
-// sim.go: one anchor neighborhood intersected against a whole block of
-// candidate neighborhoods in a single scatter/probe pass. PairKernel stays
-// the reference implementation — the property tests hold the two within
-// 1e-12 (they are in fact bit-identical, which is what keeps the golden
-// outputs stable across the switch).
+// This file is the block-at-a-time counterpart of the pair-at-a-time kernel
+// in sim.go: every pair of a block of neighborhoods, computed from an
+// inverted index so that a pair only ever touches the neighbor tuples it
+// shares. PairKernel stays the reference implementation; the two are
+// bit-identical, which is what keeps the golden outputs stable.
 //
 // # Layout
 //
-// The anchor's sorted keys are scattered once into a dense reverse index
-// (pos: tuple ID → index into the anchor, -1 when absent), sized by the
-// database's tuple space. Each candidate is then a single linear pass over
-// its own keys probing pos — no merge branching, no per-pair rewind of the
-// anchor. The scatter is O(|anchor|) and amortises over the whole block;
-// each probe is O(|candidate|) with one predictable branch per key.
+// A BlockIndex holds one Postings per join path. Postings is a CSR from
+// each neighbor tuple held by at least two block members to those members,
+// in ascending member order, each entry carrying the member's FB for the
+// tuple. Tuples held by a single member cannot contribute to any pair and
+// are left out. For every key a member shares with a later member, the
+// index also records the run of postings strictly after the member's own
+// entry. The build is two passes over the block's keys through the
+// scratch's dense tuple → slot array, which is reset by walking the
+// distinct keys, never the whole tuple space. Memory is O(Σ keys) per path
+// and O(Σ over paths of Σ keys) per block.
 //
-// Unscattering walks the anchor's keys again (O(|anchor|), not O(tuple
-// space)), so a warm scratch never re-initialises the dense array.
+// Row i walks its runs in ascending key order and accumulates each hit into
+// a dense per-row accumulator indexed by the partner j > i. A row therefore
+// costs the (key, j) pairs it shares, not Σ_j |keys_j| as probing every
+// candidate does. The index is read-only once built, so rows run
+// concurrently, each with its own BatchScratch.
 //
 // # Equivalence with pairAccum
 //
-// The probe loop walks the candidate's keys in ascending order, so the
-// intersection is accumulated in ascending key order — the same order as
-// the two-pointer merge and the gallop modes — with the same float
-// expressions. The results are therefore bit-identical to PairKernel, not
-// merely within tolerance.
-//
-// # Skew fallback
-//
-// When the anchor is much smaller than a candidate, probing every candidate
-// key costs O(|candidate|) while galloping costs O(|anchor|·log). The block
-// kernel reuses gallopAccum for that regime, under the same size-ratio
-// switch as pairAccum (batchGallopFactor; see BenchmarkPairKernelSkew and
-// RESULTS.txt for the tuning table). The opposite skew — candidate much
-// smaller than anchor — is the probe loop's best case and needs no special
-// handling.
-
-// batchGallopFactor is the anchor:candidate size ratio beyond which the
-// block kernel abandons the scatter table and gallops the anchor's keys
-// through the candidate instead. Benchmarked in BenchmarkPairKernelSkew:
-// the dense probe beats the pairwise merge at every ratio where it applies,
-// and galloping only wins once the candidate is ≥ ~8x larger than the
-// anchor — the same crossover pairAccum's gallopFactor encodes.
-const batchGallopFactor = gallopFactor
+// For a fixed pair (i, j), row i reaches the shared tuples in ascending key
+// order — the order of pairAccum's merge and gallop modes — and adds the
+// same float expressions with i as the first operand; the resemblance uses
+// PairKernel's denominator expression. Pairs that share nothing are never
+// touched, and PairKernel returns exact zeros for them. The results are
+// therefore bit-identical to PairKernel, not merely within tolerance.
 
 // Trip is the fused per-pair kernel result: the set resemblance and both
 // directed walk probabilities, exactly PairKernel's three return values.
 type Trip struct {
 	Resem  float64
-	WalkAB float64 // anchor → candidate
-	WalkBA float64 // candidate → anchor
+	WalkAB float64 // row member → partner
+	WalkBA float64 // partner → row member
 }
 
-// BatchScratch holds the dense reverse index and reusable gather buffers of
-// one block pass. A scratch belongs to one goroutine at a time; reusing it
-// (via Extractor.BatchScratch / PutBatchScratch) is what makes the warm
-// path allocation-free. The zero value is usable; Block grows pos on
-// demand.
+// span is the half-open run [lo, hi) of a tuple's postings that follow one
+// member's own entry; that entry sits at lo-1.
+type span struct{ lo, hi int32 }
+
+// Postings is the inverted index of one block along one join path.
+type Postings struct {
+	off     []int32   // member i's runs are runs[off[i]:off[i+1]]; empty when not built
+	runs    []span    // per key a member shares with a later member
+	members []int32   // postings: block member, ascending within a tuple
+	fbs     []prop.FB // postings: that member's FB for the tuple
+	sums    []float64 // per member: SumFwd
+	visits  int       // Σ over runs of hi-lo
+}
+
+// BlockIndex is the per-path inverted index of one block of neighborhoods.
+// Borrow one with Extractor.IndexBlock and return it with PutBlockIndex;
+// pooled indexes keep their buffers, so a warm build does not allocate.
+type BlockIndex struct {
+	paths []Postings
+
+	// Build buffers, per distinct tuple of the path being indexed.
+	keys []reldb.TupleID // the tuples, to reset the dense array afterwards
+	next []int32         // holder count, then the fill cursor
+	end  []int32         // end of the tuple's postings
+}
+
+// Build indexes the block nbs (nbs[i][p] is member i's neighborhood along
+// path p) along every path p for which use(p) is true, or along every path
+// when use is nil. s lends its dense tuple array and gets it back all -1.
+// Rows of paths left out return no partners.
+func (x *BlockIndex) Build(s *BatchScratch, nbs [][]prop.SparseNeighborhood, use func(p int) bool) {
+	np := 0
+	if len(nbs) > 0 {
+		np = len(nbs[0])
+	}
+	if cap(x.paths) < np {
+		x.paths = append(x.paths[:cap(x.paths)], make([]Postings, np-cap(x.paths))...)
+	}
+	x.paths = x.paths[:np]
+	for p := range x.paths {
+		ps := &x.paths[p]
+		ps.off, ps.runs, ps.visits = ps.off[:0], ps.runs[:0], 0
+		if use == nil || use(p) {
+			x.index(ps, s, nbs, p)
+		}
+	}
+}
+
+// index builds ps from the members' neighborhoods along path p.
+func (x *BlockIndex) index(ps *Postings, s *BatchScratch, nbs [][]prop.SparseNeighborhood, p int) {
+	pos := s.TupleIndex(nbs, p)
+	// Pass 1: number the distinct tuples in first-seen order and count
+	// their holders.
+	keys, next := x.keys[:0], x.next[:0]
+	for i := range nbs {
+		for _, t := range nbs[i][p].Keys {
+			slot := pos[t]
+			if slot < 0 {
+				slot = int32(len(keys))
+				pos[t] = slot
+				keys = append(keys, t)
+				next = append(next, 0)
+			}
+			next[slot]++
+		}
+	}
+	// Lay out postings only for tuples with two or more holders; next
+	// becomes each tuple's fill cursor, end its end.
+	end := grow(x.end, len(keys))
+	var total int32
+	for slot, c := range next {
+		next[slot] = total
+		if c > 1 {
+			total += c
+		}
+		end[slot] = total
+	}
+	n := len(nbs)
+	members, fbs := grow(ps.members, int(total)), grow(ps.fbs, int(total))
+	off, sums, runs := grow(ps.off, n+1), grow(ps.sums, n), ps.runs
+	visits := 0
+	// Pass 2: fill in ascending member order, so every tuple's postings are
+	// ascending and a member's run holds exactly its later partners.
+	for i := range nbs {
+		nb := &nbs[i][p]
+		off[i] = int32(len(runs))
+		sums[i] = nb.SumFwd
+		for k, t := range nb.Keys {
+			slot := pos[t]
+			q := next[slot]
+			if q == end[slot] {
+				continue // held by this member alone
+			}
+			next[slot] = q + 1
+			members[q], fbs[q] = int32(i), nb.FBs[k]
+			if hi := end[slot]; q+1 < hi {
+				runs = append(runs, span{q + 1, hi})
+				visits += int(hi - q - 1)
+			}
+		}
+	}
+	off[n] = int32(len(runs))
+	for _, t := range keys {
+		pos[t] = -1
+	}
+	x.keys, x.next, x.end = keys, next, end
+	ps.off, ps.runs, ps.members, ps.fbs, ps.sums, ps.visits = off, runs, members, fbs, sums, visits
+}
+
+// Visits returns how many (i < j, shared tuple) triples the rows of path p
+// walk: the kernel's whole work, independent of the machine.
+func (x *BlockIndex) Visits(p int) int { return x.paths[p].visits }
+
+// Row computes PairKernel(nbs[i][p], nbs[j][p]) for every member j > i that
+// shares at least one tuple with member i along path p. It returns those
+// partners, in first-hit order, with their results; every other later
+// member's result is exactly zero. Both slices belong to s and stay valid
+// until its next Row. Rows of one index may run concurrently, each with its
+// own scratch.
+func (x *BlockIndex) Row(s *BatchScratch, p, i int) (js []int32, out []Trip) {
+	ps := &x.paths[p]
+	if len(ps.off) == 0 {
+		return nil, nil
+	}
+	runs := ps.runs[ps.off[i]:ps.off[i+1]]
+	if len(runs) == 0 {
+		return nil, nil
+	}
+	acc := s.accums(len(ps.sums))
+	js = s.js[:0]
+	members, fbs := ps.members, ps.fbs
+	for _, r := range runs {
+		fa := fbs[r.lo-1]
+		for q := r.lo; q < r.hi; q++ {
+			j, fb := members[q], fbs[q]
+			a := &acc[j]
+			if !a.hit {
+				a.hit = true
+				js = append(js, j)
+			}
+			if fa.Fwd < fb.Fwd {
+				a.interMin += fa.Fwd
+			} else {
+				a.interMin += fb.Fwd
+			}
+			a.ab += fa.Fwd * fb.Bwd
+			a.ba += fb.Fwd * fa.Bwd
+		}
+	}
+	out = grow(s.out, len(js))
+	sumI := ps.sums[i]
+	for k, j := range js {
+		a := &acc[j]
+		var resem float64
+		if denom := sumI + ps.sums[j] - a.interMin; denom > 0 {
+			resem = a.interMin / denom
+		}
+		out[k] = Trip{Resem: resem, WalkAB: a.ab, WalkBA: a.ba}
+		*a = accum{}
+	}
+	s.js, s.out = js, out
+	return js, out
+}
+
+// accum is one partner's running sums within a row.
+type accum struct {
+	interMin, ab, ba float64
+	hit              bool
+}
+
+// BatchScratch is the block kernel's per-goroutine working memory: a dense
+// array over the tuple space and one row's accumulators. Reusing it (via
+// Extractor.BatchScratch / PutBatchScratch) is what makes the warm path
+// allocation-free. The zero value is usable.
 type BatchScratch struct {
-	// pos maps a tuple ID to its index in the current anchor, -1 when
-	// absent. Invariant between Block calls: all -1.
+	// pos maps a tuple ID to a caller-chosen int32, -1 when unset.
+	// Invariant between uses: all -1.
 	pos []int32
 
-	// Cands and Out are gather buffers for callers assembling per-path
-	// candidate blocks (core's row passes); Block itself does not touch
-	// them. Grown by the caller, retained across pool round-trips.
-	Cands []prop.SparseNeighborhood
-	Out   []Trip
+	acc []accum // per partner; all zero between rows
+	js  []int32
+	out []Trip
 }
 
-// NewBatchScratch returns a scratch whose reverse index covers tuple IDs
-// [0, keySpace). Block grows the index if it ever meets a larger key, so
-// keySpace is a sizing hint (db.NumTuples()), not a hard bound.
+// NewBatchScratch returns a scratch whose dense array covers tuple IDs
+// [0, keySpace). The array grows if it ever meets a larger key, so keySpace
+// is a sizing hint (db.NumTuples()), not a hard bound.
 func NewBatchScratch(keySpace int) *BatchScratch {
 	s := &BatchScratch{}
-	s.grow(keySpace)
+	s.growPos(keySpace)
 	return s
 }
 
-// grow extends pos to cover [0, keySpace), filling new entries with -1.
-func (s *BatchScratch) grow(keySpace int) {
-	if keySpace <= len(s.pos) {
+// TupleIndex returns the scratch's dense tuple array, all -1 and grown to
+// cover every key of nbs[i][p] over the members i. The caller may set
+// entries but must reset each one to -1 before the scratch is used again;
+// walking the keys it set keeps that O(keys), not O(tuple space).
+func (s *BatchScratch) TupleIndex(nbs [][]prop.SparseNeighborhood, p int) []int32 {
+	maxKey := -1
+	for i := range nbs {
+		// Keys are sorted, so each neighborhood's maximum is its last key.
+		if k := nbs[i][p].Keys; len(k) > 0 && int(k[len(k)-1]) > maxKey {
+			maxKey = int(k[len(k)-1])
+		}
+	}
+	s.growPos(maxKey + 1)
+	return s.pos
+}
+
+// growPos extends pos to cover [0, keySpace), filling new entries with -1.
+func (s *BatchScratch) growPos(keySpace int) {
+	old := len(s.pos)
+	if keySpace <= old {
 		return
 	}
-	old := len(s.pos)
 	s.pos = append(s.pos, make([]int32, keySpace-old)...)
 	for i := old; i < len(s.pos); i++ {
 		s.pos[i] = -1
 	}
 }
 
-// Block computes PairKernel(anchor, cands[k]) for every candidate in one
-// scatter/probe pass, writing the k-th result to out[k]. out must be at
-// least len(cands) long. Results are bit-identical to calling PairKernel
-// pair by pair. The scratch is restored before returning, so Block may be
-// called again immediately.
-func (s *BatchScratch) Block(anchor prop.SparseNeighborhood, cands []prop.SparseNeighborhood, out []Trip) {
-	ak := anchor.Keys
-	if len(ak) == 0 {
-		for k := range cands {
-			out[k] = Trip{}
-		}
-		return
+// accums returns the row accumulators covering partners [0, n), all zero.
+func (s *BatchScratch) accums(n int) []accum {
+	if len(s.acc) < n {
+		s.acc = append(s.acc, make([]accum, n-len(s.acc))...)
 	}
-	// Size the reverse index to the largest key probed. Keys are sorted, so
-	// each operand's maximum is its last element. A pool-sized scratch
-	// (db.NumTuples()) never grows here.
-	maxKey := int(ak[len(ak)-1])
-	for _, c := range cands {
-		if n := len(c.Keys); n > 0 && int(c.Keys[n-1]) > maxKey {
-			maxKey = int(c.Keys[n-1])
-		}
-	}
-	s.grow(maxKey + 1)
-	pos := s.pos
-	for i, k := range ak {
-		pos[k] = int32(i)
-	}
-	afbs := anchor.FBs
-	for ci := range cands {
-		b := &cands[ci]
-		bk := b.Keys
-		if len(bk) == 0 {
-			out[ci] = Trip{}
-			continue
-		}
-		var interMin, ab, ba float64
-		if len(ak)*batchGallopFactor < len(bk) {
-			// Anchor much smaller: gallop its few keys through the large
-			// candidate instead of probing every candidate key.
-			interMin, ab, ba = gallopAccum(anchor, *b, false)
-		} else {
-			bfbs := b.FBs
-			for k, key := range bk {
-				j := pos[key]
-				if j < 0 {
-					continue
-				}
-				fa, fb := afbs[j], bfbs[k]
-				if fa.Fwd < fb.Fwd {
-					interMin += fa.Fwd
-				} else {
-					interMin += fb.Fwd
-				}
-				ab += fa.Fwd * fb.Bwd
-				ba += fb.Fwd * fa.Bwd
-			}
-		}
-		var resem float64
-		if denom := anchor.SumFwd + b.SumFwd - interMin; denom > 0 {
-			resem = interMin / denom
-		}
-		out[ci] = Trip{Resem: resem, WalkAB: ab, WalkBA: ba}
-	}
-	// Unscatter by walking the anchor's keys — O(|anchor|), leaving the
-	// all--1 invariant for the next Block call.
-	for _, k := range ak {
-		pos[k] = -1
-	}
+	return s.acc
 }
 
-// GrowBuffers ensures the gather buffers hold at least n entries, returning
-// them truncated to exactly n. Callers fill Cands per path and read Out
-// after Block; keeping both on the scratch keeps row passes allocation-free
-// once the pool is warm.
-func (s *BatchScratch) GrowBuffers(n int) (cands []prop.SparseNeighborhood, out []Trip) {
-	if cap(s.Cands) < n {
-		s.Cands = make([]prop.SparseNeighborhood, n)
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	if cap(s.Out) < n {
-		s.Out = make([]Trip, n)
-	}
-	s.Cands, s.Out = s.Cands[:n], s.Out[:n]
-	return s.Cands, s.Out
+	return buf[:n]
 }

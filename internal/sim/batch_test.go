@@ -3,158 +3,221 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"distinct/internal/prop"
 	"distinct/internal/reldb"
 )
 
-// blockFixture builds an anchor plus a block of candidate neighborhoods
-// spanning the regimes the batch kernel dispatches between: dense overlap
-// (probe mode), candidates far larger than the anchor (gallop fallback),
-// candidates far smaller (probe best case), disjoint, subset, and empty.
-func blockFixture(rng *rand.Rand) (prop.Neighborhood, []prop.Neighborhood) {
-	anchor := randNB(rng, 1+rng.Intn(40), 0, 200)
-	var cands []prop.Neighborhood
-	add := func(n prop.Neighborhood) { cands = append(cands, n) }
-	add(randNB(rng, 1+rng.Intn(40), 0, 200))    // merge/probe regime
-	add(randNB(rng, 400+rng.Intn(200), 0, 900)) // anchor ≪ candidate: gallop
-	add(randNB(rng, 1+rng.Intn(3), 0, 200))     // candidate ≪ anchor
-	add(randNB(rng, 1+rng.Intn(20), 500, 100))  // disjoint key ranges
-	add(nil)                                    // empty candidate
-	sub := make(prop.Neighborhood)
-	for k := range anchor {
-		if len(sub) == 4 {
-			break
+// randBlock builds a block of n members with np paths each, mixing the
+// regimes the postings kernel must handle: empty neighborhoods, small
+// neighborhoods over a narrow key range (heavy overlap), ~100x larger ones,
+// disjoint key ranges, subsets of an earlier member's keys, and duplicate
+// members. Keys reach past keyRange, beyond a small scratch's initial size.
+func randBlock(rng *rand.Rand, n, np, keyRange int) [][]prop.Neighborhood {
+	block := make([][]prop.Neighborhood, n)
+	for i := range block {
+		if i > 0 && rng.Intn(6) == 0 {
+			block[i] = block[rng.Intn(i)] // duplicate member
+			continue
 		}
-		sub[k] = prop.FB{Fwd: rng.Float64(), Bwd: rng.Float64()}
+		nbs := make([]prop.Neighborhood, np)
+		for p := range nbs {
+			switch rng.Intn(6) {
+			case 0: // empty
+			case 1: // 1:100 size skew against the small ones
+				nbs[p] = randNB(rng, 200+rng.Intn(100), 0, keyRange)
+			case 2: // disjoint from everything but its own kind
+				nbs[p] = randNB(rng, 1+rng.Intn(3), keyRange, 50)
+			case 3: // subset of an earlier member's keys, fresh masses
+				if i > 0 {
+					nbs[p] = make(prop.Neighborhood)
+					for k := range block[rng.Intn(i)][p] {
+						if rng.Intn(2) == 0 {
+							nbs[p][k] = prop.FB{Fwd: rng.Float64(), Bwd: rng.Float64()}
+						}
+					}
+				}
+			default:
+				nbs[p] = randNB(rng, 1+rng.Intn(3), 0, 40)
+			}
+		}
+		block[i] = nbs
 	}
-	add(sub) // subset of the anchor
-	return anchor, cands
+	return block
 }
 
-// TestBatchedKernelMatchesPairKernel is the batched kernel's property test:
-// on random sparse neighborhoods covering both the merge and gallop
-// regimes, Block must agree with the pair-at-a-time reference — and, by
-// design (identical accumulation order and float expressions), it must be
-// bit-identical, which is what keeps the golden outputs stable.
-func TestBatchedKernelMatchesPairKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s := NewBatchScratch(0) // deliberately undersized: Block must grow it
-	for trial := 0; trial < 200; trial++ {
-		anchorM, candsM := blockFixture(rng)
-		anchor := anchorM.Sparse()
-		cands := make([]prop.SparseNeighborhood, len(candsM))
-		for i, c := range candsM {
-			cands[i] = c.Sparse()
+// sparseBlock converts a map-form block to the kernel's sparse form.
+func sparseBlock(block [][]prop.Neighborhood) [][]prop.SparseNeighborhood {
+	out := make([][]prop.SparseNeighborhood, len(block))
+	for i, nbs := range block {
+		out[i] = make([]prop.SparseNeighborhood, len(nbs))
+		for p, nb := range nbs {
+			out[i][p] = nb.Sparse()
 		}
-		out := make([]Trip, len(cands))
-		s.Block(anchor, cands, out)
-		for i, c := range cands {
-			r, ab, ba := PairKernel(anchor, c)
-			if out[i].Resem != r || out[i].WalkAB != ab || out[i].WalkBA != ba {
-				t.Fatalf("trial %d cand %d: Block = %+v, PairKernel = (%v, %v, %v)",
-					trial, i, out[i], r, ab, ba)
-			}
-		}
-		for _, p := range s.pos {
-			if p != -1 {
-				t.Fatalf("trial %d: scratch not restored to all -1 after Block", trial)
+	}
+	return out
+}
+
+// rowsOf runs every row of every path and returns the full upper triangle:
+// got[p][i][j] for j > i, zero where Row reports no partner. It fails the
+// test if a row reports a partner not after i, or one partner twice.
+func rowsOf(t *testing.T, x *BlockIndex, s *BatchScratch, n, np int) [][][]Trip {
+	t.Helper()
+	got := make([][][]Trip, np)
+	for p := range got {
+		got[p] = make([][]Trip, n)
+		for i := range got[p] {
+			got[p][i] = make([]Trip, n)
+			seen := make([]bool, n)
+			js, out := x.Row(s, p, i)
+			for k, j := range js {
+				if int(j) <= i || seen[j] {
+					t.Fatalf("path %d row %d: partner %d out of range or repeated", p, i, j)
+				}
+				seen[j] = true
+				got[p][i][j] = out[k]
 			}
 		}
 	}
+	return got
 }
 
-// TestBatchedKernelMatchesMapKernels holds the batched kernel to the same
-// 1e-12 contract against the legacy map-based reference implementations
-// that the merge-scan kernels carry.
-func TestBatchedKernelMatchesMapKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := NewBatchScratch(1024)
-	const tol = 1e-12
-	for trial := 0; trial < 100; trial++ {
-		anchorM, candsM := blockFixture(rng)
-		anchor := anchorM.Sparse()
-		cands := make([]prop.SparseNeighborhood, len(candsM))
-		for i, c := range candsM {
-			cands[i] = c.Sparse()
-		}
-		out := make([]Trip, len(cands))
-		s.Block(anchor, cands, out)
-		for i, cm := range candsM {
-			checks := []struct {
-				what      string
-				got, want float64
-			}{
-				{"Resem", out[i].Resem, MapResemblance(anchorM, cm)},
-				{"WalkAB", out[i].WalkAB, MapWalkProb(anchorM, cm)},
-				{"WalkBA", out[i].WalkBA, MapWalkProb(cm, anchorM)},
-			}
-			for _, c := range checks {
-				if math.Abs(c.got-c.want) > tol {
-					t.Fatalf("trial %d cand %d: %s = %v, map kernel %v (|Δ| = %g)",
-						trial, i, c.what, c.got, c.want, math.Abs(c.got-c.want))
+// checkRows holds every pair of the block to PairKernel bit for bit.
+func checkRows(t *testing.T, x *BlockIndex, s *BatchScratch, block [][]prop.SparseNeighborhood) {
+	t.Helper()
+	if len(block) == 0 {
+		return
+	}
+	np := len(block[0])
+	got := rowsOf(t, x, s, len(block), np)
+	for p := 0; p < np; p++ {
+		for i := range block {
+			for j := i + 1; j < len(block); j++ {
+				r, ab, ba := PairKernel(block[i][p], block[j][p])
+				g := got[p][i][j]
+				if math.Float64bits(g.Resem) != math.Float64bits(r) ||
+					math.Float64bits(g.WalkAB) != math.Float64bits(ab) ||
+					math.Float64bits(g.WalkBA) != math.Float64bits(ba) {
+					t.Fatalf("path %d pair (%d,%d): Row = %+v, PairKernel = (%v, %v, %v)", p, i, j, g, r, ab, ba)
 				}
 			}
 		}
 	}
 }
 
-// FuzzBatchedKernel drives Block with fuzzer-shaped neighborhoods and
-// cross-checks every candidate against PairKernel. The corpus bytes encode
-// sizes and a seed, so the fuzzer explores the regime switch (merge vs
-// gallop) and the growth path of the dense index.
+// checkRestored fails unless the scratch's dense tuple array is all -1.
+func checkRestored(t *testing.T, s *BatchScratch) {
+	t.Helper()
+	for k, v := range s.pos {
+		if v != -1 {
+			t.Fatalf("dense tuple array not restored: pos[%d] = %d", k, v)
+		}
+	}
+}
+
+// TestBatchedKernelMatchesPairKernel is the postings kernel's property
+// test: on random blocks covering every regime of randBlock, each pair's
+// three outputs must be bit-identical to the pair-at-a-time reference —
+// identical accumulation order and float expressions are what keep the
+// golden outputs stable. One index and one scratch are reused across
+// blocks of different sizes, as the pools reuse them.
+func TestBatchedKernelMatchesPairKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := NewBatchScratch(0) // deliberately undersized: Build must grow it
+	var x BlockIndex
+	for trial := 0; trial < 150; trial++ {
+		block := sparseBlock(randBlock(rng, 1+rng.Intn(24), 1+rng.Intn(3), 1000))
+		x.Build(s, block, nil)
+		checkRows(t, &x, s, block)
+		checkRestored(t, s)
+	}
+}
+
+// TestBatchedKernelMatchesMapKernels holds the postings kernel to the
+// 1e-12 contract against the legacy map-based reference implementations.
+func TestBatchedKernelMatchesMapKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	s := NewBatchScratch(2048)
+	var x BlockIndex
+	const tol = 1e-12
+	for trial := 0; trial < 60; trial++ {
+		blockM := randBlock(rng, 2+rng.Intn(12), 2, 1000)
+		x.Build(s, sparseBlock(blockM), nil)
+		got := rowsOf(t, &x, s, len(blockM), 2)
+		for p := 0; p < 2; p++ {
+			for i := range blockM {
+				for j := i + 1; j < len(blockM); j++ {
+					a, b := blockM[i][p], blockM[j][p]
+					g := got[p][i][j]
+					for _, c := range []struct {
+						what      string
+						got, want float64
+					}{
+						{"Resem", g.Resem, MapResemblance(a, b)},
+						{"WalkAB", g.WalkAB, MapWalkProb(a, b)},
+						{"WalkBA", g.WalkBA, MapWalkProb(b, a)},
+					} {
+						if math.Abs(c.got-c.want) > tol {
+							t.Fatalf("trial %d path %d pair (%d,%d): %s = %v, map kernel %v",
+								trial, p, i, j, c.what, c.got, c.want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzBatchedKernel drives the postings kernel with fuzzer-shaped blocks and
+// cross-checks every pair against PairKernel bit for bit. The corpus bytes
+// encode two member sizes, the member count and a seed, so the fuzzer
+// explores size skew, overlap density and the growth of the dense array.
 func FuzzBatchedKernel(f *testing.F) {
 	f.Add(uint16(8), uint16(8), uint16(3), int64(1))
-	f.Add(uint16(2), uint16(300), uint16(2), int64(2)) // gallop regime
-	f.Add(uint16(300), uint16(2), uint16(4), int64(3)) // probe best case
-	f.Add(uint16(0), uint16(5), uint16(1), int64(4))   // empty anchor
-	f.Fuzz(func(t *testing.T, aSize, bSize, nCands uint16, seed int64) {
-		const maxSize, maxCands = 600, 12
-		as, bs, nc := int(aSize)%maxSize, int(bSize)%maxSize, 1+int(nCands)%maxCands
+	f.Add(uint16(2), uint16(300), uint16(2), int64(2)) // 1:150 size skew
+	f.Add(uint16(300), uint16(2), uint16(4), int64(3))
+	f.Add(uint16(0), uint16(5), uint16(1), int64(4)) // empty members
+	f.Fuzz(func(t *testing.T, aSize, bSize, nMembers uint16, seed int64) {
+		const maxSize, maxMembers = 600, 12
+		as, bs, n := int(aSize)%maxSize, int(bSize)%maxSize, 1+int(nMembers)%maxMembers
 		rng := rand.New(rand.NewSource(seed))
-		anchor := randNB(rng, as, 0, 2*maxSize).Sparse()
-		cands := make([]prop.SparseNeighborhood, nc)
-		for i := range cands {
-			// Alternate size classes so one block crosses regimes.
-			size := bs
+		block := make([][]prop.SparseNeighborhood, n)
+		for i := range block {
+			// Alternate size classes so one block mixes them.
+			size := as
 			if i%2 == 1 {
-				size = as/2 + 1
+				size = bs
 			}
-			cands[i] = randNB(rng, size, rng.Intn(maxSize), 2*maxSize).Sparse()
+			block[i] = []prop.SparseNeighborhood{randNB(rng, size, rng.Intn(maxSize), 2*maxSize).Sparse()}
 		}
-		out := make([]Trip, nc)
+		var x BlockIndex
 		s := NewBatchScratch(0)
-		s.Block(anchor, cands, out)
-		for i, c := range cands {
-			r, ab, ba := PairKernel(anchor, c)
-			if out[i].Resem != r || out[i].WalkAB != ab || out[i].WalkBA != ba {
-				t.Fatalf("cand %d: Block = %+v, PairKernel = (%v, %v, %v)", i, out[i], r, ab, ba)
-			}
-		}
+		x.Build(s, block, nil)
+		checkRows(t, &x, s, block)
+		checkRestored(t, s)
 	})
 }
 
-// TestBatchedKernelAllocs pins the block kernel's warm-path allocation
-// count at zero, in the style of TestCompiledAllocsCeiling: once the
-// scratch and its gather buffers are grown, Block and the row assembly
-// around it must not allocate, whatever block it processes.
+// TestBatchedKernelAllocs pins the warm path at zero allocations, in the
+// style of TestCompiledAllocsCeiling: once a pooled index and scratch have
+// grown, rebuilding the index and running every row must not allocate.
 func TestBatchedKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	anchorM, candsM := blockFixture(rng)
-	anchor := anchorM.Sparse()
-	block := make([]prop.SparseNeighborhood, len(candsM))
-	for i, c := range candsM {
-		block[i] = c.Sparse()
-	}
-	s := NewBatchScratch(2048) // covers every key the fixture can produce
-	cands, out := s.GrowBuffers(len(block))
-	allocs := testing.AllocsPerRun(100, func() {
-		copy(cands, block)
-		s.Block(anchor, cands, out)
+	block := sparseBlock(randBlock(rng, 24, 3, 1000))
+	s := NewBatchScratch(0)
+	var x BlockIndex
+	allocs := testing.AllocsPerRun(50, func() { // the first, unmeasured run grows everything
+		x.Build(s, block, nil)
+		for p := 0; p < 3; p++ {
+			for i := range block {
+				x.Row(s, p, i)
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Block allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("warm build and rows allocate %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -171,18 +234,94 @@ func TestBatchScratchGrow(t *testing.T) {
 		reldb.TupleID(1000): {Fwd: 0.25, Bwd: 1},
 		reldb.TupleID(3000): {Fwd: 0.75, Bwd: 1},
 	}.Sparse()
-	out := make([]Trip, 1)
-	s.Block(a, []prop.SparseNeighborhood{b}, out)
+	block := [][]prop.SparseNeighborhood{{a}, {b}}
+	var x BlockIndex
+	x.Build(s, block, nil)
 	if len(s.pos) < 3001 {
 		t.Fatalf("scratch did not grow: len(pos) = %d, want >= 3001", len(s.pos))
 	}
-	r, ab, ba := PairKernel(a, b)
-	if out[0].Resem != r || out[0].WalkAB != ab || out[0].WalkBA != ba {
-		t.Fatalf("grown Block = %+v, PairKernel = (%v, %v, %v)", out[0], r, ab, ba)
+	checkRestored(t, s)
+	checkRows(t, &x, s, block)
+}
+
+// TestBatchedKernelConcurrentRows runs the rows of one shared index from
+// several goroutines, each with its own scratch, and requires the serial
+// results. Under -race it checks that rows only read the index.
+func TestBatchedKernelConcurrentRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const np = 3
+	block := sparseBlock(randBlock(rng, 40, np, 1000))
+	var x BlockIndex
+	x.Build(NewBatchScratch(0), block, nil)
+	want := rowsOf(t, &x, NewBatchScratch(0), len(block), np)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := NewBatchScratch(0)
+			for r := range block {
+				i := (r + 5*w) % len(block) // different goroutines, different row orders
+				for p := 0; p < np; p++ {
+					got := make([]Trip, len(block))
+					js, out := x.Row(s, p, i)
+					for k, j := range js {
+						got[j] = out[k]
+					}
+					for j := i + 1; j < len(block); j++ {
+						if got[j] != want[p][i][j] {
+							errs <- "concurrent row differs from the serial one"
+							return
+						}
+					}
+				}
+			}
+		}(w)
 	}
-	for _, p := range s.pos {
-		if p != -1 {
-			t.Fatal("grown scratch not restored to all -1")
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// TestBlockIndexVisits pins the kernel's work counter: for every path it
+// equals a brute-force count of (i < j, shared tuple) triples. A path left
+// out of the build has no visits and no partners.
+func TestBlockIndexVisits(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const np = 3
+	s := NewBatchScratch(0)
+	var x BlockIndex
+	for trial := 0; trial < 30; trial++ {
+		block := sparseBlock(randBlock(rng, 1+rng.Intn(30), np, 1000))
+		x.Build(s, block, func(p int) bool { return p != 1 })
+		for p := 0; p < np; p++ {
+			want := 0
+			if p != 1 {
+				for i := range block {
+					held := make(map[reldb.TupleID]bool)
+					for _, k := range block[i][p].Keys {
+						held[k] = true
+					}
+					for j := i + 1; j < len(block); j++ {
+						for _, k := range block[j][p].Keys {
+							if held[k] {
+								want++
+							}
+						}
+					}
+				}
+			}
+			if got := x.Visits(p); got != want {
+				t.Fatalf("trial %d path %d: Visits = %d, brute force %d", trial, p, got, want)
+			}
+		}
+		for i := range block {
+			if js, _ := x.Row(s, 1, i); len(js) != 0 {
+				t.Fatalf("trial %d: row %d of an unbuilt path has %d partners", trial, i, len(js))
+			}
 		}
 	}
 }

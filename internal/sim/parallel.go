@@ -47,20 +47,28 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Deduplicate and drop already-cached references.
+	// Collect the uncached references in one pass under the read lock. All
+	// copies of a reference are hits or misses together, so only the misses
+	// need deduplicating, and a warm batch builds no dedupe map at all.
 	var todo []reldb.TupleID
-	seen := make(map[reldb.TupleID]bool, len(refs))
 	e.mu.RLock()
 	for _, r := range refs {
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
 		if _, ok := e.cache[r]; !ok {
 			todo = append(todo, r)
 		}
 	}
 	e.mu.RUnlock()
+	if len(todo) > 1 {
+		seen := make(map[reldb.TupleID]bool, len(todo))
+		uniq := todo[:0]
+		for _, r := range todo {
+			if !seen[r] {
+				seen[r] = true
+				uniq = append(uniq, r)
+			}
+		}
+		todo = uniq
+	}
 	e.prefetchRequested.Add(int64(len(refs)))
 	e.prefetchDeduped.Add(int64(len(refs) - len(todo)))
 	e.prefetchPropagated.Add(int64(len(todo)))

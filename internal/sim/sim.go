@@ -281,9 +281,10 @@ type Extractor struct {
 	workers int
 
 	// batchPool pools BatchScratch instances for the block kernel, sized to
-	// the database's tuple space so the dense reverse index never grows on
-	// the warm path.
+	// the database's tuple space so the dense tuple array never grows on the
+	// warm path; indexPool pools the block kernel's postings indexes.
 	batchPool sync.Pool
+	indexPool sync.Pool
 
 	mu    sync.RWMutex
 	cache map[reldb.TupleID][]prop.SparseNeighborhood
@@ -452,6 +453,23 @@ func (e *Extractor) BatchScratch() *BatchScratch {
 
 // PutBatchScratch returns a scratch to the pool for reuse.
 func (e *Extractor) PutBatchScratch(s *BatchScratch) { e.batchPool.Put(s) }
+
+// IndexBlock borrows a pooled BlockIndex and builds it over the block nbs
+// along the paths use selects (every path when use is nil); see
+// BlockIndex.Build. Pair with PutBlockIndex once every row is done.
+func (e *Extractor) IndexBlock(nbs [][]prop.SparseNeighborhood, use func(p int) bool) *BlockIndex {
+	x, ok := e.indexPool.Get().(*BlockIndex)
+	if !ok {
+		x = &BlockIndex{}
+	}
+	s := e.BatchScratch()
+	x.Build(s, nbs, use)
+	e.PutBatchScratch(s)
+	return x
+}
+
+// PutBlockIndex returns an index to the pool for reuse.
+func (e *Extractor) PutBlockIndex(x *BlockIndex) { e.indexPool.Put(x) }
 
 // ResemVector returns the per-path set resemblance feature vector of a pair.
 func (e *Extractor) ResemVector(r1, r2 reldb.TupleID) []float64 {

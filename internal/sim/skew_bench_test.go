@@ -9,11 +9,10 @@ import (
 )
 
 // BenchmarkPairKernelSkew sweeps the size ratio between the two operands
-// of the similarity kernel, in both pair-at-a-time and batched form. The
-// ratio at which gallop overtakes the linear scan justifies gallopFactor
-// (and batchGallopFactor): below it the dense probe / merge scan wins,
-// above it binary-search galloping through the larger side wins. The
-// measured table lives in RESULTS.txt.
+// of the pair-at-a-time similarity kernel. The ratio at which gallop
+// overtakes the linear merge justifies gallopFactor: below it the merge
+// scan wins, above it binary-search galloping through the larger side
+// wins. The measured table lives in RESULTS.txt.
 func BenchmarkPairKernelSkew(b *testing.B) {
 	const anchorSize = 64
 	for _, ratio := range []int{1, 2, 4, 8, 16, 32, 64} {
@@ -34,14 +33,6 @@ func BenchmarkPairKernelSkew(b *testing.B) {
 				sink += r + ab + ba
 			}
 			_ = sink
-		})
-		b.Run(fmt.Sprintf("batch/ratio=%d", ratio), func(b *testing.B) {
-			s := NewBatchScratch(keyRange + 1)
-			out := make([]Trip, nCands)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i += nCands {
-				s.Block(anchor, cands, out)
-			}
 		})
 	}
 }
