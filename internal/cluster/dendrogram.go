@@ -96,12 +96,6 @@ func (d *Dendrogram) Cut(minSim float64) ([][]int, bool) {
 	return d.cutAt(j), true
 }
 
-// CutDendrogram is Dendrogram.Cut as a package function, mirroring
-// Agglomerate's shape.
-func CutDendrogram(d *Dendrogram, minSim float64) ([][]int, bool) {
-	return d.Cut(minSim)
-}
-
 // cutAt replays the first j merges through parent links and groups the
 // references by root, first-seen in reference order — the same two
 // allocations as the engine's own partition builder.

@@ -105,12 +105,6 @@ func TestCutPrefixConsistency(t *testing.T) {
 				tc.minSim, len(out), nClusters, tc.wantJ)
 		}
 	}
-	// The refused threshold must still resolve via fallback, identically to
-	// a direct run — exercised with a real matrix in the tests above; here
-	// just check the package-level alias agrees with the method.
-	if _, ok := CutDendrogram(d, 0.5); ok {
-		t.Fatal("CutDendrogram should refuse the inconsistent prefix too")
-	}
 }
 
 func TestCutPrefixOrderedProfile(t *testing.T) {

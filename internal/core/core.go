@@ -29,6 +29,7 @@ import (
 	"distinct/internal/sim"
 	"distinct/internal/svm"
 	"distinct/internal/trainset"
+	"distinct/internal/vlru"
 )
 
 // Config tells the engine where the references live and how to process
@@ -145,7 +146,7 @@ type Engine struct {
 	// PathMatrices keyed on (refs, db version) so weight/threshold sweeps
 	// recombine instead of recompute. Nil (the default) costs one pointer
 	// check per similarity stage.
-	matCache *matrixCache
+	matCache *vlru.Cache[string, *PathMatrices]
 
 	timings Timings
 	obs     *obs.Registry         // nil when observability is off
@@ -504,8 +505,10 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 		return nil, err
 	}
 	version := e.db.Version()
+	var key string
 	if e.matCache != nil {
-		if pm := e.matCache.get(refs, version, np); pm != nil {
+		key = matKey(refs, np)
+		if pm, state := e.matCache.Get(key, version, 0); state == vlru.Fresh {
 			e.obs.Counter("core.matrix_cache_hits").Inc()
 			st.sp.SetAttrs(trace.Bool("reused", true))
 			return pm, st.end(0, nil) // no pairwise work done
@@ -546,7 +549,7 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 		return nil, st.end(0, err)
 	}
 	if e.matCache != nil {
-		if ev := e.matCache.put(refs, version, pm); ev > 0 {
+		if ev := e.matCache.Put(key, version, pm); ev > 0 {
 			e.obs.Counter("core.matrix_cache_evictions").Add(ev)
 		}
 	}

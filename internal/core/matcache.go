@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/list"
-	"sync"
+	"encoding/binary"
 
 	"distinct/internal/reldb"
+	"distinct/internal/vlru"
 )
 
 // Matrix reuse across sweeps: the min-sim grid, SetMinSim re-evaluations,
@@ -15,195 +15,48 @@ import (
 // computed once and re-combined cheaply (Combine is O(paths·n²) adds;
 // the matrices cost propagation plus the all-pairs kernel).
 //
-// The cache keys on (refs, db.Version(), path count). The version is the
-// database's mutation counter, so an Insert invalidates every prior entry:
-// a stale entry's key can never be produced again (versions are monotonic)
-// and is dropped eagerly when its bucket is probed. Entries are bounded by
-// a byte budget with LRU eviction.
+// The cache is a vlru.Cache keyed on (path count, refs) at db.Version().
+// The version is the database's mutation counter, so an Insert outdates
+// every prior entry, which the next probe of its block purges. Entries are
+// bounded by a byte budget with LRU eviction.
 //
 // Reuse is opt-in (Engine.EnableMatrixReuse): the one-shot batch path
 // computes each block's matrices exactly once already, and caching there
 // would only add memory pressure and bookkeeping to the hottest path.
 
-// DefaultMatrixCacheBytes is the byte budget EnableMatrixReuse(0) installs.
-// A block of n references over p paths costs 16·p·n² bytes plus row
-// headers; 64 MiB holds e.g. ~40 blocks of 100 refs × 20 paths.
+// DefaultMatrixCacheBytes is the matrix cache's byte budget. A block of n
+// references over p paths costs 16·p·n² bytes plus row headers; 64 MiB
+// holds e.g. ~40 blocks of 100 refs × 20 paths.
 const DefaultMatrixCacheBytes = 64 << 20
 
-// matEntry is one cached (refs, version) → PathMatrices binding.
-type matEntry struct {
-	key      uint64
-	refs     []reldb.TupleID // copied: cache keys must not alias caller slices
-	version  int64
-	numPaths int
-	pm       *PathMatrices
-	bytes    int64
-	elem     *list.Element
+// newMatrixCache returns an empty matrix cache of the given byte budget,
+// keyed by matKey. It is safe for concurrent use; the engine may compute
+// blocks from parallel workers.
+func newMatrixCache(budget int64) *vlru.Cache[string, *PathMatrices] {
+	// Flat backing dominates; row headers are 24 bytes each.
+	return vlru.New(budget, func(_ string, pm *PathMatrices) int64 {
+		return int64(16*len(pm.RFlat) + 48*len(pm.R)*pm.NumRefs())
+	})
 }
 
-// matrixCache is a byte-bounded LRU over PathMatrices. Safe for concurrent
-// use; the engine may compute blocks from parallel workers.
-type matrixCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	ll      *list.List // front = most recently used; values are *matEntry
-	buckets map[uint64][]*matEntry
-}
-
-func newMatrixCache(budget int64) *matrixCache {
-	return &matrixCache{budget: budget, ll: list.New(), buckets: make(map[uint64][]*matEntry)}
-}
-
-// matKey hashes (refs, numPaths) with FNV-1a. The version is deliberately
-// left out of the hash so every version of the same block lands in one
-// bucket — that is what lets get purge stale versions the moment a newer
-// one is requested. Collisions are resolved by full comparison in the
-// bucket, so the hash only affects distribution, not correctness.
-func matKey(refs []reldb.TupleID, numPaths int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(numPaths))
-	for _, r := range refs {
-		mix(uint64(uint32(r)))
-	}
-	return h
-}
-
-func (e *matEntry) matches(refs []reldb.TupleID, version int64, numPaths int) bool {
-	if e.version != version || e.numPaths != numPaths || len(e.refs) != len(refs) {
-		return false
-	}
+// matKey encodes (numPaths, refs) exactly: the path count, then each
+// reference, as 4-byte little-endian words.
+func matKey(refs []reldb.TupleID, numPaths int) string {
+	b := make([]byte, 4*(1+len(refs)))
+	binary.LittleEndian.PutUint32(b, uint32(numPaths))
 	for i, r := range refs {
-		if e.refs[i] != r {
-			return false
-		}
+		binary.LittleEndian.PutUint32(b[4*(i+1):], uint32(r))
 	}
-	return true
+	return string(b)
 }
 
-// get returns the cached matrices for (refs, version), or nil. The probed
-// bucket is purged of stale versions on the way: a version older than the
-// requested one can never match again (Insert only increments), so this is
-// the explicit invalidation point for mutated databases.
-func (c *matrixCache) get(refs []reldb.TupleID, version int64, numPaths int) *PathMatrices {
-	key := matKey(refs, numPaths)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	bucket := c.buckets[key]
-	kept := bucket[:0]
-	var hit *matEntry
-	for _, e := range bucket {
-		if e.version < version {
-			c.used -= e.bytes
-			c.ll.Remove(e.elem)
-			continue
-		}
-		kept = append(kept, e)
-		if hit == nil && e.matches(refs, version, numPaths) {
-			hit = e
-		}
-	}
-	if len(kept) == 0 {
-		delete(c.buckets, key)
-	} else {
-		c.buckets[key] = kept
-	}
-	if hit == nil {
-		return nil
-	}
-	c.ll.MoveToFront(hit.elem)
-	return hit.pm
-}
-
-// put stores pm under (refs, version), evicting least-recently-used entries
-// beyond the byte budget, and returns how many entries were evicted. An
-// entry larger than the whole budget is still kept (alone): the sweeps the
-// cache exists for would otherwise never hit.
-func (c *matrixCache) put(refs []reldb.TupleID, version int64, pm *PathMatrices) int64 {
-	numPaths := len(pm.R)
-	key := matKey(refs, numPaths)
-	e := &matEntry{
-		key:      key,
-		refs:     append([]reldb.TupleID(nil), refs...),
-		version:  version,
-		numPaths: numPaths,
-		pm:       pm,
-		// Flat backing dominates; row headers are 24 bytes each.
-		bytes: int64(16*len(pm.RFlat) + 48*numPaths*pm.NumRefs()),
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, prev := range c.buckets[key] {
-		if prev.matches(refs, version, numPaths) {
-			return 0 // racing compute already stored this block
-		}
-	}
-	e.elem = c.ll.PushFront(e)
-	c.buckets[key] = append(c.buckets[key], e)
-	c.used += e.bytes
-	var evicted int64
-	for c.used > c.budget && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		victim := back.Value.(*matEntry)
-		c.ll.Remove(back)
-		c.used -= victim.bytes
-		bucket := c.buckets[victim.key]
-		for i, be := range bucket {
-			if be == victim {
-				bucket = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(c.buckets, victim.key)
-		} else {
-			c.buckets[victim.key] = bucket
-		}
-		evicted++
-	}
-	return evicted
-}
-
-// Len reports how many blocks are cached (for tests and gauges).
-func (c *matrixCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// EnableMatrixReuse turns on the per-block PathMatrices cache (maxBytes 0
-// means DefaultMatrixCacheBytes). With the cache on, PathSimilarities and
+// EnableMatrixReuse turns on the per-block PathMatrices cache with a
+// DefaultMatrixCacheBytes budget. With the cache on, PathSimilarities and
 // Similarities reuse matrices computed for the same (refs, database
 // version) — across min-sim grid points, SetMinSim re-evaluations, and
 // weight ablations — and their path_sims stage span carries reused=true on
 // a hit. Enable before sharing the engine between goroutines; the cache
 // itself is concurrency-safe.
-func (e *Engine) EnableMatrixReuse(maxBytes int64) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMatrixCacheBytes
-	}
-	e.matCache = newMatrixCache(maxBytes)
-}
-
-// DisableMatrixReuse drops the matrix cache and returns to always-compute.
-func (e *Engine) DisableMatrixReuse() { e.matCache = nil }
-
-// MatrixCacheLen reports how many blocks the matrix cache currently holds
-// (0 when reuse is disabled).
-func (e *Engine) MatrixCacheLen() int {
-	if e.matCache == nil {
-		return 0
-	}
-	return e.matCache.Len()
+func (e *Engine) EnableMatrixReuse() {
+	e.matCache = newMatrixCache(DefaultMatrixCacheBytes)
 }

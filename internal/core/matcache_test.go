@@ -14,68 +14,47 @@ import (
 // the cache, which treats matrices as opaque).
 func fakePM(numPaths, n int) *PathMatrices { return NewPathMatrices(numPaths, n) }
 
-// TestMatrixCacheUnit exercises the LRU directly: hit, miss, version purge,
-// byte-budget eviction, racing-put dedup.
+// TestMatrixCacheUnit exercises what the matrix cache adds to vlru: a
+// block hits only under the same refs, in the same order, and the same path
+// count, and the byte budget prices a block at its flat matrices plus row
+// headers.
 func TestMatrixCacheUnit(t *testing.T) {
 	refsA := []reldb.TupleID{1, 2, 3}
-	refsB := []reldb.TupleID{4, 5, 6}
-	pmA, pmB := fakePM(2, 3), fakePM(2, 3)
-
+	pmA := fakePM(2, 3)
 	c := newMatrixCache(DefaultMatrixCacheBytes)
-	if got := c.get(refsA, 0, 2); got != nil {
-		t.Fatal("empty cache returned a hit")
-	}
-	c.put(refsA, 0, pmA)
-	if got := c.get(refsA, 0, 2); got != pmA {
-		t.Fatal("cache missed the block it just stored")
-	}
-	if got := c.get(refsB, 0, 2); got != nil {
-		t.Fatal("different refs hit the wrong entry")
-	}
-	if got := c.get(refsA, 0, 3); got != nil {
-		t.Fatal("different path count hit the wrong entry")
-	}
-	// Racing put of the same key is dropped, not double-counted.
-	used := c.used
-	c.put(refsA, 0, fakePM(2, 3))
-	if c.used != used || c.Len() != 1 {
-		t.Fatalf("duplicate put changed the cache: used %d -> %d, len %d", used, c.used, c.Len())
-	}
-	// A newer version misses, and probing purges the stale entry.
-	c.put(refsB, 0, pmB)
-	if got := c.get(refsA, 1, 2); got != nil {
-		t.Fatal("stale version returned a hit")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("stale entry not purged on probe: len = %d, want 1", c.Len())
+	c.Put(matKey(refsA, 2), 0, pmA)
+	for _, probe := range []struct {
+		what string
+		refs []reldb.TupleID
+		np   int
+		hit  bool
+	}{
+		{"same block", refsA, 2, true},
+		{"different refs", []reldb.TupleID{4, 5, 6}, 2, false},
+		{"different path count", refsA, 3, false},
+		{"longer block sharing the prefix", []reldb.TupleID{1, 2, 3, 0}, 2, false},
+		{"same refs reordered", []reldb.TupleID{3, 2, 1}, 2, false},
+	} {
+		pm, _ := c.Get(matKey(probe.refs, probe.np), 0, 0)
+		if (pm == pmA) != probe.hit {
+			t.Errorf("%s: hit = %v, want %v", probe.what, pm == pmA, probe.hit)
+		}
 	}
 
-	// Byte-budget eviction: a budget that fits ~2 of these blocks must
-	// evict the least recently used when a third arrives.
+	// Exactly two 8-ref, 2-path blocks fit a budget of twice their price;
+	// a third evicts one.
 	blockBytes := int64(16*2*8*8 + 48*2*8)
 	small := newMatrixCache(2 * blockBytes)
-	mk := func(i int) []reldb.TupleID {
-		return []reldb.TupleID{reldb.TupleID(10 * i), reldb.TupleID(10*i + 1), 0, 0, 0, 0, 0, 0}
+	mk := func(i int) string {
+		return matKey([]reldb.TupleID{reldb.TupleID(10 * i), reldb.TupleID(10*i + 1), 0, 0, 0, 0, 0, 0}, 2)
 	}
-	small.put(mk(1), 0, fakePM(2, 8))
-	small.put(mk(2), 0, fakePM(2, 8))
-	small.get(mk(1), 0, 2) // touch 1: 2 becomes LRU
-	small.put(mk(3), 0, fakePM(2, 8))
+	small.Put(mk(1), 0, fakePM(2, 8))
+	small.Put(mk(2), 0, fakePM(2, 8))
 	if small.Len() != 2 {
-		t.Fatalf("len after eviction = %d, want 2", small.Len())
+		t.Fatalf("len = %d, want 2 (two blocks fit)", small.Len())
 	}
-	if small.get(mk(2), 0, 2) != nil {
-		t.Fatal("LRU entry survived eviction")
-	}
-	if small.get(mk(1), 0, 2) == nil || small.get(mk(3), 0, 2) == nil {
-		t.Fatal("recently used entries were evicted")
-	}
-
-	// An entry larger than the whole budget is still kept, alone.
-	tiny := newMatrixCache(1)
-	tiny.put(refsA, 0, pmA)
-	if tiny.get(refsA, 0, 2) != pmA {
-		t.Fatal("over-budget entry was not kept")
+	if ev := small.Put(mk(3), 0, fakePM(2, 8)); ev != 1 || small.Len() != 2 {
+		t.Fatalf("third block: evicted %d, len %d; want 1, 2", ev, small.Len())
 	}
 }
 
@@ -97,13 +76,10 @@ func TestEngineMatrixReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableMatrixReuse(0)
+	e.EnableMatrixReuse()
 	refs := e.RefsForName("Wei Wang")[:10]
 
 	pm1 := mustPathSims(t, e, refs)
-	if got := e.MatrixCacheLen(); got != 1 {
-		t.Fatalf("MatrixCacheLen after first compute = %d, want 1", got)
-	}
 	pm2 := mustPathSims(t, e, refs)
 	if pm1 != pm2 {
 		t.Fatal("second PathSimilarities recomputed instead of reusing the cached block")

@@ -66,7 +66,7 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 		// The grid sweep below re-evaluates the same per-name blocks at
 		// every threshold; with matrix reuse on, only the first pass pays
 		// for the per-path matrices.
-		engine.EnableMatrixReuse(0)
+		engine.EnableMatrixReuse()
 		if cfg.supervised {
 			if _, err := engine.TrainCtx(ctx); err != nil {
 				return nil, err

@@ -150,7 +150,7 @@ func NewHarnessWorld(world *dblp.World, opts Options) (*Harness, error) {
 	// every pass after the first a cheap Combine instead of an all-pairs
 	// kernel run, bounded by an LRU byte budget instead of the old
 	// unbounded per-name map.
-	engine.EnableMatrixReuse(0)
+	engine.EnableMatrixReuse()
 	h := &Harness{
 		Opts:   opts,
 		World:  world,

@@ -522,7 +522,7 @@ func CompilePath(db *reldb.Database, p reldb.JoinPath) *CompiledPath {
 func (cp *CompiledPath) NewScratch() *Scratch { return cp.ct.NewScratch() }
 
 // Propagate computes the neighborhood of start along the path, equivalent
-// to PropagateSparse within 1e-12.
+// to the map Propagate finalised by Sparse, within 1e-12.
 func (cp *CompiledPath) Propagate(start reldb.TupleID, s *Scratch) SparseNeighborhood {
 	return cp.ct.Propagate(start, s)[0]
 }

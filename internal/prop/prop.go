@@ -115,13 +115,3 @@ func Propagate(db *reldb.Database, start reldb.TupleID, path reldb.JoinPath) Nei
 	walk(start, reldb.InvalidTuple, 0, 1, 1)
 	return nb
 }
-
-// PropagateAll computes the neighborhoods of several references along one
-// path, in input order.
-func PropagateAll(db *reldb.Database, refs []reldb.TupleID, path reldb.JoinPath) []Neighborhood {
-	out := make([]Neighborhood, len(refs))
-	for i, r := range refs {
-		out[i] = Propagate(db, r, path)
-	}
-	return out
-}

@@ -166,9 +166,9 @@ func TestPropagateInvalidInputs(t *testing.T) {
 func TestPropagateAllOrder(t *testing.T) {
 	db, refs := miniDB(t)
 	ids := []reldb.TupleID{refs["wei@p1"], refs["wei@p2"]}
-	nbs := PropagateAll(db, ids, coauthorPath())
-	if len(nbs) != 2 {
-		t.Fatalf("got %d neighborhoods", len(nbs))
+	nbs := make([]Neighborhood, len(ids))
+	for i, r := range ids {
+		nbs[i] = Propagate(db, r, coauthorPath())
 	}
 	if len(nbs[0]) != 1 || len(nbs[1]) != 2 {
 		t.Errorf("sizes = %d,%d want 1,2", len(nbs[0]), len(nbs[1]))

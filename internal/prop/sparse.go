@@ -85,11 +85,6 @@ func (s SparseNeighborhood) Map() Neighborhood {
 	return n
 }
 
-// PropagateSparse is Propagate finalised into the sparse form.
-func PropagateSparse(db *reldb.Database, start reldb.TupleID, path reldb.JoinPath) SparseNeighborhood {
-	return Propagate(db, start, path).Sparse()
-}
-
 // PropagateMultiSparse is PropagateMulti with each per-path result
 // finalised into the sparse form.
 func PropagateMultiSparse(db *reldb.Database, start reldb.TupleID, t *Trie) []SparseNeighborhood {

@@ -91,7 +91,7 @@ func TestPropagateSparseMatchesPropagate(t *testing.T) {
 		}
 		for pi, p := range paths {
 			want := Propagate(db, r, p)
-			for _, got := range []SparseNeighborhood{PropagateSparse(db, r, p), multi[pi]} {
+			for _, got := range []SparseNeighborhood{Propagate(db, r, p).Sparse(), multi[pi]} {
 				if got.Len() != len(want) {
 					t.Fatalf("ref %d path %d: %d neighbors, want %d", r, pi, got.Len(), len(want))
 				}

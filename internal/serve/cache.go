@@ -1,166 +1,33 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-	"time"
-)
-
-// Per-name result cache: a byte-bounded LRU keyed (name, Database.Version),
-// the serving-layer sibling of core's matrix cache (matcache.go). Versions
-// are monotonic — an Insert bumps the counter and a stale entry's key can
-// never be produced again — so a probe at the current version either hits
-// fresh, hits STALE (the previous-version entry, still servable inside the
-// stale-while-revalidate window while a background flight recomputes), or
-// purges the entry on the way through.
-// Only clean results are cached; degraded or incident-bearing responses are
-// transient by nature and recomputing them is the point.
+// Per-name result cache: a vlru.Cache keyed by name at the Database.Version
+// a result was computed against, bounded by resultBytes. A name with no
+// references is cached in the same way, as a NameResult with NumRefs == 0
+// (a negative entry), so the newer fact about a name — found or not found —
+// replaces the older one by construction. Only clean results are cached;
+// degraded or incident-bearing responses are transient by nature and
+// recomputing them is the point.
 //
-// Publication race (the window this file used to only document): a result
-// is computed under a flight keyed at version V. If the database moves
-// again while that flight runs (a second bump during a revalidation — three
-// versions in play), the computation may have read mixed contents and is a
-// consistent snapshot of NO version. The store gate therefore lives with
-// the computation, not the cache: compute re-reads the backend version
-// after the engine call and publishes only when it still equals the
-// flight's version (see Server.compute). put's version guard below is the
-// cache-side half — an entry can only ever be replaced by a strictly newer
-// version, so a late store from a superseded flight can never clobber a
-// fresher entry.
+// Publication race: a result is computed under a flight keyed at version V.
+// If the database moves again while that flight runs (a second bump during
+// a revalidation — three versions in play), the computation may have read
+// mixed contents and is a consistent snapshot of NO version. The store gate
+// therefore lives with the computation, not the cache: compute re-reads the
+// backend version after the engine call and publishes only when it still
+// equals the flight's version (see Server.compute). vlru's version guard is
+// the cache-side half — an entry can only ever be replaced by a strictly
+// newer version, so a late store from a superseded flight can never clobber
+// a fresher entry.
 
 // DefaultCacheBytes is the result-cache budget Options.CacheBytes = 0
 // selects. Rendered groups are small (tens of bytes per reference), so this
 // comfortably holds every name of a DBLP-scale corpus.
 const DefaultCacheBytes = 16 << 20
 
-// cacheState classifies a probe outcome.
-type cacheState int
-
-const (
-	cacheMiss  cacheState = iota
-	cacheFresh            // entry at exactly the probed version
-	cacheStale            // previous-version entry inside the stale window
-)
-
-type cacheEntry struct {
-	name    string
-	version int64
-	res     *NameResult
-	bytes   int64
-	elem    *list.Element
-	// staleSince is when the entry was first observed stale (zero while
-	// fresh); the stale-while-revalidate window is measured from here, so a
-	// long-lived entry is still servable for the full window after the
-	// version bump that staled it.
-	staleSince time.Time
-}
-
-// resultCache is a byte-bounded LRU over NameResults. Safe for concurrent
-// use. At most one version per name is kept — an older version is dead the
-// moment a newer one exists, except inside the stale window where it is the
-// stale-while-revalidate answer.
-type resultCache struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	ll     *list.List // front = most recently used; values are *cacheEntry
-	m      map[string]*cacheEntry
-	now    func() time.Time // swappable clock for staleness tests
-}
-
-func newResultCache(budget int64) *resultCache {
-	return &resultCache{budget: budget, ll: list.New(), m: make(map[string]*cacheEntry), now: time.Now}
-}
-
-// get returns the cached result for (name, version) and how it qualifies:
-// cacheFresh for an exact version match, cacheStale for an older-version
-// entry whose staleness age is inside maxStale (the entry is KEPT — the
-// caller serves it marked stale and launches the revalidation), cacheMiss
-// otherwise. Past the window (or with maxStale <= 0, staleness disabled)
-// an old entry is purged on the way — the explicit invalidation point for
-// mutated databases.
-func (c *resultCache) get(name string, version int64, maxStale time.Duration) (*NameResult, cacheState) {
-	if c == nil {
-		return nil, cacheMiss
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[name]
-	if !ok {
-		return nil, cacheMiss
-	}
-	if e.version == version {
-		c.ll.MoveToFront(e.elem)
-		return e.res, cacheFresh
-	}
-	if e.version < version && maxStale > 0 {
-		now := c.now()
-		if e.staleSince.IsZero() {
-			e.staleSince = now
-		}
-		if now.Sub(e.staleSince) <= maxStale {
-			c.ll.MoveToFront(e.elem)
-			return e.res, cacheStale
-		}
-	}
-	c.remove(e)
-	return nil, cacheMiss
-}
-
-// put stores res under (name, version), evicting least-recently-used
-// entries beyond the byte budget, and returns how many entries were
-// evicted (the stale or replaced same-name entry, if any, not counted).
-// A same-name entry at an equal or NEWER version wins over this store —
-// the monotonic-version guard that keeps a slow flight from clobbering a
-// fresher result. An entry larger than the whole budget is still kept
-// alone, mirroring the matrix cache: the repeat lookups the cache exists
-// for would otherwise never hit.
-func (c *resultCache) put(name string, version int64, res *NameResult) int64 {
-	if c == nil {
-		return 0
-	}
-	size := resultBytes(name, res)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.m[name]; ok {
-		if prev.version >= version {
-			return 0 // racing store already put this (or a newer) version
-		}
-		c.remove(prev)
-	}
-	e := &cacheEntry{name: name, version: version, res: res, bytes: size}
-	e.elem = c.ll.PushFront(e)
-	c.m[name] = e
-	c.used += size
-	var evicted int64
-	for c.used > c.budget && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		c.remove(back.Value.(*cacheEntry))
-		evicted++
-	}
-	return evicted
-}
-
-// remove unlinks e; callers hold mu.
-func (c *resultCache) remove(e *cacheEntry) {
-	c.ll.Remove(e.elem)
-	delete(c.m, e.name)
-	c.used -= e.bytes
-}
-
-// Len reports how many names are cached (for tests and gauges).
-func (c *resultCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // resultBytes estimates a result's resident size: string bytes plus slice
 // and header overhead. An estimate is enough — the budget bounds growth,
-// it does not account memory to the byte.
+// it does not account memory to the byte. A negative entry costs about a
+// hundred bytes.
 func resultBytes(name string, res *NameResult) int64 {
 	n := int64(len(name)) + 96 // entry struct, map slot, list element
 	for _, g := range res.Groups {

@@ -1,121 +1,57 @@
 package serve
 
 import (
-	"fmt"
+	"context"
+	"net/http"
 	"testing"
+
+	"distinct/internal/core"
 )
 
-func mkResult(name string, version int64, keys ...string) *NameResult {
-	return &NameResult{Name: name, Version: version, NumRefs: len(keys), Groups: [][]string{keys}}
-}
-
-// cget probes with staleness disabled, collapsing the (result, state) pair
-// to the pre-SWR single-value contract the version-strict tests pin.
-func cget(c *resultCache, name string, version int64) *NameResult {
-	res, state := c.get(name, version, 0)
-	if state != cacheFresh {
-		return nil
-	}
-	return res
-}
-
-func TestResultCacheHitAndStalePurge(t *testing.T) {
-	c := newResultCache(1 << 20)
-	r0 := mkResult("Wei Wang", 0, "a", "b")
-	c.put("Wei Wang", 0, r0)
-	if got := cget(c, "Wei Wang", 0); got != r0 {
-		t.Fatal("fresh entry missed")
-	}
-	// A probe at a newer version (an Insert happened) must miss AND purge:
-	// version 0's key can never be produced again.
-	if got := cget(c, "Wei Wang", 1); got != nil {
-		t.Fatalf("stale entry served: %+v", got)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry still resident, len=%d", c.Len())
-	}
-	// Even a later probe at the old version can't resurrect it.
-	if got := cget(c, "Wei Wang", 0); got != nil {
-		t.Fatal("purged entry reappeared")
-	}
-}
-
-func TestResultCacheNewerVersionReplaces(t *testing.T) {
-	c := newResultCache(1 << 20)
-	c.put("Wei Wang", 0, mkResult("Wei Wang", 0, "a"))
-	r1 := mkResult("Wei Wang", 1, "a", "b")
-	c.put("Wei Wang", 1, r1)
-	if c.Len() != 1 {
-		t.Fatalf("len=%d after replace, want 1", c.Len())
-	}
-	if got := cget(c, "Wei Wang", 1); got != r1 {
-		t.Fatal("replacement missed")
-	}
-	// A racing store of an older version must lose, not clobber.
-	c.put("Wei Wang", 0, mkResult("Wei Wang", 0, "stale"))
-	if got := cget(c, "Wei Wang", 1); got != r1 {
-		t.Fatal("older racing store clobbered the newer entry")
-	}
-}
-
-func TestResultCacheByteBoundEviction(t *testing.T) {
-	// Budget sized to hold only a handful of entries; oldest must go first.
-	c := newResultCache(600)
-	for i := 0; i < 10; i++ {
-		name := fmt.Sprintf("name-%02d", i)
-		c.put(name, 0, mkResult(name, 0, "key-one", "key-two"))
-	}
-	if c.used > c.budget {
-		t.Fatalf("used %d exceeds budget %d", c.used, c.budget)
-	}
-	if c.Len() >= 10 {
-		t.Fatalf("nothing evicted, len=%d", c.Len())
-	}
-	// The most recent entry must have survived; the very first must not.
-	if cget(c, "name-09", 0) == nil {
-		t.Error("most recent entry evicted")
-	}
-	if cget(c, "name-00", 0) != nil {
-		t.Error("least recent entry survived a full budget sweep")
-	}
-}
-
-func TestResultCacheLRUOrder(t *testing.T) {
-	c := newResultCache(1 << 20)
-	c.put("a", 0, mkResult("a", 0, "x"))
-	c.put("b", 0, mkResult("b", 0, "x"))
-	c.put("c", 0, mkResult("c", 0, "x"))
-	cget(c, "a", 0) // refresh a: b is now least recent
-	// Budget the next put so exactly one eviction is needed; the victim
-	// must be b, the least recently used, not the refreshed a.
-	d := mkResult("d", 0, "x")
-	c.budget = c.used + resultBytes("d", d) - 1
-	c.put("d", 0, d)
-	if cget(c, "b", 0) != nil {
-		t.Error("LRU victim b survived")
-	}
-	if cget(c, "a", 0) == nil {
-		t.Error("recently used entry a evicted before b")
-	}
-	if cget(c, "c", 0) == nil {
-		t.Error("entry c evicted though one eviction sufficed")
-	}
-}
-
-func TestResultCacheOversizedEntryKept(t *testing.T) {
-	c := newResultCache(10) // smaller than any entry
-	c.put("huge", 0, mkResult("huge", 0, "aaaaaaaaaaaaaaaaaaaaaaaa"))
-	if cget(c, "huge", 0) == nil {
-		t.Fatal("oversized entry not kept alone")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len=%d, want 1", c.Len())
-	}
-}
-
+// TestNilCacheIsInert: CacheBytes < 0 builds no cache, and every lookup of
+// a known name computes. TestNegCacheDisabled covers the 404 side.
 func TestNilCacheIsInert(t *testing.T) {
-	var c *resultCache
-	if cget(c, "x", 0) != nil || c.put("x", 0, mkResult("x", 0)) != 0 || c.Len() != 0 {
-		t.Fatal("nil cache not inert")
+	b := newStubBackend("Wei Wang")
+	s := newTestServer(t, b, func(o *Options) { o.CacheBytes = -1 })
+	if s.cache != nil {
+		t.Fatal("cache built despite CacheBytes=-1")
+	}
+	for i := 0; i < 2; i++ {
+		w, resp := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
+		if w.Code != http.StatusOK || resp["cached"] == true {
+			t.Fatalf("lookup %d: status %d, body %v; want an uncached 200", i, w.Code, resp)
+		}
+	}
+	if got := b.calls.Load(); got != 2 {
+		t.Errorf("computes = %d, want 2", got)
+	}
+}
+
+// TestResultCacheByteBoundEviction: results and negative entries share the
+// CacheBytes budget, each priced by resultBytes, so a cached 404 evicts the
+// least recently used result.
+func TestResultCacheByteBoundEviction(t *testing.T) {
+	b := newStubBackend("n0", "n1")
+	groups := [][]string{{"k"}}
+	b.onCompute = func(context.Context, string) ([][]string, *core.Incident, error) {
+		return groups, nil, nil
+	}
+	s := newTestServer(t, b, func(o *Options) {
+		o.CacheBytes = 2 * resultBytes("n0", &NameResult{Groups: groups})
+	})
+	for _, name := range []string{"n0", "n1", "ghost"} {
+		doJSON(t, s.Handler(), "GET", "/v1/name/"+name, "")
+	}
+	if got := s.reg.Counter("serve.cache_evictions").Value(); got != 1 {
+		t.Errorf("cache_evictions = %d, want 1 (the 404 evicts n0)", got)
+	}
+	if _, resp := doJSON(t, s.Handler(), "GET", "/v1/name/n1", ""); resp["cached"] != true {
+		t.Errorf("n1 not served from cache: %v", resp)
+	}
+	if _, resp := doJSON(t, s.Handler(), "GET", "/v1/name/n0", ""); resp["cached"] == true {
+		t.Errorf("evicted n0 served from cache: %v", resp)
+	}
+	if got := b.calls.Load(); got != 3 {
+		t.Errorf("computes = %d, want 3 (n0, n1, n0 again)", got)
 	}
 }

@@ -11,53 +11,6 @@ import (
 	"distinct/internal/core"
 )
 
-// nget probes with staleness disabled, collapsing (hit, stale) to the
-// pre-SWR boolean the version-strict tests pin.
-func nget(c *negCache, name string, version int64) bool {
-	hit, _ := c.get(name, version, 0)
-	return hit
-}
-
-func TestNegCacheUnit(t *testing.T) {
-	nc := newNegCache(2)
-	if nget(nc, "a", 1) {
-		t.Error("empty cache hit")
-	}
-	nc.put("a", 1)
-	nc.put("b", 1)
-	if !nget(nc, "a", 1) || !nget(nc, "b", 1) {
-		t.Error("fresh entries missing")
-	}
-	// A version bump invalidates (and purges) the stale entry.
-	if nget(nc, "a", 2) {
-		t.Error("stale entry served across versions")
-	}
-	if nc.Len() != 1 {
-		t.Errorf("stale entry not purged: len=%d", nc.Len())
-	}
-	// LRU eviction: touch b, insert two more, b's competitor goes first.
-	nc.put("a", 2)
-	nget(nc, "a", 2) // refresh a
-	if ev := nc.put("c", 2); ev != 1 {
-		t.Errorf("evictions = %d, want 1", ev)
-	}
-	if !nget(nc, "a", 2) {
-		t.Error("recently used entry evicted")
-	}
-	if nget(nc, "b", 1) {
-		t.Error("LRU victim survived")
-	}
-
-	var nilNC *negCache
-	if nget(nilNC, "x", 1) {
-		t.Error("nil negcache hit")
-	}
-	nilNC.put("x", 1)
-	if nilNC.Len() != 0 {
-		t.Error("nil negcache has entries")
-	}
-}
-
 func TestNegativeCacheServes404sCheaply(t *testing.T) {
 	b := newStubBackend("Wei Wang")
 	s := newTestServer(t, b, nil)
@@ -90,30 +43,36 @@ func TestNegativeCacheServes404sCheaply(t *testing.T) {
 
 func TestNegCacheDisabled(t *testing.T) {
 	s := newTestServer(t, newStubBackend("Wei Wang"), func(o *Options) {
-		o.NegCacheEntries = -1
+		o.CacheBytes = -1
 	})
-	if s.neg != nil {
-		t.Fatal("negcache built despite NegCacheEntries=-1")
-	}
 	doJSON(t, s.Handler(), "GET", "/v1/name/Nobody", "")
 	doJSON(t, s.Handler(), "GET", "/v1/name/Nobody", "")
 	if got := s.reg.Counter("serve.negcache_hits").Value(); got != 0 {
-		t.Errorf("disabled negcache recorded %d hits", got)
+		t.Errorf("disabled cache recorded %d negative hits", got)
+	}
+	if got := s.reg.Counter("serve.negcache_misses").Value(); got != 2 {
+		t.Errorf("negcache_misses = %d, want 2", got)
 	}
 }
 
+// TestNegCacheEviction: negative entries share the CacheBytes budget at
+// resultBytes cost, and their evictions count as serve.cache_evictions.
 func TestNegCacheEviction(t *testing.T) {
 	s := newTestServer(t, newStubBackend("Wei Wang"), func(o *Options) {
-		o.NegCacheEntries = 2
+		o.CacheBytes = 2 * resultBytes("ghost-0", &NameResult{})
 	})
 	for i := 0; i < 4; i++ {
 		doJSON(t, s.Handler(), "GET", fmt.Sprintf("/v1/name/ghost-%d", i), "")
 	}
-	if got := s.reg.Counter("serve.negcache_evictions").Value(); got != 2 {
-		t.Errorf("negcache_evictions = %d, want 2", got)
+	if got := s.reg.Counter("serve.cache_evictions").Value(); got != 2 {
+		t.Errorf("cache_evictions = %d, want 2", got)
 	}
-	if s.neg.Len() != 2 {
-		t.Errorf("negcache len = %d, want 2", s.neg.Len())
+	if s.cache.Len() != 2 {
+		t.Errorf("cache len = %d, want 2", s.cache.Len())
+	}
+	doJSON(t, s.Handler(), "GET", "/v1/name/ghost-3", "")
+	if got := s.reg.Counter("serve.negcache_hits").Value(); got != 1 {
+		t.Errorf("negcache_hits = %d, want 1 (the newest ghost survives)", got)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"distinct/internal/obs"
 	flightrec "distinct/internal/obs/flight"
 	"distinct/internal/obs/trace"
+	"distinct/internal/vlru"
 )
 
 // Defaults for the knobs Options leaves zero.
@@ -54,8 +55,8 @@ type Options struct {
 	// "serve.compute" injection point (and the engine's core.* points
 	// beneath it) can fire — chaos tests and drills only.
 	Fault *fault.Registry
-	// CacheBytes is the result-cache budget: 0 means DefaultCacheBytes,
-	// negative disables caching.
+	// CacheBytes is the result-cache budget, shared by cached results and
+	// cached 404s: 0 means DefaultCacheBytes, negative disables caching.
 	CacheBytes int64
 	// Concurrency bounds simultaneous engine computations (0 = GOMAXPROCS).
 	Concurrency int
@@ -99,9 +100,6 @@ type Options struct {
 	// BatchFanout bounds concurrent lookups inside one batch request
 	// (0 = DefaultBatchFanout, 1 = sequential).
 	BatchFanout int
-	// NegCacheEntries caps the negative-result cache for the 404 path
-	// (0 = DefaultNegCacheEntries, negative disables).
-	NegCacheEntries int
 
 	// MaxStale bounds stale-while-revalidate: after a database version bump,
 	// cached previous-version results (and negative entries) keep serving —
@@ -218,8 +216,7 @@ var errShedding = errors.New("serve: shedding load")
 type Server struct {
 	backend     Backend
 	reg         *obs.Registry
-	cache       *resultCache
-	neg         *negCache
+	cache       *vlru.Cache[string, *NameResult]
 	flights     *flightGroup
 	adm         *admission
 	handler     http.Handler
@@ -261,7 +258,6 @@ type Server struct {
 	cCacheEvict  *obs.Counter
 	cNegHits     *obs.Counter
 	cNegMisses   *obs.Counter
-	cNegEvict    *obs.Counter
 	cCoalesced   *obs.Counter
 	cComputes    *obs.Counter
 	cDegraded    *obs.Counter
@@ -351,17 +347,9 @@ func New(opts Options) (*Server, error) {
 	case opts.CacheBytes < 0:
 		// caching disabled
 	case opts.CacheBytes == 0:
-		s.cache = newResultCache(DefaultCacheBytes)
+		s.cache = vlru.New(DefaultCacheBytes, resultBytes)
 	default:
-		s.cache = newResultCache(opts.CacheBytes)
-	}
-	switch {
-	case opts.NegCacheEntries < 0:
-		// negative cache disabled
-	case opts.NegCacheEntries == 0:
-		s.neg = newNegCache(DefaultNegCacheEntries)
-	default:
-		s.neg = newNegCache(opts.NegCacheEntries)
+		s.cache = vlru.New(opts.CacheBytes, resultBytes)
 	}
 
 	// Request observability: flight recorder (default on — it is the
@@ -408,7 +396,6 @@ func New(opts Options) (*Server, error) {
 	s.cCacheEvict = reg.Counter("serve.cache_evictions")
 	s.cNegHits = reg.Counter("serve.negcache_hits")
 	s.cNegMisses = reg.Counter("serve.negcache_misses")
-	s.cNegEvict = reg.Counter("serve.negcache_evictions")
 	s.cCoalesced = reg.Counter("serve.coalesced")
 	s.cComputes = reg.Counter("serve.computes")
 	s.cDegraded = reg.Counter("serve.degraded")
@@ -682,12 +669,13 @@ type lookupMeta struct {
 	stale bool
 }
 
-// lookup resolves one name: version read, negative-cache probe, cache probe,
-// coalesced compute. The version is read BEFORE either cache probe — with
-// the reverse order a concurrent Insert could slip between them and the
-// probe would hand back a result computed against the old contents labeled
-// with the new version. reldb.Insert upholds the matching edge on its side
-// (invalidate before bump; see version_order_test.go).
+// lookup resolves one name: version read, cache probe, coalesced compute.
+// The version is read BEFORE the cache probe — with the reverse order a
+// concurrent Insert could slip between them and the probe would hand back a
+// result computed against the old contents labeled with the new version.
+// reldb.Insert upholds the matching edge on its side (invalidate before
+// bump; see version_order_test.go). A cached entry with no references is a
+// negative entry and answers 404.
 //
 // Stale-while-revalidate: when a version bump has outdated a cache entry
 // (positive or negative) but the entry is inside the staleness window, it
@@ -696,19 +684,19 @@ type lookupMeta struct {
 // hot names keep answering from cache while revalidation fills in behind.
 func (s *Server) lookup(ctx context.Context, name string) (*NameResult, lookupMeta, error) {
 	version := s.backend.Version()
-	if hit, stale := s.neg.get(name, version, s.maxStale); hit {
-		if stale {
-			s.cStaleNeg.Inc()
-			s.revalidate(name, version)
-			return nil, lookupMeta{negCached: true, stale: true}, errNotFound
-		}
+	res, state := s.cache.Get(name, version, s.maxStale)
+	switch {
+	case state == vlru.Fresh && res.NumRefs == 0:
 		s.cNegHits.Inc()
 		return nil, lookupMeta{negCached: true}, errNotFound
-	}
-	if res, state := s.cache.get(name, version, s.maxStale); state == cacheFresh {
+	case state == vlru.Fresh:
 		s.cCacheHits.Inc()
 		return res, lookupMeta{cached: true}, nil
-	} else if state == cacheStale {
+	case state == vlru.Stale && res.NumRefs == 0:
+		s.cStaleNeg.Inc()
+		s.revalidate(name, version)
+		return nil, lookupMeta{negCached: true, stale: true}, errNotFound
+	case state == vlru.Stale:
 		s.cStaleHits.Inc()
 		s.revalidate(name, version)
 		return res, lookupMeta{cached: true, stale: true}, nil
@@ -717,9 +705,7 @@ func (s *Server) lookup(ctx context.Context, name string) (*NameResult, lookupMe
 		// A negcache miss is counted only on this slow 404 path, so
 		// hits/(hits+misses) reads as the fraction of 404s served cheaply.
 		s.cNegMisses.Inc()
-		if evicted := s.neg.put(name, version); evicted > 0 {
-			s.cNegEvict.Add(evicted)
-		}
+		s.store(name, version, &NameResult{Name: name, Version: version})
 		return nil, lookupMeta{}, errNotFound
 	}
 	s.cCacheMisses.Inc()
@@ -754,11 +740,9 @@ func (s *Server) revalidate(name string, version int64) {
 				return nil, ferr
 			}
 			if s.backend.NumRefs(name) == 0 {
-				// The name vanished (or never existed at this version): refresh
+				// The name vanished (or never existed at this version): cache
 				// the negative fact so the next probe 404s fresh.
-				if evicted := s.neg.put(name, version); evicted > 0 {
-					s.cNegEvict.Add(evicted)
-				}
+				s.store(name, version, &NameResult{Name: name, Version: version})
 				return nil, errNotFound
 			}
 			return s.compute(fctx, name, version)
@@ -892,15 +876,17 @@ func (s *Server) compute(fctx context.Context, name string, version int64) (res 
 			cp.trace = nil
 			stored = &cp
 		}
-		if evicted := s.cache.put(name, version, stored); evicted > 0 {
-			s.cCacheEvict.Add(evicted)
-		}
-		// A published positive result supersedes any negative fact for the
-		// name (a stale negative would otherwise outrank the fresh entry in
-		// lookup's probe order).
-		s.neg.drop(name)
+		s.store(name, version, stored)
 	}
 	return res, nil
+}
+
+// store caches res as name's entry at version, counting the evictions it
+// causes.
+func (s *Server) store(name string, version int64, res *NameResult) {
+	if evicted := s.cache.Put(name, version, res); evicted > 0 {
+		s.cCacheEvict.Add(evicted)
+	}
 }
 
 // statusFor maps a result to its HTTP status: a panic or error incident is

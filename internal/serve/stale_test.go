@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -109,42 +110,50 @@ func TestStaleRevalidateExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestStaleWindowExpires pins the bound: past MaxStale the stale entry is
-// purged and the lookup recomputes synchronously (no indefinitely-stale
-// serving).
+// TestStaleWindowExpires pins the bound: past MaxStale the outdated entry
+// is purged and the lookup waits for the recompute instead of being served
+// stale (no indefinitely-stale serving).
 func TestStaleWindowExpires(t *testing.T) {
+	const maxStale = 100 * time.Millisecond
 	b := newStubBackend("Wei Wang")
-	s := newTestServer(t, b, func(o *Options) { o.MaxStale = time.Minute })
+	s := newTestServer(t, b, func(o *Options) { o.MaxStale = maxStale })
 	if w, _ := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", ""); w.Code != http.StatusOK {
 		t.Fatalf("warm status %d", w.Code)
 	}
+	// Hold the revalidation the first stale probe launches, so the outdated
+	// entry stays cached while its window (started by that probe) runs out.
+	b.block = make(chan struct{})
 	b.Bump()
-
-	// First post-bump probe marks the entry stale (the window starts at the
-	// first stale observation) and would serve it; swallow the revalidation
-	// it launches so the compute count below stays interpretable.
 	if _, resp := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", ""); resp["stale"] != true {
 		t.Fatalf("first post-bump probe not stale: %v", resp)
 	}
-	waitUntil(t, "revalidation to land", func() bool { return s.flights.inflight() == 0 })
-	calls := b.calls.Load()
+	time.Sleep(2 * maxStale)
 
-	// Outdate the fresh entry again and age it past the window directly
-	// (probing to age it would launch a revalidation and race the final
-	// assertion): the probe must treat the entry as gone, not stale.
-	b.Bump()
-	s.cache.mu.Lock()
-	s.cache.m["Wei Wang"].staleSince = time.Now().Add(-2 * time.Minute)
-	s.cache.mu.Unlock()
-	w, resp := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("post-expiry status %d", w.Code)
+	// Past the window the probe must not be answered from the entry: it
+	// joins the held revalidation and waits for the version-1 result.
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/name/Wei%20Wang", nil))
+		done <- w
+	}()
+	waitUntil(t, "expired probe to join the revalidation", func() bool {
+		return s.flights.waitersFor(flightKey{name: "Wei Wang", version: 1}) == 1
+	})
+	close(b.block)
+	w := <-done
+	var resp map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("post-expiry status %d, body %q", w.Code, w.Body.String())
 	}
 	if resp["stale"] == true || resp["cached"] == true {
-		t.Fatalf("expired entry served stale: %v", resp)
+		t.Fatalf("expired entry served from cache: %v", resp)
 	}
-	if got := b.calls.Load(); got <= calls {
-		t.Errorf("computes = %d, want > %d (expiry forces recompute)", got, calls)
+	if v := resp["version"].(float64); int64(v) != 1 {
+		t.Errorf("post-expiry version = %v, want 1", v)
+	}
+	if got := b.calls.Load(); got != 2 {
+		t.Errorf("computes = %d, want 2 (warm + one revalidation)", got)
 	}
 }
 
@@ -176,10 +185,43 @@ func TestStaleNegativeServes404(t *testing.T) {
 	// Revalidation finds the name and caches the result; the next lookup is
 	// a fresh 200.
 	waitUntil(t, "revalidation to land", func() bool { return s.flights.inflight() == 0 })
-	waitUntil(t, "fresh entry to appear", func() bool { return s.cache.Len() == 1 })
 	w, resp = doJSON(t, s.Handler(), "GET", "/v1/name/Nobody", "")
-	if w.Code != http.StatusOK || resp["stale"] == true {
+	if w.Code != http.StatusOK || resp["stale"] == true || resp["cached"] != true {
 		t.Fatalf("post-revalidate lookup: status %d, body %v", w.Code, resp)
+	}
+}
+
+// TestStalePositiveRevalidatesToNotFound is the reverse transition: a cached
+// name loses its references at the next version. The stale 200 revalidates
+// into a negative entry that replaces the result, so the next probe is a
+// fresh 404 served from the cache.
+func TestStalePositiveRevalidatesToNotFound(t *testing.T) {
+	b := newStubBackend("Wei Wang")
+	s := newTestServer(t, b, func(o *Options) { o.MaxStale = time.Minute })
+
+	if w, _ := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", ""); w.Code != http.StatusOK {
+		t.Fatalf("warm status %d", w.Code)
+	}
+	delete(b.refs, "Wei Wang")
+	b.Bump()
+
+	w, resp := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
+	if w.Code != http.StatusOK || resp["stale"] != true {
+		t.Fatalf("post-bump probe: status %d, body %v; want a stale 200", w.Code, resp)
+	}
+	waitUntil(t, "revalidation to land", func() bool { return s.flights.inflight() == 0 })
+	w, resp = doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
+	if w.Code != http.StatusNotFound || resp["stale"] == true {
+		t.Fatalf("post-revalidate probe: status %d, body %v; want a fresh 404", w.Code, resp)
+	}
+	if got := s.reg.Counter("serve.negcache_hits").Value(); got != 1 {
+		t.Errorf("negcache_hits = %d, want 1", got)
+	}
+	if got := s.reg.Counter("serve.negcache_misses").Value(); got != 0 {
+		t.Errorf("negcache_misses = %d, want 0 (the revalidation cached the 404)", got)
+	}
+	if got := b.calls.Load(); got != 1 {
+		t.Errorf("computes = %d, want 1 (the revalidation found no references)", got)
 	}
 }
 
