@@ -1,36 +1,27 @@
-// Micro-benchmarks of the compiled propagation plans: the map-DFS reference
-// walker against the CSR frontier engine on identical inputs, plus the cost
-// of plan compilation itself. These are the headline numbers for the
-// array-based propagation optimisation (DESIGN.md section 11).
+// Micro-benchmarks of the compiled propagation plans: the CSR frontier
+// engine on the full world, plus the cost of plan compilation itself. These
+// are the headline numbers for the array-based propagation optimisation
+// (DESIGN.md section 11); internal/prop's BenchmarkPropagate times the
+// engine against its DFS test oracle.
 package distinct_test
 
 import (
+	"context"
 	"testing"
 
 	"distinct/internal/prop"
 )
 
-// BenchmarkPropagate compares one full multi-path propagation — every join
-// path of the engine, one "Wei Wang" reference per iteration — under the
-// map-DFS walker and the compiled CSR frontier engine. Both variants produce
-// the same sorted SparseNeighborhood slices, so ns/op and B/op are directly
-// comparable.
+// BenchmarkPropagate times one full multi-path propagation — every join
+// path of the engine, one "Wei Wang" reference per iteration — on the
+// compiled CSR frontier engine.
 func BenchmarkPropagate(b *testing.B) {
 	e, _ := benchEngine(b)
 	refs := e.RefsForName("Wei Wang")
 	trie := prop.NewTrie(e.Paths())
 
-	b.Run("mapdfs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := prop.PropagateMultiSparse(e.DB(), refs[i%len(refs)], trie); len(got) == 0 {
-				b.Fatal("empty propagation")
-			}
-		}
-	})
-
 	b.Run("csr", func(b *testing.B) {
-		ct := prop.CompileTrie(e.DB(), trie)
+		ct := prop.CompileTrieCtx(context.Background(), e.DB(), trie, 0)
 		s := ct.NewScratch()
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -18,7 +18,6 @@ import (
 	"distinct/internal/core"
 	"distinct/internal/dblp"
 	"distinct/internal/experiments"
-	"distinct/internal/prop"
 	"distinct/internal/reldb"
 	"distinct/internal/sim"
 	"distinct/internal/svm"
@@ -178,23 +177,9 @@ func BenchmarkAttributeExpansion(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagation measures probability propagation (Section 2.2) for
-// one reference along every join path.
-func BenchmarkPropagation(b *testing.B) {
-	e, _ := benchEngine(b)
-	refs := e.RefsForName("Wei Wang")
-	paths := e.Paths()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := refs[i%len(refs)]
-		for _, p := range paths {
-			prop.Propagate(e.DB(), r, p)
-		}
-	}
-}
-
 // BenchmarkSetResemblance measures the weighted Jaccard between two cached
-// neighborhoods (Definition 2).
+// neighborhoods (Definition 2). PairKernel computes it in the same scan as
+// both walk probabilities, so this and BenchmarkRandomWalk time one kernel.
 func BenchmarkSetResemblance(b *testing.B) {
 	e, _ := benchEngine(b)
 	refs := e.RefsForName("Wei Wang")
@@ -204,12 +189,13 @@ func BenchmarkSetResemblance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p := range n1 {
-			sim.Resemblance(n1[p], n2[p])
+			sim.PairKernel(n1[p], n2[p])
 		}
 	}
 }
 
-// BenchmarkRandomWalk measures the composed walk probability (Section 2.4).
+// BenchmarkRandomWalk measures the composed walk probability (Section 2.4),
+// computed by the same PairKernel scan.
 func BenchmarkRandomWalk(b *testing.B) {
 	e, _ := benchEngine(b)
 	refs := e.RefsForName("Wei Wang")
@@ -219,7 +205,7 @@ func BenchmarkRandomWalk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p := range n1 {
-			sim.SymWalkProb(n1[p], n2[p])
+			sim.PairKernel(n1[p], n2[p])
 		}
 	}
 }

@@ -26,8 +26,9 @@
 // per-cluster rows, cluster membership in union-find parent links. Cluster
 // ids are dense and never reused — originals are 0..n-1 and the i-th merge
 // creates id n+i — so every lookup is array indexing and a warm run's merge
-// loop performs no allocation. AgglomerateMapTrace preserves the previous
-// map-based implementation as the bit-exactness reference.
+// loop performs no allocation. The map-based implementation it replaced is
+// the package's test oracle (oracle_test.go): the property and fuzz tests
+// hold the flat engine's partitions and merge sequences to it bit for bit.
 package cluster
 
 import (
@@ -216,22 +217,15 @@ func (h *candidateHeap) pop() candidate {
 // sift work is cheaper than rebuilding, so small blocks never compact.
 const compactMinHeap = 1024
 
-// Merge records one agglomeration step: the members of the two clusters
-// merged and the similarity at which it happened. Merges arrive in
-// descending similarity order, so the trace is the dendrogram profile —
-// useful for choosing min-sim by inspecting where similarity collapses.
-type Merge struct {
-	A, B []int
-	Sim  float64
-}
-
 // Agglomerate clusters n references under the options and returns the
 // resulting partition as lists of reference indexes. Clusters are sorted by
 // their smallest member and members ascending, so output is deterministic.
 // The member slices share one backing array; append to a cluster only via
 // the usual copy-on-grow semantics (they are carved at full capacity).
 func Agglomerate(n int, ps PairSim, opts Options) [][]int {
-	out, _ := AgglomerateTrace(n, ps, opts, false)
+	// A background context never ends and carries no fault registry, so
+	// the error return is impossible.
+	out, _ := agglomerate(context.Background(), n, ps, opts, nil)
 	return out
 }
 
@@ -240,22 +234,7 @@ func Agglomerate(n int, ps PairSim, opts Options) [][]int {
 // block aborts with latency bounded by one row / one merge step. The merge
 // loop also exposes the "cluster.merge" fault point for chaos testing.
 func AgglomerateCtx(ctx context.Context, n int, ps PairSim, opts Options) ([][]int, error) {
-	out, _, err := AgglomerateTraceCtx(ctx, n, ps, opts, false)
-	return out, err
-}
-
-// AgglomerateTrace is Agglomerate that also returns the merge trace when
-// withTrace is set (tracing copies member slices, so it costs O(n²) extra
-// in the worst case).
-func AgglomerateTrace(n int, ps PairSim, opts Options, withTrace bool) ([][]int, []Merge) {
-	out, mergeLog, _ := AgglomerateTraceCtx(context.Background(), n, ps, opts, withTrace)
-	return out, mergeLog
-}
-
-// AgglomerateTraceCtx is AgglomerateTrace under a context (see
-// AgglomerateCtx for where cancellation is observed).
-func AgglomerateTraceCtx(ctx context.Context, n int, ps PairSim, opts Options, withTrace bool) ([][]int, []Merge, error) {
-	return agglomerate(ctx, n, ps, opts, withTrace, nil)
+	return agglomerate(ctx, n, ps, opts, nil)
 }
 
 // agglomerate is the shared engine behind the public entry points. When rec
@@ -265,9 +244,9 @@ func AgglomerateTraceCtx(ctx context.Context, n int, ps PairSim, opts Options, w
 // On error the scratch is NOT returned to the pool: a caller observing the
 // error may be racing a hook that still holds the buffers, and a dropped
 // scratch is cheaper than a torn one.
-func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, withTrace bool, rec *Dendrogram) ([][]int, []Merge, error) {
+func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, rec *Dendrogram) ([][]int, error) {
 	if n <= 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	minSim := opts.MinSim
 	if rec != nil {
@@ -282,7 +261,6 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, withTrace
 	s.reset(n)
 
 	var merges, pruned, stalePops int64 // posted to opts.Obs once per run
-	var mergeLog []Merge
 	// Stop statistics for the final "cut" event: the similarity of the last
 	// accepted merge and the best similarity MinSim rejected. Their ratio is
 	// the gap the threshold sits in — a large ratio means the cut landed in
@@ -294,7 +272,7 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, withTrace
 	k := 0
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for j := i + 1; j < n; j++ {
 			r := ps.Resem(i, j)
@@ -327,11 +305,11 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, withTrace
 	nid := int32(n)
 	for len(s.heap) > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if freg != nil {
 			if err := freg.Fire(ctx, "cluster.merge"); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		c := s.heap.pop()
@@ -363,13 +341,6 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, withTrace
 				SizeA: s.size[c.a], SizeB: s.size[c.b],
 			})
 		}
-		if withTrace {
-			mergeLog = append(mergeLog, Merge{
-				A:   s.membersOf(n, c.a),
-				B:   s.membersOf(n, c.b),
-				Sim: c.sim,
-			})
-		}
 		s.kill(c.a)
 		s.kill(c.b)
 		staleApprox += int64(s.nref[c.a] + s.nref[c.b])
@@ -378,8 +349,6 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, withTrace
 		s.parent[c.a] = nid
 		s.parent[c.b] = nid
 		s.parent[nid] = -1
-		s.left[mi] = c.a
-		s.right[mi] = c.b
 		s.nref[nid] = 0
 
 		// Derive the merged cluster's stats against every live cluster by a
@@ -475,7 +444,7 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, withTrace
 	if fromPool {
 		scratchPool.Put(s)
 	}
-	return out, mergeLog, nil
+	return out, nil
 }
 
 // partition materialises the final clustering from the parent links:

@@ -43,22 +43,15 @@ type Dendrogram struct {
 // cluster.dendrogram_runs (instead of cluster.runs), cluster.merges, and
 // cluster.heap_stale_pops.
 func AgglomerateDendrogram(n int, ps PairSim, opts Options) *Dendrogram {
-	d, _ := AgglomerateDendrogramCtx(context.Background(), n, ps, opts)
-	return d
-}
-
-// AgglomerateDendrogramCtx is AgglomerateDendrogram under a context (see
-// AgglomerateCtx for where cancellation is observed).
-func AgglomerateDendrogramCtx(ctx context.Context, n int, ps PairSim, opts Options) (*Dendrogram, error) {
 	d := &Dendrogram{N: n}
 	if n <= 0 {
-		return d, nil
+		return d
 	}
 	d.Merges = make([]DendroMerge, 0, n-1)
-	if _, _, err := agglomerate(ctx, n, ps, opts, false, d); err != nil {
-		return nil, err
-	}
-	return d, nil
+	// A background context never ends and carries no fault registry, so
+	// the error return is impossible.
+	_, _ = agglomerate(context.Background(), n, ps, opts, d)
+	return d
 }
 
 // cutPrefix returns the length of the leading run of merges with
@@ -156,8 +149,8 @@ func (d *Dendrogram) Sims() []float64 {
 	return sims
 }
 
-// CutAtGap picks the gap-implied threshold from the recorded merge profile;
-// same contract as the package-level CutAtGap over a merge trace.
+// CutAtGap picks the gap-implied threshold from the recorded merge profile
+// (see cutAtGapSims).
 func (d *Dendrogram) CutAtGap(minRatio float64) (float64, bool) {
 	return cutAtGapSims(d.Sims(), minRatio)
 }

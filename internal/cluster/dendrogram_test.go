@@ -169,8 +169,12 @@ func TestAgglomerateAutoMatchesTwoRunReference(t *testing.T) {
 		m := randomMatrix(rng, n)
 		for _, meas := range []Measure{Combined, ResemOnly} {
 			got := AgglomerateAuto(n, m, meas, DefaultGapRatio, 0.01)
-			_, trace := AgglomerateTrace(n, m, Options{Measure: meas, MinSim: 0}, true)
-			cut, ok := CutAtGap(trace, DefaultGapRatio)
+			_, trace := agglomerateOracle(n, m, Options{Measure: meas, MinSim: 0})
+			sims := make([]float64, len(trace))
+			for i, mg := range trace {
+				sims[i] = mg.Sim
+			}
+			cut, ok := cutAtGapSims(sims, DefaultGapRatio)
 			if !ok {
 				cut = 0.01
 			}

@@ -11,8 +11,8 @@ import (
 	"distinct/internal/obs"
 )
 
-// The flat engine must reproduce the map-based reference bit for bit:
-// same partitions, same merge traces (member order included), same merge
+// The flat engine must reproduce the map-based oracle bit for bit: same
+// partitions, same merge sequences (member order included), same merge
 // similarities down to the float bits.
 
 var allMeasures = []Measure{Combined, ResemOnly, WalkOnly, CombinedArithmetic, SingleLink, CompleteLink}
@@ -40,6 +40,22 @@ func requireSameTrace(t *testing.T, want, got []Merge, label string) {
 	}
 }
 
+// requireMatchesOracle holds the flat engine to the oracle on one input:
+// the partition at opts.MinSim, and the full merge sequence — the
+// dendrogram, recorded at MinSim 0 — against the oracle's MinSim-0 trace.
+// It returns the flat engine's merge sequence.
+func requireMatchesOracle(t *testing.T, n int, ps PairSim, opts Options, label string) []Merge {
+	t.Helper()
+	wantOut, _ := agglomerateOracle(n, ps, opts)
+	requireSamePartition(t, wantOut, Agglomerate(n, ps, opts), label)
+	full := opts
+	full.MinSim = 0
+	_, wantTrace := agglomerateOracle(n, ps, full)
+	gotTrace := dendroMerges(AgglomerateDendrogram(n, ps, full))
+	requireSameTrace(t, wantTrace, gotTrace, label)
+	return gotTrace
+}
+
 func TestFlatMatchesMapReference(t *testing.T) {
 	minSims := []float64{0, 0.0005, 0.01, 0.1, 0.3}
 	for seed := int64(0); seed < 8; seed++ {
@@ -49,11 +65,7 @@ func TestFlatMatchesMapReference(t *testing.T) {
 		for _, meas := range allMeasures {
 			for _, ms := range minSims {
 				opts := Options{Measure: meas, MinSim: ms}
-				wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-				gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
-				label := opts.Measure.String()
-				requireSamePartition(t, wantOut, gotOut, label)
-				requireSameTrace(t, wantTrace, gotTrace, label)
+				requireMatchesOracle(t, n, m, opts, opts.Measure.String())
 			}
 		}
 	}
@@ -80,10 +92,7 @@ func TestLinkMeasuresOrientationFlat(t *testing.T) {
 		}
 		for _, meas := range []Measure{SingleLink, CompleteLink, Combined, WalkOnly} {
 			opts := Options{Measure: meas, MinSim: 0.002}
-			wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-			gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
-			requireSamePartition(t, wantOut, gotOut, meas.String())
-			requireSameTrace(t, wantTrace, gotTrace, meas.String())
+			requireMatchesOracle(t, n, m, opts, meas.String())
 		}
 	}
 }
@@ -113,10 +122,7 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 	m := randomMatrix(rng, n)
 	for _, meas := range []Measure{Combined, SingleLink} {
 		opts := Options{Measure: meas, MinSim: 0}
-		wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-		gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
-		requireSamePartition(t, wantOut, gotOut, meas.String())
-		requireSameTrace(t, wantTrace, gotTrace, meas.String())
+		gotTrace := requireMatchesOracle(t, n, m, opts, meas.String())
 		if len(gotTrace) != n-1 {
 			t.Fatalf("MinSim 0 should merge fully: %d merges for n=%d", len(gotTrace), n)
 		}

@@ -1,15 +1,15 @@
 package cluster
 
 import (
-	"math"
 	"reflect"
 	"testing"
 )
 
-// FuzzAgglomerate drives the flat engine and the map-based reference with
+// FuzzAgglomerate drives the flat engine and the map-based oracle with
 // matrices, measures, and thresholds decoded from fuzz bytes, asserting
-// bit-identical partitions and traces plus the partition invariant. The
-// dendrogram cut is checked against the direct run on the same input.
+// bit-identical partitions and merge sequences plus the partition
+// invariant. The dendrogram cut is checked against the direct run on the
+// same input.
 func FuzzAgglomerate(f *testing.F) {
 	f.Add([]byte{4, 0, 2, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
 	f.Add([]byte{7, 3, 0, 255, 1, 254, 2, 253, 3, 252, 4, 251, 5, 250, 6})
@@ -46,22 +46,8 @@ func FuzzAgglomerate(f *testing.F) {
 		}
 
 		opts := Options{Measure: meas, MinSim: minSim}
-		wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-		gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
-		if !reflect.DeepEqual(wantOut, gotOut) {
-			t.Fatalf("partition mismatch (n=%d %v min-sim %v)\nwant %v\ngot  %v",
-				n, meas, minSim, wantOut, gotOut)
-		}
-		if len(wantTrace) != len(gotTrace) {
-			t.Fatalf("trace length %d vs %d", len(wantTrace), len(gotTrace))
-		}
-		for i := range wantTrace {
-			if !reflect.DeepEqual(wantTrace[i].A, gotTrace[i].A) ||
-				!reflect.DeepEqual(wantTrace[i].B, gotTrace[i].B) ||
-				math.Float64bits(wantTrace[i].Sim) != math.Float64bits(gotTrace[i].Sim) {
-				t.Fatalf("merge %d differs: %+v vs %+v", i, wantTrace[i], gotTrace[i])
-			}
-		}
+		requireMatchesOracle(t, n, m, opts, meas.String())
+		gotOut := Agglomerate(n, m, opts)
 
 		// Partition invariant: every reference exactly once, members
 		// ascending, clusters ordered by smallest member.

@@ -25,24 +25,14 @@ const DefaultGapRatio = 100
 // merge at 5e-6 followed by one at exactly 0 would otherwise always win).
 const relFloor = 1e-5
 
-// CutAtGap examines a full merge trace (produced with MinSim 0) and
-// returns the threshold implied by the largest similarity gap: the
-// geometric mean of the two merge similarities around the largest ratio
-// drop, with both values floored at maxSim·relFloor. With fewer than two
-// merges there is no interior gap and the returned threshold is 0 (merge
-// everything); a second return of false signals that no meaningful gap
-// exists (all merges within minRatio of each other), in which case the
-// caller should also merge everything.
-func CutAtGap(trace []Merge, minRatio float64) (float64, bool) {
-	sims := make([]float64, len(trace))
-	for i, m := range trace {
-		sims[i] = m.Sim
-	}
-	return cutAtGapSims(sims, minRatio)
-}
-
-// cutAtGapSims is CutAtGap over a bare merge-similarity profile; the merge
-// traces and dendrograms both reduce to it.
+// cutAtGapSims examines a full merge profile (the similarities of a
+// MinSim-0 run, in merge order) and returns the threshold implied by the
+// largest similarity gap: the geometric mean of the two merge similarities
+// around the largest ratio drop, with both values floored at
+// maxSim·relFloor. With fewer than two merges there is no interior gap and
+// the returned threshold is 0 (merge everything); a second return of false
+// signals that no meaningful gap exists (all merges within minRatio of each
+// other), in which case the caller should also merge everything.
 func cutAtGapSims(sims []float64, minRatio float64) (float64, bool) {
 	if minRatio <= 1 {
 		minRatio = 10

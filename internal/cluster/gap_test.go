@@ -7,11 +7,8 @@ import (
 )
 
 func TestCutAtGapFindsCollapse(t *testing.T) {
-	trace := []Merge{
-		{Sim: 0.04}, {Sim: 0.03}, {Sim: 0.02},
-		{Sim: 0.00001}, {Sim: 0.000005},
-	}
-	cut, ok := CutAtGap(trace, 10)
+	sims := []float64{0.04, 0.03, 0.02, 0.00001, 0.000005}
+	cut, ok := cutAtGapSims(sims, 10)
 	if !ok {
 		t.Fatal("no gap found")
 	}
@@ -26,22 +23,22 @@ func TestCutAtGapFindsCollapse(t *testing.T) {
 }
 
 func TestCutAtGapNoGap(t *testing.T) {
-	flat := []Merge{{Sim: 0.03}, {Sim: 0.025}, {Sim: 0.02}}
-	if _, ok := CutAtGap(flat, 10); ok {
+	flat := []float64{0.03, 0.025, 0.02}
+	if _, ok := cutAtGapSims(flat, 10); ok {
 		t.Error("gap found in flat profile")
 	}
-	if _, ok := CutAtGap([]Merge{{Sim: 0.5}}, 10); ok {
+	if _, ok := cutAtGapSims([]float64{0.5}, 10); ok {
 		t.Error("gap found in single-merge profile")
 	}
-	if _, ok := CutAtGap(nil, 10); ok {
+	if _, ok := cutAtGapSims(nil, 10); ok {
 		t.Error("gap found in empty profile")
 	}
 }
 
 func TestCutAtGapIgnoresUpwardSteps(t *testing.T) {
 	// Non-monotone profile: the upward step 0.001->0.5 must not register.
-	trace := []Merge{{Sim: 0.04}, {Sim: 0.001}, {Sim: 0.5}, {Sim: 0.4}}
-	cut, ok := CutAtGap(trace, 10)
+	sims := []float64{0.04, 0.001, 0.5, 0.4}
+	cut, ok := cutAtGapSims(sims, 10)
 	if !ok {
 		t.Fatal("no gap found")
 	}
@@ -51,8 +48,8 @@ func TestCutAtGapIgnoresUpwardSteps(t *testing.T) {
 }
 
 func TestCutAtGapZeroSims(t *testing.T) {
-	trace := []Merge{{Sim: 0.01}, {Sim: 0}}
-	cut, ok := CutAtGap(trace, 10)
+	sims := []float64{0.01, 0}
+	cut, ok := cutAtGapSims(sims, 10)
 	if !ok || cut <= 0 {
 		t.Errorf("zero-sim tail not handled: cut=%v ok=%v", cut, ok)
 	}
@@ -61,17 +58,17 @@ func TestCutAtGapZeroSims(t *testing.T) {
 func TestCutAtGapAllIdenticalSims(t *testing.T) {
 	// Every merge at the same similarity: every ratio is exactly 1, so no
 	// gap exists at any minRatio — including the floor minRatio<=1, which
-	// CutAtGap resets to 10.
-	same := []Merge{{Sim: 0.02}, {Sim: 0.02}, {Sim: 0.02}, {Sim: 0.02}}
-	if cut, ok := CutAtGap(same, 10); ok {
+	// cutAtGapSims resets to 10.
+	same := []float64{0.02, 0.02, 0.02, 0.02}
+	if cut, ok := cutAtGapSims(same, 10); ok {
 		t.Errorf("gap found in identical profile: cut=%v", cut)
 	}
-	if cut, ok := CutAtGap(same, 0); ok {
+	if cut, ok := cutAtGapSims(same, 0); ok {
 		t.Errorf("gap found in identical profile at floored minRatio: cut=%v", cut)
 	}
 	// All-zero similarities clamp to the floor on both sides: still ratio 1.
-	zeros := []Merge{{Sim: 0}, {Sim: 0}, {Sim: 0}}
-	if cut, ok := CutAtGap(zeros, 10); ok {
+	zeros := []float64{0, 0, 0}
+	if cut, ok := cutAtGapSims(zeros, 10); ok {
 		t.Errorf("gap found in all-zero profile: cut=%v", cut)
 	}
 }

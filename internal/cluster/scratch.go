@@ -5,8 +5,7 @@ import "sync"
 // Scratch holds every buffer the flat agglomeration engine needs: the
 // all-pairs stats triangle, the per-merged-cluster stat rows, the candidate
 // heap backing, the alive bitmap, and the id-indexed bookkeeping arrays
-// (sizes, union-find parent links, merge children, heap refcounts, output
-// cursors). A warm Scratch makes the merge loop allocation-free: only the
+// (sizes, union-find parent links, heap refcounts, output cursors). A warm Scratch makes the merge loop allocation-free: only the
 // returned partition (two slices) is allocated per run.
 //
 // A Scratch is reset at the start of every run, so reuse after an aborted
@@ -22,11 +21,8 @@ type Scratch struct {
 	alive  []uint64 // bitmap over cluster ids
 	size   []int32  // cluster sizes by id
 	parent []int32  // id -> merged-into id, -1 while a root
-	left   []int32  // merged id -> lower-id child (concat order for traces)
-	right  []int32  // merged id -> higher-id child
 	nref   []int32  // id -> heap entries referencing it (stale accounting)
 	outIdx []int32  // root id -> output cluster index + 1
-	stack  []int32  // DFS stack for trace member reconstruction
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
@@ -60,8 +56,6 @@ func (s *Scratch) reset(n int) {
 	s.alive = grow(s.alive, (maxID+63)/64)
 	s.size = grow(s.size, maxID)
 	s.parent = grow(s.parent, maxID)
-	s.left = grow(s.left, n-1)
-	s.right = grow(s.right, n-1)
 	s.nref = grow(s.nref, maxID)
 	s.outIdx = grow(s.outIdx, maxID)
 	for i := range s.alive {
@@ -96,24 +90,4 @@ func (s *Scratch) statAt(n int, x, y int32) pairStats {
 		return s.tri[i*n-i*(i+1)/2+(j-i-1)]
 	}
 	return s.rows[s.rowOff[int(y)-n]+int(x)]
-}
-
-// membersOf reconstructs the member list of a cluster in historical concat
-// order (lower-id child's members first, recursively) — the order the
-// map-based implementation materialised eagerly. Used only on the traced
-// path; the stack is scratch, the returned slice is fresh.
-func (s *Scratch) membersOf(n int, id int32) []int {
-	out := make([]int, 0, s.size[id])
-	st := append(s.stack[:0], id)
-	for len(st) > 0 {
-		c := st[len(st)-1]
-		st = st[:len(st)-1]
-		if int(c) < n {
-			out = append(out, int(c))
-			continue
-		}
-		st = append(st, s.right[int(c)-n], s.left[int(c)-n])
-	}
-	s.stack = st[:0]
-	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"distinct/internal/cluster"
 	"distinct/internal/eval"
+	"distinct/internal/fault"
 	"distinct/internal/obs/trace"
 	"distinct/internal/reldb"
 	"distinct/internal/trainset"
@@ -164,11 +165,11 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 	results := make([][][]reldb.TupleID, len(jobs))
 	incidents := make([]*Incident, len(jobs))
 	// done[i] flips only after results[i]/incidents[i] are final; the
-	// exactly-once index ownership of parallelForCtx plus its WaitGroup give
+	// exactly-once index ownership of fault.ParallelFor plus its WaitGroup give
 	// the happens-before edge, so no extra locking is needed.
 	done := make([]bool, len(jobs))
 
-	batchErr := parallelForCtx(ctx, len(jobs), e.cfg.Workers, func(i int) error {
+	batchErr := fault.ParallelFor(ctx, len(jobs), e.cfg.Workers, func(i int) error {
 		name, refs := jobs[i].name, jobs[i].refs
 		nsp := st.sp.Start(trace.NameSpanPrefix+name, trace.Int("refs", int64(len(refs))))
 		t0 := time.Now()
@@ -364,7 +365,7 @@ func (e *Engine) TuneMinSim(grid []float64, maxCases int, seed int64) (*TuneResu
 
 // DisambiguateRefsAuto clusters the references with a per-name threshold:
 // each name's dendrogram is cut at its largest similarity collapse
-// (cluster.CutAtGap) when a crisp gap exists, and at the engine's
+// (cluster.Dendrogram.CutAtGap) when a crisp gap exists, and at the engine's
 // configured min-sim otherwise — an extension beyond the paper's fixed
 // global threshold.
 func (e *Engine) DisambiguateRefsAuto(refs []reldb.TupleID) [][]reldb.TupleID {

@@ -362,7 +362,7 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	}
 	resemEx := make([]svm.Example, len(ts.Pairs))
 	walkEx := make([]svm.Example, len(ts.Pairs))
-	err = parallelForCtx(sctx, len(ts.Pairs), e.cfg.Workers, func(i int) error {
+	err = fault.ParallelFor(sctx, len(ts.Pairs), e.cfg.Workers, func(i int) error {
 		p := ts.Pairs[i]
 		resemEx[i] = svm.Example{X: e.ext.ResemVector(p.R1, p.R2), Y: p.Label}
 		walkEx[i] = svm.Example{X: e.ext.WalkVector(p.R1, p.R2), Y: p.Label}
@@ -529,7 +529,7 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 	// a neighbor tuple (sim.BlockIndex.Row), bit-identical to per-pair
 	// PairKernel calls; every other cell stays the exact zero PairKernel
 	// returns.
-	err = parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
+	err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
 		s := e.ext.BatchScratch()
 		defer e.ext.PutBatchScratch(s)
 		for p := 0; p < np; p++ {
@@ -593,7 +593,7 @@ func Combine(pm *PathMatrices, resemW, walkW []float64) cluster.Matrix {
 // W[i][j] the weighted directed walk probability from i to j.
 func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
 	m, err := e.similarities(context.Background(), refs)
-	rethrow(err)
+	fault.Rethrow(err)
 	return m
 }
 
@@ -634,7 +634,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 		// Resolved once per stage: the per-row injection point below costs
 		// one nil check per row when fault injection is off.
 		freg := fault.From(ctx)
-		err = parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
+		err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
 			if freg != nil {
 				if err := freg.Fire(ctx, "core.similarities.row"); err != nil {
 					return err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -84,5 +85,54 @@ func TestTrainingSeedMatters(t *testing.T) {
 	}
 	if same {
 		t.Error("different training seeds produced identical weights; is the seed plumbed through?")
+	}
+}
+
+// TestWorkersDoNotChangeResults: the engine must produce bit-identical
+// similarity matrices and clusterings regardless of the worker count.
+func TestWorkersDoNotChangeResults(t *testing.T) {
+	w := testWorld(t)
+
+	run := func(workers int) ([][]float64, [][][]int32) {
+		cfg := engineConfig(w, false)
+		cfg.Workers = workers
+		e, err := NewEngineCtx(context.Background(), w.DB, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := e.RefsForName("Wei Wang")
+		m := e.Similarities(refs)
+		var clusterings [][][]int32
+		for _, name := range w.AmbiguousNames() {
+			pred, err := e.DisambiguateNameCtx(context.Background(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c [][]int32
+			for _, g := range pred {
+				row := make([]int32, len(g))
+				for i, r := range g {
+					row[i] = int32(r)
+				}
+				c = append(c, row)
+			}
+			clusterings = append(clusterings, c)
+		}
+		return m.R, clusterings
+	}
+
+	r1, c1 := run(1)
+	r8, c8 := run(8)
+	// Compare within a tight tolerance: the contract is numerical
+	// agreement, not a particular accumulation order.
+	for i := range r1 {
+		for j := range r1[i] {
+			if math.Abs(r1[i][j]-r8[i][j]) > 1e-12 {
+				t.Fatalf("similarity [%d][%d] differs: %v vs %v", i, j, r1[i][j], r8[i][j])
+			}
+		}
+	}
+	if !reflect.DeepEqual(c1, c8) {
+		t.Error("clusterings differ between 1 and 8 workers")
 	}
 }

@@ -37,7 +37,7 @@ func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.Tu
 	// degraded view), converting a panic anywhere in the name's stages into
 	// a *fault.PanicError instead of killing the caller.
 	attempt := func(eng *Engine, nctx context.Context) (groups [][]reldb.TupleID, err error) {
-		err = guard(func() error {
+		err = fault.Guard(func() error {
 			var aerr error
 			groups, aerr = eng.DisambiguateRefsCtx(nctx, refs)
 			return aerr

@@ -13,9 +13,11 @@
 // loops should resolve the registry once with From and skip firing when it
 // is nil.
 //
-// The package also hosts PanicError, the error recovery points (core's
-// parallel workers, the per-name batch guard) use to carry a recovered
-// panic and its stack across goroutines instead of crashing the process.
+// The package also hosts PanicError, the error recovery points use to carry
+// a recovered panic and its stack across goroutines instead of crashing the
+// process, and the recovery points themselves: Guard (one call, e.g. the
+// per-name batch guard), ParallelFor (the engine's one worker pool, used by
+// core, sim and prop) and Rethrow (re-raise where an error is impossible).
 package fault
 
 import (

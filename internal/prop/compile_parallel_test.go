@@ -96,7 +96,7 @@ func TestCompileTrieCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any hop is claimed
 	got := CompileTrieCtx(ctx, dbCan, trie, 4)
-	want := CompileTrie(dbRef, trie)
+	want := compile(dbRef, trie)
 	gh, ge := got.Stats()
 	wh, we := want.Stats()
 	if gh != wh || ge != we {

@@ -2,19 +2,18 @@ package prop
 
 import (
 	"context"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"distinct/internal/fault"
 	"distinct/internal/reldb"
 )
 
-// This file is the compiled counterpart of multi.go: the same path prefix
-// trie, but walked level by level over CSR hop plans (reldb.HopCSR) instead
-// of tuple by tuple through hash indexes. The recursive map-DFS remains the
-// reference implementation; compiled_test.go holds the two within 1e-12 of
-// each other on random schemas, including cyclic ones.
+// This file is the propagation engine: the path prefix trie of multi.go,
+// walked level by level over CSR hop plans (reldb.HopCSR) instead of tuple
+// by tuple through hash indexes. The recursive DFS of the package doc is
+// the test oracle (oracle_test.go); compiled_test.go and the
+// FuzzCompiledPropagation target hold the two within 1e-12 of each other
+// on random schemas, including cyclic ones.
 //
 // # Frontier propagation
 //
@@ -60,8 +59,7 @@ import (
 // edges in row order, so every float is accumulated in one fixed order
 // regardless of worker count. Emission sorts the final frontier's ordinals;
 // ordinal order within a relation is ascending TupleID order, so the
-// SparseNeighborhood comes out sorted, with SumFwd accumulated in key order
-// exactly like Neighborhood.Sparse.
+// SparseNeighborhood comes out sorted, with SumFwd accumulated in key order.
 
 // ctNode is one compiled trie node.
 type ctNode struct {
@@ -94,25 +92,20 @@ type CompiledTrie struct {
 	statHops, statEdges int
 }
 
-// CompileTrie compiles the trie against db, fetching hop plans from the
+// CompileTrieCtx compiles the trie against db, fetching hop plans from the
 // database's shared cache (compiled lazily, each hop once per database).
-func CompileTrie(db *reldb.Database, t *Trie) *CompiledTrie {
-	return CompileTrieCtx(context.Background(), db, t, 0)
-}
-
-// CompileTrieCtx is CompileTrie with the per-hop compiles farmed over
-// `workers` goroutines (0 means GOMAXPROCS). Per-hop compiles are
-// independent, so the warm-up claims hops exactly once (an atomic index)
-// and observes ctx between hops; the serial assembly then finds every plan
-// already in the database's cache. A cancelled context only stops the
-// speculative parallel work — assembly compiles whatever the warm-up
-// skipped, so the returned trie is always complete and correct.
+// The per-hop compiles are farmed over `workers` goroutines (0 means
+// GOMAXPROCS). Per-hop compiles are independent, so the warm-up claims hops
+// exactly once and observes ctx between hops; the serial assembly then
+// finds every plan already in the database's cache. A cancelled context
+// only stops the speculative warm-up — assembly compiles whatever the
+// warm-up skipped, so the returned trie is always complete and correct.
 func CompileTrieCtx(ctx context.Context, db *reldb.Database, t *Trie, workers int) *CompiledTrie {
 	warmHops(ctx, distinctHops(db, t), workers, db.HopFor)
 	return compileTrie(db, t, db.HopFor)
 }
 
-// CompileTrieUncached is CompileTrie bypassing the database's plan cache:
+// CompileTrieUncached is CompileTrieCtx bypassing the database's plan cache:
 // every hop is compiled fresh. It exists so compilation cost itself can be
 // measured (BenchmarkPlanCompile) and tested without cache warm-up effects.
 //
@@ -123,29 +116,10 @@ func CompileTrieCtx(ctx context.Context, db *reldb.Database, t *Trie, workers in
 func CompileTrieUncached(db *reldb.Database, t *Trie) *CompiledTrie {
 	hops := distinctHops(db, t)
 	plans := make([]*reldb.HopCSR, len(hops))
-	compileAt := func(i int) { plans[i] = reldb.CompileHop(db, hops[i].from, hops[i].step) }
-	if workers := min(runtime.GOMAXPROCS(0), len(hops)); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(hops) {
-						return
-					}
-					compileAt(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range hops {
-			compileAt(i)
-		}
-	}
+	fault.Rethrow(fault.ParallelFor(context.Background(), len(hops), 0, func(i int) error {
+		plans[i] = reldb.CompileHop(db, hops[i].from, hops[i].step)
+		return nil
+	}))
 	index := make(map[hopIdent]*reldb.HopCSR, len(hops))
 	for i, id := range hops {
 		index[id] = plans[i]
@@ -187,37 +161,17 @@ func distinctHops(db *reldb.Database, t *Trie) []hopIdent {
 }
 
 // warmHops compiles the given hops through hopFor on `workers` goroutines
-// (0 means GOMAXPROCS). Each hop is claimed exactly once via an atomic
-// index, and cancellation is observed between hops, so the latency to
-// abort is bounded by one hop compile. With one worker (or one hop) the
-// warm-up is skipped entirely: the caller's serial assembly does the same
-// compiles with no goroutine overhead.
+// (0 means GOMAXPROCS), each hop exactly once, observing ctx between hops,
+// so the latency to abort is bounded by one hop compile. Its error is
+// dropped on purpose: a context end only means the caller's serial assembly
+// compiles the rest, and a hop that panicked here panics again on the
+// caller's goroutine when the assembly requests it (the plan cache replays
+// a compile's panic).
 func warmHops(ctx context.Context, hops []hopIdent, workers int, hopFor func(string, reldb.Step) *reldb.HopCSR) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(hops) {
-		workers = len(hops)
-	}
-	if workers <= 1 {
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(hops) {
-					return
-				}
-				hopFor(hops[i].from, hops[i].step)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = fault.ParallelFor(ctx, len(hops), workers, func(i int) error {
+		hopFor(hops[i].from, hops[i].step)
+		return nil
+	})
 }
 
 func compileTrie(db *reldb.Database, t *Trie, hopFor func(string, reldb.Step) *reldb.HopCSR) *CompiledTrie {
@@ -341,10 +295,10 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 }
 
 // Propagate computes the neighborhoods of start along every path of the
-// trie, equivalent to PropagateMultiSparse within 1e-12. s must come from
-// this trie's NewScratch (nil allocates a throwaway one). The result slice
-// and its neighborhoods are freshly allocated; the scratch may be reused
-// for the next call immediately.
+// trie, equivalent to the depth-first definition within 1e-12. s must come
+// from this trie's NewScratch (nil allocates a throwaway one). The result
+// slice and its neighborhoods are freshly allocated; the scratch may be
+// reused for the next call immediately.
 func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch) []SparseNeighborhood {
 	out := make([]SparseNeighborhood, len(ct.paths))
 	if len(ct.roots) == 0 {
@@ -460,7 +414,7 @@ func (ct *CompiledTrie) run(ni int32, startRel string, out []SparseNeighborhood,
 		built := false
 		for _, pi := range nd.terminal {
 			if ct.paths[pi].Start != startRel {
-				continue // mirrors PropagateMulti's per-path start check
+				continue // a path from another relation stays empty
 			}
 			if !built {
 				sn = ct.emitSorted(lv, hop, s)
@@ -504,25 +458,4 @@ func (ct *CompiledTrie) emitSorted(lv *level, hop *reldb.HopCSR, s *Scratch) Spa
 		sum += lv.accF[j]
 	}
 	return SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: sum}
-}
-
-// CompiledPath is a single compiled join path — CompiledTrie specialised to
-// one path, for callers that propagate path by path.
-type CompiledPath struct {
-	ct *CompiledTrie
-}
-
-// CompilePath compiles one join path against db (hop plans come from the
-// database's shared cache).
-func CompilePath(db *reldb.Database, p reldb.JoinPath) *CompiledPath {
-	return &CompiledPath{ct: CompileTrie(db, NewTrie([]reldb.JoinPath{p}))}
-}
-
-// NewScratch allocates a scratch sized for this path.
-func (cp *CompiledPath) NewScratch() *Scratch { return cp.ct.NewScratch() }
-
-// Propagate computes the neighborhood of start along the path, equivalent
-// to the map Propagate finalised by Sparse, within 1e-12.
-func (cp *CompiledPath) Propagate(start reldb.TupleID, s *Scratch) SparseNeighborhood {
-	return cp.ct.Propagate(start, s)[0]
 }

@@ -104,17 +104,17 @@ func diffSparse(a, b SparseNeighborhood) float64 {
 
 // checkCompiledAgainstDFS compiles the trie both ways (shared plan cache
 // and uncached) and holds every path's compiled neighborhood within tol of
-// the DFS reference for each given start tuple.
+// the DFS oracle for each given start tuple.
 func checkCompiledAgainstDFS(t *testing.T, tag string, db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID, tol float64) {
 	t.Helper()
 	trie := NewTrie(paths)
 	for variant, ct := range map[string]*CompiledTrie{
-		"cached":   CompileTrie(db, trie),
+		"cached":   compile(db, trie),
 		"uncached": CompileTrieUncached(db, trie),
 	} {
 		scratch := ct.NewScratch()
 		for _, id := range starts {
-			want := PropagateMultiSparse(db, id, trie)
+			want := propagateOracle(db, id, trie)
 			got := ct.Propagate(id, scratch)
 			if len(got) != len(want) {
 				t.Fatalf("%s/%s: %d neighborhoods, want %d", tag, variant, len(got), len(want))
@@ -149,19 +149,18 @@ func TestCompiledMatchesDFSPaper(t *testing.T) {
 
 	// And the hand-computed values directly: from wei@p1 the only coauthor
 	// is jiong (forward 1, backward 1/4).
-	cp := CompilePath(db, coauthorPath())
-	nb := cp.Propagate(refs["wei@p1"], nil)
-	if nb.Len() != 1 {
-		t.Fatalf("wei@p1 coauthors = %d, want 1", nb.Len())
+	nb := engines["compiled"](db, refs["wei@p1"], coauthorPath())
+	if len(nb.Keys) != 1 {
+		t.Fatalf("wei@p1 coauthors = %d, want 1", len(nb.Keys))
 	}
-	if fb, ok := nb.Lookup(db.LookupKey("Authors", "jiong")); !ok || !approx(fb.Fwd, 1) || !approx(fb.Bwd, 0.25) {
+	if fb, ok := lookup(nb, db.LookupKey("Authors", "jiong")); !ok || !approx(fb.Fwd, 1) || !approx(fb.Bwd, 0.25) {
 		t.Fatalf("wei@p1 -> jiong = %+v, want {1 0.25}", fb)
 	}
 }
 
 // TestCompiledMatchesDFSDeadEnd: a single-author paper dead-ends the
 // coauthor walk; the compiled result must be the zero neighborhood, like
-// the DFS's empty map finalised.
+// the oracle's empty map finalised.
 func TestCompiledMatchesDFSDeadEnd(t *testing.T) {
 	db := reldb.NewDatabase(dblpSchema())
 	db.MustInsert("Authors", "solo")
@@ -169,24 +168,22 @@ func TestCompiledMatchesDFSDeadEnd(t *testing.T) {
 	db.MustInsert("Proceedings", "vldb97", "VLDB")
 	db.MustInsert("Publications", "p1", "vldb97")
 	ref := db.MustInsert("Publish", "solo", "p1")
-	cp := CompilePath(db, coauthorPath())
-	nb := cp.Propagate(ref, nil)
-	if nb.Len() != 0 || nb.Keys != nil || nb.SumFwd != 0 {
+	nb := engines["compiled"](db, ref, coauthorPath())
+	if nb.Keys != nil || nb.FBs != nil || nb.SumFwd != 0 {
 		t.Fatalf("dead-end neighborhood = %+v, want zero value", nb)
 	}
 }
 
-// TestCompiledWrongStartAndEmptyPath mirrors Propagate's input guards.
+// TestCompiledWrongStartAndEmptyPath mirrors the oracle's input guards.
 func TestCompiledWrongStartAndEmptyPath(t *testing.T) {
 	db, _ := miniDB(t)
 	author := db.LookupKey("Authors", "wei")
-	ct := CompileTrie(db, NewTrie([]reldb.JoinPath{coauthorPath()}))
-	if got := ct.Propagate(author, nil); got[0].Len() != 0 {
+	ct := compile(db, NewTrie([]reldb.JoinPath{coauthorPath()}))
+	if got := ct.Propagate(author, nil); len(got[0].Keys) != 0 {
 		t.Errorf("wrong-relation start produced %+v", got[0])
 	}
-	cp := CompilePath(db, reldb.JoinPath{Start: "Publish"})
 	ref := db.Relation("Publish").TupleIDs()[0]
-	if nb := cp.Propagate(ref, nil); nb.Len() != 0 {
+	if nb := engines["compiled"](db, ref, reldb.JoinPath{Start: "Publish"}); len(nb.Keys) != 0 {
 		t.Errorf("empty path produced %+v", nb)
 	}
 }
@@ -209,6 +206,27 @@ func TestCompiledMatchesDFSRandomCyclic(t *testing.T) {
 		db := cyclicRandomWorld(rng, opts)
 		checkRandomWorld(t, fmt.Sprintf("cyclic-%d", seed), db)
 	}
+}
+
+// FuzzCompiledPropagation holds the compiled engine, cached and uncached,
+// to the DFS oracle on fuzzer-seeded random worlds: DAG schemas from
+// randomSchemaWorld, or cyclicRandomWorld's schemas with cycles and
+// self-loops (cyclic) and dangling foreign keys (dangling).
+func FuzzCompiledPropagation(f *testing.F) {
+	f.Add(int64(0), false, false)
+	f.Add(int64(1), true, false)
+	f.Add(int64(2), true, true)
+	f.Add(int64(3), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, cyclic, dangling bool) {
+		rng := rand.New(rand.NewSource(seed))
+		var db *reldb.Database
+		if cyclic || dangling {
+			db = cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: cyclic, dangling: dangling})
+		} else {
+			db = randomSchemaWorld(rng)
+		}
+		checkRandomWorld(t, fmt.Sprintf("seed-%d", seed), db)
+	})
 }
 
 // checkRandomWorld enumerates join paths from every FK-bearing relation of
@@ -251,7 +269,7 @@ func TestCompiledScratchReuse(t *testing.T) {
 	if len(paths) > 30 {
 		paths = paths[:30]
 	}
-	ct := CompileTrie(db, NewTrie(paths))
+	ct := compile(db, NewTrie(paths))
 	shared := ct.NewScratch()
 	for _, id := range db.Relation(start).TupleIDs() {
 		got := ct.Propagate(id, shared)
@@ -278,7 +296,7 @@ func TestCompiledAllocsCeiling(t *testing.T) {
 			{Rel: "Proceedings", Attr: "conference", Forward: true},
 		}},
 	}
-	ct := CompileTrie(db, NewTrie(paths))
+	ct := compile(db, NewTrie(paths))
 	scratch := ct.NewScratch()
 	start := refs["wei@p2"]
 	ct.Propagate(start, scratch) // warm: grows frontier/acc/sort buffers
@@ -295,7 +313,7 @@ func TestCompiledAllocsCeiling(t *testing.T) {
 func TestCompiledStats(t *testing.T) {
 	db, _ := miniDB(t)
 	paths := []reldb.JoinPath{coauthorPath()}
-	ct := CompileTrie(db, NewTrie(paths))
+	ct := compile(db, NewTrie(paths))
 	hops, edges := ct.Stats()
 	if hops != 3 {
 		t.Errorf("hops = %d, want 3", hops)

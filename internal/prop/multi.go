@@ -6,16 +6,16 @@ import (
 
 // Join paths from one reference relation overlap heavily: in the paper's
 // DBLP schema every path begins Publish>paper-key>Publications, and the
-// length-4 paths mostly extend the same length-3 prefixes. PropagateMulti
+// length-4 paths mostly extend the same length-3 prefixes. Propagation
 // exploits this by arranging the paths in a prefix trie and walking the
 // database once per reference instead of once per (reference, path): a
 // shared prefix's fan-out is traversed a single time, and each trie node
 // deposits results for every path terminating there.
 //
-// The result is bit-identical to calling Propagate per path: within one
-// path the traversal visits the same tuples in the same order, so the
-// floating-point accumulation order is unchanged. The tests assert exact
-// equality.
+// A multi-path trie gives bit-identical results to its one-path tries:
+// within one path the traversal visits the same tuples in the same order,
+// so the floating-point accumulation order is unchanged. The tests assert
+// exact equality, on the compiled engine and on the test oracle.
 
 // trieNode is one node of the path prefix trie.
 type trieNode struct {
@@ -58,72 +58,4 @@ func NewTrie(paths []reldb.JoinPath) *Trie {
 		node.terminal = append(node.terminal, i)
 	}
 	return t
-}
-
-// NumNodes returns the number of trie nodes excluding the root — the number
-// of distinct path prefixes, i.e. how many step-traversals a full walk
-// performs per branch instead of one per path per step.
-func (t *Trie) NumNodes() int {
-	var count func(n *trieNode) int
-	count = func(n *trieNode) int {
-		c := len(n.children)
-		for _, ch := range n.children {
-			c += count(ch)
-		}
-		return c
-	}
-	return count(t.root)
-}
-
-// PropagateMulti computes the neighborhoods of start along every path of
-// the trie in one traversal. The result is indexed like the trie's path
-// list; paths whose start relation does not match the tuple yield nil.
-func PropagateMulti(db *reldb.Database, start reldb.TupleID, t *Trie) []Neighborhood {
-	out := make([]Neighborhood, len(t.paths))
-	startRel := db.Tuple(start).Rel.Name
-	ok := make([]bool, len(t.paths))
-	any := false
-	for i, p := range t.paths {
-		if len(p.Steps) > 0 && p.Start == startRel {
-			ok[i] = true
-			any = true
-			// Non-nil even when nothing is reachable, matching Propagate.
-			out[i] = make(Neighborhood)
-		}
-	}
-	if !any {
-		return out
-	}
-
-	var buf []reldb.TupleID
-	var walk func(node *trieNode, cur, cameFrom reldb.TupleID, fwd, bwd float64)
-	walk = func(node *trieNode, cur, cameFrom reldb.TupleID, fwd, bwd float64) {
-		for _, pi := range node.terminal {
-			if !ok[pi] {
-				continue
-			}
-			fb := out[pi][cur]
-			fb.Fwd += fwd
-			fb.Bwd += bwd
-			out[pi][cur] = fb
-		}
-		for _, child := range node.children {
-			buf = db.Joinable(cur, child.step, cameFrom, buf[:0])
-			if len(buf) == 0 {
-				continue
-			}
-			split := fwd / float64(len(buf))
-			next := make([]reldb.TupleID, len(buf))
-			copy(next, buf)
-			for _, tid := range next {
-				rev := db.JoinFanout(tid, child.step.Inverse())
-				if rev == 0 {
-					continue
-				}
-				walk(child, tid, cur, split, bwd/float64(rev))
-			}
-		}
-	}
-	walk(t.root, start, reldb.InvalidTuple, 1, 1)
-	return out
 }

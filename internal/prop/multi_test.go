@@ -17,8 +17,18 @@ func dblpPaths(s *reldb.Schema) []reldb.JoinPath {
 	})
 }
 
-// TestPropagateMultiMatchesSingle is the central equivalence check: the
-// trie walk must return bit-identical neighborhoods to per-path Propagate.
+// multiEngines are the two engines over a whole trie: the oracle and the
+// compiled engine.
+var multiEngines = map[string]func(db *reldb.Database, start reldb.TupleID, t *Trie) []SparseNeighborhood{
+	"oracle": propagateOracle,
+	"compiled": func(db *reldb.Database, start reldb.TupleID, t *Trie) []SparseNeighborhood {
+		return compile(db, t).Propagate(start, nil)
+	},
+}
+
+// TestPropagateMultiMatchesSingle is the central prefix-sharing check: on
+// both engines, a multi-path trie must return bit-identical neighborhoods
+// to its one-path tries.
 func TestPropagateMultiMatchesSingle(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		db, refs := buildRandomWorld(seed)
@@ -27,17 +37,29 @@ func TestPropagateMultiMatchesSingle(t *testing.T) {
 			t.Fatalf("only %d paths enumerated", len(paths))
 		}
 		trie := NewTrie(paths)
-		for _, r := range refs {
-			multi := PropagateMulti(db, r, trie)
-			for pi, p := range paths {
-				single := Propagate(db, r, p)
-				if !reflect.DeepEqual(single, multi[pi]) {
-					t.Fatalf("seed %d ref %d path %s: single %v != multi %v",
-						seed, r, p, single, multi[pi])
+		for name, propagate := range multiEngines {
+			for _, r := range refs {
+				multi := propagate(db, r, trie)
+				for pi, p := range paths {
+					single := propagate(db, r, NewTrie([]reldb.JoinPath{p}))[0]
+					if !reflect.DeepEqual(single, multi[pi]) {
+						t.Fatalf("%s seed %d ref %d path %s: single %+v != multi %+v",
+							name, seed, r, p, single, multi[pi])
+					}
 				}
 			}
 		}
 	}
+}
+
+// countNodes returns the number of trie nodes excluding the root — the
+// number of distinct path prefixes.
+func countNodes(n *trieNode) int {
+	c := len(n.children)
+	for _, ch := range n.children {
+		c += countNodes(ch)
+	}
+	return c
 }
 
 func TestTrieSharesPrefixes(t *testing.T) {
@@ -48,7 +70,7 @@ func TestTrieSharesPrefixes(t *testing.T) {
 	for _, p := range paths {
 		totalSteps += p.Len()
 	}
-	nodes := trie.NumNodes()
+	nodes := countNodes(trie.root)
 	if nodes >= totalSteps {
 		t.Errorf("trie has %d nodes for %d total path steps; no prefix sharing", nodes, totalSteps)
 	}
@@ -61,10 +83,15 @@ func TestPropagateMultiWrongStart(t *testing.T) {
 	paths := dblpPaths(db.Schema)
 	trie := NewTrie(paths)
 	author := db.LookupKey("Authors", "aA")
-	out := PropagateMulti(db, author, trie)
-	for pi, nb := range out {
-		if nb != nil {
-			t.Fatalf("path %d produced a neighborhood from the wrong relation", pi)
+	for name, propagate := range multiEngines {
+		out := propagate(db, author, trie)
+		if len(out) != len(paths) {
+			t.Fatalf("%s: %d neighborhoods for %d paths", name, len(out), len(paths))
+		}
+		for pi, nb := range out {
+			if nb.Keys != nil {
+				t.Fatalf("%s: path %d produced a neighborhood from the wrong relation", name, pi)
+			}
 		}
 	}
 }
@@ -73,31 +100,11 @@ func TestNewTrieIgnoresEmptyPaths(t *testing.T) {
 	db, refs := buildRandomWorld(3)
 	paths := append([]reldb.JoinPath{{Start: "Publish"}}, dblpPaths(db.Schema)...)
 	trie := NewTrie(paths)
-	out := PropagateMulti(db, refs[0], trie)
-	// The empty path matches the start relation but has no steps; Propagate
-	// would return nil for it, and PropagateMulti leaves it nil too.
-	if out[0] != nil && len(out[0]) != 0 {
-		t.Errorf("empty path produced %v", out[0])
-	}
-}
-
-func BenchmarkPropagateSinglePaths(b *testing.B) {
-	db, refs := buildRandomWorld(5)
-	paths := dblpPaths(db.Schema)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := refs[i%len(refs)]
-		for _, p := range paths {
-			Propagate(db, r, p)
+	for name, propagate := range multiEngines {
+		// The empty path matches the start relation but has no steps: it
+		// stays the zero neighborhood.
+		if out := propagate(db, refs[0], trie); out[0].Keys != nil {
+			t.Errorf("%s: empty path produced %+v", name, out[0])
 		}
-	}
-}
-
-func BenchmarkPropagateMultiTrie(b *testing.B) {
-	db, refs := buildRandomWorld(5)
-	trie := NewTrie(dblpPaths(db.Schema))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PropagateMulti(db, refs[i%len(refs)], trie)
 	}
 }

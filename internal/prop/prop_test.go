@@ -62,52 +62,64 @@ func coauthorPath() reldb.JoinPath {
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+// maxBwd returns the largest backward probability in the neighborhood.
+func maxBwd(s SparseNeighborhood) float64 {
+	m := 0.0
+	for _, fb := range s.FBs {
+		m = math.Max(m, fb.Bwd)
+	}
+	return m
+}
+
 func TestPropagateCoauthorsHandComputed(t *testing.T) {
 	db, refs := miniDB(t)
 	path := coauthorPath()
 	if err := path.Validate(db.Schema); err != nil {
 		t.Fatal(err)
 	}
-
-	// From wei@p1 the only coauthor is jiong, via p1.
-	nb := Propagate(db, refs["wei@p1"], path)
-	if len(nb) != 1 {
-		t.Fatalf("wei@p1 coauthors = %d tuples, want 1", len(nb))
-	}
 	jiong := db.LookupKey("Authors", "jiong")
-	fb, ok := nb[jiong]
-	if !ok {
-		t.Fatal("jiong missing from neighborhood")
-	}
-	// Forward: p1 has one other authorship -> prob 1, then one author -> 1.
-	if !approx(fb.Fwd, 1.0) {
-		t.Errorf("Fwd(wei@p1 -> jiong) = %v, want 1", fb.Fwd)
-	}
-	// Backward: jiong has 2 authorships (1/2), its authorship maps to p1
-	// with fanout 1, p1 has 2 authorships (1/2): total 1/4.
-	if !approx(fb.Bwd, 0.25) {
-		t.Errorf("Bwd(jiong -> wei@p1) = %v, want 0.25", fb.Bwd)
-	}
-
-	// From wei@p2 the coauthors are jiong and haixun, each forward 1/2.
-	nb = Propagate(db, refs["wei@p2"], path)
 	haixun := db.LookupKey("Authors", "haixun")
-	if !approx(nb[haixun].Fwd, 0.5) || !approx(nb[jiong].Fwd, 0.5) {
-		t.Errorf("Fwd from wei@p2: haixun %v jiong %v, want 0.5 each", nb[haixun].Fwd, nb[jiong].Fwd)
-	}
-	// Backward to wei@p2: haixun has 1 authorship (1), paper fanout 1,
-	// p2 has 3 authorships (1/3): 1/3. jiong has 2 authorships: 1/6.
-	if !approx(nb[haixun].Bwd, 1.0/3) {
-		t.Errorf("Bwd(haixun -> wei@p2) = %v, want 1/3", nb[haixun].Bwd)
-	}
-	if !approx(nb[jiong].Bwd, 1.0/6) {
-		t.Errorf("Bwd(jiong -> wei@p2) = %v, want 1/6", nb[jiong].Bwd)
-	}
-	if !approx(nb.TotalFwd(), 1.0) {
-		t.Errorf("TotalFwd = %v, want 1", nb.TotalFwd())
-	}
-	if got := nb.MaxBwd(); !approx(got, 1.0/3) {
-		t.Errorf("MaxBwd = %v, want 1/3", got)
+	for name, propagate := range engines {
+		// From wei@p1 the only coauthor is jiong, via p1.
+		nb := propagate(db, refs["wei@p1"], path)
+		if len(nb.Keys) != 1 {
+			t.Fatalf("%s: wei@p1 coauthors = %d tuples, want 1", name, len(nb.Keys))
+		}
+		fb, ok := lookup(nb, jiong)
+		if !ok {
+			t.Fatalf("%s: jiong missing from neighborhood", name)
+		}
+		// Forward: p1 has one other authorship -> prob 1, then one author -> 1.
+		if !approx(fb.Fwd, 1.0) {
+			t.Errorf("%s: Fwd(wei@p1 -> jiong) = %v, want 1", name, fb.Fwd)
+		}
+		// Backward: jiong has 2 authorships (1/2), its authorship maps to p1
+		// with fanout 1, p1 has 2 authorships (1/2): total 1/4.
+		if !approx(fb.Bwd, 0.25) {
+			t.Errorf("%s: Bwd(jiong -> wei@p1) = %v, want 0.25", name, fb.Bwd)
+		}
+
+		// From wei@p2 the coauthors are jiong and haixun, each forward 1/2.
+		nb = propagate(db, refs["wei@p2"], path)
+		h, _ := lookup(nb, haixun)
+		j, _ := lookup(nb, jiong)
+		if !approx(h.Fwd, 0.5) || !approx(j.Fwd, 0.5) {
+			t.Errorf("%s: Fwd from wei@p2: haixun %v jiong %v, want 0.5 each", name, h.Fwd, j.Fwd)
+		}
+		// Backward to wei@p2: haixun has 1 authorship (1), paper fanout 1,
+		// p2 has 3 authorships (1/3): 1/3. jiong has 2 authorships: 1/6.
+		if !approx(h.Bwd, 1.0/3) {
+			t.Errorf("%s: Bwd(haixun -> wei@p2) = %v, want 1/3", name, h.Bwd)
+		}
+		if !approx(j.Bwd, 1.0/6) {
+			t.Errorf("%s: Bwd(jiong -> wei@p2) = %v, want 1/6", name, j.Bwd)
+		}
+		if !approx(nb.SumFwd, 1.0) {
+			t.Errorf("%s: SumFwd = %v, want 1", name, nb.SumFwd)
+		}
+		if got := maxBwd(nb); !approx(got, 1.0/3) {
+			t.Errorf("%s: max Bwd = %v, want 1/3", name, got)
+		}
 	}
 }
 
@@ -118,18 +130,20 @@ func TestPropagateConferencePath(t *testing.T) {
 		{Rel: "Publications", Attr: "proc-key", Forward: true},
 		{Rel: "Proceedings", Attr: "conference", Forward: true},
 	}}
-	nb := Propagate(db, refs["wei@p1"], path)
 	vldb := db.LookupKey("Conferences", "VLDB")
-	fb, ok := nb[vldb]
-	if !ok || len(nb) != 1 {
-		t.Fatalf("neighborhood = %v", nb)
-	}
-	if !approx(fb.Fwd, 1.0) {
-		t.Errorf("Fwd = %v", fb.Fwd)
-	}
-	// Reverse from VLDB: 1 proceedings (1), 1 publication (1), 2 authorships (1/2).
-	if !approx(fb.Bwd, 0.5) {
-		t.Errorf("Bwd = %v, want 0.5", fb.Bwd)
+	for name, propagate := range engines {
+		nb := propagate(db, refs["wei@p1"], path)
+		fb, ok := lookup(nb, vldb)
+		if !ok || len(nb.Keys) != 1 {
+			t.Fatalf("%s: neighborhood = %+v", name, nb)
+		}
+		if !approx(fb.Fwd, 1.0) {
+			t.Errorf("%s: Fwd = %v", name, fb.Fwd)
+		}
+		// Reverse from VLDB: 1 proceedings (1), 1 publication (1), 2 authorships (1/2).
+		if !approx(fb.Bwd, 0.5) {
+			t.Errorf("%s: Bwd = %v, want 0.5", name, fb.Bwd)
+		}
 	}
 }
 
@@ -142,36 +156,42 @@ func TestPropagateDeadEnd(t *testing.T) {
 	ref := db.MustInsert("Publish", "solo", "p1")
 	// Single-author paper: the coauthor walk dead-ends at the paper because
 	// stepping back to the origin authorship is forbidden.
-	nb := Propagate(db, ref, coauthorPath())
-	if len(nb) != 0 {
-		t.Fatalf("solo paper produced coauthors: %v", nb)
-	}
-	if nb.TotalFwd() != 0 {
-		t.Error("dead-end walk retained probability mass")
+	for name, propagate := range engines {
+		nb := propagate(db, ref, coauthorPath())
+		if len(nb.Keys) != 0 {
+			t.Fatalf("%s: solo paper produced coauthors: %+v", name, nb)
+		}
+		if nb.SumFwd != 0 {
+			t.Errorf("%s: dead-end walk retained probability mass", name)
+		}
 	}
 }
 
 func TestPropagateInvalidInputs(t *testing.T) {
 	db, _ := miniDB(t)
 	author := db.LookupKey("Authors", "wei")
-	if nb := Propagate(db, author, coauthorPath()); nb != nil {
-		t.Error("propagation from wrong relation returned a neighborhood")
-	}
 	ref := db.Relation("Publish").TupleIDs()[0]
-	if nb := Propagate(db, ref, reldb.JoinPath{Start: "Publish"}); nb != nil {
-		t.Error("propagation along empty path returned a neighborhood")
+	for name, propagate := range engines {
+		if nb := propagate(db, author, coauthorPath()); nb.Keys != nil {
+			t.Errorf("%s: propagation from wrong relation returned a neighborhood", name)
+		}
+		if nb := propagate(db, ref, reldb.JoinPath{Start: "Publish"}); nb.Keys != nil {
+			t.Errorf("%s: propagation along empty path returned a neighborhood", name)
+		}
 	}
 }
 
 func TestPropagateAllOrder(t *testing.T) {
 	db, refs := miniDB(t)
 	ids := []reldb.TupleID{refs["wei@p1"], refs["wei@p2"]}
-	nbs := make([]Neighborhood, len(ids))
-	for i, r := range ids {
-		nbs[i] = Propagate(db, r, coauthorPath())
-	}
-	if len(nbs[0]) != 1 || len(nbs[1]) != 2 {
-		t.Errorf("sizes = %d,%d want 1,2", len(nbs[0]), len(nbs[1]))
+	for name, propagate := range engines {
+		nbs := make([]SparseNeighborhood, len(ids))
+		for i, r := range ids {
+			nbs[i] = propagate(db, r, coauthorPath())
+		}
+		if len(nbs[0].Keys) != 1 || len(nbs[1].Keys) != 2 {
+			t.Errorf("%s: sizes = %d,%d want 1,2", name, len(nbs[0].Keys), len(nbs[1].Keys))
+		}
 	}
 }
 
@@ -209,16 +229,18 @@ func TestPropagateConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		db, refs := buildRandomWorld(seed)
 		path := coauthorPath()
-		for _, r := range refs {
-			nb := Propagate(db, r, path)
-			if math.Abs(nb.TotalFwd()-1.0) > 1e-9 {
-				t.Logf("seed %d: TotalFwd = %v", seed, nb.TotalFwd())
-				return false
-			}
-			for _, fb := range nb {
-				if fb.Fwd <= 0 || fb.Fwd > 1+1e-9 || fb.Bwd <= 0 || fb.Bwd > 1+1e-9 {
-					t.Logf("seed %d: out-of-range probs %+v", seed, fb)
+		for name, propagate := range engines {
+			for _, r := range refs {
+				nb := propagate(db, r, path)
+				if math.Abs(nb.SumFwd-1.0) > 1e-9 {
+					t.Logf("%s seed %d: SumFwd = %v", name, seed, nb.SumFwd)
 					return false
+				}
+				for _, fb := range nb.FBs {
+					if fb.Fwd <= 0 || fb.Fwd > 1+1e-9 || fb.Bwd <= 0 || fb.Bwd > 1+1e-9 {
+						t.Logf("%s seed %d: out-of-range probs %+v", name, seed, fb)
+						return false
+					}
 				}
 			}
 		}
@@ -242,14 +264,15 @@ func TestPropagateBackwardConsistency(t *testing.T) {
 			{Rel: "Proceedings", Attr: "conference", Forward: true},
 		}}
 		rev := path.Reverse(db.Schema)
-		for _, r := range refs[:1] {
-			nb := Propagate(db, r, path)
-			for tID, fb := range nb {
-				back := Propagate(db, tID, rev)
-				got := back[r].Fwd
-				if math.Abs(got-fb.Bwd) > 1e-9 {
-					t.Logf("seed %d: Bwd=%v but reverse-walk Fwd=%v", seed, fb.Bwd, got)
-					return false
+		for name, propagate := range engines {
+			for _, r := range refs[:1] {
+				nb := propagate(db, r, path)
+				for i, tID := range nb.Keys {
+					back, _ := lookup(propagate(db, tID, rev), r)
+					if math.Abs(back.Fwd-nb.FBs[i].Bwd) > 1e-9 {
+						t.Logf("%s seed %d: Bwd=%v but reverse-walk Fwd=%v", name, seed, nb.FBs[i].Bwd, back.Fwd)
+						return false
+					}
 				}
 			}
 		}

@@ -64,7 +64,7 @@ func randomSchemaWorld(rng *rand.Rand) *reldb.Database {
 
 // TestRandomSchemasEndToEnd checks the substrate invariants on random
 // schemas: path enumeration validity, expansion integrity, probability
-// conservation, and trie/single propagation equivalence.
+// conservation, and trie/single propagation equivalence on the oracle.
 func TestRandomSchemasEndToEnd(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -114,16 +114,16 @@ func TestRandomSchemasEndToEnd(t *testing.T) {
 		trie := NewTrie(paths)
 		ids := ex.Relation(start).TupleIDs()
 		for _, id := range ids[:min(3, len(ids))] {
-			multi := PropagateMulti(ex, id, trie)
+			multi := propagateOracle(ex, id, trie)
 			for pi, p := range paths {
-				single := Propagate(ex, id, p)
+				single := propagateOracle(ex, id, NewTrie([]reldb.JoinPath{p}))[0]
 				if !reflect.DeepEqual(single, multi[pi]) {
 					t.Fatalf("seed %d: trie mismatch on %s", seed, p)
 				}
-				if tf := single.TotalFwd(); tf > 1+1e-9 {
+				if tf := single.SumFwd; tf > 1+1e-9 {
 					t.Fatalf("seed %d: forward mass %v > 1 on %s", seed, tf, p)
 				}
-				for _, fb := range single {
+				for _, fb := range single.FBs {
 					if fb.Fwd <= 0 || fb.Bwd <= 0 || fb.Fwd > 1+1e-9 || fb.Bwd > 1+1e-9 {
 						t.Fatalf("seed %d: out-of-range probability %+v", seed, fb)
 					}

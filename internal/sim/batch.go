@@ -8,8 +8,8 @@ import (
 // This file is the block-at-a-time counterpart of the pair-at-a-time kernel
 // in sim.go: every pair of a block of neighborhoods, computed from an
 // inverted index so that a pair only ever touches the neighbor tuples it
-// shares. PairKernel stays the reference implementation; the two are
-// bit-identical, which is what keeps the golden outputs stable.
+// shares. The two kernels are bit-identical, which is what keeps the golden
+// outputs stable; the tests also hold both to the refKernel test oracle.
 //
 // # Layout
 //

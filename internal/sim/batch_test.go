@@ -15,14 +15,14 @@ import (
 // neighborhoods over a narrow key range (heavy overlap), ~100x larger ones,
 // disjoint key ranges, subsets of an earlier member's keys, and duplicate
 // members. Keys reach past keyRange, beyond a small scratch's initial size.
-func randBlock(rng *rand.Rand, n, np, keyRange int) [][]prop.Neighborhood {
-	block := make([][]prop.Neighborhood, n)
+func randBlock(rng *rand.Rand, n, np, keyRange int) [][]nbMap {
+	block := make([][]nbMap, n)
 	for i := range block {
 		if i > 0 && rng.Intn(6) == 0 {
 			block[i] = block[rng.Intn(i)] // duplicate member
 			continue
 		}
-		nbs := make([]prop.Neighborhood, np)
+		nbs := make([]nbMap, np)
 		for p := range nbs {
 			switch rng.Intn(6) {
 			case 0: // empty
@@ -32,7 +32,7 @@ func randBlock(rng *rand.Rand, n, np, keyRange int) [][]prop.Neighborhood {
 				nbs[p] = randNB(rng, 1+rng.Intn(3), keyRange, 50)
 			case 3: // subset of an earlier member's keys, fresh masses
 				if i > 0 {
-					nbs[p] = make(prop.Neighborhood)
+					nbs[p] = make(nbMap)
 					for k := range block[rng.Intn(i)][p] {
 						if rng.Intn(2) == 0 {
 							nbs[p][k] = prop.FB{Fwd: rng.Float64(), Bwd: rng.Float64()}
@@ -49,12 +49,12 @@ func randBlock(rng *rand.Rand, n, np, keyRange int) [][]prop.Neighborhood {
 }
 
 // sparseBlock converts a map-form block to the kernel's sparse form.
-func sparseBlock(block [][]prop.Neighborhood) [][]prop.SparseNeighborhood {
+func sparseBlock(block [][]nbMap) [][]prop.SparseNeighborhood {
 	out := make([][]prop.SparseNeighborhood, len(block))
 	for i, nbs := range block {
 		out[i] = make([]prop.SparseNeighborhood, len(nbs))
 		for p, nb := range nbs {
-			out[i][p] = nb.Sparse()
+			out[i][p] = nb.sparse()
 		}
 	}
 	return out
@@ -107,6 +107,28 @@ func checkRows(t *testing.T, x *BlockIndex, s *BatchScratch, block [][]prop.Spar
 	}
 }
 
+// checkRowsOracle holds every pair of the block to refKernel within 1e-12.
+func checkRowsOracle(t *testing.T, x *BlockIndex, s *BatchScratch, block [][]prop.SparseNeighborhood) {
+	t.Helper()
+	if len(block) == 0 {
+		return
+	}
+	np := len(block[0])
+	got := rowsOf(t, x, s, len(block), np)
+	const tol = 1e-12
+	for p := 0; p < np; p++ {
+		for i := range block {
+			for j := i + 1; j < len(block); j++ {
+				r, ab, ba := refKernel(block[i][p], block[j][p])
+				g := got[p][i][j]
+				if math.Abs(g.Resem-r) > tol || math.Abs(g.WalkAB-ab) > tol || math.Abs(g.WalkBA-ba) > tol {
+					t.Fatalf("path %d pair (%d,%d): Row = %+v, refKernel = (%v, %v, %v)", p, i, j, g, r, ab, ba)
+				}
+			}
+		}
+	}
+}
+
 // checkRestored fails unless the scratch's dense tuple array is all -1.
 func checkRestored(t *testing.T, s *BatchScratch) {
 	t.Helper()
@@ -136,42 +158,21 @@ func TestBatchedKernelMatchesPairKernel(t *testing.T) {
 }
 
 // TestBatchedKernelMatchesMapKernels holds the postings kernel to the
-// 1e-12 contract against the legacy map-based reference implementations.
+// 1e-12 contract against the naive refKernel oracle.
 func TestBatchedKernelMatchesMapKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	s := NewBatchScratch(2048)
 	var x BlockIndex
-	const tol = 1e-12
 	for trial := 0; trial < 60; trial++ {
-		blockM := randBlock(rng, 2+rng.Intn(12), 2, 1000)
-		x.Build(s, sparseBlock(blockM), nil)
-		got := rowsOf(t, &x, s, len(blockM), 2)
-		for p := 0; p < 2; p++ {
-			for i := range blockM {
-				for j := i + 1; j < len(blockM); j++ {
-					a, b := blockM[i][p], blockM[j][p]
-					g := got[p][i][j]
-					for _, c := range []struct {
-						what      string
-						got, want float64
-					}{
-						{"Resem", g.Resem, MapResemblance(a, b)},
-						{"WalkAB", g.WalkAB, MapWalkProb(a, b)},
-						{"WalkBA", g.WalkBA, MapWalkProb(b, a)},
-					} {
-						if math.Abs(c.got-c.want) > tol {
-							t.Fatalf("trial %d path %d pair (%d,%d): %s = %v, map kernel %v",
-								trial, p, i, j, c.what, c.got, c.want)
-						}
-					}
-				}
-			}
-		}
+		block := sparseBlock(randBlock(rng, 2+rng.Intn(12), 2, 1000))
+		x.Build(s, block, nil)
+		checkRowsOracle(t, &x, s, block)
 	}
 }
 
 // FuzzBatchedKernel drives the postings kernel with fuzzer-shaped blocks and
-// cross-checks every pair against PairKernel bit for bit. The corpus bytes
+// cross-checks every pair against PairKernel bit for bit and against the
+// refKernel oracle within 1e-12. The corpus bytes
 // encode two member sizes, the member count and a seed, so the fuzzer
 // explores size skew, overlap density and the growth of the dense array.
 func FuzzBatchedKernel(f *testing.F) {
@@ -190,12 +191,13 @@ func FuzzBatchedKernel(f *testing.F) {
 			if i%2 == 1 {
 				size = bs
 			}
-			block[i] = []prop.SparseNeighborhood{randNB(rng, size, rng.Intn(maxSize), 2*maxSize).Sparse()}
+			block[i] = []prop.SparseNeighborhood{randNB(rng, size, rng.Intn(maxSize), 2*maxSize).sparse()}
 		}
 		var x BlockIndex
 		s := NewBatchScratch(0)
 		x.Build(s, block, nil)
 		checkRows(t, &x, s, block)
+		checkRowsOracle(t, &x, s, block)
 		checkRestored(t, s)
 	})
 }
@@ -226,14 +228,14 @@ func TestBatchedKernelAllocs(t *testing.T) {
 // in the grown region.
 func TestBatchScratchGrow(t *testing.T) {
 	s := NewBatchScratch(4)
-	a := prop.Neighborhood{
+	a := nbMap{
 		reldb.TupleID(1000): {Fwd: 0.5, Bwd: 0.5},
 		reldb.TupleID(2):    {Fwd: 0.5, Bwd: 0.5},
-	}.Sparse()
-	b := prop.Neighborhood{
+	}.sparse()
+	b := nbMap{
 		reldb.TupleID(1000): {Fwd: 0.25, Bwd: 1},
 		reldb.TupleID(3000): {Fwd: 0.75, Bwd: 1},
-	}.Sparse()
+	}.sparse()
 	block := [][]prop.SparseNeighborhood{{a}, {b}}
 	var x BlockIndex
 	x.Build(s, block, nil)
@@ -336,7 +338,7 @@ func TestNeighborhoodsAllMatchesNeighborhoods(t *testing.T) {
 	for i, r := range refs {
 		want := ext.Neighborhoods(r)
 		for p := range want {
-			if cold[i][p].Len() != want[p].Len() || cold[i][p].SumFwd != want[p].SumFwd {
+			if len(cold[i][p].Keys) != len(want[p].Keys) || cold[i][p].SumFwd != want[p].SumFwd {
 				t.Fatalf("cold NeighborhoodsAll[%d][%d] differs from Neighborhoods", i, p)
 			}
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -89,29 +90,29 @@ func TestPlanCompileOnceAcrossExtractors(t *testing.T) {
 		}
 	}
 
-	// CompilePlans after the fact is idempotent: the plan exists, stats are
+	// CompilePlansCtx after the fact is idempotent: the plan exists, stats are
 	// stable, and no further hop compiles happen.
-	h1, e1, _ := ex1.CompilePlans()
-	h2, e2, _ := ex2.CompilePlans()
+	h1, e1, _ := ex1.CompilePlansCtx(context.Background())
+	h2, e2, _ := ex2.CompilePlansCtx(context.Background())
 	if h1 != h2 || e1 != e2 || h1 != 3 {
-		t.Errorf("CompilePlans stats diverge: (%d,%d) vs (%d,%d)", h1, e1, h2, e2)
+		t.Errorf("CompilePlansCtx stats diverge: (%d,%d) vs (%d,%d)", h1, e1, h2, e2)
 	}
 	if got := db.HopCompiles(); got != 3 {
-		t.Errorf("HopCompiles after CompilePlans = %d, want 3", got)
+		t.Errorf("HopCompiles after CompilePlansCtx = %d, want 3", got)
 	}
 }
 
-// TestCompilePlansEager: calling CompilePlans first compiles immediately
+// TestCompilePlansEager: calling CompilePlansCtx first compiles immediately
 // and reports a nonzero compile time exactly once.
 func TestCompilePlansEager(t *testing.T) {
 	db, paths, refs := raceWorld(t)
 	ex := NewExtractor(db, paths)
-	hops, edges, took := ex.CompilePlans()
+	hops, edges, took := ex.CompilePlansCtx(context.Background())
 	if hops != 3 || edges == 0 {
-		t.Errorf("CompilePlans = (%d hops, %d edges), want 3 hops and nonzero edges", hops, edges)
+		t.Errorf("CompilePlansCtx = (%d hops, %d edges), want 3 hops and nonzero edges", hops, edges)
 	}
 	if took <= 0 {
-		t.Error("eager CompilePlans reported zero compile time")
+		t.Error("eager CompilePlansCtx reported zero compile time")
 	}
 	nbs := ex.Neighborhoods(refs[0])
 	if len(nbs) != len(paths) {

@@ -1,0 +1,66 @@
+package sim
+
+import (
+	"math"
+	"sort"
+
+	"distinct/internal/prop"
+	"distinct/internal/reldb"
+)
+
+// nbMap is a neighborhood in map form, the way tests build them by hand or
+// at random before finalising them with sparse.
+type nbMap map[reldb.TupleID]prop.FB
+
+// sparse finalises the map into the kernels' sorted sparse form, with
+// SumFwd accumulated in key order.
+func (n nbMap) sparse() prop.SparseNeighborhood {
+	if len(n) == 0 {
+		return prop.SparseNeighborhood{}
+	}
+	keys := make([]reldb.TupleID, 0, len(n))
+	for t := range n {
+		keys = append(keys, t)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	fbs := make([]prop.FB, len(keys))
+	var sum float64
+	for i, t := range keys {
+		fbs[i] = n[t]
+		sum += fbs[i].Fwd
+	}
+	return prop.SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: sum}
+}
+
+// refKernel is the similarity oracle: PairKernel's three outputs computed
+// the naive way — b's entries loaded into a hash map, every key of a
+// probed in it, both Fwd totals summed afresh rather than read from
+// SumFwd, and the Jaccard denominator taken as Σ max over the union. The
+// property and fuzz tests hold PairKernel and the postings kernel to it
+// within 1e-12.
+func refKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
+	bm := make(map[reldb.TupleID]prop.FB, len(b.Keys))
+	for i, t := range b.Keys {
+		bm[t] = b.FBs[i]
+	}
+	var sumA, sumB, interMin float64
+	for _, fb := range a.FBs {
+		sumA += fb.Fwd
+	}
+	for _, fb := range b.FBs {
+		sumB += fb.Fwd
+	}
+	for i, t := range a.Keys {
+		fa := a.FBs[i]
+		if fb, ok := bm[t]; ok {
+			interMin += math.Min(fa.Fwd, fb.Fwd)
+			walkAB += fa.Fwd * fb.Bwd
+			walkBA += fb.Fwd * fa.Bwd
+		}
+	}
+	// Σ max over the union = Σ_a + Σ_b − Σ min over the intersection.
+	if denom := sumA + sumB - interMin; denom > 0 {
+		resem = interMin / denom
+	}
+	return resem, walkAB, walkBA
+}

@@ -2,9 +2,6 @@ package sim
 
 import (
 	"context"
-	"runtime"
-	"runtime/debug"
-	"sync"
 
 	"distinct/internal/fault"
 	"distinct/internal/obs/trace"
@@ -20,8 +17,8 @@ import (
 // prefetched reference costs the serving path nothing but a cache read.
 func (e *Extractor) Prefetch(refs []reldb.TupleID, workers int) {
 	// Background context never cancels and carries no fault registry, so
-	// the error return is impossible and safely discarded.
-	_ = e.PrefetchCtx(context.Background(), refs, workers)
+	// the only possible error is a recovered worker panic: re-raise it.
+	fault.Rethrow(e.PrefetchCtx(context.Background(), refs, workers))
 }
 
 // PrefetchCtx is Prefetch under a context: cancellation (and the
@@ -43,9 +40,6 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 	}
 	if err := fault.Point(ctx, "sim.prefetch"); err != nil {
 		return err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	// Collect the uncached references in one pass under the read lock. All
 	// copies of a reference are hits or misses together, so only the misses
@@ -81,65 +75,14 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 	}
 	sp := e.prefetchStage.Start()
 	defer func() { sp.End(len(todo)) }()
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	// The sequential path mirrors the worker pool (compute, then merge
-	// under the lock) so cache metrics are identical whatever the worker
-	// count: prefetched propagations never count as cache misses.
+	// Workers only compute; the merge happens under the lock afterwards, so
+	// cache metrics are identical whatever the worker count: prefetched
+	// propagations never count as cache misses.
 	results := make([][]prop.SparseNeighborhood, len(todo))
-	var runErr error
-	if workers == 1 {
-		for i, r := range todo {
-			if runErr = ctx.Err(); runErr != nil {
-				break
-			}
-			if runErr = propagateGuarded(e, r, results, i); runErr != nil {
-				break
-			}
-		}
-	} else {
-		var (
-			wg    sync.WaitGroup
-			mu    sync.Mutex
-			first error
-		)
-		fail := func(err error) {
-			mu.Lock()
-			if first == nil {
-				first = err
-			}
-			mu.Unlock()
-		}
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if err := propagateGuarded(e, todo[i], results, i); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}()
-		}
-	feed:
-		for i := range todo {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-		if first != nil {
-			runErr = first
-		} else {
-			runErr = ctx.Err()
-		}
-	}
+	runErr := fault.ParallelFor(ctx, len(todo), workers, func(i int) error {
+		results[i] = e.propagate(todo[i])
+		return nil
+	})
 	e.mu.Lock()
 	for i, r := range todo {
 		if results[i] == nil {
@@ -151,16 +94,4 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 	}
 	e.mu.Unlock()
 	return runErr
-}
-
-// propagateGuarded runs one propagation, converting a panic into a
-// *fault.PanicError carrying the worker's stack.
-func propagateGuarded(e *Extractor, r reldb.TupleID, results [][]prop.SparseNeighborhood, i int) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &fault.PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	results[i] = e.propagate(r)
-	return nil
 }

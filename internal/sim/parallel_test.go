@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
+	"distinct/internal/fault"
 	"distinct/internal/reldb"
 )
 
@@ -26,14 +31,12 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 			t.Fatalf("ref %d: %d vs %d paths", r, len(a), len(b))
 		}
 		for p := range a {
-			if a[p].Len() != b[p].Len() {
-				t.Fatalf("ref %d path %d: neighborhood sizes differ", r, p)
+			if !reflect.DeepEqual(a[p].Keys, b[p].Keys) {
+				t.Fatalf("ref %d path %d: neighbor tuples differ", r, p)
 			}
-			for i, id := range a[p].Keys {
-				fb := a[p].FBs[i]
-				if pb, ok := b[p].Lookup(id); !ok ||
-					math.Abs(pb.Fwd-fb.Fwd) > 1e-15 || math.Abs(pb.Bwd-fb.Bwd) > 1e-15 {
-					t.Fatalf("ref %d path %d tuple %d: %+v vs %+v", r, p, id, fb, pb)
+			for i, fb := range a[p].FBs {
+				if pb := b[p].FBs[i]; math.Abs(pb.Fwd-fb.Fwd) > 1e-15 || math.Abs(pb.Bwd-fb.Bwd) > 1e-15 {
+					t.Fatalf("ref %d path %d tuple %d: %+v vs %+v", r, p, a[p].Keys[i], fb, pb)
 				}
 			}
 		}
@@ -60,4 +63,36 @@ func TestPrefetchSingleWorker(t *testing.T) {
 	if ext.CacheSize() != len(refs) {
 		t.Fatalf("cache size %d", ext.CacheSize())
 	}
+}
+
+// TestPrefetchAllWorkersFail is the regression test for a prefetch hang:
+// when every worker stopped at its first error, the old channel-fed pool's
+// feeder blocked forever on the next send. Out-of-range references make
+// every propagation panic; the call must return the recovered panic (and
+// cache nothing) well before the deadline.
+func TestPrefetchAllWorkersFail(t *testing.T) {
+	ext, _ := extractorFixture(t)
+	n := reldb.TupleID(ext.db.NumTuples())
+	bad := []reldb.TupleID{n + 1, n + 2, n + 3, n + 4}
+	done := make(chan error, 1)
+	go func() { done <- ext.PrefetchCtx(context.Background(), bad, 2) }()
+	select {
+	case err := <-done:
+		var pe *fault.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want a recovered *fault.PanicError", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("PrefetchCtx hung after every worker failed")
+	}
+	if ext.CacheSize() != 0 {
+		t.Fatalf("failed prefetch cached %d references", ext.CacheSize())
+	}
+	// The non-ctx Prefetch re-raises the panic instead of swallowing it.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Prefetch swallowed a worker panic")
+		}
+	}()
+	ext.Prefetch(bad, 2)
 }

@@ -15,14 +15,13 @@
 // as linear merge-scans over the two key sets. When one operand is much
 // smaller than the other (the asymmetric case blocking produces), the scan
 // gallops: it exponentially probes then binary-searches the large side for
-// each key of the small side. The legacy map-based kernels are retained
-// (MapResemblance, MapWalkProb, MapSymWalkProb) as the reference
-// implementation the property tests compare against.
+// each key of the small side. The package's test oracle (refKernel in
+// oracle_test.go) computes the same three quantities the naive way, through
+// a hash map, and the property and fuzz tests hold both kernels to it.
 package sim
 
 import (
 	"context"
-	"math"
 	"sync"
 	"time"
 
@@ -143,43 +142,22 @@ func gallopTo(keys []reldb.TupleID, lo int, k reldb.TupleID) int {
 	return lo
 }
 
-// Resemblance returns the set resemblance between two references'
-// neighborhoods along one join path (Definition 2): the weighted Jaccard
-// coefficient Σ min(Fwd_a(t), Fwd_b(t)) / Σ max(Fwd_a(t), Fwd_b(t)), where
-// the sums range over the intersection and union of the neighborhoods.
-// Σ max over the union = SumFwd_a + SumFwd_b − Σ min over the intersection,
-// and both SumFwd terms were precomputed when the sparse form was built.
-func Resemblance(a, b prop.SparseNeighborhood) float64 {
-	if len(a.Keys) == 0 || len(b.Keys) == 0 {
-		return 0
-	}
-	interMin, _, _ := pairAccum(a, b)
-	denom := a.SumFwd + b.SumFwd - interMin
-	if denom <= 0 {
-		return 0
-	}
-	return interMin / denom
-}
-
-// WalkProb returns the directed random walk probability Walk_P(r1 → r2): the
-// probability of reaching r2 from r1 by walking the join path to a shared
-// neighbor tuple and the reversed path back, i.e. Σ_t Fwd_a(t)·Bwd_b(t).
-// Composing the two per-path probabilities avoids re-walking the
-// concatenated double-length path, as Section 2.4 of the paper notes.
-func WalkProb(a, b prop.SparseNeighborhood) float64 {
-	_, ab, _ := pairAccum(a, b)
-	return ab
-}
-
-// SymWalkProb returns the symmetrised walk probability, the mean of the two
-// directions, computed in a single merge-scan.
-func SymWalkProb(a, b prop.SparseNeighborhood) float64 {
-	_, ab, ba := pairAccum(a, b)
-	return (ab + ba) / 2
-}
-
-// PairKernel returns every pairwise similarity between two neighborhoods in
-// one merge-scan: the set resemblance and both directed walk probabilities.
+// PairKernel returns every pairwise similarity between two references'
+// neighborhoods along one join path, in one merge-scan:
+//
+//   - resem, the set resemblance (Definition 2): the weighted Jaccard
+//     coefficient Σ min(Fwd_a(t), Fwd_b(t)) / Σ max(Fwd_a(t), Fwd_b(t)),
+//     where the sums range over the intersection and union of the
+//     neighborhoods. Σ max over the union = SumFwd_a + SumFwd_b − Σ min over
+//     the intersection, and both SumFwd terms were precomputed when the
+//     sparse form was built;
+//   - walkAB and walkBA, the directed random walk probabilities
+//     Walk_P(a → b) = Σ_t Fwd_a(t)·Bwd_b(t) and its reverse: walking the
+//     join path to a shared neighbor tuple and the reversed path back.
+//     Composing the two per-path probabilities avoids re-walking the
+//     concatenated double-length path, as Section 2.4 of the paper notes.
+//     The symmetrised walk feature is their mean.
+//
 // The all-pairs stages (core.PathSimilarities, core.Similarities) need all
 // three per (pair, path), so fusing them walks the intersection once
 // instead of three times.
@@ -191,63 +169,6 @@ func PairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
 		}
 	}
 	return resem, ab, ba
-}
-
-// MapResemblance is the legacy map-based set resemblance. It is the
-// reference implementation: the property tests assert the merge-scan
-// kernel matches it on randomized neighborhoods.
-func MapResemblance(a, b prop.Neighborhood) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
-	var sumA, sumB, interMin float64
-	for _, fb := range a {
-		sumA += fb.Fwd
-	}
-	for _, fb := range b {
-		sumB += fb.Fwd
-	}
-	for t, fs := range small {
-		if fl, ok := large[t]; ok {
-			interMin += math.Min(fs.Fwd, fl.Fwd)
-		}
-	}
-	// Σ max over the union = Σ_a + Σ_b − Σ min over the intersection.
-	denom := sumA + sumB - interMin
-	if denom <= 0 {
-		return 0
-	}
-	return interMin / denom
-}
-
-// MapWalkProb is the legacy map-based directed walk probability.
-func MapWalkProb(a, b prop.Neighborhood) float64 {
-	small, large := a, b
-	swapped := false
-	if len(b) < len(a) {
-		small, large = b, a
-		swapped = true
-	}
-	var p float64
-	for t, fs := range small {
-		if fl, ok := large[t]; ok {
-			if swapped {
-				p += fl.Fwd * fs.Bwd
-			} else {
-				p += fs.Fwd * fl.Bwd
-			}
-		}
-	}
-	return p
-}
-
-// MapSymWalkProb is the legacy map-based symmetrised walk probability.
-func MapSymWalkProb(a, b prop.Neighborhood) float64 {
-	return (MapWalkProb(a, b) + MapWalkProb(b, a)) / 2
 }
 
 // Extractor computes and caches per-reference neighborhoods along a fixed
@@ -266,7 +187,7 @@ type Extractor struct {
 	trie  *prop.Trie // shared-prefix walk over all paths at once
 
 	// The compiled CSR plan (see prop.CompiledTrie) is built lazily by the
-	// first propagation — or eagerly by CompilePlans — exactly once, then
+	// first propagation — or eagerly by CompilePlansCtx — exactly once, then
 	// shared read-only by every worker. Each propagation borrows a scratch
 	// from the pool, so steady-state propagation does not allocate beyond
 	// the neighborhoods it returns.
@@ -276,7 +197,7 @@ type Extractor struct {
 	scratch  sync.Pool
 
 	// workers bounds the parallelism of plan compilation (0 means
-	// GOMAXPROCS). Set it before the first propagation or CompilePlans
+	// GOMAXPROCS). Set it before the first propagation or CompilePlansCtx
 	// call; the engine wires its Config.Workers through here.
 	workers int
 
@@ -330,7 +251,7 @@ func (e *Extractor) SetMetrics(r *obs.Registry) {
 
 // SetWorkers bounds the parallelism of plan compilation (0, the default,
 // means GOMAXPROCS). It must be called before the first propagation or
-// CompilePlans call; it has no effect once the plan is compiled.
+// CompilePlansCtx call; it has no effect once the plan is compiled.
 func (e *Extractor) SetWorkers(n int) { e.workers = n }
 
 // compileWith compiles the CSR plan under the sync.Once, observing ctx
@@ -353,17 +274,12 @@ func (e *Extractor) compiled() *prop.CompiledTrie {
 	return e.plan
 }
 
-// CompilePlans forces plan compilation now instead of at the first
+// CompilePlansCtx forces plan compilation now instead of at the first
 // propagation, and reports the plan's size along with how long the compile
 // took (zero when the plan already existed). The engine calls it under its
 // "compile_plans" stage so the one-off cost is attributed there rather
-// than smeared into the first name's latency.
-func (e *Extractor) CompilePlans() (hops, edges int, took time.Duration) {
-	return e.CompilePlansCtx(context.Background())
-}
-
-// CompilePlansCtx is CompilePlans under a context: the parallel per-hop
-// warm-up observes ctx between hops, so cancellation is bounded by one hop
+// than smeared into the first name's latency. The parallel per-hop warm-up
+// observes ctx between hops, so cancellation is bounded by one hop
 // compile. The plan is still fully assembled (serial assembly compiles any
 // hop the interrupted warm-up skipped), so the result is always usable;
 // cancellation here only stops the speculative parallel work.
@@ -476,7 +392,7 @@ func (e *Extractor) ResemVector(r1, r2 reldb.TupleID) []float64 {
 	n1, n2 := e.Neighborhoods(r1), e.Neighborhoods(r2)
 	v := make([]float64, len(e.paths))
 	for i := range e.paths {
-		v[i] = Resemblance(n1[i], n2[i])
+		v[i], _, _ = PairKernel(n1[i], n2[i])
 	}
 	return v
 }
@@ -486,7 +402,8 @@ func (e *Extractor) WalkVector(r1, r2 reldb.TupleID) []float64 {
 	n1, n2 := e.Neighborhoods(r1), e.Neighborhoods(r2)
 	v := make([]float64, len(e.paths))
 	for i := range e.paths {
-		v[i] = SymWalkProb(n1[i], n2[i])
+		_, ab, ba := PairKernel(n1[i], n2[i])
+		v[i] = (ab + ba) / 2
 	}
 	return v
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // nb builds a neighborhood from (id, fwd, bwd) triples.
-func nb(triples ...float64) prop.Neighborhood {
-	n := make(prop.Neighborhood)
+func nb(triples ...float64) nbMap {
+	n := make(nbMap)
 	for i := 0; i+2 < len(triples); i += 3 {
 		n[reldb.TupleID(triples[i])] = prop.FB{Fwd: triples[i+1], Bwd: triples[i+2]}
 	}
@@ -21,58 +21,86 @@ func nb(triples ...float64) prop.Neighborhood {
 
 // sp builds the sparse form of the same triples.
 func sp(triples ...float64) prop.SparseNeighborhood {
-	return nb(triples...).Sparse()
+	return nb(triples...).sparse()
 }
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
+
+// kernels are the production scalar kernel and the oracle; the
+// hand-computed tests hold both to the same values.
+var kernels = map[string]func(a, b prop.SparseNeighborhood) (float64, float64, float64){
+	"PairKernel": PairKernel,
+	"refKernel":  refKernel,
+}
+
+func resemOf(a, b prop.SparseNeighborhood) float64 {
+	r, _, _ := PairKernel(a, b)
+	return r
+}
+
+func symWalkOf(a, b prop.SparseNeighborhood) float64 {
+	_, ab, ba := PairKernel(a, b)
+	return (ab + ba) / 2
+}
 
 func TestResemblanceHandComputed(t *testing.T) {
 	a := sp(1, 0.5, 0.3, 2, 0.5, 0.2)
 	b := sp(2, 0.25, 0.1, 3, 0.75, 0.9)
 	// Intersection {2}: min = 0.25. Union max: max(t1)=0.5, max(t2)=0.5, max(t3)=0.75.
 	want := 0.25 / (0.5 + 0.5 + 0.75)
-	if got := Resemblance(a, b); !approx(got, want) {
-		t.Errorf("Resemblance = %v, want %v", got, want)
-	}
-	// Symmetry.
-	if got := Resemblance(b, a); !approx(got, want) {
-		t.Errorf("Resemblance reversed = %v, want %v", got, want)
+	for name, k := range kernels {
+		if got, _, _ := k(a, b); !approx(got, want) {
+			t.Errorf("%s resem = %v, want %v", name, got, want)
+		}
+		// Symmetry.
+		if got, _, _ := k(b, a); !approx(got, want) {
+			t.Errorf("%s resem reversed = %v, want %v", name, got, want)
+		}
 	}
 }
 
 func TestResemblanceIdentityAndDisjoint(t *testing.T) {
 	a := sp(1, 0.4, 0.1, 2, 0.6, 0.2)
-	if got := Resemblance(a, a); !approx(got, 1.0) {
-		t.Errorf("self resemblance = %v, want 1", got)
-	}
 	b := sp(3, 1.0, 1.0)
-	if got := Resemblance(a, b); got != 0 {
-		t.Errorf("disjoint resemblance = %v, want 0", got)
-	}
-	if got := Resemblance(prop.SparseNeighborhood{}, a); got != 0 {
-		t.Errorf("empty resemblance = %v, want 0", got)
-	}
-	if got := Resemblance(a, prop.SparseNeighborhood{}); got != 0 {
-		t.Errorf("empty resemblance = %v, want 0", got)
+	for name, k := range kernels {
+		if got, _, _ := k(a, a); !approx(got, 1.0) {
+			t.Errorf("%s: self resemblance = %v, want 1", name, got)
+		}
+		if got, _, _ := k(a, b); got != 0 {
+			t.Errorf("%s: disjoint resemblance = %v, want 0", name, got)
+		}
+		if got, _, _ := k(prop.SparseNeighborhood{}, a); got != 0 {
+			t.Errorf("%s: empty resemblance = %v, want 0", name, got)
+		}
+		if got, _, _ := k(a, prop.SparseNeighborhood{}); got != 0 {
+			t.Errorf("%s: empty resemblance = %v, want 0", name, got)
+		}
 	}
 }
 
 func TestWalkProbHandComputed(t *testing.T) {
 	a := sp(1, 0.5, 0.4, 2, 0.5, 0.6)
 	b := sp(1, 0.2, 0.3, 3, 0.8, 0.9)
-	// Directed a->b: shared {1}: Fwd_a(1)*Bwd_b(1) = 0.5*0.3.
-	if got := WalkProb(a, b); !approx(got, 0.15) {
-		t.Errorf("WalkProb(a,b) = %v, want 0.15", got)
+	for name, k := range kernels {
+		_, ab, ba := k(a, b)
+		// Directed a->b: shared {1}: Fwd_a(1)*Bwd_b(1) = 0.5*0.3.
+		if !approx(ab, 0.15) {
+			t.Errorf("%s: walk a->b = %v, want 0.15", name, ab)
+		}
+		// Directed b->a: Fwd_b(1)*Bwd_a(1) = 0.2*0.4.
+		if !approx(ba, 0.08) {
+			t.Errorf("%s: walk b->a = %v, want 0.08", name, ba)
+		}
+		// Swapping the operands swaps the directions.
+		if _, ab2, ba2 := k(b, a); !approx(ab2, 0.08) || !approx(ba2, 0.15) {
+			t.Errorf("%s: swapped walks = %v/%v, want 0.08/0.15", name, ab2, ba2)
+		}
 	}
-	// Directed b->a: Fwd_b(1)*Bwd_a(1) = 0.2*0.4.
-	if got := WalkProb(b, a); !approx(got, 0.08) {
-		t.Errorf("WalkProb(b,a) = %v, want 0.08", got)
+	if got := symWalkOf(a, b); !approx(got, (0.15+0.08)/2) {
+		t.Errorf("symmetrised walk = %v", got)
 	}
-	if got := SymWalkProb(a, b); !approx(got, (0.15+0.08)/2) {
-		t.Errorf("SymWalkProb = %v", got)
-	}
-	if got := SymWalkProb(b, a); !approx(got, (0.15+0.08)/2) {
-		t.Errorf("SymWalkProb not symmetric: %v", got)
+	if got := symWalkOf(b, a); !approx(got, (0.15+0.08)/2) {
+		t.Errorf("symmetrised walk not symmetric: %v", got)
 	}
 }
 
@@ -80,11 +108,10 @@ func TestWalkProbAsymmetricSizes(t *testing.T) {
 	// len(a) > len(b) exercises the small/large ordering inside the scan.
 	a := sp(1, 0.25, 0.5, 2, 0.25, 0.5, 3, 0.5, 0.5)
 	b := sp(1, 1.0, 0.75)
-	if got := WalkProb(a, b); !approx(got, 0.25*0.75) {
-		t.Errorf("WalkProb = %v, want %v", got, 0.25*0.75)
-	}
-	if got := WalkProb(b, a); !approx(got, 1.0*0.5) {
-		t.Errorf("WalkProb = %v, want 0.5", got)
+	for name, k := range kernels {
+		if _, ab, ba := k(a, b); !approx(ab, 0.25*0.75) || !approx(ba, 1.0*0.5) {
+			t.Errorf("%s: walks = %v/%v, want %v/0.5", name, ab, ba, 0.25*0.75)
+		}
 	}
 }
 
@@ -92,12 +119,13 @@ func TestPairKernelMatchesIndividualKernels(t *testing.T) {
 	a := sp(1, 0.5, 0.4, 2, 0.3, 0.6, 5, 0.2, 0.1)
 	b := sp(2, 0.25, 0.1, 3, 0.5, 0.9, 5, 0.25, 0.3)
 	r, ab, ba := PairKernel(a, b)
-	if !approx(r, Resemblance(a, b)) {
-		t.Errorf("PairKernel resem = %v, Resemblance = %v", r, Resemblance(a, b))
+	wr, wab, wba := refKernel(a, b)
+	if !approx(r, wr) || !approx(ab, wab) || !approx(ba, wba) {
+		t.Errorf("PairKernel = %v/%v/%v, refKernel = %v/%v/%v", r, ab, ba, wr, wab, wba)
 	}
-	if !approx(ab, WalkProb(a, b)) || !approx(ba, WalkProb(b, a)) {
-		t.Errorf("PairKernel walks = %v/%v, WalkProb = %v/%v",
-			ab, ba, WalkProb(a, b), WalkProb(b, a))
+	// Swapped operands: same resemblance, directions exchanged, bit for bit.
+	if r2, ab2, ba2 := PairKernel(b, a); r2 != r || ab2 != ba || ba2 != ab {
+		t.Errorf("PairKernel(b, a) = %v/%v/%v, want %v/%v/%v", r2, ab2, ba2, r, ba, ab)
 	}
 	// Empty operands.
 	if r, ab, ba := PairKernel(prop.SparseNeighborhood{}, b); r != 0 || ab != 0 || ba != 0 {
@@ -105,8 +133,8 @@ func TestPairKernelMatchesIndividualKernels(t *testing.T) {
 	}
 }
 
-func randomNeighborhood(rng *rand.Rand) prop.Neighborhood {
-	n := make(prop.Neighborhood)
+func randomNeighborhood(rng *rand.Rand) nbMap {
+	n := make(nbMap)
 	for i := 0; i < 1+rng.Intn(12); i++ {
 		n[reldb.TupleID(rng.Intn(16))] = prop.FB{Fwd: rng.Float64(), Bwd: rng.Float64()}
 	}
@@ -118,8 +146,8 @@ func randomNeighborhood(rng *rand.Rand) prop.Neighborhood {
 func TestResemblanceProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a, b := randomNeighborhood(rng).Sparse(), randomNeighborhood(rng).Sparse()
-		r1, r2 := Resemblance(a, b), Resemblance(b, a)
+		a, b := randomNeighborhood(rng).sparse(), randomNeighborhood(rng).sparse()
+		r1, r2 := resemOf(a, b), resemOf(b, a)
 		if !approx(r1, r2) {
 			t.Logf("asymmetric: %v vs %v", r1, r2)
 			return false
@@ -128,7 +156,7 @@ func TestResemblanceProperties(t *testing.T) {
 			t.Logf("out of range: %v", r1)
 			return false
 		}
-		if !approx(Resemblance(a, a), 1) {
+		if !approx(resemOf(a, a), 1) {
 			return false
 		}
 		return true
@@ -144,24 +172,24 @@ func TestResemblanceProperties(t *testing.T) {
 func TestWalkProbProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		am, b := randomNeighborhood(rng), randomNeighborhood(rng).Sparse()
-		a := am.Sparse()
-		s := SymWalkProb(a, b)
+		am, bm := randomNeighborhood(rng), randomNeighborhood(rng)
+		a, b := am.sparse(), bm.sparse()
+		s := symWalkOf(a, b)
 		if s < 0 {
 			return false
 		}
-		if !approx(s, SymWalkProb(b, a)) {
+		if !approx(s, symWalkOf(b, a)) {
 			return false
 		}
 		// Remove one shared tuple, if any: probability must not increase.
 		for _, id := range a.Keys {
-			if _, ok := b.Lookup(id); ok {
-				a2 := make(prop.Neighborhood, len(am))
+			if _, ok := bm[id]; ok {
+				a2 := make(nbMap, len(am))
 				for k, v := range am {
 					a2[k] = v
 				}
 				delete(a2, id)
-				if SymWalkProb(a2.Sparse(), b) > s+1e-12 {
+				if symWalkOf(a2.sparse(), b) > s+1e-12 {
 					return false
 				}
 				break

@@ -19,11 +19,11 @@ func BenchmarkPairKernelSkew(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(ratio)))
 		candSize := anchorSize * ratio
 		keyRange := 4 * candSize
-		anchor := randNB(rng, anchorSize, 0, keyRange).Sparse()
+		anchor := randNB(rng, anchorSize, 0, keyRange).sparse()
 		const nCands = 32
 		cands := make([]prop.SparseNeighborhood, nCands)
 		for i := range cands {
-			cands[i] = randNB(rng, candSize, 0, keyRange).Sparse()
+			cands[i] = randNB(rng, candSize, 0, keyRange).sparse()
 		}
 		b.Run(fmt.Sprintf("pair/ratio=%d", ratio), func(b *testing.B) {
 			b.ReportAllocs()

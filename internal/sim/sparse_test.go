@@ -10,40 +10,40 @@ import (
 	"distinct/internal/reldb"
 )
 
-// randNB builds a random map neighborhood with size keys drawn from
+// randNB builds a random neighborhood with size keys drawn from
 // [base, base+keyRange).
-func randNB(rng *rand.Rand, size, base, keyRange int) prop.Neighborhood {
-	n := make(prop.Neighborhood)
+func randNB(rng *rand.Rand, size, base, keyRange int) nbMap {
+	n := make(nbMap)
 	for len(n) < size {
 		n[reldb.TupleID(base+rng.Intn(keyRange))] = prop.FB{Fwd: rng.Float64(), Bwd: rng.Float64()}
 	}
 	return n
 }
 
-// TestSparseKernelsMatchMapKernels is the migration property test: on
+// TestSparseKernelsMatchMapKernels is the scalar kernel's property test: on
 // randomized neighborhoods — including empty, disjoint, subset, and
 // heavily asymmetric-size operands (the case that triggers the galloping
-// scan) — the sorted merge-scan kernels must agree with the legacy
-// map-based kernels to 1e-12.
+// scan) — PairKernel's three outputs must agree with the naive refKernel to
+// 1e-12, in both operand orders.
 func TestSparseKernelsMatchMapKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	type gen func() (prop.Neighborhood, prop.Neighborhood)
+	type gen func() (nbMap, nbMap)
 	cases := map[string]gen{
-		"both empty": func() (prop.Neighborhood, prop.Neighborhood) {
-			return prop.Neighborhood{}, nil
+		"both empty": func() (nbMap, nbMap) {
+			return nbMap{}, nil
 		},
-		"one empty": func() (prop.Neighborhood, prop.Neighborhood) {
+		"one empty": func() (nbMap, nbMap) {
 			return randNB(rng, 1+rng.Intn(10), 0, 40), nil
 		},
-		"disjoint": func() (prop.Neighborhood, prop.Neighborhood) {
+		"disjoint": func() (nbMap, nbMap) {
 			return randNB(rng, 1+rng.Intn(10), 0, 100), randNB(rng, 1+rng.Intn(10), 100, 100)
 		},
-		"overlapping": func() (prop.Neighborhood, prop.Neighborhood) {
+		"overlapping": func() (nbMap, nbMap) {
 			return randNB(rng, 1+rng.Intn(20), 0, 30), randNB(rng, 1+rng.Intn(20), 0, 30)
 		},
-		"subset": func() (prop.Neighborhood, prop.Neighborhood) {
+		"subset": func() (nbMap, nbMap) {
 			a := randNB(rng, 5+rng.Intn(20), 0, 1000)
-			b := make(prop.Neighborhood)
+			b := make(nbMap)
 			for k := range a {
 				if len(b) == 3 {
 					break
@@ -52,16 +52,16 @@ func TestSparseKernelsMatchMapKernels(t *testing.T) {
 			}
 			return a, b
 		},
-		"asymmetric 1 vs 400": func() (prop.Neighborhood, prop.Neighborhood) {
+		"asymmetric 1 vs 400": func() (nbMap, nbMap) {
 			return randNB(rng, 1, 0, 1000), randNB(rng, 400, 0, 1000)
 		},
-		"asymmetric 3 vs 200": func() (prop.Neighborhood, prop.Neighborhood) {
+		"asymmetric 3 vs 200": func() (nbMap, nbMap) {
 			return randNB(rng, 3, 0, 600), randNB(rng, 200, 0, 600)
 		},
-		"asymmetric 200 vs 3": func() (prop.Neighborhood, prop.Neighborhood) {
+		"asymmetric 200 vs 3": func() (nbMap, nbMap) {
 			return randNB(rng, 200, 0, 600), randNB(rng, 3, 0, 600)
 		},
-		"asymmetric small at tail": func() (prop.Neighborhood, prop.Neighborhood) {
+		"asymmetric small at tail": func() (nbMap, nbMap) {
 			return randNB(rng, 2, 900, 100), randNB(rng, 300, 0, 1000)
 		},
 	}
@@ -69,24 +69,24 @@ func TestSparseKernelsMatchMapKernels(t *testing.T) {
 	for name, g := range cases {
 		for trial := 0; trial < 50; trial++ {
 			am, bm := g()
-			a, b := am.Sparse(), bm.Sparse()
+			a, b := am.sparse(), bm.sparse()
 			r, ab, ba := PairKernel(a, b)
+			rr, rab, rba := PairKernel(b, a)
+			wr, wab, wba := refKernel(a, b)
 			checks := []struct {
 				what      string
 				got, want float64
 			}{
-				{"Resemblance", Resemblance(a, b), MapResemblance(am, bm)},
-				{"Resemblance(rev)", Resemblance(b, a), MapResemblance(bm, am)},
-				{"WalkProb", WalkProb(a, b), MapWalkProb(am, bm)},
-				{"WalkProb(rev)", WalkProb(b, a), MapWalkProb(bm, am)},
-				{"SymWalkProb", SymWalkProb(a, b), MapSymWalkProb(am, bm)},
-				{"PairKernel resem", r, MapResemblance(am, bm)},
-				{"PairKernel walkAB", ab, MapWalkProb(am, bm)},
-				{"PairKernel walkBA", ba, MapWalkProb(bm, am)},
+				{"resem", r, wr},
+				{"resem(rev)", rr, wr},
+				{"walkAB", ab, wab},
+				{"walkBA", ba, wba},
+				{"walkAB(rev)", rab, wba},
+				{"walkBA(rev)", rba, wab},
 			}
 			for _, c := range checks {
 				if math.Abs(c.got-c.want) > tol {
-					t.Fatalf("%s trial %d: %s = %v, map kernel %v (|Δ| = %g)",
+					t.Fatalf("%s trial %d: %s = %v, refKernel %v (|Δ| = %g)",
 						name, trial, c.what, c.got, c.want, math.Abs(c.got-c.want))
 				}
 			}
@@ -125,9 +125,10 @@ func TestGallopTo(t *testing.T) {
 // Run under -race (scripts/check.sh does) to detect regressions.
 func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 	ext, refs := extractorFixture(t)
+	seq, _ := extractorFixture(t)
 	want := make([][]prop.SparseNeighborhood, len(refs))
 	for i, r := range refs {
-		want[i] = prop.PropagateMultiSparse(ext.db, r, ext.trie)
+		want[i] = seq.Neighborhoods(r)
 	}
 
 	const goroutines = 16
@@ -143,7 +144,7 @@ func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 				i := (g + round) % len(refs)
 				got := ext.Neighborhoods(refs[i])
 				for p := range got {
-					if got[p].Len() != want[i][p].Len() || got[p].SumFwd != want[i][p].SumFwd {
+					if len(got[p].Keys) != len(want[i][p].Keys) || got[p].SumFwd != want[i][p].SumFwd {
 						errs <- "concurrent Neighborhoods returned a wrong result"
 						return
 					}

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # bench_compare.sh — regression gate over the perf baseline.
 #
-# Runs the benchmark suite (the bench.sh set) -count times, takes the
-# per-benchmark median ns/op, writes the snapshot, and compares it against
-# the committed baseline on three axes: median ns/op (tight threshold),
-# and last-seen B/op and allocs/op (looser threshold — the allocator is
+# Runs scripts/bench.sh (the benchmark set, -count times, per-benchmark
+# median ns/op) to write the snapshot, then compares it against the
+# committed baseline on three axes: median ns/op (tight threshold), and
+# last-seen B/op and allocs/op (looser threshold — the allocator is
 # deterministic but GC-visible sizes wobble with Go releases).
 #
 # Usage:  scripts/bench_compare.sh [BASELINE.json] [OUT.json]
@@ -35,68 +35,12 @@ if [[ ! -e "$baseline" ]]; then
   exit 1
 fi
 
-benchre='^(BenchmarkSetResemblance|BenchmarkRandomWalk|BenchmarkSimilarityMatrix|BenchmarkDisambiguateAll|BenchmarkClustering|BenchmarkClusteringLarge|BenchmarkTuneMinSim|BenchmarkPropagate|BenchmarkPlanCompile|BenchmarkServeThroughput)$'
-raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
-
-profileargs=()
-if [[ -n "${BENCH_PPROF:-}" ]]; then
-  mkdir -p "$BENCH_PPROF"
-  profileargs=(-cpuprofile "$BENCH_PPROF/cpu.pprof" -memprofile "$BENCH_PPROF/mem.pprof")
-fi
-
-go test -run='^$' -bench="$benchre" -benchmem -count="$count" "${profileargs[@]}" . | tee "$raw"
+# bench.sh runs the suite and writes the snapshot (it honours BENCH_PPROF
+# from the environment); this script only adds the comparison.
+BENCH_COUNT="$count" scripts/bench.sh "$out"
 if [[ -n "${BENCH_PPROF:-}" ]]; then
   echo "bench_compare: profiles in $BENCH_PPROF (cpu.pprof, mem.pprof)"
 fi
-
-# Median ns/op (and last-seen B/op, allocs/op, metrics) per benchmark,
-# emitted in the bench.sh JSON layout so the snapshots stay comparable.
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
-function median(name,   m, k, tmp, i, j, t) {
-  m = nsamp[name]
-  for (i = 1; i <= m; i++) tmp[i] = samp[name, i]
-  for (i = 1; i <= m; i++)                       # insertion sort; m is tiny
-    for (j = i; j > 1 && tmp[j] < tmp[j-1]; j--) { t = tmp[j]; tmp[j] = tmp[j-1]; tmp[j-1] = t }
-  if (m % 2) return tmp[(m + 1) / 2]
-  return (tmp[m / 2] + tmp[m / 2 + 1]) / 2
-}
-/^(goos|goarch|pkg|cpu):/ { meta[$1] = substr($0, index($0, $2)); next }
-/^Benchmark/ {
-  name = $1; sub(/-[0-9]+$/, "", name)
-  if (!(name in nsamp)) order[norder++] = name
-  iters[name] = $2
-  metrics = ""
-  for (i = 3; i < NF; i += 2) {
-    v = $i; u = $(i + 1)
-    if (u == "ns/op") { nsamp[name]++; samp[name, nsamp[name]] = v }
-    else if (u == "B/op") bytes[name] = v
-    else if (u == "allocs/op") allocs[name] = v
-    else {
-      gsub(/"/, "\\\"", u)
-      metrics = metrics (metrics == "" ? "" : ", ") "\"" u "\": " v
-    }
-  }
-  if (metrics != "") met[name] = metrics
-  next
-}
-END {
-  printf "{\n"
-  printf "  \"date\": \"%s\",\n", date
-  printf "  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\",\n", meta["goos:"], meta["goarch:"], meta["cpu:"]
-  printf "  \"benchmarks\": [\n"
-  for (i = 0; i < norder; i++) {
-    name = order[i]
-    row = sprintf("  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %d", name, iters[name], median(name))
-    if (name in bytes)  row = row sprintf(", \"bytes_per_op\": %s", bytes[name])
-    if (name in allocs) row = row sprintf(", \"allocs_per_op\": %s", allocs[name])
-    if (name in met)    row = row ", \"metrics\": {" met[name] "}"
-    row = row "}"
-    printf "  %s%s\n", row, (i < norder - 1 ? "," : "")
-  }
-  printf "  ]\n}\n"
-}' "$raw" > "$out"
-echo "wrote $out (median of $count runs)"
 
 # Compare one axis of baseline vs new, failing on > $3 % regression.
 # Rows: name <tab> base <tab> new, extracted per axis from both JSONs.
