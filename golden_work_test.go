@@ -1,0 +1,181 @@
+// Work golden: the algorithmic work of one paper-scale sweep, pinned
+// exactly. It runs the repository benchmark's sweep — dblp.DefaultConfig's
+// world (18,083 references), trained on 1000 + 1000 pairs drawn with seed
+// 1, then DisambiguateAllCtx(MinRefs: 2) — and compares counts that do not
+// depend on the machine: plan size, clustering merges and stale heap pops,
+// blocking's pair counts, the training-set size, a hash of every group,
+// and the number of neighborhood entries propagation emits. A change that
+// does more, less or different work fails here until the golden is
+// regenerated with
+//
+//	go test -run TestGoldenWork -update
+//
+// and CHANGES.md explains the new numbers.
+package distinct_test
+
+import (
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"distinct"
+	"distinct/internal/dblp"
+	"distinct/internal/sim"
+)
+
+const goldenWorkPath = "testdata/golden_work.json"
+
+// goldenWork is the committed shape. Work holds the registry counters the
+// sweep's work is priced by, plus the two counts distinctbench derives:
+// sim.pairs (Σ n(n−1)/2 over the swept names) and trainset.pairs
+// (positive + negative training pairs).
+type goldenWork struct {
+	Work                map[string]int64 `json:"work"`
+	GroupsHash          string           `json:"groups_hash"`
+	NeighborhoodEntries int64            `json:"neighborhood_entries"`
+}
+
+// workCounters are the exact registry counters the golden pins; every
+// "blocks." counter is pinned too.
+var workCounters = []string{
+	"prop.csr_hops", "prop.csr_edges",
+	"cluster.runs", "cluster.merges", "cluster.heap_stale_pops", "cluster.pruned_below_minsim",
+}
+
+func goldenWorkRun(t *testing.T) goldenWork {
+	t.Helper()
+	w, err := dblp.Generate(dblp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := distinct.NewMetrics()
+	eng, err := distinct.Open(w.DB, distinct.Config{
+		RefRelation: dblp.ReferenceRelation,
+		RefAttr:     dblp.ReferenceAttr,
+		SkipExpand:  []string{dblp.TitleAttr},
+		Train: distinct.TrainOptions{
+			NumPositive: 1000, NumNegative: 1000,
+			Exclude: w.AmbiguousNames(), Seed: 1,
+		},
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Train(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.DisambiguateAllCtx(context.Background(), distinct.BatchOptions{MinRefs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Incidents) != 0 {
+		t.Fatalf("clean sweep produced %d incidents, first: %+v", len(res.Incidents), res.Incidents[0])
+	}
+
+	counters := reg.Snapshot().Counters
+	got := goldenWork{Work: make(map[string]int64)}
+	for name, v := range counters {
+		if strings.HasPrefix(name, "blocks.") {
+			got.Work[name] = v
+		}
+	}
+	for _, name := range workCounters {
+		got.Work[name] = counters[name]
+	}
+	got.Work["trainset.pairs"] = counters["trainset.positive"] + counters["trainset.negative"]
+	var pairs int64
+	for _, name := range eng.Names(2) {
+		n := int64(len(eng.Refs(name)))
+		pairs += n * (n - 1) / 2
+	}
+	got.Work["sim.pairs"] = pairs
+
+	h := fnv.New64a()
+	var b [4]byte
+	for _, ng := range res.Split {
+		h.Write([]byte(ng.Name))
+		h.Write([]byte{0})
+		for _, g := range ng.Groups {
+			for _, r := range g {
+				binary.LittleEndian.PutUint32(b[:], uint32(r))
+				h.Write(b[:])
+			}
+			h.Write([]byte{1})
+		}
+	}
+	got.GroupsHash = fmt.Sprintf("%016x", h.Sum64())
+
+	// Every reference's neighborhoods, counted on fresh extractors of a
+	// few thousand references each, so the count never holds more than a
+	// slice of the database's neighborhoods at once.
+	db, paths := eng.DB(), eng.Paths()
+	refs := db.Relation(dblp.ReferenceRelation).TupleIDs()
+	const chunk = 2048
+	for lo := 0; lo < len(refs); lo += chunk {
+		x := sim.NewExtractor(db, paths)
+		for _, r := range refs[lo:min(lo+chunk, len(refs))] {
+			for _, nb := range x.Neighborhoods(r) {
+				got.NeighborhoodEntries += int64(len(nb.Keys))
+			}
+		}
+	}
+	return got
+}
+
+func TestGoldenWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale sweep")
+	}
+	if raceEnabled {
+		// The work is the same with or without the detector, which slows
+		// this sweep twentyfold; TestGoldenE2E runs the sweep under -race.
+		t.Skip("paper-scale sweep: its work does not depend on -race")
+	}
+	got := goldenWorkRun(t)
+
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenWorkPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file rewritten: %s", goldenWorkPath)
+		return
+	}
+
+	raw, err := os.ReadFile(goldenWorkPath)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	var want goldenWork
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("golden file is not valid JSON: %v", err)
+	}
+	if !reflect.DeepEqual(got.Work, want.Work) {
+		for name, wantV := range want.Work {
+			if gotV, ok := got.Work[name]; !ok || gotV != wantV {
+				t.Errorf("work %s = %d, want %d", name, gotV, wantV)
+			}
+		}
+		for name, v := range got.Work {
+			if _, ok := want.Work[name]; !ok {
+				t.Errorf("work %s = %d is not in the golden file (run -update)", name, v)
+			}
+		}
+	}
+	if got.GroupsHash != want.GroupsHash {
+		t.Errorf("groups hash = %s, want %s", got.GroupsHash, want.GroupsHash)
+	}
+	if got.NeighborhoodEntries != want.NeighborhoodEntries {
+		t.Errorf("neighborhood entries = %d, want %d", got.NeighborhoodEntries, want.NeighborhoodEntries)
+	}
+}

@@ -354,14 +354,8 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, rec *Dend
 		// Derive the merged cluster's stats against every live cluster by a
 		// linear scan over the alive bitmap (ids ascending — and because the
 		// heap order is total, push order cannot affect the merge order).
-		off := len(s.rows)
-		s.rowOff[mi] = off
-		if need := off + int(nid); cap(s.rows) >= need {
-			s.rows = s.rows[:need]
-		} else {
-			s.rows = append(s.rows, make([]pairStats, need-len(s.rows))...)
-		}
-		row := s.rows[off : off+int(nid)]
+		row := s.carve(int(nid))
+		s.rowOf[mi] = row
 		newSize := int(s.size[nid])
 		for w, word := range s.alive[:(int(nid)+63)/64] {
 			for word != 0 {

@@ -218,3 +218,69 @@ func TestPartitionSlicesAreGrowSafe(t *testing.T) {
 		}
 	}
 }
+
+// The row arena carves merged clusters' rows from chunks that never move.
+// FuzzAgglomerate's blocks stay inside the first chunk, so this drives one
+// Scratch through blocks whose rows span at least three chunks — growing,
+// then shrinking, then after a cancelled run — holding partitions and the
+// full merge sequence to the oracle at every size.
+func TestRowArenaSpansChunks(t *testing.T) {
+	scr := NewScratch()
+	check := func(n int, seed int64, label string) {
+		t.Helper()
+		m := randomMatrix(rand.New(rand.NewSource(seed)), n)
+		for _, meas := range []Measure{Combined, SingleLink} {
+			opts := Options{Measure: meas, MinSim: 0.01, Scratch: scr}
+			requireMatchesOracle(t, n, m, opts, label)
+			// The last run recorded the dendrogram, n−1 merges on one scratch.
+			if scr.chunk < 2 {
+				t.Fatalf("%s: n=%d rows fit in %d chunk(s); the test needs at least 3", label, n, scr.chunk+1)
+			}
+		}
+	}
+	for i, n := range []int{48, 80, 112, 64, 40} {
+		check(n, int64(i), "grow/shrink")
+	}
+
+	const n = 112
+	m := randomMatrix(rand.New(rand.NewSource(9)), n)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	freg := fault.NewRegistry(1)
+	freg.Set("cluster.merge", fault.Rule{OnHit: n / 2, Hook: cancel})
+	if _, err := AgglomerateCtx(fault.With(ctx, freg), n, m, Options{Scratch: scr}); err == nil {
+		t.Fatal("cancelled run succeeded")
+	}
+	check(56, 20, "after cancel")
+	check(n, 21, "after cancel")
+}
+
+// TestWarmAllocsCeiling pins the warm merge loop's allocations: with a warm
+// Scratch, a run over a name-sized block (143 references, every one of
+// them merged) allocates its partition and nothing per merge. Three
+// allocations were measured; the ceiling leaves room for small layout
+// changes, not for one allocation per merge.
+func TestWarmAllocsCeiling(t *testing.T) {
+	const n, groups = 143, 9
+	rng := rand.New(rand.NewSource(5))
+	m := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			r := 0.002 * rng.Float64()
+			if i%groups == j%groups {
+				r = 0.05 + 0.4*rng.Float64()
+			}
+			m.R[i][j], m.R[j][i] = r, r
+			m.W[i][j] = r * (0.5 + rng.Float64())
+			m.W[j][i] = r * (0.5 + rng.Float64())
+		}
+	}
+	opts := Options{Measure: Combined, MinSim: 0.0005, Scratch: NewScratch()}
+	if out := Agglomerate(n, m, opts); len(out) > 2*groups {
+		t.Fatalf("%d clusters: the block should mostly merge", len(out))
+	}
+	const ceiling = 16
+	if got := testing.AllocsPerRun(20, func() { Agglomerate(n, m, opts) }); got > ceiling {
+		t.Errorf("warm agglomeration allocates %v per run, ceiling %v", got, ceiling)
+	}
+}

@@ -5,8 +5,9 @@ import "sync"
 // Scratch holds every buffer the flat agglomeration engine needs: the
 // all-pairs stats triangle, the per-merged-cluster stat rows, the candidate
 // heap backing, the alive bitmap, and the id-indexed bookkeeping arrays
-// (sizes, union-find parent links, heap refcounts, output cursors). A warm Scratch makes the merge loop allocation-free: only the
-// returned partition (two slices) is allocated per run.
+// (sizes, union-find parent links, heap refcounts, output cursors). A warm
+// Scratch makes the merge loop allocation-free: only the returned partition
+// (two slices) is allocated per run.
 //
 // A Scratch is reset at the start of every run, so reuse after an aborted
 // run is safe. It is not safe for concurrent use; Agglomerate draws one
@@ -14,9 +15,15 @@ import "sync"
 // only when the run succeeds — an errored run drops its scratch rather than
 // risk handing a torn buffer to the next caller.
 type Scratch struct {
-	tri    []pairStats // stats triangle over original pairs i<j<n
-	rows   []pairStats // arena of stat rows, one per merged cluster
-	rowOff []int       // rowOff[c-n]: offset of merged cluster c's row
+	tri []pairStats // stats triangle over original pairs i<j<n
+	// The row arena: rowOf[c-n] is merged cluster c's stat row, carved
+	// front to back from chunks. A chunk never moves once allocated, and
+	// each new one is at least twice the size of the last, so the arena
+	// grows without copying a row and a warm run allocates no chunk.
+	rowOf  [][]pairStats
+	chunks [][]pairStats
+	chunk  int // index of the chunk being carved
+	used   int // cells of chunks[chunk] already carved this run
 	heap   candidateHeap
 	alive  []uint64 // bitmap over cluster ids
 	size   []int32  // cluster sizes by id
@@ -50,8 +57,8 @@ func grow[T any](s []T, n int) []T {
 func (s *Scratch) reset(n int) {
 	maxID := 2*n - 1
 	s.tri = grow(s.tri, n*(n-1)/2)
-	s.rows = s.rows[:0]
-	s.rowOff = grow(s.rowOff, n-1)
+	s.rowOf = grow(s.rowOf, n-1)
+	s.chunk, s.used = 0, 0
 	s.heap = s.heap[:0]
 	s.alive = grow(s.alive, (maxID+63)/64)
 	s.size = grow(s.size, maxID)
@@ -89,5 +96,29 @@ func (s *Scratch) statAt(n int, x, y int32) pairStats {
 		i, j := int(x), int(y)
 		return s.tri[i*n-i*(i+1)/2+(j-i-1)]
 	}
-	return s.rows[s.rowOff[int(y)-n]+int(x)]
+	return s.rowOf[int(y)-n][x]
+}
+
+// minChunk is the row arena's first chunk size, in cells.
+const minChunk = 256
+
+// carve returns a fresh row of m cells from the arena. Contents are
+// unspecified; the merge loop writes every cell it later reads. A row that
+// does not fit the rest of the current chunk moves on to the next one,
+// allocating it — at least double the last chunk — when none is left.
+func (s *Scratch) carve(m int) []pairStats {
+	for ; s.chunk < len(s.chunks); s.chunk, s.used = s.chunk+1, 0 {
+		if c := s.chunks[s.chunk]; s.used+m <= len(c) {
+			row := c[s.used : s.used+m : s.used+m]
+			s.used += m
+			return row
+		}
+	}
+	size := max(m, minChunk)
+	if k := len(s.chunks); k > 0 {
+		size = max(size, 2*len(s.chunks[k-1]))
+	}
+	s.chunks = append(s.chunks, make([]pairStats, size))
+	s.chunk, s.used = len(s.chunks)-1, m
+	return s.chunks[s.chunk][:m:m]
 }

@@ -2,6 +2,7 @@ package prop
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 
 	"distinct/internal/fault"
@@ -57,9 +58,21 @@ import (
 //
 // The frontier is deterministic: rows are visited in ordinal order and
 // edges in row order, so every float is accumulated in one fixed order
-// regardless of worker count. Emission sorts the final frontier's ordinals;
-// ordinal order within a relation is ascending TupleID order, so the
-// SparseNeighborhood comes out sorted, with SumFwd accumulated in key order.
+// regardless of worker count. Emission visits the final frontier's ordinals
+// in ascending order (Scratch.ascending); ordinal order within a relation is
+// ascending TupleID order, so the SparseNeighborhood comes out sorted, with
+// SumFwd accumulated in key order.
+//
+// # Emission
+//
+// A frontier's ordinals are distinct and below the target relation's size,
+// so when they are dense in their [min, max] range a bitmap over that range
+// yields them in order in O(n + range/64), with no comparison sort; sparse
+// or small frontiers fall back to slices.Sort. Every path's keys and masses
+// are packed onto the scratch during the walk and copied out once per
+// reference into one []TupleID and one []FB; each path's neighborhood is a
+// capacity-capped window of those two arrays, so a propagation allocates
+// the result slice plus two backing arrays, whatever the number of paths.
 
 // ctNode is one compiled trie node.
 type ctNode struct {
@@ -262,13 +275,28 @@ type level struct {
 
 // Scratch holds every mutable buffer one propagation needs. A Scratch
 // belongs to one CompiledTrie and one goroutine at a time; reusing it
-// across calls is what makes the fast path allocation-free apart from the
-// emitted neighborhoods themselves.
+// across calls is what makes the fast path allocate only its three result
+// arrays.
 type Scratch struct {
-	levels  []level
-	edgeF   [][]float64 // per depth: forward mass per edge of the storing node
-	edgeB   [][]float64
-	sortBuf []int32
+	levels []level
+	edgeF  [][]float64 // per depth: forward mass per edge of the storing node
+	edgeB  [][]float64
+	// keys and fbs pack every emitted neighborhood of the current
+	// propagation back to back; spans[pi] locates path pi's window in them.
+	keys  []reldb.TupleID
+	fbs   []FB
+	spans []span
+	// sorted receives ascending's output; bits is its bitmap, all zero
+	// between calls (the scan that reads a word clears it).
+	sorted []int32
+	bits   []uint64
+}
+
+// span is one path's window [lo, hi) of the packed emission buffers and its
+// forward-mass total; hi == lo leaves the path's neighborhood empty.
+type span struct {
+	lo, hi int
+	sum    float64
 }
 
 // NewScratch allocates a scratch sized for this trie's plans.
@@ -277,6 +305,7 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 		levels: make([]level, ct.maxDepth+1),
 		edgeF:  make([][]float64, ct.maxDepth+1),
 		edgeB:  make([][]float64, ct.maxDepth+1),
+		spans:  make([]span, len(ct.paths)),
 	}
 	for d := 1; d <= ct.maxDepth; d++ {
 		if d < len(ct.posLen) && ct.posLen[d] > 0 {
@@ -297,7 +326,9 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 // Propagate computes the neighborhoods of start along every path of the
 // trie, equivalent to the depth-first definition within 1e-12. s must come
 // from this trie's NewScratch (nil allocates a throwaway one). The result
-// slice and its neighborhoods are freshly allocated; the scratch may be
+// slice and its neighborhoods are freshly allocated — every neighborhood is
+// a capacity-capped window of two arrays shared by the whole result, so
+// appending to one never writes into another — and the scratch may be
 // reused for the next call immediately.
 func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch) []SparseNeighborhood {
 	out := make([]SparseNeighborhood, len(ct.paths))
@@ -316,19 +347,31 @@ func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch) []SparseNeigh
 	l0.frontier = append(l0.frontier[:0], int32(ord))
 	l0.accF = append(l0.accF[:0], 1)
 	l0.accB = append(l0.accB[:0], 1)
+	s.keys, s.fbs = s.keys[:0], s.fbs[:0]
+	clear(s.spans)
 	for _, ri := range ct.roots {
 		if ct.nodes[ri].hop.FromRel != startRel {
 			continue
 		}
-		ct.run(ri, startRel, out, s)
+		ct.run(ri, startRel, s)
+	}
+	keys, fbs := slices.Clone(s.keys), slices.Clone(s.fbs)
+	for pi, sp := range s.spans {
+		if sp.hi > sp.lo {
+			out[pi] = SparseNeighborhood{
+				Keys:   keys[sp.lo:sp.hi:sp.hi],
+				FBs:    fbs[sp.lo:sp.hi:sp.hi],
+				SumFwd: sp.sum,
+			}
+		}
 	}
 	return out
 }
 
-// run advances the parent frontier across one trie node's hop, deposits
-// terminal neighborhoods, recurses into children, and restores the scratch
-// state it used.
-func (ct *CompiledTrie) run(ni int32, startRel string, out []SparseNeighborhood, s *Scratch) {
+// run advances the parent frontier across one trie node's hop, emits
+// terminal neighborhoods onto the scratch, recurses into children, and
+// restores the scratch state it used.
+func (ct *CompiledTrie) run(ni int32, startRel string, s *Scratch) {
 	nd := &ct.nodes[ni]
 	hop := nd.hop
 	in := &s.levels[nd.depth-1]
@@ -410,24 +453,24 @@ func (ct *CompiledTrie) run(ni int32, startRel string, out []SparseNeighborhood,
 		return
 	}
 	if len(nd.terminal) > 0 {
-		var sn SparseNeighborhood
+		var sp span
 		built := false
 		for _, pi := range nd.terminal {
 			if ct.paths[pi].Start != startRel {
 				continue // a path from another relation stays empty
 			}
 			if !built {
-				sn = ct.emitSorted(lv, hop, s)
+				sp = s.emit(lv, hop)
 				built = true
 			}
-			out[pi] = sn
+			s.spans[pi] = sp // paths ending here share one window
 		}
 	}
 	for _, ci := range nd.children {
 		if ct.nodes[ci].dead {
 			continue
 		}
-		ct.run(ci, startRel, out, s)
+		ct.run(ci, startRel, s)
 	}
 	// Restore for the next sibling subtree: pos back to -1 and, if children
 	// read per-edge masses, those entries back to zero.
@@ -443,19 +486,69 @@ func (ct *CompiledTrie) run(ni int32, startRel string, out []SparseNeighborhood,
 	}
 }
 
-// emitSorted finalises the node's frontier into a sorted SparseNeighborhood.
-func (ct *CompiledTrie) emitSorted(lv *level, hop *reldb.HopCSR, s *Scratch) SparseNeighborhood {
-	n := len(lv.frontier)
-	s.sortBuf = append(s.sortBuf[:0], lv.frontier...)
-	slices.Sort(s.sortBuf)
-	keys := make([]reldb.TupleID, n)
-	fbs := make([]FB, n)
+// emit appends the node's frontier, in ascending key order, to the packed
+// emission buffers and returns its window.
+func (s *Scratch) emit(lv *level, hop *reldb.HopCSR) span {
+	lo := len(s.keys)
+	hi := lo + len(lv.frontier)
+	s.keys = slices.Grow(s.keys, hi-lo)[:hi]
+	s.fbs = slices.Grow(s.fbs, hi-lo)[:hi]
+	keys, fbs := s.keys[lo:hi], s.fbs[lo:hi]
 	var sum float64
-	for i, v := range s.sortBuf {
+	for i, v := range s.ascending(lv.frontier) {
 		j := lv.pos[v]
 		keys[i] = hop.ToIDs[v]
 		fbs[i] = FB{Fwd: lv.accF[j], Bwd: lv.accB[j]}
 		sum += lv.accF[j]
 	}
-	return SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: sum}
+	return span{lo: lo, hi: hi, sum: sum}
+}
+
+// bitmapMinLen and bitmapWordsPerOrdinal gate ascending's bitmap scan: a
+// frontier of at least bitmapMinLen ordinals whose [min, max] range spans
+// at most bitmapWordsPerOrdinal 64-bit words per ordinal is ordered by
+// setting and scanning bits, O(n + range/64); anything smaller or sparser
+// is sorted, where the comparison sort is the cheaper of the two.
+const (
+	bitmapMinLen          = 32
+	bitmapWordsPerOrdinal = 4
+)
+
+// ascending returns the distinct ordinals of ords in ascending order, in a
+// buffer owned by the scratch and valid until the next call.
+func (s *Scratch) ascending(ords []int32) []int32 {
+	if n := len(ords); n >= bitmapMinLen {
+		lo, hi := ords[0], ords[0]
+		for _, v := range ords[1:] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		base := lo &^ 63
+		if words := int(hi-base)>>6 + 1; words <= bitmapWordsPerOrdinal*n {
+			if cap(s.bits) < words {
+				s.bits = make([]uint64, words)
+			}
+			bm := s.bits[:words]
+			for _, v := range ords {
+				d := v - base
+				bm[d>>6] |= 1 << (uint(d) & 63)
+			}
+			s.sorted = slices.Grow(s.sorted[:0], n)[:n]
+			k := 0
+			for w, word := range bm {
+				if word == 0 {
+					continue
+				}
+				bm[w] = 0
+				for word != 0 {
+					s.sorted[k] = base + int32(w<<6+bits.TrailingZeros64(word))
+					word &= word - 1
+					k++
+				}
+			}
+			return s.sorted
+		}
+	}
+	s.sorted = append(s.sorted[:0], ords...)
+	slices.Sort(s.sorted)
+	return s.sorted
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"distinct/internal/reldb"
@@ -18,6 +20,11 @@ type cyclicWorldOpts struct {
 	// dangling makes ~15% of FK values reference keys that do not exist,
 	// producing forward dead ends mid-path.
 	dangling bool
+	// wide makes every even-numbered relation hold 128–383 tuples and
+	// every odd-numbered one 2–4, with each large relation's first FK into
+	// a small one, so stepping back from the small relation reaches
+	// frontiers of dozens of dense ordinals: the emission's bitmap scan.
+	wide bool
 }
 
 // cyclicRandomWorld generalises randomSchemaWorld beyond DAG schemas: key
@@ -30,17 +37,25 @@ func cyclicRandomWorld(rng *rand.Rand, opts cyclicWorldOpts) *reldb.Database {
 	sizes := make([]int, nRels)
 	for i := range sizes {
 		sizes[i] = 2 + rng.Intn(7)
+		if opts.wide {
+			sizes[i] = 2 + rng.Intn(3)
+			if i%2 == 0 {
+				sizes[i] = 128 + rng.Intn(256)
+			}
+		}
 	}
 	var schemas []*reldb.RelationSchema
 	for i := 0; i < nRels; i++ {
 		attrs := []reldb.Attribute{{Name: "k", Key: true}}
 		nFKs := rng.Intn(3)
-		if i == 0 && nFKs == 0 {
+		if nFKs == 0 && (i == 0 || opts.wide && i%2 == 0) {
 			nFKs = 1 // guarantee at least one start relation with an FK
 		}
 		for f := 0; f < nFKs; f++ {
 			target := i // self-loop candidate
-			if !opts.cyclic {
+			if opts.wide && i%2 == 0 && f == 0 {
+				target = 1 + 2*rng.Intn(nRels/2) // a small relation
+			} else if !opts.cyclic {
 				if i == 0 {
 					break
 				}
@@ -208,6 +223,20 @@ func TestCompiledMatchesDFSRandomCyclic(t *testing.T) {
 	}
 }
 
+// TestCompiledMatchesDFSWideFanOut holds the compiled engine to the oracle
+// on worlds whose frontiers are large and dense enough for the emission's
+// bitmap scan, which the small random worlds above never reach; each world
+// must emit at least one such neighborhood.
+func TestCompiledMatchesDFSWideFanOut(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(2000 + seed))
+		db := cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: seed%3 != 0, dangling: seed%2 == 1, wide: true})
+		if !checkRandomWorld(t, fmt.Sprintf("wide-%d", seed), db) {
+			t.Errorf("wide-%d: no emitted neighborhood takes the bitmap scan", seed)
+		}
+	}
+}
+
 // FuzzCompiledPropagation holds the compiled engine, cached and uncached,
 // to the DFS oracle on fuzzer-seeded random worlds: DAG schemas from
 // randomSchemaWorld, or cyclicRandomWorld's schemas with cycles and
@@ -230,8 +259,10 @@ func FuzzCompiledPropagation(f *testing.F) {
 }
 
 // checkRandomWorld enumerates join paths from every FK-bearing relation of
-// a random world and checks compiled/DFS equivalence from a few starts.
-func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) {
+// a random world and checks compiled/DFS equivalence from a few starts. It
+// reports whether some checked neighborhood was dense enough for the
+// emission's bitmap scan.
+func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool) {
 	t.Helper()
 	for _, rs := range db.Schema.Relations() {
 		if len(rs.ForeignKeys()) == 0 || db.Relation(rs.Name).Size() == 0 {
@@ -249,7 +280,31 @@ func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) {
 			ids = ids[:3]
 		}
 		checkCompiledAgainstDFS(t, tag+"/"+rs.Name, db, paths, ids, 1e-12)
+		if !bitmap {
+			bitmap = takesBitmap(db, paths, ids)
+		}
 	}
+	return bitmap
+}
+
+// takesBitmap reports whether any path's neighborhood from any of the
+// starts meets the bitmap scan's size and density cutover.
+func takesBitmap(db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID) bool {
+	ct := compile(db, NewTrie(paths))
+	for _, id := range starts {
+		for pi, nb := range ct.Propagate(id, nil) {
+			n := len(nb.Keys)
+			if n < bitmapMinLen {
+				continue
+			}
+			rel := db.Relation(paths[pi].End(db.Schema))
+			lo, hi := rel.OrdinalOf(nb.Keys[0]), rel.OrdinalOf(nb.Keys[n-1])
+			if hi>>6-lo>>6+1 <= bitmapWordsPerOrdinal*n {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestCompiledScratchReuse: reusing one scratch across many propagations
@@ -284,23 +339,16 @@ func TestCompiledScratchReuse(t *testing.T) {
 }
 
 // TestCompiledAllocsCeiling pins the fast path's allocation count: with a
-// warm scratch, one propagation may allocate only the result slice plus
-// two slices per non-empty terminal neighborhood.
+// warm scratch, one propagation allocates the result slice and the two
+// arrays every path's neighborhood is carved from, whatever the number of
+// paths.
 func TestCompiledAllocsCeiling(t *testing.T) {
 	db, refs := miniDB(t)
-	paths := []reldb.JoinPath{
-		coauthorPath(),
-		{Start: "Publish", Steps: []reldb.Step{
-			{Rel: "Publish", Attr: "paper-key", Forward: true},
-			{Rel: "Publications", Attr: "proc-key", Forward: true},
-			{Rel: "Proceedings", Attr: "conference", Forward: true},
-		}},
-	}
-	ct := compile(db, NewTrie(paths))
+	ct := compile(db, NewTrie(dblpPaths(db.Schema)))
 	scratch := ct.NewScratch()
 	start := refs["wei@p2"]
-	ct.Propagate(start, scratch) // warm: grows frontier/acc/sort buffers
-	ceiling := float64(1 + 2*len(paths))
+	ct.Propagate(start, scratch) // warm: grows frontier/acc/emission buffers
+	const ceiling = 3
 	if got := testing.AllocsPerRun(100, func() {
 		ct.Propagate(start, scratch)
 	}); got > ceiling {
@@ -322,5 +370,98 @@ func TestCompiledStats(t *testing.T) {
 	// Publish->Authors: 5.
 	if edges != 15 {
 		t.Errorf("edges = %d, want 15", edges)
+	}
+}
+
+// TestAscendingMatchesSort holds the emission's ordinal ordering to
+// slices.Sort on both sides of its cutover: sizes at bitmapMinLen ± 1,
+// ranges at the density limit ± 1 word, the extreme ordinals 0 and size−1,
+// and dense and sparse sets. One scratch serves every case, so a bitmap
+// word left set by one case would corrupt the next.
+func TestAscendingMatchesSort(t *testing.T) {
+	// spread returns n distinct ordinals: 0, size−1, and n−2 more drawn
+	// from between them, shuffled.
+	spread := func(rng *rand.Rand, n, size int) []int32 {
+		set := map[int32]bool{0: true, int32(size - 1): true}
+		for len(set) < n {
+			set[int32(1+rng.Intn(size-2))] = true
+		}
+		var out []int32
+		for v := range set {
+			out = append(out, v)
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	type tc struct {
+		name    string
+		n, size int
+	}
+	var cases []tc
+	for _, n := range []int{2, bitmapMinLen - 1, bitmapMinLen, bitmapMinLen + 1, 200} {
+		limit := bitmapWordsPerOrdinal * n * 64 // largest range still scanned
+		cases = append(cases,
+			tc{fmt.Sprintf("dense/n=%d", n), n, n},
+			tc{fmt.Sprintf("half/n=%d", n), n, 2*n + 2},
+			tc{fmt.Sprintf("limit-1/n=%d", n), n, limit - 64},
+			tc{fmt.Sprintf("limit/n=%d", n), n, limit},
+			tc{fmt.Sprintf("limit+1/n=%d", n), n, limit + 64},
+			tc{fmt.Sprintf("sparse/n=%d", n), n, 1 << 20},
+		)
+	}
+	rng := rand.New(rand.NewSource(1))
+	s := &Scratch{}
+	for _, c := range cases {
+		for rep := 0; rep < 3; rep++ {
+			ords := spread(rng, c.n, c.size)
+			want := slices.Clone(ords)
+			slices.Sort(want)
+			in := slices.Clone(ords)
+			if got := s.ascending(ords); !slices.Equal(got, want) {
+				t.Fatalf("%s: ascending = %v, want %v", c.name, got, want)
+			}
+			if !slices.Equal(ords, in) {
+				t.Fatalf("%s: ascending modified its input", c.name)
+			}
+		}
+		for w, word := range s.bits {
+			if word != 0 {
+				t.Fatalf("%s: bitmap word %d left set (%#x)", c.name, w, word)
+			}
+		}
+	}
+}
+
+// TestPackedNeighborhoodsIsolated: every path's neighborhood is a window
+// of arrays shared by the whole result, capped at its own length, so an
+// append to one path's keys or masses copies instead of overwriting the
+// next path's entries.
+func TestPackedNeighborhoodsIsolated(t *testing.T) {
+	db, refs := miniDB(t)
+	paths := dblpPaths(db.Schema)
+	ct := compile(db, NewTrie(paths))
+	got := ct.Propagate(refs["wei@p2"], ct.NewScratch())
+	snapshot := make([]SparseNeighborhood, len(got))
+	nonEmpty := 0
+	for pi, nb := range got {
+		if cap(nb.Keys) != len(nb.Keys) || cap(nb.FBs) != len(nb.FBs) {
+			t.Fatalf("path %s: cap %d/%d beyond len %d", paths[pi], cap(nb.Keys), cap(nb.FBs), len(nb.Keys))
+		}
+		snapshot[pi] = SparseNeighborhood{Keys: slices.Clone(nb.Keys), FBs: slices.Clone(nb.FBs), SumFwd: nb.SumFwd}
+		if len(nb.Keys) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 2 {
+		t.Fatalf("only %d non-empty neighborhoods; the check needs two", nonEmpty)
+	}
+	for pi := range got {
+		_ = append(got[pi].Keys, reldb.InvalidTuple)
+		_ = append(got[pi].FBs, FB{Fwd: -1, Bwd: -1})
+	}
+	for pi := range got {
+		if !reflect.DeepEqual(got[pi], snapshot[pi]) {
+			t.Fatalf("path %s changed after appends to the others:\n got %+v\nwant %+v", paths[pi], got[pi], snapshot[pi])
+		}
 	}
 }

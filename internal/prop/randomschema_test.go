@@ -132,10 +132,3 @@ func TestRandomSchemasEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -13,9 +13,9 @@
 //
 // The kernels operate on prop.SparseNeighborhood — sorted parallel slices —
 // as linear merge-scans over the two key sets. When one operand is much
-// smaller than the other (the asymmetric case blocking produces), the scan
-// gallops: it exponentially probes then binary-searches the large side for
-// each key of the small side. The package's test oracle (refKernel in
+// smaller than the other (a reference with few neighbors along a path set
+// against one with many), the scan gallops: it exponentially probes then
+// binary-searches the large side for each key of the small side. The package's test oracle (refKernel in
 // oracle_test.go) computes the same three quantities the naive way, through
 // a hash map, and the property and fuzz tests hold both kernels to it.
 package sim
