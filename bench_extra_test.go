@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"distinct/internal/cluster"
 	"distinct/internal/core"
 	"distinct/internal/dblp"
 	"distinct/internal/dblpxml"
@@ -196,53 +195,6 @@ func BenchmarkDisambiguateAllTrace(b *testing.B) {
 		b.ReportMetric(float64(spans), "spans")
 		b.ReportMetric(float64(events), "events")
 	}
-}
-
-// BenchmarkBlocking compares clustering one heavily shared natural name
-// with and without shared-neighbor blocking (results are identical; the
-// blocked path skips the cross-component pairwise work).
-func BenchmarkBlocking(b *testing.B) {
-	e := trainedBenchEngine(b, 0)
-	// A heavily shared natural name of moderate size (~300 references);
-	// the very largest names form one connected component and take tens of
-	// seconds per clustering, which would dominate the default bench run.
-	nameRel := e.DB().Relation("Authors")
-	bestName, bestDist := "", 1<<30
-	for _, id := range nameRel.TupleIDs() {
-		name := e.DB().Tuple(id).Val("author")
-		n := len(e.RefsForName(name))
-		d := n - 300
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDist {
-			bestName, bestDist = name, d
-		}
-	}
-	refs := e.RefsForName(bestName)
-	b.Logf("name %q with %d references", bestName, len(refs))
-	e.Similarities(refs) // warm the neighborhood cache for both variants
-
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.SetMinSim(core.DefaultMinSim)
-			got, err := e.DisambiguateRefsCtx(context.Background(), refs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(got) == 0 {
-				b.Fatal("no groups")
-			}
-		}
-	})
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := e.Similarities(refs)
-			if got := core.ClusterMatrix(refs, m, cluster.Combined, core.DefaultMinSim); len(got) == 0 {
-				b.Fatal("no groups")
-			}
-		}
-	})
 }
 
 // BenchmarkTuneMinSim measures label-free threshold tuning.

@@ -169,7 +169,6 @@ func TestChaosCancelEveryStage(t *testing.T) {
 		{"core.train_svm", "train_svm", phaseTrain},
 		{"core.batch", "batch", phaseBatch},
 		{"sim.prefetch", "prefetch", phaseBatch},
-		{"core.blocks", "blocks", phaseBatch},
 		{"core.path_sims", "path_sims", phasePathSims},
 		{"core.similarities", "similarities", phaseBatch},
 		{"core.similarities.row", "similarities", phaseBatch},

@@ -158,7 +158,7 @@ func TestGoldenTrace(t *testing.T) {
 		t.Skip("full pipeline run")
 	}
 	// minRefs 120 keeps the committed file reviewable: six ambiguous names,
-	// every one still exercising blocks → similarities → cluster spans.
+	// every one still exercising similarities → cluster spans.
 	tr, _ := tracedRun(t, 120)
 	got := normalize(tr.Tree())
 	if n := countIncidentEvents(got); n != 0 {

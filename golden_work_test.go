@@ -2,11 +2,11 @@
 // exactly. It runs the repository benchmark's sweep — dblp.DefaultConfig's
 // world (18,083 references), trained on 1000 + 1000 pairs drawn with seed
 // 1, then DisambiguateAllCtx(MinRefs: 2) — and compares counts that do not
-// depend on the machine: plan size, clustering merges and stale heap pops,
-// blocking's pair counts, the training-set size, a hash of every group,
-// and the number of neighborhood entries propagation emits. A change that
-// does more, less or different work fails here until the golden is
-// regenerated with
+// depend on the machine: plan size, the (pair, path) results the
+// similarity kernel scores, clustering merges and stale heap pops, the
+// training-set size, a hash of every group, and the number of neighborhood
+// entries propagation emits. A change that does more, less or different
+// work fails here until the golden is regenerated with
 //
 //	go test -run TestGoldenWork -update
 //
@@ -21,7 +21,6 @@ import (
 	"hash/fnv"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"distinct"
@@ -41,10 +40,9 @@ type goldenWork struct {
 	NeighborhoodEntries int64            `json:"neighborhood_entries"`
 }
 
-// workCounters are the exact registry counters the golden pins; every
-// "blocks." counter is pinned too.
+// workCounters are the exact registry counters the golden pins.
 var workCounters = []string{
-	"prop.csr_hops", "prop.csr_edges",
+	"prop.csr_hops", "prop.csr_edges", "sim.pairs_scored",
 	"cluster.runs", "cluster.merges", "cluster.heap_stale_pops", "cluster.pruned_below_minsim",
 }
 
@@ -81,11 +79,6 @@ func goldenWorkRun(t *testing.T) goldenWork {
 
 	counters := reg.Snapshot().Counters
 	got := goldenWork{Work: make(map[string]int64)}
-	for name, v := range counters {
-		if strings.HasPrefix(name, "blocks.") {
-			got.Work[name] = v
-		}
-	}
 	for _, name := range workCounters {
 		got.Work[name] = counters[name]
 	}

@@ -74,7 +74,7 @@ type Config struct {
 
 	// Obs, when non-nil, receives per-stage spans (wall time, items,
 	// allocations) and pipeline counters for the whole run: expansion,
-	// path enumeration, training, similarity matrices, blocking, batch
+	// path enumeration, training, similarity matrices, batch
 	// disambiguation, and clustering. Nil (the default) costs nothing on
 	// any hot path; see internal/obs and DESIGN.md §8 for the taxonomy.
 	Obs *obs.Registry
@@ -251,6 +251,10 @@ func (e *Engine) Paths() []reldb.JoinPath { return e.paths }
 func (e *Engine) Weights() (resem, walk []float64) {
 	return append([]float64(nil), e.resemW...), append([]float64(nil), e.walkW...)
 }
+
+// pathUsed reports whether join path p carries a nonzero resemblance or
+// walk weight; any other path adds nothing to any similarity.
+func (e *Engine) pathUsed(p int) bool { return e.resemW[p] != 0 || e.walkW[p] != 0 }
 
 // Timings returns stage durations observed so far.
 func (e *Engine) Timings() Timings { return e.timings }
@@ -523,17 +527,24 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 	ix := e.ext.IndexBlock(nbs, nil)
 	defer e.ext.PutBlockIndex(ix)
 	nn := n * n
+	scored := e.obs.Counter("sim.pairs_scored")
 	// Row i fills entries (i,j) and (j,i) for j > i: every matrix cell is
 	// written by exactly one row worker, so rows can run concurrently. Per
 	// row and path, the postings index yields only the partners that share
 	// a neighbor tuple (sim.BlockIndex.Row), bit-identical to per-pair
 	// PairKernel calls; every other cell stays the exact zero PairKernel
-	// returns.
+	// returns. Every path is filled, since a cached block may be combined
+	// under other weights, but only weighted paths count toward
+	// sim.pairs_scored, as in similarities.
 	err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
 		s := e.ext.BatchScratch()
 		defer e.ext.PutBatchScratch(s)
+		var rowScored int
 		for p := 0; p < np; p++ {
 			js, out := ix.Row(s, p, i)
+			if e.pathUsed(p) {
+				rowScored += len(js)
+			}
 			base := p * nn
 			row := base + i*n
 			for k, j := range js {
@@ -543,6 +554,7 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 				pm.WFlat[base+j*n+i] = out[k].WalkBA
 			}
 		}
+		scored.Add(int64(rowScored))
 		return nil
 	})
 	if err != nil {
@@ -634,6 +646,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 		// Resolved once per stage: the per-row injection point below costs
 		// one nil check per row when fault injection is off.
 		freg := fault.From(ctx)
+		scored := e.obs.Counter("sim.pairs_scored")
 		err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
 			if freg != nil {
 				if err := freg.Fire(ctx, "core.similarities.row"); err != nil {
@@ -643,6 +656,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 			s := e.ext.BatchScratch()
 			defer e.ext.PutBatchScratch(s)
 			rowR, rowW := m.R[i], m.W[i]
+			var rowScored int
 			// Per path, the partners sharing a neighbor tuple with i;
 			// contributions accumulate into the row in ascending path order —
 			// the same order (and therefore the same floats) as the per-pair
@@ -655,6 +669,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 				}
 				rw, ww := e.resemW[p], e.walkW[p]
 				js, out := ix.Row(s, p, i)
+				rowScored += len(js)
 				for k, j := range js {
 					rowR[j] += rw * out[k].Resem
 					rowW[j] += ww * out[k].WalkAB
@@ -666,6 +681,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 			for j := i + 1; j < n; j++ {
 				m.R[j][i] = rowR[j]
 			}
+			scored.Add(int64(rowScored))
 			return nil
 		})
 		if err != nil {
@@ -773,12 +789,6 @@ func groupRefs(refs []reldb.TupleID, idx [][]int) [][]reldb.TupleID {
 func (e *Engine) DisambiguateRefsCtx(ctx context.Context, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
 	if len(refs) == 0 {
 		return nil, nil
-	}
-	// With a positive threshold, references in different shared-neighbor
-	// components can never merge, so clustering per component is exact and
-	// avoids the quadratic pairwise stage across components.
-	if e.cfg.MinSim > 0 {
-		return e.disambiguateBlocked(ctx, refs)
 	}
 	m, err := e.similarities(ctx, refs)
 	if err != nil {

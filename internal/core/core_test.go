@@ -294,16 +294,6 @@ func TestSignalSeparation(t *testing.T) {
 	}
 }
 
-// mustBlocks is blocks on a background context, failing the test on error.
-func mustBlocks(t testing.TB, e *Engine, refs []reldb.TupleID) [][]int {
-	t.Helper()
-	blocks, err := e.blocks(context.Background(), refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blocks
-}
-
 // mustGroups is DisambiguateRefsCtx on a background context, failing the
 // test on error.
 func mustGroups(t testing.TB, e *Engine, refs []reldb.TupleID) [][]reldb.TupleID {

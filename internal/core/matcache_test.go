@@ -158,3 +158,49 @@ func insertAnyTuple(t *testing.T, db *reldb.Database) {
 	}
 	t.Fatal("could not insert a version-bumping tuple into any relation")
 }
+
+// TestPairsScoredIgnoresMatrixReuse: sim.pairs_scored counts the kernel's
+// results on weighted paths only, whether the combined matrix comes from
+// similarities' own row pass or from PathSimilarities, which fills every
+// path for the matrix cache; a reused block adds nothing.
+func TestPairsScoredIgnoresMatrixReuse(t *testing.T) {
+	w := testWorld(t)
+	scored := func(reuse, halfWeighted bool) (first, second int64) {
+		reg := obs.NewRegistry()
+		c := engineConfig(w, false)
+		c.Obs = reg
+		e, err := NewEngineCtx(context.Background(), w.DB, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if halfWeighted {
+			resem, walk := e.Weights()
+			for p := 0; p < len(resem); p += 2 {
+				resem[p], walk[p] = 0, 0
+			}
+			if err := e.SetWeights(resem, walk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reuse {
+			e.EnableMatrixReuse()
+		}
+		refs := e.RefsForName("Wei Wang")
+		e.Similarities(refs)
+		first = reg.Counter("sim.pairs_scored").Value()
+		e.Similarities(refs)
+		return first, reg.Counter("sim.pairs_scored").Value() - first
+	}
+	all, _ := scored(false, false)
+	plain, plainAgain := scored(false, true)
+	reused, reusedAgain := scored(true, true)
+	if plain == 0 || plain >= all {
+		t.Fatalf("half-weighted count %d, all-weighted %d: want 0 < half < all", plain, all)
+	}
+	if reused != plain {
+		t.Fatalf("pairs_scored with matrix reuse = %d, without = %d", reused, plain)
+	}
+	if plainAgain != plain || reusedAgain != 0 {
+		t.Fatalf("second pass added %d without reuse (want %d), %d with reuse (want 0)", plainAgain, plain, reusedAgain)
+	}
+}

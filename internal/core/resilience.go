@@ -73,8 +73,8 @@ const DefaultDegradedPaths = 4
 // degraded returns a shallow engine view whose weights keep only the k
 // strongest join paths by combined learned weight (renormalised to sum 1),
 // sharing the database, extractor cache, and observability sinks with the
-// parent. Cutting the path set shrinks both the blocking index and the
-// per-pair kernel loop, which is what lets a name that blew its budget be
+// parent. Cutting the path set shrinks both the postings index and the
+// per-row kernel loop, which is what lets a name that blew its budget be
 // retried cheaply. If k already covers every positively weighted path the
 // receiver itself is returned.
 func (e *Engine) degraded(k int) *Engine {

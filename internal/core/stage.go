@@ -23,7 +23,6 @@ const (
 	stageFeatures
 	stageTrainSVM
 	stageBatch
-	stageBlocks
 	stagePathSims
 	stageSimilarities
 	stageCluster
@@ -33,7 +32,7 @@ const (
 // stageNames are the obs stage and trace span names.
 var stageNames = [numStages]string{
 	"expand", "enumerate", "compile_plans", "trainset", "features",
-	"train_svm", "batch", "blocks", "path_sims", "similarities", "cluster",
+	"train_svm", "batch", "path_sims", "similarities", "cluster",
 }
 
 // stage is one open pipeline stage, returned by begin and closed by end.

@@ -365,7 +365,7 @@ func TestCachedResultCarriesNoTrace(t *testing.T) {
 // TestTailTraceCapturesEngineStages drives a real engine through the
 // serving path with tail tracing on: the request's name span travels to the
 // engine in ctx, so the written artifact's name span must hold the engine's
-// own blocks, similarities and cluster stages.
+// own similarities and cluster stages.
 func TestTailTraceCapturesEngineStages(t *testing.T) {
 	dir := t.TempDir()
 	s := engineServer(t, nil, func(o *Options) {
@@ -397,7 +397,7 @@ func TestTailTraceCapturesEngineStages(t *testing.T) {
 	for _, c := range nameSpan.Children {
 		children[c.Name] = true
 	}
-	for _, want := range []string{"blocks", "similarities", "cluster"} {
+	for _, want := range []string{"similarities", "cluster"} {
 		if !children[want] {
 			t.Errorf("name span lacks a %q child; children: %v", want, children)
 		}

@@ -97,7 +97,7 @@ func (x *BlockIndex) Build(s *BatchScratch, nbs [][]prop.SparseNeighborhood, use
 
 // index builds ps from the members' neighborhoods along path p.
 func (x *BlockIndex) index(ps *Postings, s *BatchScratch, nbs [][]prop.SparseNeighborhood, p int) {
-	pos := s.TupleIndex(nbs, p)
+	pos := s.tupleIndex(nbs, p)
 	// Pass 1: number the distinct tuples in first-seen order and count
 	// their holders.
 	keys, next := x.keys[:0], x.next[:0]
@@ -240,11 +240,10 @@ func NewBatchScratch(keySpace int) *BatchScratch {
 	return s
 }
 
-// TupleIndex returns the scratch's dense tuple array, all -1 and grown to
-// cover every key of nbs[i][p] over the members i. The caller may set
-// entries but must reset each one to -1 before the scratch is used again;
-// walking the keys it set keeps that O(keys), not O(tuple space).
-func (s *BatchScratch) TupleIndex(nbs [][]prop.SparseNeighborhood, p int) []int32 {
+// tupleIndex returns the scratch's dense tuple array, all -1 and grown to
+// cover every key of nbs[i][p] over the members i. BlockIndex.index resets
+// each entry it sets to -1 before returning.
+func (s *BatchScratch) tupleIndex(nbs [][]prop.SparseNeighborhood, p int) []int32 {
 	maxKey := -1
 	for i := range nbs {
 		// Keys are sorted, so each neighborhood's maximum is its last key.
