@@ -34,7 +34,7 @@
 //	          [-quota-rps R]      per-client token-bucket rate (0 disables quotas)
 //	          [-quota-burst N]    per-client bucket capacity (0 = 2x rps, min 8)
 //	          [-quota-concurrency N]  per-client in-flight cap (0 = unlimited)
-//	          [-brownout]         load-shed ladder + retry budget (default on)
+//	          [-brownout]         load-shed ladder (default on)
 //	          [-admin-bump]       mount POST /debug/bump (overload drills only)
 //
 // Every response carries an X-Request-ID (client-echoed or minted) and, when
@@ -100,7 +100,7 @@ func run() error {
 		quotaRPS     = flag.Float64("quota-rps", 0, "per-client token-bucket refill rate; 0 disables per-client quotas")
 		quotaBurst   = flag.Int("quota-burst", 0, "per-client bucket capacity (0 = 2x quota-rps, min 8)")
 		quotaConc    = flag.Int("quota-concurrency", 0, "per-client in-flight request cap (0 = unlimited)")
-		brownout     = flag.Bool("brownout", true, "enable the brownout load-shed ladder and retry budget")
+		brownout     = flag.Bool("brownout", true, "enable the brownout load-shed ladder")
 		adminBump    = flag.Bool("admin-bump", false, "mount POST /debug/bump (synthetic version bump for overload drills)")
 	)
 	flag.Parse()

@@ -222,10 +222,24 @@ func run() error {
 	return nil
 }
 
+// fetchNames reads the name universe. It goes out without an X-Api-Key, so
+// a quota-enabled server keys it by remote host — the bucket a previous
+// loadgen run from this machine may just have drained — and a 429/503 is
+// retried after its Retry-After, a few times, before giving up.
 func fetchNames(client *http.Client, base string, minRefs int) ([]string, error) {
-	resp, err := client.Get(fmt.Sprintf("%s/v1/names?min_refs=%d", base, minRefs))
-	if err != nil {
-		return nil, err
+	var resp *http.Response
+	for attempt := 0; ; attempt++ {
+		var err error
+		resp, err = client.Get(fmt.Sprintf("%s/v1/names?min_refs=%d", base, minRefs))
+		if err != nil {
+			return nil, err
+		}
+		if attempt >= 4 ||
+			(resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable) {
+			break
+		}
+		resp.Body.Close()
+		time.Sleep(retryAfter(resp))
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -346,15 +360,20 @@ func (c *collector) shootRetry(name, client string, retries int) {
 			(s.status != http.StatusTooManyRequests && s.status != http.StatusServiceUnavailable) {
 			break
 		}
-		backoff := time.Second
-		if v, err := time.ParseDuration(resp.Header.Get("Retry-After") + "s"); err == nil && v > 0 {
-			backoff = v
-		}
-		time.Sleep(backoff)
+		time.Sleep(retryAfter(resp))
 	}
 	c.mu.Lock()
 	c.samples = append(c.samples, s)
 	c.mu.Unlock()
+}
+
+// retryAfter is the backoff a 429/503 asks for: its Retry-After in
+// seconds, else one second.
+func retryAfter(resp *http.Response) time.Duration {
+	if v, err := time.ParseDuration(resp.Header.Get("Retry-After") + "s"); err == nil && v > 0 {
+		return v
+	}
+	return time.Second
 }
 
 func (c *collector) report(label, mode string, elapsed time.Duration) passReport {

@@ -99,12 +99,6 @@ type BatchOptions struct {
 	// degradation from a budget-driven one. When the engine has no paths to
 	// cut the attempt runs clean and no incident is reported.
 	ForceDegraded bool
-	// RetryGate, when non-nil, is consulted immediately before the degraded
-	// retry of a blown budget. Returning false skips the retry — the name
-	// goes straight to its conservative single group. The serving layer
-	// plugs its retry budget in here so a saturated server does not double
-	// its own load with retries; nil always allows the retry.
-	RetryGate func() bool
 }
 
 // DisambiguateAllCtx runs DISTINCT over every name with at least

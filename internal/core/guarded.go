@@ -23,7 +23,7 @@ import (
 //     the degraded view;
 //  2. on a blown budget, one guarded retry on the degraded view (top-k
 //     join paths) under a fresh budget — unless the attempt was already
-//     degraded, or opts.RetryGate refuses (retry budget exhausted);
+//     degraded;
 //  3. on panic, error, or a second blown budget, the references are kept as
 //     one conservative group.
 //
@@ -85,10 +85,9 @@ func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.Tu
 		// Per-name budget blown: retry once in degraded mode under a fresh
 		// budget (when the path set can actually be cut). A forced-degraded
 		// attempt was already on the cut path — retrying it would repeat
-		// the same work — and the retry gate can refuse when the server's
-		// retry budget is spent.
-		if de := e.degraded(opts.DegradedPaths); de != e && eng != de &&
-			(opts.RetryGate == nil || opts.RetryGate()) {
+		// the same work. degraded builds a fresh view on every call, so
+		// only eng == e says the first attempt ran on the full path set.
+		if de := e.degraded(opts.DegradedPaths); de != e && eng == e {
 			nctx, cancel = withBudget()
 			g2, derr := attempt(de, nctx)
 			cancel()

@@ -138,37 +138,23 @@ func TestDisambiguateNameGuardedForceDegraded(t *testing.T) {
 	if total != len(refs) {
 		t.Fatalf("forced-degraded groups cover %d of %d refs", total, len(refs))
 	}
-}
 
-func TestDisambiguateNameGuardedRetryGateRefused(t *testing.T) {
-	w := testWorld(t)
-	e := newTestEngine(t, w, true)
-	if _, err := e.TrainCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Every attempt blows the budget; a closed retry gate must keep the
-	// ladder from even starting the degraded retry — one attempt, straight
-	// to the conservative single group as a timeout incident.
+	// A forced-degraded attempt that blows its budget is not retried: it
+	// already ran on the cut view, so the ladder goes straight to the
+	// conservative single group after one attempt. This is why the serving
+	// layer needs no retry gate of its own below brownout level "normal".
 	f := fault.NewRegistry(1)
 	f.Set("core.similarities", fault.Rule{Every: 1, Delay: 10 * time.Second})
-	refs := e.RefsForName("Wei Wang")
-	gateCalls := 0
-	groups, inc, err := e.DisambiguateNameGuarded(fault.With(context.Background(), f), "Wei Wang",
-		BatchOptions{
-			NameTimeout: 100 * time.Millisecond,
-			RetryGate:   func() bool { gateCalls++; return false },
-		})
+	groups, inc, err = e.DisambiguateNameGuarded(fault.With(context.Background(), f), "Wei Wang",
+		BatchOptions{ForceDegraded: true, NameTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gateCalls != 1 {
-		t.Fatalf("retry gate consulted %d times, want 1", gateCalls)
+	if got := f.Hits("core.similarities"); got != 1 {
+		t.Fatalf("similarities attempted %d times on a forced-degraded blown budget, want 1", got)
 	}
 	if inc == nil || inc.Reason != IncidentTimeout {
 		t.Fatalf("want timeout incident, got %+v", inc)
-	}
-	if got := f.Hits("core.similarities"); got != 1 {
-		t.Fatalf("similarities attempted %d times with a closed gate, want 1", got)
 	}
 	if len(groups) != 1 || len(groups[0]) != len(refs) {
 		t.Fatalf("fallback groups %d, want one group of %d refs", len(groups), len(refs))

@@ -26,11 +26,10 @@ import (
 // hysteresis keeps a load oscillating around the threshold from flapping
 // the service level request-to-request.
 //
-// Separately, retryBudget bounds how much of the server's capacity the
-// resilience ladder's degraded RETRIES may consume: each compute earns a
-// fraction of a retry token, each retry spends one, so retries stay a
-// bounded tax (DefaultRetryBudgetRatio of traffic) instead of doubling
-// work exactly when the server is drowning.
+// The ladder is the server's only say in the engine's degraded retry: a
+// compute samples the level once, when it starts. At "normal" a blown
+// per-name budget gets its one degraded retry; at "degraded" and deeper the
+// first attempt already runs on the cut view, so there is nothing to retry.
 
 // brownoutLevel is a rung of the degradation ladder. Levels are ordered:
 // a higher level includes every restriction of the levels below it.
@@ -189,58 +188,4 @@ func (b *brownout) status(now time.Time) brownoutStatus {
 		BurnRate:     b.lastB,
 		SinceSeconds: now.Sub(b.since).Seconds(),
 	}
-}
-
-// DefaultRetryBudgetRatio is the fraction of computes that may be degraded
-// retries: each first attempt earns this many retry tokens.
-const DefaultRetryBudgetRatio = 0.1
-
-// DefaultRetryBudgetMax caps accumulated retry tokens — the burst of
-// back-to-back retries a long quiet stretch can bank.
-const DefaultRetryBudgetMax = 10.0
-
-// DefaultRetryBurnMax is the burn rate above which degraded retries are
-// skipped outright, budget or not — at that point the error budget is gone
-// and retry latency only deepens the hole.
-const DefaultRetryBurnMax = 2.0
-
-// retryBudget is a token bucket refilled by a ratio of attempts: onAttempt
-// earns ratio tokens (capped at max), take spends one. It starts full so a
-// cold server retries normally.
-type retryBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	ratio  float64
-}
-
-func newRetryBudget(max, ratio float64) *retryBudget {
-	return &retryBudget{tokens: max, max: max, ratio: ratio}
-}
-
-// onAttempt credits the budget for one first attempt.
-func (rb *retryBudget) onAttempt() {
-	if rb == nil {
-		return
-	}
-	rb.mu.Lock()
-	rb.tokens += rb.ratio
-	if rb.tokens > rb.max {
-		rb.tokens = rb.max
-	}
-	rb.mu.Unlock()
-}
-
-// take spends one retry token, reporting whether one was available.
-func (rb *retryBudget) take() bool {
-	if rb == nil {
-		return true
-	}
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	if rb.tokens < 1 {
-		return false
-	}
-	rb.tokens--
-	return true
 }

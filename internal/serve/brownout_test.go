@@ -239,55 +239,3 @@ func TestHealthzReportsBrownout(t *testing.T) {
 		t.Fatalf("disabled brownout status: %v", br)
 	}
 }
-
-// TestRetryBudgetUnit drills the token arithmetic.
-func TestRetryBudgetUnit(t *testing.T) {
-	rb := newRetryBudget(2, 0.5)
-	if !rb.take() || !rb.take() {
-		t.Fatal("full budget refused")
-	}
-	if rb.take() {
-		t.Fatal("empty budget granted")
-	}
-	// Two attempts earn one token at ratio 0.5.
-	rb.onAttempt()
-	if rb.take() {
-		t.Fatal("half a token granted")
-	}
-	rb.onAttempt()
-	if !rb.take() {
-		t.Fatal("earned token refused")
-	}
-	// Credit saturates at max.
-	for i := 0; i < 100; i++ {
-		rb.onAttempt()
-	}
-	if !rb.take() || !rb.take() || rb.take() {
-		t.Fatal("budget not capped at max")
-	}
-	// Nil budget always grants (brownout off).
-	var nrb *retryBudget
-	nrb.onAttempt()
-	if !nrb.take() {
-		t.Fatal("nil budget refused")
-	}
-}
-
-// TestBrownoutSkipsDegradedRetry: with the ladder at brownoutDegraded the
-// server's RetryGate refuses, so the ladder's degraded retry is skipped
-// (counted) — retrying onto the path the compute is already on would be
-// pure waste.
-func TestBrownoutSkipsDegradedRetry(t *testing.T) {
-	s := newTestServer(t, newStubBackend("Wei Wang"), func(o *Options) { o.Brownout = true })
-	forceLevel(s, brownoutDegraded)
-	if s.allowRetry() {
-		t.Fatal("retry allowed under brownoutDegraded")
-	}
-	if got := s.reg.Counter("serve.retries_skipped").Value(); got != 1 {
-		t.Fatalf("retries_skipped = %d", got)
-	}
-	forceLevel(s, brownoutNormal)
-	if !s.allowRetry() {
-		t.Fatal("retry refused at normal with a full budget")
-	}
-}

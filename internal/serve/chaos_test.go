@@ -7,6 +7,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -152,28 +153,44 @@ func TestChaosServeLayerPanicRecovered(t *testing.T) {
 // TestChaosDelayPastDeadlineDegrades: an injected delay blows the per-name
 // budget; the engine retries on the degraded view and the response is a 200
 // with degraded:true and the incident explaining why — the client gets an
-// answer, honestly labeled.
+// answer, honestly labeled. With the brownout ladder on and at "normal" the
+// retry still runs: the ladder is the only overload input to it, and it
+// only withholds the retry by forcing the first attempt onto the cut view.
 func TestChaosDelayPastDeadlineDegrades(t *testing.T) {
-	f := fault.NewRegistry(1)
-	f.Set("core.similarities", fault.Rule{OnHit: 1, Delay: 10 * time.Second})
-	s := engineServer(t, f, func(o *Options) { o.NameTimeout = 150 * time.Millisecond })
+	for _, brownout := range []bool{false, true} {
+		t.Run(fmt.Sprintf("brownout=%v", brownout), func(t *testing.T) {
+			f := fault.NewRegistry(1)
+			f.Set("core.similarities", fault.Rule{OnHit: 1, Delay: 10 * time.Second})
+			s := engineServer(t, f, func(o *Options) {
+				o.NameTimeout = 150 * time.Millisecond
+				o.Brownout = brownout
+			})
 
-	w, body := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d, want 200; body %s", w.Code, w.Body.String())
-	}
-	if body["degraded"] != true {
-		t.Fatalf("degraded flag missing: %v", body)
-	}
-	inc, ok := body["incident"].(map[string]any)
-	if !ok {
-		t.Fatalf("degraded response without incident: %v", body)
-	}
-	if r := inc["reason"]; r != "degraded" && r != "timeout" {
-		t.Errorf("incident reason = %v", r)
-	}
-	if got := s.reg.Counter("serve.degraded").Value(); got != 1 {
-		t.Errorf("serve.degraded = %d", got)
+			w, body := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d, want 200; body %s", w.Code, w.Body.String())
+			}
+			if body["degraded"] != true {
+				t.Fatalf("degraded flag missing: %v", body)
+			}
+			inc, ok := body["incident"].(map[string]any)
+			if !ok {
+				t.Fatalf("degraded response without incident: %v", body)
+			}
+			if r := inc["reason"]; r != "degraded" && r != "timeout" {
+				t.Errorf("incident reason = %v", r)
+			}
+			// The blown first attempt plus the degraded retry.
+			if got := f.Hits("core.similarities"); got != 2 {
+				t.Errorf("similarities attempted %d times, want 2 (attempt + retry)", got)
+			}
+			if got := s.reg.Counter("serve.degraded").Value(); got != 1 {
+				t.Errorf("serve.degraded = %d", got)
+			}
+			if got := s.reg.Counter("serve.brownout_forced_degraded").Value(); got != 0 {
+				t.Errorf("serve.brownout_forced_degraded = %d at level normal", got)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 	"distinct/internal/vlru"
 )
 
-// Defaults for the knobs Options leaves zero.
+// Fixed request limits: no Options field overrides them.
 const (
 	// DefaultMaxBatchNames bounds one POST /v1/batch request.
 	DefaultMaxBatchNames = 256
@@ -30,6 +30,10 @@ const (
 	DefaultMaxBodyBytes = 1 << 20
 	// DefaultRetryAfter is the Retry-After hint on 429/503 responses.
 	DefaultRetryAfter = time.Second
+)
+
+// Defaults for the knobs Options leaves zero.
+const (
 	// DefaultBatchFanout bounds concurrent per-name lookups inside one batch
 	// request. Admission control still bounds total engine concurrency, so
 	// fan-out changes batch latency, not engine load limits.
@@ -66,14 +70,6 @@ type Options struct {
 	// NameTimeout is the per-name compute budget driving the engine's
 	// degrade ladder (0 = defaultNameTimeout).
 	NameTimeout time.Duration
-	// DegradedPaths caps the degraded retry's join paths (0 = engine default).
-	DegradedPaths int
-	// MaxBatchNames bounds one batch request (0 = DefaultMaxBatchNames).
-	MaxBatchNames int
-	// MaxBodyBytes bounds request bodies (0 = DefaultMaxBodyBytes).
-	MaxBodyBytes int64
-	// RetryAfter is the backoff hint on 429/503 (0 = DefaultRetryAfter).
-	RetryAfter time.Duration
 
 	// FlightRecords sizes the flight recorder's ring of last completed
 	// requests, served at /debug/requests (0 = flightrec.DefaultRecords,
@@ -121,8 +117,7 @@ type Options struct {
 	// Brownout enables the load-shed ladder (see brownout.go): under
 	// sustained overload the server forces degraded computes, then stops
 	// revalidating stale entries, then sheds uncached lookups — and walks
-	// back down with hysteresis. Also enables the retry budget that bounds
-	// degraded retries to a fraction of traffic.
+	// back down with hysteresis.
 	Brownout bool
 	// AllowBump, when the backend supports Mutator, mounts POST /debug/bump:
 	// a synthetic version bump for overload drills (loadgen's
@@ -221,19 +216,14 @@ type Server struct {
 	adm         *admission
 	handler     http.Handler
 	nameTimeout time.Duration
-	degraded    int
-	maxBatch    int
-	maxBody     int64
-	retryAfter  time.Duration
 	batchFanout int
 	maxStale    time.Duration // 0 = staleness disabled
 
-	// Overload resilience (DESIGN.md §15): per-client quotas, brownout
-	// ladder, retry budget. All nil when not enabled.
-	quotas  *quotaSet
-	brown   *brownout
-	retries *retryBudget
-	fault   *fault.Registry // for injection points outside the compute ctx
+	// Overload resilience (DESIGN.md §15): per-client quotas and the
+	// brownout ladder. Both nil when not enabled.
+	quotas *quotaSet
+	brown  *brownout
+	fault  *fault.Registry // for injection points outside the compute ctx
 
 	// Request observability (DESIGN.md §14). instrumented gates the full
 	// middleware path; with everything off, api() adds nothing to a request.
@@ -274,7 +264,6 @@ type Server struct {
 	cRevalidations  *obs.Counter
 	cShed           *obs.Counter
 	cBrownoutForced *obs.Counter
-	cRetrySkipped   *obs.Counter
 
 	baseCancel context.CancelFunc
 
@@ -300,10 +289,6 @@ func New(opts Options) (*Server, error) {
 		backend:     opts.Backend,
 		reg:         opts.Obs,
 		nameTimeout: opts.NameTimeout,
-		degraded:    opts.DegradedPaths,
-		maxBatch:    opts.MaxBatchNames,
-		maxBody:     opts.MaxBodyBytes,
-		retryAfter:  opts.RetryAfter,
 		batchFanout: opts.BatchFanout,
 		fault:       opts.Fault,
 	}
@@ -320,19 +305,9 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Brownout {
 		s.brown = newBrownout(opts.Obs, time.Now())
-		s.retries = newRetryBudget(DefaultRetryBudgetMax, DefaultRetryBudgetRatio)
 	}
 	if s.nameTimeout <= 0 {
 		s.nameTimeout = defaultNameTimeout
-	}
-	if s.maxBatch <= 0 {
-		s.maxBatch = DefaultMaxBatchNames
-	}
-	if s.maxBody <= 0 {
-		s.maxBody = DefaultMaxBodyBytes
-	}
-	if s.retryAfter <= 0 {
-		s.retryAfter = DefaultRetryAfter
 	}
 	if s.batchFanout <= 0 {
 		s.batchFanout = DefaultBatchFanout
@@ -411,7 +386,6 @@ func New(opts Options) (*Server, error) {
 	s.cRevalidations = reg.Counter("serve.revalidations")
 	s.cShed = reg.Counter("serve.brownout_shed")
 	s.cBrownoutForced = reg.Counter("serve.brownout_forced_degraded")
-	s.cRetrySkipped = reg.Counter("serve.retries_skipped")
 
 	// Flights compute under the server's base context — not any request's —
 	// so a cancelled leader hands off to its waiters. The fault registry
@@ -639,11 +613,7 @@ func (s *Server) quotaAdmit(w http.ResponseWriter, r *http.Request, ri *reqInfo,
 	if ok {
 		return release, true
 	}
-	ra := s.retryAfter
-	if wait > ra {
-		ra = wait
-	}
-	w.Header().Set("Retry-After", retryAfterValue(ra))
+	w.Header().Set("Retry-After", retryAfterValue(max(wait, DefaultRetryAfter)))
 	s.cRejected429.Inc()
 	if ri != nil {
 		ri.noteError("", "client quota exceeded", lookupMeta{})
@@ -752,20 +722,6 @@ func (s *Server) revalidate(name string, version int64) {
 	}
 }
 
-// allowRetry is the server's core.BatchOptions.RetryGate: degraded retries
-// are skipped when the ladder already forces degraded computes (the retry
-// would be a no-op), when the error budget is burning past
-// DefaultRetryBurnMax, or when the retry budget is spent.
-func (s *Server) allowRetry() bool {
-	if s.brown.current() >= brownoutDegraded ||
-		s.slo.burnRate(time.Now()) >= DefaultRetryBurnMax ||
-		!s.retries.take() {
-		s.cRetrySkipped.Inc()
-		return false
-	}
-	return true
-}
-
 // compute runs one name's disambiguation: admission slot, fault point,
 // engine call, cache store. It runs inside a flight goroutine under the
 // server base context; a panic here (its own, or injected at
@@ -821,21 +777,14 @@ func (s *Server) compute(fctx context.Context, name string, version int64) (res 
 	}
 	s.cComputes.Inc()
 	sp := s.computeStage.Start()
-	opts := core.BatchOptions{
-		NameTimeout:   s.nameTimeout,
-		DegradedPaths: s.degraded,
-	}
+	opts := core.BatchOptions{NameTimeout: s.nameTimeout}
 	// Brownout: at brownoutDegraded and deeper every compute starts on the
 	// degraded path — the quality cut is taken up front instead of after a
-	// blown budget. The retry budget gates the ladder's degraded retry so
-	// retries stay a bounded fraction of traffic under load.
+	// blown budget, which leaves the engine nothing to retry. This one read
+	// of the ladder is the only overload input to the degraded retry.
 	if s.brown.current() >= brownoutDegraded {
 		opts.ForceDegraded = true
 		s.cBrownoutForced.Inc()
-	}
-	if s.retries != nil {
-		s.retries.onAttempt()
-		opts.RetryGate = s.allowRetry
 	}
 	groups, inc, err := s.backend.Disambiguate(trace.ContextWithSpan(fctx, nsp), name, opts)
 	sp.End(1)
@@ -956,7 +905,7 @@ func (s *Server) handleName(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	var req batchRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	body := http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -965,9 +914,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		s.writeError(w, http.StatusBadRequest, "names is empty")
 		return
 	}
-	if len(req.Names) > s.maxBatch {
+	if len(req.Names) > DefaultMaxBatchNames {
 		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d names exceeds the limit of %d", len(req.Names), s.maxBatch))
+			fmt.Sprintf("batch of %d names exceeds the limit of %d", len(req.Names), DefaultMaxBatchNames))
 		return
 	}
 	s.cBatch.Inc()
@@ -1091,7 +1040,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status, text := http.StatusOK, "ok"
 		if draining {
 			status, text = http.StatusServiceUnavailable, "draining"
-			w.Header().Set("Retry-After", retryAfterValue(s.retryAfter))
+			w.Header().Set("Retry-After", retryAfterValue(DefaultRetryAfter))
 		}
 		writeJSON(w, status, struct {
 			Status   string         `json:"status"`
@@ -1106,7 +1055,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if draining {
-		w.Header().Set("Retry-After", retryAfterValue(s.retryAfter))
+		w.Header().Set("Retry-After", retryAfterValue(DefaultRetryAfter))
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -1118,7 +1067,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // where backing off helps.
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", retryAfterValue(s.retryAfter))
+		w.Header().Set("Retry-After", retryAfterValue(DefaultRetryAfter))
 	}
 	if status == http.StatusTooManyRequests {
 		s.cRejected429.Inc()

@@ -96,21 +96,25 @@ func TestHandleBatchMixedNames(t *testing.T) {
 }
 
 func TestHandleBatchRejectsMalformedAndOversized(t *testing.T) {
-	s := newTestServer(t, newStubBackend("Wei Wang"), func(o *Options) { o.MaxBatchNames = 2 })
+	s := newTestServer(t, newStubBackend("Wei Wang"), nil)
+	oversized, err := json.Marshal(batchRequest{Names: make([]string, DefaultMaxBatchNames+1)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		body string
-		want int
+		want string
 	}{
-		{"{not json", http.StatusBadRequest},
-		{`{"names":[]}`, http.StatusBadRequest},
-		{`{"names":["a","b","c"]}`, http.StatusBadRequest},
+		{"{not json", "bad request body"},
+		{`{"names":[]}`, "names is empty"},
+		{string(oversized), "exceeds the limit of 256"},
 	} {
 		w, body := doJSON(t, s.Handler(), "POST", "/v1/batch", tc.body)
-		if w.Code != tc.want {
-			t.Errorf("body %q: status %d, want %d", tc.body, w.Code, tc.want)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("body %.40q: status %d, want 400", tc.body, w.Code)
 		}
-		if body["error"] == nil {
-			t.Errorf("body %q: no error envelope", tc.body)
+		if msg, _ := body["error"].(string); !strings.Contains(msg, tc.want) {
+			t.Errorf("body %.40q: error %q, want it to mention %q", tc.body, msg, tc.want)
 		}
 	}
 }
