@@ -367,15 +367,7 @@ func (e *Engine) DisambiguateRefsAuto(refs []reldb.TupleID) [][]reldb.TupleID {
 		return nil
 	}
 	m := e.Similarities(refs)
-	idx := cluster.AgglomerateAuto(len(refs), m, e.cfg.Measure, cluster.DefaultGapRatio, e.cfg.MinSim)
-	out := make([][]reldb.TupleID, len(idx))
-	for i, c := range idx {
-		out[i] = make([]reldb.TupleID, len(c))
-		for j, x := range c {
-			out[i][j] = refs[x]
-		}
-	}
-	return out
+	return groupRefs(refs, cluster.AgglomerateAuto(len(refs), m, e.cfg.Measure, cluster.DefaultGapRatio, e.cfg.MinSim))
 }
 
 // DisambiguateNameAuto is DisambiguateRefsAuto over every reference

@@ -29,7 +29,6 @@ import (
 	"distinct/internal/sim"
 	"distinct/internal/svm"
 	"distinct/internal/trainset"
-	"distinct/internal/vlru"
 )
 
 // Config tells the engine where the references live and how to process
@@ -141,12 +140,6 @@ type Engine struct {
 
 	resemW []float64 // per-path weights, non-negative, sum 1
 	walkW  []float64
-
-	// matCache, when non-nil (EnableMatrixReuse), caches per-block
-	// PathMatrices keyed on (refs, db version) so weight/threshold sweeps
-	// recombine instead of recompute. Nil (the default) costs one pointer
-	// check per similarity stage.
-	matCache *vlru.Cache[string, *PathMatrices]
 
 	timings Timings
 	obs     *obs.Registry         // nil when observability is off
@@ -494,11 +487,6 @@ func (pm *PathMatrices) NumRefs() int {
 // under Config.Workers. For each (i,j) pair one fused merge-scan per path
 // yields the resemblance and both directed walk probabilities at once.
 // Cancellation is observed at the stage boundary and between pairwise rows.
-//
-// With matrix reuse enabled, a block already computed for the same
-// (refs, database version) is returned as-is; the stage span still appears
-// — once, carrying reused=true — so sweeps show the reuse instead of
-// logging identical heavyweight spans per variant.
 func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (*PathMatrices, error) {
 	n := len(refs)
 	np := len(e.paths)
@@ -507,17 +495,6 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 		trace.Int("refs", int64(n)), trace.Int("pairs", int64(pairs)))
 	if err != nil {
 		return nil, err
-	}
-	version := e.db.Version()
-	var key string
-	if e.matCache != nil {
-		key = matKey(refs, np)
-		if pm, state := e.matCache.Get(key, version, 0); state == vlru.Fresh {
-			e.obs.Counter("core.matrix_cache_hits").Inc()
-			st.sp.SetAttrs(trace.Bool("reused", true))
-			return pm, st.end(0, nil) // no pairwise work done
-		}
-		e.obs.Counter("core.matrix_cache_misses").Inc()
 	}
 	pm := NewPathMatrices(np, n)
 	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
@@ -533,8 +510,8 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 	// row and path, the postings index yields only the partners that share
 	// a neighbor tuple (sim.BlockIndex.Row), bit-identical to per-pair
 	// PairKernel calls; every other cell stays the exact zero PairKernel
-	// returns. Every path is filled, since a cached block may be combined
-	// under other weights, but only weighted paths count toward
+	// returns. Every path is filled, since the caller may combine the
+	// matrices under other weights, but only weighted paths count toward
 	// sim.pairs_scored, as in similarities.
 	err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
 		s := e.ext.BatchScratch()
@@ -559,11 +536,6 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 	})
 	if err != nil {
 		return nil, st.end(0, err)
-	}
-	if e.matCache != nil {
-		if ev := e.matCache.Put(key, version, pm); ev > 0 {
-			e.obs.Counter("core.matrix_cache_evictions").Add(ev)
-		}
 	}
 	return pm, st.end(pairs, nil)
 }
@@ -613,10 +585,8 @@ func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
 // rows. When the stage span's trace was built with SamplePairEvery, every
 // Nth pair (by triangular pair index — deterministic, no RNG) gets a "pair"
 // event with its Explain-style per-path breakdown attached to the span.
-//
-// With matrix reuse enabled, the combined matrix is derived from the cached
-// (or freshly cached) per-path matrices via Combine — the same floats,
-// since both accumulate per-path contributions in ascending path order.
+// Combine over PathSimilaritiesCtx's matrices yields the same floats: both
+// accumulate per-path contributions in ascending path order.
 func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluster.Matrix, error) {
 	n := len(refs)
 	pairs := n * (n - 1) / 2
@@ -625,68 +595,59 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 	if err != nil {
 		return cluster.Matrix{}, err
 	}
-	var m cluster.Matrix
-	if e.matCache != nil {
-		pm, err := e.PathSimilaritiesCtx(ctx, refs)
-		if err != nil {
-			return cluster.Matrix{}, st.end(0, err)
-		}
-		m = Combine(pm, e.resemW, e.walkW)
-	} else {
-		m = cluster.NewMatrix(n)
-		if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
-			return cluster.Matrix{}, st.end(0, stageErr("prefetch", err))
-		}
-		nbs := e.ext.NeighborhoodsAll(refs, nil)
-		// One index per block over every weighted path, built before the
-		// row pass, so the rows below keep one fan-out and one fault point
-		// per row.
-		ix := e.ext.IndexBlock(nbs, e.pathUsed)
-		defer e.ext.PutBlockIndex(ix)
-		// Resolved once per stage: the per-row injection point below costs
-		// one nil check per row when fault injection is off.
-		freg := fault.From(ctx)
-		scored := e.obs.Counter("sim.pairs_scored")
-		err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
-			if freg != nil {
-				if err := freg.Fire(ctx, "core.similarities.row"); err != nil {
-					return err
-				}
+	m := cluster.NewMatrix(n)
+	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
+		return cluster.Matrix{}, st.end(0, stageErr("prefetch", err))
+	}
+	nbs := e.ext.NeighborhoodsAll(refs, nil)
+	// One index per block over every weighted path, built before the
+	// row pass, so the rows below keep one fan-out and one fault point
+	// per row.
+	ix := e.ext.IndexBlock(nbs, e.pathUsed)
+	defer e.ext.PutBlockIndex(ix)
+	// Resolved once per stage: the per-row injection point below costs
+	// one nil check per row when fault injection is off.
+	freg := fault.From(ctx)
+	scored := e.obs.Counter("sim.pairs_scored")
+	err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
+		if freg != nil {
+			if err := freg.Fire(ctx, "core.similarities.row"); err != nil {
+				return err
 			}
-			s := e.ext.BatchScratch()
-			defer e.ext.PutBatchScratch(s)
-			rowR, rowW := m.R[i], m.W[i]
-			var rowScored int
-			// Per path, the partners sharing a neighbor tuple with i;
-			// contributions accumulate into the row in ascending path order —
-			// the same order (and therefore the same floats) as the per-pair
-			// loop. A partner sharing nothing would add an exact zero to a
-			// cell that is never -0, which leaves it unchanged, so it is
-			// skipped.
-			for p := range e.paths {
-				if !e.pathUsed(p) {
-					continue
-				}
-				rw, ww := e.resemW[p], e.walkW[p]
-				js, out := ix.Row(s, p, i)
-				rowScored += len(js)
-				for k, j := range js {
-					rowR[j] += rw * out[k].Resem
-					rowW[j] += ww * out[k].WalkAB
-					m.W[j][i] += ww * out[k].WalkBA
-				}
-			}
-			// Mirror the symmetric resemblance; each (j,i) cell below the
-			// diagonal is written by exactly one row worker.
-			for j := i + 1; j < n; j++ {
-				m.R[j][i] = rowR[j]
-			}
-			scored.Add(int64(rowScored))
-			return nil
-		})
-		if err != nil {
-			return cluster.Matrix{}, st.end(0, err)
 		}
+		s := e.ext.BatchScratch()
+		defer e.ext.PutBatchScratch(s)
+		rowR, rowW := m.R[i], m.W[i]
+		var rowScored int
+		// Per path, the partners sharing a neighbor tuple with i;
+		// contributions accumulate into the row in ascending path order —
+		// the same order (and therefore the same floats) as the per-pair
+		// loop. A partner sharing nothing would add an exact zero to a
+		// cell that is never -0, which leaves it unchanged, so it is
+		// skipped.
+		for p := range e.paths {
+			if !e.pathUsed(p) {
+				continue
+			}
+			rw, ww := e.resemW[p], e.walkW[p]
+			js, out := ix.Row(s, p, i)
+			rowScored += len(js)
+			for k, j := range js {
+				rowR[j] += rw * out[k].Resem
+				rowW[j] += ww * out[k].WalkAB
+				m.W[j][i] += ww * out[k].WalkBA
+			}
+		}
+		// Mirror the symmetric resemblance; each (j,i) cell below the
+		// diagonal is written by exactly one row worker.
+		for j := i + 1; j < n; j++ {
+			m.R[j][i] = rowR[j]
+		}
+		scored.Add(int64(rowScored))
+		return nil
+	})
+	if err != nil {
+		return cluster.Matrix{}, st.end(0, err)
 	}
 	if every := st.sp.Trace().SamplePairEvery(); every > 0 {
 		e.samplePairs(st.sp, refs, m, every)

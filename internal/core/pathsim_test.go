@@ -2,10 +2,11 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"distinct/internal/cluster"
+	"distinct/internal/obs"
+	"distinct/internal/reldb"
 )
 
 func TestPathSimilaritiesAndCombine(t *testing.T) {
@@ -35,16 +36,17 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 			}
 		}
 	}
-	// Combine under the engine's weights reproduces Similarities.
+	// Combine under the engine's weights reproduces Similarities bit for
+	// bit: both accumulate per-path contributions in ascending path order.
 	rw, ww := e.Weights()
 	got := Combine(pm, rw, ww)
 	want := e.Similarities(refs)
 	for i := range refs {
 		for j := range refs {
-			if math.Abs(got.R[i][j]-want.R[i][j]) > 1e-12 {
+			if got.R[i][j] != want.R[i][j] {
 				t.Fatalf("Combine R[%d][%d] = %v, Similarities %v", i, j, got.R[i][j], want.R[i][j])
 			}
-			if math.Abs(got.W[i][j]-want.W[i][j]) > 1e-12 {
+			if got.W[i][j] != want.W[i][j] {
 				t.Fatalf("Combine W[%d][%d] = %v, Similarities %v", i, j, got.W[i][j], want.W[i][j])
 			}
 		}
@@ -62,6 +64,53 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 	// Empty matrices.
 	if (&PathMatrices{}).NumRefs() != 0 {
 		t.Error("empty PathMatrices NumRefs != 0")
+	}
+}
+
+// TestPairsScoredSameForPathSimsAndSimilarities: sim.pairs_scored counts
+// the kernel's results on weighted paths only, whether they come from
+// similarities' row pass or from PathSimilaritiesCtx, which fills every
+// path; a repeated pass counts again.
+func TestPairsScoredSameForPathSimsAndSimilarities(t *testing.T) {
+	w := testWorld(t)
+	// scored reports what each of two passes of run over "Wei Wang" adds
+	// to sim.pairs_scored.
+	scored := func(halfWeighted bool, run func(*Engine, []reldb.TupleID)) (first, second int64) {
+		reg := obs.NewRegistry()
+		c := engineConfig(w, false)
+		c.Obs = reg
+		e, err := NewEngineCtx(context.Background(), w.DB, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if halfWeighted {
+			resem, walk := e.Weights()
+			for p := 0; p < len(resem); p += 2 {
+				resem[p], walk[p] = 0, 0
+			}
+			if err := e.SetWeights(resem, walk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refs := e.RefsForName("Wei Wang")
+		run(e, refs)
+		first = reg.Counter("sim.pairs_scored").Value()
+		run(e, refs)
+		return first, reg.Counter("sim.pairs_scored").Value() - first
+	}
+	sims := func(e *Engine, refs []reldb.TupleID) { e.Similarities(refs) }
+	pathSims := func(e *Engine, refs []reldb.TupleID) { mustPathSims(t, e, refs) }
+	all, _ := scored(false, sims)
+	half, halfAgain := scored(true, sims)
+	perPath, perPathAgain := scored(true, pathSims)
+	if half == 0 || half >= all {
+		t.Fatalf("half-weighted count %d, all-weighted %d: want 0 < half < all", half, all)
+	}
+	if perPath != half {
+		t.Fatalf("pairs_scored by PathSimilaritiesCtx = %d, by Similarities = %d", perPath, half)
+	}
+	if halfAgain != half || perPathAgain != half {
+		t.Fatalf("second pass added %d by Similarities, %d by PathSimilaritiesCtx; want %d each", halfAgain, perPathAgain, half)
 	}
 }
 

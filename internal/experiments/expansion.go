@@ -8,6 +8,7 @@ import (
 	"distinct/internal/core"
 	"distinct/internal/dblp"
 	"distinct/internal/eval"
+	"distinct/internal/reldb"
 	"distinct/internal/trainset"
 )
 
@@ -51,8 +52,6 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 			RefAttr:     dblp.ReferenceAttr,
 			SkipExpand:  cfg.skip,
 			Supervised:  cfg.supervised,
-			Measure:     cluster.Combined,
-			MinSim:      h.Opts.MinSim,
 			Train: trainset.Options{
 				NumPositive: h.Opts.TrainPositive,
 				NumNegative: h.Opts.TrainNegative,
@@ -63,29 +62,37 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: expansion ablation %q: %w", cfg.label, err)
 		}
-		// The grid sweep below re-evaluates the same per-name blocks at
-		// every threshold; with matrix reuse on, only the first pass pays
-		// for the per-path matrices.
-		engine.EnableMatrixReuse()
 		if cfg.supervised {
 			if _, err := engine.TrainCtx(ctx); err != nil {
 				return nil, err
 			}
 		}
-		names := h.World.AmbiguousNames()
+		// Each name's combined matrix depends on the weights only, not on
+		// the threshold, so it is computed once and cut at every grid point.
+		resemW, walkW := engine.Weights()
+		type block struct {
+			refs []reldb.TupleID
+			m    cluster.Matrix
+			gold eval.Clustering
+		}
+		var blocks []block
+		for _, name := range h.World.AmbiguousNames() {
+			refs := engine.RefsForName(name)
+			pm, err := engine.PathSimilaritiesCtx(ctx, refs)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: expansion ablation %q: %s: %w", cfg.label, name, err)
+			}
+			var gold eval.Clustering
+			for _, c := range h.World.GoldClusters(name) {
+				gold = append(gold, engine.MapRefs(c))
+			}
+			blocks = append(blocks, block{refs, core.Combine(pm, resemW, walkW), gold})
+		}
 		evalAt := func(minSim float64) (eval.Metrics, error) {
-			engine.SetMinSim(minSim)
-			ms := make([]eval.Metrics, len(names))
-			for i, name := range names {
-				pred, err := engine.DisambiguateNameCtx(ctx, name)
-				if err != nil {
-					return eval.Metrics{}, err
-				}
-				var gold eval.Clustering
-				for _, c := range h.World.GoldClusters(name) {
-					gold = append(gold, engine.MapRefs(c))
-				}
-				m, err := eval.Evaluate(eval.Clustering(pred), gold)
+			ms := make([]eval.Metrics, len(blocks))
+			for i, b := range blocks {
+				pred := core.ClusterMatrix(b.refs, b.m, cluster.Combined, minSim)
+				m, err := eval.Evaluate(eval.Clustering(pred), b.gold)
 				if err != nil {
 					return eval.Metrics{}, err
 				}

@@ -107,8 +107,9 @@ type Harness struct {
 	trainReport *core.TrainReport
 
 	// cached per ambiguous name
-	refs map[string][]reldb.TupleID // expanded-DB reference IDs
-	gold map[string]eval.Clustering // expanded-DB gold clusters
+	refs map[string][]reldb.TupleID    // expanded-DB reference IDs
+	gold map[string]eval.Clustering    // expanded-DB gold clusters
+	sims map[string]*core.PathMatrices // filled by PathSims
 }
 
 // NewHarness generates the world and builds the engine (untrained).
@@ -145,18 +146,13 @@ func NewHarnessWorld(world *dblp.World, opts Options) (*Harness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building engine: %w", err)
 	}
-	// The variant sweeps (Figure 4, min-sim grids) re-cluster the same
-	// per-name blocks under many weightings; the engine's matrix cache makes
-	// every pass after the first a cheap Combine instead of an all-pairs
-	// kernel run, bounded by an LRU byte budget instead of the old
-	// unbounded per-name map.
-	engine.EnableMatrixReuse()
 	h := &Harness{
 		Opts:   opts,
 		World:  world,
 		engine: engine,
 		refs:   make(map[string][]reldb.TupleID),
 		gold:   make(map[string]eval.Clustering),
+		sims:   make(map[string]*core.PathMatrices),
 	}
 	for _, name := range world.AmbiguousNames() {
 		h.refs[name] = engine.MapRefs(world.Refs(name))
@@ -185,11 +181,18 @@ func (h *Harness) Train() (*core.TrainReport, error) {
 	return rep, nil
 }
 
-// PathSims returns the per-path similarity matrices of a name, cached in
-// the engine's matrix-reuse layer (keyed on the reference list and the
-// database version, LRU-bounded). Opts.NameTimeout, when set, budgets the
-// computation; Opts.Ctx cancels it.
+// PathSims returns the per-path similarity matrices of a name, computed on
+// first use and kept for the harness's lifetime: the variant sweeps
+// (Figure 4, the ablation, min-sim grids) re-combine the same per-name
+// matrices under many weightings and thresholds, so every pass after the
+// first is a cheap Combine instead of an all-pairs kernel run. On the
+// default world the ten names' matrices take about 41 MiB. Opts.NameTimeout,
+// when set, budgets the computation; Opts.Ctx cancels it. A failed or
+// timed-out computation is not kept.
 func (h *Harness) PathSims(name string) (*core.PathMatrices, error) {
+	if pm, ok := h.sims[name]; ok {
+		return pm, nil
+	}
 	ctx := h.Opts.ctx()
 	if h.Opts.NameTimeout > 0 {
 		var cancel context.CancelFunc
@@ -200,6 +203,7 @@ func (h *Harness) PathSims(name string) (*core.PathMatrices, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: path similarities of %q: %w", name, err)
 	}
+	h.sims[name] = pm
 	return pm, nil
 }
 

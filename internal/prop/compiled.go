@@ -114,35 +114,8 @@ type CompiledTrie struct {
 // only stops the speculative warm-up — assembly compiles whatever the
 // warm-up skipped, so the returned trie is always complete and correct.
 func CompileTrieCtx(ctx context.Context, db *reldb.Database, t *Trie, workers int) *CompiledTrie {
-	warmHops(ctx, distinctHops(db, t), workers, db.HopFor)
-	return compileTrie(db, t, db.HopFor)
-}
-
-// CompileTrieUncached is CompileTrieCtx bypassing the database's plan cache:
-// every hop is compiled fresh. It exists so compilation cost itself can be
-// measured (BenchmarkPlanCompile) and tested without cache warm-up effects.
-//
-// Like the cached path, each distinct (source relation, step) hop is
-// compiled exactly once per call — that is what an engine open through
-// Database.HopFor costs — and the distinct compiles run on GOMAXPROCS
-// workers when more than one is available.
-func CompileTrieUncached(db *reldb.Database, t *Trie) *CompiledTrie {
-	hops := distinctHops(db, t)
-	plans := make([]*reldb.HopCSR, len(hops))
-	fault.Rethrow(fault.ParallelFor(context.Background(), len(hops), 0, func(i int) error {
-		plans[i] = reldb.CompileHop(db, hops[i].from, hops[i].step)
-		return nil
-	}))
-	index := make(map[hopIdent]*reldb.HopCSR, len(hops))
-	for i, id := range hops {
-		index[id] = plans[i]
-	}
-	return compileTrie(db, t, func(from string, st reldb.Step) *reldb.HopCSR {
-		if hop, ok := index[hopIdent{from: from, step: st}]; ok {
-			return hop
-		}
-		return reldb.CompileHop(db, from, st)
-	})
+	warmHops(ctx, db, distinctHops(db, t), workers)
+	return compileTrie(db, t)
 }
 
 // hopIdent identifies one distinct hop plan: a step applied from a source
@@ -173,21 +146,21 @@ func distinctHops(db *reldb.Database, t *Trie) []hopIdent {
 	return hops
 }
 
-// warmHops compiles the given hops through hopFor on `workers` goroutines
-// (0 means GOMAXPROCS), each hop exactly once, observing ctx between hops,
-// so the latency to abort is bounded by one hop compile. Its error is
-// dropped on purpose: a context end only means the caller's serial assembly
-// compiles the rest, and a hop that panicked here panics again on the
-// caller's goroutine when the assembly requests it (the plan cache replays
-// a compile's panic).
-func warmHops(ctx context.Context, hops []hopIdent, workers int, hopFor func(string, reldb.Step) *reldb.HopCSR) {
+// warmHops compiles the given hops into db's plan cache on `workers`
+// goroutines (0 means GOMAXPROCS), each hop exactly once, observing ctx
+// between hops, so the latency to abort is bounded by one hop compile. Its
+// error is dropped on purpose: a context end only means the caller's serial
+// assembly compiles the rest, and a hop that panicked here panics again on
+// the caller's goroutine when the assembly requests it (the plan cache
+// replays a compile's panic).
+func warmHops(ctx context.Context, db *reldb.Database, hops []hopIdent, workers int) {
 	_ = fault.ParallelFor(ctx, len(hops), workers, func(i int) error {
-		hopFor(hops[i].from, hops[i].step)
+		db.HopFor(hops[i].from, hops[i].step)
 		return nil
 	})
 }
 
-func compileTrie(db *reldb.Database, t *Trie, hopFor func(string, reldb.Step) *reldb.HopCSR) *CompiledTrie {
+func compileTrie(db *reldb.Database, t *Trie) *CompiledTrie {
 	ct := &CompiledTrie{db: db, paths: t.paths}
 	type pairKey struct{ parent, child *reldb.HopCSR }
 	seen := make(map[hopIdent]bool)
@@ -195,7 +168,7 @@ func compileTrie(db *reldb.Database, t *Trie, hopFor func(string, reldb.Step) *r
 	var build func(tn *trieNode, parent *reldb.HopCSR, depth int) int32
 	build = func(tn *trieNode, parent *reldb.HopCSR, depth int) int32 {
 		from := tn.step.From(db.Schema)
-		hop := hopFor(from, tn.step)
+		hop := db.HopFor(from, tn.step)
 		if id := (hopIdent{from: from, step: tn.step}); !seen[id] {
 			seen[id] = true
 			ct.statHops++

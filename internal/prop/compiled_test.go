@@ -117,28 +117,24 @@ func diffSparse(a, b SparseNeighborhood) float64 {
 	return d
 }
 
-// checkCompiledAgainstDFS compiles the trie both ways (shared plan cache
-// and uncached) and holds every path's compiled neighborhood within tol of
-// the DFS oracle for each given start tuple.
+// checkCompiledAgainstDFS compiles the trie and holds every path's
+// compiled neighborhood within tol of the DFS oracle for each given start
+// tuple.
 func checkCompiledAgainstDFS(t *testing.T, tag string, db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID, tol float64) {
 	t.Helper()
 	trie := NewTrie(paths)
-	for variant, ct := range map[string]*CompiledTrie{
-		"cached":   compile(db, trie),
-		"uncached": CompileTrieUncached(db, trie),
-	} {
-		scratch := ct.NewScratch()
-		for _, id := range starts {
-			want := propagateOracle(db, id, trie)
-			got := ct.Propagate(id, scratch)
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d neighborhoods, want %d", tag, variant, len(got), len(want))
-			}
-			for pi := range want {
-				if d := diffSparse(got[pi], want[pi]); d > tol {
-					t.Fatalf("%s/%s: start %d path %s diverges by %g:\n got %+v\nwant %+v",
-						tag, variant, id, paths[pi], d, got[pi], want[pi])
-				}
+	ct := compile(db, trie)
+	scratch := ct.NewScratch()
+	for _, id := range starts {
+		want := propagateOracle(db, id, trie)
+		got := ct.Propagate(id, scratch)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d neighborhoods, want %d", tag, len(got), len(want))
+		}
+		for pi := range want {
+			if d := diffSparse(got[pi], want[pi]); d > tol {
+				t.Fatalf("%s: start %d path %s diverges by %g:\n got %+v\nwant %+v",
+					tag, id, paths[pi], d, got[pi], want[pi])
 			}
 		}
 	}
@@ -237,10 +233,10 @@ func TestCompiledMatchesDFSWideFanOut(t *testing.T) {
 	}
 }
 
-// FuzzCompiledPropagation holds the compiled engine, cached and uncached,
-// to the DFS oracle on fuzzer-seeded random worlds: DAG schemas from
-// randomSchemaWorld, or cyclicRandomWorld's schemas with cycles and
-// self-loops (cyclic) and dangling foreign keys (dangling).
+// FuzzCompiledPropagation holds the compiled engine to the DFS oracle on
+// fuzzer-seeded random worlds: DAG schemas from randomSchemaWorld, or
+// cyclicRandomWorld's schemas with cycles and self-loops (cyclic) and
+// dangling foreign keys (dangling).
 func FuzzCompiledPropagation(f *testing.F) {
 	f.Add(int64(0), false, false)
 	f.Add(int64(1), true, false)

@@ -61,8 +61,8 @@ type Database struct {
 	hopPlans    map[hopKey]*hopEntry
 	hopCompiles atomic.Int64
 
-	// version counts mutations; derived caches (compiled plans, similarity
-	// matrices) key on it so stale entries can never be observed.
+	// version counts mutations. Its only reader is the serve result cache
+	// (through serve.EngineBackend.Version), which keys entries on it.
 	version atomic.Int64
 
 	// testHookBeforeVersionBump, when non-nil, runs inside Insert after the
@@ -73,9 +73,9 @@ type Database struct {
 }
 
 // Version returns the database's mutation counter: zero for a fresh
-// database, incremented by every Insert. Caches derived from the contents
-// (compiled hop plans, per-block similarity matrices) store the version
-// they were computed at and treat a mismatch as an invalidation.
+// database, incremented by every Insert and Bump. The serve result cache,
+// through serve.EngineBackend.Version, is its only reader: it stores the
+// version each result was computed at and treats a mismatch as stale.
 func (db *Database) Version() int64 { return db.version.Load() }
 
 // NewDatabase creates an empty database over the given schema.
@@ -131,10 +131,11 @@ func (db *Database) Insert(relation string, vals ...Value) (TupleID, error) {
 		idx[vals[fi]] = append(idx[vals[fi]], id)
 	}
 	// Ordering matters: plans must be invalidated BEFORE the version bump.
-	// Version-keyed caches (the serve result cache, the matrix-reuse cache)
-	// read the version first and probe second, so a reader that observes the
-	// new version took its planMu-synchronized probe after this invalidation
-	// and can only see plans compiled from post-insert data. With the bump
+	// The version's only reader, the serve result cache (through
+	// serve.EngineBackend.Version), reads the version first and probes
+	// second, so a reader that observes the new version took its
+	// planMu-synchronized probe after this invalidation and can only see
+	// plans compiled from post-insert data. With the bump
 	// first there is a window where a reader observes the new version yet
 	// still pulls a stale compiled plan — and then caches results computed
 	// against the old contents under the new version, serving them as fresh
@@ -149,8 +150,8 @@ func (db *Database) Insert(relation string, vals ...Value) (TupleID, error) {
 
 // Bump records a synthetic mutation: compiled hop plans are invalidated and
 // the version is bumped without any data change. Overload drills use it to
-// exercise version-keyed caches (stale-while-revalidate, matrix reuse) at a
-// controlled cadence without crafting schema-correct tuples. The ordering
+// exercise the version-keyed serve result cache (stale-while-revalidate) at
+// a controlled cadence without crafting schema-correct tuples. The ordering
 // mirrors Insert — invalidate BEFORE the bump — so the version/invalidation
 // contract version-keyed readers rely on holds here too. Returns the new
 // version.

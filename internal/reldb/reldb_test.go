@@ -440,8 +440,8 @@ func TestStats(t *testing.T) {
 }
 
 // TestDatabaseVersion: the mutation counter starts at zero and bumps on
-// every insert — it is the invalidation key for derived caches (the
-// engine's matrix-reuse layer keys per-block matrices on it).
+// every insert — it is the invalidation key of the serve result cache, its
+// only reader (through serve.EngineBackend.Version).
 func TestDatabaseVersion(t *testing.T) {
 	db := NewDatabase(dblpSchema(t))
 	if got := db.Version(); got != 0 {

@@ -1,8 +1,7 @@
-// Regression tests for the Insert ordering contract behind every
-// version-keyed cache (the serve result cache, core's matrix-reuse cache):
-// plans are invalidated BEFORE the version bump, so any reader that observes
-// the new version and then probes the plan cache can only get plans compiled
-// from post-insert data. The window is only observable between two
+// Regression tests for the Insert ordering contract behind the
+// version-keyed serve result cache: plans are invalidated BEFORE the
+// version bump, so any reader that observes the new version and then probes
+// the plan cache can only get plans compiled from post-insert data. The window is only observable between two
 // statements inside Insert, so the test uses the white-box
 // testHookBeforeVersionBump seam (the TestingKnobs pattern) to stand exactly
 // inside it.
