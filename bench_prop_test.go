@@ -12,11 +12,14 @@ import (
 	"distinct/internal/dblp"
 	"distinct/internal/prop"
 	"distinct/internal/reldb"
+	"distinct/internal/sim"
 )
 
 // BenchmarkPropagate times one full multi-path propagation — every join
 // path of the engine, one "Wei Wang" reference per iteration — on the
-// compiled CSR frontier engine.
+// compiled CSR frontier engine ("csr"), and a prefetch of every reference
+// on a fresh extractor per iteration ("prefetch"): the sweep's shape, where
+// co-author references borrow each paper's shared neighborhoods.
 func BenchmarkPropagate(b *testing.B) {
 	e, _ := benchEngine(b)
 	refs := e.RefsForName("Wei Wang")
@@ -28,8 +31,23 @@ func BenchmarkPropagate(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := ct.Propagate(refs[i%len(refs)], s); len(got) == 0 {
+			if got := ct.Propagate(refs[i%len(refs)], s, nil); len(got) == 0 {
 				b.Fatal("empty propagation")
+			}
+		}
+	})
+	b.Run("prefetch", func(b *testing.B) {
+		all := e.DB().Relation(dblp.ReferenceRelation).TupleIDs()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			x := sim.NewExtractor(e.DB(), e.Paths())
+			x.CompilePlansCtx(context.Background())
+			b.StartTimer()
+			x.Prefetch(all, 0)
+			if x.CacheSize() != len(all) {
+				b.Fatalf("prefetched %d of %d references", x.CacheSize(), len(all))
 			}
 		}
 	})

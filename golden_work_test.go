@@ -5,7 +5,7 @@
 // depend on the machine: plan size, the (pair, path) results the
 // similarity kernel scores, clustering merges and stale heap pops, the
 // training-set size, a hash of every group, and the number of neighborhood
-// entries propagation emits. A change that does more, less or different
+// entries propagation emits with a hash of every one of them. A change that does more, less or different
 // work fails here until the golden is regenerated with
 //
 //	go test -run TestGoldenWork -update
@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -38,11 +39,14 @@ type goldenWork struct {
 	Work                map[string]int64 `json:"work"`
 	GroupsHash          string           `json:"groups_hash"`
 	NeighborhoodEntries int64            `json:"neighborhood_entries"`
+	// NeighborhoodsHash is an FNV hash over every reference's every path:
+	// each key and the exact bits of its Fwd and Bwd, then SumFwd's bits.
+	NeighborhoodsHash string `json:"neighborhoods_hash"`
 }
 
 // workCounters are the exact registry counters the golden pins.
 var workCounters = []string{
-	"prop.csr_hops", "prop.csr_edges", "sim.pairs_scored",
+	"prop.csr_hops", "prop.csr_edges", "sim.pairs_scored", "sim.prefetch_shared",
 	"cluster.runs", "cluster.merges", "cluster.heap_stale_pops", "cluster.pruned_below_minsim",
 }
 
@@ -105,20 +109,33 @@ func goldenWorkRun(t *testing.T) goldenWork {
 	}
 	got.GroupsHash = fmt.Sprintf("%016x", h.Sum64())
 
-	// Every reference's neighborhoods, counted on fresh extractors of a
-	// few thousand references each, so the count never holds more than a
-	// slice of the database's neighborhoods at once.
+	// Every reference's neighborhoods, counted and hashed on fresh
+	// extractors of a few thousand references each, so the check never
+	// holds more than a slice of the database's neighborhoods at once.
 	db, paths := eng.DB(), eng.Paths()
 	refs := db.Relation(dblp.ReferenceRelation).TupleIDs()
+	nh := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		nh.Write(buf[:])
+	}
 	const chunk = 2048
 	for lo := 0; lo < len(refs); lo += chunk {
 		x := sim.NewExtractor(db, paths)
 		for _, r := range refs[lo:min(lo+chunk, len(refs))] {
 			for _, nb := range x.Neighborhoods(r) {
 				got.NeighborhoodEntries += int64(len(nb.Keys))
+				for i, k := range nb.Keys {
+					word(uint64(k))
+					word(math.Float64bits(nb.FBs[i].Fwd))
+					word(math.Float64bits(nb.FBs[i].Bwd))
+				}
+				word(math.Float64bits(nb.SumFwd))
 			}
 		}
 	}
+	got.NeighborhoodsHash = fmt.Sprintf("%016x", nh.Sum64())
 	return got
 }
 
@@ -170,5 +187,8 @@ func TestGoldenWork(t *testing.T) {
 	}
 	if got.NeighborhoodEntries != want.NeighborhoodEntries {
 		t.Errorf("neighborhood entries = %d, want %d", got.NeighborhoodEntries, want.NeighborhoodEntries)
+	}
+	if got.NeighborhoodsHash != want.NeighborhoodsHash {
+		t.Errorf("neighborhoods hash = %s, want %s", got.NeighborhoodsHash, want.NeighborhoodsHash)
 	}
 }

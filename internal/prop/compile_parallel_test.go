@@ -52,7 +52,7 @@ func TestCompileTrieCtxWorkersEquivalence(t *testing.T) {
 		}
 		ps, ss := par.NewScratch(), ser.NewScratch()
 		for _, id := range starts {
-			got, want := par.Propagate(id, ps), ser.Propagate(id, ss)
+			got, want := par.Propagate(id, ps, nil), ser.Propagate(id, ss, nil)
 			for pi := range want {
 				if diffSparse(got[pi], want[pi]) != 0 {
 					t.Fatalf("seed %d: start %d path %s: parallel compile diverges from serial",
@@ -104,7 +104,7 @@ func TestCompileTrieCtxCancelled(t *testing.T) {
 	}
 	gs, ws := got.NewScratch(), want.NewScratch()
 	for _, id := range starts {
-		g, w := got.Propagate(id, gs), want.Propagate(id, ws)
+		g, w := got.Propagate(id, gs, nil), want.Propagate(id, ws, nil)
 		for pi := range w {
 			if diffSparse(g[pi], w[pi]) != 0 {
 				t.Fatalf("start %d path %s: cancelled-compile trie diverges", id, paths[pi])

@@ -73,6 +73,20 @@ import (
 // reference into one []TupleID and one []FB; each path's neighborhood is a
 // capacity-capped window of those two arrays, so a propagation allocates
 // the result slice plus two backing arrays, whatever the number of paths.
+//
+// # Shared first-hop subtrees
+//
+// When the trie has a single root hop and the start's row in it holds
+// exactly one edge (in DBLP: a reference's hop to its paper), the depth-1
+// frontier is that edge's target v with F = 1 and B = 1/rev(v), the same
+// floats for every start that reaches v. A child that does not mirror the
+// root hop (backRef == nil) reads only that frontier, never the per-edge
+// masses that carry the start's identity, so its whole subtree performs the
+// same float operations in the same order for every such start. Those
+// paths, plus the root's own terminals, are the trie's shared paths.
+// Propagate given a donor — the result of an earlier start with the same
+// ShareKey — skips their subtrees and borrows the donor's windows for them,
+// bit-identical to walking them again.
 
 // ctNode is one compiled trie node.
 type ctNode struct {
@@ -97,6 +111,9 @@ type CompiledTrie struct {
 	paths []reldb.JoinPath
 	nodes []ctNode
 	roots []int32
+	// shared lists the paths a donor supplies (see ShareKey); nil unless
+	// the trie has exactly one root hop.
+	shared []int32
 
 	maxDepth int
 	posLen   []int // per depth: ordinal-index size (max target relation size)
@@ -218,7 +235,25 @@ func compileTrie(db *reldb.Database, t *Trie) *CompiledTrie {
 	for _, c := range t.root.children {
 		ct.roots = append(ct.roots, build(c, nil, 1))
 	}
+	if len(ct.roots) == 1 {
+		root := &ct.nodes[ct.roots[0]]
+		ct.shared = slices.Clone(root.terminal)
+		for _, ci := range root.children {
+			if ct.nodes[ci].backRef == nil {
+				ct.shared = ct.appendTerminals(ct.shared, ci)
+			}
+		}
+	}
 	return ct
+}
+
+// appendTerminals appends the path indexes ending in node ni's subtree.
+func (ct *CompiledTrie) appendTerminals(dst []int32, ni int32) []int32 {
+	dst = append(dst, ct.nodes[ni].terminal...)
+	for _, ci := range ct.nodes[ni].children {
+		dst = ct.appendTerminals(dst, ci)
+	}
+	return dst
 }
 
 func growMax(s []int, idx, val int) []int {
@@ -296,6 +331,31 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 	return s
 }
 
+// ShareKey returns the tuple start reaches over the trie's root hop, the
+// key under which starts share their shared paths' neighborhoods. It
+// returns -1 (reldb.InvalidTuple) when the trie has several root hops,
+// when start is not a tuple of the root hop's relation, or when start's row
+// does not hold exactly one edge.
+func (ct *CompiledTrie) ShareKey(start reldb.TupleID) reldb.TupleID {
+	if start < 0 || int(start) >= ct.db.NumTuples() {
+		return reldb.InvalidTuple
+	}
+	rel := ct.db.Tuple(start).Rel.Name
+	return ct.shareKey(rel, ct.db.Relation(rel).OrdinalOf(start))
+}
+
+// shareKey is ShareKey for the start at ordinal ord of relation rel.
+func (ct *CompiledTrie) shareKey(rel string, ord int) reldb.TupleID {
+	if ct.shared == nil || ord < 0 {
+		return reldb.InvalidTuple
+	}
+	hop := ct.nodes[ct.roots[0]].hop
+	if rel != hop.FromRel || hop.RowPtr[ord+1]-hop.RowPtr[ord] != 1 {
+		return reldb.InvalidTuple
+	}
+	return hop.ToIDs[hop.Col[hop.RowPtr[ord]]]
+}
+
 // Propagate computes the neighborhoods of start along every path of the
 // trie, equivalent to the depth-first definition within 1e-12. s must come
 // from this trie's NewScratch (nil allocates a throwaway one). The result
@@ -303,7 +363,13 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 // a capacity-capped window of two arrays shared by the whole result, so
 // appending to one never writes into another — and the scratch may be
 // reused for the next call immediately.
-func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch) []SparseNeighborhood {
+//
+// donor is optional: the result of an earlier start with the same ShareKey
+// as start. With a donor the walk skips the shared paths' subtrees and the
+// result borrows the donor's neighborhoods for those paths, bit-identical
+// to propagating them afresh. A donor for a start whose ShareKey is -1 is
+// ignored.
+func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch, donor []SparseNeighborhood) []SparseNeighborhood {
 	out := make([]SparseNeighborhood, len(ct.paths))
 	if len(ct.roots) == 0 {
 		return out
@@ -312,6 +378,9 @@ func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch) []SparseNeigh
 	ord := ct.db.Relation(startRel).OrdinalOf(start)
 	if ord < 0 {
 		return out
+	}
+	if donor != nil && ct.shareKey(startRel, ord) < 0 {
+		donor = nil
 	}
 	if s == nil {
 		s = ct.NewScratch()
@@ -326,7 +395,7 @@ func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch) []SparseNeigh
 		if ct.nodes[ri].hop.FromRel != startRel {
 			continue
 		}
-		ct.run(ri, startRel, s)
+		ct.run(ri, startRel, s, donor != nil)
 	}
 	keys, fbs := slices.Clone(s.keys), slices.Clone(s.fbs)
 	for pi, sp := range s.spans {
@@ -338,13 +407,19 @@ func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch) []SparseNeigh
 			}
 		}
 	}
+	if donor != nil {
+		for _, pi := range ct.shared {
+			out[pi] = donor[pi]
+		}
+	}
 	return out
 }
 
 // run advances the parent frontier across one trie node's hop, emits
 // terminal neighborhoods onto the scratch, recurses into children, and
-// restores the scratch state it used.
-func (ct *CompiledTrie) run(ni int32, startRel string, s *Scratch) {
+// restores the scratch state it used. borrow (root only) skips the shared
+// paths: the node's own terminals and every child that does not bounce.
+func (ct *CompiledTrie) run(ni int32, startRel string, s *Scratch, borrow bool) {
 	nd := &ct.nodes[ni]
 	hop := nd.hop
 	in := &s.levels[nd.depth-1]
@@ -425,7 +500,7 @@ func (ct *CompiledTrie) run(ni int32, startRel string, s *Scratch) {
 		// the edge buffer holds anything but -1s and zeroes.
 		return
 	}
-	if len(nd.terminal) > 0 {
+	if len(nd.terminal) > 0 && !borrow {
 		var sp span
 		built := false
 		for _, pi := range nd.terminal {
@@ -440,10 +515,10 @@ func (ct *CompiledTrie) run(ni int32, startRel string, s *Scratch) {
 		}
 	}
 	for _, ci := range nd.children {
-		if ct.nodes[ci].dead {
+		if c := &ct.nodes[ci]; c.dead || borrow && c.backRef == nil {
 			continue
 		}
-		ct.run(ci, startRel, s)
+		ct.run(ci, startRel, s, false)
 	}
 	// Restore for the next sibling subtree: pos back to -1 and, if children
 	// read per-edge masses, those entries back to zero.

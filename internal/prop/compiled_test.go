@@ -117,27 +117,70 @@ func diffSparse(a, b SparseNeighborhood) float64 {
 	return d
 }
 
+// sameBits reports whether two neighborhoods hold the same keys and the
+// same bits in every mass and in SumFwd.
+func sameBits(a, b SparseNeighborhood) bool {
+	if !slices.Equal(a.Keys, b.Keys) || len(a.FBs) != len(b.FBs) ||
+		math.Float64bits(a.SumFwd) != math.Float64bits(b.SumFwd) {
+		return false
+	}
+	for i, fb := range a.FBs {
+		if math.Float64bits(fb.Fwd) != math.Float64bits(b.FBs[i].Fwd) ||
+			math.Float64bits(fb.Bwd) != math.Float64bits(b.FBs[i].Bwd) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkCompiledAgainstDFS compiles the trie and holds every path's
 // compiled neighborhood within tol of the DFS oracle for each given start
-// tuple.
-func checkCompiledAgainstDFS(t *testing.T, tag string, db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID, tol float64) {
+// tuple. Every start whose ShareKey an earlier start already had is then
+// propagated again with that start's result as its donor, and held to the
+// oracle within tol and to its donor-free result bit for bit. It returns
+// the number of such donor-taking starts.
+func checkCompiledAgainstDFS(t *testing.T, tag string, db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID, tol float64) (shared int) {
 	t.Helper()
 	trie := NewTrie(paths)
 	ct := compile(db, trie)
 	scratch := ct.NewScratch()
-	for _, id := range starts {
-		want := propagateOracle(db, id, trie)
-		got := ct.Propagate(id, scratch)
+	donors := make(map[reldb.TupleID][]SparseNeighborhood)
+	check := func(id reldb.TupleID, got, want []SparseNeighborhood, how string) {
+		t.Helper()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d neighborhoods, want %d", tag, len(got), len(want))
+			t.Fatalf("%s: %d neighborhoods %s, want %d", tag, len(got), how, len(want))
 		}
 		for pi := range want {
 			if d := diffSparse(got[pi], want[pi]); d > tol {
-				t.Fatalf("%s: start %d path %s diverges by %g:\n got %+v\nwant %+v",
-					tag, id, paths[pi], d, got[pi], want[pi])
+				t.Fatalf("%s: start %d path %s diverges by %g %s:\n got %+v\nwant %+v",
+					tag, id, paths[pi], d, how, got[pi], want[pi])
 			}
 		}
 	}
+	for _, id := range starts {
+		want := propagateOracle(db, id, trie)
+		got := ct.Propagate(id, scratch, nil)
+		check(id, got, want, "")
+		k := ct.ShareKey(id)
+		if k < 0 {
+			continue
+		}
+		donor, ok := donors[k]
+		if !ok {
+			donors[k] = got
+			continue
+		}
+		shared++
+		borrowed := ct.Propagate(id, scratch, donor)
+		check(id, borrowed, want, "with a donor")
+		for pi := range got {
+			if !sameBits(borrowed[pi], got[pi]) {
+				t.Fatalf("%s: start %d path %s with a donor is not bit-identical:\n got %+v\nwant %+v",
+					tag, id, paths[pi], borrowed[pi], got[pi])
+			}
+		}
+	}
+	return shared
 }
 
 // TestCompiledMatchesDFSPaper pins the compiled engine to the paper's
@@ -156,7 +199,9 @@ func TestCompiledMatchesDFSPaper(t *testing.T) {
 	for _, id := range refs {
 		starts = append(starts, id)
 	}
-	checkCompiledAgainstDFS(t, "paper", db, paths, starts, 1e-12)
+	if checkCompiledAgainstDFS(t, "paper", db, paths, starts, 1e-12) == 0 {
+		t.Error("no start borrowed from a co-author's donor")
+	}
 
 	// And the hand-computed values directly: from wei@p1 the only coauthor
 	// is jiong (forward 1, backward 1/4).
@@ -190,7 +235,7 @@ func TestCompiledWrongStartAndEmptyPath(t *testing.T) {
 	db, _ := miniDB(t)
 	author := db.LookupKey("Authors", "wei")
 	ct := compile(db, NewTrie([]reldb.JoinPath{coauthorPath()}))
-	if got := ct.Propagate(author, nil); len(got[0].Keys) != 0 {
+	if got := ct.Propagate(author, nil, nil); len(got[0].Keys) != 0 {
 		t.Errorf("wrong-relation start produced %+v", got[0])
 	}
 	ref := db.Relation("Publish").TupleIDs()[0]
@@ -199,23 +244,35 @@ func TestCompiledWrongStartAndEmptyPath(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesDFSRandomDAG sweeps the existing DAG generator.
+// TestCompiledMatchesDFSRandomDAG sweeps the existing DAG generator; some
+// start must take a donor.
 func TestCompiledMatchesDFSRandomDAG(t *testing.T) {
+	shared := 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := randomSchemaWorld(rng)
-		checkRandomWorld(t, fmt.Sprintf("dag-%d", seed), db)
+		_, n := checkRandomWorld(t, fmt.Sprintf("dag-%d", seed), db)
+		shared += n
+	}
+	if shared == 0 {
+		t.Error("no start took a donor")
 	}
 }
 
 // TestCompiledMatchesDFSRandomCyclic sweeps cyclic schemas (self-loops
-// included) with and without dangling foreign keys.
+// included) with and without dangling foreign keys; some start must take
+// a donor.
 func TestCompiledMatchesDFSRandomCyclic(t *testing.T) {
+	shared := 0
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		opts := cyclicWorldOpts{cyclic: true, dangling: seed%2 == 1}
 		db := cyclicRandomWorld(rng, opts)
-		checkRandomWorld(t, fmt.Sprintf("cyclic-%d", seed), db)
+		_, n := checkRandomWorld(t, fmt.Sprintf("cyclic-%d", seed), db)
+		shared += n
+	}
+	if shared == 0 {
+		t.Error("no start took a donor")
 	}
 }
 
@@ -227,7 +284,7 @@ func TestCompiledMatchesDFSWideFanOut(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		db := cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: seed%3 != 0, dangling: seed%2 == 1, wide: true})
-		if !checkRandomWorld(t, fmt.Sprintf("wide-%d", seed), db) {
+		if bitmap, _ := checkRandomWorld(t, fmt.Sprintf("wide-%d", seed), db); !bitmap {
 			t.Errorf("wide-%d: no emitted neighborhood takes the bitmap scan", seed)
 		}
 	}
@@ -236,7 +293,8 @@ func TestCompiledMatchesDFSWideFanOut(t *testing.T) {
 // FuzzCompiledPropagation holds the compiled engine to the DFS oracle on
 // fuzzer-seeded random worlds: DAG schemas from randomSchemaWorld, or
 // cyclicRandomWorld's schemas with cycles and self-loops (cyclic) and
-// dangling foreign keys (dangling).
+// dangling foreign keys (dangling). Starts that share a ShareKey are
+// propagated again with a donor (see checkCompiledAgainstDFS).
 func FuzzCompiledPropagation(f *testing.F) {
 	f.Add(int64(0), false, false)
 	f.Add(int64(1), true, false)
@@ -257,8 +315,8 @@ func FuzzCompiledPropagation(f *testing.F) {
 // checkRandomWorld enumerates join paths from every FK-bearing relation of
 // a random world and checks compiled/DFS equivalence from a few starts. It
 // reports whether some checked neighborhood was dense enough for the
-// emission's bitmap scan.
-func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool) {
+// emission's bitmap scan, and how many starts took a donor.
+func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool, shared int) {
 	t.Helper()
 	for _, rs := range db.Schema.Relations() {
 		if len(rs.ForeignKeys()) == 0 || db.Relation(rs.Name).Size() == 0 {
@@ -275,12 +333,12 @@ func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool
 		if len(ids) > 3 {
 			ids = ids[:3]
 		}
-		checkCompiledAgainstDFS(t, tag+"/"+rs.Name, db, paths, ids, 1e-12)
+		shared += checkCompiledAgainstDFS(t, tag+"/"+rs.Name, db, paths, ids, 1e-12)
 		if !bitmap {
 			bitmap = takesBitmap(db, paths, ids)
 		}
 	}
-	return bitmap
+	return bitmap, shared
 }
 
 // takesBitmap reports whether any path's neighborhood from any of the
@@ -288,7 +346,7 @@ func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool
 func takesBitmap(db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID) bool {
 	ct := compile(db, NewTrie(paths))
 	for _, id := range starts {
-		for pi, nb := range ct.Propagate(id, nil) {
+		for pi, nb := range ct.Propagate(id, nil, nil) {
 			n := len(nb.Keys)
 			if n < bitmapMinLen {
 				continue
@@ -323,8 +381,8 @@ func TestCompiledScratchReuse(t *testing.T) {
 	ct := compile(db, NewTrie(paths))
 	shared := ct.NewScratch()
 	for _, id := range db.Relation(start).TupleIDs() {
-		got := ct.Propagate(id, shared)
-		want := ct.Propagate(id, ct.NewScratch())
+		got := ct.Propagate(id, shared, nil)
+		want := ct.Propagate(id, ct.NewScratch(), nil)
 		for pi := range want {
 			// Same engine, same order: bit-identical, not just within tol.
 			if diffSparse(got[pi], want[pi]) != 0 {
@@ -337,18 +395,67 @@ func TestCompiledScratchReuse(t *testing.T) {
 // TestCompiledAllocsCeiling pins the fast path's allocation count: with a
 // warm scratch, one propagation allocates the result slice and the two
 // arrays every path's neighborhood is carved from, whatever the number of
-// paths.
+// paths — with or without a donor.
 func TestCompiledAllocsCeiling(t *testing.T) {
 	db, refs := miniDB(t)
 	ct := compile(db, NewTrie(dblpPaths(db.Schema)))
 	scratch := ct.NewScratch()
 	start := refs["wei@p2"]
-	ct.Propagate(start, scratch) // warm: grows frontier/acc/emission buffers
+	donor := ct.Propagate(refs["jiong@p2"], scratch, nil)
+	ct.Propagate(start, scratch, nil) // warm: grows frontier/acc/emission buffers
 	const ceiling = 3
-	if got := testing.AllocsPerRun(100, func() {
-		ct.Propagate(start, scratch)
-	}); got > ceiling {
-		t.Errorf("CSR propagation allocates %v per run, ceiling %v", got, ceiling)
+	for _, c := range []struct {
+		name  string
+		donor []SparseNeighborhood
+	}{{"donor-free", nil}, {"with a donor", donor}} {
+		if got := testing.AllocsPerRun(100, func() {
+			ct.Propagate(start, scratch, c.donor)
+		}); got > ceiling {
+			t.Errorf("CSR propagation %s allocates %v per run, ceiling %v", c.name, got, ceiling)
+		}
+	}
+}
+
+// TestShareKey: starts share a key exactly when the trie has one root hop
+// and their rows in it hold one edge to the same tuple. A donor handed to
+// a start without a key is ignored.
+func TestShareKey(t *testing.T) {
+	db, refs := miniDB(t)
+	paths := dblpPaths(db.Schema)
+	ct := compile(db, NewTrie(paths))
+	p1, p2 := db.LookupKey("Publications", "p1"), db.LookupKey("Publications", "p2")
+	for name, want := range map[string]reldb.TupleID{
+		"wei@p1": p1, "jiong@p1": p1, "wei@p2": p2, "jiong@p2": p2, "haixun@p2": p2,
+	} {
+		if got := ct.ShareKey(refs[name]); got != want {
+			t.Errorf("ShareKey(%s) = %d, want %d", name, got, want)
+		}
+	}
+	n := reldb.TupleID(db.NumTuples())
+	for _, id := range []reldb.TupleID{db.LookupKey("Authors", "wei"), -1, n, n + 5} {
+		if got := ct.ShareKey(id); got != reldb.InvalidTuple {
+			t.Errorf("ShareKey(%d) = %d, want -1", id, got)
+		}
+	}
+	// Two root hops leave Publish: no start has a key.
+	both := compile(db, NewTrie([]reldb.JoinPath{coauthorPath(),
+		{Start: "Publish", Steps: []reldb.Step{{Rel: "Publish", Attr: "author", Forward: true}}}}))
+	if got := both.ShareKey(refs["wei@p2"]); got != reldb.InvalidTuple {
+		t.Errorf("two root hops: ShareKey = %d, want -1", got)
+	}
+	// From Publications the root row of p2 holds three edges, so p2 has no
+	// key, and a donor (here: p1's own result) is ignored.
+	back := []reldb.JoinPath{{Start: "Publications", Steps: []reldb.Step{
+		{Rel: "Publish", Attr: "paper-key", Forward: false},
+		{Rel: "Publish", Attr: "author", Forward: true},
+	}}}
+	bt := compile(db, NewTrie(back))
+	if got := bt.ShareKey(p2); got != reldb.InvalidTuple {
+		t.Errorf("three-edge root row: ShareKey = %d, want -1", got)
+	}
+	want := bt.Propagate(p2, nil, nil)
+	if got := bt.Propagate(p2, nil, bt.Propagate(p1, nil, nil)); !reflect.DeepEqual(got, want) {
+		t.Errorf("ignored donor changed the result:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -436,7 +543,7 @@ func TestPackedNeighborhoodsIsolated(t *testing.T) {
 	db, refs := miniDB(t)
 	paths := dblpPaths(db.Schema)
 	ct := compile(db, NewTrie(paths))
-	got := ct.Propagate(refs["wei@p2"], ct.NewScratch())
+	got := ct.Propagate(refs["wei@p2"], ct.NewScratch(), nil)
 	snapshot := make([]SparseNeighborhood, len(got))
 	nonEmpty := 0
 	for pi, nb := range got {

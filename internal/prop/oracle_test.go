@@ -94,7 +94,7 @@ var engines = map[string]engine{
 		return propagateOracle(db, start, NewTrie([]reldb.JoinPath{path}))[0]
 	},
 	"compiled": func(db *reldb.Database, start reldb.TupleID, path reldb.JoinPath) SparseNeighborhood {
-		return compile(db, NewTrie([]reldb.JoinPath{path})).Propagate(start, nil)[0]
+		return compile(db, NewTrie([]reldb.JoinPath{path})).Propagate(start, nil, nil)[0]
 	},
 }
 
@@ -130,7 +130,7 @@ func BenchmarkPropagate(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ct.Propagate(refs[i%len(refs)], s)
+			ct.Propagate(refs[i%len(refs)], s, nil)
 		}
 	})
 }

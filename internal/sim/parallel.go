@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"distinct/internal/fault"
 	"distinct/internal/obs/trace"
@@ -12,8 +14,9 @@ import (
 // Prefetch computes and caches the neighborhoods of every given reference,
 // fanning the propagation work out over `workers` goroutines (0 means
 // GOMAXPROCS). Propagation per reference is independent and the database
-// is read-only, so the workers only synchronise on the final cache merge.
-// The sparse finalisation (sort + Σ Fwd) also runs on the workers, so a
+// is read-only, so the workers only synchronise to read a stored donor and
+// on the final cache merge.
+// The compiled walk emits each neighborhood sorted, with its Σ Fwd, so a
 // prefetched reference costs the serving path nothing but a cache read.
 func (e *Extractor) Prefetch(refs []reldb.TupleID, workers int) {
 	// Background context never cancels and carries no fault registry, so
@@ -29,6 +32,12 @@ func (e *Extractor) Prefetch(refs []reldb.TupleID, workers int) {
 // work is not wasted on a degraded retry. A worker panic is recovered into
 // a *fault.PanicError instead of killing the process.
 //
+// The misses are sorted by (share key, reference) and each worker takes
+// whole key groups, so a group's first reference donates its shared
+// neighborhoods to the rest of the group on the same worker (the whole
+// group borrows when a donor is already stored). sim.prefetch_shared counts
+// the references that borrowed.
+//
 // When ctx carries a trace span (trace.ContextWithSpan), the work is
 // recorded as a "prefetch" child span carrying how many references were
 // requested and how many actually propagated (the rest were cache hits). A
@@ -43,25 +52,21 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 	}
 	// Collect the uncached references in one pass under the read lock. All
 	// copies of a reference are hits or misses together, so only the misses
-	// need deduplicating, and a warm batch builds no dedupe map at all.
-	var todo []reldb.TupleID
+	// need deduplicating, which sorting them by share key does for free.
+	var todo []shareRef
 	e.mu.RLock()
 	for _, r := range refs {
 		if _, ok := e.cache[r]; !ok {
-			todo = append(todo, r)
+			todo = append(todo, shareRef{ref: r})
 		}
 	}
 	e.mu.RUnlock()
-	if len(todo) > 1 {
-		seen := make(map[reldb.TupleID]bool, len(todo))
-		uniq := todo[:0]
-		for _, r := range todo {
-			if !seen[r] {
-				seen[r] = true
-				uniq = append(uniq, r)
-			}
+	var groups []int // todo[groups[g]:groups[g+1]] is key group g
+	if len(todo) > 0 {
+		var err error
+		if todo, groups, err = e.groupByShareKey(todo); err != nil {
+			return err
 		}
-		todo = uniq
 	}
 	e.prefetchRequested.Add(int64(len(refs)))
 	e.prefetchDeduped.Add(int64(len(refs) - len(todo)))
@@ -79,19 +84,61 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 	// cache metrics are identical whatever the worker count: prefetched
 	// propagations never count as cache misses.
 	results := make([][]prop.SparseNeighborhood, len(todo))
-	runErr := fault.ParallelFor(ctx, len(todo), workers, func(i int) error {
-		results[i] = e.propagate(todo[i])
+	runErr := fault.ParallelFor(ctx, len(groups)-1, workers, func(g int) error {
+		lo, hi := groups[g], groups[g+1]
+		donor := e.donor(todo[lo].key)
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			results[i] = e.propagate(todo[i].ref, donor)
+			if donor != nil {
+				e.prefetchShared.Inc()
+			}
+			donor = results[i] // the rest of the key group borrows from it
+		}
 		return nil
 	})
 	e.mu.Lock()
-	for i, r := range todo {
-		if results[i] == nil {
-			continue // skipped after cancellation / failure
-		}
-		if _, ok := e.cache[r]; !ok {
-			e.cache[r] = results[i]
+	for i, t := range todo {
+		if results[i] != nil { // nil: skipped after cancellation / failure
+			e.store(t.ref, t.key, results[i])
 		}
 	}
 	e.mu.Unlock()
 	return runErr
+}
+
+// shareRef is one reference to prefetch with its share key.
+type shareRef struct {
+	ref, key reldb.TupleID
+}
+
+// groupByShareKey fills in the share keys of todo, sorts it by (key, ref),
+// drops duplicate references and returns the boundaries of the key groups:
+// group g is todo[groups[g]:groups[g+1]]. A reference with no key (-1)
+// forms a group of its own. A panic (a plan that fails to compile) is
+// returned as a *fault.PanicError.
+func (e *Extractor) groupByShareKey(todo []shareRef) ([]shareRef, []int, error) {
+	var groups []int
+	err := fault.Guard(func() error {
+		plan := e.compiled()
+		for i := range todo {
+			todo[i].key = plan.ShareKey(todo[i].ref)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	slices.SortFunc(todo, func(a, b shareRef) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ref, b.ref))
+	})
+	todo = slices.CompactFunc(todo, func(a, b shareRef) bool { return a.ref == b.ref })
+	for i, t := range todo {
+		if i == 0 || t.key < 0 || t.key != todo[i-1].key {
+			groups = append(groups, i)
+		}
+	}
+	return todo, append(groups, len(todo)), nil
 }

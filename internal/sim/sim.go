@@ -181,6 +181,13 @@ func PairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
 // vector methods built on it) may be called from concurrent goroutines
 // even for uncached references; concurrent misses of the same reference
 // deduplicate to the first result stored.
+//
+// References that share a prop.CompiledTrie.ShareKey (in DBLP: co-authors
+// of one paper) share the neighborhoods of the paths that never bounce back
+// over the first hop. The first result stored per key is kept as that
+// key's donor, next to the cache and under the same lock; every later
+// propagation with the key borrows the donor's shared neighborhoods
+// instead of walking and storing them again.
 type Extractor struct {
 	db    *reldb.Database
 	paths []reldb.JoinPath
@@ -207,8 +214,9 @@ type Extractor struct {
 	batchPool sync.Pool
 	indexPool sync.Pool
 
-	mu    sync.RWMutex
-	cache map[reldb.TupleID][]prop.SparseNeighborhood
+	mu     sync.RWMutex
+	cache  map[reldb.TupleID][]prop.SparseNeighborhood
+	donors map[reldb.TupleID][]prop.SparseNeighborhood // by share key
 
 	// Metric handles resolved once by SetMetrics; nil handles (the
 	// default) make every update a no-op nil check, keeping the cache's
@@ -219,15 +227,17 @@ type Extractor struct {
 	prefetchRequested  *obs.Counter
 	prefetchDeduped    *obs.Counter
 	prefetchPropagated *obs.Counter
+	prefetchShared     *obs.Counter
 }
 
 // NewExtractor creates an extractor over the given database and join paths.
 func NewExtractor(db *reldb.Database, paths []reldb.JoinPath) *Extractor {
 	return &Extractor{
-		db:    db,
-		paths: paths,
-		trie:  prop.NewTrie(paths),
-		cache: make(map[reldb.TupleID][]prop.SparseNeighborhood),
+		db:     db,
+		paths:  paths,
+		trie:   prop.NewTrie(paths),
+		cache:  make(map[reldb.TupleID][]prop.SparseNeighborhood),
+		donors: make(map[reldb.TupleID][]prop.SparseNeighborhood),
 	}
 }
 
@@ -238,8 +248,9 @@ func (e *Extractor) Paths() []reldb.JoinPath { return e.paths }
 // SetMetrics points the extractor at an observability registry (nil
 // disables, the default): sim.cache_hits / sim.cache_misses count
 // Neighborhoods lookups, sim.prefetch_requested / sim.prefetch_deduped /
-// sim.prefetch_propagated describe Prefetch batches, and the "prefetch"
-// stage records the propagation work itself.
+// sim.prefetch_propagated describe Prefetch batches, sim.prefetch_shared
+// counts the prefetched references whose shared paths came from a donor,
+// and the "prefetch" stage records the propagation work itself.
 func (e *Extractor) SetMetrics(r *obs.Registry) {
 	e.prefetchStage = r.Stage("prefetch")
 	e.cacheHits = r.Counter("sim.cache_hits")
@@ -247,6 +258,7 @@ func (e *Extractor) SetMetrics(r *obs.Registry) {
 	e.prefetchRequested = r.Counter("sim.prefetch_requested")
 	e.prefetchDeduped = r.Counter("sim.prefetch_deduped")
 	e.prefetchPropagated = r.Counter("sim.prefetch_propagated")
+	e.prefetchShared = r.Counter("sim.prefetch_shared")
 }
 
 // SetWorkers bounds the parallelism of plan compilation (0, the default,
@@ -290,19 +302,45 @@ func (e *Extractor) CompilePlansCtx(ctx context.Context) (hops, edges int, took 
 }
 
 // propagate computes one reference's neighborhoods on the compiled plan,
-// borrowing a scratch from the pool.
-func (e *Extractor) propagate(r reldb.TupleID) []prop.SparseNeighborhood {
+// borrowing a scratch from the pool; donor is optional (see
+// prop.CompiledTrie.Propagate).
+func (e *Extractor) propagate(r reldb.TupleID, donor []prop.SparseNeighborhood) []prop.SparseNeighborhood {
 	plan := e.compiled()
 	s := e.scratch.Get().(*prop.Scratch)
-	nbs := plan.Propagate(r, s)
+	nbs := plan.Propagate(r, s, donor)
 	e.scratch.Put(s)
+	return nbs
+}
+
+// donor returns the stored donor for share key k, nil when there is none.
+func (e *Extractor) donor(k reldb.TupleID) []prop.SparseNeighborhood {
+	if k < 0 {
+		return nil
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.donors[k]
+}
+
+// store caches nbs as r's neighborhoods unless r is already cached, and
+// records them as share key k's donor unless k has one. It returns the
+// cached result. The caller holds e.mu for writing.
+func (e *Extractor) store(r, k reldb.TupleID, nbs []prop.SparseNeighborhood) []prop.SparseNeighborhood {
+	if prev, ok := e.cache[r]; ok {
+		return prev
+	}
+	e.cache[r] = nbs
+	if _, ok := e.donors[k]; k >= 0 && !ok {
+		e.donors[k] = nbs
+	}
 	return nbs
 }
 
 // Neighborhoods returns the reference's neighborhood along every path,
 // computing and caching them on first use. All paths are walked in one
 // frontier sweep over the compiled CSR plan (see prop.CompiledTrie) and
-// emitted directly in sparse form. Safe for concurrent use.
+// emitted directly in sparse form, the shared paths borrowed from the
+// reference's donor when one is stored. Safe for concurrent use.
 func (e *Extractor) Neighborhoods(r reldb.TupleID) []prop.SparseNeighborhood {
 	e.mu.RLock()
 	nbs, ok := e.cache[r]
@@ -312,13 +350,10 @@ func (e *Extractor) Neighborhoods(r reldb.TupleID) []prop.SparseNeighborhood {
 		return nbs
 	}
 	e.cacheMisses.Inc()
-	nbs = e.propagate(r)
+	k := e.compiled().ShareKey(r)
+	nbs = e.propagate(r, e.donor(k))
 	e.mu.Lock()
-	if prev, ok := e.cache[r]; ok {
-		nbs = prev // lost the race: share the first stored result
-	} else {
-		e.cache[r] = nbs
-	}
+	nbs = e.store(r, k, nbs) // a lost race shares the first stored result
 	e.mu.Unlock()
 	return nbs
 }
