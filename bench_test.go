@@ -177,36 +177,21 @@ func BenchmarkAttributeExpansion(b *testing.B) {
 	}
 }
 
-// BenchmarkSetResemblance measures the weighted Jaccard between two cached
-// neighborhoods (Definition 2). PairKernel computes it in the same scan as
-// both walk probabilities, so this and BenchmarkRandomWalk time one kernel.
-func BenchmarkSetResemblance(b *testing.B) {
+// BenchmarkPair measures one reference pair scored along every join path:
+// set resemblance (Definition 2) and both walk probabilities (Section 2.4),
+// through the block kernel on a two-member block, with warm pools and a
+// reused result buffer.
+func BenchmarkPair(b *testing.B) {
 	e, _ := benchEngine(b)
 	refs := e.RefsForName("Wei Wang")
 	ext := sim.NewExtractor(e.DB(), e.Paths())
 	n1 := ext.Neighborhoods(refs[0])
 	n2 := ext.Neighborhoods(refs[1])
+	out := ext.Pair(n1, n2, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for p := range n1 {
-			sim.PairKernel(n1[p], n2[p])
-		}
-	}
-}
-
-// BenchmarkRandomWalk measures the composed walk probability (Section 2.4),
-// computed by the same PairKernel scan.
-func BenchmarkRandomWalk(b *testing.B) {
-	e, _ := benchEngine(b)
-	refs := e.RefsForName("Wei Wang")
-	ext := sim.NewExtractor(e.DB(), e.Paths())
-	n1 := ext.Neighborhoods(refs[0])
-	n2 := ext.Neighborhoods(refs[1])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := range n1 {
-			sim.PairKernel(n1[p], n2[p])
-		}
+		out = ext.Pair(n1, n2, out)
 	}
 }
 
@@ -299,7 +284,8 @@ func benchSVMExamples(b *testing.B) []svm.Example {
 	ext := sim.NewExtractor(e.DB(), e.Paths())
 	ex := make([]svm.Example, len(ts.Pairs))
 	for i, p := range ts.Pairs {
-		ex[i] = svm.Example{X: ext.ResemVector(p.R1, p.R2), Y: p.Label}
+		resem, _ := ext.Features(p.R1, p.R2)
+		ex[i] = svm.Example{X: resem, Y: p.Label}
 	}
 	return svm.FitScaler(ex).Transform(ex)
 }

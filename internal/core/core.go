@@ -361,8 +361,9 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	walkEx := make([]svm.Example, len(ts.Pairs))
 	err = fault.ParallelFor(sctx, len(ts.Pairs), e.cfg.Workers, func(i int) error {
 		p := ts.Pairs[i]
-		resemEx[i] = svm.Example{X: e.ext.ResemVector(p.R1, p.R2), Y: p.Label}
-		walkEx[i] = svm.Example{X: e.ext.WalkVector(p.R1, p.R2), Y: p.Label}
+		resem, walk := e.ext.Features(p.R1, p.R2)
+		resemEx[i] = svm.Example{X: resem, Y: p.Label}
+		walkEx[i] = svm.Example{X: walk, Y: p.Label}
 		return nil
 	})
 	if err != nil {
@@ -508,9 +509,8 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 	// Row i fills entries (i,j) and (j,i) for j > i: every matrix cell is
 	// written by exactly one row worker, so rows can run concurrently. Per
 	// row and path, the postings index yields only the partners that share
-	// a neighbor tuple (sim.BlockIndex.Row), bit-identical to per-pair
-	// PairKernel calls; every other cell stays the exact zero PairKernel
-	// returns. Every path is filled, since the caller may combine the
+	// a neighbor tuple (sim.BlockIndex.Row); every other cell stays an
+	// exact zero. Every path is filled, since the caller may combine the
 	// matrices under other weights, but only weighted paths count toward
 	// sim.pairs_scored, as in similarities.
 	err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
@@ -659,14 +659,16 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 // for every sampleEvery-th pair (by triangular pair index — a pure function
 // of (i, j, n), so the sample is identical whatever the worker count) to
 // the similarities stage span. The sampled pairs' per-path values are
-// recomputed with the pair-at-a-time reference kernel: the sample is
-// sparse, so the cost is negligible next to the batched fill, and the
-// values are identical. The serial (i, j) walk emits events already in the
-// order the old per-worker collection had to sort into.
+// rescored one pair at a time (sim.Extractor.Pair), which runs the block
+// kernel on a two-member block: the sample is sparse, so the cost is
+// negligible next to the batched fill, and the values are identical. The
+// serial (i, j) walk emits events already in the order the old per-worker
+// collection had to sort into.
 func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, m cluster.Matrix, sampleEvery int) {
 	n := len(refs)
 	nbs := e.ext.NeighborhoodsAll(refs, nil)
 	var events []trace.Event
+	var trips []sim.Trip
 	for i := 0; i < n; i++ {
 		// rowBase is the triangular index of pair (i, i+1); pair (i, j) has
 		// index rowBase + (j - i - 1).
@@ -676,18 +678,18 @@ func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, m cluster.Ma
 				continue
 			}
 			var breakdown []byte
-			for p := range e.paths {
+			trips = e.ext.Pair(nbs[i], nbs[j], trips)
+			for p, t := range trips {
 				rw, ww := e.resemW[p], e.walkW[p]
 				if rw == 0 && ww == 0 {
 					continue
 				}
-				pr, pij, pji := sim.PairKernel(nbs[i][p], nbs[j][p])
-				if pr != 0 || pij != 0 || pji != 0 {
+				if t != (sim.Trip{}) {
 					if len(breakdown) > 0 {
 						breakdown = append(breakdown, " | "...)
 					}
 					breakdown = fmt.Appendf(breakdown, "%s: resem=%g walk=%g",
-						e.paths[p].String(), rw*pr, ww*(pij+pji)/2)
+						e.paths[p].String(), rw*t.Resem, ww*(t.WalkAB+t.WalkBA)/2)
 				}
 			}
 			events = append(events, trace.Event{Name: "pair", Attrs: []trace.Attr{

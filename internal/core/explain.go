@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"distinct/internal/reldb"
-	"distinct/internal/sim"
 )
 
 // PathContribution is one join path's share of a reference pair's combined
@@ -32,12 +31,9 @@ type Explanation struct {
 // Explain computes the per-path breakdown of the similarity between two
 // references. Paths contributing nothing are omitted.
 func (e *Engine) Explain(r1, r2 reldb.TupleID) *Explanation {
-	n1 := e.ext.Neighborhoods(r1)
-	n2 := e.ext.Neighborhoods(r2)
 	ex := &Explanation{R1: r1, R2: r2}
-	for p := range e.paths {
-		r, wab, wba := sim.PairKernel(n1[p], n2[p])
-		w := (wab + wba) / 2
+	for p, t := range e.ext.Pair(e.ext.Neighborhoods(r1), e.ext.Neighborhoods(r2), nil) {
+		r, w := t.Resem, (t.WalkAB+t.WalkBA)/2
 		if r == 0 && w == 0 {
 			continue
 		}

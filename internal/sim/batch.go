@@ -5,11 +5,11 @@ import (
 	"distinct/internal/reldb"
 )
 
-// This file is the block-at-a-time counterpart of the pair-at-a-time kernel
-// in sim.go: every pair of a block of neighborhoods, computed from an
-// inverted index so that a pair only ever touches the neighbor tuples it
-// shares. The two kernels are bit-identical, which is what keeps the golden
-// outputs stable; the tests also hold both to the refKernel test oracle.
+// This file is the package's similarity kernel: every pair of a block of
+// neighborhoods, computed from an inverted index so that a pair only ever
+// touches the neighbor tuples it shares. A single pair is scored as a
+// two-member block (Extractor.Pair). The tests hold the kernel to the
+// refKernel test oracle bit for bit.
 //
 // # Layout
 //
@@ -30,17 +30,26 @@ import (
 // candidate does. The index is read-only once built, so rows run
 // concurrently, each with its own BatchScratch.
 //
-// # Equivalence with pairAccum
+// # Determinism
 //
 // For a fixed pair (i, j), row i reaches the shared tuples in ascending key
-// order — the order of pairAccum's merge and gallop modes — and adds the
-// same float expressions with i as the first operand; the resemblance uses
-// PairKernel's denominator expression. Pairs that share nothing are never
-// touched, and PairKernel returns exact zeros for them. The results are
-// therefore bit-identical to PairKernel, not merely within tolerance.
+// order and always takes i as the first operand, so a pair's sums do not
+// depend on the block it is scored in, the row order or the worker count.
+// The resemblance denominator reads the SumFwd totals stored with the
+// neighborhoods. Pairs that share nothing are never touched; their result
+// is exactly zero.
 
 // Trip is the fused per-pair kernel result: the set resemblance and both
-// directed walk probabilities, exactly PairKernel's three return values.
+// directed walk probabilities.
+//
+//   - Resem is the set resemblance (Definition 2), the weighted Jaccard
+//     coefficient Σ min(Fwd_a(t), Fwd_b(t)) / Σ max(Fwd_a(t), Fwd_b(t)) over
+//     the intersection and union of the two neighborhoods. Σ max over the
+//     union = SumFwd_a + SumFwd_b − Σ min over the intersection.
+//   - WalkAB and WalkBA are the directed random walk probabilities
+//     Walk_P(a → b) = Σ_t Fwd_a(t)·Bwd_b(t) and its reverse: walking the
+//     join path to a shared neighbor tuple and the reversed path back
+//     (Section 2.4). The symmetrised walk feature is their mean.
 type Trip struct {
 	Resem  float64
 	WalkAB float64 // row member → partner
@@ -160,8 +169,8 @@ func (x *BlockIndex) index(ps *Postings, s *BatchScratch, nbs [][]prop.SparseNei
 // walk: the kernel's whole work, independent of the machine.
 func (x *BlockIndex) Visits(p int) int { return x.paths[p].visits }
 
-// Row computes PairKernel(nbs[i][p], nbs[j][p]) for every member j > i that
-// shares at least one tuple with member i along path p. It returns those
+// Row computes the Trip of (nbs[i][p], nbs[j][p]) for every member j > i
+// that shares at least one tuple with member i along path p. It returns those
 // partners, in first-hit order, with their results; every other later
 // member's result is exactly zero. Both slices belong to s and stay valid
 // until its next Row. Rows of one index may run concurrently, each with its
@@ -187,6 +196,9 @@ func (x *BlockIndex) Row(s *BatchScratch, p, i int) (js []int32, out []Trip) {
 				a.hit = true
 				js = append(js, j)
 			}
+			// Plain comparison instead of math.Min: Fwd masses are finite
+			// and non-negative, so the results are identical and the call
+			// stays off the hottest loop.
 			if fa.Fwd < fb.Fwd {
 				a.interMin += fa.Fwd
 			} else {

@@ -32,12 +32,16 @@ func (n nbMap) sparse() prop.SparseNeighborhood {
 	return prop.SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: sum}
 }
 
-// refKernel is the similarity oracle: PairKernel's three outputs computed
-// the naive way — b's entries loaded into a hash map, every key of a
-// probed in it, both Fwd totals summed afresh rather than read from
-// SumFwd, and the Jaccard denominator taken as Σ max over the union. The
-// property and fuzz tests hold PairKernel and the postings kernel to it
-// within 1e-12.
+// refKernel is the similarity oracle: a Trip's three outputs computed the
+// naive way — b's entries loaded into a hash map, every key of a probed in
+// it, both Fwd totals summed afresh rather than read from SumFwd, and the
+// Jaccard denominator taken as Σ max over the union. The property and fuzz
+// tests hold the postings kernel to it bit for bit. That holds because both
+// visit the shared keys in ascending order with the same float
+// expressions, and because the operands' SumFwd totals were summed in key
+// order (as nbMap.sparse and propagation sum them), so the totals refKernel
+// sums afresh are the same bits. An operand whose SumFwd was summed in
+// another order can differ in the last bits of Resem.
 func refKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
 	bm := make(map[reldb.TupleID]prop.FB, len(b.Keys))
 	for i, t := range b.Keys {

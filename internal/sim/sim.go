@@ -11,13 +11,13 @@
 // Both measures are computed per join path; the core package combines the
 // per-path values with learned (or uniform) weights.
 //
-// The kernels operate on prop.SparseNeighborhood — sorted parallel slices —
-// as linear merge-scans over the two key sets. When one operand is much
-// smaller than the other (a reference with few neighbors along a path set
-// against one with many), the scan gallops: it exponentially probes then
-// binary-searches the large side for each key of the small side. The package's test oracle (refKernel in
-// oracle_test.go) computes the same three quantities the naive way, through
-// a hash map, and the property and fuzz tests hold both kernels to it.
+// One kernel computes both measures: BlockIndex.Row (batch.go) scores every
+// pair of a block of prop.SparseNeighborhood values — sorted parallel
+// slices — through an inverted index over the tuples they share. A single
+// pair is scored as a two-member block (Extractor.Pair). The package's test
+// oracle (refKernel in oracle_test.go) computes the same three quantities
+// the naive way, through a hash map, and the property and fuzz tests hold
+// the kernel to it bit for bit.
 package sim
 
 import (
@@ -29,147 +29,6 @@ import (
 	"distinct/internal/prop"
 	"distinct/internal/reldb"
 )
-
-// gallopFactor is the size ratio beyond which the intersection switches
-// from a two-pointer merge to galloping lookups of the small side's keys
-// in the large side. Below it, the branch-predictable linear merge wins.
-const gallopFactor = 8
-
-// pairAccum computes, in one pass over the intersection of the two sorted
-// key sets, every accumulator the similarity measures need:
-//
-//	interMin = Σ min(Fwd_a(t), Fwd_b(t))   (resemblance numerator)
-//	ab       = Σ Fwd_a(t)·Bwd_b(t)         (walk probability a → b)
-//	ba       = Σ Fwd_b(t)·Bwd_a(t)         (walk probability b → a)
-//
-// The intersection is always accumulated in ascending key order, so the
-// sums are deterministic and identical between the merge and gallop modes.
-func pairAccum(a, b prop.SparseNeighborhood) (interMin, ab, ba float64) {
-	ak, bk := a.Keys, b.Keys
-	if len(ak) == 0 || len(bk) == 0 {
-		return 0, 0, 0
-	}
-	if len(ak)*gallopFactor < len(bk) {
-		return gallopAccum(a, b, false)
-	}
-	if len(bk)*gallopFactor < len(ak) {
-		return gallopAccum(b, a, true)
-	}
-	i, j := 0, 0
-	for i < len(ak) && j < len(bk) {
-		switch {
-		case ak[i] < bk[j]:
-			i++
-		case ak[i] > bk[j]:
-			j++
-		default:
-			fa, fb := a.FBs[i], b.FBs[j]
-			// Plain comparison instead of math.Min: Fwd masses are finite
-			// and non-negative, so the results are identical and the call
-			// (not inlined on all builds) stays off the hottest loop.
-			if fa.Fwd < fb.Fwd {
-				interMin += fa.Fwd
-			} else {
-				interMin += fb.Fwd
-			}
-			ab += fa.Fwd * fb.Bwd
-			ba += fb.Fwd * fa.Bwd
-			i++
-			j++
-		}
-	}
-	return interMin, ab, ba
-}
-
-// gallopAccum is pairAccum's asymmetric mode: s is the (much) smaller
-// operand, l the larger. swapped records that s is the caller's b, so the
-// directed walk sums come out in the caller's orientation.
-func gallopAccum(s, l prop.SparseNeighborhood, swapped bool) (interMin, ab, ba float64) {
-	lk := l.Keys
-	j := 0
-	for i, k := range s.Keys {
-		j = gallopTo(lk, j, k)
-		if j == len(lk) {
-			break
-		}
-		if lk[j] == k {
-			fs, fl := s.FBs[i], l.FBs[j]
-			if fs.Fwd < fl.Fwd {
-				interMin += fs.Fwd
-			} else {
-				interMin += fl.Fwd
-			}
-			if swapped {
-				ab += fl.Fwd * fs.Bwd
-				ba += fs.Fwd * fl.Bwd
-			} else {
-				ab += fs.Fwd * fl.Bwd
-				ba += fl.Fwd * fs.Bwd
-			}
-			j++
-		}
-	}
-	return interMin, ab, ba
-}
-
-// gallopTo returns the smallest index i >= lo with keys[i] >= k, probing
-// exponentially from lo and then binary-searching the bracketed window —
-// O(log d) in the distance d advanced rather than O(log n) from scratch,
-// which is what makes repeated searches over one pass linear overall.
-func gallopTo(keys []reldb.TupleID, lo int, k reldb.TupleID) int {
-	if lo >= len(keys) || keys[lo] >= k {
-		return lo
-	}
-	// Invariant: keys[lo+step/2] < k (for the step just doubled past).
-	step := 1
-	for lo+step < len(keys) && keys[lo+step] < k {
-		lo += step
-		step *= 2
-	}
-	hi := lo + step
-	if hi > len(keys) {
-		hi = len(keys)
-	}
-	lo++ // keys[lo] < k established above
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// PairKernel returns every pairwise similarity between two references'
-// neighborhoods along one join path, in one merge-scan:
-//
-//   - resem, the set resemblance (Definition 2): the weighted Jaccard
-//     coefficient Σ min(Fwd_a(t), Fwd_b(t)) / Σ max(Fwd_a(t), Fwd_b(t)),
-//     where the sums range over the intersection and union of the
-//     neighborhoods. Σ max over the union = SumFwd_a + SumFwd_b − Σ min over
-//     the intersection, and both SumFwd terms were precomputed when the
-//     sparse form was built;
-//   - walkAB and walkBA, the directed random walk probabilities
-//     Walk_P(a → b) = Σ_t Fwd_a(t)·Bwd_b(t) and its reverse: walking the
-//     join path to a shared neighbor tuple and the reversed path back.
-//     Composing the two per-path probabilities avoids re-walking the
-//     concatenated double-length path, as Section 2.4 of the paper notes.
-//     The symmetrised walk feature is their mean.
-//
-// The all-pairs stages (core.PathSimilarities, core.Similarities) need all
-// three per (pair, path), so fusing them walks the intersection once
-// instead of three times.
-func PairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
-	interMin, ab, ba := pairAccum(a, b)
-	if len(a.Keys) != 0 && len(b.Keys) != 0 {
-		if denom := a.SumFwd + b.SumFwd - interMin; denom > 0 {
-			resem = interMin / denom
-		}
-	}
-	return resem, ab, ba
-}
 
 // Extractor computes and caches per-reference neighborhoods along a fixed
 // set of join paths, and derives per-pair feature vectors from them. Each
@@ -422,25 +281,36 @@ func (e *Extractor) IndexBlock(nbs [][]prop.SparseNeighborhood, use func(p int) 
 // PutBlockIndex returns an index to the pool for reuse.
 func (e *Extractor) PutBlockIndex(x *BlockIndex) { e.indexPool.Put(x) }
 
-// ResemVector returns the per-path set resemblance feature vector of a pair.
-func (e *Extractor) ResemVector(r1, r2 reldb.TupleID) []float64 {
-	n1, n2 := e.Neighborhoods(r1), e.Neighborhoods(r2)
-	v := make([]float64, len(e.paths))
-	for i := range e.paths {
-		v[i], _, _ = PairKernel(n1[i], n2[i])
+// Pair scores one pair of references along every path: a and b are their
+// neighborhoods, indexed as a two-member block and read through Row, so a
+// single pair takes the kernel every block takes. It returns one Trip per
+// path, with a as the row member, zero where the two share nothing. out is
+// reused when large enough (pass nil to allocate); with a reused out and
+// warm pools, Pair does not allocate.
+func (e *Extractor) Pair(a, b []prop.SparseNeighborhood, out []Trip) []Trip {
+	x := e.IndexBlock([][]prop.SparseNeighborhood{a, b}, nil)
+	s := e.BatchScratch()
+	out = grow(out, len(a))
+	for p := range out {
+		out[p] = Trip{}
+		if _, t := x.Row(s, p, 0); len(t) > 0 {
+			out[p] = t[0]
+		}
 	}
-	return v
+	e.PutBatchScratch(s)
+	e.PutBlockIndex(x)
+	return out
 }
 
-// WalkVector returns the per-path symmetrised random walk feature vector.
-func (e *Extractor) WalkVector(r1, r2 reldb.TupleID) []float64 {
-	n1, n2 := e.Neighborhoods(r1), e.Neighborhoods(r2)
-	v := make([]float64, len(e.paths))
-	for i := range e.paths {
-		_, ab, ba := PairKernel(n1[i], n2[i])
-		v[i] = (ab + ba) / 2
+// Features returns a pair's two per-path feature vectors: set resemblance
+// and the symmetrised random walk probability.
+func (e *Extractor) Features(r1, r2 reldb.TupleID) (resem, walk []float64) {
+	trips := e.Pair(e.Neighborhoods(r1), e.Neighborhoods(r2), nil)
+	resem, walk = make([]float64, len(trips)), make([]float64, len(trips))
+	for p, t := range trips {
+		resem[p], walk[p] = t.Resem, (t.WalkAB+t.WalkBA)/2
 	}
-	return v
+	return resem, walk
 }
 
 // CacheSize reports how many references have cached neighborhoods.

@@ -26,20 +26,31 @@ func sp(triples ...float64) prop.SparseNeighborhood {
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
-// kernels are the production scalar kernel and the oracle; the
-// hand-computed tests hold both to the same values.
+// pairExt scores single pairs for the tests; its empty database only sizes
+// the pooled scratches, which grow to whatever keys they meet.
+var pairExt = NewExtractor(reldb.NewDatabase(reldb.MustSchema()), nil)
+
+// pairKernel scores one pair along one path through Extractor.Pair, the way
+// every single-pair caller reaches the block kernel.
+func pairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
+	t := pairExt.Pair([]prop.SparseNeighborhood{a}, []prop.SparseNeighborhood{b}, nil)[0]
+	return t.Resem, t.WalkAB, t.WalkBA
+}
+
+// kernels are the production kernel and the oracle; the hand-computed
+// tests hold both to the same values.
 var kernels = map[string]func(a, b prop.SparseNeighborhood) (float64, float64, float64){
-	"PairKernel": PairKernel,
-	"refKernel":  refKernel,
+	"Pair":      pairKernel,
+	"refKernel": refKernel,
 }
 
 func resemOf(a, b prop.SparseNeighborhood) float64 {
-	r, _, _ := PairKernel(a, b)
+	r, _, _ := pairKernel(a, b)
 	return r
 }
 
 func symWalkOf(a, b prop.SparseNeighborhood) float64 {
-	_, ab, ba := PairKernel(a, b)
+	_, ab, ba := pairKernel(a, b)
 	return (ab + ba) / 2
 }
 
@@ -115,21 +126,22 @@ func TestWalkProbAsymmetricSizes(t *testing.T) {
 	}
 }
 
-func TestPairKernelMatchesIndividualKernels(t *testing.T) {
+// TestPairMatchesOracle holds a single pair to refKernel bit for bit, and
+// pins what operand order and empty operands do to the result.
+func TestPairMatchesOracle(t *testing.T) {
 	a := sp(1, 0.5, 0.4, 2, 0.3, 0.6, 5, 0.2, 0.1)
 	b := sp(2, 0.25, 0.1, 3, 0.5, 0.9, 5, 0.25, 0.3)
-	r, ab, ba := PairKernel(a, b)
-	wr, wab, wba := refKernel(a, b)
-	if !approx(r, wr) || !approx(ab, wab) || !approx(ba, wba) {
-		t.Errorf("PairKernel = %v/%v/%v, refKernel = %v/%v/%v", r, ab, ba, wr, wab, wba)
+	r, ab, ba := pairKernel(a, b)
+	if wr, wab, wba := refKernel(a, b); r != wr || ab != wab || ba != wba {
+		t.Errorf("Pair = %v/%v/%v, refKernel = %v/%v/%v", r, ab, ba, wr, wab, wba)
 	}
 	// Swapped operands: same resemblance, directions exchanged, bit for bit.
-	if r2, ab2, ba2 := PairKernel(b, a); r2 != r || ab2 != ba || ba2 != ab {
-		t.Errorf("PairKernel(b, a) = %v/%v/%v, want %v/%v/%v", r2, ab2, ba2, r, ba, ab)
+	if r2, ab2, ba2 := pairKernel(b, a); r2 != r || ab2 != ba || ba2 != ab {
+		t.Errorf("Pair(b, a) = %v/%v/%v, want %v/%v/%v", r2, ab2, ba2, r, ba, ab)
 	}
 	// Empty operands.
-	if r, ab, ba := PairKernel(prop.SparseNeighborhood{}, b); r != 0 || ab != 0 || ba != 0 {
-		t.Errorf("PairKernel with empty operand = %v/%v/%v, want zeros", r, ab, ba)
+	if r, ab, ba := pairKernel(prop.SparseNeighborhood{}, b); r != 0 || ab != 0 || ba != 0 {
+		t.Errorf("Pair with empty operand = %v/%v/%v, want zeros", r, ab, ba)
 	}
 }
 
@@ -237,15 +249,14 @@ func TestExtractorVectorsAndCache(t *testing.T) {
 	if len(e.Paths()) != 1 {
 		t.Fatalf("Paths = %d", len(e.Paths()))
 	}
-	v := e.ResemVector(refs[0], refs[1])
-	if len(v) != 1 {
-		t.Fatalf("vector length %d", len(v))
+	v, w := e.Features(refs[0], refs[1])
+	if len(v) != 1 || len(w) != 1 {
+		t.Fatalf("vector lengths %d, %d", len(v), len(w))
 	}
 	// r1's coauthors: {y:1}. r2's: {y:1/2, z:1/2}. Resem = min(1,.5)/(max(1,.5)+.5) = .5/1.5.
 	if !approx(v[0], 0.5/1.5) {
 		t.Errorf("resem feature = %v, want %v", v[0], 0.5/1.5)
 	}
-	w := e.WalkVector(refs[0], refs[1])
 	if w[0] <= 0 {
 		t.Errorf("walk feature = %v, want > 0", w[0])
 	}
@@ -253,8 +264,8 @@ func TestExtractorVectorsAndCache(t *testing.T) {
 		t.Errorf("cache size = %d, want 2", e.CacheSize())
 	}
 	// Repeated extraction hits the cache and stays deterministic.
-	v2 := e.ResemVector(refs[0], refs[1])
-	if !approx(v[0], v2[0]) || e.CacheSize() != 2 {
+	v2, w2 := e.Features(refs[0], refs[1])
+	if v[0] != v2[0] || w[0] != w2[0] || e.CacheSize() != 2 {
 		t.Error("cache changed results")
 	}
 	// Cached neighborhoods are sorted sparse vectors.

@@ -20,11 +20,10 @@ func randNB(rng *rand.Rand, size, base, keyRange int) nbMap {
 	return n
 }
 
-// TestSparseKernelsMatchMapKernels is the scalar kernel's property test: on
+// TestSparseKernelsMatchMapKernels is the single-pair property test: on
 // randomized neighborhoods — including empty, disjoint, subset, and
-// heavily asymmetric-size operands (the case that triggers the galloping
-// scan) — PairKernel's three outputs must agree with the naive refKernel to
-// 1e-12, in both operand orders.
+// heavily asymmetric-size operands — Pair's three outputs must equal the
+// naive refKernel's bit for bit, in both operand orders.
 func TestSparseKernelsMatchMapKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type gen func() (nbMap, nbMap)
@@ -65,13 +64,12 @@ func TestSparseKernelsMatchMapKernels(t *testing.T) {
 			return randNB(rng, 2, 900, 100), randNB(rng, 300, 0, 1000)
 		},
 	}
-	const tol = 1e-12
 	for name, g := range cases {
 		for trial := 0; trial < 50; trial++ {
 			am, bm := g()
 			a, b := am.sparse(), bm.sparse()
-			r, ab, ba := PairKernel(a, b)
-			rr, rab, rba := PairKernel(b, a)
+			r, ab, ba := pairKernel(a, b)
+			rr, rab, rba := pairKernel(b, a)
 			wr, wab, wba := refKernel(a, b)
 			checks := []struct {
 				what      string
@@ -85,36 +83,11 @@ func TestSparseKernelsMatchMapKernels(t *testing.T) {
 				{"walkBA(rev)", rba, wab},
 			}
 			for _, c := range checks {
-				if math.Abs(c.got-c.want) > tol {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
 					t.Fatalf("%s trial %d: %s = %v, refKernel %v (|Δ| = %g)",
 						name, trial, c.what, c.got, c.want, math.Abs(c.got-c.want))
 				}
 			}
-		}
-	}
-}
-
-// TestGallopTo pins the gallop search helper on its boundary cases.
-func TestGallopTo(t *testing.T) {
-	keys := []reldb.TupleID{2, 4, 6, 8, 10, 12, 14, 16, 100, 200}
-	for _, tc := range []struct {
-		lo   int
-		k    reldb.TupleID
-		want int
-	}{
-		{0, 1, 0},    // before everything
-		{0, 2, 0},    // exact at lo
-		{0, 3, 1},    // between
-		{0, 16, 7},   // exact after galloping
-		{0, 17, 8},   // into the gap
-		{0, 201, 10}, // past the end
-		{5, 12, 5},   // exact at lo, nonzero lo
-		{5, 13, 6},   // advance from nonzero lo
-		{9, 200, 9},  // last element
-		{10, 5, 10},  // lo already at end
-	} {
-		if got := gallopTo(keys, tc.lo, tc.k); got != tc.want {
-			t.Errorf("gallopTo(lo=%d, k=%d) = %d, want %d", tc.lo, tc.k, got, tc.want)
 		}
 	}
 }
@@ -149,8 +122,8 @@ func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 						return
 					}
 				}
-				// Interleave vector calls, which share the same cache path.
-				ext.ResemVector(refs[i], refs[(i+1)%len(refs)])
+				// Interleave feature calls, which share the same cache path.
+				ext.Features(refs[i], refs[(i+1)%len(refs)])
 			}
 		}(g)
 	}
