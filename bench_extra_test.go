@@ -42,8 +42,8 @@ func trainedBenchEngine(b *testing.B, workers int) *core.Engine {
 }
 
 // BenchmarkFeatureExtractionWorkers measures the parallel speedup of the
-// dominant pipeline stage (per-path similarity matrices for the 143-ref
-// name). The speedup tracks the machine's core count; on a single-core
+// dominant pipeline stage (the weighted similarity matrix of the 143-ref
+// name, every join path weighted on the untrained engine). The speedup tracks the machine's core count; on a single-core
 // host the variants only differ by goroutine overhead.
 func BenchmarkFeatureExtractionWorkers(b *testing.B) {
 	for _, workers := range []int{1, 4} {
@@ -61,9 +61,7 @@ func BenchmarkFeatureExtractionWorkers(b *testing.B) {
 			refs := e.RefsForName("Wei Wang")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.PathSimilaritiesCtx(context.Background(), refs); err != nil {
-					b.Fatal(err)
-				}
+				e.Similarities(refs)
 			}
 		})
 	}

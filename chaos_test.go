@@ -154,7 +154,7 @@ func TestChaosCancelEveryStage(t *testing.T) {
 		phaseOpen = iota
 		phaseTrain
 		phaseBatch
-		phasePathSims // PathSimilaritiesCtx, the experiments-harness entry point
+		phaseSimsCtx // SimilaritiesCtx, the experiments-harness entry point
 	)
 	cases := []struct {
 		point string // injection point whose first hit triggers the cancel
@@ -169,16 +169,20 @@ func TestChaosCancelEveryStage(t *testing.T) {
 		{"core.train_svm", "train_svm", phaseTrain},
 		{"core.batch", "batch", phaseBatch},
 		{"sim.prefetch", "prefetch", phaseBatch},
-		{"core.path_sims", "path_sims", phasePathSims},
 		{"core.similarities", "similarities", phaseBatch},
 		{"core.similarities.row", "similarities", phaseBatch},
+		{"core.similarities.row", "similarities", phaseSimsCtx},
 		{"core.cluster", "cluster", phaseBatch},
 		// Inside the agglomeration merge loop (between merges), not just at
 		// the cluster stage boundary.
 		{"cluster.merge", "cluster", phaseBatch},
 	}
 	for _, tc := range cases {
-		t.Run(tc.point, func(t *testing.T) {
+		name := tc.point
+		if tc.phase == phaseSimsCtx {
+			name = "SimilaritiesCtx:" + tc.point
+		}
+		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var firedAt time.Time
@@ -201,7 +205,7 @@ func TestChaosCancelEveryStage(t *testing.T) {
 				_, err = eng.TrainCtx(fctx)
 			case phaseBatch:
 				_, err = chaosSeqEngine(t).DisambiguateAllCtx(fctx, distinct.BatchOptions{MinRefs: chaosMinRefs})
-			case phasePathSims:
+			case phaseSimsCtx:
 				ceng, oerr := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 					RefRelation: dblp.ReferenceRelation,
 					RefAttr:     dblp.ReferenceAttr,
@@ -211,7 +215,8 @@ func TestChaosCancelEveryStage(t *testing.T) {
 				if oerr != nil {
 					t.Fatal(oerr)
 				}
-				_, err = ceng.PathSimilaritiesCtx(fctx, ceng.RefsForName("Wei Wang"))
+				resemW, walkW := ceng.Weights()
+				_, err = ceng.SimilaritiesCtx(fctx, ceng.RefsForName("Wei Wang"), resemW, walkW)
 			}
 			elapsed := time.Since(firedAt)
 

@@ -138,8 +138,7 @@ type Engine struct {
 	paths []reldb.JoinPath
 	ext   *sim.Extractor
 
-	resemW []float64 // per-path weights, non-negative, sum 1
-	walkW  []float64
+	w weights // the engine's own weights, each vector non-negative and summing to 1
 
 	timings Timings
 	obs     *obs.Registry         // nil when observability is off
@@ -242,12 +241,19 @@ func (e *Engine) Paths() []reldb.JoinPath { return e.paths }
 
 // Weights returns the current per-path weights (resemblance, walk).
 func (e *Engine) Weights() (resem, walk []float64) {
-	return append([]float64(nil), e.resemW...), append([]float64(nil), e.walkW...)
+	return append([]float64(nil), e.w.resem...), append([]float64(nil), e.w.walk...)
 }
 
-// pathUsed reports whether join path p carries a nonzero resemblance or
-// walk weight; any other path adds nothing to any similarity.
-func (e *Engine) pathUsed(p int) bool { return e.resemW[p] != 0 || e.walkW[p] != 0 }
+// weights are per-join-path weights of the two similarity measures. Entry
+// points pass them down by value: the engine's own, a degraded cut of them
+// (weights.degraded), or a caller's (SimilaritiesCtx).
+type weights struct {
+	resem, walk []float64
+}
+
+// used reports whether join path p carries a nonzero resemblance or walk
+// weight; any other path adds nothing to any similarity.
+func (w weights) used(p int) bool { return w.resem[p] != 0 || w.walk[p] != 0 }
 
 // Timings returns stage durations observed so far.
 func (e *Engine) Timings() Timings { return e.timings }
@@ -276,11 +282,10 @@ func (e *Engine) MapRefs(ids []reldb.TupleID) []reldb.TupleID {
 // "without supervised learning" configuration of Figure 4.
 func (e *Engine) SetUniformWeights() {
 	n := len(e.paths)
-	e.resemW = make([]float64, n)
-	e.walkW = make([]float64, n)
-	for i := range e.resemW {
-		e.resemW[i] = 1 / float64(n)
-		e.walkW[i] = 1 / float64(n)
+	e.w = weights{make([]float64, n), make([]float64, n)}
+	for i := range e.w.resem {
+		e.w.resem[i] = 1 / float64(n)
+		e.w.walk[i] = 1 / float64(n)
 	}
 }
 
@@ -290,8 +295,7 @@ func (e *Engine) SetWeights(resem, walk []float64) error {
 	if len(resem) != len(e.paths) || len(walk) != len(e.paths) {
 		return fmt.Errorf("core: weight vectors must have %d entries", len(e.paths))
 	}
-	e.resemW = normalize(resem)
-	e.walkW = normalize(walk)
+	e.w = weights{normalize(resem), normalize(walk)}
 	return nil
 }
 
@@ -424,8 +428,7 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	}
 	st.end(2*len(ts.Pairs), nil)
 	if e.cfg.Supervised {
-		e.resemW = rep.ResemWeights
-		e.walkW = rep.WalkWeights
+		e.w = weights{rep.ResemWeights, rep.WalkWeights}
 	}
 	return rep, nil
 }
@@ -437,157 +440,40 @@ func (e *Engine) RefsForName(name string) []reldb.TupleID {
 	return append([]reldb.TupleID(nil), src...)
 }
 
-// PathMatrices holds per-join-path pairwise similarities among a fixed
-// reference list: R[p][i][j] is the set resemblance along path p between
-// references i and j, W[p][i][j] the directed walk probability from i to j.
-// They are the expensive part of disambiguation; computing them once lets
-// callers re-combine them under many weightings (the Figure 4 variants and
-// the min-sim sweeps) without re-propagating.
-//
-// Each matrix set is backed by one flat path-major row-major []float64
-// (RFlat, WFlat; cell (p,i,j) lives at p·n² + i·n + j). R and W are row
-// views sliced into the backing arrays, kept so indexing code and tests
-// read naturally; writes through either form are visible in both.
-type PathMatrices struct {
-	R, W         [][][]float64
-	RFlat, WFlat []float64
-}
-
-// NewPathMatrices allocates zeroed per-path n×n matrix pairs with flat
-// backing arrays.
-func NewPathMatrices(numPaths, n int) *PathMatrices {
-	pm := &PathMatrices{
-		R:     make([][][]float64, numPaths),
-		W:     make([][][]float64, numPaths),
-		RFlat: make([]float64, numPaths*n*n),
-		WFlat: make([]float64, numPaths*n*n),
-	}
-	rows := make([][]float64, 2*numPaths*n) // all row headers in one block
-	for p := 0; p < numPaths; p++ {
-		pm.R[p], rows = rows[:n:n], rows[n:]
-		pm.W[p], rows = rows[:n:n], rows[n:]
-		for i := 0; i < n; i++ {
-			off := p*n*n + i*n
-			pm.R[p][i] = pm.RFlat[off : off+n : off+n]
-			pm.W[p][i] = pm.WFlat[off : off+n : off+n]
-		}
-	}
-	return pm
-}
-
-// NumRefs returns the number of references the matrices cover.
-func (pm *PathMatrices) NumRefs() int {
-	if len(pm.R) == 0 {
-		return 0
-	}
-	return len(pm.R[0])
-}
-
-// PathSimilaritiesCtx computes the per-path similarity matrices among refs.
-// Neighborhoods are prefetched and the pairwise rows computed in parallel
-// under Config.Workers. For each (i,j) pair one fused merge-scan per path
-// yields the resemblance and both directed walk probabilities at once.
-// Cancellation is observed at the stage boundary and between pairwise rows.
-func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (*PathMatrices, error) {
-	n := len(refs)
-	np := len(e.paths)
-	pairs := n * (n - 1) / 2
-	st, ctx, err := e.begin(ctx, stagePathSims,
-		trace.Int("refs", int64(n)), trace.Int("pairs", int64(pairs)))
-	if err != nil {
-		return nil, err
-	}
-	pm := NewPathMatrices(np, n)
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
-		return nil, st.end(0, stageErr("prefetch", err))
-	}
-	nbs := e.ext.NeighborhoodsAll(refs, nil)
-	ix := e.ext.IndexBlock(nbs, nil)
-	defer e.ext.PutBlockIndex(ix)
-	nn := n * n
-	scored := e.obs.Counter("sim.pairs_scored")
-	// Row i fills entries (i,j) and (j,i) for j > i: every matrix cell is
-	// written by exactly one row worker, so rows can run concurrently. Per
-	// row and path, the postings index yields only the partners that share
-	// a neighbor tuple (sim.BlockIndex.Row); every other cell stays an
-	// exact zero. Every path is filled, since the caller may combine the
-	// matrices under other weights, but only weighted paths count toward
-	// sim.pairs_scored, as in similarities.
-	err = fault.ParallelFor(ctx, n, e.cfg.Workers, func(i int) error {
-		s := e.ext.BatchScratch()
-		defer e.ext.PutBatchScratch(s)
-		var rowScored int
-		for p := 0; p < np; p++ {
-			js, out := ix.Row(s, p, i)
-			if e.pathUsed(p) {
-				rowScored += len(js)
-			}
-			base := p * nn
-			row := base + i*n
-			for k, j := range js {
-				j := int(j)
-				pm.RFlat[row+j], pm.RFlat[base+j*n+i] = out[k].Resem, out[k].Resem
-				pm.WFlat[row+j] = out[k].WalkAB
-				pm.WFlat[base+j*n+i] = out[k].WalkBA
-			}
-		}
-		scored.Add(int64(rowScored))
-		return nil
-	})
-	if err != nil {
-		return nil, st.end(0, err)
-	}
-	return pm, st.end(pairs, nil)
-}
-
-// Combine folds per-path matrices into one similarity matrix under the
-// given path weights (resemblance and walk weights respectively). It
-// streams over the flat backing arrays row by row, splitting each row at
-// the diagonal so the inner loops carry no i == j test.
-func Combine(pm *PathMatrices, resemW, walkW []float64) cluster.Matrix {
-	n := pm.NumRefs()
-	m := cluster.NewMatrix(n)
-	for p := range pm.R {
-		rw, ww := resemW[p], walkW[p]
-		if rw == 0 && ww == 0 {
-			continue
-		}
-		base := p * n * n
-		for i := 0; i < n; i++ {
-			off := base + i*n
-			srcR := pm.RFlat[off : off+n]
-			srcW := pm.WFlat[off : off+n]
-			dstR := m.R[i]
-			dstW := m.W[i]
-			for j := 0; j < i; j++ {
-				dstR[j] += rw * srcR[j]
-				dstW[j] += ww * srcW[j]
-			}
-			for j := i + 1; j < n; j++ {
-				dstR[j] += rw * srcR[j]
-				dstW[j] += ww * srcW[j]
-			}
-		}
-	}
-	return m
-}
-
 // Similarities computes the pairwise combined similarities among refs under
 // the engine's current weights: R[i][j] is the weighted set resemblance,
 // W[i][j] the weighted directed walk probability from i to j.
 func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
-	m, err := e.similarities(context.Background(), refs)
+	m, err := e.similarities(context.Background(), refs, e.w)
 	fault.Rethrow(err)
 	return m
 }
 
-// similarities is Similarities under a context, observed between pairwise
-// rows. When the stage span's trace was built with SamplePairEvery, every
-// Nth pair (by triangular pair index — deterministic, no RNG) gets a "pair"
-// event with its Explain-style per-path breakdown attached to the span.
-// Combine over PathSimilaritiesCtx's matrices yields the same floats: both
-// accumulate per-path contributions in ascending path order.
-func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluster.Matrix, error) {
+// SimilaritiesCtx is Similarities under a context and explicit per-path
+// weights, used exactly as given: no clipping, no renormalisation, and the
+// engine's own weights are left alone. Each vector needs one entry per
+// join path (Paths), none negative or NaN. The experiments harness scores
+// one name under learned and under uniform weights this way.
+func (e *Engine) SimilaritiesCtx(ctx context.Context, refs []reldb.TupleID, resemW, walkW []float64) (cluster.Matrix, error) {
+	for _, v := range [][]float64{resemW, walkW} {
+		if len(v) != len(e.paths) {
+			return cluster.Matrix{}, fmt.Errorf("core: weight vectors must have %d entries", len(e.paths))
+		}
+		for p, x := range v {
+			if !(x >= 0) {
+				return cluster.Matrix{}, fmt.Errorf("core: weight %v on path %d is negative or NaN", x, p)
+			}
+		}
+	}
+	return e.similarities(ctx, refs, weights{resemW, walkW})
+}
+
+// similarities is Similarities under a context and weights w, observed
+// between pairwise rows. When the stage span's trace was built with
+// SamplePairEvery, every Nth pair (by triangular pair index — deterministic,
+// no RNG) gets a "pair" event with its Explain-style per-path breakdown
+// attached to the span.
+func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weights) (cluster.Matrix, error) {
 	n := len(refs)
 	pairs := n * (n - 1) / 2
 	st, ctx, err := e.begin(ctx, stageSimilarities,
@@ -603,7 +489,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 	// One index per block over every weighted path, built before the
 	// row pass, so the rows below keep one fan-out and one fault point
 	// per row.
-	ix := e.ext.IndexBlock(nbs, e.pathUsed)
+	ix := e.ext.IndexBlock(nbs, w.used)
 	defer e.ext.PutBlockIndex(ix)
 	// Resolved once per stage: the per-row injection point below costs
 	// one nil check per row when fault injection is off.
@@ -626,10 +512,10 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 		// cell that is never -0, which leaves it unchanged, so it is
 		// skipped.
 		for p := range e.paths {
-			if !e.pathUsed(p) {
+			if !w.used(p) {
 				continue
 			}
-			rw, ww := e.resemW[p], e.walkW[p]
+			rw, ww := w.resem[p], w.walk[p]
 			js, out := ix.Row(s, p, i)
 			rowScored += len(js)
 			for k, j := range js {
@@ -650,7 +536,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 		return cluster.Matrix{}, st.end(0, err)
 	}
 	if every := st.sp.Trace().SamplePairEvery(); every > 0 {
-		e.samplePairs(st.sp, refs, m, every)
+		e.samplePairs(st.sp, refs, m, every, w)
 	}
 	return m, st.end(pairs, nil)
 }
@@ -658,13 +544,13 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID) (cluste
 // samplePairs attaches "pair" events with Explain-style per-path breakdowns
 // for every sampleEvery-th pair (by triangular pair index — a pure function
 // of (i, j, n), so the sample is identical whatever the worker count) to
-// the similarities stage span. The sampled pairs' per-path values are
+// the similarities stage span, weighted by w. The sampled pairs' per-path values are
 // rescored one pair at a time (sim.Extractor.Pair), which runs the block
 // kernel on a two-member block: the sample is sparse, so the cost is
 // negligible next to the batched fill, and the values are identical. The
 // serial (i, j) walk emits events already in the order the old per-worker
 // collection had to sort into.
-func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, m cluster.Matrix, sampleEvery int) {
+func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, m cluster.Matrix, sampleEvery int, w weights) {
 	n := len(refs)
 	nbs := e.ext.NeighborhoodsAll(refs, nil)
 	var events []trace.Event
@@ -680,7 +566,7 @@ func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, m cluster.Ma
 			var breakdown []byte
 			trips = e.ext.Pair(nbs[i], nbs[j], trips)
 			for p, t := range trips {
-				rw, ww := e.resemW[p], e.walkW[p]
+				rw, ww := w.resem[p], w.walk[p]
 				if rw == 0 && ww == 0 {
 					continue
 				}
@@ -750,10 +636,16 @@ func groupRefs(refs []reldb.TupleID, idx [][]int) [][]reldb.TupleID {
 // ctx carries none). Cancellation (and any injected fault) surfaces as an
 // error wrapped with the stage that observed it.
 func (e *Engine) DisambiguateRefsCtx(ctx context.Context, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
+	return e.disambiguateRefs(ctx, refs, e.w)
+}
+
+// disambiguateRefs is DisambiguateRefsCtx under weights w; the resilience
+// ladder passes a degraded cut of the engine's weights through it.
+func (e *Engine) disambiguateRefs(ctx context.Context, refs []reldb.TupleID, w weights) ([][]reldb.TupleID, error) {
 	if len(refs) == 0 {
 		return nil, nil
 	}
-	m, err := e.similarities(ctx, refs)
+	m, err := e.similarities(ctx, refs, w)
 	if err != nil {
 		return nil, err
 	}

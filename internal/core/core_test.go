@@ -304,14 +304,3 @@ func mustGroups(t testing.TB, e *Engine, refs []reldb.TupleID) [][]reldb.TupleID
 	}
 	return groups
 }
-
-// mustPathSims is PathSimilaritiesCtx on a background context, failing the
-// test on error.
-func mustPathSims(t testing.TB, e *Engine, refs []reldb.TupleID) *PathMatrices {
-	t.Helper()
-	pm, err := e.PathSimilaritiesCtx(context.Background(), refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pm
-}

@@ -41,8 +41,8 @@ func (e *Engine) Explain(r1, r2 reldb.TupleID) *Explanation {
 			Path:          e.paths[p],
 			Resem:         r,
 			Walk:          w,
-			WeightedResem: e.resemW[p] * r,
-			WeightedWalk:  e.walkW[p] * w,
+			WeightedResem: e.w.resem[p] * r,
+			WeightedWalk:  e.w.walk[p] * w,
 		}
 		ex.Resem += c.WeightedResem
 		ex.Walk += c.WeightedWalk

@@ -18,11 +18,11 @@ import (
 
 // attemptLadder runs one name's disambiguation under the resilience ladder:
 //
-//  1. a guarded attempt on the full engine under the per-name budget —
-//     or, under opts.ForceDegraded (a serving-layer brownout), directly on
-//     the degraded view;
-//  2. on a blown budget, one guarded retry on the degraded view (top-k
-//     join paths) under a fresh budget — unless the attempt was already
+//  1. a guarded attempt under the engine's weights and the per-name
+//     budget — or, under opts.ForceDegraded (a serving-layer brownout),
+//     directly under the degraded weights;
+//  2. on a blown budget, one guarded retry under the degraded weights (top-k
+//     join paths) and a fresh budget — unless the attempt was already
 //     degraded;
 //  3. on panic, error, or a second blown budget, the references are kept as
 //     one conservative group.
@@ -33,13 +33,13 @@ import (
 // groups and incident are nil and the caller owns the partial-result
 // contract. Stage spans parent under ctx's span.
 func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.TupleID, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
-	// attempt runs one disambiguation under eng (the full engine or its
-	// degraded view), converting a panic anywhere in the name's stages into
-	// a *fault.PanicError instead of killing the caller.
-	attempt := func(eng *Engine, nctx context.Context) (groups [][]reldb.TupleID, err error) {
+	// attempt runs one disambiguation under w (the engine's weights or
+	// their degraded cut), converting a panic anywhere in the name's stages
+	// into a *fault.PanicError instead of killing the caller.
+	attempt := func(w weights, nctx context.Context) (groups [][]reldb.TupleID, err error) {
 		err = fault.Guard(func() error {
 			var aerr error
-			groups, aerr = eng.DisambiguateRefsCtx(nctx, refs)
+			groups, aerr = e.disambiguateRefs(nctx, refs, w)
 			return aerr
 		})
 		return groups, err
@@ -51,22 +51,22 @@ func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.Tu
 		return ctx, func() {}
 	}
 
-	// A brownout-forced compute starts on the degraded view: the quality
-	// cut the over-budget retry would make, taken up front because the
-	// server (not this name) is in trouble. The incident it reports keeps
-	// the serving envelope honest (degraded: true, stage "brownout").
-	eng := e
+	// A brownout-forced compute starts on the degraded weights: the
+	// quality cut the over-budget retry would make, taken up front because
+	// the server (not this name) is in trouble. The incident it reports
+	// keeps the serving envelope honest (degraded: true, stage "brownout").
+	w, cutFirst := e.w, false
 	var forced *Incident
 	if opts.ForceDegraded {
-		if de := e.degraded(opts.DegradedPaths); de != e {
-			eng = de
+		if dw, ok := e.w.degraded(opts.DegradedPaths); ok {
+			w, cutFirst = dw, true
 			forced = &Incident{Name: name, Stage: "brownout",
 				Reason: IncidentDegraded, Err: "server-forced degraded path"}
 		}
 	}
 
 	nctx, cancel := withBudget()
-	groups, err := attempt(eng, nctx)
+	groups, err := attempt(w, nctx)
 	cancel()
 	if err == nil {
 		return groups, forced, nil
@@ -85,11 +85,10 @@ func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.Tu
 		// Per-name budget blown: retry once in degraded mode under a fresh
 		// budget (when the path set can actually be cut). A forced-degraded
 		// attempt was already on the cut path — retrying it would repeat
-		// the same work. degraded builds a fresh view on every call, so
-		// only eng == e says the first attempt ran on the full path set.
-		if de := e.degraded(opts.DegradedPaths); de != e && eng == e {
+		// the same work.
+		if dw, ok := e.w.degraded(opts.DegradedPaths); ok && !cutFirst {
 			nctx, cancel = withBudget()
-			g2, derr := attempt(de, nctx)
+			g2, derr := attempt(dw, nctx)
 			cancel()
 			if derr == nil {
 				return g2, &Incident{

@@ -41,8 +41,8 @@ func (e *Engine) ExportModel() *Model {
 		Format:       modelFormat,
 		RefRelation:  e.cfg.RefRelation,
 		RefAttr:      e.cfg.RefAttr,
-		ResemWeights: append([]float64(nil), e.resemW...),
-		WalkWeights:  append([]float64(nil), e.walkW...),
+		ResemWeights: append([]float64(nil), e.w.resem...),
+		WalkWeights:  append([]float64(nil), e.w.walk...),
 		Measure:      e.cfg.Measure.String(),
 		MinSim:       e.cfg.MinSim,
 	}
@@ -75,8 +75,7 @@ func (e *Engine) ApplyModel(m *Model) error {
 	if len(m.ResemWeights) != len(e.paths) || len(m.WalkWeights) != len(e.paths) {
 		return fmt.Errorf("core: model weight vectors do not cover %d paths", len(e.paths))
 	}
-	e.resemW = normalize(m.ResemWeights)
-	e.walkW = normalize(m.WalkWeights)
+	e.w = weights{normalize(m.ResemWeights), normalize(m.WalkWeights)}
 	return nil
 }
 

@@ -2,115 +2,136 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"distinct/internal/cluster"
 	"distinct/internal/obs"
-	"distinct/internal/reldb"
 )
 
-func TestPathSimilaritiesAndCombine(t *testing.T) {
+// TestSimilaritiesCtx holds the weights-as-argument entry point to the
+// engine's own scoring: under a trained engine's weights it reproduces
+// Similarities bit for bit, and under uniform weights a freshly opened,
+// untrained engine's Similarities (the from-scratch oracle). All-zero
+// weights score nothing, and malformed weights are refused.
+func TestSimilaritiesCtx(t *testing.T) {
 	w := testWorld(t)
-	e := newTestEngine(t, w, false)
-	refs := e.RefsForName("Wei Wang")[:12]
-	pm := mustPathSims(t, e, refs)
-	if pm.NumRefs() != 12 {
-		t.Fatalf("NumRefs = %d", pm.NumRefs())
+	ctx := context.Background()
+	e := newTestEngine(t, w, true)
+	if _, err := e.TrainCtx(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if len(pm.R) != len(e.Paths()) || len(pm.W) != len(e.Paths()) {
-		t.Fatal("per-path matrix count mismatch")
-	}
-	// Per-path resemblance symmetric and bounded.
-	for p := range pm.R {
-		for i := range refs {
-			for j := range refs {
-				if pm.R[p][i][j] != pm.R[p][j][i] {
-					t.Fatalf("path %d resemblance asymmetric", p)
-				}
-				if pm.R[p][i][j] < 0 || pm.R[p][i][j] > 1+1e-9 {
-					t.Fatalf("path %d resemblance out of range: %v", p, pm.R[p][i][j])
-				}
-				if pm.W[p][i][j] < 0 {
-					t.Fatalf("negative walk prob")
-				}
-			}
-		}
-	}
-	// Combine under the engine's weights reproduces Similarities bit for
-	// bit: both accumulate per-path contributions in ascending path order.
+	refs := e.RefsForName("Wei Wang")
+	n := len(e.Paths())
 	rw, ww := e.Weights()
-	got := Combine(pm, rw, ww)
-	want := e.Similarities(refs)
-	for i := range refs {
-		for j := range refs {
-			if got.R[i][j] != want.R[i][j] {
-				t.Fatalf("Combine R[%d][%d] = %v, Similarities %v", i, j, got.R[i][j], want.R[i][j])
-			}
-			if got.W[i][j] != want.W[i][j] {
-				t.Fatalf("Combine W[%d][%d] = %v, Similarities %v", i, j, got.W[i][j], want.W[i][j])
-			}
-		}
+	uniform := make([]float64, n)
+	for p := range uniform {
+		uniform[p] = 1 / float64(n)
 	}
-	// Zero weights zero out the combination.
-	zero := make([]float64, len(rw))
-	z := Combine(pm, zero, zero)
-	for i := range refs {
-		for j := range refs {
-			if z.R[i][j] != 0 || z.W[i][j] != 0 {
-				t.Fatal("zero weights produced nonzero similarity")
-			}
-		}
+	if slices.Equal(rw, uniform) {
+		t.Fatal("training left uniform weights: the two oracles below coincide")
 	}
-	// Empty matrices.
-	if (&PathMatrices{}).NumRefs() != 0 {
-		t.Error("empty PathMatrices NumRefs != 0")
-	}
-}
-
-// TestPairsScoredSameForPathSimsAndSimilarities: sim.pairs_scored counts
-// the kernel's results on weighted paths only, whether they come from
-// similarities' row pass or from PathSimilaritiesCtx, which fills every
-// path; a repeated pass counts again.
-func TestPairsScoredSameForPathSimsAndSimilarities(t *testing.T) {
-	w := testWorld(t)
-	// scored reports what each of two passes of run over "Wei Wang" adds
-	// to sim.pairs_scored.
-	scored := func(halfWeighted bool, run func(*Engine, []reldb.TupleID)) (first, second int64) {
-		reg := obs.NewRegistry()
-		c := engineConfig(w, false)
-		c.Obs = reg
-		e, err := NewEngineCtx(context.Background(), w.DB, c)
+	sims := func(resem, walk []float64) cluster.Matrix {
+		t.Helper()
+		m, err := e.SimilaritiesCtx(ctx, refs, resem, walk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if halfWeighted {
-			resem, walk := e.Weights()
-			for p := 0; p < len(resem); p += 2 {
-				resem[p], walk[p] = 0, 0
-			}
-			if err := e.SetWeights(resem, walk); err != nil {
-				t.Fatal(err)
+		return m
+	}
+	same := func(what string, got, want cluster.Matrix) {
+		t.Helper()
+		if len(got.R) != len(refs) || len(want.R) != len(refs) {
+			t.Fatalf("%s: %d and %d rows for %d refs", what, len(got.R), len(want.R), len(refs))
+		}
+		for i := range refs {
+			for j := range refs {
+				if got.R[i][j] != want.R[i][j] || got.W[i][j] != want.W[i][j] {
+					t.Fatalf("%s: cell (%d,%d) = (%v, %v), want (%v, %v)", what, i, j,
+						got.R[i][j], got.W[i][j], want.R[i][j], want.W[i][j])
+				}
 			}
 		}
-		refs := e.RefsForName("Wei Wang")
-		run(e, refs)
-		first = reg.Counter("sim.pairs_scored").Value()
-		run(e, refs)
-		return first, reg.Counter("sim.pairs_scored").Value() - first
 	}
-	sims := func(e *Engine, refs []reldb.TupleID) { e.Similarities(refs) }
-	pathSims := func(e *Engine, refs []reldb.TupleID) { mustPathSims(t, e, refs) }
-	all, _ := scored(false, sims)
-	half, halfAgain := scored(true, sims)
-	perPath, perPathAgain := scored(true, pathSims)
-	if half == 0 || half >= all {
-		t.Fatalf("half-weighted count %d, all-weighted %d: want 0 < half < all", half, all)
+
+	same("engine weights", sims(rw, ww), e.Similarities(refs))
+	fresh := newTestEngine(t, w, false)
+	if !slices.Equal(fresh.RefsForName("Wei Wang"), refs) {
+		t.Fatal("a fresh engine maps the references differently")
 	}
-	if perPath != half {
-		t.Fatalf("pairs_scored by PathSimilaritiesCtx = %d, by Similarities = %d", perPath, half)
+	same("uniform weights", sims(uniform, uniform), fresh.Similarities(refs))
+	if r, wk := e.Weights(); !slices.Equal(r, rw) || !slices.Equal(wk, ww) {
+		t.Fatal("SimilaritiesCtx changed the engine's weights")
 	}
-	if halfAgain != half || perPathAgain != half {
-		t.Fatalf("second pass added %d by Similarities, %d by PathSimilaritiesCtx; want %d each", halfAgain, perPathAgain, half)
+
+	zero := make([]float64, n)
+	same("zero weights", sims(zero, zero), cluster.NewMatrix(len(refs)))
+
+	neg := slices.Clone(rw)
+	neg[1] = -0.5
+	nan := slices.Clone(ww)
+	nan[2] = math.NaN()
+	for _, tc := range []struct {
+		name        string
+		resem, walk []float64
+	}{
+		{"short resemblance", rw[:n-1], ww},
+		{"long walk", rw, append(slices.Clone(ww), 0)},
+		{"negative", neg, ww},
+		{"NaN", rw, nan},
+	} {
+		m, err := e.SimilaritiesCtx(ctx, refs, tc.resem, tc.walk)
+		if err == nil || m.R != nil {
+			t.Errorf("%s weights: err = %v, %d matrix rows; want an error and no matrix", tc.name, err, len(m.R))
+		}
+	}
+}
+
+// TestPairsScoredFollowWeights: sim.pairs_scored counts the kernel's
+// results on the paths the weights passed in use (a nonzero resemblance or
+// walk weight), so a half-weighted call counts more than nothing and less
+// than an all-weighted one; a repeated call counts again.
+func TestPairsScoredFollowWeights(t *testing.T) {
+	w := testWorld(t)
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	c := engineConfig(w, false)
+	c.Obs = reg
+	e, err := NewEngineCtx(ctx, w.DB, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := e.RefsForName("Wei Wang")
+	all, _ := e.Weights()
+	half := slices.Clone(all)
+	for p := 0; p < len(half); p += 2 {
+		half[p] = 0
+	}
+	counter := reg.Counter("sim.pairs_scored")
+	scored := func(resem, walk []float64) int64 {
+		t.Helper()
+		before := counter.Value()
+		if _, err := e.SimilaritiesCtx(ctx, refs, resem, walk); err != nil {
+			t.Fatal(err)
+		}
+		return counter.Value() - before
+	}
+	allN := scored(all, all)
+	halfN := scored(half, half)
+	if halfN == 0 || halfN >= allN {
+		t.Fatalf("half-weighted count %d, all-weighted %d: want 0 < half < all", halfN, allN)
+	}
+	if again := scored(half, half); again != halfN {
+		t.Fatalf("repeated half-weighted call added %d, want %d", again, halfN)
+	}
+	if walkOnly := scored(half, all); walkOnly != allN {
+		t.Fatalf("walk weights on every path counted %d, want %d", walkOnly, allN)
+	}
+	before := counter.Value()
+	e.Similarities(refs)
+	if got := counter.Value() - before; got != allN {
+		t.Fatalf("Similarities under the engine's uniform weights counted %d, want %d", got, allN)
 	}
 }
 

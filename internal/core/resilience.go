@@ -1,5 +1,5 @@
-// Resilience layer: stage error wrapping and the degraded engine view used
-// by per-name budget retries. Stage-boundary context checks and fault
+// Resilience layer: stage error wrapping and the degraded weights used by
+// per-name budget retries. Stage-boundary context checks and fault
 // points live in the stage primitive (stage.go); the panic-isolating worker
 // pool is fault.ParallelFor. See DESIGN.md §10.
 
@@ -70,33 +70,31 @@ func incidentStage(err error) string {
 // per-name retry keeps (see BatchOptions.DegradedPaths).
 const DefaultDegradedPaths = 4
 
-// degraded returns a shallow engine view whose weights keep only the k
-// strongest join paths by combined learned weight (renormalised to sum 1),
-// sharing the database, extractor cache, and observability sinks with the
-// parent. Cutting the path set shrinks both the postings index and the
-// per-row kernel loop, which is what lets a name that blew its budget be
-// retried cheaply. If k already covers every positively weighted path the
-// receiver itself is returned.
-func (e *Engine) degraded(k int) *Engine {
+// degraded returns w cut to the k strongest join paths by combined weight
+// (renormalised to sum 1). Cutting the path set shrinks both the postings
+// index and the per-row kernel loop, which is what lets a name that blew
+// its budget be retried cheaply. It reports false, and returns w itself,
+// when k already covers every positively weighted path.
+func (w weights) degraded(k int) (weights, bool) {
 	if k <= 0 {
 		k = DefaultDegradedPaths
 	}
 	nonzero := 0
-	for p := range e.resemW {
-		if e.resemW[p] > 0 || e.walkW[p] > 0 {
+	for p := range w.resem {
+		if w.resem[p] > 0 || w.walk[p] > 0 {
 			nonzero++
 		}
 	}
 	if nonzero <= k {
-		return e
+		return w, false
 	}
 	type pathWeight struct {
 		p int
 		w float64
 	}
-	ranked := make([]pathWeight, len(e.resemW))
-	for p := range e.resemW {
-		ranked[p] = pathWeight{p: p, w: e.resemW[p] + e.walkW[p]}
+	ranked := make([]pathWeight, len(w.resem))
+	for p := range w.resem {
+		ranked[p] = pathWeight{p: p, w: w.resem[p] + w.walk[p]}
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].w != ranked[j].w {
@@ -104,14 +102,11 @@ func (e *Engine) degraded(k int) *Engine {
 		}
 		return ranked[i].p < ranked[j].p
 	})
-	resem := make([]float64, len(e.resemW))
-	walk := make([]float64, len(e.walkW))
+	resem := make([]float64, len(w.resem))
+	walk := make([]float64, len(w.walk))
 	for _, r := range ranked[:k] {
-		resem[r.p] = e.resemW[r.p]
-		walk[r.p] = e.walkW[r.p]
+		resem[r.p] = w.resem[r.p]
+		walk[r.p] = w.walk[r.p]
 	}
-	de := *e
-	de.resemW = normalize(resem)
-	de.walkW = normalize(walk)
-	return &de
+	return weights{normalize(resem), normalize(walk)}, true
 }

@@ -78,7 +78,7 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 		var blocks []block
 		for _, name := range h.World.AmbiguousNames() {
 			refs := engine.RefsForName(name)
-			pm, err := engine.PathSimilaritiesCtx(ctx, refs)
+			m, err := engine.SimilaritiesCtx(ctx, refs, resemW, walkW)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: expansion ablation %q: %s: %w", cfg.label, name, err)
 			}
@@ -86,7 +86,7 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 			for _, c := range h.World.GoldClusters(name) {
 				gold = append(gold, engine.MapRefs(c))
 			}
-			blocks = append(blocks, block{refs, core.Combine(pm, resemW, walkW), gold})
+			blocks = append(blocks, block{refs, m, gold})
 		}
 		evalAt := func(minSim float64) (eval.Metrics, error) {
 			ms := make([]eval.Metrics, len(blocks))

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"distinct/internal/cluster"
 	"distinct/internal/dblp"
 )
 
@@ -171,19 +176,46 @@ func TestTimingReports(t *testing.T) {
 	}
 }
 
+// TestHarnessCaches: each name's similarity matrix is computed once per
+// weighting and then shared, the two weightings are kept apart, a
+// computation that fails is not kept, and training runs once.
 func TestHarnessCaches(t *testing.T) {
 	h := newTestHarness(t)
-	a, err := h.PathSims("Wei Wang")
-	if err != nil {
-		t.Fatal(err)
+	matrix := func(name string, supervised bool) cluster.Matrix {
+		t.Helper()
+		m, err := h.matrix(name, supervised)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	b, err := h.PathSims("Wei Wang")
-	if err != nil {
-		t.Fatal(err)
+	a := matrix("Wei Wang", true)
+	if b := matrix("Wei Wang", true); &a.RFlat[0] != &b.RFlat[0] || &a.WFlat[0] != &b.WFlat[0] {
+		t.Error("supervised matrix not cached")
 	}
-	if a != b {
-		t.Error("PathSims not cached")
+	u := matrix("Wei Wang", false)
+	if &u.RFlat[0] == &a.RFlat[0] || slices.Equal(u.RFlat, a.RFlat) {
+		t.Error("uniform-weight matrix shares or equals the supervised one")
 	}
+	if v := matrix("Wei Wang", false); &v.RFlat[0] != &u.RFlat[0] {
+		t.Error("uniform-weight matrix not cached")
+	}
+
+	// A computation that times out is returned as an error and not kept;
+	// the next call without the budget computes and keeps the matrix.
+	h.Opts.NameTimeout = time.Nanosecond
+	if _, err := h.matrix("Lei Wang", true); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("1ns budget: err = %v, want deadline exceeded", err)
+	}
+	if _, ok := h.sims[simKey{"Lei Wang", true}]; ok {
+		t.Fatal("timed-out computation was cached")
+	}
+	h.Opts.NameTimeout = 0
+	c := matrix("Lei Wang", true)
+	if d := matrix("Lei Wang", true); &c.RFlat[0] != &d.RFlat[0] {
+		t.Error("matrix computed after a timeout not cached")
+	}
+
 	r1, err := h.Train()
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"distinct/internal/cluster"
-	"distinct/internal/core"
 	"distinct/internal/eval"
 	"distinct/internal/reldb"
 )
@@ -66,17 +65,13 @@ func (h *Harness) Figure4() ([]Figure4Row, error) {
 func (h *Harness) figure4(variants []Variant) ([]Figure4Row, error) {
 	var rows []Figure4Row
 	for _, v := range variants {
-		resemW, walkW, err := h.variantWeights(v.Supervised)
-		if err != nil {
-			return nil, err
-		}
 		grid := []float64{h.Opts.MinSim}
 		if v.TuneMinSim {
 			grid = h.Opts.MinSimGrid
 		}
 		best := Figure4Row{Variant: v.Name, Accuracy: -1}
 		for _, ms := range grid {
-			_, avg, err := h.evaluateAll(resemW, walkW, v.Measure, ms)
+			_, avg, err := h.evaluateAll(v.Supervised, v.Measure, ms)
 			if err != nil {
 				return nil, err
 			}
@@ -121,19 +116,14 @@ func (h *Harness) Ablation() ([]Figure4Row, error) {
 // autoGapRow evaluates per-name gap cutting (cluster.AgglomerateAuto) with
 // supervised weights over all ambiguous names.
 func (h *Harness) autoGapRow() (Figure4Row, error) {
-	resemW, walkW, err := h.variantWeights(true)
-	if err != nil {
-		return Figure4Row{}, err
-	}
 	names := h.World.AmbiguousNames()
 	ms := make([]eval.Metrics, len(names))
 	for i, name := range names {
 		refs := h.refs[name]
-		pm, err := h.PathSims(name)
+		m, err := h.matrix(name, true)
 		if err != nil {
 			return Figure4Row{}, err
 		}
-		m := core.Combine(pm, resemW, walkW)
 		idx := cluster.AgglomerateAuto(len(refs), m, cluster.Combined, cluster.DefaultGapRatio, h.Opts.MinSim)
 		pred := make(eval.Clustering, len(idx))
 		for ci, c := range idx {

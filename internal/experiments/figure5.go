@@ -57,15 +57,10 @@ func (h *Harness) Figure5(name string) (*Figure5Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: %q is not an ambiguous name of this world", name)
 	}
-	resemW, walkW, err := h.variantWeights(true)
+	m, err := h.matrix(name, true)
 	if err != nil {
 		return nil, err
 	}
-	pm, err := h.PathSims(name)
-	if err != nil {
-		return nil, err
-	}
-	m := core.Combine(pm, resemW, walkW)
 	pred := core.ClusterMatrix(refs, m, cluster.Combined, h.Opts.MinSim)
 
 	// Invert the expanded-DB mapping so ground truth can be read per ref.

@@ -10,9 +10,9 @@
 //   - the Section 5 timing figure (training-set construction + SVM = 62.1 s
 //     on full DBLP), measured at this reproduction's scale.
 //
-// The harness caches the expensive artifacts — one engine per supervision
-// mode and the per-path similarity matrices per name — so variant sweeps
-// only redo the cheap weight combination and clustering.
+// The harness caches the expensive artifacts — the trained engine and each
+// name's combined similarity matrix per weighting (learned or uniform) — so
+// variant sweeps and min-sim grids only redo the clustering.
 package experiments
 
 import (
@@ -59,9 +59,9 @@ type Options struct {
 	// means context.Background(). cmd/experiments cancels it on SIGINT and
 	// bounds it with -timeout.
 	Ctx context.Context
-	// NameTimeout, when positive, is the per-name budget on the similarity
-	// matrices PathSims computes — the dominant per-name cost here (the
-	// -name-timeout flag of cmd/experiments).
+	// NameTimeout, when positive, is the budget on each similarity matrix
+	// the harness computes (one per name and weighting) — the dominant
+	// per-name cost here (the -name-timeout flag of cmd/experiments).
 	NameTimeout time.Duration
 }
 
@@ -107,9 +107,16 @@ type Harness struct {
 	trainReport *core.TrainReport
 
 	// cached per ambiguous name
-	refs map[string][]reldb.TupleID    // expanded-DB reference IDs
-	gold map[string]eval.Clustering    // expanded-DB gold clusters
-	sims map[string]*core.PathMatrices // filled by PathSims
+	refs map[string][]reldb.TupleID // expanded-DB reference IDs
+	gold map[string]eval.Clustering // expanded-DB gold clusters
+	sims map[simKey]cluster.Matrix  // filled by matrix
+}
+
+// simKey names one memoized similarity matrix: a name under the learned
+// (supervised) or the uniform weights.
+type simKey struct {
+	name       string
+	supervised bool
 }
 
 // NewHarness generates the world and builds the engine (untrained).
@@ -152,7 +159,7 @@ func NewHarnessWorld(world *dblp.World, opts Options) (*Harness, error) {
 		engine: engine,
 		refs:   make(map[string][]reldb.TupleID),
 		gold:   make(map[string]eval.Clustering),
-		sims:   make(map[string]*core.PathMatrices),
+		sims:   make(map[simKey]cluster.Matrix),
 	}
 	for _, name := range world.AmbiguousNames() {
 		h.refs[name] = engine.MapRefs(world.Refs(name))
@@ -181,17 +188,22 @@ func (h *Harness) Train() (*core.TrainReport, error) {
 	return rep, nil
 }
 
-// PathSims returns the per-path similarity matrices of a name, computed on
-// first use and kept for the harness's lifetime: the variant sweeps
-// (Figure 4, the ablation, min-sim grids) re-combine the same per-name
-// matrices under many weightings and thresholds, so every pass after the
-// first is a cheap Combine instead of an all-pairs kernel run. On the
-// default world the ten names' matrices take about 41 MiB. Opts.NameTimeout,
-// when set, budgets the computation; Opts.Ctx cancels it. A failed or
-// timed-out computation is not kept.
-func (h *Harness) PathSims(name string) (*core.PathMatrices, error) {
-	if pm, ok := h.sims[name]; ok {
-		return pm, nil
+// matrix returns a name's combined similarity matrix under the weights of
+// a supervision mode (variantWeights), computed on first use and kept for
+// the harness's lifetime: the variant sweeps (Figure 4, the ablation,
+// min-sim grids) cut the same matrix under several cluster measures and
+// thresholds, so every pass after the first is clustering alone. On the
+// default world the ten names' matrices take about 0.9 MiB per mode.
+// Opts.NameTimeout, when set, budgets the computation; Opts.Ctx cancels it.
+// A failed or timed-out computation is not kept.
+func (h *Harness) matrix(name string, supervised bool) (cluster.Matrix, error) {
+	key := simKey{name, supervised}
+	if m, ok := h.sims[key]; ok {
+		return m, nil
+	}
+	resemW, walkW, err := h.variantWeights(supervised)
+	if err != nil {
+		return cluster.Matrix{}, err
 	}
 	ctx := h.Opts.ctx()
 	if h.Opts.NameTimeout > 0 {
@@ -199,12 +211,12 @@ func (h *Harness) PathSims(name string) (*core.PathMatrices, error) {
 		ctx, cancel = context.WithTimeout(ctx, h.Opts.NameTimeout)
 		defer cancel()
 	}
-	pm, err := h.engine.PathSimilaritiesCtx(ctx, h.refs[name])
+	m, err := h.engine.SimilaritiesCtx(ctx, h.refs[name], resemW, walkW)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: path similarities of %q: %w", name, err)
+		return cluster.Matrix{}, fmt.Errorf("experiments: similarities of %q: %w", name, err)
 	}
-	h.sims[name] = pm
-	return pm, nil
+	h.sims[key] = m
+	return m, nil
 }
 
 // uniformWeights returns 1/n per path.
@@ -231,10 +243,11 @@ func (h *Harness) variantWeights(supervised bool) (resemW, walkW []float64, err 
 	return rep.ResemWeights, rep.WalkWeights, nil
 }
 
-// clusterName clusters one name's references under the given weights,
-// measure and threshold, returning its metrics against gold.
-func (h *Harness) clusterName(name string, resemW, walkW []float64, measure cluster.Measure, minSim float64) (eval.Metrics, error) {
-	pred, err := h.clusterNamePred(name, resemW, walkW, measure, minSim)
+// clusterName clusters one name's references under the weights of a
+// supervision mode, a measure and a threshold, returning its metrics
+// against gold.
+func (h *Harness) clusterName(name string, supervised bool, measure cluster.Measure, minSim float64) (eval.Metrics, error) {
+	pred, err := h.clusterNamePred(name, supervised, measure, minSim)
 	if err != nil {
 		return eval.Metrics{}, err
 	}
@@ -242,26 +255,25 @@ func (h *Harness) clusterName(name string, resemW, walkW []float64, measure clus
 }
 
 // clusterNamePred returns the predicted clustering itself.
-func (h *Harness) clusterNamePred(name string, resemW, walkW []float64, measure cluster.Measure, minSim float64) (eval.Clustering, error) {
+func (h *Harness) clusterNamePred(name string, supervised bool, measure cluster.Measure, minSim float64) (eval.Clustering, error) {
 	refs, ok := h.refs[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown name %q", name)
 	}
-	pm, err := h.PathSims(name)
+	m, err := h.matrix(name, supervised)
 	if err != nil {
 		return nil, err
 	}
-	m := core.Combine(pm, resemW, walkW)
 	return eval.Clustering(core.ClusterMatrix(refs, m, measure, minSim)), nil
 }
 
 // evaluateAll scores every ambiguous name and returns per-name metrics in
 // Table 1 order plus their average.
-func (h *Harness) evaluateAll(resemW, walkW []float64, measure cluster.Measure, minSim float64) ([]eval.Metrics, eval.Metrics, error) {
+func (h *Harness) evaluateAll(supervised bool, measure cluster.Measure, minSim float64) ([]eval.Metrics, eval.Metrics, error) {
 	names := h.World.AmbiguousNames()
 	ms := make([]eval.Metrics, len(names))
 	for i, name := range names {
-		m, err := h.clusterName(name, resemW, walkW, measure, minSim)
+		m, err := h.clusterName(name, supervised, measure, minSim)
 		if err != nil {
 			return nil, eval.Metrics{}, fmt.Errorf("experiments: %s: %w", name, err)
 		}

@@ -61,11 +61,7 @@ type Table2Result struct {
 // Table2 runs the full DISTINCT configuration (supervised, combined
 // measure, fixed min-sim) on every ambiguous name.
 func (h *Harness) Table2() (*Table2Result, error) {
-	resemW, walkW, err := h.variantWeights(true)
-	if err != nil {
-		return nil, err
-	}
-	ms, avg, err := h.evaluateAll(resemW, walkW, DISTINCT().Measure, h.Opts.MinSim)
+	ms, avg, err := h.evaluateAll(true, DISTINCT().Measure, h.Opts.MinSim)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +70,7 @@ func (h *Harness) Table2() (*Table2Result, error) {
 	for i, name := range names {
 		row := Table2Row{Name: name, Metrics: ms[i]}
 		// Extension metrics on the same prediction.
-		pred, err := h.clusterNamePred(name, resemW, walkW, DISTINCT().Measure, h.Opts.MinSim)
+		pred, err := h.clusterNamePred(name, true, DISTINCT().Measure, h.Opts.MinSim)
 		if err != nil {
 			return nil, err
 		}

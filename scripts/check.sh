@@ -21,7 +21,7 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 echo "== pprof benchmarks, one iteration each (they must keep compiling and running)"
-go test -run '^$' -bench '^Benchmark(Pair|SimilarityMatrix|DisambiguateAll|Clustering|ClusteringLarge|TuneMinSim|Propagate|PlanCompile|ServeThroughput)$' -benchtime 1x .
+go test -run '^$' -bench '^Benchmark(Pair|SimilarityMatrix|FeatureExtractionWorkers|DisambiguateAll|Clustering|ClusteringLarge|TuneMinSim|Propagate|PlanCompile|ServeThroughput)$' -benchtime 1x .
 echo "== cmd/distinctbench (its own module: root ./... never compiles it)"
 (cd cmd/distinctbench && go vet . && go test .)
 echo "== go test -race ./..."
