@@ -416,7 +416,7 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, rec *Dend
 
 	var out [][]int
 	if rec == nil {
-		out = s.partition(n, n-int(merges))
+		out = partition(s.parent, s.size, s.outIdx, n, n-int(merges))
 	}
 
 	if span != nil {
@@ -441,33 +441,36 @@ func agglomerate(ctx context.Context, n int, ps PairSim, opts Options, rec *Dend
 	return out, nil
 }
 
-// partition materialises the final clustering from the parent links:
-// clusters appear in order of their smallest member with members ascending
-// (references are visited in index order, so both properties fall out of
-// first-seen grouping). All member slices are carved from one backing
-// array — the whole output is two allocations.
-func (s *Scratch) partition(n, nClusters int) [][]int {
+// partition materialises the clustering of references 0..n-1 from
+// union-find parent links (-1 at a root) and root sizes: clusters appear in
+// order of their smallest member with members ascending (references are
+// visited in index order, so both properties fall out of first-seen
+// grouping). outIdx, indexed by cluster id, must be all zero; it is used as
+// the root -> output cluster index + 1 map, and parent is path-compressed
+// along the way. All member slices are carved from one backing array — the
+// whole output is two allocations.
+func partition(parent, size, outIdx []int32, n, nClusters int) [][]int {
 	backing := make([]int, n)
 	out := make([][]int, 0, nClusters)
 	off := 0
 	for r := 0; r < n; r++ {
 		// Find the root, with path compression for the next lookups.
 		root := int32(r)
-		for s.parent[root] >= 0 {
-			root = s.parent[root]
+		for parent[root] >= 0 {
+			root = parent[root]
 		}
 		for c := int32(r); c != root; {
-			nxt := s.parent[c]
-			s.parent[c] = root
+			nxt := parent[c]
+			parent[c] = root
 			c = nxt
 		}
-		idx := s.outIdx[root]
+		idx := outIdx[root]
 		if idx == 0 {
-			sz := int(s.size[root])
+			sz := int(size[root])
 			out = append(out, backing[off:off:off+sz])
 			off += sz
 			idx = int32(len(out))
-			s.outIdx[root] = idx
+			outIdx[root] = idx
 		}
 		out[idx-1] = append(out[idx-1], r)
 	}

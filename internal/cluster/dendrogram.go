@@ -90,8 +90,7 @@ func (d *Dendrogram) Cut(minSim float64) ([][]int, bool) {
 }
 
 // cutAt replays the first j merges through parent links and groups the
-// references by root, first-seen in reference order — the same two
-// allocations as the engine's own partition builder.
+// references with the engine's own partition builder.
 func (d *Dendrogram) cutAt(j int) [][]int {
 	n := d.N
 	if n <= 0 {
@@ -112,31 +111,7 @@ func (d *Dendrogram) cutAt(j int) [][]int {
 		parent[m.B] = nid
 		size[nid] = size[m.A] + size[m.B]
 	}
-	outIdx := make([]int32, n+j) // root id -> output cluster index + 1
-	backing := make([]int, n)
-	out := make([][]int, 0, n-j)
-	off := 0
-	for r := 0; r < n; r++ {
-		root := int32(r)
-		for parent[root] >= 0 {
-			root = parent[root]
-		}
-		for c := int32(r); c != root; {
-			nxt := parent[c]
-			parent[c] = root
-			c = nxt
-		}
-		idx := outIdx[root]
-		if idx == 0 {
-			sz := int(size[root])
-			out = append(out, backing[off:off:off+sz])
-			off += sz
-			idx = int32(len(out))
-			outIdx[root] = idx
-		}
-		out[idx-1] = append(out[idx-1], r)
-	}
-	return out
+	return partition(parent, size, make([]int32, n+j), n, n-j)
 }
 
 // Sims returns the recorded merge similarities in merge order (the merge

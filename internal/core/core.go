@@ -213,14 +213,8 @@ func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine,
 	if err != nil {
 		return nil, err
 	}
-	before := e.db.HopCompiles()
-	hops, edges, _ := e.ext.CompilePlansCtx(sctx)
+	hops, edges := e.ext.CompilePlansCtx(sctx)
 	st.sp.SetAttrs(trace.Int("hops", int64(hops)), trace.Int("edges", int64(edges)))
-	if e.db.HopCompiles() == before {
-		// Every hop plan came out of the database's shared cache — an engine
-		// opened over an already-warm database compiles nothing.
-		st.sp.SetAttrs(trace.Bool("reused", true))
-	}
 	st.end(hops, nil)
 	e.timings.CompilePlans = time.Since(t0)
 	e.obs.Counter("prop.csr_hops").Add(int64(hops))

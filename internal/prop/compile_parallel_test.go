@@ -10,9 +10,7 @@ import (
 )
 
 // parallelWorld builds a deterministic cyclic world plus a path set large
-// enough to exercise multi-worker hop warm-up. Calling it twice with the
-// same seed yields two independent but identical databases, so a parallel
-// and a serial compile can be compared without sharing a plan cache.
+// enough to exercise the multi-worker hop compile.
 func parallelWorld(seed int64) (*reldb.Database, []reldb.JoinPath, []reldb.TupleID) {
 	rng := rand.New(rand.NewSource(seed))
 	db := cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: true, dangling: true})
@@ -36,15 +34,14 @@ func parallelWorld(seed int64) (*reldb.Database, []reldb.JoinPath, []reldb.Tuple
 
 // TestCompileTrieCtxWorkersEquivalence: a multi-worker compile must produce
 // the same plan as a serial one — same Stats, and bit-identical propagation
-// (the frontier accumulates in a fixed order regardless of how the hop
-// plans were warmed).
+// (the frontier accumulates in a fixed order regardless of which worker
+// compiled which hop).
 func TestCompileTrieCtxWorkersEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		dbPar, paths, starts := parallelWorld(seed)
-		dbSer, _, _ := parallelWorld(seed)
+		db, paths, starts := parallelWorld(seed)
 		trie := NewTrie(paths)
-		par := CompileTrieCtx(context.Background(), dbPar, trie, 4)
-		ser := CompileTrieCtx(context.Background(), dbSer, trie, 1)
+		par := CompileTrieCtx(context.Background(), db, trie, 4)
+		ser := CompileTrieCtx(context.Background(), db, trie, 1)
 		ph, pe := par.Stats()
 		sh, se := ser.Stats()
 		if ph != sh || pe != se {
@@ -63,40 +60,51 @@ func TestCompileTrieCtxWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompileTrieCtxExactlyOnce: the parallel warm-up claims each distinct
-// hop exactly once — the database's compile counter must equal the plan's
-// distinct-hop count, with no duplicate compiles from racing workers.
+// TestCompileTrieCtxExactlyOnce: whatever the worker count, each distinct
+// (from, step) hop is compiled once — every trie node with that hop shares
+// one *HopCSR, and the distinct plans are exactly the ones Stats counts.
 func TestCompileTrieCtxExactlyOnce(t *testing.T) {
+	db, paths, _ := parallelWorld(3)
+	trie := NewTrie(paths)
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			db, paths, _ := parallelWorld(3)
-			trie := NewTrie(paths)
 			ct := CompileTrieCtx(context.Background(), db, trie, workers)
-			hops, _ := ct.Stats()
-			if got := db.HopCompiles(); got != int64(hops) {
-				t.Fatalf("HopCompiles = %d after compile with %d workers, want %d (one per distinct hop)",
-					got, workers, hops)
+			byIdent := make(map[hopIdent]*reldb.HopCSR)
+			distinct := make(map[*reldb.HopCSR]bool)
+			edges := 0
+			for _, nd := range ct.nodes {
+				id := hopIdent{from: nd.hop.FromRel, step: nd.hop.Step}
+				if prev, ok := byIdent[id]; ok && prev != nd.hop {
+					t.Fatalf("hop %+v compiled twice", id)
+				}
+				byIdent[id] = nd.hop
+				if !distinct[nd.hop] {
+					distinct[nd.hop] = true
+					edges += nd.hop.NumEdges()
+				}
 			}
-			// Recompiling finds every plan cached.
-			CompileTrieCtx(context.Background(), db, trie, workers)
-			if got := db.HopCompiles(); got != int64(hops) {
-				t.Fatalf("HopCompiles = %d after warm recompile, want %d", got, hops)
+			if len(distinct) == len(ct.nodes) {
+				t.Fatal("no hop repeats across trie nodes; nothing to share")
+			}
+			hops, statEdges := ct.Stats()
+			if len(distinct) != hops || edges != statEdges {
+				t.Fatalf("%d distinct plans with %d edges, Stats = (%d, %d)",
+					len(distinct), edges, hops, statEdges)
 			}
 		})
 	}
 }
 
-// TestCompileTrieCtxCancelled: cancellation only stops the speculative
-// warm-up; the returned trie is still complete and correct, because the
-// serial assembly compiles whatever the workers skipped.
+// TestCompileTrieCtxCancelled: cancellation only stops the parallel pass;
+// the returned trie is still complete and correct, because the serial pass
+// compiles whatever the workers skipped.
 func TestCompileTrieCtxCancelled(t *testing.T) {
-	dbCan, paths, starts := parallelWorld(5)
-	dbRef, _, _ := parallelWorld(5)
+	db, paths, starts := parallelWorld(5)
 	trie := NewTrie(paths)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any hop is claimed
-	got := CompileTrieCtx(ctx, dbCan, trie, 4)
-	want := compile(dbRef, trie)
+	got := CompileTrieCtx(ctx, db, trie, 4)
+	want := compile(db, trie)
 	gh, ge := got.Stats()
 	wh, we := want.Stats()
 	if gh != wh || ge != we {
@@ -110,5 +118,43 @@ func TestCompileTrieCtxCancelled(t *testing.T) {
 				t.Fatalf("start %d path %s: cancelled-compile trie diverges", id, paths[pi])
 			}
 		}
+	}
+}
+
+// TestCompiledTrieIsSnapshot: a compiled trie owns its hop plans, so rows
+// inserted after the compile — even rows on the trie's own hops — leave
+// every earlier start's propagation bit-identical, while a fresh compile
+// does see them.
+func TestCompiledTrieIsSnapshot(t *testing.T) {
+	db, _ := miniDB(t)
+	trie := NewTrie(dblpPaths(db.Schema))
+	ct := compile(db, trie)
+	before := make([][]SparseNeighborhood, db.NumTuples())
+	for id := range before {
+		before[id] = ct.Propagate(reldb.TupleID(id), nil, nil)
+	}
+
+	db.MustInsert("Authors", "philip")
+	db.MustInsert("Publications", "p3", "vldb97")
+	db.MustInsert("Publish", "haixun", "p1")
+	db.MustInsert("Publish", "philip", "p1")
+	db.MustInsert("Publish", "wei", "p3")
+
+	fresh := compile(db, trie)
+	changed := false
+	for id, want := range before {
+		got := ct.Propagate(reldb.TupleID(id), nil, nil)
+		now := fresh.Propagate(reldb.TupleID(id), nil, nil)
+		for pi := range want {
+			if !sameBits(got[pi], want[pi]) {
+				t.Fatalf("start %d path %s: propagation changed after Insert", id, trie.paths[pi])
+			}
+			if !sameBits(now[pi], want[pi]) {
+				changed = true
+			}
+		}
+	}
+	if !changed {
+		t.Fatal("the inserts touch none of the trie's hops; the test shows nothing")
 	}
 }

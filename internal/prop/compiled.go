@@ -103,8 +103,8 @@ type ctNode struct {
 	dead bool
 }
 
-// CompiledTrie is a Trie bound to one database's CSR hop plans. It is
-// immutable after compilation and shared read-only across goroutines; all
+// CompiledTrie is a Trie compiled into CSR hop plans over one database; it
+// owns the plans. It is immutable after compilation and shared read-only across goroutines; all
 // per-propagation state lives in a Scratch.
 type CompiledTrie struct {
 	db    *reldb.Database
@@ -122,21 +122,35 @@ type CompiledTrie struct {
 	statHops, statEdges int
 }
 
-// CompileTrieCtx compiles the trie against db, fetching hop plans from the
-// database's shared cache (compiled lazily, each hop once per database).
-// The per-hop compiles are farmed over `workers` goroutines (0 means
-// GOMAXPROCS). Per-hop compiles are independent, so the warm-up claims hops
-// exactly once and observes ctx between hops; the serial assembly then
-// finds every plan already in the database's cache. A cancelled context
-// only stops the speculative warm-up — assembly compiles whatever the
-// warm-up skipped, so the returned trie is always complete and correct.
+// CompileTrieCtx compiles the trie against db, compiling each distinct hop
+// plan exactly once with reldb.CompileHop. The trie owns its plans: they
+// are a snapshot of db at compile time, and a later Insert leaves them as
+// they are. The per-hop compiles are farmed over `workers` goroutines (0
+// means GOMAXPROCS), observing ctx between hops; a serial pass then
+// compiles whatever the parallel pass skipped, so a cancelled context only
+// stops the parallel work and the returned trie is always complete and
+// correct. A hop whose compile panicked is compiled again by the serial
+// pass, which re-raises the panic on the caller's goroutine.
 func CompileTrieCtx(ctx context.Context, db *reldb.Database, t *Trie, workers int) *CompiledTrie {
-	warmHops(ctx, db, distinctHops(db, t), workers)
-	return compileTrie(db, t)
+	ids := distinctHops(db, t)
+	plans := make([]*reldb.HopCSR, len(ids))
+	_ = fault.ParallelFor(ctx, len(ids), workers, func(i int) error {
+		plans[i] = reldb.CompileHop(db, ids[i].from, ids[i].step)
+		return nil
+	})
+	hops := make(map[hopIdent]*reldb.HopCSR, len(ids))
+	for i, id := range ids {
+		if plans[i] == nil {
+			plans[i] = reldb.CompileHop(db, id.from, id.step)
+		}
+		hops[id] = plans[i]
+	}
+	return compileTrie(db, t, hops)
 }
 
 // hopIdent identifies one distinct hop plan: a step applied from a source
-// relation. It is the database plan cache's key, mirrored here.
+// relation. The departing relation is part of it because a malformed step
+// compiles differently depending on where it is asked to depart from.
 type hopIdent struct {
 	from string
 	step reldb.Step
@@ -163,34 +177,19 @@ func distinctHops(db *reldb.Database, t *Trie) []hopIdent {
 	return hops
 }
 
-// warmHops compiles the given hops into db's plan cache on `workers`
-// goroutines (0 means GOMAXPROCS), each hop exactly once, observing ctx
-// between hops, so the latency to abort is bounded by one hop compile. Its
-// error is dropped on purpose: a context end only means the caller's serial
-// assembly compiles the rest, and a hop that panicked here panics again on
-// the caller's goroutine when the assembly requests it (the plan cache
-// replays a compile's panic).
-func warmHops(ctx context.Context, db *reldb.Database, hops []hopIdent, workers int) {
-	_ = fault.ParallelFor(ctx, len(hops), workers, func(i int) error {
-		db.HopFor(hops[i].from, hops[i].step)
-		return nil
-	})
-}
-
-func compileTrie(db *reldb.Database, t *Trie) *CompiledTrie {
+// compileTrie assembles the trie over hops, the plan of every distinct hop
+// in t.
+func compileTrie(db *reldb.Database, t *Trie, hops map[hopIdent]*reldb.HopCSR) *CompiledTrie {
 	ct := &CompiledTrie{db: db, paths: t.paths}
+	for _, hop := range hops {
+		ct.statHops++
+		ct.statEdges += hop.NumEdges()
+	}
 	type pairKey struct{ parent, child *reldb.HopCSR }
-	seen := make(map[hopIdent]bool)
 	brCache := make(map[pairKey][]int32)
 	var build func(tn *trieNode, parent *reldb.HopCSR, depth int) int32
 	build = func(tn *trieNode, parent *reldb.HopCSR, depth int) int32 {
-		from := tn.step.From(db.Schema)
-		hop := db.HopFor(from, tn.step)
-		if id := (hopIdent{from: from, step: tn.step}); !seen[id] {
-			seen[id] = true
-			ct.statHops++
-			ct.statEdges += hop.NumEdges()
-		}
+		hop := hops[hopIdent{from: tn.step.From(db.Schema), step: tn.step}]
 		idx := int32(len(ct.nodes))
 		nd := ctNode{hop: hop, depth: int32(depth)}
 		nd.dead = parent != nil && hop.FromRel != parent.ToRel

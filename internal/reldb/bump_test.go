@@ -1,46 +1,39 @@
 package reldb
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestBumpInvalidatesAndBumps pins Bump's contract: a synthetic mutation
-// drops compiled hop plans BEFORE publishing the new version (the same
-// ordering Insert upholds), and bumps the version by exactly one — the knob
-// overload drills use to exercise stale-while-revalidate.
+// bumps the version by exactly one and moves no data — the knob overload
+// drills use to exercise stale-while-revalidate.
 func TestBumpInvalidatesAndBumps(t *testing.T) {
 	db := miniDBLP(t)
-	step := Step{Rel: "Publish", Attr: "author", Forward: true}
-	if db.HopFor("Publish", step) == nil {
-		t.Fatal("warm plan missing")
-	}
-	v0 := db.Version()
-
-	hookRan := false
-	db.testHookBeforeVersionBump = func() {
-		hookRan = true
-		db.planMu.Lock()
-		stale := len(db.hopPlans)
-		db.planMu.Unlock()
-		if stale != 0 {
-			t.Errorf("pre-bump window still holds %d plan entries", stale)
-		}
-		if got := db.Version(); got != v0 {
-			t.Errorf("version already %d inside the hook, want %d", got, v0)
-		}
-	}
-	defer func() { db.testHookBeforeVersionBump = nil }()
-
+	v0, n0 := db.Version(), db.NumTuples()
 	if got := db.Bump(); got != v0+1 {
 		t.Fatalf("Bump returned %d, want %d", got, v0+1)
-	}
-	if !hookRan {
-		t.Fatal("testHookBeforeVersionBump never ran")
 	}
 	if got := db.Version(); got != v0+1 {
 		t.Fatalf("version after Bump = %d, want %d", got, v0+1)
 	}
-	// No data moved: plans recompile over the same rows.
-	h := db.HopFor("Publish", step)
-	if h == nil || h.NumFrom != db.Relation("Publish").Size() {
-		t.Fatalf("post-Bump plan: %+v", h)
+	if got := db.NumTuples(); got != n0 {
+		t.Fatalf("Bump changed the tuple count: %d, want %d", got, n0)
+	}
+}
+
+// TestVersionMonotonicPerInsert pins the property stale-entry purging relies
+// on: every Insert bumps the version by exactly one, so an entry keyed at an
+// older version can never be produced again.
+func TestVersionMonotonicPerInsert(t *testing.T) {
+	db := NewDatabase(dblpSchema(t))
+	if db.Version() != 0 {
+		t.Fatalf("fresh database version = %d, want 0", db.Version())
+	}
+	for i := 1; i <= 5; i++ {
+		db.MustInsert("Authors", fmt.Sprintf("author-%d", i))
+		if got := db.Version(); got != int64(i) {
+			t.Fatalf("after %d inserts version = %d", i, got)
+		}
 	}
 }

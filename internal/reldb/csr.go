@@ -1,9 +1,6 @@
 package reldb
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // HopCSR is the compiled form of one join-path step departing from one
 // relation: the step's tuple-level edges laid out in compressed sparse row
@@ -153,58 +150,4 @@ func BackRefs(parent, child *HopCSR) []int32 {
 		return nil
 	}
 	return br
-}
-
-// hopKey identifies one compiled hop in the database's plan cache. The
-// departing relation is part of the key because a malformed step compiles
-// differently depending on where it is asked to depart from.
-type hopKey struct {
-	from string
-	step Step
-}
-
-// hopEntry is one plan-cache slot; once makes concurrent first requests
-// compile exactly once and share the result.
-type hopEntry struct {
-	compileOnce func()
-	hop         *HopCSR
-}
-
-// HopFor returns the compiled CSR index for one step departing from `from`,
-// compiling it on first request and caching it for the database's lifetime.
-// Concurrent callers requesting the same hop share a single compilation.
-// Insert invalidates the cache, so plans always reflect current contents;
-// engines compile after loading and never mutate, so in practice each hop
-// compiles once.
-func (db *Database) HopFor(from string, step Step) *HopCSR {
-	key := hopKey{from: from, step: step}
-	db.planMu.Lock()
-	if db.hopPlans == nil {
-		db.hopPlans = make(map[hopKey]*hopEntry)
-	}
-	e := db.hopPlans[key]
-	if e == nil {
-		e = &hopEntry{}
-		e.compileOnce = sync.OnceFunc(func() {
-			e.hop = CompileHop(db, from, step)
-			db.hopCompiles.Add(1)
-		})
-		db.hopPlans[key] = e
-	}
-	db.planMu.Unlock()
-	e.compileOnce()
-	return e.hop
-}
-
-// HopCompiles reports how many hop compilations the cache has performed —
-// the sync.Once semantics regression tests assert it stays at the number of
-// distinct hops no matter how many goroutines raced to compile.
-func (db *Database) HopCompiles() int64 { return db.hopCompiles.Load() }
-
-// invalidatePlans drops every compiled hop; called by Insert so stale CSR
-// indexes can never be observed after a mutation.
-func (db *Database) invalidatePlans() {
-	db.planMu.Lock()
-	db.hopPlans = nil
-	db.planMu.Unlock()
 }

@@ -1,9 +1,6 @@
 package reldb
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // csrWorld is a small two-hop world with skewed fanouts: three authors,
 // two papers, five authorships. It exercises forward rows (exactly one
@@ -149,56 +146,6 @@ func TestBackRefs(t *testing.T) {
 	other := CompileHop(db, "Authors", authRev)
 	if got := BackRefs(parent, other); got != nil {
 		t.Errorf("unrelated hops produced back references: %v", got)
-	}
-}
-
-func TestHopForCachesAndInvalidates(t *testing.T) {
-	db := csrWorld(t)
-	step := Step{Rel: "Publish", Attr: "key", Forward: true}
-	h1 := db.HopFor("Publish", step)
-	h2 := db.HopFor("Publish", step)
-	if h1 != h2 {
-		t.Error("second HopFor did not return the cached hop")
-	}
-	if got := db.HopCompiles(); got != 1 {
-		t.Errorf("HopCompiles = %d, want 1", got)
-	}
-	db.MustInsert("Publish", "cid", "p1")
-	h3 := db.HopFor("Publish", step)
-	if h3 == h1 {
-		t.Error("Insert did not invalidate the plan cache")
-	}
-	if h3.NumEdges() != h1.NumEdges()+1 {
-		t.Errorf("recompiled hop has %d edges, want %d", h3.NumEdges(), h1.NumEdges()+1)
-	}
-	if got := db.HopCompiles(); got != 2 {
-		t.Errorf("HopCompiles after invalidation = %d, want 2", got)
-	}
-}
-
-// TestHopForCompileOnceConcurrent races many goroutines at a cold cache:
-// all must observe the same hop and the compile must run exactly once.
-func TestHopForCompileOnceConcurrent(t *testing.T) {
-	db := csrWorld(t)
-	step := Step{Rel: "Papers", Attr: "key", Forward: false}
-	const n = 16
-	hops := make([]*HopCSR, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			hops[i] = db.HopFor("Papers", step)
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < n; i++ {
-		if hops[i] != hops[0] {
-			t.Fatalf("goroutine %d observed a different hop", i)
-		}
-	}
-	if got := db.HopCompiles(); got != 1 {
-		t.Errorf("HopCompiles = %d, want 1", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package reldb
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -55,21 +54,9 @@ type Database struct {
 	tuples    []Tuple
 	relations map[string]*Relation
 
-	// Compiled join-path hop plans (see csr.go): lazily built by HopFor,
-	// shared read-only by all readers, invalidated by Insert.
-	planMu      sync.Mutex
-	hopPlans    map[hopKey]*hopEntry
-	hopCompiles atomic.Int64
-
 	// version counts mutations. Its only reader is the serve result cache
 	// (through serve.EngineBackend.Version), which keys entries on it.
 	version atomic.Int64
-
-	// testHookBeforeVersionBump, when non-nil, runs inside Insert after the
-	// data write and plan invalidation but before the version bump — the
-	// only moment the version/invalidation ordering contract is observable.
-	// Set only by white-box tests (see version_order_test.go).
-	testHookBeforeVersionBump func()
 }
 
 // Version returns the database's mutation counter: zero for a fresh
@@ -130,36 +117,15 @@ func (db *Database) Insert(relation string, vals ...Value) (TupleID, error) {
 	for fi, idx := range rel.fkIndex {
 		idx[vals[fi]] = append(idx[vals[fi]], id)
 	}
-	// Ordering matters: plans must be invalidated BEFORE the version bump.
-	// The version's only reader, the serve result cache (through
-	// serve.EngineBackend.Version), reads the version first and probes
-	// second, so a reader that observes the new version took its
-	// planMu-synchronized probe after this invalidation and can only see
-	// plans compiled from post-insert data. With the bump
-	// first there is a window where a reader observes the new version yet
-	// still pulls a stale compiled plan — and then caches results computed
-	// against the old contents under the new version, serving them as fresh
-	// until the next mutation.
-	db.invalidatePlans()
-	if db.testHookBeforeVersionBump != nil {
-		db.testHookBeforeVersionBump()
-	}
 	db.version.Add(1)
 	return id, nil
 }
 
-// Bump records a synthetic mutation: compiled hop plans are invalidated and
-// the version is bumped without any data change. Overload drills use it to
-// exercise the version-keyed serve result cache (stale-while-revalidate) at
-// a controlled cadence without crafting schema-correct tuples. The ordering
-// mirrors Insert — invalidate BEFORE the bump — so the version/invalidation
-// contract version-keyed readers rely on holds here too. Returns the new
-// version.
+// Bump records a synthetic mutation: the version is bumped without any
+// data change. Overload drills use it to exercise the version-keyed serve
+// result cache (stale-while-revalidate) at a controlled cadence without
+// crafting schema-correct tuples. Returns the new version.
 func (db *Database) Bump() int64 {
-	db.invalidatePlans()
-	if db.testHookBeforeVersionBump != nil {
-		db.testHookBeforeVersionBump()
-	}
 	return db.version.Add(1)
 }
 

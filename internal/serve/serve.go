@@ -643,9 +643,7 @@ type lookupMeta struct {
 // The version is read BEFORE the cache probe — with the reverse order a
 // concurrent Insert could slip between them and the probe would hand back a
 // result computed against the old contents labeled with the new version.
-// reldb.Insert upholds the matching edge on its side (invalidate before
-// bump; see version_order_test.go). A cached entry with no references is a
-// negative entry and answers 404.
+// A cached entry with no references is a negative entry and answers 404.
 //
 // Stale-while-revalidate: when a version bump has outdated a cache entry
 // (positive or negative) but the entry is inside the staleness window, it

@@ -185,9 +185,8 @@ func TestAdmissionShedsLoadWith429(t *testing.T) {
 	}
 }
 
-// TestLookupSkipsCacheStoreWhenVersionMoves is the serving half of the
-// version-ordering regression (reldb's half is version_order_test.go): a
-// result computed while an Insert landed mid-flight must NOT be stored
+// TestLookupSkipsCacheStoreWhenVersionMoves is the version-ordering
+// regression of the serving cache: a result computed while an Insert landed mid-flight must NOT be stored
 // under the pre-compute version — the next request recomputes against the
 // new contents instead of being served a mixed-state answer as fresh.
 func TestLookupSkipsCacheStoreWhenVersionMoves(t *testing.T) {

@@ -45,17 +45,13 @@ func raceWorld(t *testing.T) (*reldb.Database, []reldb.JoinPath, []reldb.TupleID
 }
 
 // TestPlanCompileOnceAcrossExtractors hammers two extractors sharing one
-// database from many goroutines with a cold plan cache. Run under -race
-// this checks the lazily compiled plan is published safely; the compile
-// counter checks sync.Once semantics — each distinct hop compiles exactly
-// once for the database, no matter how many extractors or goroutines race.
+// database from many goroutines with no plan compiled yet. Run under -race
+// this checks each extractor's lazily compiled plan is published safely,
+// however many goroutines race for its first propagation.
 func TestPlanCompileOnceAcrossExtractors(t *testing.T) {
 	db, paths, refs := raceWorld(t)
 	ex1 := NewExtractor(db, paths)
 	ex2 := NewExtractor(db, paths)
-	if got := db.HopCompiles(); got != 0 {
-		t.Fatalf("plan cache warm before first propagation: %d compiles", got)
-	}
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -74,12 +70,6 @@ func TestPlanCompileOnceAcrossExtractors(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The two paths share the first hop: 3 distinct (from, step) hops in
-	// total — Publish>key, Papers<key, Publish>author.
-	if got := db.HopCompiles(); got != 3 {
-		t.Errorf("HopCompiles = %d, want 3 (one per distinct hop)", got)
-	}
-
 	// Both extractors must agree with each other and with the DFS path.
 	for _, r := range refs {
 		n1, n2 := ex1.Neighborhoods(r), ex2.Neighborhoods(r)
@@ -90,29 +80,24 @@ func TestPlanCompileOnceAcrossExtractors(t *testing.T) {
 		}
 	}
 
-	// CompilePlansCtx after the fact is idempotent: the plan exists, stats are
-	// stable, and no further hop compiles happen.
-	h1, e1, _ := ex1.CompilePlansCtx(context.Background())
-	h2, e2, _ := ex2.CompilePlansCtx(context.Background())
+	// CompilePlansCtx after the fact is idempotent: the plan exists and its
+	// stats are stable. The two paths share the first hop: 3 distinct
+	// (from, step) hops in total — Publish>key, Papers<key, Publish>author.
+	h1, e1 := ex1.CompilePlansCtx(context.Background())
+	h2, e2 := ex2.CompilePlansCtx(context.Background())
 	if h1 != h2 || e1 != e2 || h1 != 3 {
 		t.Errorf("CompilePlansCtx stats diverge: (%d,%d) vs (%d,%d)", h1, e1, h2, e2)
-	}
-	if got := db.HopCompiles(); got != 3 {
-		t.Errorf("HopCompiles after CompilePlansCtx = %d, want 3", got)
 	}
 }
 
 // TestCompilePlansEager: calling CompilePlansCtx first compiles immediately
-// and reports a nonzero compile time exactly once.
+// and reports the plan's size.
 func TestCompilePlansEager(t *testing.T) {
 	db, paths, refs := raceWorld(t)
 	ex := NewExtractor(db, paths)
-	hops, edges, took := ex.CompilePlansCtx(context.Background())
+	hops, edges := ex.CompilePlansCtx(context.Background())
 	if hops != 3 || edges == 0 {
 		t.Errorf("CompilePlansCtx = (%d hops, %d edges), want 3 hops and nonzero edges", hops, edges)
-	}
-	if took <= 0 {
-		t.Error("eager CompilePlansCtx reported zero compile time")
 	}
 	nbs := ex.Neighborhoods(refs[0])
 	if len(nbs) != len(paths) {

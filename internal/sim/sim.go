@@ -23,7 +23,6 @@ package sim
 import (
 	"context"
 	"sync"
-	"time"
 
 	"distinct/internal/obs"
 	"distinct/internal/prop"
@@ -59,7 +58,6 @@ type Extractor struct {
 	// the neighborhoods it returns.
 	planOnce sync.Once
 	plan     *prop.CompiledTrie
-	planTime time.Duration
 	scratch  sync.Pool
 
 	// workers bounds the parallelism of plan compilation (0 means
@@ -131,9 +129,7 @@ func (e *Extractor) SetWorkers(n int) { e.workers = n }
 // the same Once, making it safe to Get after any compiled() call.
 func (e *Extractor) compileWith(ctx context.Context) {
 	e.planOnce.Do(func() {
-		t0 := time.Now()
 		plan := prop.CompileTrieCtx(ctx, e.db, e.trie, e.workers)
-		e.planTime = time.Since(t0)
 		e.scratch.New = func() any { return plan.NewScratch() }
 		e.plan = plan
 	})
@@ -146,18 +142,16 @@ func (e *Extractor) compiled() *prop.CompiledTrie {
 }
 
 // CompilePlansCtx forces plan compilation now instead of at the first
-// propagation, and reports the plan's size along with how long the compile
-// took (zero when the plan already existed). The engine calls it under its
+// propagation, and reports the plan's size. The engine calls it under its
 // "compile_plans" stage so the one-off cost is attributed there rather
-// than smeared into the first name's latency. The parallel per-hop warm-up
+// than smeared into the first name's latency. The parallel per-hop compile
 // observes ctx between hops, so cancellation is bounded by one hop
-// compile. The plan is still fully assembled (serial assembly compiles any
-// hop the interrupted warm-up skipped), so the result is always usable;
-// cancellation here only stops the speculative parallel work.
-func (e *Extractor) CompilePlansCtx(ctx context.Context) (hops, edges int, took time.Duration) {
+// compile. The plan is still complete (a serial pass compiles any hop the
+// interrupted parallel pass skipped), so the result is always usable;
+// cancellation here only stops the parallel work.
+func (e *Extractor) CompilePlansCtx(ctx context.Context) (hops, edges int) {
 	e.compileWith(ctx)
-	hops, edges = e.plan.Stats()
-	return hops, edges, e.planTime
+	return e.plan.Stats()
 }
 
 // propagate computes one reference's neighborhoods on the compiled plan,
