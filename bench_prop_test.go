@@ -42,7 +42,6 @@ func BenchmarkPropagate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			x := sim.NewExtractor(e.DB(), e.Paths())
-			x.CompilePlansCtx(context.Background())
 			b.StartTimer()
 			x.Prefetch(all, 0)
 			if x.CacheSize() != len(all) {

@@ -128,3 +128,39 @@ func TestPublicWorkersConfig(t *testing.T) {
 		t.Fatal("no groups")
 	}
 }
+
+// TestPublicInsertAfterOpen: the engine's compiled plan is a snapshot of
+// its database at Open. A reference inserted into eng.DB() afterwards is
+// one more reference of its name, outside the snapshot and so with empty
+// neighborhoods: Disambiguate must answer without error and place it in
+// exactly one group.
+func TestPublicInsertAfterOpen(t *testing.T) {
+	w := publicWorld(t)
+	eng, err := distinct.Open(w.DB, distinct.Config{
+		RefRelation: "Publish",
+		RefAttr:     "author",
+		SkipExpand:  []string{"Publications.title"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := eng.DB()
+	refs := eng.Refs("Wei Wang")
+	late := db.MustInsert("Publish", "Wei Wang", db.Tuple(refs[0]).Val("paper-key"))
+	groups, err := eng.Disambiguate("Wei Wang")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen, total := 0, 0
+	for _, g := range groups {
+		for _, r := range g {
+			total++
+			if r == late {
+				seen++
+			}
+		}
+	}
+	if seen != 1 || total != len(refs)+1 {
+		t.Fatalf("late reference placed %d times among %d grouped references, want once among %d", seen, total, len(refs)+1)
+	}
+}

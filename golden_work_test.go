@@ -26,6 +26,7 @@ import (
 
 	"distinct"
 	"distinct/internal/dblp"
+	"distinct/internal/prop"
 	"distinct/internal/sim"
 )
 
@@ -110,9 +111,11 @@ func goldenWorkRun(t *testing.T) goldenWork {
 	got.GroupsHash = fmt.Sprintf("%016x", h.Sum64())
 
 	// Every reference's neighborhoods, counted and hashed on fresh
-	// extractors of a few thousand references each, so the check never
-	// holds more than a slice of the database's neighborhoods at once.
-	db, paths := eng.DB(), eng.Paths()
+	// extractors over one plan, a few thousand references each, so the
+	// check never holds more than a slice of the database's neighborhoods
+	// at once.
+	db := eng.DB()
+	plan := prop.CompileTrieCtx(context.Background(), db, prop.NewTrie(eng.Paths()), 0)
 	refs := db.Relation(dblp.ReferenceRelation).TupleIDs()
 	nh := fnv.New64a()
 	var buf [8]byte
@@ -122,7 +125,7 @@ func goldenWorkRun(t *testing.T) goldenWork {
 	}
 	const chunk = 2048
 	for lo := 0; lo < len(refs); lo += chunk {
-		x := sim.NewExtractor(db, paths)
+		x := sim.New(plan, nil)
 		for _, r := range refs[lo:min(lo+chunk, len(refs))] {
 			for _, nb := range x.Neighborhoods(r) {
 				got.NeighborhoodEntries += int64(len(nb.Keys))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -111,33 +112,14 @@ type BatchOptions struct {
 // wrapped with the stage that observed it, and the partial BatchResult is
 // still returned.
 func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*BatchResult, error) {
-	minRefs := opts.MinRefs
-	if minRefs < 2 {
-		minRefs = 2
-	}
-	rs := e.db.Schema.Relation(e.cfg.RefRelation)
-	ai := rs.AttrIndex(e.cfg.RefAttr)
-	target := rs.Attrs[ai].FK
-	nameRel := e.db.Relation(target)
-	ki := nameRel.Schema.KeyIndex()
-
 	// Collect the work list, then prefetch every needed neighborhood once;
 	// after that the extractor cache is read-only and names can be
-	// clustered concurrently.
-	type job struct {
-		name string
-		refs []reldb.TupleID
-	}
-	var jobs []job
+	// clustered concurrently. Each job owns a copy of its references.
+	jobs := e.namesWithRefs(max(opts.MinRefs, 2))
 	var allRefs []reldb.TupleID
-	for _, id := range nameRel.TupleIDs() {
-		name := e.db.Tuple(id).Vals[ki]
-		refs := e.RefsForName(name)
-		if len(refs) < minRefs {
-			continue
-		}
-		jobs = append(jobs, job{name: name, refs: refs})
-		allRefs = append(allRefs, refs...)
+	for i := range jobs {
+		jobs[i].refs = slices.Clone(jobs[i].refs)
+		allRefs = append(allRefs, jobs[i].refs...)
 	}
 	// The sweep-wide prefetch is not part of the batch stage: its span is a
 	// sibling of "batch", under ctx's span.

@@ -25,6 +25,7 @@ import (
 	"distinct/internal/fault"
 	"distinct/internal/obs"
 	"distinct/internal/obs/trace"
+	"distinct/internal/prop"
 	"distinct/internal/reldb"
 	"distinct/internal/sim"
 	"distinct/internal/svm"
@@ -199,21 +200,20 @@ func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine,
 		return nil, fmt.Errorf("core: no join paths from %s within length %d", cfg.RefRelation, cfg.MaxPathLen)
 	}
 
-	e.ext = sim.NewExtractor(e.db, e.paths)
-	e.ext.SetMetrics(cfg.Obs)
-	e.ext.SetWorkers(cfg.Workers)
 	e.obs.Gauge("engine.paths").Set(float64(len(e.paths)))
 
-	// Compile the join paths into CSR plans now, so the one-off cost lands
-	// in engine construction (and its own stage span) instead of inflating
-	// the first propagation. Distinct hops compile in parallel under
-	// Config.Workers; the plan is shared read-only by all workers.
+	// Compile the join paths into CSR plans in their own stage span, the
+	// extractor's snapshot of the expanded database. Distinct hops compile
+	// in parallel under Config.Workers; the plan is shared read-only by all
+	// workers.
 	t0 = time.Now()
 	st, sctx, err := e.begin(ctx, stageCompilePlans)
 	if err != nil {
 		return nil, err
 	}
-	hops, edges := e.ext.CompilePlansCtx(sctx)
+	plan := prop.CompileTrieCtx(sctx, e.db, prop.NewTrie(e.paths), cfg.Workers)
+	e.ext = sim.New(plan, cfg.Obs)
+	hops, edges := plan.Stats()
 	st.sp.SetAttrs(trace.Int("hops", int64(hops)), trace.Int("edges", int64(edges)))
 	st.end(hops, nil)
 	e.timings.CompilePlans = time.Since(t0)

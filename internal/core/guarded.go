@@ -142,21 +142,32 @@ func (e *Engine) DisambiguateNameGuarded(ctx context.Context, name string, opts 
 // universe the serving API exposes at /v1/names (load generators replay it).
 // minRefs below 1 is treated as 1.
 func (e *Engine) NamesWithRefs(minRefs int) []string {
-	if minRefs < 1 {
-		minRefs = 1
-	}
-	rs := e.db.Schema.Relation(e.cfg.RefRelation)
-	ai := rs.AttrIndex(e.cfg.RefAttr)
-	target := rs.Attrs[ai].FK
-	nameRel := e.db.Relation(target)
-	ki := nameRel.Schema.KeyIndex()
 	var names []string
-	for _, id := range nameRel.TupleIDs() {
-		name := e.db.Tuple(id).Vals[ki]
-		if len(e.db.Referencing(e.cfg.RefRelation, e.cfg.RefAttr, name)) >= minRefs {
-			names = append(names, name)
-		}
+	for _, nr := range e.namesWithRefs(max(minRefs, 1)) {
+		names = append(names, nr.name)
 	}
 	sort.Strings(names)
 	return names
+}
+
+// namedRefs is one name with the references carrying it.
+type namedRefs struct {
+	name string
+	refs []reldb.TupleID // the database's own slice: read-only
+}
+
+// namesWithRefs returns every name carrying at least minRefs references,
+// with those references, in the name relation's tuple order.
+func (e *Engine) namesWithRefs(minRefs int) []namedRefs {
+	rs := e.db.Schema.Relation(e.cfg.RefRelation)
+	nameRel := e.db.Relation(rs.Attrs[rs.AttrIndex(e.cfg.RefAttr)].FK)
+	ki := nameRel.Schema.KeyIndex()
+	var out []namedRefs
+	for _, id := range nameRel.TupleIDs() {
+		name := e.db.Tuple(id).Vals[ki]
+		if refs := e.db.Referencing(e.cfg.RefRelation, e.cfg.RefAttr, name); len(refs) >= minRefs {
+			out = append(out, namedRefs{name: name, refs: refs})
+		}
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distinct/internal/reldb"
@@ -124,7 +125,9 @@ func TestCompileTrieCtxCancelled(t *testing.T) {
 // TestCompiledTrieIsSnapshot: a compiled trie owns its hop plans, so rows
 // inserted after the compile — even rows on the trie's own hops — leave
 // every earlier start's propagation bit-identical, while a fresh compile
-// does see them.
+// does see them. A start inserted after the compile is outside the
+// snapshot: it has no share key and propagates to nothing, where the fresh
+// compile gives it both.
 func TestCompiledTrieIsSnapshot(t *testing.T) {
 	db, _ := miniDB(t)
 	trie := NewTrie(dblpPaths(db.Schema))
@@ -138,7 +141,7 @@ func TestCompiledTrieIsSnapshot(t *testing.T) {
 	db.MustInsert("Publications", "p3", "vldb97")
 	db.MustInsert("Publish", "haixun", "p1")
 	db.MustInsert("Publish", "philip", "p1")
-	db.MustInsert("Publish", "wei", "p3")
+	late := db.MustInsert("Publish", "wei", "p3")
 
 	fresh := compile(db, trie)
 	changed := false
@@ -156,5 +159,21 @@ func TestCompiledTrieIsSnapshot(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("the inserts touch none of the trie's hops; the test shows nothing")
+	}
+
+	for id := reldb.TupleID(len(before)); int(id) < db.NumTuples(); id++ {
+		if k := ct.ShareKey(id); k != reldb.InvalidTuple {
+			t.Errorf("start %d inserted after the compile: ShareKey = %d, want %d", id, k, reldb.InvalidTuple)
+		}
+		for pi, nb := range ct.Propagate(id, nil, nil) {
+			if len(nb.Keys) != 0 || len(nb.FBs) != 0 || nb.SumFwd != 0 {
+				t.Fatalf("start %d inserted after the compile: path %s has %d neighbors", id, trie.paths[pi], len(nb.Keys))
+			}
+		}
+	}
+	if fresh.ShareKey(late) < 0 || slices.IndexFunc(fresh.Propagate(late, nil, nil), func(nb SparseNeighborhood) bool {
+		return len(nb.Keys) > 0
+	}) < 0 {
+		t.Fatal("a fresh compile gives the late start no share key or no neighbors; the test shows nothing")
 	}
 }

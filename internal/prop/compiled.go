@@ -104,10 +104,13 @@ type ctNode struct {
 }
 
 // CompiledTrie is a Trie compiled into CSR hop plans over one database; it
-// owns the plans. It is immutable after compilation and shared read-only across goroutines; all
-// per-propagation state lives in a Scratch.
+// owns the plans and is a snapshot of the database at compile time. It
+// keeps no reference to the database: a start is resolved among the
+// tuples its root hops captured (reldb.HopCSR.FromIDs), so a tuple
+// inserted after the compile propagates to nothing. It is immutable after
+// compilation and shared read-only across goroutines; all per-propagation
+// state lives in a Scratch.
 type CompiledTrie struct {
-	db    *reldb.Database
 	paths []reldb.JoinPath
 	nodes []ctNode
 	roots []int32
@@ -120,6 +123,7 @@ type CompiledTrie struct {
 	edgeLen  []int // per depth: edge-buffer size (max edges of storing nodes)
 
 	statHops, statEdges int
+	numTuples           int // db.NumTuples() at compile time
 }
 
 // CompileTrieCtx compiles the trie against db, compiling each distinct hop
@@ -180,7 +184,7 @@ func distinctHops(db *reldb.Database, t *Trie) []hopIdent {
 // compileTrie assembles the trie over hops, the plan of every distinct hop
 // in t.
 func compileTrie(db *reldb.Database, t *Trie, hops map[hopIdent]*reldb.HopCSR) *CompiledTrie {
-	ct := &CompiledTrie{db: db, paths: t.paths}
+	ct := &CompiledTrie{paths: t.paths, numTuples: db.NumTuples()}
 	for _, hop := range hops {
 		ct.statHops++
 		ct.statEdges += hop.NumEdges()
@@ -269,6 +273,10 @@ func growMax(s []int, idx, val int) []int {
 // and the total tuple-level edges they index.
 func (ct *CompiledTrie) Stats() (hops, edges int) { return ct.statHops, ct.statEdges }
 
+// NumTuples reports the database's tuple count at compile time: every
+// TupleID the trie emits is below it.
+func (ct *CompiledTrie) NumTuples() int { return ct.numTuples }
+
 // level is one depth's reusable frontier state.
 type level struct {
 	// pos maps a target ordinal to its index in frontier, -1 when absent.
@@ -333,26 +341,38 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 // ShareKey returns the tuple start reaches over the trie's root hop, the
 // key under which starts share their shared paths' neighborhoods. It
 // returns -1 (reldb.InvalidTuple) when the trie has several root hops,
-// when start is not a tuple of the root hop's relation, or when start's row
-// does not hold exactly one edge.
+// when start was not a tuple of the root hop's relation at compile time,
+// or when start's row does not hold exactly one edge.
 func (ct *CompiledTrie) ShareKey(start reldb.TupleID) reldb.TupleID {
-	if start < 0 || int(start) >= ct.db.NumTuples() {
+	if ct.shared == nil {
 		return reldb.InvalidTuple
 	}
-	rel := ct.db.Tuple(start).Rel.Name
-	return ct.shareKey(rel, ct.db.Relation(rel).OrdinalOf(start))
+	return ct.shareKey(ct.nodes[ct.roots[0]].hop.FromOrdinal(start))
 }
 
-// shareKey is ShareKey for the start at ordinal ord of relation rel.
-func (ct *CompiledTrie) shareKey(rel string, ord int) reldb.TupleID {
+// shareKey is ShareKey for the start at ordinal ord of the single root
+// hop's source relation.
+func (ct *CompiledTrie) shareKey(ord int) reldb.TupleID {
 	if ct.shared == nil || ord < 0 {
 		return reldb.InvalidTuple
 	}
 	hop := ct.nodes[ct.roots[0]].hop
-	if rel != hop.FromRel || hop.RowPtr[ord+1]-hop.RowPtr[ord] != 1 {
+	if hop.RowPtr[ord+1]-hop.RowPtr[ord] != 1 {
 		return reldb.InvalidTuple
 	}
 	return hop.ToIDs[hop.Col[hop.RowPtr[ord]]]
+}
+
+// locate resolves start inside the snapshot: the source relation and
+// ordinal of the first root hop that captured it, ord -1 when none did.
+func (ct *CompiledTrie) locate(start reldb.TupleID) (rel string, ord int) {
+	for _, ri := range ct.roots {
+		hop := ct.nodes[ri].hop
+		if ord := hop.FromOrdinal(start); ord >= 0 {
+			return hop.FromRel, ord
+		}
+	}
+	return "", -1
 }
 
 // Propagate computes the neighborhoods of start along every path of the
@@ -367,18 +387,16 @@ func (ct *CompiledTrie) shareKey(rel string, ord int) reldb.TupleID {
 // as start. With a donor the walk skips the shared paths' subtrees and the
 // result borrows the donor's neighborhoods for those paths, bit-identical
 // to propagating them afresh. A donor for a start whose ShareKey is -1 is
-// ignored.
+// ignored. A start that no root hop captured at compile time — a later
+// insert, or a tuple of a relation no path starts from — gets empty
+// neighborhoods.
 func (ct *CompiledTrie) Propagate(start reldb.TupleID, s *Scratch, donor []SparseNeighborhood) []SparseNeighborhood {
 	out := make([]SparseNeighborhood, len(ct.paths))
-	if len(ct.roots) == 0 {
-		return out
-	}
-	startRel := ct.db.Tuple(start).Rel.Name
-	ord := ct.db.Relation(startRel).OrdinalOf(start)
+	startRel, ord := ct.locate(start)
 	if ord < 0 {
 		return out
 	}
-	if donor != nil && ct.shareKey(startRel, ord) < 0 {
+	if donor != nil && ct.shareKey(ord) < 0 {
 		donor = nil
 	}
 	if s == nil {

@@ -22,10 +22,11 @@ type HopCSR struct {
 	ToRel   string // relation the step arrives in
 	Step    Step
 
-	RowPtr []int32   // len NumFrom+1; edge range per source ordinal
-	Col    []int32   // target ordinals, ascending within each row
-	Rev    []int32   // len NumTo; in-degree per target ordinal
-	ToIDs  []TupleID // target relation's tuples in ordinal order
+	RowPtr  []int32   // len NumFrom+1; edge range per source ordinal
+	Col     []int32   // target ordinals, ascending within each row
+	Rev     []int32   // len NumTo; in-degree per target ordinal
+	FromIDs []TupleID // source relation's tuples in ordinal order
+	ToIDs   []TupleID // target relation's tuples in ordinal order
 
 	NumFrom, NumTo int
 }
@@ -33,13 +34,21 @@ type HopCSR struct {
 // NumEdges returns the number of tuple-level edges in the hop.
 func (h *HopCSR) NumEdges() int { return len(h.Col) }
 
+// FromOrdinal returns the source ordinal of tuple id as the hop captured
+// it at compile time, or -1 if id was not a tuple of the source relation
+// then (a later Insert, or another relation's tuple).
+func (h *HopCSR) FromOrdinal(id TupleID) int { return ordinalIn(h.FromIDs, id) }
+
 // OrdinalOf returns the position of id in the relation's insertion order,
-// or -1 if the tuple does not belong to this relation. TupleIDs are handed
-// out in globally increasing order, so the slice is sorted and the lookup
-// is a binary search.
-func (r *Relation) OrdinalOf(id TupleID) int {
-	i := sort.Search(len(r.tupleIDs), func(i int) bool { return r.tupleIDs[i] >= id })
-	if i < len(r.tupleIDs) && r.tupleIDs[i] == id {
+// or -1 if the tuple does not belong to this relation.
+func (r *Relation) OrdinalOf(id TupleID) int { return ordinalIn(r.tupleIDs, id) }
+
+// ordinalIn returns the index of id in ids, or -1. TupleIDs are handed out
+// in globally increasing order, so a relation's ids are sorted and the
+// lookup is a binary search.
+func ordinalIn(ids []TupleID, id TupleID) int {
+	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+	if i < len(ids) && ids[i] == id {
 		return i
 	}
 	return -1
@@ -59,6 +68,7 @@ func CompileHop(db *Database, from string, step Step) *HopCSR {
 		return h
 	}
 	h.NumFrom = src.Size()
+	h.FromIDs = src.TupleIDs()
 	h.RowPtr = make([]int32, h.NumFrom+1)
 	dst := db.Relation(h.ToRel)
 	if dst == nil || step.From(db.Schema) != from {

@@ -41,6 +41,9 @@ func checkHopAgainstJoinable(t *testing.T, db *Database, from string, step Step)
 	}
 	var buf []TupleID
 	for i, id := range rel.TupleIDs() {
+		if got := h.FromOrdinal(id); got != i {
+			t.Fatalf("%s via %+v: FromOrdinal(%d) = %d, want %d", from, step, id, got, i)
+		}
 		buf = db.Joinable(id, step, InvalidTuple, buf[:0])
 		row := h.Col[h.RowPtr[i]:h.RowPtr[i+1]]
 		if len(row) != len(buf) {

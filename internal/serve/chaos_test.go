@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -235,9 +236,33 @@ func TestChaosQuotaFaultForces429(t *testing.T) {
 // never availability — and the next stale hit launches a fresh flight that,
 // rule spent, lands the new version.
 func TestChaosRevalidateFaultKeepsStale(t *testing.T) {
+	s := checkRevalidateFailureKeepsStale(t, fault.Rule{OnHit: 1})
+	if got := s.reg.Counter("serve.panics").Value(); got != 0 {
+		t.Errorf("serve.panics = %d, want 0", got)
+	}
+}
+
+// TestChaosRevalidatePanicKeepsStale: an injected panic at
+// "serve.revalidate" fires in the background flight before
+// Server.compute's own recover applies. The flight goroutine must recover
+// it — counted in serve.panics, the process alive — and the stale entry
+// keeps serving until the relaunch lands the new version.
+func TestChaosRevalidatePanicKeepsStale(t *testing.T) {
+	s := checkRevalidateFailureKeepsStale(t, fault.Rule{OnHit: 1, Panic: "boom"})
+	if got := s.reg.Counter("serve.panics").Value(); got != 1 {
+		t.Errorf("serve.panics = %d, want 1", got)
+	}
+}
+
+// checkRevalidateFailureKeepsStale warms a name, bumps the version, and
+// fails the first revalidation with rule at "serve.revalidate": the stale
+// entry must keep serving and the second revalidation must publish the new
+// version. It returns the server for further checks.
+func checkRevalidateFailureKeepsStale(t *testing.T, rule fault.Rule) *Server {
+	t.Helper()
 	b := newStubBackend("Wei Wang")
 	f := fault.NewRegistry(1)
-	f.Set("serve.revalidate", fault.Rule{OnHit: 1})
+	f.Set("serve.revalidate", rule)
 	s := newTestServer(t, b, func(o *Options) {
 		o.Fault = f
 		o.MaxStale = time.Minute
@@ -246,7 +271,7 @@ func TestChaosRevalidateFaultKeepsStale(t *testing.T) {
 	doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "") // warm at v0
 	b.Bump()
 
-	// Stale hit: served stale, revalidation launched into the injected error.
+	// Stale hit: served stale, revalidation launched into the injected fault.
 	_, body := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
 	if body["stale"] != true {
 		t.Fatalf("first post-bump response not stale: %v", body)
@@ -267,6 +292,45 @@ func TestChaosRevalidateFaultKeepsStale(t *testing.T) {
 	})
 	if got := s.reg.Counter("serve.revalidations").Value(); got != 2 {
 		t.Errorf("serve.revalidations = %d, want 2", got)
+	}
+	return s
+}
+
+// TestChaosBatchItemPanic: a panic in one name's lookup outside the engine
+// (here the backend's NumRefs) must become that item's 500, counted in
+// serve.panics, while every other name of the batch still answers and the
+// process lives.
+func TestChaosBatchItemPanic(t *testing.T) {
+	b := newStubBackend("Wei Wang", "Bad Name", "Jiawei Han")
+	b.onNumRefs = func(name string) {
+		if name == "Bad Name" {
+			panic("boom")
+		}
+	}
+	s := newTestServer(t, b, func(o *Options) { o.BatchFanout = 2 })
+	w, body := doJSON(t, s.Handler(), "POST", "/v1/batch",
+		`{"names":["Wei Wang","Bad Name","Jiawei Han","Bad Name"]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d body %s", w.Code, w.Body.String())
+	}
+	results := body["results"].([]any)
+	if len(results) != 4 {
+		t.Fatalf("%d results, want 4: %v", len(results), body)
+	}
+	for _, r := range results {
+		item := r.(map[string]any)
+		if item["name"] == "Bad Name" {
+			if item["status"] != float64(http.StatusInternalServerError) || !strings.Contains(item["error"].(string), "boom") {
+				t.Errorf("panicking item = %v, want a 500 carrying the panic", item)
+			}
+			continue
+		}
+		if item["error"] != nil || len(item["groups"].([]any)) != 2 {
+			t.Errorf("healthy item = %v, want its two groups", item)
+		}
+	}
+	if got := s.reg.Counter("serve.panics").Value(); got != 1 {
+		t.Errorf("serve.panics = %d, want 1 (the repeated name is looked up once)", got)
 	}
 }
 

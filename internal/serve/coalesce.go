@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"sync"
+
+	"distinct/internal/fault"
+	"distinct/internal/obs"
 )
 
 // Request coalescing: duplicate in-flight lookups of one (name, version)
@@ -19,6 +22,11 @@ import (
 // request that served stale and moved on never cancels the recompute it
 // triggered. A later request for the same (name, version) joins the same
 // flight via do — exactly-once recompute per key either way.
+//
+// A flight goroutine runs compute under fault.Guard: a panic that escapes
+// compute (a background flight's own steps run outside Server.compute's
+// recover) becomes the flight's *fault.PanicError, counted in the panics
+// counter, instead of killing the process.
 
 // flightKey identifies one coalesced computation. The version is part of
 // the key so requests racing an Insert never share results across database
@@ -41,14 +49,15 @@ type flight struct {
 
 // flightGroup coalesces concurrent do calls per flightKey.
 type flightGroup struct {
-	base context.Context // parent of every compute context
+	base   context.Context // parent of every compute context
+	panics *obs.Counter    // recovered compute panics
 
 	mu      sync.Mutex
 	flights map[flightKey]*flight
 }
 
-func newFlightGroup(base context.Context) *flightGroup {
-	return &flightGroup{base: base, flights: make(map[flightKey]*flight)}
+func newFlightGroup(base context.Context, panics *obs.Counter) *flightGroup {
+	return &flightGroup{base: base, panics: panics, flights: make(map[flightKey]*flight)}
 }
 
 // register creates and starts a flight for key; callers hold mu and have
@@ -58,7 +67,11 @@ func (g *flightGroup) register(key flightKey, background bool, compute func(cont
 	f := &flight{done: make(chan struct{}), cancel: cancel, background: background}
 	g.flights[key] = f
 	go func() {
-		r, e := compute(fctx)
+		var r *NameResult
+		e := guard(g.panics, func() (err error) {
+			r, err = compute(fctx)
+			return err
+		})
 		g.mu.Lock()
 		f.res, f.err = r, e
 		if g.flights[key] == f {
@@ -133,6 +146,20 @@ func (g *flightGroup) launch(key flightKey, compute func(context.Context) (*Name
 	}
 	g.register(key, true, compute)
 	return true
+}
+
+// guard runs f under fault.Guard, counting a recovered panic in panics.
+func guard(panics *obs.Counter, f func() error) error {
+	panicked := true
+	err := fault.Guard(func() error {
+		err := f()
+		panicked = false
+		return err
+	})
+	if panicked {
+		panics.Inc()
+	}
+	return err
 }
 
 // inflight reports how many flights are currently running (for tests).

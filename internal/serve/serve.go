@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"distinct/internal/core"
@@ -395,7 +394,7 @@ func New(opts Options) (*Server, error) {
 		base = fault.With(base, opts.Fault)
 	}
 	base, s.baseCancel = context.WithCancel(base)
-	s.flights = newFlightGroup(base)
+	s.flights = newFlightGroup(base, s.cPanics)
 	s.adm = newAdmission(conc, maxQueue, s.reg.Gauge("serve.queue_depth"))
 
 	mux := http.NewServeMux()
@@ -945,37 +944,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		err  error
 	}
 	outs := make([]outcome, len(uniq))
-	run := func(i int) {
+	// The engine's worker pool claims indices in any order; assembly below
+	// restores the request order. It runs on a background context and every
+	// body returns nil, so the pool never stops early and every item gets an
+	// outcome: a cancelled request is each remaining item's error, and a
+	// guarded panic in one name's lookup is that item's 500 while the rest
+	// of the batch answers.
+	_ = fault.ParallelFor(context.Background(), len(uniq), s.batchFanout, func(i int) error {
 		if err := r.Context().Err(); err != nil {
 			outs[i].err = err
-			return
+			return nil
 		}
-		outs[i].res, outs[i].meta, outs[i].err = s.lookup(r.Context(), uniq[i])
-	}
-	if fan := min(s.batchFanout, len(uniq)); fan <= 1 {
-		for i := range uniq {
-			run(i)
-		}
-	} else {
-		// Workers claim indices off a shared counter: cheap, order-free, and
-		// the deterministic response order is restored by assembly below.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(fan)
-		for range fan {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(uniq) {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+		outs[i].err = guard(s.cPanics, func() (err error) {
+			outs[i].res, outs[i].meta, err = s.lookup(r.Context(), uniq[i])
+			return err
+		})
+		return nil
+	})
 
 	// Assemble in request order: every occurrence of a name shares its one
 	// outcome, so responses are deterministic regardless of fan-out timing.

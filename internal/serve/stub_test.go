@@ -25,6 +25,9 @@ type stubBackend struct {
 	block chan struct{}
 	// onCompute, when non-nil, overrides the default clean result.
 	onCompute func(ctx context.Context, name string) ([][]string, *core.Incident, error)
+	// onNumRefs, when non-nil, runs at the start of every NumRefs call (a
+	// hook that panics makes the lookup panic outside the engine).
+	onNumRefs func(name string)
 }
 
 func newStubBackend(names ...string) *stubBackend {
@@ -60,7 +63,12 @@ func (b *stubBackend) Disambiguate(ctx context.Context, name string, opts core.B
 	return [][]string{{name + "-a1", name + "-a2"}, {name + "-b1"}}, nil, nil
 }
 
-func (b *stubBackend) NumRefs(name string) int { return b.refs[name] }
+func (b *stubBackend) NumRefs(name string) int {
+	if b.onNumRefs != nil {
+		b.onNumRefs(name)
+	}
+	return b.refs[name]
+}
 
 func (b *stubBackend) Names(minRefs int) []string {
 	var out []string

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
+	"distinct/internal/prop"
 	"distinct/internal/reldb"
 )
 
@@ -45,13 +47,14 @@ func raceWorld(t *testing.T) (*reldb.Database, []reldb.JoinPath, []reldb.TupleID
 }
 
 // TestPlanCompileOnceAcrossExtractors hammers two extractors sharing one
-// database from many goroutines with no plan compiled yet. Run under -race
-// this checks each extractor's lazily compiled plan is published safely,
-// however many goroutines race for its first propagation.
+// compiled plan from many goroutines with a cold neighborhood cache. Run
+// under -race this checks the plan is shared read-only and the pooled
+// scratches stay per goroutine, however many goroutines race for each
+// reference's first propagation.
 func TestPlanCompileOnceAcrossExtractors(t *testing.T) {
 	db, paths, refs := raceWorld(t)
-	ex1 := NewExtractor(db, paths)
-	ex2 := NewExtractor(db, paths)
+	plan := prop.CompileTrieCtx(context.Background(), db, prop.NewTrie(paths), 0)
+	ex1, ex2 := New(plan, nil), New(plan, nil)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -70,37 +73,44 @@ func TestPlanCompileOnceAcrossExtractors(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Both extractors must agree with each other and with the DFS path.
+	// Both extractors must agree with each other and with a fresh one.
+	fresh := NewExtractor(db, paths)
 	for _, r := range refs {
-		n1, n2 := ex1.Neighborhoods(r), ex2.Neighborhoods(r)
+		n1, n2, n3 := ex1.Neighborhoods(r), ex2.Neighborhoods(r), fresh.Neighborhoods(r)
 		for p := range paths {
-			if len(n1[p].Keys) != len(n2[p].Keys) {
+			if !slices.Equal(n1[p].Keys, n2[p].Keys) || !slices.Equal(n1[p].Keys, n3[p].Keys) {
 				t.Fatalf("extractors disagree on ref %d path %d", r, p)
 			}
 		}
 	}
 
-	// CompilePlansCtx after the fact is idempotent: the plan exists and its
-	// stats are stable. The two paths share the first hop: 3 distinct
-	// (from, step) hops in total — Publish>key, Papers<key, Publish>author.
-	h1, e1 := ex1.CompilePlansCtx(context.Background())
-	h2, e2 := ex2.CompilePlansCtx(context.Background())
-	if h1 != h2 || e1 != e2 || h1 != 3 {
-		t.Errorf("CompilePlansCtx stats diverge: (%d,%d) vs (%d,%d)", h1, e1, h2, e2)
+	// The two paths share the first hop: 3 distinct (from, step) hops in
+	// total — Publish>key, Papers<key, Publish>author.
+	if hops, edges := plan.Stats(); hops != 3 || edges == 0 {
+		t.Errorf("plan.Stats() = (%d hops, %d edges), want 3 hops and nonzero edges", hops, edges)
 	}
 }
 
-// TestCompilePlansEager: calling CompilePlansCtx first compiles immediately
-// and reports the plan's size.
-func TestCompilePlansEager(t *testing.T) {
+// TestNewExtractorCompilesUpFront: NewExtractor compiles the plan before it
+// returns, so the first propagation borrows a scratch of a compiled plan
+// and inserts after construction are invisible to the extractor.
+func TestNewExtractorCompilesUpFront(t *testing.T) {
 	db, paths, refs := raceWorld(t)
 	ex := NewExtractor(db, paths)
-	hops, edges := ex.CompilePlansCtx(context.Background())
-	if hops != 3 || edges == 0 {
-		t.Errorf("CompilePlansCtx = (%d hops, %d edges), want 3 hops and nonzero edges", hops, edges)
+	if hops, edges := ex.plan.Stats(); hops != 3 || edges == 0 {
+		t.Errorf("plan.Stats() = (%d hops, %d edges), want 3 hops and nonzero edges", hops, edges)
+	}
+	if got, want := ex.plan.NumTuples(), db.NumTuples(); got != want {
+		t.Errorf("plan.NumTuples() = %d, want %d", got, want)
+	}
+	late := db.MustInsert("Publish", "ann", "p3")
+	for p, nb := range ex.Neighborhoods(late) {
+		if len(nb.Keys) != 0 {
+			t.Errorf("reference inserted after NewExtractor: path %d has %d neighbors", p, len(nb.Keys))
+		}
 	}
 	nbs := ex.Neighborhoods(refs[0])
-	if len(nbs) != len(paths) {
-		t.Fatalf("neighborhoods after eager compile: %d, want %d", len(nbs), len(paths))
+	if len(nbs) != len(paths) || len(nbs[1].Keys) != 1 {
+		t.Fatalf("neighborhoods of a compiled reference: %d paths, %d papers; want %d paths, 1 paper", len(nbs), len(nbs[1].Keys), len(paths))
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Prefetch computes and caches the neighborhoods of every given reference,
 // fanning the propagation work out over `workers` goroutines (0 means
-// GOMAXPROCS). Propagation per reference is independent and the database
-// is read-only, so the workers only synchronise to read a stored donor and
+// GOMAXPROCS). Propagation per reference is independent and the plan is
+// read-only, so the workers only synchronise to read a stored donor and
 // on the final cache merge.
 // The compiled walk emits each neighborhood sorted, with its Σ Fwd, so a
 // prefetched reference costs the serving path nothing but a cache read.
@@ -61,13 +61,7 @@ func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, worke
 		}
 	}
 	e.mu.RUnlock()
-	var groups []int // todo[groups[g]:groups[g+1]] is key group g
-	if len(todo) > 0 {
-		var err error
-		if todo, groups, err = e.groupByShareKey(todo); err != nil {
-			return err
-		}
-	}
+	todo, groups := e.groupByShareKey(todo) // todo[groups[g]:groups[g+1]] is key group g
 	e.prefetchRequested.Add(int64(len(refs)))
 	e.prefetchDeduped.Add(int64(len(refs) - len(todo)))
 	e.prefetchPropagated.Add(int64(len(todo)))
@@ -117,28 +111,20 @@ type shareRef struct {
 // groupByShareKey fills in the share keys of todo, sorts it by (key, ref),
 // drops duplicate references and returns the boundaries of the key groups:
 // group g is todo[groups[g]:groups[g+1]]. A reference with no key (-1)
-// forms a group of its own. A panic (a plan that fails to compile) is
-// returned as a *fault.PanicError.
-func (e *Extractor) groupByShareKey(todo []shareRef) ([]shareRef, []int, error) {
-	var groups []int
-	err := fault.Guard(func() error {
-		plan := e.compiled()
-		for i := range todo {
-			todo[i].key = plan.ShareKey(todo[i].ref)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+// forms a group of its own.
+func (e *Extractor) groupByShareKey(todo []shareRef) ([]shareRef, []int) {
+	for i := range todo {
+		todo[i].key = e.plan.ShareKey(todo[i].ref)
 	}
 	slices.SortFunc(todo, func(a, b shareRef) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ref, b.ref))
 	})
 	todo = slices.CompactFunc(todo, func(a, b shareRef) bool { return a.ref == b.ref })
+	var groups []int
 	for i, t := range todo {
 		if i == 0 || t.key < 0 || t.key != todo[i-1].key {
 			groups = append(groups, i)
 		}
 	}
-	return todo, append(groups, len(todo)), nil
+	return todo, append(groups, len(todo))
 }

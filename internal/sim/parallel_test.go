@@ -67,15 +67,19 @@ func TestPrefetchSingleWorker(t *testing.T) {
 
 // TestPrefetchAllWorkersFail is the regression test for a prefetch hang:
 // when every worker stopped at its first error, the old channel-fed pool's
-// feeder blocked forever on the next send. Out-of-range references make
-// every propagation panic; the call must return the recovered panic (and
-// cache nothing) well before the deadline.
+// feeder blocked forever on the next send. A scratch pool that panics on
+// every Get makes every propagation panic, and every tuple of the fixture
+// gives the two workers seven key groups to fail on; the call must return
+// the recovered panic (and cache nothing) well before the deadline.
 func TestPrefetchAllWorkersFail(t *testing.T) {
 	ext, _ := extractorFixture(t)
-	n := reldb.TupleID(ext.db.NumTuples())
-	bad := []reldb.TupleID{n + 1, n + 2, n + 3, n + 4}
+	ext.scratch.New = func() any { panic("no scratch") }
+	refs := make([]reldb.TupleID, ext.plan.NumTuples())
+	for i := range refs {
+		refs[i] = reldb.TupleID(i)
+	}
 	done := make(chan error, 1)
-	go func() { done <- ext.PrefetchCtx(context.Background(), bad, 2) }()
+	go func() { done <- ext.PrefetchCtx(context.Background(), refs, 2) }()
 	select {
 	case err := <-done:
 		var pe *fault.PanicError
@@ -94,5 +98,5 @@ func TestPrefetchAllWorkersFail(t *testing.T) {
 			t.Fatal("Prefetch swallowed a worker panic")
 		}
 	}()
-	ext.Prefetch(bad, 2)
+	ext.Prefetch(refs, 2)
 }

@@ -109,8 +109,7 @@ func TestSharedPathsBorrowed(t *testing.T) {
 	}
 	for _, mode := range []string{"prefetch", "neighborhoods"} {
 		reg := obs.NewRegistry()
-		ext := NewExtractor(db, paths)
-		ext.SetMetrics(reg)
+		ext := New(ct, reg)
 		if mode == "prefetch" {
 			// Reversed and repeated: grouping, not input order, pairs the
 			// co-authors.
@@ -155,7 +154,7 @@ func TestSharedNeighborhoodsRace(t *testing.T) {
 	}
 	ct := prop.CompileTrieCtx(context.Background(), db, prop.NewTrie(paths), 0)
 	for round := 0; round < 20; round++ {
-		ext := NewExtractor(db, paths)
+		ext := New(ct, nil)
 		const readers = 8
 		seen := make([][][]prop.SparseNeighborhood, readers)
 		var prefetchErr error

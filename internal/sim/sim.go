@@ -29,11 +29,14 @@ import (
 	"distinct/internal/reldb"
 )
 
-// Extractor computes and caches per-reference neighborhoods along a fixed
-// set of join paths, and derives per-pair feature vectors from them. Each
-// reference's propagation runs once no matter how many pairs it appears in;
-// this is what makes all-pairs feature computation affordable (§4.2).
-// Neighborhoods are cached in sparse form: built once, read many times.
+// Extractor computes and caches per-reference neighborhoods along the join
+// paths of one compiled plan (prop.CompiledTrie), and derives per-pair
+// feature vectors from them, one entry per path in the plan's path order.
+// Each reference's propagation runs once no matter how many pairs it
+// appears in; this is what makes all-pairs feature computation affordable
+// (§4.2). Neighborhoods are cached in sparse form: built once, read many
+// times. The plan is a snapshot of the database it was compiled over, so a
+// reference inserted after the compile has empty neighborhoods.
 //
 // The cache is guarded by a read-write mutex, so Neighborhoods (and the
 // vector methods built on it) may be called from concurrent goroutines
@@ -47,26 +50,14 @@ import (
 // propagation with the key borrows the donor's shared neighborhoods
 // instead of walking and storing them again.
 type Extractor struct {
-	db    *reldb.Database
-	paths []reldb.JoinPath
-	trie  *prop.Trie // shared-prefix walk over all paths at once
-
-	// The compiled CSR plan (see prop.CompiledTrie) is built lazily by the
-	// first propagation — or eagerly by CompilePlansCtx — exactly once, then
-	// shared read-only by every worker. Each propagation borrows a scratch
-	// from the pool, so steady-state propagation does not allocate beyond
-	// the neighborhoods it returns.
-	planOnce sync.Once
-	plan     *prop.CompiledTrie
-	scratch  sync.Pool
-
-	// workers bounds the parallelism of plan compilation (0 means
-	// GOMAXPROCS). Set it before the first propagation or CompilePlansCtx
-	// call; the engine wires its Config.Workers through here.
-	workers int
+	// plan is shared read-only by every worker. Each propagation borrows a
+	// scratch from the pool, so steady-state propagation does not allocate
+	// beyond the neighborhoods it returns.
+	plan    *prop.CompiledTrie
+	scratch sync.Pool
 
 	// batchPool pools BatchScratch instances for the block kernel, sized to
-	// the database's tuple space so the dense tuple array never grows on the
+	// the plan's tuple space so the dense tuple array never grows on the
 	// warm path; indexPool pools the block kernel's postings indexes.
 	batchPool sync.Pool
 	indexPool sync.Pool
@@ -75,9 +66,9 @@ type Extractor struct {
 	cache  map[reldb.TupleID][]prop.SparseNeighborhood
 	donors map[reldb.TupleID][]prop.SparseNeighborhood // by share key
 
-	// Metric handles resolved once by SetMetrics; nil handles (the
-	// default) make every update a no-op nil check, keeping the cache's
-	// hot path free of registry lookups.
+	// Metric handles resolved once by New; nil handles (a nil registry)
+	// make every update a no-op nil check, keeping the cache's hot path
+	// free of registry lookups.
 	prefetchStage      *obs.Stage
 	cacheHits          *obs.Counter
 	cacheMisses        *obs.Counter
@@ -87,80 +78,41 @@ type Extractor struct {
 	prefetchShared     *obs.Counter
 }
 
-// NewExtractor creates an extractor over the given database and join paths.
-func NewExtractor(db *reldb.Database, paths []reldb.JoinPath) *Extractor {
-	return &Extractor{
-		db:     db,
-		paths:  paths,
-		trie:   prop.NewTrie(paths),
-		cache:  make(map[reldb.TupleID][]prop.SparseNeighborhood),
-		donors: make(map[reldb.TupleID][]prop.SparseNeighborhood),
-	}
-}
-
-// Paths returns the join paths the extractor computes features for, in
-// feature-vector order.
-func (e *Extractor) Paths() []reldb.JoinPath { return e.paths }
-
-// SetMetrics points the extractor at an observability registry (nil
-// disables, the default): sim.cache_hits / sim.cache_misses count
-// Neighborhoods lookups, sim.prefetch_requested / sim.prefetch_deduped /
+// New creates an extractor over a compiled plan, reporting to reg (nil
+// disables): sim.cache_hits / sim.cache_misses count Neighborhoods
+// lookups, sim.prefetch_requested / sim.prefetch_deduped /
 // sim.prefetch_propagated describe Prefetch batches, sim.prefetch_shared
 // counts the prefetched references whose shared paths came from a donor,
 // and the "prefetch" stage records the propagation work itself.
-func (e *Extractor) SetMetrics(r *obs.Registry) {
-	e.prefetchStage = r.Stage("prefetch")
-	e.cacheHits = r.Counter("sim.cache_hits")
-	e.cacheMisses = r.Counter("sim.cache_misses")
-	e.prefetchRequested = r.Counter("sim.prefetch_requested")
-	e.prefetchDeduped = r.Counter("sim.prefetch_deduped")
-	e.prefetchPropagated = r.Counter("sim.prefetch_propagated")
-	e.prefetchShared = r.Counter("sim.prefetch_shared")
+func New(plan *prop.CompiledTrie, reg *obs.Registry) *Extractor {
+	e := &Extractor{
+		plan:               plan,
+		cache:              make(map[reldb.TupleID][]prop.SparseNeighborhood),
+		donors:             make(map[reldb.TupleID][]prop.SparseNeighborhood),
+		prefetchStage:      reg.Stage("prefetch"),
+		cacheHits:          reg.Counter("sim.cache_hits"),
+		cacheMisses:        reg.Counter("sim.cache_misses"),
+		prefetchRequested:  reg.Counter("sim.prefetch_requested"),
+		prefetchDeduped:    reg.Counter("sim.prefetch_deduped"),
+		prefetchPropagated: reg.Counter("sim.prefetch_propagated"),
+		prefetchShared:     reg.Counter("sim.prefetch_shared"),
+	}
+	e.scratch.New = func() any { return plan.NewScratch() }
+	return e
 }
 
-// SetWorkers bounds the parallelism of plan compilation (0, the default,
-// means GOMAXPROCS). It must be called before the first propagation or
-// CompilePlansCtx call; it has no effect once the plan is compiled.
-func (e *Extractor) SetWorkers(n int) { e.workers = n }
-
-// compileWith compiles the CSR plan under the sync.Once, observing ctx
-// between per-hop compiles (see prop.CompileTrieCtx). Concurrent cold-start
-// propagations share one compile; the scratch pool is initialised inside
-// the same Once, making it safe to Get after any compiled() call.
-func (e *Extractor) compileWith(ctx context.Context) {
-	e.planOnce.Do(func() {
-		plan := prop.CompileTrieCtx(ctx, e.db, e.trie, e.workers)
-		e.scratch.New = func() any { return plan.NewScratch() }
-		e.plan = plan
-	})
-}
-
-// compiled returns the CSR plan, compiling it on first use.
-func (e *Extractor) compiled() *prop.CompiledTrie {
-	e.compileWith(context.Background())
-	return e.plan
-}
-
-// CompilePlansCtx forces plan compilation now instead of at the first
-// propagation, and reports the plan's size. The engine calls it under its
-// "compile_plans" stage so the one-off cost is attributed there rather
-// than smeared into the first name's latency. The parallel per-hop compile
-// observes ctx between hops, so cancellation is bounded by one hop
-// compile. The plan is still complete (a serial pass compiles any hop the
-// interrupted parallel pass skipped), so the result is always usable;
-// cancellation here only stops the parallel work.
-func (e *Extractor) CompilePlansCtx(ctx context.Context) (hops, edges int) {
-	e.compileWith(ctx)
-	return e.plan.Stats()
+// NewExtractor compiles paths over db (GOMAXPROCS workers) and returns an
+// extractor over the plan with metrics off.
+func NewExtractor(db *reldb.Database, paths []reldb.JoinPath) *Extractor {
+	return New(prop.CompileTrieCtx(context.Background(), db, prop.NewTrie(paths), 0), nil)
 }
 
 // propagate computes one reference's neighborhoods on the compiled plan,
 // borrowing a scratch from the pool; donor is optional (see
 // prop.CompiledTrie.Propagate).
 func (e *Extractor) propagate(r reldb.TupleID, donor []prop.SparseNeighborhood) []prop.SparseNeighborhood {
-	plan := e.compiled()
 	s := e.scratch.Get().(*prop.Scratch)
-	nbs := plan.Propagate(r, s, donor)
+	nbs := e.plan.Propagate(r, s, donor)
 	e.scratch.Put(s)
 	return nbs
 }
@@ -203,7 +155,7 @@ func (e *Extractor) Neighborhoods(r reldb.TupleID) []prop.SparseNeighborhood {
 		return nbs
 	}
 	e.cacheMisses.Inc()
-	k := e.compiled().ShareKey(r)
+	k := e.plan.ShareKey(r)
 	nbs = e.propagate(r, e.donor(k))
 	e.mu.Lock()
 	nbs = e.store(r, k, nbs) // a lost race shares the first stored result
@@ -247,12 +199,12 @@ func (e *Extractor) NeighborhoodsAll(refs []reldb.TupleID, out [][]prop.SparseNe
 }
 
 // BatchScratch borrows a block-kernel scratch from the extractor's pool,
-// sized to the database's tuple space. Pair with PutBatchScratch.
+// sized to the plan's tuple space. Pair with PutBatchScratch.
 func (e *Extractor) BatchScratch() *BatchScratch {
 	if s, ok := e.batchPool.Get().(*BatchScratch); ok {
 		return s
 	}
-	return NewBatchScratch(e.db.NumTuples())
+	return NewBatchScratch(e.plan.NumTuples())
 }
 
 // PutBatchScratch returns a scratch to the pool for reuse.

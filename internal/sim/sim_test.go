@@ -246,9 +246,6 @@ func extractorFixture(t *testing.T) (*Extractor, []reldb.TupleID) {
 
 func TestExtractorVectorsAndCache(t *testing.T) {
 	e, refs := extractorFixture(t)
-	if len(e.Paths()) != 1 {
-		t.Fatalf("Paths = %d", len(e.Paths()))
-	}
 	v, w := e.Features(refs[0], refs[1])
 	if len(v) != 1 || len(w) != 1 {
 		t.Fatalf("vector lengths %d, %d", len(v), len(w))

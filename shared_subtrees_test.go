@@ -71,8 +71,7 @@ func TestSharedSubtreesPaperScale(t *testing.T) {
 				donors++
 			}
 		}
-		x := sim.NewExtractor(db, paths)
-		x.SetMetrics(reg)
+		x := sim.New(ct, reg)
 		x.Prefetch(batch, 2)
 		for _, r := range batch {
 			got, want := x.Neighborhoods(r), ct.Propagate(r, s, nil)
