@@ -485,6 +485,15 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weigh
 	// per row.
 	ix := e.ext.IndexBlock(nbs, w.used)
 	defer e.ext.PutBlockIndex(ix)
+	// sim.kernel_visits prices the rows below per shared tuple, which
+	// sim.pairs_scored, one count per (pair, path) result, cannot see.
+	var visits int
+	for p := range e.paths {
+		if w.used(p) {
+			visits += ix.Visits(p)
+		}
+	}
+	e.obs.Counter("sim.kernel_visits").Add(int64(visits))
 	// Resolved once per stage: the per-row injection point below costs
 	// one nil check per row when fault injection is off.
 	freg := fault.From(ctx)
