@@ -43,8 +43,10 @@ func sharedNeighborComponents(nbs [][]prop.SparseNeighborhood, resemW, walkW []f
 			continue
 		}
 		holder := make(map[reldb.TupleID]int)
+		var ex prop.Expander
 		for i, nb := range nbs {
-			for _, t := range nb[p].Keys {
+			keys, _ := ex.Expand(&nb[p], nil, nil)
+			for _, t := range keys {
 				if j, ok := holder[t]; ok {
 					uf.union(i, j)
 				} else {

@@ -160,7 +160,7 @@ func checkCompiledAgainstDFS(t *testing.T, tag string, db *reldb.Database, paths
 	for _, id := range starts {
 		want := propagateOracle(db, id, trie)
 		got := ct.Propagate(id, scratch, nil)
-		check(id, got, want, "")
+		check(id, flatAll(got), want, "")
 		k := ct.ShareKey(id)
 		if k < 0 {
 			continue
@@ -172,9 +172,9 @@ func checkCompiledAgainstDFS(t *testing.T, tag string, db *reldb.Database, paths
 		}
 		shared++
 		borrowed := ct.Propagate(id, scratch, donor)
-		check(id, borrowed, want, "with a donor")
+		check(id, flatAll(borrowed), want, "with a donor")
 		for pi := range got {
-			if !sameBits(borrowed[pi], got[pi]) {
+			if borrowed[pi].Tail != got[pi].Tail || !sameBits(borrowed[pi], got[pi]) {
 				t.Fatalf("%s: start %d path %s with a donor is not bit-identical:\n got %+v\nwant %+v",
 					tag, id, paths[pi], borrowed[pi], got[pi])
 			}
@@ -294,7 +294,9 @@ func TestCompiledMatchesDFSWideFanOut(t *testing.T) {
 // fuzzer-seeded random worlds: DAG schemas from randomSchemaWorld, or
 // cyclicRandomWorld's schemas with cycles and self-loops (cyclic) and
 // dangling foreign keys (dangling). Starts that share a ShareKey are
-// propagated again with a donor (see checkCompiledAgainstDFS).
+// propagated again with a donor (see checkCompiledAgainstDFS), and every
+// grouped neighborhood must expand to the untailed trie's flat one bit for
+// bit (checkGroupedMatchesFlat).
 func FuzzCompiledPropagation(f *testing.F) {
 	f.Add(int64(0), false, false)
 	f.Add(int64(1), true, false)
@@ -313,7 +315,8 @@ func FuzzCompiledPropagation(f *testing.F) {
 }
 
 // checkRandomWorld enumerates join paths from every FK-bearing relation of
-// a random world and checks compiled/DFS equivalence from a few starts. It
+// a random world and checks compiled/DFS equivalence and grouped/flat
+// identity from a few starts. It
 // reports whether some checked neighborhood was dense enough for the
 // emission's bitmap scan, and how many starts took a donor.
 func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool, shared int) {
@@ -334,6 +337,7 @@ func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool
 			ids = ids[:3]
 		}
 		shared += checkCompiledAgainstDFS(t, tag+"/"+rs.Name, db, paths, ids, 1e-12)
+		checkGroupedMatchesFlat(t, tag+"/"+rs.Name, compile(db, NewTrie(paths)), ids)
 		if !bitmap {
 			bitmap = takesBitmap(db, paths, ids)
 		}
@@ -341,10 +345,13 @@ func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool
 	return bitmap, shared
 }
 
-// takesBitmap reports whether any path's neighborhood from any of the
-// starts meets the bitmap scan's size and density cutover.
+// takesBitmap reports whether any path's flat emission from any of the
+// starts meets the bitmap scan's size and density cutover. The trie is
+// untailed, so fan-out tails emit flat too: checkRandomWorld holds that
+// emission to the grouped form bit for bit and the grouped form to the
+// oracle.
 func takesBitmap(db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID) bool {
-	ct := compile(db, NewTrie(paths))
+	ct := untailed(compile(db, NewTrie(paths)))
 	for _, id := range starts {
 		for pi, nb := range ct.Propagate(id, nil, nil) {
 			n := len(nb.Keys)
@@ -381,11 +388,11 @@ func TestCompiledScratchReuse(t *testing.T) {
 	ct := compile(db, NewTrie(paths))
 	shared := ct.NewScratch()
 	for _, id := range db.Relation(start).TupleIDs() {
-		got := ct.Propagate(id, shared, nil)
-		want := ct.Propagate(id, ct.NewScratch(), nil)
+		got := flatAll(ct.Propagate(id, shared, nil))
+		want := flatAll(ct.Propagate(id, ct.NewScratch(), nil))
 		for pi := range want {
 			// Same engine, same order: bit-identical, not just within tol.
-			if diffSparse(got[pi], want[pi]) != 0 {
+			if !sameBits(got[pi], want[pi]) {
 				t.Fatalf("scratch reuse diverged on start %d path %s", id, paths[pi])
 			}
 		}
@@ -550,7 +557,7 @@ func TestPackedNeighborhoodsIsolated(t *testing.T) {
 		if cap(nb.Keys) != len(nb.Keys) || cap(nb.FBs) != len(nb.FBs) {
 			t.Fatalf("path %s: cap %d/%d beyond len %d", paths[pi], cap(nb.Keys), cap(nb.FBs), len(nb.Keys))
 		}
-		snapshot[pi] = SparseNeighborhood{Keys: slices.Clone(nb.Keys), FBs: slices.Clone(nb.FBs), SumFwd: nb.SumFwd}
+		snapshot[pi] = SparseNeighborhood{Keys: slices.Clone(nb.Keys), FBs: slices.Clone(nb.FBs), SumFwd: nb.SumFwd, Tail: nb.Tail}
 		if len(nb.Keys) > 0 {
 			nonEmpty++
 		}

@@ -94,8 +94,27 @@ var engines = map[string]engine{
 		return propagateOracle(db, start, NewTrie([]reldb.JoinPath{path}))[0]
 	},
 	"compiled": func(db *reldb.Database, start reldb.TupleID, path reldb.JoinPath) SparseNeighborhood {
-		return compile(db, NewTrie([]reldb.JoinPath{path})).Propagate(start, nil, nil)[0]
+		return flat(compile(db, NewTrie([]reldb.JoinPath{path})).Propagate(start, nil, nil)[0])
 	},
+}
+
+// flat returns nb in flat form: a grouped neighborhood expanded through an
+// Expander, a flat one as it is.
+func flat(nb SparseNeighborhood) SparseNeighborhood {
+	if nb.Tail == nil {
+		return nb
+	}
+	keys, fbs := new(Expander).Expand(&nb, nil, nil)
+	return SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: nb.SumFwd}
+}
+
+// flatAll is flat over every path's neighborhood.
+func flatAll(nbs []SparseNeighborhood) []SparseNeighborhood {
+	out := make([]SparseNeighborhood, len(nbs))
+	for i, nb := range nbs {
+		out[i] = flat(nb)
+	}
+	return out
 }
 
 // compile is CompileTrieCtx with a background context and default workers.

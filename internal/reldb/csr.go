@@ -13,7 +13,9 @@ import "sort"
 // entry a target ordinal; within a row the targets are strictly ascending.
 // Rev[v] is the in-degree of target ordinal v — exactly the reverse fanout
 // JoinFanout(toTuple, step.Inverse()) that backward propagation divides by,
-// for forward and reverse steps alike.
+// for forward and reverse steps alike. ColIDs[g] is ToIDs[Col[g]], the
+// edge's target as a tuple: ascending within a row too, so a row's targets
+// read as TupleIDs without a lookup per edge.
 //
 // A HopCSR is immutable after CompileHop returns and is shared read-only
 // across all references and worker goroutines.
@@ -24,6 +26,7 @@ type HopCSR struct {
 
 	RowPtr  []int32   // len NumFrom+1; edge range per source ordinal
 	Col     []int32   // target ordinals, ascending within each row
+	ColIDs  []TupleID // per edge: the target's TupleID, ToIDs[Col[g]]
 	Rev     []int32   // len NumTo; in-degree per target ordinal
 	FromIDs []TupleID // source relation's tuples in ordinal order
 	ToIDs   []TupleID // target relation's tuples in ordinal order
@@ -110,8 +113,10 @@ func CompileHop(db *Database, from string, step Step) *HopCSR {
 	}
 
 	h.Rev = make([]int32, h.NumTo)
-	for _, v := range h.Col {
+	h.ColIDs = make([]TupleID, len(h.Col))
+	for g, v := range h.Col {
 		h.Rev[v]++
+		h.ColIDs[g] = h.ToIDs[v]
 	}
 	return h
 }

@@ -84,8 +84,9 @@ func rowsOf(t *testing.T, x *BlockIndex, s *BatchScratch, n, np int) [][][]Trip 
 	return got
 }
 
-// checkRows holds every pair of the block to refKernel bit for bit. The
-// block must come from nbMap.sparse (or propagation), whose SumFwd totals
+// checkRows holds every pair of the block to refKernel over the members'
+// flat forms, bit for bit; members may be flat or grouped. The block must
+// come from nbMap.sparse, randGrouped or propagation, whose SumFwd totals
 // are summed in key order; see refKernel.
 func checkRows(t *testing.T, x *BlockIndex, s *BatchScratch, block [][]prop.SparseNeighborhood) {
 	t.Helper()
@@ -120,17 +121,18 @@ func checkRestored(t *testing.T, s *BatchScratch) {
 }
 
 // TestBatchedKernelMatchesPairKernel is the postings kernel's property
-// test: on random blocks covering every regime of randBlock, each pair's
-// three outputs must be bit-identical to the pair-at-a-time reference,
-// refKernel — a fixed accumulation order and fixed float expressions are
-// what keep the golden outputs stable. One index and one scratch are reused
-// across blocks of different sizes, as the pools reuse them.
+// test: on random blocks covering every regime of randBlock, with grouped
+// members mixed in, each pair's three outputs must be bit-identical to the
+// pair-at-a-time reference, refKernel — a fixed accumulation order and
+// fixed float expressions are what keep the golden outputs stable. One
+// index and one scratch are reused across blocks of different sizes, as
+// the pools reuse them.
 func TestBatchedKernelMatchesPairKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := NewBatchScratch(0) // deliberately undersized: Build must grow it
 	var x BlockIndex
 	for trial := 0; trial < 150; trial++ {
-		block := sparseBlock(randBlock(rng, 1+rng.Intn(24), 1+rng.Intn(3), 1000))
+		block := mixedBlock(rng, 1+rng.Intn(24), 1+rng.Intn(3), 1000)
 		x.Build(s, block, nil)
 		checkRows(t, &x, s, block)
 		checkRestored(t, s)
@@ -138,14 +140,14 @@ func TestBatchedKernelMatchesPairKernel(t *testing.T) {
 }
 
 // TestBatchedKernelMatchesMapKernels holds the postings kernel to the naive
-// refKernel oracle on a second stream of blocks, with a scratch sized up
-// front so Build never grows it.
+// refKernel oracle on a second stream of mixed blocks, with a scratch
+// sized up front so Build never grows it.
 func TestBatchedKernelMatchesMapKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	s := NewBatchScratch(2048)
 	var x BlockIndex
 	for trial := 0; trial < 60; trial++ {
-		block := sparseBlock(randBlock(rng, 2+rng.Intn(12), 2, 1000))
+		block := mixedBlock(rng, 2+rng.Intn(12), 2, 1000)
 		x.Build(s, block, nil)
 		checkRows(t, &x, s, block)
 	}
@@ -155,7 +157,8 @@ func TestBatchedKernelMatchesMapKernels(t *testing.T) {
 // cross-checks every pair against the refKernel oracle bit for bit. The
 // corpus bytes encode two member sizes, the member count and a seed, so the
 // fuzzer explores size skew, overlap density and the growth of the dense
-// array.
+// array. About a third of the members are grouped neighborhoods over one
+// random fan-out tail whose targets share the flat members' key range.
 func FuzzBatchedKernel(f *testing.F) {
 	f.Add(uint16(8), uint16(8), uint16(3), int64(1))
 	f.Add(uint16(2), uint16(300), uint16(2), int64(2)) // 1:150 size skew
@@ -174,6 +177,7 @@ func FuzzBatchedKernel(f *testing.F) {
 			}
 			block[i] = []prop.SparseNeighborhood{randNB(rng, size, rng.Intn(maxSize), 2*maxSize).sparse()}
 		}
+		mixGrouped(rng, block, randTail(rng, 1+(as+bs)%16, 3*maxSize))
 		var x BlockIndex
 		s := NewBatchScratch(0)
 		x.Build(s, block, nil)
@@ -189,7 +193,7 @@ func FuzzBatchedKernel(f *testing.F) {
 // reused buffer.
 func TestBatchedKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	block := sparseBlock(randBlock(rng, 24, 3, 1000))
+	block := mixedBlock(rng, 24, 3, 1000)
 	s := NewBatchScratch(0)
 	var x BlockIndex
 	var out []Trip
@@ -246,7 +250,7 @@ func TestBatchScratchGrow(t *testing.T) {
 func TestBatchedKernelConcurrentRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const np = 3
-	block := sparseBlock(randBlock(rng, 40, np, 1000))
+	block := mixedBlock(rng, 40, np, 1000)
 	var x BlockIndex
 	x.Build(NewBatchScratch(0), block, nil)
 	want := rowsOf(t, &x, NewBatchScratch(0), len(block), np)
@@ -291,18 +295,18 @@ func TestBlockIndexVisits(t *testing.T) {
 	s := NewBatchScratch(0)
 	var x BlockIndex
 	for trial := 0; trial < 30; trial++ {
-		block := sparseBlock(randBlock(rng, 1+rng.Intn(30), np, 1000))
+		block := mixedBlock(rng, 1+rng.Intn(30), np, 1000)
 		x.Build(s, block, func(p int) bool { return p != 1 })
 		for p := 0; p < np; p++ {
 			want := 0
 			if p != 1 {
 				for i := range block {
 					held := make(map[reldb.TupleID]bool)
-					for _, k := range block[i][p].Keys {
+					for _, k := range flatNB(block[i][p]).Keys {
 						held[k] = true
 					}
 					for j := i + 1; j < len(block); j++ {
-						for _, k := range block[j][p].Keys {
+						for _, k := range flatNB(block[j][p]).Keys {
 							if held[k] {
 								want++
 							}

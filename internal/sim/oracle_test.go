@@ -32,17 +32,29 @@ func (n nbMap) sparse() prop.SparseNeighborhood {
 	return prop.SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: sum}
 }
 
+// flatNB returns nb in flat form: a grouped neighborhood expanded through
+// a prop.Expander, a flat one as it is.
+func flatNB(nb prop.SparseNeighborhood) prop.SparseNeighborhood {
+	if nb.Tail == nil {
+		return nb
+	}
+	keys, fbs := new(prop.Expander).Expand(&nb, nil, nil)
+	return prop.SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: nb.SumFwd}
+}
+
 // refKernel is the similarity oracle: a Trip's three outputs computed the
-// naive way — b's entries loaded into a hash map, every key of a probed in
-// it, both Fwd totals summed afresh rather than read from SumFwd, and the
-// Jaccard denominator taken as Σ max over the union. The property and fuzz
-// tests hold the postings kernel to it bit for bit. That holds because both
-// visit the shared keys in ascending order with the same float
-// expressions, and because the operands' SumFwd totals were summed in key
-// order (as nbMap.sparse and propagation sum them), so the totals refKernel
-// sums afresh are the same bits. An operand whose SumFwd was summed in
-// another order can differ in the last bits of Resem.
+// naive way over the operands' flat forms — b's entries loaded into a hash
+// map, every key of a probed in it, both Fwd totals summed afresh rather
+// than read from SumFwd, and the Jaccard denominator taken as Σ max over
+// the union. The property and fuzz tests hold the postings kernel to it
+// bit for bit. That holds because both visit the shared keys in ascending
+// order with the same float expressions, and because the operands' SumFwd
+// totals were summed in key order (as nbMap.sparse, randGrouped and
+// propagation sum them), so the totals refKernel sums afresh are the same
+// bits. An operand whose SumFwd was summed in another order can differ in
+// the last bits of Resem.
 func refKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
+	a, b = flatNB(a), flatNB(b)
 	bm := make(map[reldb.TupleID]prop.FB, len(b.Keys))
 	for i, t := range b.Keys {
 		bm[t] = b.FBs[i]

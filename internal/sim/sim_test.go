@@ -265,9 +265,10 @@ func TestExtractorVectorsAndCache(t *testing.T) {
 	if v[0] != v2[0] || w[0] != w2[0] || e.CacheSize() != 2 {
 		t.Error("cache changed results")
 	}
-	// Cached neighborhoods are sorted sparse vectors.
+	// Cached neighborhoods expand to sorted sparse vectors.
 	for _, r := range refs {
-		for p, s := range e.Neighborhoods(r) {
+		for p, nb := range e.Neighborhoods(r) {
+			s := flatNB(nb)
 			for i := 1; i < len(s.Keys); i++ {
 				if s.Keys[i-1] >= s.Keys[i] {
 					t.Fatalf("ref %d path %d: keys not strictly ascending", r, p)
