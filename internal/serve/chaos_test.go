@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -401,5 +403,62 @@ func TestDrainWaitsForInflight(t *testing.T) {
 	}
 	if body["name"] != "Wei Wang" {
 		t.Errorf("in-flight response: %v", body)
+	}
+}
+
+// TestChaosHandlerPanic: a panic in a single-name lookup outside the
+// flight (here the backend's NumRefs, on the handler goroutine) must answer
+// 500, count in serve.panics and release the client's quota slot, on the
+// bare and the instrumented path alike: with one concurrent request per
+// client, the same client's next healthy lookup must still get a 200.
+// Served over a real listener, where an unrecovered panic drops the
+// connection.
+func TestChaosHandlerPanic(t *testing.T) {
+	for _, instrumented := range []bool{false, true} {
+		t.Run(fmt.Sprintf("instrumented=%v", instrumented), func(t *testing.T) {
+			b := newStubBackend("Wei Wang", "Bad Name")
+			b.onNumRefs = func(name string) {
+				if name == "Bad Name" {
+					panic("boom")
+				}
+			}
+			reg := obs.NewRegistry()
+			s := newTestServer(t, b, func(o *Options) {
+				o.QuotaRPS, o.QuotaBurst, o.QuotaConcurrency = 1000, 1000, 1
+				if !instrumented {
+					o.Obs, o.FlightRecords = nil, -1
+				} else {
+					o.Obs = reg
+				}
+			})
+			if s.instrumented != instrumented {
+				t.Fatalf("server instrumented = %v, want %v", s.instrumented, instrumented)
+			}
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			get := func(name string) (int, string) {
+				req, err := http.NewRequest("GET", srv.URL+"/v1/name/"+url.PathEscape(name), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("X-Api-Key", "one-client")
+				resp, err := srv.Client().Do(req)
+				if err != nil {
+					t.Fatalf("GET %s: %v", name, err)
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, string(body)
+			}
+			if code, body := get("Bad Name"); code != http.StatusInternalServerError || !strings.Contains(body, "boom") {
+				t.Fatalf("panicking lookup: %d %s, want a 500 carrying the panic", code, body)
+			}
+			if code, body := get("Wei Wang"); code != http.StatusOK {
+				t.Fatalf("healthy lookup after the panic: %d %s, want 200", code, body)
+			}
+			if got := reg.Counter("serve.panics").Value(); instrumented && got != 1 {
+				t.Errorf("serve.panics = %d, want 1", got)
+			}
+		})
 	}
 }

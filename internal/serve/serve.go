@@ -468,11 +468,12 @@ func (s *Server) enter() bool {
 	return true
 }
 
-// api wraps a /v1 handler with the drain gate and the request-observability
-// middleware: request id + traceparent propagation, per-route RED metrics,
-// SLO observation, flight record, sampled access log (middleware.go). With
-// no registry, recorder, or logger configured, the fast path runs the
-// handler bare — nil reqInfo, no response wrapper, zero added allocations.
+// api wraps a /v1 handler with the drain gate, the panic guard
+// (serveGuarded) and the request-observability middleware: request id +
+// traceparent propagation, per-route RED metrics, SLO observation, flight
+// record, sampled access log (middleware.go). With no registry, recorder,
+// or logger configured, the fast path runs the handler bare — nil reqInfo,
+// no response wrapper, zero added allocations.
 func (s *Server) api(rt *route, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.enter() {
@@ -489,7 +490,7 @@ func (s *Server) api(rt *route, h func(http.ResponseWriter, *http.Request, *reqI
 				}
 				defer release()
 			}
-			h(w, r, nil)
+			s.serveGuarded(h, w, r, nil)
 			return
 		}
 
@@ -534,10 +535,12 @@ func (s *Server) api(rt *route, h func(http.ResponseWriter, *http.Request, *reqI
 		// Per-client quota gate, inside the middleware so a throttled request
 		// still gets a flight record, RED metrics, and an SLO observation.
 		if s.quotas == nil {
-			h(sw, r, ri)
+			s.serveGuarded(h, sw, r, ri)
 		} else if release, ok := s.quotaAdmit(sw, r, ri, t0); ok {
-			h(sw, r, ri)
-			release()
+			func() {
+				defer release()
+				s.serveGuarded(h, sw, r, ri)
+			}()
 		}
 
 		lat := time.Since(t0)
@@ -588,6 +591,28 @@ func (s *Server) api(rt *route, h func(http.ResponseWriter, *http.Request, *reqI
 			s.access.log(&rec)
 		}
 	}
+}
+
+// serveGuarded runs a /v1 handler, turning a panic that escapes it into a
+// 500 counted in serve.panics. A compute's own panics never get here (the
+// flight recovers them into an incident); this catches the rest, such as a
+// panicking Backend.NumRefs on the handler goroutine, so the client gets an
+// answer instead of a dropped connection and the middleware's bookkeeping
+// still runs. http.ErrAbortHandler, net/http's request to drop the
+// connection, is raised again.
+func (s *Server) serveGuarded(h func(http.ResponseWriter, *http.Request, *reqInfo), w http.ResponseWriter, r *http.Request, ri *reqInfo) {
+	err := guard(s.cPanics, func() error {
+		h(w, r, ri)
+		return nil
+	})
+	if err == nil {
+		return
+	}
+	if err.(*fault.PanicError).Value == http.ErrAbortHandler {
+		panic(http.ErrAbortHandler)
+	}
+	ri.noteError(r.PathValue("name"), err.Error(), lookupMeta{})
+	s.writeError(w, http.StatusInternalServerError, err.Error())
 }
 
 // quotaAdmit charges the request to its client's quota (now is the
