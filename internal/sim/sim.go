@@ -13,7 +13,8 @@
 //
 // One kernel computes both measures: BlockIndex.Row (batch.go) scores every
 // pair of a block of prop.SparseNeighborhood values — sorted parallel
-// slices — through an inverted index over the tuples they share. A single
+// slices, or parent groups over a fan-out tail — through an inverted index
+// over the tuples they share. A single
 // pair is scored as a two-member block (Extractor.Pair). The package's test
 // oracle (refKernel in oracle_test.go) computes the same three quantities
 // the naive way, through a hash map, and the property and fuzz tests hold

@@ -30,6 +30,6 @@ echo "== chaos quick tier (fault injection, -race, seed 1)"
 go test -race -count=1 -run '^TestChaos' .
 echo "== serving concurrency tier (coalescing + chaos, -race, count=2)"
 go test -race -count=2 -run '^TestCoalesce|^TestChaos|^TestDrain' ./internal/serve
-echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, -race, count=2)"
-go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace' ./internal/prop ./internal/sim
+echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, grouped vs flat, -race, count=2)"
+go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestGrouped' ./internal/prop ./internal/sim
 echo "check.sh: all green"
