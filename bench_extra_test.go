@@ -213,7 +213,7 @@ func BenchmarkTuneMinSim(b *testing.B) {
 func BenchmarkMergeProfile(b *testing.B) {
 	e := trainedBenchEngine(b, 0)
 	refs := e.RefsForName("Wei Wang")
-	e.Similarities(refs) // warm neighborhood cache
+	e.Similarities(refs) // fill the neighborhood store
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := e.MergeProfile(refs); len(got) != len(refs)-1 {

@@ -43,9 +43,9 @@ func BenchmarkPropagate(b *testing.B) {
 			b.StopTimer()
 			x := sim.NewExtractor(e.DB(), e.Paths())
 			b.StartTimer()
-			x.Prefetch(all, 0)
-			if x.CacheSize() != len(all) {
-				b.Fatalf("prefetched %d of %d references", x.CacheSize(), len(all))
+			nbs, err := x.NeighborhoodsCtx(context.Background(), all, 0)
+			if err != nil || len(nbs) != len(all) {
+				b.Fatalf("prefetched %d of %d references: %v", len(nbs), len(all), err)
 			}
 		}
 	})

@@ -204,9 +204,13 @@ func BenchmarkPair(b *testing.B) {
 func BenchmarkSimilarityMatrix(b *testing.B) {
 	e, _ := benchEngine(b)
 	refs := e.RefsForName("Wei Wang")
-	e.Similarities(refs) // warm the neighborhood cache
+	e.Similarities(refs) // fill the neighborhood store
 	ext := sim.NewExtractor(e.DB(), e.Paths())
-	ix := ext.IndexBlock(ext.NeighborhoodsAll(refs, nil), nil)
+	nbs, err := ext.NeighborhoodsCtx(context.Background(), refs, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := ext.IndexBlock(nbs, nil)
 	resemW, walkW := e.Weights()
 	visits := 0
 	for p := range e.Paths() {
@@ -270,8 +274,8 @@ func BenchmarkClusteringLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkSVMTrainDCD and BenchmarkSVMTrainPegasos compare the two solvers
-// on the real training features (solver ablation).
+// benchSVMExamples builds BenchmarkSVMTrainDCD's examples from the real
+// training features.
 func benchSVMExamples(b *testing.B) []svm.Example {
 	b.Helper()
 	e, w := benchEngine(b)
@@ -284,7 +288,7 @@ func benchSVMExamples(b *testing.B) []svm.Example {
 	ext := sim.NewExtractor(e.DB(), e.Paths())
 	ex := make([]svm.Example, len(ts.Pairs))
 	for i, p := range ts.Pairs {
-		resem, _ := ext.Features(p.R1, p.R2)
+		resem, _ := ext.Features(ext.Neighborhoods(p.R1), ext.Neighborhoods(p.R2))
 		ex[i] = svm.Example{X: resem, Y: p.Label}
 	}
 	return svm.FitScaler(ex).Transform(ex)
@@ -295,16 +299,6 @@ func BenchmarkSVMTrainDCD(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svm.TrainDCD(ex, svm.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSVMTrainPegasos(b *testing.B) {
-	ex := benchSVMExamples(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svm.TrainPegasos(ex, svm.Options{MaxIter: 100}); err != nil {
 			b.Fatal(err)
 		}
 	}

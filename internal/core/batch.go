@@ -113,8 +113,8 @@ type BatchOptions struct {
 // still returned.
 func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*BatchResult, error) {
 	// Collect the work list, then prefetch every needed neighborhood once;
-	// after that the extractor cache is read-only and names can be
-	// clustered concurrently. Each job owns a copy of its references.
+	// after that every read of the extractor's store is a hit, and names
+	// can be clustered concurrently. Each job owns a copy of its references.
 	jobs := e.namesWithRefs(max(opts.MinRefs, 2))
 	var allRefs []reldb.TupleID
 	for i := range jobs {
@@ -123,7 +123,7 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 	}
 	// The sweep-wide prefetch is not part of the batch stage: its span is a
 	// sibling of "batch", under ctx's span.
-	if err := e.ext.PrefetchCtx(trace.ContextWithSpan(ctx, e.span(ctx)), allRefs, e.cfg.Workers); err != nil {
+	if _, err := e.ext.NeighborhoodsCtx(trace.ContextWithSpan(ctx, e.span(ctx)), allRefs, e.cfg.Workers); err != nil {
 		return nil, stageErr("prefetch", err)
 	}
 

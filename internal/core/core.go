@@ -352,14 +352,15 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	for _, p := range ts.Pairs {
 		refs = append(refs, p.R1, p.R2)
 	}
-	if err := e.ext.PrefetchCtx(sctx, refs, e.cfg.Workers); err != nil {
+	nbs, err := e.ext.NeighborhoodsCtx(sctx, refs, e.cfg.Workers)
+	if err != nil {
 		return nil, st.end(0, stageErr("prefetch", err))
 	}
 	resemEx := make([]svm.Example, len(ts.Pairs))
 	walkEx := make([]svm.Example, len(ts.Pairs))
 	err = fault.ParallelFor(sctx, len(ts.Pairs), e.cfg.Workers, func(i int) error {
 		p := ts.Pairs[i]
-		resem, walk := e.ext.Features(p.R1, p.R2)
+		resem, walk := e.ext.Features(nbs[2*i], nbs[2*i+1])
 		resemEx[i] = svm.Example{X: resem, Y: p.Label}
 		walkEx[i] = svm.Example{X: walk, Y: p.Label}
 		return nil
@@ -476,10 +477,10 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weigh
 		return cluster.Matrix{}, err
 	}
 	m := cluster.NewMatrix(n)
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers); err != nil {
+	nbs, err := e.ext.NeighborhoodsCtx(ctx, refs, e.cfg.Workers)
+	if err != nil {
 		return cluster.Matrix{}, st.end(0, stageErr("prefetch", err))
 	}
-	nbs := e.ext.NeighborhoodsAll(refs, nil)
 	// One index per block over every weighted path, built before the
 	// row pass, so the rows below keep one fan-out and one fault point
 	// per row.
@@ -539,7 +540,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weigh
 		return cluster.Matrix{}, st.end(0, err)
 	}
 	if every := st.sp.Trace().SamplePairEvery(); every > 0 {
-		e.samplePairs(st.sp, refs, m, every, w)
+		e.samplePairs(st.sp, refs, nbs, m, every, w)
 	}
 	return m, st.end(pairs, nil)
 }
@@ -547,15 +548,15 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weigh
 // samplePairs attaches "pair" events with Explain-style per-path breakdowns
 // for every sampleEvery-th pair (by triangular pair index — a pure function
 // of (i, j, n), so the sample is identical whatever the worker count) to
-// the similarities stage span, weighted by w. The sampled pairs' per-path values are
-// rescored one pair at a time (sim.Extractor.Pair), which runs the block
-// kernel on a two-member block: the sample is sparse, so the cost is
-// negligible next to the batched fill, and the values are identical. The
-// serial (i, j) walk emits events already in the order the old per-worker
-// collection had to sort into.
-func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, m cluster.Matrix, sampleEvery int, w weights) {
+// the similarities stage span, weighted by w; nbs[i] holds refs[i]'s
+// neighborhoods. The sampled pairs' per-path values are rescored one pair
+// at a time (sim.Extractor.Pair), which runs the block kernel on a
+// two-member block: the sample is sparse, so the cost is negligible next
+// to the batched fill, and the values are identical. The serial (i, j)
+// walk emits events already in the order the old per-worker collection had
+// to sort into.
+func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, nbs [][]prop.SparseNeighborhood, m cluster.Matrix, sampleEvery int, w weights) {
 	n := len(refs)
-	nbs := e.ext.NeighborhoodsAll(refs, nil)
 	var events []trace.Event
 	var trips []sim.Trip
 	for i := 0; i < n; i++ {

@@ -3,7 +3,6 @@ package prop
 import (
 	"context"
 	"math"
-	"math/bits"
 	"slices"
 
 	"distinct/internal/fault"
@@ -67,10 +66,8 @@ import (
 // # Emission
 //
 // A node whose hop is not a fan-out tail emits one entry per tuple of its
-// frontier. The frontier's ordinals are distinct and below the target
-// relation's size, so when they are dense in their [min, max] range a
-// bitmap over that range yields them in order in O(n + range/64), with no
-// comparison sort; sparse or small frontiers fall back to slices.Sort.
+// frontier, its ordinals sorted with slices.Sort. Such frontiers are
+// small: the wide ones end in fan-out tails, which emit grouped.
 //
 // A node whose hop is a fan-out tail (groups.go) emits the grouped form
 // instead, straight from the parent frontier (emitGroups): per parent with
@@ -329,10 +326,8 @@ type Scratch struct {
 	ex     Expander
 	exKeys []reldb.TupleID
 	exFBs  []FB
-	// sorted receives ascending's output; bits is its bitmap, all zero
-	// between calls (the scan that reads a word clears it).
+	// sorted receives ascending's output.
 	sorted []int32
-	bits   []uint64
 }
 
 // span is one path's window [lo, hi) of the packed emission buffers, its
@@ -709,50 +704,9 @@ func (s *Scratch) emit(lv *level, hop *reldb.HopCSR) span {
 	return span{lo: lo, hi: hi, sum: sum}
 }
 
-// bitmapMinLen and bitmapWordsPerOrdinal gate ascending's bitmap scan: a
-// frontier of at least bitmapMinLen ordinals whose [min, max] range spans
-// at most bitmapWordsPerOrdinal 64-bit words per ordinal is ordered by
-// setting and scanning bits, O(n + range/64); anything smaller or sparser
-// is sorted, where the comparison sort is the cheaper of the two.
-const (
-	bitmapMinLen          = 32
-	bitmapWordsPerOrdinal = 4
-)
-
 // ascending returns the distinct ordinals of ords in ascending order, in a
 // buffer owned by the scratch and valid until the next call.
 func (s *Scratch) ascending(ords []int32) []int32 {
-	if n := len(ords); n >= bitmapMinLen {
-		lo, hi := ords[0], ords[0]
-		for _, v := range ords[1:] {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		base := lo &^ 63
-		if words := int(hi-base)>>6 + 1; words <= bitmapWordsPerOrdinal*n {
-			if cap(s.bits) < words {
-				s.bits = make([]uint64, words)
-			}
-			bm := s.bits[:words]
-			for _, v := range ords {
-				d := v - base
-				bm[d>>6] |= 1 << (uint(d) & 63)
-			}
-			s.sorted = slices.Grow(s.sorted[:0], n)[:n]
-			k := 0
-			for w, word := range bm {
-				if word == 0 {
-					continue
-				}
-				bm[w] = 0
-				for word != 0 {
-					s.sorted[k] = base + int32(w<<6+bits.TrailingZeros64(word))
-					word &= word - 1
-					k++
-				}
-			}
-			return s.sorted
-		}
-	}
 	s.sorted = append(s.sorted[:0], ords...)
 	slices.Sort(s.sorted)
 	return s.sorted

@@ -277,15 +277,14 @@ func TestCompiledMatchesDFSRandomCyclic(t *testing.T) {
 }
 
 // TestCompiledMatchesDFSWideFanOut holds the compiled engine to the oracle
-// on worlds whose frontiers are large and dense enough for the emission's
-// bitmap scan, which the small random worlds above never reach; each world
-// must emit at least one such neighborhood.
+// on worlds whose frontiers are wide, which the small random worlds above
+// never reach; each world must emit a neighborhood of at least 32 entries.
 func TestCompiledMatchesDFSWideFanOut(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		db := cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: seed%3 != 0, dangling: seed%2 == 1, wide: true})
-		if bitmap, _ := checkRandomWorld(t, fmt.Sprintf("wide-%d", seed), db); !bitmap {
-			t.Errorf("wide-%d: no emitted neighborhood takes the bitmap scan", seed)
+		if widest, _ := checkRandomWorld(t, fmt.Sprintf("wide-%d", seed), db); widest < 32 {
+			t.Errorf("wide-%d: the widest neighborhood holds %d entries", seed, widest)
 		}
 	}
 }
@@ -316,10 +315,9 @@ func FuzzCompiledPropagation(f *testing.F) {
 
 // checkRandomWorld enumerates join paths from every FK-bearing relation of
 // a random world and checks compiled/DFS equivalence and grouped/flat
-// identity from a few starts. It
-// reports whether some checked neighborhood was dense enough for the
-// emission's bitmap scan, and how many starts took a donor.
-func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool, shared int) {
+// identity from a few starts. It reports the most entries a checked
+// neighborhood held in flat form, and how many starts took a donor.
+func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (widest, shared int) {
 	t.Helper()
 	for _, rs := range db.Schema.Relations() {
 		if len(rs.ForeignKeys()) == 0 || db.Relation(rs.Name).Size() == 0 {
@@ -337,35 +335,10 @@ func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (bitmap bool
 			ids = ids[:3]
 		}
 		shared += checkCompiledAgainstDFS(t, tag+"/"+rs.Name, db, paths, ids, 1e-12)
-		checkGroupedMatchesFlat(t, tag+"/"+rs.Name, compile(db, NewTrie(paths)), ids)
-		if !bitmap {
-			bitmap = takesBitmap(db, paths, ids)
-		}
+		st := checkGroupedMatchesFlat(t, tag+"/"+rs.Name, compile(db, NewTrie(paths)), ids)
+		widest = max(widest, st.widest)
 	}
-	return bitmap, shared
-}
-
-// takesBitmap reports whether any path's flat emission from any of the
-// starts meets the bitmap scan's size and density cutover. The trie is
-// untailed, so fan-out tails emit flat too: checkRandomWorld holds that
-// emission to the grouped form bit for bit and the grouped form to the
-// oracle.
-func takesBitmap(db *reldb.Database, paths []reldb.JoinPath, starts []reldb.TupleID) bool {
-	ct := untailed(compile(db, NewTrie(paths)))
-	for _, id := range starts {
-		for pi, nb := range ct.Propagate(id, nil, nil) {
-			n := len(nb.Keys)
-			if n < bitmapMinLen {
-				continue
-			}
-			rel := db.Relation(paths[pi].End(db.Schema))
-			lo, hi := rel.OrdinalOf(nb.Keys[0]), rel.OrdinalOf(nb.Keys[n-1])
-			if hi>>6-lo>>6+1 <= bitmapWordsPerOrdinal*n {
-				return true
-			}
-		}
-	}
-	return false
+	return widest, shared
 }
 
 // TestCompiledScratchReuse: reusing one scratch across many propagations
@@ -484,10 +457,9 @@ func TestCompiledStats(t *testing.T) {
 }
 
 // TestAscendingMatchesSort holds the emission's ordinal ordering to
-// slices.Sort on both sides of its cutover: sizes at bitmapMinLen ± 1,
-// ranges at the density limit ± 1 word, the extreme ordinals 0 and size−1,
-// and dense and sparse sets. One scratch serves every case, so a bitmap
-// word left set by one case would corrupt the next.
+// slices.Sort on small and large, dense and sparse sets, with the extreme
+// ordinals 0 and size−1, through one reused scratch, and checks it leaves
+// its input alone.
 func TestAscendingMatchesSort(t *testing.T) {
 	// spread returns n distinct ordinals: 0, size−1, and n−2 more drawn
 	// from between them, shuffled.
@@ -503,40 +475,21 @@ func TestAscendingMatchesSort(t *testing.T) {
 		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return out
 	}
-	type tc struct {
-		name    string
-		n, size int
-	}
-	var cases []tc
-	for _, n := range []int{2, bitmapMinLen - 1, bitmapMinLen, bitmapMinLen + 1, 200} {
-		limit := bitmapWordsPerOrdinal * n * 64 // largest range still scanned
-		cases = append(cases,
-			tc{fmt.Sprintf("dense/n=%d", n), n, n},
-			tc{fmt.Sprintf("half/n=%d", n), n, 2*n + 2},
-			tc{fmt.Sprintf("limit-1/n=%d", n), n, limit - 64},
-			tc{fmt.Sprintf("limit/n=%d", n), n, limit},
-			tc{fmt.Sprintf("limit+1/n=%d", n), n, limit + 64},
-			tc{fmt.Sprintf("sparse/n=%d", n), n, 1 << 20},
-		)
-	}
 	rng := rand.New(rand.NewSource(1))
 	s := &Scratch{}
-	for _, c := range cases {
-		for rep := 0; rep < 3; rep++ {
-			ords := spread(rng, c.n, c.size)
-			want := slices.Clone(ords)
-			slices.Sort(want)
-			in := slices.Clone(ords)
-			if got := s.ascending(ords); !slices.Equal(got, want) {
-				t.Fatalf("%s: ascending = %v, want %v", c.name, got, want)
-			}
-			if !slices.Equal(ords, in) {
-				t.Fatalf("%s: ascending modified its input", c.name)
-			}
-		}
-		for w, word := range s.bits {
-			if word != 0 {
-				t.Fatalf("%s: bitmap word %d left set (%#x)", c.name, w, word)
+	for _, n := range []int{2, 3, 33, 200} {
+		for _, size := range []int{n, 2*n + 2, 1 << 20} {
+			for rep := 0; rep < 3; rep++ {
+				ords := spread(rng, n, size)
+				want := slices.Clone(ords)
+				slices.Sort(want)
+				in := slices.Clone(ords)
+				if got := s.ascending(ords); !slices.Equal(got, want) {
+					t.Fatalf("n=%d size=%d: ascending = %v, want %v", n, size, got, want)
+				}
+				if !slices.Equal(ords, in) {
+					t.Fatalf("n=%d size=%d: ascending modified its input", n, size)
+				}
 			}
 		}
 	}

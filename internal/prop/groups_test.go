@@ -21,12 +21,13 @@ func untailed(ct *CompiledTrie) *CompiledTrie {
 	return &ref
 }
 
-// groupStats counts what the grouped neighborhoods of a check held.
+// groupStats counts what the neighborhoods of a check held.
 type groupStats struct {
 	grouped   int // grouped neighborhoods
 	maxGroups int // most groups in one neighborhood
 	absent    int // exceptions for a child the walk did not reach
 	fbExcept  int // exceptions for a reached child with its own FB
+	widest    int // most entries in one neighborhood's flat form
 }
 
 func (g *groupStats) add(o groupStats) {
@@ -54,6 +55,7 @@ func checkGroupedMatchesFlat(t *testing.T, tag string, ct *CompiledTrie, starts 
 			if n := nb.Len(); n != len(want[pi].Keys) {
 				t.Fatalf("%s: start %d path %s: Len = %d, flat form holds %d", tag, id, ct.paths[pi], n, len(want[pi].Keys))
 			}
+			st.widest = max(st.widest, len(want[pi].Keys))
 			if !sameBits(flat(nb), want[pi]) {
 				t.Fatalf("%s: start %d path %s: grouped form does not expand to the flat one:\n got %+v\nexpanded %+v\nwant %+v",
 					tag, id, ct.paths[pi], nb, flat(nb), want[pi])

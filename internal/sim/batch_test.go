@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -326,32 +327,20 @@ func TestBlockIndexVisits(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodsAllMatchesNeighborhoods checks the bulk gather returns
-// the same (shared) cached slices as the per-reference path, for both warm
-// and cold caches, and that the output buffer is reused when offered.
-func TestNeighborhoodsAllMatchesNeighborhoods(t *testing.T) {
+// TestNeighborhoodsCtxMatchesNeighborhoods checks a block returns the
+// same stored slices as the per-reference path, whether the block
+// propagated them (cold) or only loaded them (warm).
+func TestNeighborhoodsCtxMatchesNeighborhoods(t *testing.T) {
 	ext, refs := extractorFixture(t)
-	// Cold: every ref misses and falls back to the per-reference path.
-	cold := ext.NeighborhoodsAll(refs, nil)
-	for i, r := range refs {
-		want := ext.Neighborhoods(r)
-		for p := range want {
-			if len(cold[i][p].Keys) != len(want[p].Keys) || cold[i][p].SumFwd != want[p].SumFwd {
-				t.Fatalf("cold NeighborhoodsAll[%d][%d] differs from Neighborhoods", i, p)
-			}
+	for _, state := range []string{"cold", "warm"} {
+		block, err := ext.NeighborhoodsCtx(context.Background(), refs, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Warm: one lock round-trip, same backing slices.
-	buf := make([][]prop.SparseNeighborhood, 0, len(refs))
-	warm := ext.NeighborhoodsAll(refs, buf)
-	for i, r := range refs {
-		want := ext.Neighborhoods(r)
-		if len(warm[i]) != len(want) {
-			t.Fatalf("warm NeighborhoodsAll[%d] has %d paths, want %d", i, len(warm[i]), len(want))
-		}
-		for p := range want {
-			if len(warm[i][p].Keys) > 0 && &warm[i][p].Keys[0] != &want[p].Keys[0] {
-				t.Fatalf("warm NeighborhoodsAll[%d][%d] does not share the cached slice", i, p)
+		for i, r := range refs {
+			want := ext.Neighborhoods(r)
+			if len(block[i]) != len(want) || &block[i][0] != &want[0] {
+				t.Fatalf("%s block[%d] is not ref %d's stored result", state, i, r)
 			}
 		}
 	}

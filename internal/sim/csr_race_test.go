@@ -47,7 +47,7 @@ func raceWorld(t *testing.T) (*reldb.Database, []reldb.JoinPath, []reldb.TupleID
 }
 
 // TestPlanCompileOnceAcrossExtractors hammers two extractors sharing one
-// compiled plan from many goroutines with a cold neighborhood cache. Run
+// compiled plan from many goroutines with a cold neighborhood store. Run
 // under -race this checks the plan is shared read-only and the pooled
 // scratches stay per goroutine, however many goroutines race for each
 // reference's first propagation.

@@ -11,96 +11,91 @@ import (
 	"distinct/internal/reldb"
 )
 
-// Prefetch computes and caches the neighborhoods of every given reference,
+// Prefetch computes and stores the neighborhoods of every given reference,
 // fanning the propagation work out over `workers` goroutines (0 means
-// GOMAXPROCS). Propagation per reference is independent and the plan is
-// read-only, so the workers only synchronise to read a stored donor and
-// on the final cache merge.
-// The compiled walk emits each neighborhood sorted, with its Σ Fwd, so a
-// prefetched reference costs the serving path nothing but a cache read.
+// GOMAXPROCS); see NeighborhoodsCtx.
 func (e *Extractor) Prefetch(refs []reldb.TupleID, workers int) {
 	// Background context never cancels and carries no fault registry, so
 	// the only possible error is a recovered worker panic: re-raise it.
-	fault.Rethrow(e.PrefetchCtx(context.Background(), refs, workers))
+	_, err := e.NeighborhoodsCtx(context.Background(), refs, workers)
+	fault.Rethrow(err)
 }
 
-// PrefetchCtx is Prefetch under a context: cancellation (and the
-// "sim.prefetch" fault point) is observed between per-reference
-// propagations, so the latency to abort is bounded by one propagation. On
-// error, neighborhoods already computed are still merged into the cache —
-// the cache only ever gains entries, so a partial prefetch is safe and the
-// work is not wasted on a degraded retry. A worker panic is recovered into
-// a *fault.PanicError instead of killing the process.
+// NeighborhoodsCtx returns Neighborhoods(r) for every reference in refs,
+// in order. It loads the stored ones, then propagates the rest over
+// `workers` goroutines (0 means GOMAXPROCS), each worker publishing
+// straight into the store. Propagation per reference is independent and
+// the plan is read-only, so the workers never wait on each other.
+// Cancellation (and the "sim.prefetch" fault point) is observed between
+// per-reference propagations, so the latency to abort is bounded by one
+// propagation. On error no block is returned, but the neighborhoods
+// already published stay stored — the store only ever gains entries, so a
+// partial block is safe and the work is not wasted on a degraded retry. A
+// worker panic is recovered into a *fault.PanicError instead of killing
+// the process.
 //
-// The misses are sorted by (share key, reference) and each worker takes
-// whole key groups, so a group's first reference donates its shared
-// neighborhoods to the rest of the group on the same worker (the whole
-// group borrows when a donor is already stored). sim.prefetch_shared counts
-// the references that borrowed.
+// The misses are sorted by (share key, reference), which also drops
+// duplicates, and each worker takes whole key groups, so a group's first
+// reference donates its shared neighborhoods to the rest of the group on
+// the same worker (the whole group borrows when a donor is already
+// stored). sim.prefetch_shared counts the propagations that borrowed; a
+// group never spans workers, so the count does not depend on `workers`.
 //
 // When ctx carries a trace span (trace.ContextWithSpan), the work is
 // recorded as a "prefetch" child span carrying how many references were
-// requested and how many actually propagated (the rest were cache hits). A
-// fully warm cache records propagated=0, so batch sweeps show per-name
+// requested and how many actually propagated (the rest were stored). A
+// fully warm store records propagated=0, so batch sweeps show per-name
 // prefetch spans that did no work — which is itself the interesting fact.
-func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, workers int) error {
+func (e *Extractor) NeighborhoodsCtx(ctx context.Context, refs []reldb.TupleID, workers int) ([][]prop.SparseNeighborhood, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := fault.Point(ctx, "sim.prefetch"); err != nil {
-		return err
+		return nil, err
 	}
-	// Collect the uncached references in one pass under the read lock. All
-	// copies of a reference are hits or misses together, so only the misses
-	// need deduplicating, which sorting them by share key does for free.
+	out := make([][]prop.SparseNeighborhood, len(refs))
 	var todo []shareRef
-	e.mu.RLock()
-	for _, r := range refs {
-		if _, ok := e.cache[r]; !ok {
+	for i, r := range refs {
+		if out[i] = e.load(r); out[i] == nil {
 			todo = append(todo, shareRef{ref: r})
 		}
 	}
-	e.mu.RUnlock()
 	todo, groups := e.groupByShareKey(todo) // todo[groups[g]:groups[g+1]] is key group g
 	e.prefetchRequested.Add(int64(len(refs)))
-	e.prefetchDeduped.Add(int64(len(refs) - len(todo)))
 	e.prefetchPropagated.Add(int64(len(todo)))
 	tsp := trace.SpanFromContext(ctx).Start("prefetch",
 		trace.Int("requested", int64(len(refs))),
 		trace.Int("propagated", int64(len(todo))))
 	defer tsp.End()
 	if len(todo) == 0 {
-		return nil
+		return out, nil
 	}
 	sp := e.prefetchStage.Start()
 	defer func() { sp.End(len(todo)) }()
-	// Workers only compute; the merge happens under the lock afterwards, so
-	// cache metrics are identical whatever the worker count: prefetched
-	// propagations never count as cache misses.
-	results := make([][]prop.SparseNeighborhood, len(todo))
-	runErr := fault.ParallelFor(ctx, len(groups)-1, workers, func(g int) error {
+	err := fault.ParallelFor(ctx, len(groups)-1, workers, func(g int) error {
 		lo, hi := groups[g], groups[g+1]
 		donor := e.donor(todo[lo].key)
-		for i := lo; i < hi; i++ {
+		for _, t := range todo[lo:hi] {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			results[i] = e.propagate(todo[i].ref, donor)
+			nbs := e.propagate(t.ref, donor)
 			if donor != nil {
 				e.prefetchShared.Inc()
 			}
-			donor = results[i] // the rest of the key group borrows from it
+			donor = e.publish(t.ref, t.key, nbs) // the rest of the key group borrows from it
 		}
 		return nil
 	})
-	e.mu.Lock()
-	for i, t := range todo {
-		if results[i] != nil { // nil: skipped after cancellation / failure
-			e.store(t.ref, t.key, results[i])
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range refs {
+		if out[i] == nil {
+			out[i] = e.load(r)
 		}
 	}
-	e.mu.Unlock()
-	return runErr
+	return out, nil
 }
 
 // shareRef is one reference to prefetch with its share key.

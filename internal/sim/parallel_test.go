@@ -20,13 +20,17 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 	for _, r := range refs {
 		seqExt.Neighborhoods(r)
 	}
-	// Parallel prefetch with duplicates in the input.
-	parExt.Prefetch(append(append([]reldb.TupleID(nil), refs...), refs...), 4)
-	if parExt.CacheSize() != len(refs) {
-		t.Fatalf("cache size %d, want %d", parExt.CacheSize(), len(refs))
+	// Parallel block with duplicates in the input: both copies of a
+	// reference hold its one stored result.
+	block, err := parExt.NeighborhoodsCtx(context.Background(), append(append([]reldb.TupleID(nil), refs...), refs...), 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range refs {
+	for i, r := range refs {
 		a, b := seqExt.Neighborhoods(r), parExt.Neighborhoods(r)
+		if &block[i][0] != &b[0] || &block[len(refs)+i][0] != &b[0] {
+			t.Fatalf("ref %d: the block does not hold the stored neighborhoods", r)
+		}
 		if len(a) != len(b) {
 			t.Fatalf("ref %d: %d vs %d paths", r, len(a), len(b))
 		}
@@ -43,25 +47,46 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 	}
 }
 
+// stored counts the references with a published result.
+func stored(e *Extractor) int {
+	n := 0
+	for i := range e.nbs {
+		if e.nbs[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPrefetchIdempotentAndEmpty(t *testing.T) {
 	ext, refs := extractorFixture(t)
-	ext.Prefetch(refs, 0) // 0 workers = GOMAXPROCS
-	size := ext.CacheSize()
-	ext.Prefetch(refs, 2) // everything cached: no-op
-	if ext.CacheSize() != size {
-		t.Error("second prefetch changed the cache")
+	ctx := context.Background()
+	first, err := ext.NeighborhoodsCtx(ctx, refs, 0) // 0 workers = GOMAXPROCS
+	if err != nil {
+		t.Fatal(err)
 	}
-	ext.Prefetch(nil, 3) // empty input: no-op
-	if ext.CacheSize() != size {
-		t.Error("empty prefetch changed the cache")
+	again, err := ext.NeighborhoodsCtx(ctx, refs, 2) // everything stored: no-op
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range refs {
+		if &again[i][0] != &first[i][0] {
+			t.Errorf("second block recomputed ref %d", refs[i])
+		}
+	}
+	if empty, err := ext.NeighborhoodsCtx(ctx, nil, 3); err != nil || len(empty) != 0 {
+		t.Errorf("empty block = %d entries, %v", len(empty), err)
+	}
+	if n := stored(ext); n != len(refs) {
+		t.Errorf("%d references stored, want %d", n, len(refs))
 	}
 }
 
 func TestPrefetchSingleWorker(t *testing.T) {
 	ext, refs := extractorFixture(t)
 	ext.Prefetch(refs, 1)
-	if ext.CacheSize() != len(refs) {
-		t.Fatalf("cache size %d", ext.CacheSize())
+	if n := stored(ext); n != len(refs) {
+		t.Fatalf("%d references stored, want %d", n, len(refs))
 	}
 }
 
@@ -70,7 +95,7 @@ func TestPrefetchSingleWorker(t *testing.T) {
 // feeder blocked forever on the next send. A scratch pool that panics on
 // every Get makes every propagation panic, and every tuple of the fixture
 // gives the two workers seven key groups to fail on; the call must return
-// the recovered panic (and cache nothing) well before the deadline.
+// the recovered panic (and store nothing) well before the deadline.
 func TestPrefetchAllWorkersFail(t *testing.T) {
 	ext, _ := extractorFixture(t)
 	ext.scratch.New = func() any { panic("no scratch") }
@@ -79,7 +104,10 @@ func TestPrefetchAllWorkersFail(t *testing.T) {
 		refs[i] = reldb.TupleID(i)
 	}
 	done := make(chan error, 1)
-	go func() { done <- ext.PrefetchCtx(context.Background(), refs, 2) }()
+	go func() {
+		_, err := ext.NeighborhoodsCtx(context.Background(), refs, 2)
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		var pe *fault.PanicError
@@ -87,10 +115,10 @@ func TestPrefetchAllWorkersFail(t *testing.T) {
 			t.Fatalf("err = %v, want a recovered *fault.PanicError", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("PrefetchCtx hung after every worker failed")
+		t.Fatal("NeighborhoodsCtx hung after every worker failed")
 	}
-	if ext.CacheSize() != 0 {
-		t.Fatalf("failed prefetch cached %d references", ext.CacheSize())
+	if n := stored(ext); n != 0 {
+		t.Fatalf("failed prefetch stored %d references", n)
 	}
 	// The non-ctx Prefetch re-raises the panic instead of swallowing it.
 	defer func() {

@@ -78,13 +78,16 @@ func sameBits(a, b prop.SparseNeighborhood) bool {
 	return true
 }
 
-// checkDonorFree holds every path of got to the donor-free propagation of
-// r on a separately compiled plan, bit for bit.
+// checkDonorFree holds every path of got to a fresh donor-free
+// propagation of r, bit for bit and fan-out tail for fan-out tail.
 func checkDonorFree(t *testing.T, ct *prop.CompiledTrie, paths []reldb.JoinPath, r reldb.TupleID, got []prop.SparseNeighborhood) {
 	t.Helper()
 	want := ct.Propagate(r, nil, nil)
+	if len(got) != len(want) {
+		t.Fatalf("ref %d: %d paths, donor-free %d", r, len(got), len(want))
+	}
 	for p := range want {
-		if !sameBits(got[p], want[p]) {
+		if !sameBits(got[p], want[p]) || got[p].Tail != want[p].Tail {
 			t.Fatalf("ref %d path %s: %+v, donor-free %+v", r, paths[p], got[p], want[p])
 		}
 	}
@@ -164,7 +167,7 @@ func TestSharedNeighborhoodsRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			prefetchErr = ext.PrefetchCtx(context.Background(), refs, 2)
+			_, prefetchErr = ext.NeighborhoodsCtx(context.Background(), refs, 2)
 		}()
 		for w := 0; w < readers; w++ {
 			go func(w int) {

@@ -24,31 +24,33 @@ package sim
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"distinct/internal/obs"
 	"distinct/internal/prop"
 	"distinct/internal/reldb"
 )
 
-// Extractor computes and caches per-reference neighborhoods along the join
+// Extractor computes and stores per-reference neighborhoods along the join
 // paths of one compiled plan (prop.CompiledTrie), and derives per-pair
 // feature vectors from them, one entry per path in the plan's path order.
 // Each reference's propagation runs once no matter how many pairs it
 // appears in; this is what makes all-pairs feature computation affordable
-// (§4.2). Neighborhoods are cached in sparse form: built once, read many
-// times. The plan is a snapshot of the database it was compiled over, so a
-// reference inserted after the compile has empty neighborhoods.
+// (§4.2). The plan is a snapshot of the database it was compiled over, so
+// a reference inserted after the compile has empty neighborhoods.
 //
-// The cache is guarded by a read-write mutex, so Neighborhoods (and the
-// vector methods built on it) may be called from concurrent goroutines
-// even for uncached references; concurrent misses of the same reference
-// deduplicate to the first result stored.
+// The store is write-once: one slot per tuple of the plan's snapshot,
+// filled lazily by the first propagation that publishes into it
+// (CompareAndSwap from nil) and never changed afterwards. Readers take no
+// lock, so Neighborhoods and NeighborhoodsCtx may be called from
+// concurrent goroutines even for unstored references; concurrent misses of
+// the same reference resolve to the first result published.
 //
 // References that share a prop.CompiledTrie.ShareKey (in DBLP: co-authors
 // of one paper) share the neighborhoods of the paths that never bounce back
-// over the first hop. The first result stored per key is kept as that
-// key's donor, next to the cache and under the same lock; every later
-// propagation with the key borrows the donor's shared neighborhoods
+// over the first hop. The first result published per key is kept as that
+// key's donor, in a second write-once slot array indexed by the key; every
+// later propagation with the key borrows the donor's shared neighborhoods
 // instead of walking and storing them again.
 type Extractor struct {
 	// plan is shared read-only by every worker. Each propagation borrows a
@@ -63,38 +65,36 @@ type Extractor struct {
 	batchPool sync.Pool
 	indexPool sync.Pool
 
-	mu     sync.RWMutex
-	cache  map[reldb.TupleID][]prop.SparseNeighborhood
-	donors map[reldb.TupleID][]prop.SparseNeighborhood // by share key
+	// nbs[r] holds reference r's neighborhoods and donors[k] share key
+	// k's donor, both indexed by TupleID over the plan's NumTuples. empty
+	// is the one all-empty result served to every start at or past
+	// NumTuples, which has no slot.
+	nbs    []atomic.Pointer[[]prop.SparseNeighborhood]
+	donors []atomic.Pointer[[]prop.SparseNeighborhood]
+	empty  []prop.SparseNeighborhood
 
 	// Metric handles resolved once by New; nil handles (a nil registry)
-	// make every update a no-op nil check, keeping the cache's hot path
-	// free of registry lookups.
+	// make every update a no-op nil check.
 	prefetchStage      *obs.Stage
-	cacheHits          *obs.Counter
-	cacheMisses        *obs.Counter
 	prefetchRequested  *obs.Counter
-	prefetchDeduped    *obs.Counter
 	prefetchPropagated *obs.Counter
 	prefetchShared     *obs.Counter
 }
 
 // New creates an extractor over a compiled plan, reporting to reg (nil
-// disables): sim.cache_hits / sim.cache_misses count Neighborhoods
-// lookups, sim.prefetch_requested / sim.prefetch_deduped /
-// sim.prefetch_propagated describe Prefetch batches, sim.prefetch_shared
-// counts the prefetched references whose shared paths came from a donor,
-// and the "prefetch" stage records the propagation work itself.
+// disables): sim.prefetch_requested / sim.prefetch_propagated describe
+// NeighborhoodsCtx blocks, sim.prefetch_shared counts the propagations
+// whose shared paths came from a donor, and the "prefetch" stage records
+// the propagation work itself.
 func New(plan *prop.CompiledTrie, reg *obs.Registry) *Extractor {
+	n := plan.NumTuples()
 	e := &Extractor{
 		plan:               plan,
-		cache:              make(map[reldb.TupleID][]prop.SparseNeighborhood),
-		donors:             make(map[reldb.TupleID][]prop.SparseNeighborhood),
+		nbs:                make([]atomic.Pointer[[]prop.SparseNeighborhood], n),
+		donors:             make([]atomic.Pointer[[]prop.SparseNeighborhood], n),
+		empty:              plan.Propagate(reldb.InvalidTuple, nil, nil),
 		prefetchStage:      reg.Stage("prefetch"),
-		cacheHits:          reg.Counter("sim.cache_hits"),
-		cacheMisses:        reg.Counter("sim.cache_misses"),
 		prefetchRequested:  reg.Counter("sim.prefetch_requested"),
-		prefetchDeduped:    reg.Counter("sim.prefetch_deduped"),
 		prefetchPropagated: reg.Counter("sim.prefetch_propagated"),
 		prefetchShared:     reg.Counter("sim.prefetch_shared"),
 	}
@@ -118,85 +118,54 @@ func (e *Extractor) propagate(r reldb.TupleID, donor []prop.SparseNeighborhood) 
 	return nbs
 }
 
-// donor returns the stored donor for share key k, nil when there is none.
+// load returns r's published neighborhoods, nil when none are yet. A start
+// outside the snapshot gets the shared empty result.
+func (e *Extractor) load(r reldb.TupleID) []prop.SparseNeighborhood {
+	if r < 0 || int(r) >= len(e.nbs) {
+		return e.empty
+	}
+	if p := e.nbs[r].Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// donor returns share key k's donor, nil when there is none.
 func (e *Extractor) donor(k reldb.TupleID) []prop.SparseNeighborhood {
 	if k < 0 {
 		return nil
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.donors[k]
+	if p := e.donors[k].Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// store caches nbs as r's neighborhoods unless r is already cached, and
-// records them as share key k's donor unless k has one. It returns the
-// cached result. The caller holds e.mu for writing.
-func (e *Extractor) store(r, k reldb.TupleID, nbs []prop.SparseNeighborhood) []prop.SparseNeighborhood {
-	if prev, ok := e.cache[r]; ok {
-		return prev
+// publish stores nbs as r's neighborhoods and as share key k's donor, each
+// unless a result is already there, and returns r's stored result. r must
+// lie inside the snapshot.
+func (e *Extractor) publish(r, k reldb.TupleID, nbs []prop.SparseNeighborhood) []prop.SparseNeighborhood {
+	if k >= 0 {
+		e.donors[k].CompareAndSwap(nil, &nbs)
 	}
-	e.cache[r] = nbs
-	if _, ok := e.donors[k]; k >= 0 && !ok {
-		e.donors[k] = nbs
+	if !e.nbs[r].CompareAndSwap(nil, &nbs) {
+		return *e.nbs[r].Load() // a lost race shares the first stored result
 	}
 	return nbs
 }
 
 // Neighborhoods returns the reference's neighborhood along every path,
-// computing and caching them on first use. All paths are walked in one
+// computing and storing them on first use. All paths are walked in one
 // frontier sweep over the compiled CSR plan (see prop.CompiledTrie) and
 // emitted directly in sparse form, the shared paths borrowed from the
-// reference's donor when one is stored. Safe for concurrent use.
+// reference's donor when one is stored. Safe for concurrent use; a block
+// of references is served by NeighborhoodsCtx.
 func (e *Extractor) Neighborhoods(r reldb.TupleID) []prop.SparseNeighborhood {
-	e.mu.RLock()
-	nbs, ok := e.cache[r]
-	e.mu.RUnlock()
-	if ok {
-		e.cacheHits.Inc()
+	if nbs := e.load(r); nbs != nil {
 		return nbs
 	}
-	e.cacheMisses.Inc()
 	k := e.plan.ShareKey(r)
-	nbs = e.propagate(r, e.donor(k))
-	e.mu.Lock()
-	nbs = e.store(r, k, nbs) // a lost race shares the first stored result
-	e.mu.Unlock()
-	return nbs
-}
-
-// NeighborhoodsAll returns Neighborhoods(r) for every reference in refs,
-// resolving all cached entries under one lock acquisition instead of one
-// per reference. out is reused when large enough (pass nil to allocate).
-// References missing from the cache fall back to Neighborhoods, so the
-// result is always complete; after a Prefetch of refs the fallback never
-// runs. Cache metrics count one hit per cached reference — the same as the
-// per-reference calls the batch replaces.
-func (e *Extractor) NeighborhoodsAll(refs []reldb.TupleID, out [][]prop.SparseNeighborhood) [][]prop.SparseNeighborhood {
-	if cap(out) < len(refs) {
-		out = make([][]prop.SparseNeighborhood, len(refs))
-	} else {
-		out = out[:len(refs)]
-	}
-	missing := 0
-	e.mu.RLock()
-	for i, r := range refs {
-		nbs, ok := e.cache[r]
-		if !ok {
-			missing++
-		}
-		out[i] = nbs // nil marks a miss: cached values are never nil
-	}
-	e.mu.RUnlock()
-	e.cacheHits.Add(int64(len(refs) - missing))
-	if missing == 0 {
-		return out
-	}
-	for i, r := range refs {
-		if out[i] == nil {
-			out[i] = e.Neighborhoods(r) // counts its own hit or miss
-		}
-	}
-	return out
+	return e.publish(r, k, e.propagate(r, e.donor(k)))
 }
 
 // BatchScratch borrows a block-kernel scratch from the extractor's pool,
@@ -249,20 +218,14 @@ func (e *Extractor) Pair(a, b []prop.SparseNeighborhood, out []Trip) []Trip {
 	return out
 }
 
-// Features returns a pair's two per-path feature vectors: set resemblance
-// and the symmetrised random walk probability.
-func (e *Extractor) Features(r1, r2 reldb.TupleID) (resem, walk []float64) {
-	trips := e.Pair(e.Neighborhoods(r1), e.Neighborhoods(r2), nil)
+// Features returns the two per-path feature vectors of the pair whose
+// neighborhoods are a and b: set resemblance and the symmetrised random
+// walk probability.
+func (e *Extractor) Features(a, b []prop.SparseNeighborhood) (resem, walk []float64) {
+	trips := e.Pair(a, b, nil)
 	resem, walk = make([]float64, len(trips)), make([]float64, len(trips))
 	for p, t := range trips {
 		resem[p], walk[p] = t.Resem, (t.WalkAB+t.WalkBA)/2
 	}
 	return resem, walk
-}
-
-// CacheSize reports how many references have cached neighborhoods.
-func (e *Extractor) CacheSize() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.cache)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -246,7 +247,7 @@ func extractorFixture(t *testing.T) (*Extractor, []reldb.TupleID) {
 
 func TestExtractorVectorsAndCache(t *testing.T) {
 	e, refs := extractorFixture(t)
-	v, w := e.Features(refs[0], refs[1])
+	v, w := e.Features(e.Neighborhoods(refs[0]), e.Neighborhoods(refs[1]))
 	if len(v) != 1 || len(w) != 1 {
 		t.Fatalf("vector lengths %d, %d", len(v), len(w))
 	}
@@ -257,15 +258,21 @@ func TestExtractorVectorsAndCache(t *testing.T) {
 	if w[0] <= 0 {
 		t.Errorf("walk feature = %v, want > 0", w[0])
 	}
-	if e.CacheSize() != 2 {
-		t.Errorf("cache size = %d, want 2", e.CacheSize())
+	// Repeated extraction reads the stored neighborhoods and stays
+	// deterministic.
+	first := e.Neighborhoods(refs[0])
+	block, err := e.NeighborhoodsCtx(context.Background(), refs, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Repeated extraction hits the cache and stays deterministic.
-	v2, w2 := e.Features(refs[0], refs[1])
-	if v[0] != v2[0] || w[0] != w2[0] || e.CacheSize() != 2 {
-		t.Error("cache changed results")
+	if &block[0][0] != &first[0] {
+		t.Error("the block does not hold the stored neighborhoods")
 	}
-	// Cached neighborhoods expand to sorted sparse vectors.
+	v2, w2 := e.Features(block[0], block[1])
+	if v[0] != v2[0] || w[0] != w2[0] {
+		t.Error("stored neighborhoods changed results")
+	}
+	// Stored neighborhoods expand to sorted sparse vectors.
 	for _, r := range refs {
 		for p, nb := range e.Neighborhoods(r) {
 			s := flatNB(nb)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -92,10 +93,10 @@ func TestSparseKernelsMatchMapKernels(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodsConcurrentMiss is the regression test for the cache
-// race: many goroutines request uncached neighborhoods concurrently —
-// without Prefetch — which used to write the cache map unsynchronized.
-// Run under -race (scripts/check.sh does) to detect regressions.
+// TestNeighborhoodsConcurrentMiss: many goroutines request unstored
+// neighborhoods concurrently, one reference at a time, and every one of
+// them must see the single result the store keeps. Run under -race
+// (scripts/check.sh does) to detect regressions.
 func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 	ext, refs := extractorFixture(t)
 	seq, _ := extractorFixture(t)
@@ -108,22 +109,25 @@ func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 	const rounds = 50
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
+	seen := make([][]*prop.SparseNeighborhood, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
+		seen[g] = make([]*prop.SparseNeighborhood, len(refs))
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				// Fresh misses every round: goroutines race on the same refs.
 				i := (g + round) % len(refs)
 				got := ext.Neighborhoods(refs[i])
+				seen[g][i] = &got[0]
 				for p := range got {
 					if len(got[p].Keys) != len(want[i][p].Keys) || got[p].SumFwd != want[i][p].SumFwd {
 						errs <- "concurrent Neighborhoods returned a wrong result"
 						return
 					}
 				}
-				// Interleave feature calls, which share the same cache path.
-				ext.Features(refs[i], refs[(i+1)%len(refs)])
+				// Interleave feature calls on the stored neighborhoods.
+				ext.Features(got, ext.Neighborhoods(refs[(i+1)%len(refs)]))
 			}
 		}(g)
 	}
@@ -132,7 +136,15 @@ func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	if ext.CacheSize() != len(refs) {
-		t.Fatalf("cache size = %d, want %d", ext.CacheSize(), len(refs))
+	block, err := ext.NeighborhoodsCtx(context.Background(), refs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range seen {
+		for i, p := range seen[g] {
+			if p != nil && p != &block[i][0] {
+				t.Fatalf("goroutine %d saw ref %d's neighborhoods in a result the store does not hold", g, refs[i])
+			}
+		}
 	}
 }

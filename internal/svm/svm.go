@@ -4,16 +4,12 @@
 // set; the learned weights turn per-path similarities into one combined
 // similarity.
 //
-// Two solvers are provided:
-//
-//   - TrainDCD — dual coordinate descent for the L1-loss (hinge) SVM
-//     (Hsieh et al., ICML 2008), the primary solver: deterministic given a
-//     seed, and very fast on the low-dimensional dense features DISTINCT
-//     produces.
-//   - TrainPegasos — the Pegasos stochastic subgradient solver
-//     (Shalev-Shwartz et al., 2007), kept as an independent cross-check;
-//     on separable, low-dimensional data both converge to closely matching
-//     models, which the tests verify.
+// The solver is TrainDCD, dual coordinate descent for the L1-loss (hinge)
+// SVM (Hsieh et al., ICML 2008): deterministic given a seed, and very fast
+// on the low-dimensional dense features DISTINCT produces. Its test
+// oracle, the Pegasos stochastic subgradient solver (Shalev-Shwartz et
+// al., 2007) in oracle_test.go, trains the same objective independently;
+// the tests hold the two to closely matching models and objectives.
 //
 // The bias term is handled by augmenting every example with a constant
 // feature inside the solvers; callers never see the augmentation.
@@ -79,8 +75,9 @@ type Options struct {
 	// C is the soft-margin penalty; larger C fits the training data harder.
 	// Defaults to 1.
 	C float64
-	// MaxIter caps the number of passes over the data (DCD) or the number of
-	// stochastic steps divided by len(examples) (Pegasos). Defaults to 1000.
+	// MaxIter caps the number of passes over the data (the test oracle's
+	// Pegasos takes MaxIter·len(examples) stochastic steps). Defaults to
+	// 1000.
 	MaxIter int
 	// Tol is the convergence tolerance on the projected gradient range
 	// (DCD only). Defaults to 1e-6.
@@ -230,45 +227,6 @@ func TrainDCDCtx(ctx context.Context, examples []Example, opts Options) (*Model,
 	return model, nil
 }
 
-// TrainPegasos trains the same objective with the Pegasos stochastic
-// subgradient method using λ = 1/(C·n), so the solution targets the same
-// optimum as TrainDCD.
-func TrainPegasos(examples []Example, opts Options) (*Model, error) {
-	opts = opts.withDefaults()
-	dim, err := validate(examples)
-	if err != nil {
-		return nil, err
-	}
-	n := len(examples)
-	lambda := 1 / (opts.C * float64(n))
-	steps := opts.MaxIter * n
-
-	w := make([]float64, dim+1)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for t := 1; t <= steps; t++ {
-		i := rng.Intn(n)
-		e := &examples[i]
-		eta := 1 / (lambda * float64(t))
-		s := w[dim]
-		for j, v := range e.X {
-			s += w[j] * v
-		}
-		// Scale step: w ← (1 − ηλ)w [+ η y x if margin violated].
-		scale := 1 - eta*lambda
-		for j := range w {
-			w[j] *= scale
-		}
-		if e.Y*s < 1 {
-			f := eta * e.Y
-			for j, v := range e.X {
-				w[j] += f * v
-			}
-			w[dim] += f
-		}
-	}
-	return &Model{W: w[:dim], Bias: w[dim]}, nil
-}
-
 // Accuracy returns the fraction of examples the model labels correctly.
 func Accuracy(m *Model, examples []Example) float64 {
 	if len(examples) == 0 {
@@ -281,22 +239,4 @@ func Accuracy(m *Model, examples []Example) float64 {
 		}
 	}
 	return float64(ok) / float64(len(examples))
-}
-
-// Objective returns the primal objective ½‖w‖² + C Σ hinge of the model on
-// the examples; solver tests use it to compare solutions.
-func Objective(m *Model, examples []Example, c float64) float64 {
-	obj := 0.0
-	for _, w := range m.W {
-		obj += w * w
-	}
-	obj += m.Bias * m.Bias
-	obj /= 2
-	for _, e := range examples {
-		h := 1 - e.Y*m.Score(e.X)
-		if h > 0 {
-			obj += c * h
-		}
-	}
-	return obj
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the tier-1+ gate: formatting, vet, build, the full test suite,
-# and a race-detector pass over every package (the extractor cache, the
-# parallel pairwise stages, and the obs registry are all concurrency-bearing,
-# and tests elsewhere drive them through the facade). Run before sending any
-# PR; CI runs exactly this script.
+# and a race-detector pass over every package (the extractor's neighborhood
+# store, the parallel pairwise stages, and the obs registry are all
+# concurrency-bearing, and tests elsewhere drive them through the facade).
+# Run before sending any PR; CI runs exactly this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,6 @@ echo "== chaos quick tier (fault injection, -race, seed 1)"
 go test -race -count=1 -run '^TestChaos' .
 echo "== serving concurrency tier (coalescing + chaos, -race, count=2)"
 go test -race -count=2 -run '^TestCoalesce|^TestChaos|^TestDrain' ./internal/serve
-echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, grouped vs flat, -race, count=2)"
-go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestGrouped' ./internal/prop ./internal/sim
+echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, neighborhood slot store, grouped vs flat, -race, count=2)"
+go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestSlotStore|^TestGrouped' ./internal/prop ./internal/sim
 echo "check.sh: all green"
