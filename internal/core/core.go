@@ -317,12 +317,13 @@ func normalize(w []float64) []float64 {
 }
 
 // TrainCtx builds the automatic training set, learns SVM models for both
-// similarity measures, and installs the learned path weights. If the
-// engine's configuration is unsupervised, TrainCtx still reports the
-// would-be models but leaves uniform weights in place. Cancellation is
-// observed at the trainset / features / train_svm stage boundaries, between
-// feature extraction items, and between SVM optimisation passes, and
-// returns the context's error wrapped with the stage name.
+// similarity measures (the two at once when the engine has two workers),
+// and installs the learned path weights. If the engine's configuration is
+// unsupervised, TrainCtx still reports the would-be models but leaves
+// uniform weights in place. Cancellation is observed at the trainset /
+// features / train_svm stage boundaries, between feature extraction items,
+// and between SVM optimisation passes, and returns the context's error
+// wrapped with the stage name.
 func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	total := time.Now()
 	t0 := total
@@ -383,14 +384,28 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	walkScaler := svm.FitScaler(walkEx)
 	resemScaled := resemScaler.Transform(resemEx)
 	walkScaled := walkScaler.Transform(walkEx)
-	resemModel, err := svm.TrainDCDCtx(sctx, resemScaled, e.cfg.SVM)
-	if err != nil {
-		return nil, st.end(0, fmt.Errorf("resemblance SVM: %w", err))
+	// The two models are independent: train them as two items. When both
+	// fail, the resemblance error is the one reported, whatever the worker
+	// count or the order they failed in.
+	var (
+		scaled = [2][]svm.Example{resemScaled, walkScaled}
+		models [2]*svm.Model
+		errs   [2]error
+	)
+	err = fault.ParallelFor(sctx, 2, e.cfg.Workers, func(i int) error {
+		models[i], errs[i] = svm.TrainDCDCtx(sctx, scaled[i], e.cfg.SVM)
+		return errs[i]
+	})
+	if errs[0] != nil {
+		return nil, st.end(0, fmt.Errorf("resemblance SVM: %w", errs[0]))
 	}
-	walkModel, err := svm.TrainDCDCtx(sctx, walkScaled, e.cfg.SVM)
-	if err != nil {
-		return nil, st.end(0, fmt.Errorf("walk SVM: %w", err))
+	if errs[1] != nil {
+		return nil, st.end(0, fmt.Errorf("walk SVM: %w", errs[1]))
 	}
+	if err != nil {
+		return nil, st.end(0, err)
+	}
+	resemModel, walkModel := models[0], models[1]
 	e.timings.TrainSVM = time.Since(t0)
 	e.timings.TotalTrain = time.Since(total)
 

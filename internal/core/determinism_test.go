@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -134,5 +135,39 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c1, c8) {
 		t.Error("clusterings differ between 1 and 8 workers")
+	}
+}
+
+// TestParallelTrainingMatchesSerial: training the resemblance and walk
+// models on two workers must report bit for bit the weights and accuracies
+// of training them one after the other. Run under -race.
+func TestParallelTrainingMatchesSerial(t *testing.T) {
+	w := testWorld(t)
+	train := func(workers int) *TrainReport {
+		cfg := engineConfig(w, true)
+		cfg.Workers = workers
+		e, err := NewEngineCtx(context.Background(), w.DB, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.TrainCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	bits := func(r *TrainReport) []uint64 {
+		var b []uint64
+		for _, v := range slices.Concat(r.ResemWeights, r.WalkWeights, []float64{r.ResemAccuracy, r.WalkAccuracy}) {
+			b = append(b, math.Float64bits(v))
+		}
+		return b
+	}
+	serial, parallel := train(1), train(2)
+	if len(serial.ResemWeights) == 0 || len(serial.ResemWeights) != len(parallel.ResemWeights) {
+		t.Fatalf("%d vs %d resemblance weights", len(serial.ResemWeights), len(parallel.ResemWeights))
+	}
+	if !slices.Equal(bits(serial), bits(parallel)) {
+		t.Errorf("two workers trained other models:\nserial   %+v\nparallel %+v", serial, parallel)
 	}
 }

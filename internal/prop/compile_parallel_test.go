@@ -162,8 +162,8 @@ func TestCompiledTrieIsSnapshot(t *testing.T) {
 	}
 
 	for id := reldb.TupleID(len(before)); int(id) < db.NumTuples(); id++ {
-		if k := ct.ShareKey(id); k != reldb.InvalidTuple {
-			t.Errorf("start %d inserted after the compile: ShareKey = %d, want %d", id, k, reldb.InvalidTuple)
+		if k := ct.ShareKey(id); k != -1 {
+			t.Errorf("start %d inserted after the compile: ShareKey = %d, want -1", id, k)
 		}
 		for pi, nb := range ct.Propagate(id, nil, nil) {
 			if len(nb.Keys) != 0 || len(nb.FBs) != 0 || nb.SumFwd != 0 {

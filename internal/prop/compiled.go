@@ -363,29 +363,39 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 	return s
 }
 
-// ShareKey returns the tuple start reaches over the trie's root hop, the
-// key under which starts share their shared paths' neighborhoods. It
-// returns -1 (reldb.InvalidTuple) when the trie has several root hops,
-// when start was not a tuple of the root hop's relation at compile time,
-// or when start's row does not hold exactly one edge.
-func (ct *CompiledTrie) ShareKey(start reldb.TupleID) reldb.TupleID {
+// ShareKey returns the key under which starts share their shared paths'
+// neighborhoods: the tuple start reaches over the trie's root hop, given as
+// its ordinal among the hop's target tuples, in [0, NumShareKeys()). It
+// returns -1 when the trie has several root hops, when start was not a
+// tuple of the root hop's relation at compile time, or when start's row
+// does not hold exactly one edge.
+func (ct *CompiledTrie) ShareKey(start reldb.TupleID) int {
 	if ct.shared == nil {
-		return reldb.InvalidTuple
+		return -1
 	}
 	return ct.shareKey(ct.nodes[ct.roots[0]].hop.FromOrdinal(start))
 }
 
+// NumShareKeys reports how many distinct share keys there can be: the
+// root hop's target tuples at compile time, 0 when no start has a key.
+func (ct *CompiledTrie) NumShareKeys() int {
+	if ct.shared == nil {
+		return 0
+	}
+	return len(ct.nodes[ct.roots[0]].hop.ToIDs)
+}
+
 // shareKey is ShareKey for the start at ordinal ord of the single root
 // hop's source relation.
-func (ct *CompiledTrie) shareKey(ord int) reldb.TupleID {
+func (ct *CompiledTrie) shareKey(ord int) int {
 	if ct.shared == nil || ord < 0 {
-		return reldb.InvalidTuple
+		return -1
 	}
 	hop := ct.nodes[ct.roots[0]].hop
 	if hop.RowPtr[ord+1]-hop.RowPtr[ord] != 1 {
-		return reldb.InvalidTuple
+		return -1
 	}
-	return hop.ToIDs[hop.Col[hop.RowPtr[ord]]]
+	return int(hop.Col[hop.RowPtr[ord]])
 }
 
 // locate resolves start inside the snapshot: the source relation and

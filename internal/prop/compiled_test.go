@@ -144,7 +144,7 @@ func checkCompiledAgainstDFS(t *testing.T, tag string, db *reldb.Database, paths
 	trie := NewTrie(paths)
 	ct := compile(db, trie)
 	scratch := ct.NewScratch()
-	donors := make(map[reldb.TupleID][]SparseNeighborhood)
+	donors := make(map[int][]SparseNeighborhood)
 	check := func(id reldb.TupleID, got, want []SparseNeighborhood, how string) {
 		t.Helper()
 		if len(got) != len(want) {
@@ -397,31 +397,39 @@ func TestCompiledAllocsCeiling(t *testing.T) {
 }
 
 // TestShareKey: starts share a key exactly when the trie has one root hop
-// and their rows in it hold one edge to the same tuple. A donor handed to
-// a start without a key is ignored.
+// and their rows in it hold one edge to the same tuple; the key is that
+// tuple's ordinal in its relation. A donor handed to a start without a key
+// is ignored.
 func TestShareKey(t *testing.T) {
 	db, refs := miniDB(t)
 	paths := dblpPaths(db.Schema)
 	ct := compile(db, NewTrie(paths))
 	p1, p2 := db.LookupKey("Publications", "p1"), db.LookupKey("Publications", "p2")
+	pubs := db.Relation("Publications").TupleIDs()
+	if got := ct.NumShareKeys(); got != len(pubs) {
+		t.Errorf("NumShareKeys = %d, want %d", got, len(pubs))
+	}
 	for name, want := range map[string]reldb.TupleID{
 		"wei@p1": p1, "jiong@p1": p1, "wei@p2": p2, "jiong@p2": p2, "haixun@p2": p2,
 	} {
-		if got := ct.ShareKey(refs[name]); got != want {
-			t.Errorf("ShareKey(%s) = %d, want %d", name, got, want)
+		if k := ct.ShareKey(refs[name]); k < 0 || k >= len(pubs) || pubs[k] != want {
+			t.Errorf("ShareKey(%s) = %d, want the ordinal of %d in %v", name, k, want, pubs)
 		}
 	}
 	n := reldb.TupleID(db.NumTuples())
 	for _, id := range []reldb.TupleID{db.LookupKey("Authors", "wei"), -1, n, n + 5} {
-		if got := ct.ShareKey(id); got != reldb.InvalidTuple {
+		if got := ct.ShareKey(id); got != -1 {
 			t.Errorf("ShareKey(%d) = %d, want -1", id, got)
 		}
 	}
 	// Two root hops leave Publish: no start has a key.
 	both := compile(db, NewTrie([]reldb.JoinPath{coauthorPath(),
 		{Start: "Publish", Steps: []reldb.Step{{Rel: "Publish", Attr: "author", Forward: true}}}}))
-	if got := both.ShareKey(refs["wei@p2"]); got != reldb.InvalidTuple {
+	if got := both.ShareKey(refs["wei@p2"]); got != -1 {
 		t.Errorf("two root hops: ShareKey = %d, want -1", got)
+	}
+	if got := both.NumShareKeys(); got != 0 {
+		t.Errorf("two root hops: NumShareKeys = %d, want 0", got)
 	}
 	// From Publications the root row of p2 holds three edges, so p2 has no
 	// key, and a donor (here: p1's own result) is ignored.
@@ -430,7 +438,7 @@ func TestShareKey(t *testing.T) {
 		{Rel: "Publish", Attr: "author", Forward: true},
 	}}}
 	bt := compile(db, NewTrie(back))
-	if got := bt.ShareKey(p2); got != reldb.InvalidTuple {
+	if got := bt.ShareKey(p2); got != -1 {
 		t.Errorf("three-edge root row: ShareKey = %d, want -1", got)
 	}
 	want := bt.Propagate(p2, nil, nil)

@@ -100,7 +100,8 @@ func (e *Extractor) NeighborhoodsCtx(ctx context.Context, refs []reldb.TupleID, 
 
 // shareRef is one reference to prefetch with its share key.
 type shareRef struct {
-	ref, key reldb.TupleID
+	ref reldb.TupleID
+	key int
 }
 
 // groupByShareKey fills in the share keys of todo, sorts it by (key, ref),

@@ -65,8 +65,9 @@ type Extractor struct {
 	batchPool sync.Pool
 	indexPool sync.Pool
 
-	// nbs[r] holds reference r's neighborhoods and donors[k] share key
-	// k's donor, both indexed by TupleID over the plan's NumTuples. empty
+	// nbs[r] holds reference r's neighborhoods, indexed by TupleID over the
+	// plan's NumTuples, and donors[k] share key k's donor, over the plan's
+	// NumShareKeys. empty
 	// is the one all-empty result served to every start at or past
 	// NumTuples, which has no slot.
 	nbs    []atomic.Pointer[[]prop.SparseNeighborhood]
@@ -91,7 +92,7 @@ func New(plan *prop.CompiledTrie, reg *obs.Registry) *Extractor {
 	e := &Extractor{
 		plan:               plan,
 		nbs:                make([]atomic.Pointer[[]prop.SparseNeighborhood], n),
-		donors:             make([]atomic.Pointer[[]prop.SparseNeighborhood], n),
+		donors:             make([]atomic.Pointer[[]prop.SparseNeighborhood], plan.NumShareKeys()),
 		empty:              plan.Propagate(reldb.InvalidTuple, nil, nil),
 		prefetchStage:      reg.Stage("prefetch"),
 		prefetchRequested:  reg.Counter("sim.prefetch_requested"),
@@ -131,7 +132,7 @@ func (e *Extractor) load(r reldb.TupleID) []prop.SparseNeighborhood {
 }
 
 // donor returns share key k's donor, nil when there is none.
-func (e *Extractor) donor(k reldb.TupleID) []prop.SparseNeighborhood {
+func (e *Extractor) donor(k int) []prop.SparseNeighborhood {
 	if k < 0 {
 		return nil
 	}
@@ -144,7 +145,7 @@ func (e *Extractor) donor(k reldb.TupleID) []prop.SparseNeighborhood {
 // publish stores nbs as r's neighborhoods and as share key k's donor, each
 // unless a result is already there, and returns r's stored result. r must
 // lie inside the snapshot.
-func (e *Extractor) publish(r, k reldb.TupleID, nbs []prop.SparseNeighborhood) []prop.SparseNeighborhood {
+func (e *Extractor) publish(r reldb.TupleID, k int, nbs []prop.SparseNeighborhood) []prop.SparseNeighborhood {
 	if k >= 0 {
 		e.donors[k].CompareAndSwap(nil, &nbs)
 	}

@@ -1,9 +1,100 @@
 package svm
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
-// The package's test oracle: an independent solver for TrainDCD's
-// objective, and the objective itself, to compare their solutions.
+// The package's test oracles: the dense dual coordinate descent loop that
+// TrainDCD's sparse loop must equal bit for bit, an independent solver for
+// the same objective, and the objective itself, to compare their solutions.
+
+// trainDCDDense is dual coordinate descent over the dense feature vectors:
+// TrainDCD before its loop skipped zero features. Every update reads all
+// dim features, so a pass costs n·dim. It also returns how many passes ran,
+// so the tests can tell a run that met Tol from one that ran out at MaxIter.
+func trainDCDDense(examples []Example, opts Options) (*Model, int, error) {
+	opts = opts.withDefaults()
+	dim, err := validate(examples)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := len(examples)
+	aug := dim + 1 // constant bias feature
+
+	// Precompute the diagonal Q_ii = x_i·x_i (augmented).
+	qd := make([]float64, n)
+	for i, e := range examples {
+		d := 1.0
+		for _, v := range e.X {
+			d += v * v
+		}
+		qd[i] = d
+	}
+
+	w := make([]float64, aug)
+	alpha := make([]float64, n)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+
+	dot := func(e *Example) float64 {
+		s := w[dim] // bias feature is constant 1
+		for j, v := range e.X {
+			s += w[j] * v
+		}
+		return s
+	}
+
+	passes := 0
+	for passes < opts.MaxIter {
+		passes++
+		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
+		maxPG, minPG := math.Inf(-1), math.Inf(1)
+		for _, i := range order {
+			e := &examples[i]
+			g := float64(e.Y*dot(e)) - 1
+
+			// Projected gradient for the box constraint 0 ≤ α ≤ C.
+			pg := g
+			if alpha[i] <= 0 && g > 0 {
+				pg = 0
+			} else if alpha[i] >= opts.C && g < 0 {
+				pg = 0
+			}
+			if pg > maxPG {
+				maxPG = pg
+			}
+			if pg < minPG {
+				minPG = pg
+			}
+			if pg == 0 {
+				continue
+			}
+			old := alpha[i]
+			na := old - g/qd[i]
+			if na < 0 {
+				na = 0
+			} else if na > opts.C {
+				na = opts.C
+			}
+			alpha[i] = na
+			delta := (na - old) * e.Y
+			if delta != 0 {
+				for j, v := range e.X {
+					w[j] += delta * v
+				}
+				w[dim] += delta
+			}
+		}
+		if maxPG-minPG < opts.Tol {
+			break
+		}
+	}
+	return &Model{W: w[:dim], Bias: w[dim]}, passes, nil
+}
 
 // TrainPegasos trains the same objective with the Pegasos stochastic
 // subgradient method using λ = 1/(C·n), so the solution targets the same

@@ -5,11 +5,14 @@
 // similarity.
 //
 // The solver is TrainDCD, dual coordinate descent for the L1-loss (hinge)
-// SVM (Hsieh et al., ICML 2008): deterministic given a seed, and very fast
-// on the low-dimensional dense features DISTINCT produces. Its test
-// oracle, the Pegasos stochastic subgradient solver (Shalev-Shwartz et
-// al., 2007) in oracle_test.go, trains the same objective independently;
-// the tests hold the two to closely matching models and objectives.
+// SVM (Hsieh et al., ICML 2008): deterministic given a seed, and cheap on
+// the sparse features DISTINCT produces (most join paths link a training
+// pair through nothing), because each update runs over the example's
+// nonzero features only. Its test oracles in oracle_test.go are the dense
+// form of the same loop, which it must equal bit for bit, and the Pegasos
+// stochastic subgradient solver (Shalev-Shwartz et al., 2007), which
+// trains the same objective independently; the tests hold the two solvers
+// to closely matching models and objectives.
 //
 // The bias term is handled by augmenting every example with a constant
 // feature inside the solvers; callers never see the augmentation.
@@ -114,6 +117,11 @@ func validate(examples []Example) (dim int, err error) {
 		if len(e.X) != dim {
 			return 0, fmt.Errorf("svm: example %d has %d features, example 0 has %d", i, len(e.X), dim)
 		}
+		for j, v := range e.X {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return 0, fmt.Errorf("svm: example %d has non-finite feature %d: %v", i, j, v)
+			}
+		}
 		switch e.Y {
 		case 1:
 			pos++
@@ -142,6 +150,17 @@ func TrainDCD(examples []Example, opts Options) (*Model, error) {
 // TrainDCDCtx is TrainDCD under a context: cancellation is observed at the
 // top of every optimisation pass, so the latency to abort is bounded by one
 // sweep over the examples.
+//
+// The examples are packed once into compressed sparse rows, and every
+// update (the diagonal, the margin and the weight step) runs over the
+// nonzero features only, so a pass costs the number of nonzeros rather
+// than n·dim. The shuffle, the update order and every float expression are
+// those of the dense loop; only terms with a zero feature are skipped.
+// Such a term is a signed zero, and adding one is exact here: the weights
+// and the margin start at +0, and in round-to-nearest a sum is −0 only when
+// both addends are, so neither ever holds −0. With finite features (validate
+// rejects the rest) and no overflow, the model is therefore bit for bit the
+// dense loop's, which oracle_test.go keeps as trainDCDDense.
 func TrainDCDCtx(ctx context.Context, examples []Example, opts Options) (*Model, error) {
 	opts = opts.withDefaults()
 	dim, err := validate(examples)
@@ -150,12 +169,16 @@ func TrainDCDCtx(ctx context.Context, examples []Example, opts Options) (*Model,
 	}
 	n := len(examples)
 	aug := dim + 1 // constant bias feature
+	x, err := pack(examples)
+	if err != nil {
+		return nil, err
+	}
 
 	// Precompute the diagonal Q_ii = x_i·x_i (augmented).
 	qd := make([]float64, n)
-	for i, e := range examples {
+	for i := range qd {
 		d := 1.0
-		for _, v := range e.X {
+		for _, v := range x.val[x.start[i]:x.start[i+1]] {
 			d += v * v
 		}
 		qd[i] = d
@@ -169,14 +192,6 @@ func TrainDCDCtx(ctx context.Context, examples []Example, opts Options) (*Model,
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	dot := func(e *Example) float64 {
-		s := w[dim] // bias feature is constant 1
-		for j, v := range e.X {
-			s += w[j] * v
-		}
-		return s
-	}
-
 	for pass := 0; pass < opts.MaxIter; pass++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -184,8 +199,14 @@ func TrainDCDCtx(ctx context.Context, examples []Example, opts Options) (*Model,
 		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		maxPG, minPG := math.Inf(-1), math.Inf(1)
 		for _, i := range order {
-			e := &examples[i]
-			g := e.Y*dot(e) - 1
+			lo, hi := x.start[i], x.start[i+1]
+			idx, val := x.idx[lo:hi], x.val[lo:hi]
+			y := examples[i].Y
+			s := w[dim] // bias feature is constant 1
+			for k, j := range idx {
+				s += w[j] * val[k]
+			}
+			g := float64(y*s) - 1 // no FMA: the conversion rounds y*s as the dense loop does
 
 			// Projected gradient for the box constraint 0 ≤ α ≤ C.
 			pg := g
@@ -211,10 +232,10 @@ func TrainDCDCtx(ctx context.Context, examples []Example, opts Options) (*Model,
 				na = opts.C
 			}
 			alpha[i] = na
-			delta := (na - old) * e.Y
+			delta := (na - old) * y
 			if delta != 0 {
-				for j, v := range e.X {
-					w[j] += delta * v
+				for k, j := range idx {
+					w[j] += delta * val[k]
 				}
 				w[dim] += delta
 			}
@@ -225,6 +246,45 @@ func TrainDCDCtx(ctx context.Context, examples []Example, opts Options) (*Model,
 	}
 	model := &Model{W: w[:dim], Bias: w[dim]}
 	return model, nil
+}
+
+// csr holds examples' features in compressed sparse rows: example i's
+// nonzero features are val[start[i]:start[i+1]], at the feature indices
+// idx[start[i]:start[i+1]], in ascending index order.
+type csr struct {
+	start []int32
+	idx   []int32
+	val   []float64
+}
+
+// pack packs the examples' nonzero features into compressed sparse rows.
+func pack(examples []Example) (csr, error) {
+	nnz := 0
+	for _, e := range examples {
+		for _, v := range e.X {
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	if nnz > math.MaxInt32 || len(examples[0].X) > math.MaxInt32 {
+		return csr{}, fmt.Errorf("svm: %d nonzero features over %d dimensions overflow 32-bit indices", nnz, len(examples[0].X))
+	}
+	x := csr{
+		start: make([]int32, 1, len(examples)+1),
+		idx:   make([]int32, 0, nnz),
+		val:   make([]float64, 0, nnz),
+	}
+	for _, e := range examples {
+		for j, v := range e.X {
+			if v != 0 {
+				x.idx = append(x.idx, int32(j))
+				x.val = append(x.val, v)
+			}
+		}
+		x.start = append(x.start, int32(len(x.idx)))
+	}
+	return x, nil
 }
 
 // Accuracy returns the fraction of examples the model labels correctly.

@@ -95,6 +95,17 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := TrainDCD(ragged, Options{}); err == nil {
 		t.Error("ragged features accepted")
 	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		nonFinite := []Example{{X: []float64{1, 0}, Y: 1}, {X: []float64{0, v}, Y: -1}}
+		if _, err := TrainDCD(nonFinite, Options{}); err == nil {
+			t.Errorf("feature %v accepted", v)
+		}
+	}
+	// FitScaler maps an infinite maximum's column to Inf·0 = NaN.
+	inf := []Example{{X: []float64{1, math.Inf(1)}, Y: 1}, {X: []float64{0, 1}, Y: -1}}
+	if _, err := TrainDCD(FitScaler(inf).Transform(inf), Options{}); err == nil {
+		t.Error("scaled infinite feature accepted")
+	}
 	if _, err := TrainPegasos(nil, Options{}); err == nil {
 		t.Error("Pegasos accepted empty set")
 	}
@@ -204,4 +215,123 @@ func TestObjectiveComputation(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Objective = %v, want %v", got, want)
 	}
+}
+
+// The shapes of dcdCase's example sets.
+const (
+	shapeDense     = iota // every feature nonzero
+	shapeSparse           // about 4% nonzero, as DISTINCT's features are
+	shapeZeroRows         // sparse, with some rows all zero
+	shapeDeadCols         // sparse, with some columns zero in every row
+	shapeRareClass        // sparse, with one or two examples of one class
+	numShapes
+)
+
+// dcdCase draws a random example set of the given shape and options for
+// it. A capped case has a tiny Tol and a small MaxIter, so the run stops at
+// MaxIter; otherwise Tol is loose and MaxIter large, so it meets Tol first.
+// Values span several magnitudes and both signs; some zeros are −0.
+func dcdCase(rng *rand.Rand, shape int, capped bool) ([]Example, Options) {
+	n, dim := 2+rng.Intn(60), 1+rng.Intn(12)
+	density := 0.04
+	if shape == shapeDense {
+		density = 1
+	} else if float64(dim)*density < 1 {
+		density = 1 / float64(dim)
+	}
+	dead := make([]bool, dim)
+	if shape == shapeDeadCols {
+		for j := range dead {
+			dead[j] = rng.Intn(2) == 0
+		}
+	}
+	rare := 1 + rng.Intn(2) // examples of the rare class
+	ex := make([]Example, n)
+	for i := range ex {
+		x := make([]float64, dim)
+		zeroRow := shape == shapeZeroRows && rng.Intn(3) == 0
+		for j := range x {
+			switch {
+			case dead[j] || zeroRow || rng.Float64() >= density:
+				if rng.Intn(4) == 0 {
+					x[j] = math.Copysign(0, -1)
+				}
+			default:
+				x[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+			}
+		}
+		y := float64(1 - 2*rng.Intn(2))
+		if shape == shapeRareClass {
+			y = 1
+			if i < rare {
+				y = -1
+			}
+		}
+		ex[i] = Example{X: x, Y: y}
+	}
+	// Both classes must be present.
+	ex[0].Y, ex[n-1].Y = -1, 1
+	opts := Options{C: []float64{0.1, 1, 10}[rng.Intn(3)], Seed: rng.Int63()}
+	if capped {
+		opts.MaxIter, opts.Tol = 1+rng.Intn(20), 1e-300
+	} else {
+		opts.MaxIter, opts.Tol = 2000, 1e-2
+	}
+	return ex, opts
+}
+
+// checkDCD trains ex both ways and fails unless the sparse loop's model is
+// the dense oracle's bit for bit. It returns whether the run met Tol
+// before MaxIter.
+func checkDCD(t testing.TB, ex []Example, opts Options) (early bool) {
+	t.Helper()
+	want, passes, werr := trainDCDDense(ex, opts)
+	got, err := TrainDCD(ex, opts)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("sparse error %v, dense error %v", err, werr)
+	}
+	if err != nil {
+		return false
+	}
+	same := math.Float64bits(got.Bias) == math.Float64bits(want.Bias) && len(got.W) == len(want.W)
+	for j := range want.W {
+		same = same && math.Float64bits(got.W[j]) == math.Float64bits(want.W[j])
+	}
+	if !same {
+		t.Fatalf("sparse model W=%v b=%v, dense W=%v b=%v (%d examples, %+v)", got.W, got.Bias, want.W, want.Bias, len(ex), opts)
+	}
+	return passes < opts.MaxIter
+}
+
+// TestSparseDCDMatchesDense holds TrainDCD to the dense loop bit for bit
+// on every shape, both when the run meets Tol and when it runs out at
+// MaxIter.
+func TestSparseDCDMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for shape := range numShapes {
+		for _, capped := range []bool{false, true} {
+			endings := map[bool]int{}
+			for range 20 {
+				ex, opts := dcdCase(rng, shape, capped)
+				endings[checkDCD(t, ex, opts)]++
+			}
+			if endings[!capped] == 0 {
+				t.Errorf("shape %d, capped %v: no run ended %s (%v)", shape, capped,
+					map[bool]string{true: "at Tol", false: "at MaxIter"}[!capped], endings)
+			}
+		}
+	}
+}
+
+// FuzzDCD runs TestSparseDCDMatchesDense's check on the example sets its
+// generator draws from the fuzzed seed, shape and ending.
+func FuzzDCD(f *testing.F) {
+	for shape := range numShapes {
+		f.Add(int64(shape), uint8(shape), false)
+		f.Add(int64(shape), uint8(shape), true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, capped bool) {
+		ex, opts := dcdCase(rand.New(rand.NewSource(seed)), int(shape)%numShapes, capped)
+		checkDCD(t, ex, opts)
+	})
 }

@@ -21,7 +21,7 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 echo "== pprof benchmarks, one iteration each (they must keep compiling and running)"
-go test -run '^$' -bench '^Benchmark(Pair|SimilarityMatrix|FeatureExtractionWorkers|DisambiguateAll|Clustering|ClusteringLarge|TuneMinSim|Propagate|PlanCompile|ServeThroughput)$' -benchtime 1x .
+go test -run '^$' -bench '^Benchmark(Pair|SimilarityMatrix|FeatureExtractionWorkers|DisambiguateAll|Clustering|ClusteringLarge|TuneMinSim|Propagate|PlanCompile|ServeThroughput|SVMTrainDCD)$' -benchtime 1x .
 echo "== cmd/distinctbench (its own module: root ./... never compiles it)"
 (cd cmd/distinctbench && go vet . && go test .)
 echo "== go test -race ./..."
@@ -32,4 +32,6 @@ echo "== serving concurrency tier (coalescing + chaos, -race, count=2)"
 go test -race -count=2 -run '^TestCoalesce|^TestChaos|^TestDrain' ./internal/serve
 echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, neighborhood slot store, grouped vs flat, -race, count=2)"
 go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestSlotStore|^TestGrouped' ./internal/prop ./internal/sim
+echo "== training concurrency tier (resemblance and walk models on two workers, -race, count=2)"
+go test -race -count=2 -run '^TestParallelTrainingMatchesSerial$' ./internal/core
 echo "check.sh: all green"

@@ -44,7 +44,10 @@ func TestSharedSubtreesPaperScale(t *testing.T) {
 	}
 	db, paths := eng.DB(), eng.Paths()
 	ct := prop.CompileTrieCtx(context.Background(), db, prop.NewTrie(paths), 0)
-	type keyed struct{ ref, key reldb.TupleID }
+	type keyed struct {
+		ref reldb.TupleID
+		key int
+	}
 	var refs []keyed
 	for _, r := range db.Relation(dblp.ReferenceRelation).TupleIDs() {
 		k := ct.ShareKey(r)
