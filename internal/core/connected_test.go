@@ -36,7 +36,7 @@ func (u testUF) union(a, b int) { u[u.find(a)] = u.find(b) }
 // sharedNeighborComponents counts the connected components of the graph
 // over nbs whose edges join two members holding a common neighbor tuple
 // along some path with a nonzero resemblance or walk weight.
-func sharedNeighborComponents(nbs [][]prop.SparseNeighborhood, resemW, walkW []float64) int {
+func sharedNeighborComponents(nbs []*prop.Neighborhoods, resemW, walkW []float64) int {
 	uf := newTestUF(len(nbs))
 	for p := range resemW {
 		if resemW[p] == 0 && walkW[p] == 0 {
@@ -45,7 +45,8 @@ func sharedNeighborComponents(nbs [][]prop.SparseNeighborhood, resemW, walkW []f
 		holder := make(map[reldb.TupleID]int)
 		var ex prop.Expander
 		for i, nb := range nbs {
-			keys, _ := ex.Expand(&nb[p], nil, nil)
+			v := nb.Path(p)
+			keys, _ := ex.Expand(&v, nil, nil)
 			for _, t := range keys {
 				if j, ok := holder[t]; ok {
 					uf.union(i, j)
@@ -121,7 +122,7 @@ func TestGroupsConnectedInSharedNeighborGraph(t *testing.T) {
 		resemW, walkW := e.Weights()
 		for _, name := range e.NamesWithRefs(2) {
 			refs := e.RefsForName(name)
-			nbs := make([][]prop.SparseNeighborhood, len(refs))
+			nbs := make([]*prop.Neighborhoods, len(refs))
 			for i, r := range refs {
 				nbs[i] = e.ext.Neighborhoods(r)
 			}
@@ -138,7 +139,7 @@ func TestGroupsConnectedInSharedNeighborGraph(t *testing.T) {
 				e.SetMinSim(minSim)
 				e.SetMeasure(measures[rng.Intn(len(measures))])
 				for _, g := range mustGroups(t, e, refs) {
-					sub := make([][]prop.SparseNeighborhood, len(g))
+					sub := make([]*prop.Neighborhoods, len(g))
 					for k, r := range g {
 						sub[k] = nbs[pos[r]]
 					}

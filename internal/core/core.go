@@ -570,7 +570,7 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weigh
 // to the batched fill, and the values are identical. The serial (i, j)
 // walk emits events already in the order the old per-worker collection had
 // to sort into.
-func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, nbs [][]prop.SparseNeighborhood, m cluster.Matrix, sampleEvery int, w weights) {
+func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, nbs []*prop.Neighborhoods, m cluster.Matrix, sampleEvery int, w weights) {
 	n := len(refs)
 	var events []trace.Event
 	var trips []sim.Trip

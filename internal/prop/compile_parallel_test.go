@@ -50,7 +50,7 @@ func TestCompileTrieCtxWorkersEquivalence(t *testing.T) {
 		}
 		ps, ss := par.NewScratch(), ser.NewScratch()
 		for _, id := range starts {
-			got, want := par.Propagate(id, ps, nil), ser.Propagate(id, ss, nil)
+			got, want := views(par.Propagate(id, ps, nil)), views(ser.Propagate(id, ss, nil))
 			for pi := range want {
 				if diffSparse(got[pi], want[pi]) != 0 {
 					t.Fatalf("seed %d: start %d path %s: parallel compile diverges from serial",
@@ -113,7 +113,7 @@ func TestCompileTrieCtxCancelled(t *testing.T) {
 	}
 	gs, ws := got.NewScratch(), want.NewScratch()
 	for _, id := range starts {
-		g, w := got.Propagate(id, gs, nil), want.Propagate(id, ws, nil)
+		g, w := views(got.Propagate(id, gs, nil)), views(want.Propagate(id, ws, nil))
 		for pi := range w {
 			if diffSparse(g[pi], w[pi]) != 0 {
 				t.Fatalf("start %d path %s: cancelled-compile trie diverges", id, paths[pi])
@@ -134,7 +134,7 @@ func TestCompiledTrieIsSnapshot(t *testing.T) {
 	ct := compile(db, trie)
 	before := make([][]SparseNeighborhood, db.NumTuples())
 	for id := range before {
-		before[id] = ct.Propagate(reldb.TupleID(id), nil, nil)
+		before[id] = views(ct.Propagate(reldb.TupleID(id), nil, nil))
 	}
 
 	db.MustInsert("Authors", "philip")
@@ -146,8 +146,8 @@ func TestCompiledTrieIsSnapshot(t *testing.T) {
 	fresh := compile(db, trie)
 	changed := false
 	for id, want := range before {
-		got := ct.Propagate(reldb.TupleID(id), nil, nil)
-		now := fresh.Propagate(reldb.TupleID(id), nil, nil)
+		got := views(ct.Propagate(reldb.TupleID(id), nil, nil))
+		now := views(fresh.Propagate(reldb.TupleID(id), nil, nil))
 		for pi := range want {
 			if !sameBits(got[pi], want[pi]) {
 				t.Fatalf("start %d path %s: propagation changed after Insert", id, trie.paths[pi])
@@ -165,13 +165,13 @@ func TestCompiledTrieIsSnapshot(t *testing.T) {
 		if k := ct.ShareKey(id); k != -1 {
 			t.Errorf("start %d inserted after the compile: ShareKey = %d, want -1", id, k)
 		}
-		for pi, nb := range ct.Propagate(id, nil, nil) {
+		for pi, nb := range views(ct.Propagate(id, nil, nil)) {
 			if len(nb.Keys) != 0 || len(nb.FBs) != 0 || nb.SumFwd != 0 {
 				t.Fatalf("start %d inserted after the compile: path %s has %d neighbors", id, trie.paths[pi], len(nb.Keys))
 			}
 		}
 	}
-	if fresh.ShareKey(late) < 0 || slices.IndexFunc(fresh.Propagate(late, nil, nil), func(nb SparseNeighborhood) bool {
+	if fresh.ShareKey(late) < 0 || slices.IndexFunc(views(fresh.Propagate(late, nil, nil)), func(nb SparseNeighborhood) bool {
 		return len(nb.Keys) > 0
 	}) < 0 {
 		t.Fatal("a fresh compile gives the late start no share key or no neighbors; the test shows nothing")

@@ -18,6 +18,10 @@ func untailed(ct *CompiledTrie) *CompiledTrie {
 	for i := range ref.nodes {
 		ref.nodes[i].tail = false
 	}
+	ref.desc = slices.Clone(ct.desc)
+	for i := range ref.desc {
+		ref.desc[i].tail = nil
+	}
 	return &ref
 }
 
@@ -46,8 +50,8 @@ func checkGroupedMatchesFlat(t *testing.T, tag string, ct *CompiledTrie, starts 
 	ref := untailed(ct)
 	s, rs := ct.NewScratch(), ref.NewScratch()
 	for _, id := range starts {
-		got := ct.Propagate(id, s, nil)
-		want := ref.Propagate(id, rs, nil)
+		got := views(ct.Propagate(id, s, nil))
+		want := views(ref.Propagate(id, rs, nil))
 		for pi, nb := range got {
 			if want[pi].Tail != nil {
 				t.Fatalf("%s: start %d path %s: the untailed reference grouped", tag, id, ct.paths[pi])
@@ -155,7 +159,7 @@ func TestGroupedTwoParents(t *testing.T) {
 		}
 		ct := compile(db, NewTrie([]reldb.JoinPath{path}))
 		for _, id := range starts {
-			nb := ct.Propagate(id, nil, nil)[0]
+			nb := ct.Propagate(id, nil, nil).Path(0)
 			if grouped := nb.Tail != nil; grouped == shared {
 				t.Fatalf("shared proceedings %v: start %d grouped = %v", shared, id, grouped)
 			}
@@ -210,7 +214,7 @@ func TestExpanderReuse(t *testing.T) {
 	var x Expander
 	prefix := []reldb.TupleID{-7}
 	for _, r := range refs {
-		for pi, nb := range ct.Propagate(r, nil, nil) {
+		for pi, nb := range views(ct.Propagate(r, nil, nil)) {
 			keys, fbs := x.Expand(&nb, slices.Clone(prefix), []FB{{}})
 			want := flat(nb)
 			if keys[0] != -7 || len(keys) != len(fbs) || nb.Len()+1 != len(keys) ||

@@ -22,7 +22,7 @@ func dblpPaths(s *reldb.Schema) []reldb.JoinPath {
 var multiEngines = map[string]func(db *reldb.Database, start reldb.TupleID, t *Trie) []SparseNeighborhood{
 	"oracle": propagateOracle,
 	"compiled": func(db *reldb.Database, start reldb.TupleID, t *Trie) []SparseNeighborhood {
-		return flatAll(compile(db, t).Propagate(start, nil, nil))
+		return flatAll(views(compile(db, t).Propagate(start, nil, nil)))
 	},
 }
 

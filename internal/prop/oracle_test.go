@@ -94,7 +94,7 @@ var engines = map[string]engine{
 		return propagateOracle(db, start, NewTrie([]reldb.JoinPath{path}))[0]
 	},
 	"compiled": func(db *reldb.Database, start reldb.TupleID, path reldb.JoinPath) SparseNeighborhood {
-		return flat(compile(db, NewTrie([]reldb.JoinPath{path})).Propagate(start, nil, nil)[0])
+		return flat(compile(db, NewTrie([]reldb.JoinPath{path})).Propagate(start, nil, nil).Path(0))
 	},
 }
 
@@ -106,6 +106,15 @@ func flat(nb SparseNeighborhood) SparseNeighborhood {
 	}
 	keys, fbs := new(Expander).Expand(&nb, nil, nil)
 	return SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: nb.SumFwd}
+}
+
+// views returns the neighborhood of n along every path, in path order.
+func views(n *Neighborhoods) []SparseNeighborhood {
+	out := make([]SparseNeighborhood, n.NumPaths())
+	for p := range out {
+		out[p] = n.Path(p)
+	}
+	return out
 }
 
 // flatAll is flat over every path's neighborhood.

@@ -20,7 +20,9 @@
 // numbers in the paper's Figure 3.
 //
 // The engine (CompiledTrie, compiled.go) computes the same quantities level
-// by level over CSR hop plans instead of instance by instance. The
+// by level over CSR hop plans instead of instance by instance, and returns
+// each reference's neighborhoods along all paths as one packed value
+// (Neighborhoods, packed.go). The
 // depth-first traversal itself lives on only as the package's test oracle
 // (oracle_test.go), which every compiled result is held to within 1e-12.
 package prop
@@ -54,6 +56,11 @@ type FB struct {
 // ColIDs) and are never copied. Read a grouped neighborhood through Len,
 // AppendSegments and Expander.Expand, which yield exactly the flat form's
 // entries, bit for bit.
+//
+// A SparseNeighborhood is a view, not storage: Neighborhoods.Path hands
+// one out by value over the arrays of a packed, immutable Neighborhoods,
+// its slices capacity-capped, so appending to them copies. Pack builds a
+// value from views.
 //
 // A neighborhood is built once and then only read, and every hot read is an
 // intersection with another neighborhood: sorted parallel slices make that

@@ -23,7 +23,8 @@ import (
 // are left out. For every key a member shares with a later member, the
 // index also records the run of postings strictly after the member's own
 // entry. The build reads every member's entries as segments
-// (prop.SparseNeighborhood.AppendSegments): a flat neighborhood is one, a
+// (prop.SparseNeighborhood.AppendSegments) of its view along the path
+// (prop.Neighborhoods.Path): a flat neighborhood is one, a
 // grouped one a segment per stretch of a parent's children, read in place
 // from the fan-out tail's CSR, so a grouped neighborhood is never copied
 // out. Its segments come group by group, not in key order, so the build
@@ -107,14 +108,14 @@ type BlockIndex struct {
 	cur    []int32
 }
 
-// Build indexes the block nbs (nbs[i][p] is member i's neighborhood along
-// path p) along every path p for which use(p) is true, or along every path
-// when use is nil. s lends its dense tuple array and gets it back all -1.
-// Rows of paths left out return no partners.
-func (x *BlockIndex) Build(s *BatchScratch, nbs [][]prop.SparseNeighborhood, use func(p int) bool) {
+// Build indexes the block nbs (nbs[i].Path(p) is member i's neighborhood
+// along path p) along every path p for which use(p) is true, or along every
+// path when use is nil. s lends its dense tuple array and gets it back all
+// -1. Rows of paths left out return no partners.
+func (x *BlockIndex) Build(s *BatchScratch, nbs []*prop.Neighborhoods, use func(p int) bool) {
 	np := 0
 	if len(nbs) > 0 {
-		np = len(nbs[0])
+		np = nbs[0].NumPaths()
 	}
 	if cap(x.paths) < np {
 		x.paths = append(x.paths[:cap(x.paths)], make([]Postings, np-cap(x.paths))...)
@@ -133,12 +134,14 @@ func (x *BlockIndex) Build(s *BatchScratch, nbs [][]prop.SparseNeighborhood, use
 // member's runs must come in ascending key order, which its segments are
 // not in once its groups interleave, so they are read off the postings,
 // laid out in ascending tuple order, after filling (see # Layout).
-func (x *BlockIndex) index(ps *Postings, s *BatchScratch, nbs [][]prop.SparseNeighborhood, p int) {
-	segs, segEnd := x.segs[:0], grow(x.segEnd, len(nbs))
+func (x *BlockIndex) index(ps *Postings, s *BatchScratch, nbs []*prop.Neighborhoods, p int) {
+	n := len(nbs)
+	segs, segEnd, sums := x.segs[:0], grow(x.segEnd, n), grow(ps.sums, n)
 	minKey, maxKey := reldb.TupleID(math.MaxInt32), reldb.TupleID(-1)
-	for i := range nbs {
-		segs = nbs[i][p].AppendSegments(segs)
-		segEnd[i] = len(segs)
+	for i, nb := range nbs {
+		v := nb.Path(p)
+		segs = v.AppendSegments(segs)
+		segEnd[i], sums[i] = len(segs), v.SumFwd
 	}
 	for _, sg := range segs {
 		// A segment is ascending.
@@ -183,17 +186,15 @@ func (x *BlockIndex) index(ps *Postings, s *BatchScratch, nbs [][]prop.SparseNei
 			keys, fill = append(keys, t), append(fill, span{lo, total})
 		}
 	}
-	n := len(nbs)
 	members, fbs := grow(ps.members, int(total)), grow(ps.fbs, int(total))
-	off, sums := grow(ps.off, n+1), grow(ps.sums, n)
+	off := grow(ps.off, n+1)
 	visits := 0
 	// Pass 2: fill in ascending member order, so every tuple's postings are
 	// ascending, and count each member's runs: one per tuple it shares with
 	// a later member.
 	off[0] = 0
 	lo := 0
-	for i := range nbs {
-		sums[i] = nbs[i][p].SumFwd
+	for i := range n {
 		nr := off[i]
 		for _, sg := range segs[lo:segEnd[i]] {
 			for k, t := range sg.Keys {
@@ -243,10 +244,10 @@ func (x *BlockIndex) index(ps *Postings, s *BatchScratch, nbs [][]prop.SparseNei
 // walk: the kernel's whole work, independent of the machine.
 func (x *BlockIndex) Visits(p int) int { return x.paths[p].visits }
 
-// Row computes the Trip of (nbs[i][p], nbs[j][p]) for every member j > i
-// that shares at least one tuple with member i along path p. It returns those
-// partners, in first-hit order, with their results; every other later
-// member's result is exactly zero. Both slices belong to s and stay valid
+// Row computes the Trip of members i and j along path p for every member
+// j > i that shares at least one tuple with member i along path p. It
+// returns those partners, in first-hit order, with their results; every
+// other later member's result is exactly zero. Both slices belong to s and stay valid
 // until its next Row. Rows of one index may run concurrently, each with its
 // own scratch.
 func (x *BlockIndex) Row(s *BatchScratch, p, i int) (js []int32, out []Trip) {

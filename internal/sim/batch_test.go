@@ -134,7 +134,7 @@ func TestBatchedKernelMatchesPairKernel(t *testing.T) {
 	var x BlockIndex
 	for trial := 0; trial < 150; trial++ {
 		block := mixedBlock(rng, 1+rng.Intn(24), 1+rng.Intn(3), 1000)
-		x.Build(s, block, nil)
+		x.Build(s, packBlock(block), nil)
 		checkRows(t, &x, s, block)
 		checkRestored(t, s)
 	}
@@ -149,7 +149,7 @@ func TestBatchedKernelMatchesMapKernels(t *testing.T) {
 	var x BlockIndex
 	for trial := 0; trial < 60; trial++ {
 		block := mixedBlock(rng, 2+rng.Intn(12), 2, 1000)
-		x.Build(s, block, nil)
+		x.Build(s, packBlock(block), nil)
 		checkRows(t, &x, s, block)
 	}
 }
@@ -181,7 +181,7 @@ func FuzzBatchedKernel(f *testing.F) {
 		mixGrouped(rng, block, randTail(rng, 1+(as+bs)%16, 3*maxSize))
 		var x BlockIndex
 		s := NewBatchScratch(0)
-		x.Build(s, block, nil)
+		x.Build(s, packBlock(block), nil)
 		checkRows(t, &x, s, block)
 		checkRestored(t, s)
 	})
@@ -194,7 +194,7 @@ func FuzzBatchedKernel(f *testing.F) {
 // reused buffer.
 func TestBatchedKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	block := mixedBlock(rng, 24, 3, 1000)
+	block := packBlock(mixedBlock(rng, 24, 3, 1000))
 	s := NewBatchScratch(0)
 	var x BlockIndex
 	var out []Trip
@@ -237,7 +237,7 @@ func TestBatchScratchGrow(t *testing.T) {
 	}.sparse()
 	block := [][]prop.SparseNeighborhood{{a}, {b}}
 	var x BlockIndex
-	x.Build(s, block, nil)
+	x.Build(s, packBlock(block), nil)
 	if len(s.pos) < 3001 {
 		t.Fatalf("scratch did not grow: len(pos) = %d, want >= 3001", len(s.pos))
 	}
@@ -253,7 +253,7 @@ func TestBatchedKernelConcurrentRows(t *testing.T) {
 	const np = 3
 	block := mixedBlock(rng, 40, np, 1000)
 	var x BlockIndex
-	x.Build(NewBatchScratch(0), block, nil)
+	x.Build(NewBatchScratch(0), packBlock(block), nil)
 	want := rowsOf(t, &x, NewBatchScratch(0), len(block), np)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -297,7 +297,7 @@ func TestBlockIndexVisits(t *testing.T) {
 	var x BlockIndex
 	for trial := 0; trial < 30; trial++ {
 		block := mixedBlock(rng, 1+rng.Intn(30), np, 1000)
-		x.Build(s, block, func(p int) bool { return p != 1 })
+		x.Build(s, packBlock(block), func(p int) bool { return p != 1 })
 		for p := 0; p < np; p++ {
 			want := 0
 			if p != 1 {
@@ -328,7 +328,7 @@ func TestBlockIndexVisits(t *testing.T) {
 }
 
 // TestNeighborhoodsCtxMatchesNeighborhoods checks a block returns the
-// same stored slices as the per-reference path, whether the block
+// same stored values as the per-reference path, whether the block
 // propagated them (cold) or only loaded them (warm).
 func TestNeighborhoodsCtxMatchesNeighborhoods(t *testing.T) {
 	ext, refs := extractorFixture(t)
@@ -339,7 +339,7 @@ func TestNeighborhoodsCtxMatchesNeighborhoods(t *testing.T) {
 		}
 		for i, r := range refs {
 			want := ext.Neighborhoods(r)
-			if len(block[i]) != len(want) || &block[i][0] != &want[0] {
+			if block[i] != want {
 				t.Fatalf("%s block[%d] is not ref %d's stored result", state, i, r)
 			}
 		}

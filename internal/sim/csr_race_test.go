@@ -76,7 +76,7 @@ func TestPlanCompileOnceAcrossExtractors(t *testing.T) {
 	// Both extractors must agree with each other and with a fresh one.
 	fresh := NewExtractor(db, paths)
 	for _, r := range refs {
-		n1, n2, n3 := ex1.Neighborhoods(r), ex2.Neighborhoods(r), fresh.Neighborhoods(r)
+		n1, n2, n3 := views(ex1.Neighborhoods(r)), views(ex2.Neighborhoods(r)), views(fresh.Neighborhoods(r))
 		for p := range paths {
 			if !slices.Equal(n1[p].Keys, n2[p].Keys) || !slices.Equal(n1[p].Keys, n3[p].Keys) {
 				t.Fatalf("extractors disagree on ref %d path %d", r, p)
@@ -104,12 +104,12 @@ func TestNewExtractorCompilesUpFront(t *testing.T) {
 		t.Errorf("plan.NumTuples() = %d, want %d", got, want)
 	}
 	late := db.MustInsert("Publish", "ann", "p3")
-	for p, nb := range ex.Neighborhoods(late) {
+	for p, nb := range views(ex.Neighborhoods(late)) {
 		if len(nb.Keys) != 0 {
 			t.Errorf("reference inserted after NewExtractor: path %d has %d neighbors", p, len(nb.Keys))
 		}
 	}
-	nbs := ex.Neighborhoods(refs[0])
+	nbs := views(ex.Neighborhoods(refs[0]))
 	if len(nbs) != len(paths) || len(nbs[1].Keys) != 1 {
 		t.Fatalf("neighborhoods of a compiled reference: %d paths, %d papers; want %d paths, 1 paper", len(nbs), len(nbs[1].Keys), len(paths))
 	}

@@ -80,3 +80,22 @@ func refKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
 	}
 	return resem, walkAB, walkBA
 }
+
+// views returns nb's neighborhood along every path, in path order.
+func views(nb *prop.Neighborhoods) []prop.SparseNeighborhood {
+	out := make([]prop.SparseNeighborhood, nb.NumPaths())
+	for p := range out {
+		out[p] = nb.Path(p)
+	}
+	return out
+}
+
+// packBlock packs every member of a block given as views (block[i][p] is
+// member i's neighborhood along path p) into the value the kernel reads.
+func packBlock(block [][]prop.SparseNeighborhood) []*prop.Neighborhoods {
+	out := make([]*prop.Neighborhoods, len(block))
+	for i, nbs := range block {
+		out[i] = prop.Pack(nbs)
+	}
+	return out
+}

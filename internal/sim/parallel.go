@@ -46,14 +46,14 @@ func (e *Extractor) Prefetch(refs []reldb.TupleID, workers int) {
 // requested and how many actually propagated (the rest were stored). A
 // fully warm store records propagated=0, so batch sweeps show per-name
 // prefetch spans that did no work — which is itself the interesting fact.
-func (e *Extractor) NeighborhoodsCtx(ctx context.Context, refs []reldb.TupleID, workers int) ([][]prop.SparseNeighborhood, error) {
+func (e *Extractor) NeighborhoodsCtx(ctx context.Context, refs []reldb.TupleID, workers int) ([]*prop.Neighborhoods, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := fault.Point(ctx, "sim.prefetch"); err != nil {
 		return nil, err
 	}
-	out := make([][]prop.SparseNeighborhood, len(refs))
+	out := make([]*prop.Neighborhoods, len(refs))
 	var todo []shareRef
 	for i, r := range refs {
 		if out[i] = e.load(r); out[i] == nil {

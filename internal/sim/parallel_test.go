@@ -27,10 +27,11 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range refs {
-		a, b := seqExt.Neighborhoods(r), parExt.Neighborhoods(r)
-		if &block[i][0] != &b[0] || &block[len(refs)+i][0] != &b[0] {
+		a, stored := views(seqExt.Neighborhoods(r)), parExt.Neighborhoods(r)
+		if block[i] != stored || block[len(refs)+i] != stored {
 			t.Fatalf("ref %d: the block does not hold the stored neighborhoods", r)
 		}
+		b := views(stored)
 		if len(a) != len(b) {
 			t.Fatalf("ref %d: %d vs %d paths", r, len(a), len(b))
 		}
@@ -70,7 +71,7 @@ func TestPrefetchIdempotentAndEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range refs {
-		if &again[i][0] != &first[i][0] {
+		if again[i] != first[i] {
 			t.Errorf("second block recomputed ref %d", refs[i])
 		}
 	}

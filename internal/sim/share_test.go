@@ -80,9 +80,9 @@ func sameBits(a, b prop.SparseNeighborhood) bool {
 
 // checkDonorFree holds every path of got to a fresh donor-free
 // propagation of r, bit for bit and fan-out tail for fan-out tail.
-func checkDonorFree(t *testing.T, ct *prop.CompiledTrie, paths []reldb.JoinPath, r reldb.TupleID, got []prop.SparseNeighborhood) {
+func checkDonorFree(t *testing.T, ct *prop.CompiledTrie, paths []reldb.JoinPath, r reldb.TupleID, nbs *prop.Neighborhoods) {
 	t.Helper()
-	want := ct.Propagate(r, nil, nil)
+	got, want := views(nbs), views(ct.Propagate(r, nil, nil))
 	if len(got) != len(want) {
 		t.Fatalf("ref %d: %d paths, donor-free %d", r, len(got), len(want))
 	}
@@ -121,10 +121,10 @@ func TestSharedPathsBorrowed(t *testing.T) {
 			ext.Prefetch(in, 2)
 		}
 		for _, rs := range papers {
-			first := ext.Neighborhoods(rs[0])
+			first := views(ext.Neighborhoods(rs[0]))
 			for _, r := range rs {
-				nbs := ext.Neighborhoods(r)
-				checkDonorFree(t, ct, paths, r, nbs)
+				checkDonorFree(t, ct, paths, r, ext.Neighborhoods(r))
+				nbs := views(ext.Neighborhoods(r))
 				for p := range paths {
 					if sharedPath(paths[p]) && len(nbs[p].Keys) > 0 && &nbs[p].Keys[0] != &first[p].Keys[0] {
 						t.Fatalf("%s: ref %d path %s does not borrow its co-author's neighborhood", mode, r, paths[p])
@@ -159,7 +159,7 @@ func TestSharedNeighborhoodsRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		ext := New(ct, nil)
 		const readers = 8
-		seen := make([][][]prop.SparseNeighborhood, readers)
+		seen := make([][]*prop.Neighborhoods, readers)
 		var prefetchErr error
 		var wg sync.WaitGroup
 		start := make(chan struct{})

@@ -12,10 +12,10 @@
 // per-path values with learned (or uniform) weights.
 //
 // One kernel computes both measures: BlockIndex.Row (batch.go) scores every
-// pair of a block of prop.SparseNeighborhood values — sorted parallel
-// slices, or parent groups over a fan-out tail — through an inverted index
-// over the tuples they share. A single
-// pair is scored as a two-member block (Extractor.Pair). The package's test
+// pair of a block of references, each a packed prop.Neighborhoods value
+// whose per-path views are sorted parallel slices or parent groups over a
+// fan-out tail, through an inverted index over the tuples they share. A
+// single pair is scored as a two-member block (Extractor.Pair). The package's test
 // oracle (refKernel in oracle_test.go) computes the same three quantities
 // the naive way, through a hash map, and the property and fuzz tests hold
 // the kernel to it bit for bit.
@@ -39,9 +39,10 @@ import (
 // (§4.2). The plan is a snapshot of the database it was compiled over, so
 // a reference inserted after the compile has empty neighborhoods.
 //
-// The store is write-once: one slot per tuple of the plan's snapshot,
-// filled lazily by the first propagation that publishes into it
-// (CompareAndSwap from nil) and never changed afterwards. Readers take no
+// The store is write-once: one slot per tuple of the plan's snapshot, each
+// a pointer to one immutable prop.Neighborhoods value, filled lazily by the
+// first propagation that publishes into it (CompareAndSwap from nil) and
+// never changed afterwards. Readers take no
 // lock, so Neighborhoods and NeighborhoodsCtx may be called from
 // concurrent goroutines even for unstored references; concurrent misses of
 // the same reference resolve to the first result published.
@@ -50,7 +51,7 @@ import (
 // of one paper) share the neighborhoods of the paths that never bounce back
 // over the first hop. The first result published per key is kept as that
 // key's donor, in a second write-once slot array indexed by the key; every
-// later propagation with the key borrows the donor's shared neighborhoods
+// later propagation with the key points at the donor for those paths
 // instead of walking and storing them again.
 type Extractor struct {
 	// plan is shared read-only by every worker. Each propagation borrows a
@@ -65,14 +66,12 @@ type Extractor struct {
 	batchPool sync.Pool
 	indexPool sync.Pool
 
-	// nbs[r] holds reference r's neighborhoods, indexed by TupleID over the
-	// plan's NumTuples, and donors[k] share key k's donor, over the plan's
-	// NumShareKeys. empty
-	// is the one all-empty result served to every start at or past
-	// NumTuples, which has no slot.
-	nbs    []atomic.Pointer[[]prop.SparseNeighborhood]
-	donors []atomic.Pointer[[]prop.SparseNeighborhood]
-	empty  []prop.SparseNeighborhood
+	// nbs[r] holds reference r's neighborhoods, one slot per TupleID below
+	// the plan's NumTuples; donors[k] holds share key k's donor, one slot
+	// per key below the plan's NumShareKeys. A start outside the snapshot
+	// has no slot: the plan hands it its one empty value.
+	nbs    []atomic.Pointer[prop.Neighborhoods]
+	donors []atomic.Pointer[prop.Neighborhoods]
 
 	// Metric handles resolved once by New; nil handles (a nil registry)
 	// make every update a no-op nil check.
@@ -91,9 +90,8 @@ func New(plan *prop.CompiledTrie, reg *obs.Registry) *Extractor {
 	n := plan.NumTuples()
 	e := &Extractor{
 		plan:               plan,
-		nbs:                make([]atomic.Pointer[[]prop.SparseNeighborhood], n),
-		donors:             make([]atomic.Pointer[[]prop.SparseNeighborhood], plan.NumShareKeys()),
-		empty:              plan.Propagate(reldb.InvalidTuple, nil, nil),
+		nbs:                make([]atomic.Pointer[prop.Neighborhoods], n),
+		donors:             make([]atomic.Pointer[prop.Neighborhoods], plan.NumShareKeys()),
 		prefetchStage:      reg.Stage("prefetch"),
 		prefetchRequested:  reg.Counter("sim.prefetch_requested"),
 		prefetchPropagated: reg.Counter("sim.prefetch_propagated"),
@@ -112,7 +110,7 @@ func NewExtractor(db *reldb.Database, paths []reldb.JoinPath) *Extractor {
 // propagate computes one reference's neighborhoods on the compiled plan,
 // borrowing a scratch from the pool; donor is optional (see
 // prop.CompiledTrie.Propagate).
-func (e *Extractor) propagate(r reldb.TupleID, donor []prop.SparseNeighborhood) []prop.SparseNeighborhood {
+func (e *Extractor) propagate(r reldb.TupleID, donor *prop.Neighborhoods) *prop.Neighborhoods {
 	s := e.scratch.Get().(*prop.Scratch)
 	nbs := e.plan.Propagate(r, s, donor)
 	e.scratch.Put(s)
@@ -120,37 +118,32 @@ func (e *Extractor) propagate(r reldb.TupleID, donor []prop.SparseNeighborhood) 
 }
 
 // load returns r's published neighborhoods, nil when none are yet. A start
-// outside the snapshot gets the shared empty result.
-func (e *Extractor) load(r reldb.TupleID) []prop.SparseNeighborhood {
+// outside the snapshot gets the plan's empty value, which propagating it
+// returns without walking or allocating.
+func (e *Extractor) load(r reldb.TupleID) *prop.Neighborhoods {
 	if r < 0 || int(r) >= len(e.nbs) {
-		return e.empty
+		return e.plan.Propagate(r, nil, nil)
 	}
-	if p := e.nbs[r].Load(); p != nil {
-		return *p
-	}
-	return nil
+	return e.nbs[r].Load()
 }
 
 // donor returns share key k's donor, nil when there is none.
-func (e *Extractor) donor(k int) []prop.SparseNeighborhood {
+func (e *Extractor) donor(k int) *prop.Neighborhoods {
 	if k < 0 {
 		return nil
 	}
-	if p := e.donors[k].Load(); p != nil {
-		return *p
-	}
-	return nil
+	return e.donors[k].Load()
 }
 
 // publish stores nbs as r's neighborhoods and as share key k's donor, each
 // unless a result is already there, and returns r's stored result. r must
 // lie inside the snapshot.
-func (e *Extractor) publish(r reldb.TupleID, k int, nbs []prop.SparseNeighborhood) []prop.SparseNeighborhood {
+func (e *Extractor) publish(r reldb.TupleID, k int, nbs *prop.Neighborhoods) *prop.Neighborhoods {
 	if k >= 0 {
-		e.donors[k].CompareAndSwap(nil, &nbs)
+		e.donors[k].CompareAndSwap(nil, nbs)
 	}
-	if !e.nbs[r].CompareAndSwap(nil, &nbs) {
-		return *e.nbs[r].Load() // a lost race shares the first stored result
+	if !e.nbs[r].CompareAndSwap(nil, nbs) {
+		return e.nbs[r].Load() // a lost race shares the first stored result
 	}
 	return nbs
 }
@@ -158,10 +151,10 @@ func (e *Extractor) publish(r reldb.TupleID, k int, nbs []prop.SparseNeighborhoo
 // Neighborhoods returns the reference's neighborhood along every path,
 // computing and storing them on first use. All paths are walked in one
 // frontier sweep over the compiled CSR plan (see prop.CompiledTrie) and
-// emitted directly in sparse form, the shared paths borrowed from the
-// reference's donor when one is stored. Safe for concurrent use; a block
-// of references is served by NeighborhoodsCtx.
-func (e *Extractor) Neighborhoods(r reldb.TupleID) []prop.SparseNeighborhood {
+// packed into one value, the shared paths read from the reference's donor
+// when one is stored. Safe for concurrent use; a block of references is
+// served by NeighborhoodsCtx.
+func (e *Extractor) Neighborhoods(r reldb.TupleID) *prop.Neighborhoods {
 	if nbs := e.load(r); nbs != nil {
 		return nbs
 	}
@@ -184,7 +177,7 @@ func (e *Extractor) PutBatchScratch(s *BatchScratch) { e.batchPool.Put(s) }
 // IndexBlock borrows a pooled BlockIndex and builds it over the block nbs
 // along the paths use selects (every path when use is nil); see
 // BlockIndex.Build. Pair with PutBlockIndex once every row is done.
-func (e *Extractor) IndexBlock(nbs [][]prop.SparseNeighborhood, use func(p int) bool) *BlockIndex {
+func (e *Extractor) IndexBlock(nbs []*prop.Neighborhoods, use func(p int) bool) *BlockIndex {
 	x, ok := e.indexPool.Get().(*BlockIndex)
 	if !ok {
 		x = &BlockIndex{}
@@ -204,10 +197,10 @@ func (e *Extractor) PutBlockIndex(x *BlockIndex) { e.indexPool.Put(x) }
 // path, with a as the row member, zero where the two share nothing. out is
 // reused when large enough (pass nil to allocate); with a reused out and
 // warm pools, Pair does not allocate.
-func (e *Extractor) Pair(a, b []prop.SparseNeighborhood, out []Trip) []Trip {
-	x := e.IndexBlock([][]prop.SparseNeighborhood{a, b}, nil)
+func (e *Extractor) Pair(a, b *prop.Neighborhoods, out []Trip) []Trip {
+	x := e.IndexBlock([]*prop.Neighborhoods{a, b}, nil)
 	s := e.BatchScratch()
-	out = grow(out, len(a))
+	out = grow(out, a.NumPaths())
 	for p := range out {
 		out[p] = Trip{}
 		if _, t := x.Row(s, p, 0); len(t) > 0 {
@@ -222,7 +215,7 @@ func (e *Extractor) Pair(a, b []prop.SparseNeighborhood, out []Trip) []Trip {
 // Features returns the two per-path feature vectors of the pair whose
 // neighborhoods are a and b: set resemblance and the symmetrised random
 // walk probability.
-func (e *Extractor) Features(a, b []prop.SparseNeighborhood) (resem, walk []float64) {
+func (e *Extractor) Features(a, b *prop.Neighborhoods) (resem, walk []float64) {
 	trips := e.Pair(a, b, nil)
 	resem, walk = make([]float64, len(trips)), make([]float64, len(trips))
 	for p, t := range trips {

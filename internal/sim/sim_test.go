@@ -34,7 +34,7 @@ var pairExt = NewExtractor(reldb.NewDatabase(reldb.MustSchema()), nil)
 // pairKernel scores one pair along one path through Extractor.Pair, the way
 // every single-pair caller reaches the block kernel.
 func pairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
-	t := pairExt.Pair([]prop.SparseNeighborhood{a}, []prop.SparseNeighborhood{b}, nil)[0]
+	t := pairExt.Pair(prop.Pack([]prop.SparseNeighborhood{a}), prop.Pack([]prop.SparseNeighborhood{b}), nil)[0]
 	return t.Resem, t.WalkAB, t.WalkBA
 }
 
@@ -265,7 +265,7 @@ func TestExtractorVectorsAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &block[0][0] != &first[0] {
+	if block[0] != first {
 		t.Error("the block does not hold the stored neighborhoods")
 	}
 	v2, w2 := e.Features(block[0], block[1])
@@ -274,7 +274,7 @@ func TestExtractorVectorsAndCache(t *testing.T) {
 	}
 	// Stored neighborhoods expand to sorted sparse vectors.
 	for _, r := range refs {
-		for p, nb := range e.Neighborhoods(r) {
+		for p, nb := range views(e.Neighborhoods(r)) {
 			s := flatNB(nb)
 			for i := 1; i < len(s.Keys); i++ {
 				if s.Keys[i-1] >= s.Keys[i] {

@@ -102,26 +102,26 @@ func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 	seq, _ := extractorFixture(t)
 	want := make([][]prop.SparseNeighborhood, len(refs))
 	for i, r := range refs {
-		want[i] = seq.Neighborhoods(r)
+		want[i] = views(seq.Neighborhoods(r))
 	}
 
 	const goroutines = 16
 	const rounds = 50
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
-	seen := make([][]*prop.SparseNeighborhood, goroutines)
+	seen := make([][]*prop.Neighborhoods, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		seen[g] = make([]*prop.SparseNeighborhood, len(refs))
+		seen[g] = make([]*prop.Neighborhoods, len(refs))
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				// Fresh misses every round: goroutines race on the same refs.
 				i := (g + round) % len(refs)
 				got := ext.Neighborhoods(refs[i])
-				seen[g][i] = &got[0]
-				for p := range got {
-					if len(got[p].Keys) != len(want[i][p].Keys) || got[p].SumFwd != want[i][p].SumFwd {
+				seen[g][i] = got
+				for p, v := range views(got) {
+					if len(v.Keys) != len(want[i][p].Keys) || v.SumFwd != want[i][p].SumFwd {
 						errs <- "concurrent Neighborhoods returned a wrong result"
 						return
 					}
@@ -142,7 +142,7 @@ func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 	}
 	for g := range seen {
 		for i, p := range seen[g] {
-			if p != nil && p != &block[i][0] {
+			if p != nil && p != block[i] {
 				t.Fatalf("goroutine %d saw ref %d's neighborhoods in a result the store does not hold", g, refs[i])
 			}
 		}

@@ -41,7 +41,7 @@ func TestSlotStoreDifferential(t *testing.T) {
 		for round := 0; round < 20; round++ {
 			ext := New(ct, nil)
 			blocks := make([][]reldb.TupleID, callers)
-			got := make([][][]prop.SparseNeighborhood, callers)
+			got := make([][]*prop.Neighborhoods, callers)
 			var wg sync.WaitGroup
 			start := make(chan struct{})
 			for w := range blocks {
@@ -72,7 +72,7 @@ func TestSlotStoreDifferential(t *testing.T) {
 			for w, block := range blocks {
 				for i, r := range block {
 					checkDonorFree(t, ct, paths, r, got[w][i])
-					if kept := ext.Neighborhoods(r); &got[w][i][0] != &kept[0] {
+					if kept := ext.Neighborhoods(r); got[w][i] != kept {
 						t.Fatalf("round %d caller %d: ref %d's result is not the one the store keeps", round, w, r)
 					}
 				}
@@ -102,11 +102,11 @@ func TestSlotStoreDifferential(t *testing.T) {
 		k := 0
 		for pi, rs := range papers {
 			for _, r := range rs[1:] {
-				nbs := block[k]
+				checkDonorFree(t, ct, paths, r, block[k])
+				nbs, donor := views(block[k]), views(donors[pi])
 				k++
-				checkDonorFree(t, ct, paths, r, nbs)
 				for p := range paths {
-					if sharedPath(paths[p]) && len(nbs[p].Keys) > 0 && &nbs[p].Keys[0] != &donors[pi][p].Keys[0] {
+					if sharedPath(paths[p]) && len(nbs[p].Keys) > 0 && &nbs[p].Keys[0] != &donor[p].Keys[0] {
 						t.Fatalf("ref %d path %s does not alias its donor's window", r, paths[p])
 					}
 				}

@@ -30,8 +30,8 @@ echo "== chaos quick tier (fault injection, -race, seed 1)"
 go test -race -count=1 -run '^TestChaos' .
 echo "== serving concurrency tier (coalescing + chaos, -race, count=2)"
 go test -race -count=2 -run '^TestCoalesce|^TestChaos|^TestDrain' ./internal/serve
-echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, neighborhood slot store, grouped vs flat, -race, count=2)"
-go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestSlotStore|^TestGrouped' ./internal/prop ./internal/sim
+echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, neighborhood slot store, packed neighborhoods, grouped vs flat, -race, count=2)"
+go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestSlotStore|^TestPacked|^TestGrouped' ./internal/prop ./internal/sim
 echo "== training concurrency tier (resemblance and walk models on two workers, -race, count=2)"
 go test -race -count=2 -run '^TestParallelTrainingMatchesSerial$' ./internal/core
 echo "check.sh: all green"
