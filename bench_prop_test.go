@@ -64,8 +64,9 @@ func BenchmarkPropagate(b *testing.B) {
 }
 
 // liveHeap returns the bytes of live heap objects right after a GC. It
-// collects twice: an extractor's sync.Pools keep it reachable until the
-// second GC after its last use.
+// collects twice: a sync.Pool keeps what it holds through one GC (its
+// victim cache), so after a single GC the scratches pooled by this and
+// earlier extractors would still count.
 func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.GC()

@@ -15,6 +15,7 @@
 package distinct_test
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -23,6 +24,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"distinct"
@@ -138,9 +140,14 @@ func goldenWorkRun(t *testing.T) goldenWork {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		nh.Write(buf[:])
 	}
-	var ex prop.Expander
-	var keys []reldb.TupleID
-	var fbs []prop.FB
+	// A grouped window's entries come out of AppendSegments group by
+	// group; sorted by key they are the flat form.
+	type entry struct {
+		key reldb.TupleID
+		fb  prop.FB
+	}
+	var segs []prop.Segment
+	var entries []entry
 	const chunk = 2048
 	for lo := 0; lo < len(refs); lo += chunk {
 		x := sim.New(plan, nil)
@@ -158,12 +165,22 @@ func goldenWorkRun(t *testing.T) goldenWork {
 					windows[&nb.Keys[0]] = true
 					got.NeighborhoodStored += int64(len(nb.Keys))
 				}
-				keys, fbs = ex.Expand(&nb, keys[:0], fbs[:0])
-				got.NeighborhoodEntries += int64(len(keys))
-				for i, k := range keys {
-					word(uint64(k))
-					word(math.Float64bits(fbs[i].Fwd))
-					word(math.Float64bits(fbs[i].Bwd))
+				segs, entries = nb.AppendSegments(segs[:0]), entries[:0]
+				for _, sg := range segs {
+					for k, t := range sg.Keys {
+						fb := sg.Shared
+						if sg.FBs != nil {
+							fb = sg.FBs[k]
+						}
+						entries = append(entries, entry{t, fb})
+					}
+				}
+				slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+				got.NeighborhoodEntries += int64(len(entries))
+				for _, e := range entries {
+					word(uint64(e.key))
+					word(math.Float64bits(e.fb.Fwd))
+					word(math.Float64bits(e.fb.Bwd))
 				}
 				word(math.Float64bits(nb.SumFwd))
 			}

@@ -43,15 +43,17 @@ func sharedNeighborComponents(nbs []*prop.Neighborhoods, resemW, walkW []float64
 			continue
 		}
 		holder := make(map[reldb.TupleID]int)
-		var ex prop.Expander
+		var segs []prop.Segment
 		for i, nb := range nbs {
 			v := nb.Path(p)
-			keys, _ := ex.Expand(&v, nil, nil)
-			for _, t := range keys {
-				if j, ok := holder[t]; ok {
-					uf.union(i, j)
-				} else {
-					holder[t] = i
+			segs = v.AppendSegments(segs[:0]) // in any order: only holders matter
+			for _, sg := range segs {
+				for _, t := range sg.Keys {
+					if j, ok := holder[t]; ok {
+						uf.union(i, j)
+					} else {
+						holder[t] = i
+					}
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package prop
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 
 	"distinct/internal/fault"
@@ -75,8 +76,10 @@ import (
 // every child whose mirror edge carried no mass, and an exception record
 // for each child whose FB comes out different, the walk's own bounce
 // origin among them. Every float is computed by the edge loop's
-// expressions, so the expanded form is the flat one bit for bit; SumFwd
-// sums the expansion in key order. A leaf tail builds no frontier at all.
+// expressions, so the children the records reach carry the flat form's
+// FBs bit for bit. SumFwd sums them in key order, read back through
+// AppendSegments and ordered by a bitmap over the window's key range
+// (Scratch.sumFwd). A leaf tail builds no frontier at all.
 //
 // Every path's records are packed onto the scratch during the walk, paths
 // ending at one node sharing theirs, and copied out once per reference
@@ -144,6 +147,9 @@ type CompiledTrie struct {
 	maxDepth int
 	posLen   []int // per depth: ordinal-index size (max target relation size)
 	edgeLen  []int // per depth: edge-buffer size (max edges of storing nodes)
+	// tailSpan bounds a grouped window's key range, counted from the word
+	// its lowest key falls in: the dense Fwd array's size (Scratch.sumFwd).
+	tailSpan int
 
 	statHops, statEdges int
 	numTuples           int // db.NumTuples() at compile time
@@ -281,6 +287,9 @@ func compileTrie(db *reldb.Database, t *Trie, hops map[hopIdent]*reldb.HopCSR) *
 			for _, pi := range nd.terminal {
 				ct.desc[pi].tail = nd.hop
 			}
+			if ids := nd.hop.ToIDs; len(nd.terminal) > 0 && len(ids) > 0 {
+				ct.tailSpan = max(ct.tailSpan, int(ids[len(ids)-1]-(ids[0]&^63))+1)
+			}
 		}
 	}
 	for _, pi := range ct.shared {
@@ -342,11 +351,11 @@ type Scratch struct {
 	keys  []reldb.TupleID
 	fbs   []FB
 	spans []cell
-	// ex expands a grouped window into exKeys and exFBs, to sum its Fwd
-	// in key order.
-	ex     Expander
-	exKeys []reldb.TupleID
-	exFBs  []FB
+	// segs, fwd and words sum a grouped window's Fwd in key order
+	// (sumFwd); words is all zero between windows.
+	segs  []Segment
+	fwd   []float64
+	words []uint64
 	// sorted receives ascending's output.
 	sorted []int32
 }
@@ -358,6 +367,8 @@ func (ct *CompiledTrie) NewScratch() *Scratch {
 		edgeF:  make([][]float64, ct.maxDepth+1),
 		edgeB:  make([][]float64, ct.maxDepth+1),
 		spans:  make([]cell, len(ct.paths)),
+		fwd:    make([]float64, ct.tailSpan),
+		words:  make([]uint64, (ct.tailSpan+63)>>6),
 	}
 	for d := 1; d <= ct.maxDepth; d++ {
 		if d < len(ct.posLen) && ct.posLen[d] > 0 {
@@ -687,12 +698,45 @@ func (s *Scratch) emitGroups(nd *ctNode, in *level, pEF, pEB []float64) cell {
 	}
 	hi := len(keys)
 	nb := SparseNeighborhood{Keys: keys[lo:hi], FBs: fbs[lo:hi], Tail: hop}
-	s.exKeys, s.exFBs = s.ex.Expand(&nb, s.exKeys[:0], s.exFBs[:0])
-	var sum float64
-	for _, fb := range s.exFBs {
-		sum += fb.Fwd
+	return cell{lo: uint32(lo), hi: uint32(hi), sum: s.sumFwd(&nb)}
+}
+
+// sumFwd returns Σ Fwd over the neighbors of nb, a grouped window that
+// reaches something, accumulated in ascending key order as the flat form
+// accumulates it. Its segments come group by group, so each reached
+// child's Fwd goes into the dense array at the child's offset in the
+// window's key range and sets that offset's bit; a scan of the bitmap's
+// words then sums them in key order and leaves the bitmap all zero.
+func (s *Scratch) sumFwd(nb *SparseNeighborhood) float64 {
+	segs := nb.AppendSegments(s.segs[:0])
+	s.segs = segs
+	lo, hi := segs[0].Keys[0], segs[0].Keys[len(segs[0].Keys)-1]
+	for _, sg := range segs[1:] {
+		lo, hi = min(lo, sg.Keys[0]), max(hi, sg.Keys[len(sg.Keys)-1])
 	}
-	return cell{lo: uint32(lo), hi: uint32(hi), sum: sum}
+	base := lo &^ 63
+	fwd, words := s.fwd, s.words[:(hi-base)>>6+1]
+	for _, sg := range segs {
+		for k, t := range sg.Keys {
+			d := t - base
+			fwd[d] = sg.Shared.Fwd
+			if sg.FBs != nil {
+				fwd[d] = sg.FBs[k].Fwd
+			}
+			words[d>>6] |= 1 << (d & 63)
+		}
+	}
+	var sum float64
+	for w, word := range words {
+		if word == 0 {
+			continue
+		}
+		words[w] = 0
+		for ; word != 0; word &= word - 1 {
+			sum += fwd[w<<6+bits.TrailingZeros64(word)]
+		}
+	}
+	return sum
 }
 
 // emit appends the node's frontier, in ascending key order, to the packed

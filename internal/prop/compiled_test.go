@@ -279,35 +279,44 @@ func TestCompiledMatchesDFSRandomCyclic(t *testing.T) {
 
 // TestCompiledMatchesDFSWideFanOut holds the compiled engine to the oracle
 // on worlds whose frontiers are wide, which the small random worlds above
-// never reach; each world must emit a neighborhood of at least 32 entries.
+// never reach; each world must emit a neighborhood of at least 32 entries,
+// and between them the worlds' grouped windows must take every case of the
+// SumFwd bitmap.
 func TestCompiledMatchesDFSWideFanOut(t *testing.T) {
+	var all groupStats
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		db := cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: seed%3 != 0, dangling: seed%2 == 1, wide: true})
-		if widest, _, _ := checkRandomWorld(t, fmt.Sprintf("wide-%d", seed), db); widest < 32 {
-			t.Errorf("wide-%d: the widest neighborhood holds %d entries", seed, widest)
+		st, _, _ := checkRandomWorld(t, fmt.Sprintf("wide-%d", seed), db)
+		if st.widest < 32 {
+			t.Errorf("wide-%d: the widest neighborhood holds %d entries", seed, st.widest)
 		}
+		all.add(st)
+	}
+	if !all.bitmapCasesSeen() {
+		t.Errorf("wide worlds left a case of the SumFwd bitmap unexercised: %+v", all)
 	}
 }
 
 // FuzzCompiledPropagation holds the compiled engine to the DFS oracle on
 // fuzzer-seeded random worlds: DAG schemas from randomSchemaWorld, or
-// cyclicRandomWorld's schemas with cycles and self-loops (cyclic) and
-// dangling foreign keys (dangling). Starts that share a ShareKey are
+// cyclicRandomWorld's schemas with cycles and self-loops (cyclic),
+// dangling foreign keys (dangling) and wide fan-outs (wide). Starts that share a ShareKey are
 // propagated again with a donor (see checkCompiledAgainstDFS), and every
 // grouped neighborhood must expand to the untailed trie's flat one bit for
 // bit (checkGroupedMatchesFlat), and every packed value must read back the
 // records its propagation emitted (checkPacked).
 func FuzzCompiledPropagation(f *testing.F) {
-	f.Add(int64(0), false, false)
-	f.Add(int64(1), true, false)
-	f.Add(int64(2), true, true)
-	f.Add(int64(3), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, cyclic, dangling bool) {
+	f.Add(int64(0), false, false, false)
+	f.Add(int64(1), true, false, false)
+	f.Add(int64(2), true, true, false)
+	f.Add(int64(3), false, true, false)
+	f.Add(int64(5), true, false, true)
+	f.Fuzz(func(t *testing.T, seed int64, cyclic, dangling, wide bool) {
 		rng := rand.New(rand.NewSource(seed))
 		var db *reldb.Database
-		if cyclic || dangling {
-			db = cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: cyclic, dangling: dangling})
+		if cyclic || dangling || wide {
+			db = cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: cyclic, dangling: dangling, wide: wide})
 		} else {
 			db = randomSchemaWorld(rng)
 		}
@@ -318,9 +327,9 @@ func FuzzCompiledPropagation(f *testing.F) {
 // checkRandomWorld enumerates join paths from every FK-bearing relation of
 // a random world and checks compiled/DFS equivalence, grouped/flat
 // identity and the packed value (checkPacked) from a few starts. It
-// reports the most entries a checked neighborhood held in flat form, how
-// many starts took a donor, and what the packed checks exercised.
-func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (widest, shared int, packed packedStats) {
+// reports what the grouped/flat checks held, how many starts took a
+// donor, and what the packed checks exercised.
+func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (grouped groupStats, shared int, packed packedStats) {
 	t.Helper()
 	for _, rs := range db.Schema.Relations() {
 		if len(rs.ForeignKeys()) == 0 || db.Relation(rs.Name).Size() == 0 {
@@ -338,19 +347,20 @@ func checkRandomWorld(t *testing.T, tag string, db *reldb.Database) (widest, sha
 			ids = ids[:3]
 		}
 		shared += checkCompiledAgainstDFS(t, tag+"/"+rs.Name, db, paths, ids, 1e-12)
-		st := checkGroupedMatchesFlat(t, tag+"/"+rs.Name, compile(db, NewTrie(paths)), ids)
-		widest = max(widest, st.widest)
+		grouped.add(checkGroupedMatchesFlat(t, tag+"/"+rs.Name, compile(db, NewTrie(paths)), ids))
 		packed.add(checkPacked(t, tag+"/"+rs.Name, db, paths, ids))
 	}
-	return widest, shared, packed
+	return grouped, shared, packed
 }
 
 // TestCompiledScratchReuse: reusing one scratch across many propagations
 // must give the same results as a fresh scratch per call — the reset
-// discipline (pos back to -1, edge buffers back to zero) is load-bearing.
+// discipline (pos back to -1, edge buffers back to zero, the SumFwd bitmap
+// back to all zero) is load-bearing. The wide world emits grouped windows
+// with exceptions, so every grouped SumFwd goes through the bitmap.
 func TestCompiledScratchReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	db := cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: true, dangling: true})
+	rng := rand.New(rand.NewSource(1))
+	db := cyclicRandomWorld(rng, cyclicWorldOpts{cyclic: true, dangling: true, wide: true})
 	var start string
 	for _, rs := range db.Schema.Relations() {
 		if len(rs.ForeignKeys()) > 0 {
@@ -364,8 +374,20 @@ func TestCompiledScratchReuse(t *testing.T) {
 	}
 	ct := compile(db, NewTrie(paths))
 	shared := ct.NewScratch()
+	grouped, exceptions := 0, 0
 	for _, id := range db.Relation(start).TupleIDs() {
-		got := flatAll(views(ct.Propagate(id, shared, nil)))
+		nbs := views(ct.Propagate(id, shared, nil))
+		for _, nb := range nbs {
+			if nb.Tail != nil {
+				grouped++
+				for _, k := range nb.Keys {
+					if k < 0 {
+						exceptions++
+					}
+				}
+			}
+		}
+		got := flatAll(nbs)
 		want := flatAll(views(ct.Propagate(id, ct.NewScratch(), nil)))
 		for pi := range want {
 			// Same engine, same order: bit-identical, not just within tol.
@@ -373,6 +395,9 @@ func TestCompiledScratchReuse(t *testing.T) {
 				t.Fatalf("scratch reuse diverged on start %d path %s", id, paths[pi])
 			}
 		}
+	}
+	if grouped == 0 || exceptions == 0 {
+		t.Fatalf("the world emitted %d grouped windows with %d exceptions; want both", grouped, exceptions)
 	}
 }
 

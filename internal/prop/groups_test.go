@@ -25,13 +25,18 @@ func untailed(ct *CompiledTrie) *CompiledTrie {
 	return &ref
 }
 
-// groupStats counts what the neighborhoods of a check held.
+// groupStats counts what the neighborhoods of a check held. The last
+// three count grouped windows by the cases of the bitmap that sums their
+// SumFwd (Scratch.sumFwd).
 type groupStats struct {
-	grouped   int // grouped neighborhoods
-	maxGroups int // most groups in one neighborhood
-	absent    int // exceptions for a child the walk did not reach
-	fbExcept  int // exceptions for a reached child with its own FB
-	widest    int // most entries in one neighborhood's flat form
+	grouped     int // grouped neighborhoods
+	maxGroups   int // most groups in one neighborhood
+	absent      int // exceptions for a child the walk did not reach
+	fbExcept    int // exceptions for a reached child with its own FB
+	widest      int // most entries in one neighborhood's flat form
+	interleaved int // windows whose groups' rows interleave in key order
+	multiWord   int // windows whose keys span two or more 64-bit words
+	unaligned   int // windows whose lowest key is not word-aligned
 }
 
 func (g *groupStats) add(o groupStats) {
@@ -39,11 +44,44 @@ func (g *groupStats) add(o groupStats) {
 	g.maxGroups = max(g.maxGroups, o.maxGroups)
 	g.absent += o.absent
 	g.fbExcept += o.fbExcept
+	g.widest = max(g.widest, o.widest)
+	g.interleaved += o.interleaved
+	g.multiWord += o.multiWord
+	g.unaligned += o.unaligned
+}
+
+// bitmapCasesSeen reports whether the windows counted in g took every
+// case of the bitmap: interleaved groups, several words, an unaligned
+// lowest key.
+func (g *groupStats) bitmapCasesSeen() bool {
+	return g.interleaved > 0 && g.multiWord > 0 && g.unaligned > 0
+}
+
+// addWindow counts the bitmap cases of grouped window nb.
+func (g *groupStats) addWindow(nb *SparseNeighborhood) {
+	segs := nb.AppendSegments(nil)
+	lo, hi := segs[0].Keys[0], segs[0].Keys[len(segs[0].Keys)-1]
+	interleaved := false
+	for _, sg := range segs[1:] {
+		// A group's segments ascend, so a segment below an earlier
+		// one's end starts a group that interleaves with another.
+		interleaved = interleaved || sg.Keys[0] < hi
+		lo, hi = min(lo, sg.Keys[0]), max(hi, sg.Keys[len(sg.Keys)-1])
+	}
+	if interleaved {
+		g.interleaved++
+	}
+	if lo>>6 != hi>>6 {
+		g.multiWord++
+	}
+	if lo&63 != 0 {
+		g.unaligned++
+	}
 }
 
 // checkGroupedMatchesFlat propagates every start on ct and on its untailed
-// reference and requires each grouped neighborhood to expand to the flat
-// one bit for bit, with the same Len and SumFwd. Non-tail paths must come
+// reference and requires each grouped neighborhood, read through flat, to
+// be the flat one bit for bit, SumFwd included. Non-tail paths must come
 // out flat and identical.
 func checkGroupedMatchesFlat(t *testing.T, tag string, ct *CompiledTrie, starts []reldb.TupleID) (st groupStats) {
 	t.Helper()
@@ -56,9 +94,6 @@ func checkGroupedMatchesFlat(t *testing.T, tag string, ct *CompiledTrie, starts 
 			if want[pi].Tail != nil {
 				t.Fatalf("%s: start %d path %s: the untailed reference grouped", tag, id, ct.paths[pi])
 			}
-			if n := nb.Len(); n != len(want[pi].Keys) {
-				t.Fatalf("%s: start %d path %s: Len = %d, flat form holds %d", tag, id, ct.paths[pi], n, len(want[pi].Keys))
-			}
 			st.widest = max(st.widest, len(want[pi].Keys))
 			if !sameBits(flat(nb), want[pi]) {
 				t.Fatalf("%s: start %d path %s: grouped form does not expand to the flat one:\n got %+v\nexpanded %+v\nwant %+v",
@@ -68,6 +103,7 @@ func checkGroupedMatchesFlat(t *testing.T, tag string, ct *CompiledTrie, starts 
 				continue
 			}
 			st.grouped++
+			st.addWindow(&nb)
 			groups := 0
 			for i, k := range nb.Keys {
 				switch {
@@ -87,8 +123,8 @@ func checkGroupedMatchesFlat(t *testing.T, tag string, ct *CompiledTrie, starts 
 
 // TestGroupedMatchesFlat holds the grouped form to the untailed reference
 // bit for bit on random DAG, cyclic and wide worlds; between them the
-// worlds must group neighborhoods, merge three or more groups, and store
-// both kinds of exception.
+// worlds must group neighborhoods, merge three or more groups, store both
+// kinds of exception, and take every case of the SumFwd bitmap.
 func TestGroupedMatchesFlat(t *testing.T) {
 	var st groupStats
 	for seed := int64(0); seed < 40; seed++ {
@@ -104,7 +140,7 @@ func TestGroupedMatchesFlat(t *testing.T) {
 		}
 		st.add(checkWorldGrouped(t, fmt.Sprintf("world-%d", seed), db))
 	}
-	if st.grouped == 0 || st.maxGroups < 3 || st.absent == 0 || st.fbExcept == 0 {
+	if st.grouped == 0 || st.maxGroups < 3 || st.absent == 0 || st.fbExcept == 0 || !st.bitmapCasesSeen() {
 		t.Errorf("random worlds left the grouped form unexercised: %+v", st)
 	}
 }
@@ -204,23 +240,4 @@ func TestGroupedSharedNameCoauthors(t *testing.T) {
 		t.Fatalf("shared-name co-authors stored no FB or no absent exception: %+v", st)
 	}
 	checkCompiledAgainstDFS(t, "shared-name", db, paths, starts, 1e-12)
-}
-
-// TestExpanderReuse: one Expander serves grouped and flat neighborhoods
-// in turn, appending after existing entries, and agrees with Len.
-func TestExpanderReuse(t *testing.T) {
-	db, refs := miniDB(t)
-	ct := compile(db, NewTrie(dblpPaths(db.Schema)))
-	var x Expander
-	prefix := []reldb.TupleID{-7}
-	for _, r := range refs {
-		for pi, nb := range views(ct.Propagate(r, nil, nil)) {
-			keys, fbs := x.Expand(&nb, slices.Clone(prefix), []FB{{}})
-			want := flat(nb)
-			if keys[0] != -7 || len(keys) != len(fbs) || nb.Len()+1 != len(keys) ||
-				!sameBits(SparseNeighborhood{Keys: keys[1:], FBs: fbs[1:], SumFwd: nb.SumFwd}, want) {
-				t.Fatalf("ref %d path %s: Expand with a prefix gave %v %v, want %+v", r, ct.paths[pi], keys, fbs, want)
-			}
-		}
-	}
 }

@@ -98,14 +98,32 @@ var engines = map[string]engine{
 	},
 }
 
-// flat returns nb in flat form: a grouped neighborhood expanded through an
-// Expander, a flat one as it is.
+// flat returns nb in flat form: a grouped neighborhood's segments
+// (AppendSegments) sorted into key order, a flat one as it is.
 func flat(nb SparseNeighborhood) SparseNeighborhood {
 	if nb.Tail == nil {
 		return nb
 	}
-	keys, fbs := new(Expander).Expand(&nb, nil, nil)
-	return SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: nb.SumFwd}
+	type entry struct {
+		key reldb.TupleID
+		fb  FB
+	}
+	var es []entry
+	for _, sg := range nb.AppendSegments(nil) {
+		for k, t := range sg.Keys {
+			fb := sg.Shared
+			if sg.FBs != nil {
+				fb = sg.FBs[k]
+			}
+			es = append(es, entry{t, fb})
+		}
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
+	out := SparseNeighborhood{Keys: make([]reldb.TupleID, len(es)), FBs: make([]FB, len(es)), SumFwd: nb.SumFwd}
+	for i, e := range es {
+		out.Keys[i], out.FBs[i] = e.key, e.fb
+	}
+	return out
 }
 
 // views returns the neighborhood of n along every path, in path order.

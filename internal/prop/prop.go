@@ -53,9 +53,9 @@ type FB struct {
 // name one child by ^(its position in the parent's row), in row order, and
 // give that child's own FB, an FB with Fwd == 0 marking a child the walk
 // did not reach. The children themselves stay in Tail's CSR row (RowPtr,
-// ColIDs) and are never copied. Read a grouped neighborhood through Len,
-// AppendSegments and Expander.Expand, which yield exactly the flat form's
-// entries, bit for bit.
+// ColIDs) and are never copied. Read a grouped neighborhood through
+// AppendSegments, which yields exactly the flat form's entries, bit for
+// bit, group by group rather than in key order.
 //
 // A SparseNeighborhood is a view, not storage: Neighborhoods.Path hands
 // one out by value over the arrays of a packed, immutable Neighborhoods,

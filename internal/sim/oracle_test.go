@@ -32,14 +32,25 @@ func (n nbMap) sparse() prop.SparseNeighborhood {
 	return prop.SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: sum}
 }
 
-// flatNB returns nb in flat form: a grouped neighborhood expanded through
-// a prop.Expander, a flat one as it is.
+// flatNB returns nb in flat form: a grouped neighborhood's segments
+// (prop.SparseNeighborhood.AppendSegments) sorted into key order, with
+// nb's own SumFwd; a flat one as it is.
 func flatNB(nb prop.SparseNeighborhood) prop.SparseNeighborhood {
 	if nb.Tail == nil {
 		return nb
 	}
-	keys, fbs := new(prop.Expander).Expand(&nb, nil, nil)
-	return prop.SparseNeighborhood{Keys: keys, FBs: fbs, SumFwd: nb.SumFwd}
+	m := nbMap{}
+	for _, sg := range nb.AppendSegments(nil) {
+		for k, t := range sg.Keys {
+			m[t] = sg.Shared
+			if sg.FBs != nil {
+				m[t] = sg.FBs[k]
+			}
+		}
+	}
+	flat := m.sparse()
+	flat.SumFwd = nb.SumFwd
+	return flat
 }
 
 // refKernel is the similarity oracle: a Trip's three outputs computed the

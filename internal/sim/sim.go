@@ -58,13 +58,17 @@ type Extractor struct {
 	// scratch from the pool, so steady-state propagation does not allocate
 	// beyond the neighborhoods it returns.
 	plan    *prop.CompiledTrie
-	scratch sync.Pool
+	scratch *sync.Pool
 
 	// batchPool pools BatchScratch instances for the block kernel, sized to
 	// the plan's tuple space so the dense tuple array never grows on the
 	// warm path; indexPool pools the block kernel's postings indexes.
-	batchPool sync.Pool
-	indexPool sync.Pool
+	//
+	// The pools are separate objects: the runtime keeps a used pool
+	// reachable until the second GC after its last use, and a pool held
+	// by value would keep the whole extractor alive with it.
+	batchPool *sync.Pool
+	indexPool *sync.Pool
 
 	// nbs[r] holds reference r's neighborhoods, one slot per TupleID below
 	// the plan's NumTuples; donors[k] holds share key k's donor, one slot
@@ -90,6 +94,9 @@ func New(plan *prop.CompiledTrie, reg *obs.Registry) *Extractor {
 	n := plan.NumTuples()
 	e := &Extractor{
 		plan:               plan,
+		scratch:            &sync.Pool{New: func() any { return plan.NewScratch() }},
+		batchPool:          new(sync.Pool),
+		indexPool:          new(sync.Pool),
 		nbs:                make([]atomic.Pointer[prop.Neighborhoods], n),
 		donors:             make([]atomic.Pointer[prop.Neighborhoods], plan.NumShareKeys()),
 		prefetchStage:      reg.Stage("prefetch"),
@@ -97,7 +104,6 @@ func New(plan *prop.CompiledTrie, reg *obs.Registry) *Extractor {
 		prefetchPropagated: reg.Counter("sim.prefetch_propagated"),
 		prefetchShared:     reg.Counter("sim.prefetch_shared"),
 	}
-	e.scratch.New = func() any { return plan.NewScratch() }
 	return e
 }
 

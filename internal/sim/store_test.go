@@ -2,9 +2,11 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"distinct/internal/obs"
 	"distinct/internal/prop"
@@ -143,4 +145,30 @@ func TestSlotStoreDifferential(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDiscardedExtractorCollected: an extractor that has used every one of
+// its pools and is then dropped must be collected by the first GC. The
+// runtime's pool registry keeps each used sync.Pool reachable until the
+// second GC after its last use, so a pool held inside the extractor would
+// keep the extractor, with every neighborhood it stored, alive one GC
+// longer.
+func TestDiscardedExtractorCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		ext, refs := extractorFixture(t)
+		nbs, err := ext.NeighborhoodsCtx(context.Background(), refs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext.PutBlockIndex(ext.IndexBlock(nbs, nil))
+		ext.Pair(nbs[0], nbs[1], nil)
+		runtime.SetFinalizer(ext, func(*Extractor) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a discarded extractor survived the first GC")
+	}
 }
