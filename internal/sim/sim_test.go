@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"distinct/internal/oracle"
 	"distinct/internal/prop"
 	"distinct/internal/reldb"
 )
@@ -42,7 +43,7 @@ func pairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
 // tests hold both to the same values.
 var kernels = map[string]func(a, b prop.SparseNeighborhood) (float64, float64, float64){
 	"Pair":      pairKernel,
-	"refKernel": refKernel,
+	"refKernel": oracle.RefKernel,
 }
 
 func resemOf(a, b prop.SparseNeighborhood) float64 {
@@ -127,14 +128,14 @@ func TestWalkProbAsymmetricSizes(t *testing.T) {
 	}
 }
 
-// TestPairMatchesOracle holds a single pair to refKernel bit for bit, and
+// TestPairMatchesOracle holds a single pair to oracle.RefKernel bit for bit, and
 // pins what operand order and empty operands do to the result.
 func TestPairMatchesOracle(t *testing.T) {
 	a := sp(1, 0.5, 0.4, 2, 0.3, 0.6, 5, 0.2, 0.1)
 	b := sp(2, 0.25, 0.1, 3, 0.5, 0.9, 5, 0.25, 0.3)
 	r, ab, ba := pairKernel(a, b)
-	if wr, wab, wba := refKernel(a, b); r != wr || ab != wab || ba != wba {
-		t.Errorf("Pair = %v/%v/%v, refKernel = %v/%v/%v", r, ab, ba, wr, wab, wba)
+	if wr, wab, wba := oracle.RefKernel(a, b); r != wr || ab != wab || ba != wba {
+		t.Errorf("Pair = %v/%v/%v, oracle.RefKernel = %v/%v/%v", r, ab, ba, wr, wab, wba)
 	}
 	// Swapped operands: same resemblance, directions exchanged, bit for bit.
 	if r2, ab2, ba2 := pairKernel(b, a); r2 != r || ab2 != ba || ba2 != ab {
@@ -275,7 +276,7 @@ func TestExtractorVectorsAndCache(t *testing.T) {
 	// Stored neighborhoods expand to sorted sparse vectors.
 	for _, r := range refs {
 		for p, nb := range views(e.Neighborhoods(r)) {
-			s := flatNB(nb)
+			s := oracle.FlatNB(nb)
 			for i := 1; i < len(s.Keys); i++ {
 				if s.Keys[i-1] >= s.Keys[i] {
 					t.Fatalf("ref %d path %d: keys not strictly ascending", r, p)

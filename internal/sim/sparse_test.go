@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"distinct/internal/oracle"
 	"distinct/internal/prop"
 	"distinct/internal/reldb"
 )
@@ -24,7 +25,7 @@ func randNB(rng *rand.Rand, size, base, keyRange int) nbMap {
 // TestSparseKernelsMatchMapKernels is the single-pair property test: on
 // randomized neighborhoods — including empty, disjoint, subset, and
 // heavily asymmetric-size operands — Pair's three outputs must equal the
-// naive refKernel's bit for bit, in both operand orders.
+// naive oracle.RefKernel's bit for bit, in both operand orders.
 func TestSparseKernelsMatchMapKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type gen func() (nbMap, nbMap)
@@ -71,7 +72,7 @@ func TestSparseKernelsMatchMapKernels(t *testing.T) {
 			a, b := am.sparse(), bm.sparse()
 			r, ab, ba := pairKernel(a, b)
 			rr, rab, rba := pairKernel(b, a)
-			wr, wab, wba := refKernel(a, b)
+			wr, wab, wba := oracle.RefKernel(a, b)
 			checks := []struct {
 				what      string
 				got, want float64
@@ -85,7 +86,7 @@ func TestSparseKernelsMatchMapKernels(t *testing.T) {
 			}
 			for _, c := range checks {
 				if math.Float64bits(c.got) != math.Float64bits(c.want) {
-					t.Fatalf("%s trial %d: %s = %v, refKernel %v (|Δ| = %g)",
+					t.Fatalf("%s trial %d: %s = %v, oracle.RefKernel %v (|Δ| = %g)",
 						name, trial, c.what, c.got, c.want, math.Abs(c.got-c.want))
 				}
 			}
