@@ -502,14 +502,17 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weigh
 	ix := e.ext.IndexBlock(nbs, w.used)
 	defer e.ext.PutBlockIndex(ix)
 	// sim.kernel_visits prices the rows below per shared tuple, which
-	// sim.pairs_scored, one count per (pair, path) result, cannot see.
-	var visits int
+	// sim.pairs_scored, one count per (pair, path) result, cannot see;
+	// sim.index_postings prices the index itself.
+	var visits, postings int
 	for p := range e.paths {
 		if w.used(p) {
 			visits += ix.Visits(p)
+			postings += ix.NumPostings(p)
 		}
 	}
 	e.obs.Counter("sim.kernel_visits").Add(int64(visits))
+	e.obs.Counter("sim.index_postings").Add(int64(postings))
 	// Resolved once per stage: the per-row injection point below costs
 	// one nil check per row when fault injection is off.
 	freg := fault.From(ctx)
