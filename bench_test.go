@@ -8,8 +8,10 @@
 package distinct_test
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -228,6 +230,63 @@ func BenchmarkSimilarityMatrix(b *testing.B) {
 	n := len(refs)
 	b.ReportMetric(float64(n*(n-1)/2), "pairs/op")
 	b.ReportMetric(float64(visits), "key_visits/op")
+}
+
+// BenchmarkBlockIndex measures the similarity kernel as one layer: an op
+// indexes one name's block of warm neighborhoods along the paths the
+// trained weights use (sim.Extractor.IndexBlock) and runs every row of
+// every such path, with warm pools. The engine is trained as in
+// TestGoldenWork. The sub-benchmarks take the median, the 99th-percentile
+// and the largest of the names with two or more references (14, 211 and
+// 1,122 references on the default world) and report the kernel's
+// machine-independent work next to the timings: postings/op, the postings
+// the index lays out, and visits/op, the (pair, posting key) visits of
+// the rows.
+func BenchmarkBlockIndex(b *testing.B) {
+	eng := goldenWorkEngine(b, nil)
+	ext := sim.NewExtractor(eng.DB(), eng.Paths())
+	resemW, walkW := eng.Weights()
+	used := func(p int) bool { return resemW[p] != 0 || walkW[p] != 0 }
+	names := eng.Names(2)
+	slices.SortStableFunc(names, func(x, y string) int { return cmp.Compare(len(eng.Refs(x)), len(eng.Refs(y))) })
+	for _, c := range []struct {
+		name string
+		rank int
+	}{{"median", len(names) / 2}, {"p99", len(names) * 99 / 100}, {"max", len(names) - 1}} {
+		refs := eng.Refs(names[c.rank])
+		b.Run(c.name, func(b *testing.B) {
+			nbs, err := ext.NeighborhoodsCtx(context.Background(), refs, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := ext.BatchScratch()
+			defer ext.PutBatchScratch(s)
+			score := func() (postings, visits int) {
+				x := ext.IndexBlock(nbs, used)
+				for p := range eng.Paths() {
+					if !used(p) {
+						continue
+					}
+					postings, visits = postings+x.NumPostings(p), visits+x.Visits(p)
+					for i := range refs {
+						x.Row(s, p, i)
+					}
+				}
+				ext.PutBlockIndex(x)
+				return postings, visits
+			}
+			postings, visits := score() // grows the pooled index and scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				score()
+			}
+			// Reported after the loop: ResetTimer deletes metrics reported before it.
+			b.ReportMetric(float64(len(refs)), "refs")
+			b.ReportMetric(float64(postings), "postings/op")
+			b.ReportMetric(float64(visits), "visits/op")
+		})
+	}
 }
 
 // BenchmarkClustering measures the agglomerative clustering (Section 4)
