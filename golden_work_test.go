@@ -65,7 +65,7 @@ type goldenWork struct {
 // workCounters are the exact registry counters the golden pins.
 var workCounters = []string{
 	"prop.csr_hops", "prop.csr_edges", "sim.pairs_scored", "sim.kernel_visits", "sim.index_postings", "sim.prefetch_shared",
-	"cluster.runs", "cluster.merges", "cluster.heap_stale_pops", "cluster.pruned_below_minsim",
+	"cluster.runs", "cluster.merges", "cluster.heap_stale_pops", "cluster.pruned_below_minsim", "cluster.stat_merges",
 }
 
 // goldenWorkEngine opens and trains the work golden's engine on
