@@ -296,10 +296,11 @@ func BenchmarkClustering(b *testing.B) {
 	refs := e.RefsForName("Wei Wang")
 	m := e.Similarities(refs)
 	b.ResetTimer()
+	opts := cluster.Options{Measure: cluster.Combined, MinSim: core.DefaultMinSim}
 	for i := 0; i < b.N; i++ {
-		cluster.Agglomerate(len(refs), m, cluster.Options{
-			Measure: cluster.Combined, MinSim: core.DefaultMinSim,
-		})
+		if _, err := cluster.Run(context.Background(), m, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -328,10 +329,11 @@ func BenchmarkClusteringLarge(b *testing.B) {
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
+	opts := cluster.Options{Measure: cluster.Combined, MinSim: core.DefaultMinSim}
 	for i := 0; i < b.N; i++ {
-		cluster.Agglomerate(n, m, cluster.Options{
-			Measure: cluster.Combined, MinSim: core.DefaultMinSim,
-		})
+		if _, err := cluster.Run(context.Background(), m, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

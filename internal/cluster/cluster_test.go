@@ -1,11 +1,31 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// clustersOf and dendrogramOf run m on a background context, which can
+// neither end nor carry a fault registry.
+func clustersOf(m Matrix, opts Options) [][]int {
+	res, err := Run(context.Background(), m, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res.Clusters
+}
+
+func dendrogramOf(m Matrix, opts Options) *Dendrogram {
+	opts.Stop = StopDendrogram
+	res, err := Run(context.Background(), m, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res.Dendrogram
+}
 
 // blobs builds a Matrix with two tight groups: indexes [0,mid) and [mid,n).
 // Within-group resemblance/walk is high, cross-group is low.
@@ -29,7 +49,7 @@ func blobs(n, mid int, within, cross float64) Matrix {
 
 func TestAgglomerateTwoBlobs(t *testing.T) {
 	m := blobs(6, 3, 0.9, 0.001)
-	got := Agglomerate(6, m, Options{Measure: Combined, MinSim: 0.05})
+	got := clustersOf(m, Options{Measure: Combined, MinSim: 0.05})
 	want := [][]int{{0, 1, 2}, {3, 4, 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("clusters = %v, want %v", got, want)
@@ -39,17 +59,19 @@ func TestAgglomerateTwoBlobs(t *testing.T) {
 func TestAgglomerateMinSimExtremes(t *testing.T) {
 	m := blobs(5, 2, 0.9, 0.1)
 	// Impossibly high threshold: all singletons.
-	got := Agglomerate(5, m, Options{Measure: Combined, MinSim: 10})
+	got := clustersOf(m, Options{Measure: Combined, MinSim: 10})
 	if len(got) != 5 {
 		t.Errorf("high min-sim gave %d clusters, want 5", len(got))
 	}
 	// Zero threshold: everything merges into one cluster.
-	got = Agglomerate(5, m, Options{Measure: Combined, MinSim: 0})
+	got = clustersOf(m, Options{Measure: Combined, MinSim: 0})
 	if len(got) != 1 || len(got[0]) != 5 {
 		t.Errorf("zero min-sim gave %v", got)
 	}
 }
 
+// TestAgglomerateTrivialSizes also covers the Agglomerate wrapper, which
+// must refuse a reference count that is not the matrix's size.
 func TestAgglomerateTrivialSizes(t *testing.T) {
 	if got := Agglomerate(0, Matrix{}, Options{}); got != nil {
 		t.Errorf("n=0 gave %v", got)
@@ -58,6 +80,12 @@ func TestAgglomerateTrivialSizes(t *testing.T) {
 	if len(got) != 1 || got[0][0] != 0 {
 		t.Errorf("n=1 gave %v", got)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Agglomerate of 3 references over a 2-row matrix did not panic")
+		}
+	}()
+	Agglomerate(3, NewMatrix(2), Options{})
 }
 
 func TestMeasureSelectivity(t *testing.T) {
@@ -65,17 +93,17 @@ func TestMeasureSelectivity(t *testing.T) {
 	m := NewMatrix(3)
 	m.R[0][1], m.R[1][0] = 0.9, 0.9
 	m.W[1][2], m.W[2][1] = 0.9, 0.9
-	r := Agglomerate(3, m, Options{Measure: ResemOnly, MinSim: 0.5})
+	r := clustersOf(m, Options{Measure: ResemOnly, MinSim: 0.5})
 	if !reflect.DeepEqual(r, [][]int{{0, 1}, {2}}) {
 		t.Errorf("ResemOnly = %v", r)
 	}
-	w := Agglomerate(3, m, Options{Measure: WalkOnly, MinSim: 0.3})
+	w := clustersOf(m, Options{Measure: WalkOnly, MinSim: 0.3})
 	if !reflect.DeepEqual(w, [][]int{{0}, {1, 2}}) {
 		t.Errorf("WalkOnly = %v", w)
 	}
 	// Combined needs both signals; with each pair missing one, geometric
 	// mean is 0 and nothing merges.
-	c := Agglomerate(3, m, Options{Measure: Combined, MinSim: 0.01})
+	c := clustersOf(m, Options{Measure: Combined, MinSim: 0.01})
 	if len(c) != 3 {
 		t.Errorf("Combined = %v, want singletons", c)
 	}
@@ -86,11 +114,11 @@ func TestSingleVsCompleteLink(t *testing.T) {
 	m := NewMatrix(3)
 	m.R[0][1], m.R[1][0] = 0.9, 0.9
 	m.R[1][2], m.R[2][1] = 0.8, 0.8
-	s := Agglomerate(3, m, Options{Measure: SingleLink, MinSim: 0.5})
+	s := clustersOf(m, Options{Measure: SingleLink, MinSim: 0.5})
 	if len(s) != 1 {
 		t.Errorf("SingleLink chained clustering = %v, want one cluster", s)
 	}
-	c := Agglomerate(3, m, Options{Measure: CompleteLink, MinSim: 0.5})
+	c := clustersOf(m, Options{Measure: CompleteLink, MinSim: 0.5})
 	// Complete link merges 0-1 (0.9) but then min(0-2,1-2)=0 blocks.
 	if len(c) != 2 {
 		t.Errorf("CompleteLink = %v, want two clusters", c)
@@ -107,11 +135,11 @@ func TestCombinedGeometricVsArithmetic(t *testing.T) {
 	}
 	set(0, 1, 0.4, 0.4)  // geometric 0.4, arithmetic 0.4
 	set(2, 3, 0.9, 0.01) // geometric ~0.095, arithmetic ~0.455
-	g := Agglomerate(4, m, Options{Measure: Combined, MinSim: 0.2})
+	g := clustersOf(m, Options{Measure: Combined, MinSim: 0.2})
 	if !reflect.DeepEqual(g, [][]int{{0, 1}, {2}, {3}}) {
 		t.Errorf("geometric measure = %v", g)
 	}
-	a := Agglomerate(4, m, Options{Measure: CombinedArithmetic, MinSim: 0.2})
+	a := clustersOf(m, Options{Measure: CombinedArithmetic, MinSim: 0.2})
 	if !reflect.DeepEqual(a, [][]int{{0, 1}, {2, 3}}) {
 		t.Errorf("arithmetic measure = %v", a)
 	}
@@ -144,7 +172,7 @@ func randomMatrix(rng *rand.Rand, n int) Matrix {
 
 // bruteForce re-implements agglomerative clustering naively: every step
 // recomputes each cluster-pair similarity from the raw matrices. It mirrors
-// Agglomerate's id-based tie-breaking (lower pair of cluster ids wins).
+// Run's id-based tie-breaking (lower pair of cluster ids wins).
 func bruteForce(n int, m Matrix, opts Options) [][]int {
 	type cl struct {
 		id      int
@@ -258,7 +286,7 @@ func TestIncrementalMatchesBruteForce(t *testing.T) {
 		minSim := rng.Float64() * 0.5
 		for _, meas := range measures {
 			opts := Options{Measure: meas, MinSim: minSim}
-			fast := Agglomerate(n, m, opts)
+			fast := clustersOf(m, opts)
 			slow := bruteForce(n, m, opts)
 			if !reflect.DeepEqual(fast, slow) {
 				t.Fatalf("seed %d measure %v: incremental %v != brute force %v",
@@ -272,8 +300,8 @@ func TestAgglomerateDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomMatrix(rng, 15)
 	opts := Options{Measure: Combined, MinSim: 0.1}
-	a := Agglomerate(15, m, opts)
-	b := Agglomerate(15, m, opts)
+	a := clustersOf(m, opts)
+	b := clustersOf(m, opts)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("clustering is not deterministic")
 	}
@@ -285,7 +313,7 @@ func TestPartitionInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(25)
 		m := randomMatrix(rng, n)
-		got := Agglomerate(n, m, Options{Measure: Combined, MinSim: rng.Float64()})
+		got := clustersOf(m, Options{Measure: Combined, MinSim: rng.Float64()})
 		seen := make(map[int]bool)
 		for _, c := range got {
 			if len(c) == 0 {

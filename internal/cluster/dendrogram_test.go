@@ -18,21 +18,22 @@ func TestDendrogramCutMatchesDirect(t *testing.T) {
 		n := 2 + rng.Intn(36)
 		m := randomMatrix(rng, n)
 		for _, meas := range allMeasures {
-			d := AgglomerateDendrogram(n, m, Options{Measure: meas})
+			d := dendrogramOf(m, Options{Measure: meas})
 			if len(d.Merges) != n-1 {
 				t.Fatalf("%v: dendrogram has %d merges for n=%d", meas, len(d.Merges), n)
 			}
 			for _, ms := range grid {
 				opts := Options{Measure: meas, MinSim: ms}
-				want := Agglomerate(n, m, opts)
-				got := CutOrAgglomerate(d, m, opts)
+				want := clustersOf(m, opts)
+				opts.From = d
+				got := clustersOf(m, opts)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%v min-sim %v: cut mismatch\nwant %v\ngot  %v",
 						meas, ms, want, got)
 				}
 				// When the prefix is consistent the cut alone must already
 				// agree; when it isn't, Cut must refuse rather than guess.
-				if cut, ok := d.Cut(ms); ok {
+				if cut, ok := d.cut(ms); ok {
 					if !reflect.DeepEqual(want, cut) {
 						t.Fatalf("%v min-sim %v: consistent cut differs from direct run", meas, ms)
 					}
@@ -49,7 +50,7 @@ func TestDendrogramCutAtRecordedBoundaries(t *testing.T) {
 	n := 24
 	m := randomMatrix(rng, n)
 	for _, meas := range allMeasures {
-		d := AgglomerateDendrogram(n, m, Options{Measure: meas})
+		d := dendrogramOf(m, Options{Measure: meas})
 		var thresholds []float64
 		for i, mg := range d.Merges {
 			thresholds = append(thresholds, mg.Sim)
@@ -59,8 +60,9 @@ func TestDendrogramCutAtRecordedBoundaries(t *testing.T) {
 		}
 		for _, ms := range thresholds {
 			opts := Options{Measure: meas, MinSim: ms}
-			want := Agglomerate(n, m, opts)
-			got := CutOrAgglomerate(d, m, opts)
+			want := clustersOf(m, opts)
+			opts.From = d
+			got := clustersOf(m, opts)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%v min-sim %v: boundary cut mismatch", meas, ms)
 			}
@@ -89,7 +91,7 @@ func TestCutPrefixConsistency(t *testing.T) {
 		{0.05, true, 4},  // everything
 		{-0.1, false, 0}, // negative thresholds never cut
 	} {
-		out, ok := d.Cut(tc.minSim)
+		out, ok := d.cut(tc.minSim)
 		if ok != tc.wantOK {
 			t.Fatalf("Cut(%v) ok=%v, want %v", tc.minSim, ok, tc.wantOK)
 		}
@@ -115,9 +117,9 @@ func TestCutPrefixOrderedProfile(t *testing.T) {
 	// probability grows with cluster size, so the profile rises as a blob
 	// assembles.)
 	m := blobs(12, 6, 0.8, 0.001)
-	d := AgglomerateDendrogram(12, m, Options{Measure: Combined})
+	d := dendrogramOf(m, Options{Measure: Combined})
 	for _, ms := range []float64{0.01, 0.1, 0.5} {
-		out, ok := d.Cut(ms)
+		out, ok := d.cut(ms)
 		if !ok {
 			t.Fatalf("blob dendrogram refused gap min-sim %v", ms)
 		}
@@ -125,7 +127,7 @@ func TestCutPrefixOrderedProfile(t *testing.T) {
 			t.Fatalf("min-sim %v: want the two blobs, got %v", ms, out)
 		}
 	}
-	if out, ok := d.Cut(0); !ok || len(out) != 1 {
+	if out, ok := d.cut(0); !ok || len(out) != 1 {
 		t.Fatalf("min-sim 0 should merge everything, got %v ok=%v", out, ok)
 	}
 }
@@ -135,7 +137,7 @@ func TestDendrogramCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 16
 	m := randomMatrix(rng, n)
-	d := AgglomerateDendrogram(n, m, Options{Measure: Combined, Obs: reg})
+	d := dendrogramOf(m, Options{Measure: Combined, Obs: reg})
 	if got := reg.Counter("cluster.dendrogram_runs").Value(); got != 1 {
 		t.Fatalf("cluster.dendrogram_runs = %d, want 1", got)
 	}
@@ -152,7 +154,7 @@ func TestDendrogramCounters(t *testing.T) {
 	for i := range bad.Merges {
 		bad.Merges[i].Sim = float64(i % 2) // 0,1,0,1,... never prefix-consistent for t in (0,1]
 	}
-	CutOrAgglomerate(bad, m, Options{Measure: Combined, MinSim: 0.5, Obs: reg})
+	clustersOf(m, Options{Measure: Combined, MinSim: 0.5, From: bad, Obs: reg})
 	if got := reg.Counter("cluster.dendrogram_fallbacks").Value(); got != 1 {
 		t.Fatalf("cluster.dendrogram_fallbacks = %d, want 1", got)
 	}
@@ -161,47 +163,54 @@ func TestDendrogramCounters(t *testing.T) {
 	}
 }
 
-// AgglomerateAuto must behave exactly as its former two-run implementation.
+// gapReference is StopGap's two-run reference: the oracle's MinSim-0
+// merge profile, cut at its gap (or at fallback when it has none), then a
+// direct oracle run at that threshold.
+func gapReference(m Matrix, meas Measure, fallback float64) [][]int {
+	_, trace := agglomerateOracle(m, Options{Measure: meas, MinSim: 0})
+	sims := make([]float64, len(trace))
+	for i, mg := range trace {
+		sims[i] = mg.Sim
+	}
+	cut, ok := cutAtGapSims(sims, DefaultGapRatio)
+	if !ok {
+		cut = fallback
+	}
+	out, _ := agglomerateOracle(m, Options{Measure: meas, MinSim: cut})
+	return out
+}
+
+// StopGap must cluster exactly as its two-run reference.
 func TestAgglomerateAutoMatchesTwoRunReference(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(24)
 		m := randomMatrix(rng, n)
 		for _, meas := range []Measure{Combined, ResemOnly} {
-			got := AgglomerateAuto(n, m, meas, DefaultGapRatio, 0.01)
-			_, trace := agglomerateOracle(n, m, Options{Measure: meas, MinSim: 0})
-			sims := make([]float64, len(trace))
-			for i, mg := range trace {
-				sims[i] = mg.Sim
-			}
-			cut, ok := cutAtGapSims(sims, DefaultGapRatio)
-			if !ok {
-				cut = 0.01
-			}
-			want := Agglomerate(n, m, Options{Measure: meas, MinSim: cut})
-			if !reflect.DeepEqual(want, got) {
+			got := clustersOf(m, Options{Measure: meas, MinSim: 0.01, Stop: StopGap})
+			if want := gapReference(m, meas, 0.01); !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d %v: auto mismatch\nwant %v\ngot  %v", seed, meas, want, got)
 			}
 		}
 	}
 	// Blob worlds have crisp gaps; keep the structured case covered too.
 	m := blobs(10, 5, 0.9, 0.0001)
-	got := AgglomerateAuto(10, m, Combined, DefaultGapRatio, 0.01)
+	got := clustersOf(m, Options{Measure: Combined, MinSim: 0.01, Stop: StopGap})
 	if len(got) != 2 {
 		t.Fatalf("blob auto cut should find the two blobs, got %v", got)
 	}
 }
 
 func TestDendrogramTrivialSizes(t *testing.T) {
-	if d := AgglomerateDendrogram(0, Matrix{}, Options{}); d.N != 0 || len(d.Merges) != 0 {
+	if d := dendrogramOf(Matrix{}, Options{}); d.N != 0 || len(d.Merges) != 0 {
 		t.Fatalf("n=0 dendrogram: %+v", d)
 	}
 	m := NewMatrix(1)
-	d := AgglomerateDendrogram(1, m, Options{})
+	d := dendrogramOf(m, Options{})
 	if len(d.Merges) != 0 {
 		t.Fatalf("n=1 dendrogram has merges: %+v", d.Merges)
 	}
-	out, ok := d.Cut(0.5)
+	out, ok := d.cut(0.5)
 	if !ok || !reflect.DeepEqual(out, [][]int{{0}}) {
 		t.Fatalf("n=1 cut = %v ok=%v", out, ok)
 	}

@@ -9,7 +9,8 @@ import (
 // matrices, measures, and thresholds decoded from fuzz bytes, asserting
 // bit-identical partitions and merge sequences plus the partition
 // invariant. The dendrogram cut is checked against the direct run on the
-// same input.
+// same input, and a gap run, falling back to the decoded threshold,
+// against its two-run reference.
 func FuzzAgglomerate(f *testing.F) {
 	f.Add([]byte{4, 0, 2, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
 	f.Add([]byte{7, 3, 0, 255, 1, 254, 2, 253, 3, 252, 4, 251, 5, 250, 6})
@@ -46,8 +47,8 @@ func FuzzAgglomerate(f *testing.F) {
 		}
 
 		opts := Options{Measure: meas, MinSim: minSim}
-		requireMatchesOracle(t, n, m, opts, meas.String())
-		gotOut := Agglomerate(n, m, opts)
+		requireMatchesOracle(t, m, opts, meas.String())
+		gotOut := clustersOf(m, opts)
 
 		// Partition invariant: every reference exactly once, members
 		// ascending, clusters ordered by smallest member.
@@ -78,10 +79,17 @@ func FuzzAgglomerate(f *testing.F) {
 		}
 
 		// Dendrogram cut (with fallback) must match the direct run too.
-		d := AgglomerateDendrogram(n, m, Options{Measure: meas})
-		if cut := CutOrAgglomerate(d, m, opts); !reflect.DeepEqual(gotOut, cut) {
+		cutOpts := opts
+		cutOpts.From = dendrogramOf(m, Options{Measure: meas})
+		if cut := clustersOf(m, cutOpts); !reflect.DeepEqual(gotOut, cut) {
 			t.Fatalf("dendrogram cut mismatch (min-sim %v)\ndirect %v\ncut    %v",
 				minSim, gotOut, cut)
+		}
+
+		gapOpts := opts
+		gapOpts.Stop = StopGap
+		if got, want := clustersOf(m, gapOpts), gapReference(m, meas, minSim); !reflect.DeepEqual(want, got) {
+			t.Fatalf("gap run mismatch (fallback min-sim %v)\nwant %v\ngot  %v", minSim, want, got)
 		}
 	})
 }

@@ -74,41 +74,43 @@ func TestCutAtGapAllIdenticalSims(t *testing.T) {
 }
 
 func TestAgglomerateAutoTrivialSizes(t *testing.T) {
-	m := blobs(8, 4, 0.8, 0.0003)
+	// blobs with mid beyond n: every pair gets the within-blob similarity.
+	gap := Options{Measure: Combined, Stop: StopGap}
 	// A single reference has no merges at all: one singleton group.
-	got := AgglomerateAuto(1, m, Combined, 10, 0)
+	got := clustersOf(blobs(1, 4, 0.8, 0.0003), gap)
 	if !reflect.DeepEqual(got, [][]int{{0}}) {
 		t.Errorf("n=1 clustering = %v", got)
 	}
 	// Two references produce one merge — below the two needed for an
 	// interior gap — so the fallback threshold decides.
-	got = AgglomerateAuto(2, m, Combined, 10, 0)
+	m := blobs(2, 4, 0.8, 0.0003)
+	got = clustersOf(m, gap)
 	if !reflect.DeepEqual(got, [][]int{{0, 1}}) {
 		t.Errorf("n=2 fallback-0 clustering = %v", got)
 	}
-	got = AgglomerateAuto(2, m, Combined, 10, 5)
+	gap.MinSim = 5
+	got = clustersOf(m, gap)
 	if !reflect.DeepEqual(got, [][]int{{0}, {1}}) {
 		t.Errorf("n=2 high-fallback clustering = %v", got)
 	}
 }
-
-// constSim is a PairSim whose every similarity is the same constant.
-type constSim float64
-
-func (c constSim) Resem(i, j int) float64 { return float64(c) }
-func (c constSim) Walk(i, j int) float64  { return float64(c) }
 
 func TestAgglomerateAutoAllIdenticalSims(t *testing.T) {
 	// An all-identical similarity matrix has a flat merge profile under
 	// single or complete link; average-link chaining keeps it within one
 	// order of magnitude, so no spurious gap may fire and the fallback
 	// governs: 0 merges everything, above-constant splits everything.
-	flat := constSim(0.3)
-	got := AgglomerateAuto(5, flat, Combined, 100, 0)
+	flat := NewMatrix(5)
+	for i := range flat.R {
+		for j := range flat.R[i] {
+			flat.R[i][j], flat.W[i][j] = 0.3, 0.3
+		}
+	}
+	got := clustersOf(flat, Options{Measure: Combined, Stop: StopGap})
 	if len(got) != 1 || len(got[0]) != 5 {
 		t.Errorf("identical sims with fallback 0: %v", got)
 	}
-	got = AgglomerateAuto(5, flat, Combined, 100, 1)
+	got = clustersOf(flat, Options{Measure: Combined, MinSim: 1, Stop: StopGap})
 	if len(got) != 5 {
 		t.Errorf("identical sims with fallback above the constant: %v", got)
 	}
@@ -116,25 +118,33 @@ func TestAgglomerateAutoAllIdenticalSims(t *testing.T) {
 
 func TestAgglomerateAutoOnBlobs(t *testing.T) {
 	// Two tight blobs, weak cross links: auto cutting must find 2 clusters
-	// without any threshold input.
+	// without any threshold input. Their collapse clears a ratio of 10 too.
+	gap := Options{Measure: Combined, Stop: StopGap}
 	m := blobs(8, 4, 0.8, 0.0003)
-	got := AgglomerateAuto(8, m, Combined, 10, 0)
+	got := clustersOf(m, gap)
 	want := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("auto clustering = %v", got)
 	}
-	// A uniform blob has no gap; with fallback 0 it collapses to one
-	// cluster, with a high fallback it stays singletons.
+	if _, ok := cutAtGapSims(dendrogramOf(m, gap).sims(), 10); !ok {
+		t.Error("no ratio-10 gap between the blobs")
+	}
+	// A uniform blob has no gap, not even at ratio 10; with fallback 0 it
+	// collapses to one cluster, with a high fallback it stays singletons.
 	uni := blobs(6, 3, 0.5, 0.45)
-	got = AgglomerateAuto(6, uni, Combined, 10, 0)
+	if cut, ok := cutAtGapSims(dendrogramOf(uni, gap).sims(), 10); ok {
+		t.Errorf("ratio-10 gap in a uniform blob: cut=%v", cut)
+	}
+	got = clustersOf(uni, gap)
 	if len(got) != 1 {
 		t.Errorf("uniform blob split: %v", got)
 	}
-	got = AgglomerateAuto(6, uni, Combined, 10, 5)
+	gap.MinSim = 5
+	got = clustersOf(uni, gap)
 	if len(got) != 6 {
 		t.Errorf("high fallback merged: %v", got)
 	}
-	if AgglomerateAuto(0, m, Combined, 10, 0) != nil {
+	if clustersOf(Matrix{}, gap) != nil {
 		t.Error("n=0 returned clusters")
 	}
 }

@@ -22,11 +22,12 @@ type refClusterState struct {
 	alive   bool
 }
 
-// agglomerateOracle clusters n references like Agglomerate, but with the
+// agglomerateOracle clusters the references of m like Run, but with the
 // original map-keyed pair-stats storage and eagerly materialised member
 // lists, and also returns the merge sequence. Quadratic allocation
 // behaviour, no observability.
-func agglomerateOracle(n int, ps PairSim, opts Options) ([][]int, []Merge) {
+func agglomerateOracle(m Matrix, opts Options) ([][]int, []Merge) {
+	n := len(m.R)
 	if n <= 0 {
 		return nil, nil
 	}
@@ -40,10 +41,10 @@ func agglomerateOracle(n int, ps PairSim, opts Options) ([][]int, []Merge) {
 	bestRejected := 0.0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			r := ps.Resem(i, j)
+			r := m.R[i][j]
 			st := pairStats{
 				sumResem: r, minResem: r, maxResem: r,
-				walkAB: ps.Walk(i, j), walkBA: ps.Walk(j, i),
+				walkAB: m.W[i][j], walkBA: m.W[j][i],
 			}
 			stats[pairKey(i, j)] = st
 			if s := similarity(st, 1, 1, opts.Measure); s >= opts.MinSim {

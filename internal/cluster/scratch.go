@@ -10,10 +10,10 @@ import "sync"
 // (two slices) is allocated per run.
 //
 // A Scratch is reset at the start of every run, so reuse after an aborted
-// run is safe. It is not safe for concurrent use; Agglomerate draws one
-// from an internal sync.Pool when Options.Scratch is nil, and returns it
-// only when the run succeeds — an errored run drops its scratch rather than
-// risk handing a torn buffer to the next caller.
+// run is safe. It is not safe for concurrent use; Run draws one from an
+// internal sync.Pool when Options.Scratch is nil, and returns it only when
+// the run succeeds — an errored run drops its scratch rather than risk
+// handing a torn buffer to the next caller.
 type Scratch struct {
 	tri []pairStats // stats triangle over original pairs i<j<n
 	// The row arena: rowOf[c-n] is merged cluster c's stat row, carved

@@ -10,13 +10,13 @@ import (
 
 func TestTraceRecordsMerges(t *testing.T) {
 	m := blobs(4, 2, 0.9, 0.001)
-	out := Agglomerate(4, m, Options{Measure: Combined, MinSim: 0.05})
+	out := clustersOf(m, Options{Measure: Combined, MinSim: 0.05})
 	if len(out) != 2 {
 		t.Fatalf("clusters %v", out)
 	}
 	// The dendrogram records every merge; the first two (0+1 and 2+3, in
 	// some order) are the ones at or above min-sim, joining singletons.
-	merges := dendroMerges(AgglomerateDendrogram(4, m, Options{Measure: Combined}))
+	merges := dendroMerges(dendrogramOf(m, Options{Measure: Combined}))
 	if len(merges) != 3 {
 		t.Fatalf("dendrogram has %d merges, want 3", len(merges))
 	}
@@ -33,7 +33,7 @@ func TestTraceRecordsMerges(t *testing.T) {
 func TestTraceDescendingSimilarity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomMatrix(rng, 12)
-	merges := dendroMerges(AgglomerateDendrogram(12, m, Options{Measure: Combined}))
+	merges := dendroMerges(dendrogramOf(m, Options{Measure: Combined}))
 	if len(merges) != 11 {
 		t.Fatalf("full merge needs 11 steps, got %d", len(merges))
 	}
@@ -71,10 +71,10 @@ func TestTraceOffMatchesOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := randomMatrix(rng, 10)
 	opts := Options{Measure: Combined, MinSim: 0.1}
-	a := Agglomerate(10, m, opts)
+	a := clustersOf(m, opts)
 	tr := trace.New(trace.Options{})
 	opts.Span = tr.Start("cluster")
-	b := Agglomerate(10, m, opts)
+	b := clustersOf(m, opts)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("tracing changed the clustering")
 	}

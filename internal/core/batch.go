@@ -246,9 +246,9 @@ type TuneResult struct {
 // evaluation names never leak into tuning.
 //
 // Each case is agglomerated once: the merge sequence is recorded as a
-// dendrogram (cluster.AgglomerateDendrogram, one pooled Scratch reused
-// across the sweep) and every grid point's partition is derived by a
-// prefix cut, falling back to a direct run only when the cut is not
+// dendrogram (cluster.StopDendrogram, one Scratch reused across the sweep)
+// and every grid point's partition is derived from it (cluster.Options.From)
+// by a prefix cut, falling back to a direct run only when the cut is not
 // prefix-consistent (cluster.dendrogram_fallbacks counts those). Scores
 // come from eval.FromCounts over arithmetically derived pair counts, so
 // the result is bit-identical to evaluating each grid point's clustering
@@ -291,16 +291,18 @@ func (e *Engine) TuneMinSim(grid []float64, maxCases int, seed int64) (*TuneResu
 		// One agglomeration per case: record the dendrogram, then derive
 		// each grid point's partition by a prefix cut (direct rerun only on
 		// a prefix-consistency violation, counted by the cluster package).
-		d := cluster.AgglomerateDendrogram(len(refs), m, cluster.Options{
-			Measure: e.cfg.Measure, Obs: e.obs, Scratch: scr,
-		})
+		opts := cluster.Options{Measure: e.cfg.Measure, Stop: cluster.StopDendrogram, Obs: e.obs, Scratch: scr}
+		rec, err := cluster.Run(context.Background(), m, opts)
+		fault.Rethrow(err)
+		opts.Stop, opts.From = cluster.StopMinSim, rec.Dendrogram
 		na, nb := len(ra), len(rb)
 		goldPairs := na*(na-1)/2 + nb*(nb-1)/2
 		totalPairs := len(refs) * (len(refs) - 1) / 2
 		for gi, ms := range grid {
-			pred := cluster.CutOrAgglomerate(d, m, cluster.Options{
-				Measure: e.cfg.Measure, MinSim: ms, Obs: e.obs, Scratch: scr,
-			})
+			opts.MinSim = ms
+			res, err := cluster.Run(context.Background(), m, opts)
+			fault.Rethrow(err)
+			pred := res.Clusters
 			// The gold clusters are the index ranges [0,na) and [na,n), so
 			// the pairwise confusion counts follow arithmetically from each
 			// predicted cluster's split across them — no membership maps,
@@ -341,15 +343,19 @@ func (e *Engine) TuneMinSim(grid []float64, maxCases int, seed int64) (*TuneResu
 
 // DisambiguateRefsAuto clusters the references with a per-name threshold:
 // each name's dendrogram is cut at its largest similarity collapse
-// (cluster.Dendrogram.CutAtGap) when a crisp gap exists, and at the engine's
-// configured min-sim otherwise — an extension beyond the paper's fixed
-// global threshold.
+// (cluster.StopGap) when a crisp gap exists, and at the engine's configured
+// min-sim otherwise — an extension beyond the paper's fixed global
+// threshold.
 func (e *Engine) DisambiguateRefsAuto(refs []reldb.TupleID) [][]reldb.TupleID {
 	if len(refs) == 0 {
 		return nil
 	}
 	m := e.Similarities(refs)
-	return groupRefs(refs, cluster.AgglomerateAuto(len(refs), m, e.cfg.Measure, cluster.DefaultGapRatio, e.cfg.MinSim))
+	res, err := cluster.Run(context.Background(), m, cluster.Options{
+		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Stop: cluster.StopGap,
+	})
+	fault.Rethrow(err)
+	return groupRefs(refs, res.Clusters)
 }
 
 // DisambiguateNameAuto is DisambiguateRefsAuto over every reference
@@ -379,11 +385,12 @@ func (e *Engine) MergeProfile(refs []reldb.TupleID) []MergeStep {
 		return nil
 	}
 	m := e.Similarities(refs)
-	d := cluster.AgglomerateDendrogram(len(refs), m, cluster.Options{
-		Measure: e.cfg.Measure,
+	res, err := cluster.Run(context.Background(), m, cluster.Options{
+		Measure: e.cfg.Measure, Stop: cluster.StopDendrogram,
 	})
-	steps := make([]MergeStep, len(d.Merges))
-	for i, mg := range d.Merges {
+	fault.Rethrow(err)
+	steps := make([]MergeStep, len(res.Dendrogram.Merges))
+	for i, mg := range res.Dendrogram.Merges {
 		steps[i] = MergeStep{Sim: mg.Sim, SizeA: int(mg.SizeA), SizeB: int(mg.SizeB)}
 	}
 	return steps

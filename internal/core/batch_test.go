@@ -134,7 +134,7 @@ func tuneMinSimReference(e *Engine, grid []float64, maxCases int, seed int64) (*
 		gold := eval.Clustering{ra, rb}
 		m := e.Similarities(refs)
 		for gi, ms := range grid {
-			pred := ClusterMatrix(refs, m, e.cfg.Measure, ms)
+			pred := clusterAt(refs, m, e.cfg.Measure, ms)
 			metrics, err := eval.Evaluate(eval.Clustering(pred), gold)
 			if err != nil {
 				return nil, err

@@ -23,8 +23,8 @@ import (
 // engine's own compiled neighborhoods, path by path, with the weights
 // normalised and cut by the test itself and the per-path values combined
 // in ascending path order, as Section 4 combines them. The engine's groups
-// are held to cluster.Agglomerate run on those oracle matrices with the
-// test's Measure and MinSim.
+// are held to a direct cluster.Run on those oracle matrices with the test's
+// Measure and MinSim.
 //
 // The kernel scores a fan-out tail's shared children one parent group at a
 // time, as the group's child count times one term (sim.BlockIndex), while
@@ -159,7 +159,11 @@ func nearTie(m cluster.Matrix, measure cluster.Measure, minSim float64) bool {
 	const tie = 1e-9
 	near := func(a, b float64) bool { return math.Abs(a-b) <= tie*math.Max(math.Abs(a), math.Abs(b)) }
 	var sims []float64
-	for _, mg := range cluster.AgglomerateDendrogram(len(m.R), m, cluster.Options{Measure: measure}).Merges {
+	res, err := cluster.Run(context.Background(), m, cluster.Options{Measure: measure, Stop: cluster.StopDendrogram})
+	if err != nil {
+		panic(err)
+	}
+	for _, mg := range res.Dendrogram.Merges {
 		if near(mg.Sim, minSim) {
 			return true
 		}
@@ -236,7 +240,7 @@ func checkEngineOracle(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := groupRefs(refs, cluster.Agglomerate(len(refs), om, cluster.Options{Measure: measure, MinSim: minSim}))
+			want := clusterAt(refs, om, measure, minSim)
 			if !slices.EqualFunc(got, want, slices.Equal[[]reldb.TupleID]) {
 				if !nearTie(om, measure, minSim) {
 					t.Fatalf("%s: groups %v, oracle %v", what, got, want)

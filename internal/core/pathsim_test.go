@@ -8,6 +8,7 @@ import (
 
 	"distinct/internal/cluster"
 	"distinct/internal/obs"
+	"distinct/internal/reldb"
 )
 
 // TestSimilaritiesCtx holds the weights-as-argument entry point to the
@@ -163,12 +164,26 @@ func TestMergeProfile(t *testing.T) {
 	}
 }
 
-func TestClusterMatrixMapsIndexes(t *testing.T) {
+// clusterAt is the direct run the engine's clustering paths are held to:
+// refs clustered from their matrix m under measure at minSim.
+func clusterAt(refs []reldb.TupleID, m cluster.Matrix, measure cluster.Measure, minSim float64) [][]reldb.TupleID {
+	res, err := cluster.Run(context.Background(), m, cluster.Options{Measure: measure, MinSim: minSim})
+	if err != nil {
+		panic(err)
+	}
+	return groupRefs(refs, res.Clusters)
+}
+
+func TestClusterRefsMapsIndexes(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
+	e.SetMinSim(0.005)
 	refs := e.RefsForName("Bin Yu")
 	m := e.Similarities(refs)
-	groups := ClusterMatrix(refs, m, cluster.Combined, 0.005)
+	groups, err := e.clusterRefs(context.Background(), refs, m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[int32]bool{}
 	total := 0
 	for _, g := range groups {

@@ -91,8 +91,11 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 		evalAt := func(minSim float64) (eval.Metrics, error) {
 			ms := make([]eval.Metrics, len(blocks))
 			for i, b := range blocks {
-				pred := core.ClusterMatrix(b.refs, b.m, cluster.Combined, minSim)
-				m, err := eval.Evaluate(eval.Clustering(pred), b.gold)
+				pred, err := h.clusterRows(b.refs, b.m, cluster.Options{Measure: cluster.Combined, MinSim: minSim})
+				if err != nil {
+					return eval.Metrics{}, err
+				}
+				m, err := eval.Evaluate(pred, b.gold)
 				if err != nil {
 					return eval.Metrics{}, err
 				}

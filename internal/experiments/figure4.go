@@ -6,7 +6,6 @@ import (
 
 	"distinct/internal/cluster"
 	"distinct/internal/eval"
-	"distinct/internal/reldb"
 )
 
 // Variant is one of the six approaches compared in the paper's Figure 4.
@@ -113,8 +112,9 @@ func (h *Harness) Ablation() ([]Figure4Row, error) {
 	return append(rows, auto), nil
 }
 
-// autoGapRow evaluates per-name gap cutting (cluster.AgglomerateAuto) with
-// supervised weights over all ambiguous names.
+// autoGapRow evaluates per-name gap cutting (cluster.StopGap, falling back
+// to the harness's min-sim) with supervised weights over all ambiguous
+// names.
 func (h *Harness) autoGapRow() (Figure4Row, error) {
 	names := h.World.AmbiguousNames()
 	ms := make([]eval.Metrics, len(names))
@@ -124,13 +124,11 @@ func (h *Harness) autoGapRow() (Figure4Row, error) {
 		if err != nil {
 			return Figure4Row{}, err
 		}
-		idx := cluster.AgglomerateAuto(len(refs), m, cluster.Combined, cluster.DefaultGapRatio, h.Opts.MinSim)
-		pred := make(eval.Clustering, len(idx))
-		for ci, c := range idx {
-			pred[ci] = make([]reldb.TupleID, len(c))
-			for j, x := range c {
-				pred[ci][j] = refs[x]
-			}
+		pred, err := h.clusterRows(refs, m, cluster.Options{
+			Measure: cluster.Combined, MinSim: h.Opts.MinSim, Stop: cluster.StopGap,
+		})
+		if err != nil {
+			return Figure4Row{}, err
 		}
 		metrics, err := eval.Evaluate(pred, h.gold[name])
 		if err != nil {

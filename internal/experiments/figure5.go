@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"distinct/internal/cluster"
-	"distinct/internal/core"
 	"distinct/internal/dblp"
 	"distinct/internal/eval"
 	"distinct/internal/reldb"
@@ -61,7 +60,10 @@ func (h *Harness) Figure5(name string) (*Figure5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred := core.ClusterMatrix(refs, m, cluster.Combined, h.Opts.MinSim)
+	pred, err := h.clusterRows(refs, m, cluster.Options{Measure: cluster.Combined, MinSim: h.Opts.MinSim})
+	if err != nil {
+		return nil, err
+	}
 
 	// Invert the expanded-DB mapping so ground truth can be read per ref.
 	origByExp := make(map[int64]dblp.AuthorID, len(refs))

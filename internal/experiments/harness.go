@@ -264,7 +264,24 @@ func (h *Harness) clusterNamePred(name string, supervised bool, measure cluster.
 	if err != nil {
 		return nil, err
 	}
-	return eval.Clustering(core.ClusterMatrix(refs, m, measure, minSim)), nil
+	return h.clusterRows(refs, m, cluster.Options{Measure: measure, MinSim: minSim})
+}
+
+// clusterRows clusters a matrix whose rows are refs under opts, on the run
+// context, and maps the rows back to references.
+func (h *Harness) clusterRows(refs []reldb.TupleID, m cluster.Matrix, opts cluster.Options) (eval.Clustering, error) {
+	res, err := cluster.Run(h.Opts.ctx(), m, opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: clustering: %w", err)
+	}
+	pred := make(eval.Clustering, len(res.Clusters))
+	for i, c := range res.Clusters {
+		pred[i] = make([]reldb.TupleID, len(c))
+		for j, x := range c {
+			pred[i][j] = refs[x]
+		}
+	}
+	return pred, nil
 }
 
 // evaluateAll scores every ambiguous name and returns per-name metrics in
