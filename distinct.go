@@ -264,9 +264,10 @@ func (e *Engine) Weights() (resem, walk []float64) { return e.inner.Weights() }
 
 // SetWeights installs explicit per-path weights (one per Paths entry, for
 // the resemblance and walk measures respectively). Negative entries are
-// clipped to zero and each vector is normalised to sum one. Use this when
-// the database is too small for automatic training and you know which join
-// paths matter.
+// clipped to zero and each vector is normalised to sum one. A NaN or
+// infinite entry, or positive entries whose sum overflows float64, is an
+// error that leaves the weights unchanged. Use this when the database is
+// too small for automatic training and you know which join paths matter.
 func (e *Engine) SetWeights(resem, walk []float64) error {
 	return e.inner.SetWeights(resem, walk)
 }
@@ -421,7 +422,7 @@ type Model = core.Model
 func (e *Engine) ExportModel() *Model { return e.inner.ExportModel() }
 
 // ApplyModel installs a saved model's weights; the model's join paths must
-// match the engine's exactly.
+// match the engine's exactly, and its weights pass SetWeights' checks.
 func (e *Engine) ApplyModel(m *Model) error { return e.inner.ApplyModel(m) }
 
 // SaveModel writes the engine's current weights as JSON.

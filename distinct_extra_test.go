@@ -2,7 +2,9 @@ package distinct_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"distinct"
@@ -105,6 +107,71 @@ func TestPublicModelPersistence(t *testing.T) {
 	if m2 := eng.ExportModel(); len(m2.Paths) != len(eng.Paths()) {
 		t.Error("exported model path count mismatch")
 	}
+}
+
+// TestPublicRejectsNonFiniteWeights: weights that cannot be normalised — a
+// NaN or infinite entry, or positive entries whose sum overflows float64 —
+// are refused by SetWeights and by ApplyModel, including a model file that
+// LoadModel read, and leave the engine's weights as they were. Normalising
+// two entries of 1e308 would divide by +Inf and install all zeros.
+func TestPublicRejectsNonFiniteWeights(t *testing.T) {
+	eng, err := distinct.Open(publicWorld(t).DB, distinct.Config{
+		RefRelation: "Publish",
+		RefAttr:     "author",
+		SkipExpand:  []string{"Publications.title"},
+		MinSim:      0.005,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := make([]float64, len(eng.Paths()))
+	ok[0] = 1
+	if err := eng.SetWeights(ok, ok); err != nil {
+		t.Fatal(err)
+	}
+	wantR, wantW := eng.Weights()
+	unchanged := func(what string) {
+		t.Helper()
+		if r, w := eng.Weights(); !slices.Equal(r, wantR) || !slices.Equal(w, wantW) {
+			t.Errorf("%s changed the weights", what)
+		}
+	}
+	with := func(vals ...float64) []float64 {
+		v := slices.Clone(ok)
+		copy(v, vals)
+		return v
+	}
+	for what, bad := range map[string][]float64{
+		"NaN":             with(math.NaN()),
+		"+Inf":            with(1, math.Inf(1)),
+		"-Inf":            with(1, math.Inf(-1)),
+		"overflowing sum": with(1e308, 1e308),
+	} {
+		if err := eng.SetWeights(bad, ok); err == nil {
+			t.Errorf("SetWeights accepted %s resemblance weights", what)
+		}
+		unchanged("SetWeights with " + what + " resemblance weights")
+		if err := eng.SetWeights(ok, bad); err == nil {
+			t.Errorf("SetWeights accepted %s walk weights", what)
+		}
+		unchanged("SetWeights with " + what + " walk weights")
+	}
+
+	// JSON carries no NaN or Inf, but it does carry 1e308 twice.
+	m := eng.ExportModel()
+	m.WalkWeights[0], m.WalkWeights[1] = 1e308, 1e308
+	doc, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := distinct.LoadModel(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyModel(loaded); err == nil {
+		t.Error("ApplyModel accepted walk weights whose sum overflows")
+	}
+	unchanged("ApplyModel with an overflowing sum")
 }
 
 func TestPublicWorkersConfig(t *testing.T) {

@@ -55,7 +55,7 @@ func (e *Engine) ExportModel() *Model {
 // ApplyModel installs a saved model's weights into the engine. The model's
 // path list must match the engine's enumerated paths exactly (same schema,
 // same MaxPathLen, same exclusions); a mismatch is an error rather than a
-// silent misalignment.
+// silent misalignment. The weights are checked as SetWeights checks them.
 func (e *Engine) ApplyModel(m *Model) error {
 	if m.Format != modelFormat {
 		return fmt.Errorf("core: model format %d unsupported (want %d)", m.Format, modelFormat)
@@ -75,8 +75,7 @@ func (e *Engine) ApplyModel(m *Model) error {
 	if len(m.ResemWeights) != len(e.paths) || len(m.WalkWeights) != len(e.paths) {
 		return fmt.Errorf("core: model weight vectors do not cover %d paths", len(e.paths))
 	}
-	e.w = weights{normalize(m.ResemWeights), normalize(m.WalkWeights)}
-	return nil
+	return e.SetWeights(m.ResemWeights, m.WalkWeights)
 }
 
 // SaveModel writes the engine's current weights as JSON.
