@@ -18,8 +18,10 @@ var updateExpansion = flag.Bool("update", false, "rewrite testdata/expansion.gol
 // default flags (dblp.DefaultConfig, seed 1) and holds its outputs to the
 // checked-in references: Figure 4 and the cluster-measure ablation through
 // the same CSV writer, byte for byte against results/figure4.csv and
-// results/ablation.csv, and the attribute-expansion ablation's rows at full
-// float precision against testdata/expansion.golden (-update rewrites it).
+// results/ablation.csv, Figure 5 for "Wei Wang" as Graphviz DOT byte for
+// byte against results/figure5.dot, and the attribute-expansion ablation's
+// rows at full float precision against testdata/expansion.golden (-update
+// rewrites it).
 func TestReferenceFigures(t *testing.T) {
 	world := dblp.DefaultConfig()
 	world.Seed = 1
@@ -51,6 +53,18 @@ func TestReferenceFigures(t *testing.T) {
 		}
 	}
 
+	fig5, err := h.Figure5("Wei Wang")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "figure5.dot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DOTFigure5(fig5); got != string(want) {
+		t.Errorf("figure5.dot differs from the reference:\n got:\n%s\nwant:\n%s", got, want)
+	}
+
 	rows, err := h.ExpansionAblation()
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +84,7 @@ func TestReferenceFigures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(path)
+	want, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
