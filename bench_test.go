@@ -322,9 +322,8 @@ func BenchmarkClusteringLarge(b *testing.B) {
 			} else {
 				r = 0.002 * rng.Float64()
 			}
-			m.R[i][j], m.R[j][i] = r, r
-			m.W[i][j] = r * (0.5 + rng.Float64())
-			m.W[j][i] = r * (0.5 + rng.Float64())
+			wab := r * (0.5 + rng.Float64())
+			m.Row(i)[j-i-1] = cluster.Cell{R: r, WAB: wab, WBA: r * (0.5 + rng.Float64())}
 		}
 	}
 	b.ResetTimer()

@@ -106,7 +106,8 @@ type Config struct {
 	Unsupervised bool
 	// Measure is the cluster similarity measure (default Combined).
 	Measure Measure
-	// MinSim is the clustering stop threshold (default DefaultMinSim).
+	// MinSim is the clustering stop threshold (default DefaultMinSim); a
+	// NaN or infinite one makes Open fail.
 	MinSim float64
 	// Train tunes the automatic training set (defaults follow the paper:
 	// 1000 positive and 1000 negative pairs from rare names).
@@ -366,8 +367,9 @@ func (e *Engine) MergeProfile(refs []TupleID) []MergeStep {
 	return e.inner.MergeProfile(refs)
 }
 
-// SetMinSim overrides the clustering threshold; MinSim reads it.
-func (e *Engine) SetMinSim(v float64) { e.inner.SetMinSim(v) }
+// SetMinSim overrides the clustering threshold; MinSim reads it. A NaN or
+// infinite threshold is an error and leaves the threshold as it was.
+func (e *Engine) SetMinSim(v float64) error { return e.inner.SetMinSim(v) }
 
 // MinSim returns the current clustering threshold.
 func (e *Engine) MinSim() float64 { return e.inner.MinSim() }

@@ -63,8 +63,7 @@ func TestPublicTuneMinSim(t *testing.T) {
 	if eng.MinSim() != res.MinSim {
 		t.Error("tuned threshold not installed")
 	}
-	eng.SetMinSim(0.42)
-	if eng.MinSim() != 0.42 {
+	if err := eng.SetMinSim(0.42); err != nil || eng.MinSim() != 0.42 {
 		t.Error("SetMinSim did not stick")
 	}
 	eng.SetMeasure(distinct.ResemblanceOnly)
@@ -172,6 +171,42 @@ func TestPublicRejectsNonFiniteWeights(t *testing.T) {
 		t.Error("ApplyModel accepted walk weights whose sum overflows")
 	}
 	unchanged("ApplyModel with an overflowing sum")
+}
+
+// TestPublicRejectsNonFiniteMinSim: no similarity reaches a NaN or +Inf
+// threshold and every one reaches -Inf, so Open, SetMinSim and a tuning
+// grid refuse them, and SetMinSim leaves the threshold as it was.
+func TestPublicRejectsNonFiniteMinSim(t *testing.T) {
+	db := publicWorld(t).DB
+	cfg := distinct.Config{
+		RefRelation: "Publish",
+		RefAttr:     "author",
+		SkipExpand:  []string{"Publications.title"},
+		MinSim:      0.005,
+	}
+	eng, err := distinct.Open(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := cfg
+		c.MinSim = bad
+		if _, err := distinct.Open(db, c); err == nil {
+			t.Errorf("Open accepted min-sim %v", bad)
+		}
+		if err := eng.SetMinSim(bad); err == nil {
+			t.Errorf("SetMinSim accepted %v", bad)
+		}
+		if got := eng.MinSim(); got != 0.005 {
+			t.Errorf("SetMinSim(%v) changed the threshold to %v", bad, got)
+		}
+		if _, err := eng.TuneMinSim([]float64{0.01, bad}, 2, 1); err == nil {
+			t.Errorf("TuneMinSim accepted grid point %v", bad)
+		}
+	}
+	if err := eng.SetMinSim(0.02); err != nil || eng.MinSim() != 0.02 {
+		t.Errorf("SetMinSim(0.02) = %v, threshold %v", err, eng.MinSim())
+	}
 }
 
 func TestPublicWorkersConfig(t *testing.T) {

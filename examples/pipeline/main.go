@@ -99,7 +99,9 @@ func main() {
 	if err := fresh.ApplyModel(model); err != nil {
 		log.Fatal(err)
 	}
-	fresh.SetMinSim(tune.MinSim)
+	if err := fresh.SetMinSim(tune.MinSim); err != nil {
+		log.Fatal(err)
+	}
 
 	name := world.AmbiguousNames()[0]
 	a, err := eng.Disambiguate(name)

@@ -16,19 +16,23 @@
 // alone, arithmetic combination, single/complete link — are provided for the
 // paper's Figure 4 variants and for ablation benchmarks.
 //
-// All per-pair statistics (sums, minima, maxima of the base similarities)
-// are aggregable: merging clusters C1 and C2 derives every (C3, Ci) entry
-// from the (C1, Ci) and (C2, Ci) entries in O(1), the incremental
-// computation of Section 4.2.
+// Every cluster-pair statistic is aggregable: merging clusters C1 and C2
+// derives every (C3, Ci) entry from the (C1, Ci) and (C2, Ci) entries in
+// O(1), the incremental computation of Section 4.2. A pair needs three of
+// them — the directed walk sums both ways and one resemblance aggregate,
+// which is a sum under every measure but SingleLink (a maximum) and
+// CompleteLink (a minimum) — so a cluster pair is the same 24-byte Cell as
+// a reference pair.
 //
-// The engine keeps all pair statistics in flat storage (see Scratch): the
-// initial pairs in an arithmetically indexed triangle, post-merge stats in
-// per-cluster rows, cluster membership in union-find parent links. Cluster
-// ids are dense and never reused — originals are 0..n-1 and the i-th merge
-// creates id n+i — so every lookup is array indexing and a warm run's merge
-// loop performs no allocation. The map-based implementation it replaced is
-// the package's test oracle (oracle_test.go): the property and fuzz tests
-// hold the flat engine's partitions and merge sequences to it bit for bit.
+// The engine keeps all pair statistics in flat storage: the original pairs
+// are read straight from the caller's packed Matrix triangle, which a run
+// never writes, and post-merge stats live in per-cluster rows (see
+// Scratch), cluster membership in union-find parent links. Cluster ids are
+// dense and never reused — originals are 0..n-1 and the i-th merge creates
+// id n+i — so every lookup is array indexing and a warm run's merge loop
+// performs no allocation. The map-based implementation it replaced is the
+// package's test oracle (oracle_test.go): the property and fuzz tests hold
+// the flat engine's partitions and merge sequences to it bit for bit.
 package cluster
 
 import (
@@ -150,11 +154,11 @@ type Result struct {
 	Dendrogram *Dendrogram
 }
 
-// Run clusters the len(m.R) references of m under the options. Cancellation
-// is observed between heap-build rows and between merge iterations, so a
-// pathological block aborts with latency bounded by one row / one merge
-// step; the merge loop also exposes the "cluster.merge" fault point for
-// chaos testing.
+// Run clusters the m.N references of m under the options. It only reads m,
+// so concurrent runs may share one Matrix. Cancellation is observed between
+// heap-build rows and between merge iterations, so a pathological block
+// aborts with latency bounded by one row / one merge step; the merge loop
+// also exposes the "cluster.merge" fault point for chaos testing.
 func Run(ctx context.Context, m Matrix, opts Options) (Result, error) {
 	if opts.Stop == StopGap {
 		rec := opts
@@ -182,31 +186,12 @@ func Run(ctx context.Context, m Matrix, opts Options) (Result, error) {
 // Agglomerate is Run's partition on a background context over the n
 // references of m. It panics when n is not m's size.
 func Agglomerate(n int, m Matrix, opts Options) [][]int {
-	if n != len(m.R) {
-		panic(fmt.Sprintf("cluster: Agglomerate of %d references over a %d-row matrix", n, len(m.R)))
+	if n != m.N {
+		panic(fmt.Sprintf("cluster: Agglomerate of %d references over a %d-reference matrix", n, m.N))
 	}
 	res, err := Run(context.Background(), m, opts)
 	fault.Rethrow(err)
 	return res.Clusters
-}
-
-// pairStats aggregates the base similarities between two clusters. All
-// fields merge additively or by min/max, so a cluster merge never rescans
-// reference pairs.
-type pairStats struct {
-	sumResem           float64
-	minResem, maxResem float64
-	walkAB, walkBA     float64 // directed sums, A = lower cluster id
-}
-
-func (p pairStats) merge(q pairStats) pairStats {
-	return pairStats{
-		sumResem: p.sumResem + q.sumResem,
-		minResem: math.Min(p.minResem, q.minResem),
-		maxResem: math.Max(p.maxResem, q.maxResem),
-		walkAB:   p.walkAB + q.walkAB,
-		walkBA:   p.walkBA + q.walkBA,
-	}
 }
 
 type candidate struct {
@@ -294,7 +279,7 @@ const compactMinHeap = 1024
 // error may be racing a hook that still holds the buffers, and a dropped
 // scratch is cheaper than a torn one.
 func agglomerate(ctx context.Context, m Matrix, opts Options) (Result, error) {
-	n := len(m.R)
+	n := m.N
 	minSim := opts.MinSim
 	var rec *Dendrogram
 	if opts.Stop == StopDendrogram {
@@ -320,22 +305,14 @@ func agglomerate(ctx context.Context, m Matrix, opts Options) (Result, error) {
 	var lastMergeSim, bestRejected float64
 	span := opts.Span
 
-	// Seed the triangle and the heap with all original pairs.
+	// Seed the heap with all original pairs, read in triangle order.
 	k := 0
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		ri, wi := m.R[i], m.W[i]
 		for j := i + 1; j < n; j++ {
-			r := ri[j]
-			st := pairStats{
-				sumResem: r, minResem: r, maxResem: r,
-				walkAB: wi[j], walkBA: m.W[j][i],
-			}
-			s.tri[k] = st
-			k++
-			if sim := similarity(st, 1, 1, opts.Measure); sim >= minSim {
+			if sim := similarity(m.Cells[k], 1, 1, opts.Measure); sim >= minSim {
 				s.heap = append(s.heap, candidate{sim: sim, a: int32(i), b: int32(j)})
 				s.nref[i]++
 				s.nref[j]++
@@ -345,6 +322,7 @@ func agglomerate(ctx context.Context, m Matrix, opts Options) (Result, error) {
 					bestRejected = sim
 				}
 			}
+			k++
 		}
 	}
 	s.heap.init()
@@ -414,9 +392,9 @@ func agglomerate(ctx context.Context, m Matrix, opts Options) (Result, error) {
 			for word != 0 {
 				oid := int32(w<<6 + bits.TrailingZeros64(word))
 				word &= word - 1
-				sa := s.statAt(n, oid, c.a)
-				sb := s.statAt(n, oid, c.b)
-				ns := mergeOriented(sa, sb, int(oid), int(c.a), int(c.b))
+				sa := s.statAt(m, oid, c.a)
+				sb := s.statAt(m, oid, c.b)
+				ns := mergeOriented(sa, sb, int(oid), int(c.a), int(c.b), opts.Measure)
 				statMerges++
 				row[oid] = ns
 				if sim := similarity(ns, int(s.size[oid]), newSize, opts.Measure); sim >= minSim {
@@ -446,9 +424,7 @@ func agglomerate(ctx context.Context, m Matrix, opts Options) (Result, error) {
 			}
 			s.heap = kept
 			s.heap.init()
-			for i := int32(0); i < nid; i++ {
-				s.nref[i] = 0
-			}
+			clear(s.nref[:nid])
 			for _, cand := range s.heap {
 				s.nref[cand.a]++
 				s.nref[cand.b]++
@@ -533,58 +509,81 @@ func partition(parent, size, outIdx []int32, n, nClusters int) [][]int {
 }
 
 // mergeOriented combines the (o, a) and (o, b) stats into the stats between
-// o and the merged cluster. The merged cluster always receives the highest
-// id, so the result's walkAB must flow o -> merged; both inputs are
-// normalised to that orientation first (stored walkAB flows low id -> high).
-func mergeOriented(sa, sb pairStats, o, a, b int) pairStats {
+// o and the merged cluster under measure meas. The merged cluster always
+// receives the highest id, so the result's WAB must flow o -> merged; both
+// inputs are normalised to that orientation first (stored WAB flows low id
+// -> high).
+func mergeOriented(sa, sb Cell, o, a, b int, meas Measure) Cell {
 	if o > a {
-		sa.walkAB, sa.walkBA = sa.walkBA, sa.walkAB
+		sa.WAB, sa.WBA = sa.WBA, sa.WAB
 	}
 	if o > b {
-		sb.walkAB, sb.walkBA = sb.walkBA, sb.walkAB
+		sb.WAB, sb.WBA = sb.WBA, sb.WAB
 	}
-	return sa.merge(sb)
+	r := sa.R + sb.R
+	switch meas {
+	case SingleLink:
+		r = sa.R
+		if sb.R > r {
+			r = sb.R
+		}
+	case CompleteLink:
+		r = sa.R
+		if sb.R < r {
+			r = sb.R
+		}
+	}
+	return Cell{R: r, WAB: sa.WAB + sb.WAB, WBA: sa.WBA + sb.WBA}
 }
 
-// similarity computes the cluster-pair similarity from aggregated stats.
-// sizeA is the size of the lower-id cluster (walkAB flows from it).
-func similarity(st pairStats, sizeA, sizeB int, m Measure) float64 {
-	pairs := float64(sizeA * sizeB)
-	avgResem := st.sumResem / pairs
-	collWalk := (st.walkAB/float64(sizeA) + st.walkBA/float64(sizeB)) / 2
+// similarity computes the cluster-pair similarity from aggregated stats
+// under measure m. sizeA is the size of the lower-id cluster (WAB flows
+// from it).
+func similarity(st Cell, sizeA, sizeB int, m Measure) float64 {
+	if m == SingleLink || m == CompleteLink {
+		return st.R
+	}
+	avgResem := st.R / float64(sizeA*sizeB)
+	collWalk := (st.WAB/float64(sizeA) + st.WBA/float64(sizeB)) / 2
 	switch m {
-	case Combined:
-		return math.Sqrt(avgResem * collWalk)
 	case ResemOnly:
 		return avgResem
 	case WalkOnly:
 		return collWalk
 	case CombinedArithmetic:
 		return (avgResem + collWalk) / 2
-	case SingleLink:
-		return st.maxResem
-	case CompleteLink:
-		return st.minResem
 	default:
 		return math.Sqrt(avgResem * collWalk)
 	}
 }
 
-// Matrix holds the base similarities between n references, identified by
-// dense indexes 0..n-1: R[i][j] is the combined set resemblance (symmetric)
-// and W[i][j] the directed random walk probability from i to j. Both are
-// n×n; the diagonal is never read.
-type Matrix struct {
-	R, W [][]float64
+// Cell holds the base similarities of one reference pair (i, j), i < j: R
+// is the combined set resemblance (symmetric), WAB the directed random walk
+// probability from i to j and WBA the one back. In the merge loop a Cell
+// aggregates a cluster pair, A being the lower cluster id: WAB and WBA sum
+// the walks, and R sums the resemblances — or keeps their maximum under
+// SingleLink and their minimum under CompleteLink.
+type Cell struct {
+	R, WAB, WBA float64
 }
 
-// NewMatrix allocates an n×n zero matrix pair whose rows are views into one
-// flat row-major backing array.
+// Matrix holds the base similarities between N references, identified by
+// dense indexes 0..N-1, as one packed upper triangle: the cell of pair
+// (i, j), i < j, is Cells[i*N − i(i+1)/2 + (j−i−1)], so each row's cells
+// are contiguous (see Row).
+type Matrix struct {
+	N     int
+	Cells []Cell
+}
+
+// NewMatrix allocates a zero matrix over n references.
 func NewMatrix(n int) Matrix {
-	backing := make([]float64, 2*n*n)
-	rows := make([][]float64, 2*n)
-	for i := range rows {
-		rows[i] = backing[i*n : (i+1)*n : (i+1)*n]
-	}
-	return Matrix{R: rows[:n:n], W: rows[n:]}
+	return Matrix{N: n, Cells: make([]Cell, n*(n-1)/2)}
+}
+
+// Row returns the cells of the pairs (i, j), j = i+1..N-1, in order:
+// Row(i)[j-i-1] is pair (i, j).
+func (m Matrix) Row(i int) []Cell {
+	lo := i*m.N - i*(i+1)/2
+	return m.Cells[lo : lo+m.N-i-1 : lo+m.N-i-1]
 }

@@ -27,21 +27,38 @@ func dendrogramOf(m Matrix, opts Options) *Dendrogram {
 	return res.Dendrogram
 }
 
+// at returns the cell of pair (x, y), x != y, oriented so WAB flows from x
+// to y.
+func at(m Matrix, x, y int) Cell {
+	if x < y {
+		return m.Row(x)[y-x-1]
+	}
+	c := m.Row(y)[x-y-1]
+	c.WAB, c.WBA = c.WBA, c.WAB
+	return c
+}
+
+// set writes the cell of pair (x, y), x != y, with c.WAB flowing from x to
+// y.
+func set(m Matrix, x, y int, c Cell) {
+	if x > y {
+		x, y = y, x
+		c.WAB, c.WBA = c.WBA, c.WAB
+	}
+	m.Row(x)[y-x-1] = c
+}
+
 // blobs builds a Matrix with two tight groups: indexes [0,mid) and [mid,n).
 // Within-group resemblance/walk is high, cross-group is low.
 func blobs(n, mid int, within, cross float64) Matrix {
 	m := NewMatrix(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
+		for j := i + 1; j < n; j++ {
 			v := cross
 			if (i < mid) == (j < mid) {
 				v = within
 			}
-			m.R[i][j] = v
-			m.W[i][j] = v / 2
+			set(m, i, j, Cell{R: v, WAB: v / 2, WBA: v / 2})
 		}
 	}
 	return m
@@ -82,7 +99,7 @@ func TestAgglomerateTrivialSizes(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Agglomerate of 3 references over a 2-row matrix did not panic")
+			t.Error("Agglomerate of 3 references over a 2-reference matrix did not panic")
 		}
 	}()
 	Agglomerate(3, NewMatrix(2), Options{})
@@ -91,8 +108,8 @@ func TestAgglomerateTrivialSizes(t *testing.T) {
 func TestMeasureSelectivity(t *testing.T) {
 	// Resemblance links 0-1 strongly; walk links 1-2 strongly.
 	m := NewMatrix(3)
-	m.R[0][1], m.R[1][0] = 0.9, 0.9
-	m.W[1][2], m.W[2][1] = 0.9, 0.9
+	set(m, 0, 1, Cell{R: 0.9})
+	set(m, 1, 2, Cell{WAB: 0.9, WBA: 0.9})
 	r := clustersOf(m, Options{Measure: ResemOnly, MinSim: 0.5})
 	if !reflect.DeepEqual(r, [][]int{{0, 1}, {2}}) {
 		t.Errorf("ResemOnly = %v", r)
@@ -112,8 +129,8 @@ func TestMeasureSelectivity(t *testing.T) {
 func TestSingleVsCompleteLink(t *testing.T) {
 	// A chain: 0-1 and 1-2 similar, 0-2 dissimilar.
 	m := NewMatrix(3)
-	m.R[0][1], m.R[1][0] = 0.9, 0.9
-	m.R[1][2], m.R[2][1] = 0.8, 0.8
+	set(m, 0, 1, Cell{R: 0.9})
+	set(m, 1, 2, Cell{R: 0.8})
 	s := clustersOf(m, Options{Measure: SingleLink, MinSim: 0.5})
 	if len(s) != 1 {
 		t.Errorf("SingleLink chained clustering = %v, want one cluster", s)
@@ -129,12 +146,8 @@ func TestCombinedGeometricVsArithmetic(t *testing.T) {
 	// One pair has balanced signals, the other extremely lopsided ones with
 	// a higher arithmetic mean. Geometric must prefer balance.
 	m := NewMatrix(4)
-	set := func(i, j int, r, w float64) {
-		m.R[i][j], m.R[j][i] = r, r
-		m.W[i][j], m.W[j][i] = w, w
-	}
-	set(0, 1, 0.4, 0.4)  // geometric 0.4, arithmetic 0.4
-	set(2, 3, 0.9, 0.01) // geometric ~0.095, arithmetic ~0.455
+	set(m, 0, 1, Cell{R: 0.4, WAB: 0.4, WBA: 0.4})   // geometric 0.4, arithmetic 0.4
+	set(m, 2, 3, Cell{R: 0.9, WAB: 0.01, WBA: 0.01}) // geometric ~0.095, arithmetic ~0.455
 	g := clustersOf(m, Options{Measure: Combined, MinSim: 0.2})
 	if !reflect.DeepEqual(g, [][]int{{0, 1}, {2}, {3}}) {
 		t.Errorf("geometric measure = %v", g)
@@ -162,9 +175,8 @@ func randomMatrix(rng *rand.Rand, n int) Matrix {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			r := rng.Float64()
-			m.R[i][j], m.R[j][i] = r, r
-			m.W[i][j] = rng.Float64()
-			m.W[j][i] = rng.Float64()
+			wab := rng.Float64()
+			set(m, i, j, Cell{R: r, WAB: wab, WBA: rng.Float64()})
 		}
 	}
 	return m
@@ -193,12 +205,12 @@ func bruteForce(n int, m Matrix, opts Options) [][]int {
 		maxR = math.Inf(-1)
 		for _, x := range lo.members {
 			for _, y := range hi.members {
-				r := m.R[x][y]
-				sumR += r
-				minR = math.Min(minR, r)
-				maxR = math.Max(maxR, r)
-				wAB += m.W[x][y]
-				wBA += m.W[y][x]
+				c := at(m, x, y)
+				sumR += c.R
+				minR = math.Min(minR, c.R)
+				maxR = math.Max(maxR, c.R)
+				wAB += c.WAB
+				wBA += c.WBA
 			}
 		}
 		pairs := float64(len(lo.members) * len(hi.members))

@@ -74,8 +74,8 @@ func TestFlatMatchesMapReference(t *testing.T) {
 // Single/complete link propagate min/max resemblance through merges whose
 // walk stats are asymmetric; a directed check that the flat row layout
 // orients takeStats/mergeOriented the same way the map did, on matrices
-// built to make every orientation mistake visible (W[i][j] != W[j][i]
-// everywhere, R values all distinct).
+// built to make every orientation mistake visible (WAB != WBA everywhere,
+// R values all distinct).
 func TestLinkMeasuresOrientationFlat(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,10 +84,10 @@ func TestLinkMeasuresOrientationFlat(t *testing.T) {
 		v := 0.001
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				m.R[i][j], m.R[j][i] = v, v
+				wab := rng.Float64()
+				wba := wab * (0.1 + rng.Float64()) // asymmetric
+				set(m, i, j, Cell{R: v, WAB: wab, WBA: wba})
 				v += 0.001 // all-distinct resemblances
-				m.W[i][j] = rng.Float64()
-				m.W[j][i] = m.W[i][j] * (0.1 + rng.Float64()) // asymmetric
 			}
 		}
 		for _, meas := range []Measure{SingleLink, CompleteLink, Combined, WalkOnly} {
@@ -312,9 +312,8 @@ func TestWarmAllocsCeiling(t *testing.T) {
 			if i%groups == j%groups {
 				r = 0.05 + 0.4*rng.Float64()
 			}
-			m.R[i][j], m.R[j][i] = r, r
-			m.W[i][j] = r * (0.5 + rng.Float64())
-			m.W[j][i] = r * (0.5 + rng.Float64())
+			wab := r * (0.5 + rng.Float64())
+			set(m, i, j, Cell{R: r, WAB: wab, WBA: r * (0.5 + rng.Float64())})
 		}
 	}
 	opts := Options{Measure: Combined, MinSim: 0.0005, Scratch: NewScratch()}

@@ -36,13 +36,14 @@ func FuzzAgglomerate(f *testing.F) {
 				if i == j {
 					continue
 				}
+				c := at(m, i, j)
 				if j > i {
-					r := byteAt(k)
-					m.R[i][j], m.R[j][i] = r, r
+					c.R = byteAt(k)
 					k++
 				}
-				m.W[i][j] = byteAt(k)
+				c.WAB = byteAt(k)
 				k++
+				set(m, i, j, c)
 			}
 		}
 

@@ -1,6 +1,9 @@
 package cluster
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Threshold-free stopping (an extension beyond the paper): instead of a
 // global min-sim, cut each name's dendrogram at its largest similarity
@@ -48,27 +51,12 @@ func cutAtGapSims(sims []float64, minRatio float64) (float64, bool) {
 	if len(sims) < 2 {
 		return 0, false
 	}
-	maxSim := gapFloor
-	for _, s := range sims {
-		if s > maxSim {
-			maxSim = s
-		}
-	}
-	floor := maxSim * relFloor
-	if floor < gapFloor {
-		floor = gapFloor
-	}
-	clamp := func(v float64) float64 {
-		if v < floor {
-			return floor
-		}
-		return v
-	}
+	floor := max(slices.Max(sims)*relFloor, gapFloor)
 	bestRatio := 0.0
 	cut := 0.0
 	for i := 0; i+1 < len(sims); i++ {
-		hi := clamp(sims[i])
-		lo := clamp(sims[i+1])
+		hi := max(sims[i], floor)
+		lo := max(sims[i+1], floor)
 		// Merge similarities are not strictly monotone; only downward
 		// steps are candidate boundaries.
 		if lo > hi {

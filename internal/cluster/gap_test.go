@@ -101,10 +101,8 @@ func TestAgglomerateAutoAllIdenticalSims(t *testing.T) {
 	// order of magnitude, so no spurious gap may fire and the fallback
 	// governs: 0 merges everything, above-constant splits everything.
 	flat := NewMatrix(5)
-	for i := range flat.R {
-		for j := range flat.R[i] {
-			flat.R[i][j], flat.W[i][j] = 0.3, 0.3
-		}
+	for k := range flat.Cells {
+		flat.Cells[k] = Cell{R: 0.3, WAB: 0.3, WBA: 0.3}
 	}
 	got := clustersOf(flat, Options{Measure: Combined, Stop: StopGap})
 	if len(got) != 1 || len(got[0]) != 5 {

@@ -1,12 +1,18 @@
 package cluster
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // This file holds the package's test oracle: the pre-flat, map-based
 // agglomeration. The property tests and FuzzAgglomerate assert that the
 // flat engine reproduces its partitions and merge sequences bit for bit.
 // It is unoptimised on purpose — no scratch, no counters, no spans — so its
-// correctness is easy to audit against the paper's Section 4.2.
+// correctness is easy to audit against the paper's Section 4.2. It keeps
+// its own statistics, all five the measures can ask for, and its own
+// merge and similarity, so it checks the engine's one-aggregate Cell
+// independently rather than sharing its arithmetic.
 
 // Merge records one agglomeration step: the members of the two clusters
 // merged (lower-id cluster first, each in concat order: a merged cluster
@@ -27,7 +33,7 @@ type refClusterState struct {
 // lists, and also returns the merge sequence. Quadratic allocation
 // behaviour, no observability.
 func agglomerateOracle(m Matrix, opts Options) ([][]int, []Merge) {
-	n := len(m.R)
+	n := m.N
 	if n <= 0 {
 		return nil, nil
 	}
@@ -36,18 +42,18 @@ func agglomerateOracle(m Matrix, opts Options) ([][]int, []Merge) {
 	for i := range clusters {
 		clusters[i] = refClusterState{members: []int{i}, alive: true}
 	}
-	stats := make(map[uint64]pairStats, n*(n-1)/2)
+	stats := make(map[uint64]oracleStats, n*(n-1)/2)
 	h := make(candidateHeap, 0, n*(n-1)/2)
 	bestRejected := 0.0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			r := m.R[i][j]
-			st := pairStats{
-				sumResem: r, minResem: r, maxResem: r,
-				walkAB: m.W[i][j], walkBA: m.W[j][i],
+			c := m.Row(i)[j-i-1]
+			st := oracleStats{
+				sumResem: c.R, minResem: c.R, maxResem: c.R,
+				walkAB: c.WAB, walkBA: c.WBA,
 			}
 			stats[pairKey(i, j)] = st
-			if s := similarity(st, 1, 1, opts.Measure); s >= opts.MinSim {
+			if s := st.similarity(1, 1, opts.Measure); s >= opts.MinSim {
 				h = append(h, candidate{sim: s, a: int32(i), b: int32(j)})
 			} else if s > bestRejected {
 				bestRejected = s
@@ -76,11 +82,25 @@ func agglomerateOracle(m Matrix, opts Options) ([][]int, []Merge) {
 			if !clusters[oid].alive {
 				continue
 			}
+			// Orient both inputs so walkAB flows oid -> the merged cluster,
+			// which holds the highest id.
 			sa := takeStats(stats, oid, int(c.a))
+			if oid > int(c.a) {
+				sa.walkAB, sa.walkBA = sa.walkBA, sa.walkAB
+			}
 			sb := takeStats(stats, oid, int(c.b))
-			ns := mergeOriented(sa, sb, oid, int(c.a), int(c.b))
+			if oid > int(c.b) {
+				sb.walkAB, sb.walkBA = sb.walkBA, sb.walkAB
+			}
+			ns := oracleStats{
+				sumResem: sa.sumResem + sb.sumResem,
+				minResem: math.Min(sa.minResem, sb.minResem),
+				maxResem: math.Max(sa.maxResem, sb.maxResem),
+				walkAB:   sa.walkAB + sb.walkAB,
+				walkBA:   sa.walkBA + sb.walkBA,
+			}
 			stats[pairKey(oid, nid)] = ns
-			s := similarity(ns, len(clusters[oid].members), len(merged), opts.Measure)
+			s := ns.similarity(len(clusters[oid].members), len(merged), opts.Measure)
 			if s >= opts.MinSim {
 				h.push(candidate{sim: s, a: int32(oid), b: int32(nid)})
 			} else if s > bestRejected {
@@ -102,6 +122,35 @@ func agglomerateOracle(m Matrix, opts Options) ([][]int, []Merge) {
 	return out, mergeLog
 }
 
+// oracleStats aggregates the base similarities between two clusters, one
+// field per aggregate any measure reads.
+type oracleStats struct {
+	sumResem           float64
+	minResem, maxResem float64
+	walkAB, walkBA     float64 // directed sums, A = lower cluster id
+}
+
+// similarity is the cluster-pair similarity of Section 4.1 and its
+// ablations; sizeA is the size of the lower-id cluster.
+func (st oracleStats) similarity(sizeA, sizeB int, m Measure) float64 {
+	avgResem := st.sumResem / float64(sizeA*sizeB)
+	collWalk := (st.walkAB/float64(sizeA) + st.walkBA/float64(sizeB)) / 2
+	switch m {
+	case ResemOnly:
+		return avgResem
+	case WalkOnly:
+		return collWalk
+	case CombinedArithmetic:
+		return (avgResem + collWalk) / 2
+	case SingleLink:
+		return st.maxResem
+	case CompleteLink:
+		return st.minResem
+	default:
+		return math.Sqrt(avgResem * collWalk)
+	}
+}
+
 // pairKey packs a cluster pair into one word, low id in the high half.
 // Cluster ids stay below 2n (n originals plus at most n-1 merges), so the
 // halves never truncate for any clusterable input.
@@ -114,7 +163,7 @@ func pairKey(a, b int) uint64 {
 
 // takeStats removes and returns the stats between clusters x and y, oriented
 // so walkAB flows from min(x,y) to max(x,y).
-func takeStats(stats map[uint64]pairStats, x, y int) pairStats {
+func takeStats(stats map[uint64]oracleStats, x, y int) oracleStats {
 	key := pairKey(x, y)
 	st := stats[key]
 	delete(stats, key)

@@ -3,11 +3,12 @@ package cluster
 import "sync"
 
 // Scratch holds every buffer the flat agglomeration engine needs: the
-// all-pairs stats triangle, the per-merged-cluster stat rows, the candidate
-// heap backing, the alive bitmap, and the id-indexed bookkeeping arrays
-// (sizes, union-find parent links, heap refcounts, output cursors). A warm
-// Scratch makes the merge loop allocation-free: only the returned partition
-// (two slices) is allocated per run.
+// per-merged-cluster stat rows, the candidate heap backing, the alive
+// bitmap, and the id-indexed bookkeeping arrays (sizes, union-find parent
+// links, heap refcounts, output cursors). A warm Scratch makes the merge
+// loop allocation-free: only the returned partition (two slices) is
+// allocated per run. The original pairs' stats are read from the run's
+// Matrix, to which a Scratch keeps no reference.
 //
 // A Scratch is reset at the start of every run, so reuse after an aborted
 // run is safe. It is not safe for concurrent use; Run draws one from an
@@ -15,13 +16,12 @@ import "sync"
 // the run succeeds — an errored run drops its scratch rather than risk
 // handing a torn buffer to the next caller.
 type Scratch struct {
-	tri []pairStats // stats triangle over original pairs i<j<n
 	// The row arena: rowOf[c-n] is merged cluster c's stat row, carved
 	// front to back from chunks. A chunk never moves once allocated, and
 	// each new one is at least twice the size of the last, so the arena
 	// grows without copying a row and a warm run allocates no chunk.
-	rowOf  [][]pairStats
-	chunks [][]pairStats
+	rowOf  [][]Cell
+	chunks [][]Cell
 	chunk  int // index of the chunk being carved
 	used   int // cells of chunks[chunk] already carved this run
 	heap   candidateHeap
@@ -56,7 +56,6 @@ func grow[T any](s []T, n int) []T {
 // except outIdx, whose zero value means "no output cluster yet".
 func (s *Scratch) reset(n int) {
 	maxID := 2*n - 1
-	s.tri = grow(s.tri, n*(n-1)/2)
 	s.rowOf = grow(s.rowOf, n-1)
 	s.chunk, s.used = 0, 0
 	s.heap = s.heap[:0]
@@ -65,18 +64,14 @@ func (s *Scratch) reset(n int) {
 	s.parent = grow(s.parent, maxID)
 	s.nref = grow(s.nref, maxID)
 	s.outIdx = grow(s.outIdx, maxID)
-	for i := range s.alive {
-		s.alive[i] = 0
-	}
+	clear(s.alive)
 	for i := 0; i < n; i++ {
 		s.alive[i>>6] |= 1 << (uint(i) & 63)
 		s.size[i] = 1
 		s.parent[i] = -1
 		s.nref[i] = 0
 	}
-	for i := range s.outIdx {
-		s.outIdx[i] = 0
-	}
+	clear(s.outIdx)
 }
 
 func (s *Scratch) isAlive(id int32) bool { return s.alive[id>>6]&(1<<(uint(id)&63)) != 0 }
@@ -84,17 +79,18 @@ func (s *Scratch) kill(id int32)         { s.alive[id>>6] &^= 1 << (uint(id) & 6
 func (s *Scratch) setAlive(id int32)     { s.alive[id>>6] |= 1 << (uint(id) & 63) }
 
 // statAt returns the aggregated stats between clusters x and y, oriented so
-// walkAB flows from min(x,y) to max(x,y). Original pairs live in the
-// triangle; pairs involving a merged cluster live in that cluster's row
-// (the higher id always carries the row, because ids are assigned in merge
-// order and the row spans every id below it).
-func (s *Scratch) statAt(n int, x, y int32) pairStats {
+// WAB flows from min(x,y) to max(x,y). Original pairs live in m's triangle;
+// pairs involving a merged cluster live in that cluster's row (the higher
+// id always carries the row, because ids are assigned in merge order and
+// the row spans every id below it).
+func (s *Scratch) statAt(m Matrix, x, y int32) Cell {
 	if x > y {
 		x, y = y, x
 	}
+	n := m.N
 	if int(y) < n {
 		i, j := int(x), int(y)
-		return s.tri[i*n-i*(i+1)/2+(j-i-1)]
+		return m.Cells[i*n-i*(i+1)/2+(j-i-1)]
 	}
 	return s.rowOf[int(y)-n][x]
 }
@@ -106,7 +102,7 @@ const minChunk = 256
 // unspecified; the merge loop writes every cell it later reads. A row that
 // does not fit the rest of the current chunk moves on to the next one,
 // allocating it — at least double the last chunk — when none is left.
-func (s *Scratch) carve(m int) []pairStats {
+func (s *Scratch) carve(m int) []Cell {
 	for ; s.chunk < len(s.chunks); s.chunk, s.used = s.chunk+1, 0 {
 		if c := s.chunks[s.chunk]; s.used+m <= len(c) {
 			row := c[s.used : s.used+m : s.used+m]
@@ -118,7 +114,7 @@ func (s *Scratch) carve(m int) []pairStats {
 	if k := len(s.chunks); k > 0 {
 		size = max(size, 2*len(s.chunks[k-1]))
 	}
-	s.chunks = append(s.chunks, make([]pairStats, size))
+	s.chunks = append(s.chunks, make([]Cell, size))
 	s.chunk, s.used = len(s.chunks)-1, m
 	return s.chunks[s.chunk][:m:m]
 }

@@ -52,9 +52,7 @@ func TestTraceDescendingSimilarity(t *testing.T) {
 	best := 0.0
 	for i := 0; i < 12; i++ {
 		for j := i + 1; j < 12; j++ {
-			st := pairStats{sumResem: m.R[i][j], minResem: m.R[i][j], maxResem: m.R[i][j],
-				walkAB: m.W[i][j], walkBA: m.W[j][i]}
-			if s := similarity(st, 1, 1, Combined); s > best {
+			if s := similarity(at(m, i, j), 1, 1, Combined); s > best {
 				best = s
 			}
 		}

@@ -257,6 +257,11 @@ func (e *Engine) TuneMinSim(grid []float64, maxCases int, seed int64) (*TuneResu
 	if len(grid) == 0 {
 		grid = []float64{0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2}
 	}
+	for _, ms := range grid {
+		if err := checkMinSim(ms); err != nil {
+			return nil, err
+		}
+	}
 	if maxCases <= 0 {
 		maxCases = 50
 	}
@@ -418,10 +423,10 @@ func (e *Engine) NameAffinity(a, b string) float64 {
 	na := len(ra)
 	var sumResem, walkAB, walkBA float64
 	for i := 0; i < na; i++ {
-		for j := na; j < len(refs); j++ {
-			sumResem += m.R[i][j]
-			walkAB += m.W[i][j]
-			walkBA += m.W[j][i]
+		for _, c := range m.Row(i)[na-i-1:] {
+			sumResem += c.R
+			walkAB += c.WAB
+			walkBA += c.WBA
 		}
 	}
 	nb := float64(len(rb))
@@ -446,8 +451,24 @@ func strideSample(refs []reldb.TupleID, max int) []reldb.TupleID {
 	return out
 }
 
-// SetMinSim overrides the clustering threshold.
-func (e *Engine) SetMinSim(v float64) { e.cfg.MinSim = v }
+// SetMinSim overrides the clustering threshold; a NaN or infinite one is an
+// error and changes nothing.
+func (e *Engine) SetMinSim(v float64) error {
+	if err := checkMinSim(v); err != nil {
+		return err
+	}
+	e.cfg.MinSim = v
+	return nil
+}
+
+// checkMinSim rejects a NaN or infinite threshold: no similarity reaches
+// NaN or +Inf, and every one reaches -Inf.
+func checkMinSim(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("core: min-sim %v is not finite", v)
+	}
+	return nil
+}
 
 // MinSim returns the current clustering threshold.
 func (e *Engine) MinSim() float64 { return e.cfg.MinSim }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"distinct/internal/cluster"
 )
 
 // TestPipelineReproducible: two engines built and trained identically on
@@ -94,7 +96,7 @@ func TestTrainingSeedMatters(t *testing.T) {
 func TestWorkersDoNotChangeResults(t *testing.T) {
 	w := testWorld(t)
 
-	run := func(workers int) ([][]float64, [][][]int32) {
+	run := func(workers int) ([]cluster.Cell, [][][]int32) {
 		cfg := engineConfig(w, false)
 		cfg.Workers = workers
 		e, err := NewEngineCtx(context.Background(), w.DB, cfg)
@@ -119,18 +121,17 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 			}
 			clusterings = append(clusterings, c)
 		}
-		return m.R, clusterings
+		return m.Cells, clusterings
 	}
 
 	r1, c1 := run(1)
 	r8, c8 := run(8)
 	// Compare within a tight tolerance: the contract is numerical
 	// agreement, not a particular accumulation order.
-	for i := range r1 {
-		for j := range r1[i] {
-			if math.Abs(r1[i][j]-r8[i][j]) > 1e-12 {
-				t.Fatalf("similarity [%d][%d] differs: %v vs %v", i, j, r1[i][j], r8[i][j])
-			}
+	for k := range r1 {
+		a, b := r1[k], r8[k]
+		if math.Abs(a.R-b.R) > 1e-12 || math.Abs(a.WAB-b.WAB) > 1e-12 || math.Abs(a.WBA-b.WBA) > 1e-12 {
+			t.Fatalf("similarity cell %d differs: %+v vs %+v", k, a, b)
 		}
 	}
 	if !reflect.DeepEqual(c1, c8) {

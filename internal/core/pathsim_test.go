@@ -43,15 +43,12 @@ func TestSimilaritiesCtx(t *testing.T) {
 	}
 	same := func(what string, got, want cluster.Matrix) {
 		t.Helper()
-		if len(got.R) != len(refs) || len(want.R) != len(refs) {
-			t.Fatalf("%s: %d and %d rows for %d refs", what, len(got.R), len(want.R), len(refs))
+		if got.N != len(refs) || want.N != len(refs) || len(got.Cells) != len(want.Cells) {
+			t.Fatalf("%s: %d and %d references for %d refs", what, got.N, want.N, len(refs))
 		}
-		for i := range refs {
-			for j := range refs {
-				if got.R[i][j] != want.R[i][j] || got.W[i][j] != want.W[i][j] {
-					t.Fatalf("%s: cell (%d,%d) = (%v, %v), want (%v, %v)", what, i, j,
-						got.R[i][j], got.W[i][j], want.R[i][j], want.W[i][j])
-				}
+		for k := range got.Cells {
+			if got.Cells[k] != want.Cells[k] {
+				t.Fatalf("%s: cell %d = %+v, want %+v", what, k, got.Cells[k], want.Cells[k])
 			}
 		}
 	}
@@ -83,8 +80,8 @@ func TestSimilaritiesCtx(t *testing.T) {
 		{"NaN", rw, nan},
 	} {
 		m, err := e.SimilaritiesCtx(ctx, refs, tc.resem, tc.walk)
-		if err == nil || m.R != nil {
-			t.Errorf("%s weights: err = %v, %d matrix rows; want an error and no matrix", tc.name, err, len(m.R))
+		if err == nil || m.Cells != nil {
+			t.Errorf("%s weights: err = %v, %d matrix cells; want an error and no matrix", tc.name, err, len(m.Cells))
 		}
 	}
 }

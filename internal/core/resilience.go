@@ -6,8 +6,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 
 	"distinct/internal/fault"
@@ -88,25 +89,19 @@ func (w weights) degraded(k int) (weights, bool) {
 	if nonzero <= k {
 		return w, false
 	}
-	type pathWeight struct {
-		p int
-		w float64
+	// Strongest first; the stable sort keeps tied paths in path order.
+	ranked := make([]int, len(w.resem))
+	for p := range ranked {
+		ranked[p] = p
 	}
-	ranked := make([]pathWeight, len(w.resem))
-	for p := range w.resem {
-		ranked[p] = pathWeight{p: p, w: w.resem[p] + w.walk[p]}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].w != ranked[j].w {
-			return ranked[i].w > ranked[j].w
-		}
-		return ranked[i].p < ranked[j].p
+	slices.SortStableFunc(ranked, func(a, b int) int {
+		return cmp.Compare(w.resem[b]+w.walk[b], w.resem[a]+w.walk[a])
 	})
 	resem := make([]float64, len(w.resem))
 	walk := make([]float64, len(w.walk))
-	for _, r := range ranked[:k] {
-		resem[r.p] = w.resem[r.p]
-		walk[r.p] = w.walk[r.p]
+	for _, p := range ranked[:k] {
+		resem[p] = w.resem[p]
+		walk[p] = w.walk[p]
 	}
 	return weights{normalize(resem), normalize(walk)}, true
 }

@@ -190,14 +190,14 @@ func TestHarnessCaches(t *testing.T) {
 		return m
 	}
 	a := matrix("Wei Wang", true)
-	if b := matrix("Wei Wang", true); &a.R[0][0] != &b.R[0][0] || &a.W[0][0] != &b.W[0][0] {
+	if b := matrix("Wei Wang", true); &a.Cells[0] != &b.Cells[0] {
 		t.Error("supervised matrix not cached")
 	}
 	u := matrix("Wei Wang", false)
-	if &u.R[0][0] == &a.R[0][0] || slices.EqualFunc(u.R, a.R, slices.Equal[[]float64]) {
+	if &u.Cells[0] == &a.Cells[0] || slices.Equal(u.Cells, a.Cells) {
 		t.Error("uniform-weight matrix shares or equals the supervised one")
 	}
-	if v := matrix("Wei Wang", false); &v.R[0][0] != &u.R[0][0] {
+	if v := matrix("Wei Wang", false); &v.Cells[0] != &u.Cells[0] {
 		t.Error("uniform-weight matrix not cached")
 	}
 
@@ -212,7 +212,7 @@ func TestHarnessCaches(t *testing.T) {
 	}
 	h.Opts.NameTimeout = 0
 	c := matrix("Lei Wang", true)
-	if d := matrix("Lei Wang", true); &c.R[0][0] != &d.R[0][0] {
+	if d := matrix("Lei Wang", true); &c.Cells[0] != &d.Cells[0] {
 		t.Error("matrix computed after a timeout not cached")
 	}
 

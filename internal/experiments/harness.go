@@ -193,7 +193,7 @@ func (h *Harness) Train() (*core.TrainReport, error) {
 // the harness's lifetime: the variant sweeps (Figure 4, the ablation,
 // min-sim grids) cut the same matrix under several cluster measures and
 // thresholds, so every pass after the first is clustering alone. On the
-// default world the ten names' matrices take about 0.9 MiB per mode.
+// default world the ten names' matrices take about 0.67 MiB per mode.
 // Opts.NameTimeout, when set, budgets the computation; Opts.Ctx cancels it.
 // A failed or timed-out computation is not kept.
 func (h *Harness) matrix(name string, supervised bool) (cluster.Matrix, error) {

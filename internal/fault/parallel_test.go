@@ -65,7 +65,10 @@ func TestParallelForMoreWorkersThanItems(t *testing.T) {
 
 // TestParallelForCtxExactlyOnceUnderCancel: cancelling mid-iteration must
 // never run an index twice — claimed items finish, unclaimed items are
-// skipped, and the context error is returned.
+// skipped, and the context error is returned. Index n/4 cancels, and every
+// later index waits for the cancel before it returns, so a worker claims
+// at most one index past n/4 and then sees the cancel: whatever the
+// scheduling, indices 0..n/4 run, plus at most one more per other worker.
 func TestParallelForCtxExactlyOnceUnderCancel(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		const n = 200
@@ -75,8 +78,11 @@ func TestParallelForCtxExactlyOnceUnderCancel(t *testing.T) {
 			if c := perIndex[i].Add(1); c != 1 {
 				t.Errorf("workers=%d: index %d claimed %d times", workers, i, c)
 			}
-			if i == n/4 {
+			switch {
+			case i == n/4:
 				cancel()
+			case i > n/4:
+				<-ctx.Done()
 			}
 			return nil
 		})
@@ -92,8 +98,8 @@ func TestParallelForCtxExactlyOnceUnderCancel(t *testing.T) {
 				ran++
 			}
 		}
-		if ran == 0 || ran >= n {
-			t.Errorf("workers=%d: %d of %d indices ran; want a proper partial sweep", workers, ran, n)
+		if ran <= n/4 || ran > n/4+workers {
+			t.Errorf("workers=%d: %d of %d indices ran; want more than %d and at most %d", workers, ran, n, n/4, n/4+workers)
 		}
 	}
 }

@@ -197,10 +197,10 @@ func TestRelationalVerificationSeparates(t *testing.T) {
 		half := len(refs) / 2
 		var sumResem, wAB, wBA float64
 		for i := 0; i < half; i++ {
-			for j := half; j < len(refs); j++ {
-				sumResem += m.R[i][j]
-				wAB += m.W[i][j]
-				wBA += m.W[j][i]
+			for _, c := range m.Row(i)[half-i-1:] {
+				sumResem += c.R
+				wAB += c.WAB
+				wBA += c.WBA
 			}
 		}
 		nb := float64(len(refs) - half)

@@ -40,6 +40,8 @@ echo "== serving concurrency tier (coalescing + chaos, -race, count=2)"
 go test -race -count=2 -run '^TestCoalesce|^TestChaos|^TestDrain' ./internal/serve
 echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, shared neighborhoods, neighborhood slot store, packed neighborhoods, grouped vs flat, -race, count=2)"
 go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestSlotStore|^TestPacked|^TestGrouped' ./internal/prop ./internal/sim
+echo "== clustering tier (concurrent runs sharing one matrix, scratch hygiene, flat engine vs map oracle, property and fuzz-seed tests: the whole cluster package, -race, count=2)"
+go test -race -count=2 ./internal/cluster
 echo "== training and engine oracle tier (two-worker training, engine vs kernel oracle, -race, count=2)"
 go test -race -count=2 -run '^TestParallelTrainingMatchesSerial$|^TestEngineMatchesOracle$' ./internal/core
 echo "check.sh: all green"
