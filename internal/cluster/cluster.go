@@ -27,7 +27,7 @@
 // The engine keeps all pair statistics in flat storage: the original pairs
 // are read straight from the caller's packed Matrix triangle, which a run
 // never writes, and post-merge stats live in per-cluster rows (see
-// Scratch), cluster membership in union-find parent links. Cluster ids are
+// scratch), cluster membership in union-find parent links. Cluster ids are
 // dense and never reused — originals are 0..n-1 and the i-th merge creates
 // id n+i — so every lookup is array indexing and a warm run's merge loop
 // performs no allocation. The map-based implementation it replaced is the
@@ -135,10 +135,6 @@ type Options struct {
 	// the last accepted similarity, the best similarity the threshold
 	// rejected, and the gap ratio between the two.
 	Span *trace.Span
-	// Scratch, when non-nil, supplies the run's working buffers so a sweep
-	// can reuse them explicitly (one Scratch per goroutine). When nil, a
-	// pooled Scratch is used and returned to the pool on success.
-	Scratch *Scratch
 }
 
 // Result is the outcome of a run.
@@ -158,12 +154,18 @@ type Result struct {
 // so concurrent runs may share one Matrix. Cancellation is observed between
 // heap-build rows and between merge iterations, so a pathological block
 // aborts with latency bounded by one row / one merge step; the merge loop
-// also exposes the "cluster.merge" fault point for chaos testing.
+// also exposes the "cluster.merge" fault point for chaos testing. Its
+// working buffers come from a pool.
 func Run(ctx context.Context, m Matrix, opts Options) (Result, error) {
+	return run(ctx, m, opts, nil)
+}
+
+// run is Run on the scratch s, or on a pooled one when s is nil.
+func run(ctx context.Context, m Matrix, opts Options, s *scratch) (Result, error) {
 	if opts.Stop == StopGap {
 		rec := opts
 		rec.Stop = StopDendrogram
-		res, err := agglomerate(ctx, m, rec)
+		res, err := agglomerate(ctx, m, rec, s)
 		if err != nil {
 			return Result{}, err
 		}
@@ -180,7 +182,7 @@ func Run(ctx context.Context, m Matrix, opts Options) (Result, error) {
 			opts.Obs.Counter("cluster.dendrogram_fallbacks").Inc()
 		}
 	}
-	return agglomerate(ctx, m, opts)
+	return agglomerate(ctx, m, opts, s)
 }
 
 // Agglomerate is Run's partition on a background context over the n
@@ -271,14 +273,15 @@ func (h *candidateHeap) pop() candidate {
 // sift work is cheaper than rebuilding, so small blocks never compact.
 const compactMinHeap = 1024
 
-// agglomerate is the merge loop behind Run, stopping at MinSim. Under
-// StopDendrogram MinSim is treated as 0 and every merge is recorded
-// instead of a partition being materialised.
+// agglomerate is the merge loop behind Run, stopping at MinSim, on the
+// scratch s or a pooled one when s is nil. Under StopDendrogram MinSim is
+// treated as 0 and every merge is recorded instead of a partition being
+// materialised.
 //
-// On error the scratch is NOT returned to the pool: a caller observing the
-// error may be racing a hook that still holds the buffers, and a dropped
-// scratch is cheaper than a torn one.
-func agglomerate(ctx context.Context, m Matrix, opts Options) (Result, error) {
+// On error a pooled scratch is NOT returned to the pool: a caller observing
+// the error may be racing a hook that still holds the buffers, and a
+// dropped scratch is cheaper than a torn one.
+func agglomerate(ctx context.Context, m Matrix, opts Options, s *scratch) (Result, error) {
 	n := m.N
 	minSim := opts.MinSim
 	var rec *Dendrogram
@@ -289,10 +292,9 @@ func agglomerate(ctx context.Context, m Matrix, opts Options) (Result, error) {
 	if n <= 0 {
 		return Result{Dendrogram: rec}, nil
 	}
-	s := opts.Scratch
 	fromPool := false
 	if s == nil {
-		s = scratchPool.Get().(*Scratch)
+		s = scratchPool.Get().(*scratch)
 		fromPool = true
 	}
 	s.reset(n)

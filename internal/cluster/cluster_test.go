@@ -10,17 +10,23 @@ import (
 
 // clustersOf and dendrogramOf run m on a background context, which can
 // neither end nor carry a fault registry.
-func clustersOf(m Matrix, opts Options) [][]int {
-	res, err := Run(context.Background(), m, opts)
+func clustersOf(m Matrix, opts Options) [][]int { return clustersOn(nil, m, opts) }
+
+// clustersOn is clustersOf on the scratch s, or on a pooled one when s is
+// nil.
+func clustersOn(s *scratch, m Matrix, opts Options) [][]int {
+	res, err := run(context.Background(), m, opts, s)
 	if err != nil {
 		panic(err)
 	}
 	return res.Clusters
 }
 
-func dendrogramOf(m Matrix, opts Options) *Dendrogram {
+func dendrogramOf(m Matrix, opts Options) *Dendrogram { return dendrogramOn(nil, m, opts) }
+
+func dendrogramOn(s *scratch, m Matrix, opts Options) *Dendrogram {
 	opts.Stop = StopDendrogram
-	res, err := Run(context.Background(), m, opts)
+	res, err := run(context.Background(), m, opts, s)
 	if err != nil {
 		panic(err)
 	}

@@ -44,14 +44,14 @@ func requireSameTrace(t *testing.T, want, got []Merge, label string) {
 // the partition at opts.MinSim, and the full merge sequence — the
 // dendrogram, recorded at MinSim 0 — against the oracle's MinSim-0 trace.
 // It returns the flat engine's merge sequence.
-func requireMatchesOracle(t *testing.T, m Matrix, opts Options, label string) []Merge {
+func requireMatchesOracle(t *testing.T, s *scratch, m Matrix, opts Options, label string) []Merge {
 	t.Helper()
 	wantOut, _ := agglomerateOracle(m, opts)
-	requireSamePartition(t, wantOut, clustersOf(m, opts), label)
+	requireSamePartition(t, wantOut, clustersOn(s, m, opts), label)
 	full := opts
 	full.MinSim = 0
 	_, wantTrace := agglomerateOracle(m, full)
-	gotTrace := dendroMerges(dendrogramOf(m, full))
+	gotTrace := dendroMerges(dendrogramOn(s, m, full))
 	requireSameTrace(t, wantTrace, gotTrace, label)
 	return gotTrace
 }
@@ -65,7 +65,7 @@ func TestFlatMatchesMapReference(t *testing.T) {
 		for _, meas := range allMeasures {
 			for _, ms := range minSims {
 				opts := Options{Measure: meas, MinSim: ms}
-				requireMatchesOracle(t, m, opts, opts.Measure.String())
+				requireMatchesOracle(t, nil, m, opts, opts.Measure.String())
 			}
 		}
 	}
@@ -92,23 +92,22 @@ func TestLinkMeasuresOrientationFlat(t *testing.T) {
 		}
 		for _, meas := range []Measure{SingleLink, CompleteLink, Combined, WalkOnly} {
 			opts := Options{Measure: meas, MinSim: 0.002}
-			requireMatchesOracle(t, m, opts, meas.String())
+			requireMatchesOracle(t, nil, m, opts, meas.String())
 		}
 	}
 }
 
-// An explicitly reused Scratch must not bleed state between runs of
+// An explicitly reused scratch must not bleed state between runs of
 // different sizes, measures, or matrices.
 func TestScratchReuseBitIdentical(t *testing.T) {
-	scr := NewScratch()
+	scr := new(scratch)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(30)
 		m := randomMatrix(rng, n)
 		meas := allMeasures[trial%len(allMeasures)]
-		opts := Options{Measure: meas, MinSim: 0.01, Scratch: scr}
-		got := clustersOf(m, opts)
-		opts.Scratch = nil
+		opts := Options{Measure: meas, MinSim: 0.01}
+		got := clustersOn(scr, m, opts)
 		want := clustersOf(m, opts)
 		requireSamePartition(t, want, got, "scratch reuse")
 	}
@@ -122,7 +121,7 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 	m := randomMatrix(rng, n)
 	for _, meas := range []Measure{Combined, SingleLink} {
 		opts := Options{Measure: meas, MinSim: 0}
-		gotTrace := requireMatchesOracle(t, m, opts, meas.String())
+		gotTrace := requireMatchesOracle(t, nil, m, opts, meas.String())
 		if len(gotTrace) != n-1 {
 			t.Fatalf("MinSim 0 should merge fully: %d merges for n=%d", len(gotTrace), n)
 		}
@@ -189,7 +188,7 @@ func TestStatMergesCounter(t *testing.T) {
 }
 
 // Cancellation observed inside the merge loop must abort with the context
-// error, and the same Scratch must then produce bit-identical clean runs —
+// error, and the same scratch must then produce bit-identical clean runs —
 // i.e. an aborted run leaves no state behind that reset doesn't clear.
 func TestMergeLoopCancelScratchHygiene(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -199,13 +198,11 @@ func TestMergeLoopCancelScratchHygiene(t *testing.T) {
 
 	want := clustersOf(m, opts)
 
-	scr := NewScratch()
+	scr := new(scratch)
 	ctx, cancel := context.WithCancel(context.Background())
 	freg := fault.NewRegistry(1)
 	freg.Set("cluster.merge", fault.Rule{OnHit: 5, Hook: func() { cancel() }})
-	optsScr := opts
-	optsScr.Scratch = scr
-	res, err := Run(fault.With(ctx, freg), m, optsScr)
+	res, err := run(fault.With(ctx, freg), m, opts, scr)
 	if err == nil || res.Clusters != nil {
 		t.Fatalf("cancelled run returned out=%v err=%v", res.Clusters, err)
 	}
@@ -214,7 +211,7 @@ func TestMergeLoopCancelScratchHygiene(t *testing.T) {
 	}
 
 	// The dirtied scratch must reset cleanly.
-	got := clustersOf(m, optsScr)
+	got := clustersOn(scr, m, opts)
 	requireSamePartition(t, want, got, "post-cancel reuse")
 }
 
@@ -263,17 +260,17 @@ func TestPartitionSlicesAreGrowSafe(t *testing.T) {
 
 // The row arena carves merged clusters' rows from chunks that never move.
 // FuzzAgglomerate's blocks stay inside the first chunk, so this drives one
-// Scratch through blocks whose rows span at least three chunks — growing,
+// scratch through blocks whose rows span at least three chunks — growing,
 // then shrinking, then after a cancelled run — holding partitions and the
 // full merge sequence to the oracle at every size.
 func TestRowArenaSpansChunks(t *testing.T) {
-	scr := NewScratch()
+	scr := new(scratch)
 	check := func(n int, seed int64, label string) {
 		t.Helper()
 		m := randomMatrix(rand.New(rand.NewSource(seed)), n)
 		for _, meas := range []Measure{Combined, SingleLink} {
-			opts := Options{Measure: meas, MinSim: 0.01, Scratch: scr}
-			requireMatchesOracle(t, m, opts, label)
+			opts := Options{Measure: meas, MinSim: 0.01}
+			requireMatchesOracle(t, scr, m, opts, label)
 			// The last run recorded the dendrogram, n−1 merges on one scratch.
 			if scr.chunk < 2 {
 				t.Fatalf("%s: n=%d rows fit in %d chunk(s); the test needs at least 3", label, n, scr.chunk+1)
@@ -290,7 +287,7 @@ func TestRowArenaSpansChunks(t *testing.T) {
 	defer cancel()
 	freg := fault.NewRegistry(1)
 	freg.Set("cluster.merge", fault.Rule{OnHit: n / 2, Hook: cancel})
-	if _, err := Run(fault.With(ctx, freg), m, Options{Scratch: scr}); err == nil {
+	if _, err := run(fault.With(ctx, freg), m, Options{}, scr); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
 	check(56, 20, "after cancel")
@@ -298,7 +295,7 @@ func TestRowArenaSpansChunks(t *testing.T) {
 }
 
 // TestWarmAllocsCeiling pins the warm merge loop's allocations: with a warm
-// Scratch, a run over a name-sized block (143 references, every one of
+// scratch, a run over a name-sized block (143 references, every one of
 // them merged) allocates its partition and nothing per merge. Three
 // allocations were measured; the ceiling leaves room for small layout
 // changes, not for one allocation per merge.
@@ -316,12 +313,13 @@ func TestWarmAllocsCeiling(t *testing.T) {
 			set(m, i, j, Cell{R: r, WAB: wab, WBA: r * (0.5 + rng.Float64())})
 		}
 	}
-	opts := Options{Measure: Combined, MinSim: 0.0005, Scratch: NewScratch()}
-	if out := clustersOf(m, opts); len(out) > 2*groups {
+	opts := Options{Measure: Combined, MinSim: 0.0005}
+	scr := new(scratch)
+	if out := clustersOn(scr, m, opts); len(out) > 2*groups {
 		t.Fatalf("%d clusters: the block should mostly merge", len(out))
 	}
 	const ceiling = 16
-	if got := testing.AllocsPerRun(20, func() { clustersOf(m, opts) }); got > ceiling {
+	if got := testing.AllocsPerRun(20, func() { clustersOn(scr, m, opts) }); got > ceiling {
 		t.Errorf("warm agglomeration allocates %v per run, ceiling %v", got, ceiling)
 	}
 }

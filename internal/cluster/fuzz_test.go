@@ -48,7 +48,7 @@ func FuzzAgglomerate(f *testing.F) {
 		}
 
 		opts := Options{Measure: meas, MinSim: minSim}
-		requireMatchesOracle(t, m, opts, meas.String())
+		requireMatchesOracle(t, nil, m, opts, meas.String())
 		gotOut := clustersOf(m, opts)
 
 		// Partition invariant: every reference exactly once, members

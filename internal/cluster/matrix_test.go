@@ -86,18 +86,18 @@ func TestConcurrentRunsShareMatrix(t *testing.T) {
 	}
 }
 
-// TestScratchDropsMatrix: a Scratch reads the original pairs from the
-// run's matrix and keeps no reference to it, so a long-lived Scratch
+// TestScratchDropsMatrix: a scratch reads the original pairs from the
+// run's matrix and keeps no reference to it, so a long-lived scratch
 // (one per sweep worker) never pins a name's triangle after its run. The
-// triangle must be collectable while the Scratch that clustered it lives.
+// triangle must be collectable while the scratch that clustered it lives.
 func TestScratchDropsMatrix(t *testing.T) {
-	scr := NewScratch()
+	scr := new(scratch)
 	collected := make(chan struct{})
 	func() {
 		m := randomMatrix(rand.New(rand.NewSource(37)), 40)
 		runtime.SetFinalizer(&m.Cells[0], func(*Cell) { close(collected) })
 		for _, stop := range []Stop{StopMinSim, StopDendrogram, StopGap} {
-			if _, err := Run(context.Background(), m, Options{MinSim: 0.2, Stop: stop, Scratch: scr}); err != nil {
+			if _, err := run(context.Background(), m, Options{MinSim: 0.2, Stop: stop}, scr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,7 +116,7 @@ func TestScratchDropsMatrix(t *testing.T) {
 	// The scratch is still whole: a run on it matches a pooled run.
 	m := randomMatrix(rand.New(rand.NewSource(41)), 30)
 	want := clustersOf(m, Options{MinSim: 0.2})
-	if got := clustersOf(m, Options{MinSim: 0.2, Scratch: scr}); !reflect.DeepEqual(want, got) {
+	if got := clustersOn(scr, m, Options{MinSim: 0.2}); !reflect.DeepEqual(want, got) {
 		t.Fatalf("reused scratch: %v, want %v", got, want)
 	}
 }

@@ -2,20 +2,20 @@ package cluster
 
 import "sync"
 
-// Scratch holds every buffer the flat agglomeration engine needs: the
+// scratch holds every buffer the flat agglomeration engine needs: the
 // per-merged-cluster stat rows, the candidate heap backing, the alive
 // bitmap, and the id-indexed bookkeeping arrays (sizes, union-find parent
-// links, heap refcounts, output cursors). A warm Scratch makes the merge
+// links, heap refcounts, output cursors). A warm scratch makes the merge
 // loop allocation-free: only the returned partition (two slices) is
 // allocated per run. The original pairs' stats are read from the run's
-// Matrix, to which a Scratch keeps no reference.
+// Matrix, to which a scratch keeps no reference.
 //
-// A Scratch is reset at the start of every run, so reuse after an aborted
+// A scratch is reset at the start of every run, so reuse after an aborted
 // run is safe. It is not safe for concurrent use; Run draws one from an
-// internal sync.Pool when Options.Scratch is nil, and returns it only when
-// the run succeeds — an errored run drops its scratch rather than risk
-// handing a torn buffer to the next caller.
-type Scratch struct {
+// internal sync.Pool and returns it only when the run succeeds — an errored
+// run drops its scratch rather than risk handing a torn buffer to the next
+// caller.
+type scratch struct {
 	// The row arena: rowOf[c-n] is merged cluster c's stat row, carved
 	// front to back from chunks. A chunk never moves once allocated, and
 	// each new one is at least twice the size of the last, so the arena
@@ -32,13 +32,7 @@ type Scratch struct {
 	outIdx []int32  // root id -> output cluster index + 1
 }
 
-// NewScratch returns an empty Scratch; buffers grow on first use and are
-// retained across runs. Useful for explicit reuse across a sweep (see
-// Engine.TuneMinSim); callers that don't care should leave Options.Scratch
-// nil and let the pool provide one.
-func NewScratch() *Scratch { return new(Scratch) }
-
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // grow returns s with length n, reusing the backing array when it fits.
 // Contents are unspecified; callers initialise what they read.
@@ -54,7 +48,7 @@ func grow[T any](s []T, n int) []T {
 // size 1, roots, no heap references. Merged-cluster slots are written at
 // merge time before they are read, so they need no up-front clearing —
 // except outIdx, whose zero value means "no output cluster yet".
-func (s *Scratch) reset(n int) {
+func (s *scratch) reset(n int) {
 	maxID := 2*n - 1
 	s.rowOf = grow(s.rowOf, n-1)
 	s.chunk, s.used = 0, 0
@@ -74,16 +68,16 @@ func (s *Scratch) reset(n int) {
 	clear(s.outIdx)
 }
 
-func (s *Scratch) isAlive(id int32) bool { return s.alive[id>>6]&(1<<(uint(id)&63)) != 0 }
-func (s *Scratch) kill(id int32)         { s.alive[id>>6] &^= 1 << (uint(id) & 63) }
-func (s *Scratch) setAlive(id int32)     { s.alive[id>>6] |= 1 << (uint(id) & 63) }
+func (s *scratch) isAlive(id int32) bool { return s.alive[id>>6]&(1<<(uint(id)&63)) != 0 }
+func (s *scratch) kill(id int32)         { s.alive[id>>6] &^= 1 << (uint(id) & 63) }
+func (s *scratch) setAlive(id int32)     { s.alive[id>>6] |= 1 << (uint(id) & 63) }
 
 // statAt returns the aggregated stats between clusters x and y, oriented so
 // WAB flows from min(x,y) to max(x,y). Original pairs live in m's triangle;
 // pairs involving a merged cluster live in that cluster's row (the higher
 // id always carries the row, because ids are assigned in merge order and
 // the row spans every id below it).
-func (s *Scratch) statAt(m Matrix, x, y int32) Cell {
+func (s *scratch) statAt(m Matrix, x, y int32) Cell {
 	if x > y {
 		x, y = y, x
 	}
@@ -102,7 +96,7 @@ const minChunk = 256
 // unspecified; the merge loop writes every cell it later reads. A row that
 // does not fit the rest of the current chunk moves on to the next one,
 // allocating it — at least double the last chunk — when none is left.
-func (s *Scratch) carve(m int) []Cell {
+func (s *scratch) carve(m int) []Cell {
 	for ; s.chunk < len(s.chunks); s.chunk, s.used = s.chunk+1, 0 {
 		if c := s.chunks[s.chunk]; s.used+m <= len(c) {
 			row := c[s.used : s.used+m : s.used+m]

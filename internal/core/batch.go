@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"time"
 
@@ -114,12 +113,12 @@ type BatchOptions struct {
 func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*BatchResult, error) {
 	// Collect the work list, then prefetch every needed neighborhood once;
 	// after that every read of the extractor's store is a hit, and names
-	// can be clustered concurrently. Each job owns a copy of its references.
+	// can be clustered concurrently. Jobs read the database's own reference
+	// slices; nothing below writes them.
 	jobs := e.namesWithRefs(max(opts.MinRefs, 2))
 	var allRefs []reldb.TupleID
-	for i := range jobs {
-		jobs[i].refs = slices.Clone(jobs[i].refs)
-		allRefs = append(allRefs, jobs[i].refs...)
+	for _, j := range jobs {
+		allRefs = append(allRefs, j.refs...)
 	}
 	// The sweep-wide prefetch is not part of the batch stage: its span is a
 	// sibling of "batch", under ctx's span.
@@ -158,7 +157,6 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 		}
 		results[i] = groups
 		if inc != nil {
-			inc.Elapsed = time.Since(t0)
 			incidents[i] = inc
 			nsp.Event("incident",
 				trace.String("reason", string(inc.Reason)),
@@ -246,9 +244,9 @@ type TuneResult struct {
 // evaluation names never leak into tuning.
 //
 // Each case is agglomerated once: the merge sequence is recorded as a
-// dendrogram (cluster.StopDendrogram, one Scratch reused across the sweep)
-// and every grid point's partition is derived from it (cluster.Options.From)
-// by a prefix cut, falling back to a direct run only when the cut is not
+// dendrogram (cluster.StopDendrogram, in the case's cluster stage over its
+// pooled triangle) and every grid point's partition is derived from it
+// (cluster.Options.From) by a prefix cut, falling back to a direct run only when the cut is not
 // prefix-consistent (cluster.dendrogram_fallbacks counts those). Scores
 // come from eval.FromCounts over arithmetically derived pair counts, so
 // the result is bit-identical to evaluating each grid point's clustering
@@ -271,7 +269,7 @@ func (e *Engine) TuneMinSim(grid []float64, maxCases int, seed int64) (*TuneResu
 	}
 	var usable []string
 	for _, name := range rare {
-		if len(e.db.Referencing(e.cfg.RefRelation, e.cfg.RefAttr, name)) >= 2 {
+		if e.NumRefs(name) >= 2 {
 			usable = append(usable, name)
 		}
 	}
@@ -286,49 +284,49 @@ func (e *Engine) TuneMinSim(grid []float64, maxCases int, seed int64) (*TuneResu
 	}
 
 	sums := make([]float64, len(grid))
-	scr := cluster.NewScratch()
+	ctx := context.Background()
 	for c := 0; c < nCases; c++ {
-		a, b := usable[2*c], usable[2*c+1]
-		ra := e.RefsForName(a)
-		rb := e.RefsForName(b)
+		ra, rb := e.refsOf(usable[2*c]), e.refsOf(usable[2*c+1])
 		refs := append(append([]reldb.TupleID(nil), ra...), rb...)
-		m := e.Similarities(refs)
-		// One agglomeration per case: record the dendrogram, then derive
-		// each grid point's partition by a prefix cut (direct rerun only on
-		// a prefix-consistency violation, counted by the cluster package).
-		opts := cluster.Options{Measure: e.cfg.Measure, Stop: cluster.StopDendrogram, Obs: e.obs, Scratch: scr}
-		rec, err := cluster.Run(context.Background(), m, opts)
-		fault.Rethrow(err)
-		opts.Stop, opts.From = cluster.StopMinSim, rec.Dendrogram
 		na, nb := len(ra), len(rb)
 		goldPairs := na*(na-1)/2 + nb*(nb-1)/2
 		totalPairs := len(refs) * (len(refs) - 1) / 2
-		for gi, ms := range grid {
-			opts.MinSim = ms
-			res, err := cluster.Run(context.Background(), m, opts)
+		fault.Rethrow(e.scored(ctx, refs, e.w, func(m cluster.Matrix) error {
+			// One agglomeration per case: record the dendrogram, then
+			// derive each grid point's partition by a prefix cut (direct
+			// rerun only on a prefix-consistency violation, counted by the
+			// cluster package).
+			rec, err := e.clusterStage(ctx, m, cluster.StopDendrogram)
 			fault.Rethrow(err)
-			pred := res.Clusters
-			// The gold clusters are the index ranges [0,na) and [na,n), so
-			// the pairwise confusion counts follow arithmetically from each
-			// predicted cluster's split across them — no membership maps,
-			// no pair loop. eval.FromCounts keeps the score bit-identical
-			// to eval.Evaluate over the materialised clusterings.
-			tp, predPairs := 0, 0
-			for _, cl := range pred {
-				cntA := 0
-				for _, x := range cl {
-					if x < na {
-						cntA++
+			opts := cluster.Options{Measure: e.cfg.Measure, From: rec.Dendrogram, Obs: e.obs}
+			for gi, ms := range grid {
+				opts.MinSim = ms
+				res, err := cluster.Run(ctx, m, opts)
+				fault.Rethrow(err)
+				// The gold clusters are the index ranges [0,na) and [na,n),
+				// so the pairwise confusion counts follow arithmetically
+				// from each predicted cluster's split across them — no
+				// membership maps, no pair loop. eval.FromCounts keeps the
+				// score bit-identical to eval.Evaluate over the
+				// materialised clusterings.
+				tp, predPairs := 0, 0
+				for _, cl := range res.Clusters {
+					cntA := 0
+					for _, x := range cl {
+						if x < na {
+							cntA++
+						}
 					}
+					cntB := len(cl) - cntA
+					tp += cntA*(cntA-1)/2 + cntB*(cntB-1)/2
+					predPairs += len(cl) * (len(cl) - 1) / 2
 				}
-				cntB := len(cl) - cntA
-				tp += cntA*(cntA-1)/2 + cntB*(cntB-1)/2
-				predPairs += len(cl) * (len(cl) - 1) / 2
+				met := eval.FromCounts(tp, predPairs-tp, goldPairs-tp,
+					totalPairs-predPairs-goldPairs+tp)
+				sums[gi] += met.F1
 			}
-			met := eval.FromCounts(tp, predPairs-tp, goldPairs-tp,
-				totalPairs-predPairs-goldPairs+tp)
-			sums[gi] += met.F1
-		}
+			return nil
+		}))
 	}
 
 	res := &TuneResult{Cases: nCases, Grid: grid, F1ByGrid: make([]float64, len(grid))}
@@ -355,10 +353,7 @@ func (e *Engine) DisambiguateRefsAuto(refs []reldb.TupleID) [][]reldb.TupleID {
 	if len(refs) == 0 {
 		return nil
 	}
-	m := e.Similarities(refs)
-	res, err := cluster.Run(context.Background(), m, cluster.Options{
-		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Stop: cluster.StopGap,
-	})
+	res, err := e.clustered(context.Background(), refs, e.w, cluster.StopGap)
 	fault.Rethrow(err)
 	return groupRefs(refs, res.Clusters)
 }
@@ -366,9 +361,9 @@ func (e *Engine) DisambiguateRefsAuto(refs []reldb.TupleID) [][]reldb.TupleID {
 // DisambiguateNameAuto is DisambiguateRefsAuto over every reference
 // carrying the name.
 func (e *Engine) DisambiguateNameAuto(name string) ([][]reldb.TupleID, error) {
-	refs := e.RefsForName(name)
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("core: no references named %q", name)
+	refs, err := e.named(name)
+	if err != nil {
+		return nil, err
 	}
 	return e.DisambiguateRefsAuto(refs), nil
 }
@@ -389,10 +384,7 @@ func (e *Engine) MergeProfile(refs []reldb.TupleID) []MergeStep {
 	if len(refs) < 2 {
 		return nil
 	}
-	m := e.Similarities(refs)
-	res, err := cluster.Run(context.Background(), m, cluster.Options{
-		Measure: e.cfg.Measure, Stop: cluster.StopDendrogram,
-	})
+	res, err := e.clustered(context.Background(), refs, e.w, cluster.StopDendrogram)
 	fault.Rethrow(err)
 	steps := make([]MergeStep, len(res.Dendrogram.Merges))
 	for i, mg := range res.Dendrogram.Merges {
@@ -409,7 +401,7 @@ func (e *Engine) MergeProfile(refs []reldb.TupleID) []MergeStep {
 // spellings of one person share collaborators and venues; two people who
 // merely have similar names do not.
 func (e *Engine) NameAffinity(a, b string) float64 {
-	ra, rb := e.RefsForName(a), e.RefsForName(b)
+	ra, rb := e.refsOf(a), e.refsOf(b)
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
@@ -419,16 +411,18 @@ func (e *Engine) NameAffinity(a, b string) float64 {
 	// cost half a million pair computations per candidate).
 	ra, rb = strideSample(ra, affinitySampleCap), strideSample(rb, affinitySampleCap)
 	refs := append(append([]reldb.TupleID(nil), ra...), rb...)
-	m := e.Similarities(refs)
 	na := len(ra)
 	var sumResem, walkAB, walkBA float64
-	for i := 0; i < na; i++ {
-		for _, c := range m.Row(i)[na-i-1:] {
-			sumResem += c.R
-			walkAB += c.WAB
-			walkBA += c.WBA
+	fault.Rethrow(e.scored(context.Background(), refs, e.w, func(m cluster.Matrix) error {
+		for i := 0; i < na; i++ {
+			for _, c := range m.Row(i)[na-i-1:] {
+				sumResem += c.R
+				walkAB += c.WAB
+				walkBA += c.WBA
+			}
 		}
-	}
+		return nil
+	}))
 	nb := float64(len(rb))
 	avgResem := sumResem / (float64(na) * nb)
 	collWalk := (walkAB/float64(na) + walkBA/nb) / 2

@@ -464,8 +464,17 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 // RefsForName returns the references carrying the given name, in the
 // engine's (expanded) database.
 func (e *Engine) RefsForName(name string) []reldb.TupleID {
-	src := e.db.Referencing(e.cfg.RefRelation, e.cfg.RefAttr, name)
-	return append([]reldb.TupleID(nil), src...)
+	return append([]reldb.TupleID(nil), e.refsOf(name)...)
+}
+
+// NumRefs returns how many references carry the given name, without
+// copying them.
+func (e *Engine) NumRefs(name string) int { return len(e.refsOf(name)) }
+
+// refsOf returns the references carrying name: the foreign-key index's own
+// slice, read-only.
+func (e *Engine) refsOf(name string) []reldb.TupleID {
+	return e.db.Referencing(e.cfg.RefRelation, e.cfg.RefAttr, name)
 }
 
 // Similarities computes the pairwise combined similarities among refs under
@@ -635,26 +644,6 @@ func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, nbs []*prop.
 	}
 }
 
-// clusterRefs clusters refs, whose similarities m holds row for row, under
-// the engine's own measure, threshold, and observability registry, wrapped
-// in a "cluster" stage with cancellation observed between merge
-// iterations; the clusterer receives the stage span and emits its merge
-// and cut events there.
-func (e *Engine) clusterRefs(ctx context.Context, refs []reldb.TupleID, m cluster.Matrix) ([][]reldb.TupleID, error) {
-	st, ctx, err := e.begin(ctx, stageCluster, trace.Int("refs", int64(len(refs))))
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.Run(ctx, m, cluster.Options{
-		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Obs: e.obs, Span: st.sp,
-	})
-	if err != nil {
-		return nil, st.end(0, err)
-	}
-	st.sp.SetAttrs(trace.Int("clusters", int64(len(res.Clusters))))
-	return groupRefs(refs, res.Clusters), st.end(len(refs), nil)
-}
-
 // groupRefs maps clusters of row indexes back to reference IDs.
 func groupRefs(refs []reldb.TupleID, idx [][]int) [][]reldb.TupleID {
 	out := make([][]reldb.TupleID, len(idx))
@@ -673,38 +662,83 @@ func groupRefs(refs []reldb.TupleID, idx [][]int) [][]reldb.TupleID {
 // ctx carries none). Cancellation (and any injected fault) surfaces as an
 // error wrapped with the stage that observed it.
 func (e *Engine) DisambiguateRefsCtx(ctx context.Context, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
-	return e.disambiguateRefs(ctx, refs, e.w)
-}
-
-// triangles recycles the pair triangles of disambiguateRefs, which never
-// leave it; a sweep of the paper-scale world would otherwise allocate
-// 30 MB of them. One too small for a name is dropped for the name's fresh
-// one, so the pool settles on the largest triangles in use.
-var triangles = sync.Pool{New: func() any { return new([]cluster.Cell) }}
-
-// disambiguateRefs is DisambiguateRefsCtx under weights w; the resilience
-// ladder passes a degraded cut of the engine's weights through it.
-func (e *Engine) disambiguateRefs(ctx context.Context, refs []reldb.TupleID, w weights) ([][]reldb.TupleID, error) {
 	if len(refs) == 0 {
 		return nil, nil
 	}
-	buf := triangles.Get().(*[]cluster.Cell)
-	m, err := e.similarities(ctx, refs, w, *buf)
+	res, err := e.clustered(ctx, refs, e.w, cluster.StopMinSim)
 	if err != nil {
 		return nil, err
 	}
-	groups, err := e.clusterRefs(ctx, refs, m)
-	// cluster.Run only reads m and keeps no reference to it.
+	return groupRefs(refs, res.Clusters), nil
+}
+
+// triangles recycles the pair triangles of scored, which never leave it;
+// a sweep of the paper-scale world would otherwise allocate 30 MB of them.
+// One too small for a block is dropped for the block's fresh one, so the
+// pool settles on the largest triangles in use.
+var triangles = sync.Pool{New: func() any { return new([]cluster.Cell) }}
+
+// scored computes refs' similarities under w into a pooled triangle, in the
+// similarities stage, hands the triangle to use under ctx, and recycles it
+// once use returns: use must not keep it. Every entry point that scores a
+// block goes through here. A failed scoring, or a panic in use, drops the
+// triangle instead of recycling it.
+func (e *Engine) scored(ctx context.Context, refs []reldb.TupleID, w weights, use func(cluster.Matrix) error) error {
+	buf := triangles.Get().(*[]cluster.Cell)
+	m, err := e.similarities(ctx, refs, w, *buf)
+	if err != nil {
+		return err
+	}
+	err = use(m)
 	*buf = m.Cells
 	triangles.Put(buf)
-	return groups, err
+	return err
+}
+
+// clusterStage runs cluster.Run over m under stop and the engine's measure,
+// threshold and registry, in a "cluster" stage opened under ctx's span:
+// cancellation is observed between merge iterations, and the clusterer
+// emits its merge and cut events on the stage span.
+func (e *Engine) clusterStage(ctx context.Context, m cluster.Matrix, stop cluster.Stop) (cluster.Result, error) {
+	st, ctx, err := e.begin(ctx, stageCluster, trace.Int("refs", int64(m.N)))
+	if err != nil {
+		return cluster.Result{}, err
+	}
+	res, err := cluster.Run(ctx, m, cluster.Options{
+		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Stop: stop, Obs: e.obs, Span: st.sp,
+	})
+	if err != nil {
+		return cluster.Result{}, st.end(0, err)
+	}
+	st.sp.SetAttrs(trace.Int("clusters", int64(len(res.Clusters))))
+	return res, st.end(m.N, nil)
+}
+
+// clustered scores refs under w and clusters them under stop: a
+// similarities stage and a sibling cluster stage over one pooled triangle.
+func (e *Engine) clustered(ctx context.Context, refs []reldb.TupleID, w weights, stop cluster.Stop) (res cluster.Result, err error) {
+	err = e.scored(ctx, refs, w, func(m cluster.Matrix) error {
+		res, err = e.clusterStage(ctx, m, stop)
+		return err
+	})
+	return res, err
+}
+
+// named returns the references carrying name — the database's own slice,
+// read-only — or an error when there are none.
+func (e *Engine) named(name string) ([]reldb.TupleID, error) {
+	refs := e.refsOf(name)
+	if len(refs) == 0 {
+		return nil, fmt.Errorf("core: no references named %q", name)
+	}
+	return refs, nil
 }
 
 // DisambiguateNameCtx clusters every reference carrying the name.
 func (e *Engine) DisambiguateNameCtx(ctx context.Context, name string) ([][]reldb.TupleID, error) {
-	refs := e.RefsForName(name)
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("core: no references named %q", name)
+	refs, err := e.named(name)
+	if err != nil {
+		return nil, err
 	}
 	return e.DisambiguateRefsCtx(ctx, refs)
 }

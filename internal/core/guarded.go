@@ -8,10 +8,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
+	"distinct/internal/cluster"
 	"distinct/internal/fault"
 	"distinct/internal/reldb"
 )
@@ -28,27 +28,33 @@ import (
 //     one conservative group.
 //
 // It returns the groups plus an Incident describing any deviation from the
-// clean path (nil when clean; Elapsed is left for the caller to stamp). A
-// non-nil error is returned only when the parent ctx itself ended — then
+// clean path (nil when clean; Elapsed covers the whole ladder). A non-nil
+// error is returned only when the parent ctx itself ended — then
 // groups and incident are nil and the caller owns the partial-result
 // contract. Stage spans parent under ctx's span.
-func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.TupleID, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
+func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.TupleID, opts BatchOptions) (_ [][]reldb.TupleID, inc *Incident, _ error) {
+	t0 := time.Now()
+	defer func() {
+		if inc != nil {
+			inc.Elapsed = time.Since(t0)
+		}
+	}()
 	// attempt runs one disambiguation under w (the engine's weights or
-	// their degraded cut), converting a panic anywhere in the name's stages
-	// into a *fault.PanicError instead of killing the caller.
-	attempt := func(w weights, nctx context.Context) (groups [][]reldb.TupleID, err error) {
+	// their degraded cut) and a fresh per-name budget, converting a panic
+	// anywhere in the name's stages into a *fault.PanicError instead of
+	// killing the caller.
+	attempt := func(w weights) (groups [][]reldb.TupleID, err error) {
+		nctx, cancel := ctx, context.CancelFunc(func() {})
+		if opts.NameTimeout > 0 {
+			nctx, cancel = context.WithTimeout(ctx, opts.NameTimeout)
+		}
+		defer cancel()
 		err = fault.Guard(func() error {
-			var aerr error
-			groups, aerr = e.disambiguateRefs(nctx, refs, w)
-			return aerr
+			res, err := e.clustered(nctx, refs, w, cluster.StopMinSim)
+			groups = groupRefs(refs, res.Clusters)
+			return err
 		})
 		return groups, err
-	}
-	withBudget := func() (context.Context, context.CancelFunc) {
-		if opts.NameTimeout > 0 {
-			return context.WithTimeout(ctx, opts.NameTimeout)
-		}
-		return ctx, func() {}
 	}
 
 	// A brownout-forced compute starts on the degraded weights: the
@@ -65,9 +71,7 @@ func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.Tu
 		}
 	}
 
-	nctx, cancel := withBudget()
-	groups, err := attempt(w, nctx)
-	cancel()
+	groups, err := attempt(w)
 	if err == nil {
 		return groups, forced, nil
 	}
@@ -87,9 +91,7 @@ func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.Tu
 		// attempt was already on the cut path — retrying it would repeat
 		// the same work.
 		if dw, ok := e.w.degraded(opts.DegradedPaths); ok && !cutFirst {
-			nctx, cancel = withBudget()
-			g2, derr := attempt(dw, nctx)
-			cancel()
+			g2, derr := attempt(dw)
 			if derr == nil {
 				return g2, &Incident{
 					Name: name, Stage: stage, Reason: IncidentDegraded, Err: err.Error()}, nil
@@ -125,16 +127,11 @@ func (e *Engine) attemptLadder(ctx context.Context, name string, refs []reldb.Tu
 // decisions for exactly that request (stages, merges, incidents) without
 // the engine holding any global trace.
 func (e *Engine) DisambiguateNameGuarded(ctx context.Context, name string, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
-	refs := e.RefsForName(name)
-	if len(refs) == 0 {
-		return nil, nil, fmt.Errorf("core: no references named %q", name)
+	refs, err := e.named(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	t0 := time.Now()
-	groups, inc, err := e.attemptLadder(ctx, name, refs, opts)
-	if inc != nil {
-		inc.Elapsed = time.Since(t0)
-	}
-	return groups, inc, err
+	return e.attemptLadder(ctx, name, refs, opts)
 }
 
 // NamesWithRefs lists the names carrying at least minRefs references, in
@@ -165,7 +162,7 @@ func (e *Engine) namesWithRefs(minRefs int) []namedRefs {
 	var out []namedRefs
 	for _, id := range nameRel.TupleIDs() {
 		name := e.db.Tuple(id).Vals[ki]
-		if refs := e.db.Referencing(e.cfg.RefRelation, e.cfg.RefAttr, name); len(refs) >= minRefs {
+		if refs := e.refsOf(name); len(refs) >= minRefs {
 			out = append(out, namedRefs{name: name, refs: refs})
 		}
 	}

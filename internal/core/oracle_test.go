@@ -239,10 +239,11 @@ func checkEngineOracle(t *testing.T, seed int64) {
 					}
 				}
 			}
-			got, err := e.disambiguateRefs(ctx, refs, ew)
+			res, err := e.clustered(ctx, refs, ew, cluster.StopMinSim)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := groupRefs(refs, res.Clusters)
 			want := clusterAt(refs, om, measure, minSim)
 			if !slices.EqualFunc(got, want, slices.Equal[[]reldb.TupleID]) {
 				if !nearTie(om, measure, minSim) {

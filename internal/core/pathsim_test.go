@@ -177,10 +177,11 @@ func TestClusterRefsMapsIndexes(t *testing.T) {
 	e.SetMinSim(0.005)
 	refs := e.RefsForName("Bin Yu")
 	m := e.Similarities(refs)
-	groups, err := e.clusterRefs(context.Background(), refs, m)
+	res, err := e.clusterStage(context.Background(), m, cluster.StopMinSim)
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := groupRefs(refs, res.Clusters)
 	seen := map[int32]bool{}
 	total := 0
 	for _, g := range groups {

@@ -86,7 +86,7 @@ func (b *EngineBackend) render(groups [][]reldb.TupleID) [][]string {
 	return out
 }
 
-func (b *EngineBackend) NumRefs(name string) int { return len(b.eng.RefsForName(name)) }
+func (b *EngineBackend) NumRefs(name string) int { return b.eng.NumRefs(name) }
 
 func (b *EngineBackend) Names(minRefs int) []string { return b.eng.NamesWithRefs(minRefs) }
 

@@ -5,11 +5,9 @@
 // record, an SLO observation, and — sampled on clean fast 200s, always on
 // errors, incidents, and slow requests — a structured slog access log.
 //
-// The whole layer follows the obs nil convention: with no registry, no
-// flight recorder, and no access logger configured, api() takes a fast path
-// that adds zero allocations to the request (asserted by
-// TestDisabledMiddlewareZeroAlloc), so the black-box cost of the middleware
-// is opt-in. See DESIGN.md §14.
+// Every /v1 request takes this one path. Its parts follow the obs nil
+// convention: a server with no registry, flight recorder or access logger
+// skips each of them at a nil check. See DESIGN.md §14.
 
 package serve
 
@@ -59,9 +57,7 @@ func newRoute(reg *obs.Registry, name string) *route {
 
 // reqInfo is the per-request scratch the handlers fill for the middleware:
 // which name was served and how (cache/coalesce/degrade/incident), plus the
-// per-request engine trace when tail capture is on. Instances are pooled;
-// all methods are nil-safe so handlers on the disabled fast path can be
-// handed a nil reqInfo and carry no enablement branches.
+// per-request engine trace when tail capture is on. Instances are pooled.
 type reqInfo struct {
 	name      string
 	cached    bool
@@ -84,9 +80,6 @@ func (ri *reqInfo) reset() { *ri = reqInfo{} }
 
 // noteResult records a successful lookup's serving metadata.
 func (ri *reqInfo) noteResult(meta lookupMeta, res *NameResult) {
-	if ri == nil {
-		return
-	}
 	ri.name = res.Name
 	ri.cached = meta.cached
 	ri.coalesced = meta.coalesced
@@ -101,9 +94,6 @@ func (ri *reqInfo) noteResult(meta lookupMeta, res *NameResult) {
 // noteError records a failed lookup (the name it was for, the envelope
 // message).
 func (ri *reqInfo) noteError(name, msg string, meta lookupMeta) {
-	if ri == nil {
-		return
-	}
 	ri.name = name
 	ri.errMsg = msg
 	ri.negCached = meta.negCached
@@ -111,18 +101,10 @@ func (ri *reqInfo) noteError(name, msg string, meta lookupMeta) {
 }
 
 // noteName records just the subject (batch summary labels).
-func (ri *reqInfo) noteName(name string) {
-	if ri == nil {
-		return
-	}
-	ri.name = name
-}
+func (ri *reqInfo) noteName(name string) { ri.name = name }
 
 // noteFlags merges one batch item's outcome into the request's aggregate.
 func (ri *reqInfo) noteFlags(meta lookupMeta, res *NameResult) {
-	if ri == nil || res == nil {
-		return
-	}
 	ri.cached = ri.cached || meta.cached
 	ri.coalesced = ri.coalesced || meta.coalesced
 	ri.degraded = ri.degraded || res.Degraded

@@ -18,59 +18,6 @@ import (
 	"distinct/internal/obs/trace"
 )
 
-// nopResponseWriter is a ResponseWriter whose methods allocate nothing, so
-// allocation measurements see only the middleware's own cost.
-type nopResponseWriter struct{ h http.Header }
-
-func (w nopResponseWriter) Header() http.Header         { return w.h }
-func (w nopResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w nopResponseWriter) WriteHeader(int)             {}
-
-// TestDisabledMiddlewareZeroAlloc pins the nil-registry/nil-recorder/
-// nil-logger contract: the api() wrapper on a fully disabled server adds
-// zero allocations around the handler.
-func TestDisabledMiddlewareZeroAlloc(t *testing.T) {
-	s, err := New(Options{
-		Backend:       newStubBackend("Wei Wang"),
-		FlightRecords: -1, // recorder off; Obs and AccessLog already nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.instrumented {
-		t.Fatal("server with no obs, recorder, or logger is instrumented")
-	}
-	handler := s.api(s.rtName, func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		if ri != nil {
-			t.Error("disabled path handed a non-nil reqInfo")
-		}
-	})
-	w := nopResponseWriter{h: make(http.Header)}
-	r := httptest.NewRequest("GET", "/v1/name/x", nil)
-	allocs := testing.AllocsPerRun(200, func() {
-		handler(w, r)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled middleware allocates %.1f per request, want 0", allocs)
-	}
-}
-
-func BenchmarkMiddlewareDisabled(b *testing.B) {
-	s, err := New(Options{Backend: newStubBackend("Wei Wang"), FlightRecords: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	handler := s.api(s.rtName, func(http.ResponseWriter, *http.Request, *reqInfo) {})
-	w := nopResponseWriter{h: make(http.Header)}
-	r := httptest.NewRequest("GET", "/v1/name/x", nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		handler(w, r)
-	}
-}
-
 func TestRequestIDGeneratedAndEchoed(t *testing.T) {
 	s := newTestServer(t, newStubBackend("Wei Wang"), nil)
 

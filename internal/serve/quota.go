@@ -87,8 +87,8 @@ func newQuotaSet(rps float64, burst, conc int, reg *obs.Registry) *quotaSet {
 }
 
 // clientID extracts the quota identity for a request: the X-Api-Key header
-// when set, else the remote host. Works for instrumented and bare paths
-// alike, so it must stay allocation-light.
+// when set, else the remote host. It runs on every request behind a quota,
+// so it must stay allocation-light.
 func clientID(r *http.Request) string {
 	if vs := r.Header[hdrAPIKey]; len(vs) > 0 && vs[0] != "" {
 		return vs[0]

@@ -224,17 +224,15 @@ type Server struct {
 	brown  *brownout
 	fault  *fault.Registry // for injection points outside the compute ctx
 
-	// Request observability (DESIGN.md §14). instrumented gates the full
-	// middleware path; with everything off, api() adds nothing to a request.
-	instrumented bool
-	flightRec    *flightrec.Recorder
-	tailTrace    bool // build per-request engine traces in compute
-	access       *accessLogger
-	slo          *sloTracker
-	ids          *idSource
-	rtName       *route
-	rtBatch      *route
-	rtNames      *route
+	// Request observability (DESIGN.md §14).
+	flightRec *flightrec.Recorder
+	tailTrace bool // build per-request engine traces in compute
+	access    *accessLogger
+	slo       *sloTracker
+	ids       *idSource
+	rtName    *route
+	rtBatch   *route
+	rtNames   *route
 
 	// Pre-resolved obs handles: registry lookups take the registry mutex,
 	// so the request path resolves each handle once here and updates
@@ -357,9 +355,6 @@ func New(opts Options) (*Server, error) {
 	s.rtName = newRoute(opts.Obs, "name")
 	s.rtBatch = newRoute(opts.Obs, "batch")
 	s.rtNames = newRoute(opts.Obs, "names")
-	// Brownout forces the instrumented path: the ladder is driven from the
-	// request tail (SLO observation + periodic evaluation).
-	s.instrumented = s.flightRec != nil || s.access != nil || s.reg != nil || s.brown != nil
 
 	reg := opts.Obs
 	s.computeStage = reg.Stage("serve.compute")
@@ -471,9 +466,8 @@ func (s *Server) enter() bool {
 // api wraps a /v1 handler with the drain gate, the panic guard
 // (serveGuarded) and the request-observability middleware: request id +
 // traceparent propagation, per-route RED metrics, SLO observation, flight
-// record, sampled access log (middleware.go). With no registry, recorder,
-// or logger configured, the fast path runs the handler bare — nil reqInfo,
-// no response wrapper, zero added allocations.
+// record, sampled access log (middleware.go). Every request takes this one
+// path; a disabled registry, recorder or logger costs a nil check each.
 func (s *Server) api(rt *route, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.enter() {
@@ -482,18 +476,6 @@ func (s *Server) api(rt *route, h func(http.ResponseWriter, *http.Request, *reqI
 			return
 		}
 		defer s.inflight.Done()
-		if !s.instrumented {
-			if s.quotas != nil {
-				release, ok := s.quotaAdmit(w, r, nil, time.Now())
-				if !ok {
-					return
-				}
-				defer release()
-			}
-			s.serveGuarded(h, w, r, nil)
-			return
-		}
-
 		t0 := time.Now()
 		// Echo a valid client X-Request-ID, mint one otherwise. The id
 		// doubles as this server's traceparent span id (16 hex chars) when
@@ -622,9 +604,7 @@ func (s *Server) serveGuarded(h func(http.ResponseWriter, *http.Request, *reqInf
 // admission the returned release must be called when the request finishes.
 func (s *Server) quotaAdmit(w http.ResponseWriter, r *http.Request, ri *reqInfo, now time.Time) (release func(), ok bool) {
 	id := clientID(r)
-	if ri != nil {
-		ri.client = id
-	}
+	ri.client = id
 	release, wait, ok := s.quotas.acquire(id, now)
 	// Injected quota failure ("serve.quota"): force the throttle path in
 	// chaos tests without crafting real bucket exhaustion.
@@ -639,9 +619,7 @@ func (s *Server) quotaAdmit(w http.ResponseWriter, r *http.Request, ri *reqInfo,
 	}
 	w.Header().Set("Retry-After", retryAfterValue(max(wait, DefaultRetryAfter)))
 	s.cRejected429.Inc()
-	if ri != nil {
-		ri.noteError("", "client quota exceeded", lookupMeta{})
-	}
+	ri.noteError("", "client quota exceeded", lookupMeta{})
 	writeJSON(w, http.StatusTooManyRequests,
 		errorBody{Error: "client quota exceeded", Status: http.StatusTooManyRequests})
 	return nil, false
@@ -942,9 +920,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		return
 	}
 	s.cBatch.Inc()
-	if ri != nil {
-		ri.noteName(batchLabel(req.Names))
-	}
+	ri.noteName(batchLabel(req.Names))
 	t0 := time.Now()
 
 	// Deduplicate to distinct names (first-occurrence order) so a batch

@@ -328,3 +328,19 @@ func TestRetryAfterValue(t *testing.T) {
 		t.Errorf("retryAfterValue(2.5s) = %q", got)
 	}
 }
+
+// TestEngineBackendNumRefsAllocatesNothing: every uncached lookup counts
+// the name's references, which reads the engine's index without copying
+// them — for a known name and for an unknown one alike.
+func TestEngineBackendNumRefsAllocatesNothing(t *testing.T) {
+	eng := chaosEngine(t)
+	b := NewEngineBackend(eng, "paper-key")
+	for _, name := range []string{"Wei Wang", "No Such Name"} {
+		if got, want := b.NumRefs(name), len(eng.RefsForName(name)); got != want {
+			t.Errorf("NumRefs(%q) = %d, want %d", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { b.NumRefs(name) }); allocs != 0 {
+			t.Errorf("NumRefs(%q) allocates %v times, want 0", name, allocs)
+		}
+	}
+}

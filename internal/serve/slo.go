@@ -52,11 +52,8 @@ func newSLOTracker(reg *obs.Registry, target float64) *sloTracker {
 	}
 }
 
-// observe records one finished request. Nil-safe, like every obs hook.
+// observe records one finished request.
 func (t *sloTracker) observe(status int, now time.Time) {
-	if t == nil {
-		return
-	}
 	good := status < 500
 	t.total.Inc()
 	if good {
@@ -98,11 +95,8 @@ func (t *sloTracker) burnLocked(nowSec int64) float64 {
 }
 
 // burnRate returns the rolling burn rate at now — the brownout ladder's
-// second signal. Nil-safe (0: no traffic, no burn).
+// second signal (0: no traffic, no burn).
 func (t *sloTracker) burnRate(now time.Time) float64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.burnLocked(now.Unix())
@@ -118,12 +112,8 @@ type sloStatus struct {
 	BurnRate      float64 `json:"burn_rate"`
 }
 
-// status snapshots the rolling window. Nil tracker → zero status with the
-// default target, so /healthz?verbose=1 renders something sane either way.
+// status snapshots the rolling window.
 func (t *sloTracker) status(now time.Time) sloStatus {
-	if t == nil {
-		return sloStatus{Target: DefaultSLOTarget, WindowSeconds: sloWindowSeconds, Availability: 1}
-	}
 	nowSec := now.Unix()
 	t.mu.Lock()
 	var good, total uint64

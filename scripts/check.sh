@@ -42,6 +42,6 @@ echo "== plan compile concurrency tier (parallel hop compile, plan snapshot, sha
 go test -race -count=2 -run '^TestCompileTrieCtx|^TestCompiledTrieIsSnapshot|^TestPlanCompile|^TestNewExtractorCompilesUpFront|^TestSharedNeighborhoodsRace|^TestSlotStore|^TestPacked|^TestGrouped' ./internal/prop ./internal/sim
 echo "== clustering tier (concurrent runs sharing one matrix, scratch hygiene, flat engine vs map oracle, property and fuzz-seed tests: the whole cluster package, -race, count=2)"
 go test -race -count=2 ./internal/cluster
-echo "== training and engine oracle tier (two-worker training, engine vs kernel oracle, -race, count=2)"
-go test -race -count=2 -run '^TestParallelTrainingMatchesSerial$|^TestEngineMatchesOracle$' ./internal/core
+echo "== training and engine tier (two-worker training, engine vs kernel oracle, entry points sharing the triangle pool, -race, count=2)"
+go test -race -count=2 -run '^TestParallelTrainingMatchesSerial$|^TestEngineMatchesOracle$|^TestConcurrentEntryPointsSharePool$' ./internal/core
 echo "check.sh: all green"
