@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,11 +17,12 @@ var updateExpansion = flag.Bool("update", false, "rewrite testdata/expansion.gol
 
 // TestReferenceFigures rebuilds the harness cmd/experiments builds with its
 // default flags (dblp.DefaultConfig, seed 1) and holds its outputs to the
-// checked-in references: Figure 4 and the cluster-measure ablation through
-// the same CSV writer, byte for byte against results/figure4.csv and
-// results/ablation.csv, Figure 5 for "Wei Wang" as Graphviz DOT byte for
-// byte against results/figure5.dot, and the attribute-expansion ablation's
-// rows at full float precision against testdata/expansion.golden (-update
+// checked-in references: every CSV cmd/experiments writes except the
+// wall-time scaling curve (Tables 1 and 2, Figure 4, the cluster-measure
+// ablation and the noise, seed and training-size sweeps), byte for byte
+// against results/, Figure 5 for "Wei Wang" as Graphviz DOT byte for byte
+// against results/figure5.dot, and the attribute-expansion ablation's rows
+// at full float precision against testdata/expansion.golden (-update
 // rewrites it).
 func TestReferenceFigures(t *testing.T) {
 	world := dblp.DefaultConfig()
@@ -29,20 +31,54 @@ func TestReferenceFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fig := range []struct {
-		file string
-		rows func() ([]Figure4Row, error)
-	}{
-		{"figure4.csv", h.Figure4},
-		{"ablation.csv", h.Ablation},
-	} {
-		rows, err := fig.rows()
-		if err != nil {
-			t.Fatalf("%s: %v", fig.file, err)
+	figure4CSV := func(rows func() ([]Figure4Row, error)) func(io.Writer) error {
+		return func(w io.Writer) error {
+			r, err := rows()
+			if err != nil {
+				return err
+			}
+			return WriteFigure4CSV(w, r)
 		}
+	}
+	for _, fig := range []struct {
+		file  string
+		write func(io.Writer) error
+	}{
+		{"table1.csv", func(w io.Writer) error { return WriteTable1CSV(w, h.Table1()) }},
+		{"table2.csv", func(w io.Writer) error {
+			res, err := h.Table2()
+			if err != nil {
+				return err
+			}
+			return WriteTable2CSV(w, res)
+		}},
+		{"figure4.csv", figure4CSV(h.Figure4)},
+		{"ablation.csv", figure4CSV(h.Ablation)},
+		{"noise.csv", func(w io.Writer) error {
+			rows, err := h.NoiseSensitivity(nil)
+			if err != nil {
+				return err
+			}
+			return WriteNoiseCSV(w, rows)
+		}},
+		{"seeds.csv", func(w io.Writer) error {
+			sum, err := h.SeedSweep(nil)
+			if err != nil {
+				return err
+			}
+			return WriteSeedsCSV(w, sum)
+		}},
+		{"trainsize.csv", func(w io.Writer) error {
+			rows, err := h.TrainSizeSensitivity(nil)
+			if err != nil {
+				return err
+			}
+			return WriteTrainSizeCSV(w, rows)
+		}},
+	} {
 		var got bytes.Buffer
-		if err := WriteFigure4CSV(&got, rows); err != nil {
-			t.Fatal(err)
+		if err := fig.write(&got); err != nil {
+			t.Fatalf("%s: %v", fig.file, err)
 		}
 		want, err := os.ReadFile(filepath.Join("..", "..", "results", fig.file))
 		if err != nil {
