@@ -507,8 +507,9 @@ func (e *Engine) SimilaritiesCtx(ctx context.Context, refs []reldb.TupleID, rese
 }
 
 // similarities is Similarities under a context and weights w, observed
-// between pairwise rows, filling a zeroed prefix of buf as the triangle
-// when it is large enough. When the stage span's trace was built with
+// between pairwise rows, filling a prefix of buf as the triangle when it
+// is large enough; buf must be all zeros, as every triangle scored hands
+// back to its pool is. When the stage span's trace was built with
 // SamplePairEvery, every Nth pair (by triangular pair index — deterministic,
 // no RNG) gets a "pair" event with its Explain-style per-path breakdown
 // attached to the span.
@@ -524,7 +525,6 @@ func (e *Engine) similarities(ctx context.Context, refs []reldb.TupleID, w weigh
 		buf = make([]cluster.Cell, pairs)
 	}
 	m := cluster.Matrix{N: n, Cells: buf[:pairs]}
-	clear(m.Cells)
 	nbs, err := e.ext.NeighborhoodsCtx(ctx, refs, e.cfg.Workers)
 	if err != nil {
 		return cluster.Matrix{}, st.end(0, stageErr("prefetch", err))
@@ -674,15 +674,18 @@ func (e *Engine) DisambiguateRefsCtx(ctx context.Context, refs []reldb.TupleID) 
 
 // triangles recycles the pair triangles of scored, which never leave it;
 // a sweep of the paper-scale world would otherwise allocate 30 MB of them.
-// One too small for a block is dropped for the block's fresh one, so the
-// pool settles on the largest triangles in use.
+// Every triangle in the pool is all zeros. One too small for a block is
+// dropped for the block's fresh one, so the pool settles on the largest
+// triangles in use.
 var triangles = sync.Pool{New: func() any { return new([]cluster.Cell) }}
 
 // scored computes refs' similarities under w into a pooled triangle, in the
 // similarities stage, hands the triangle to use under ctx, and recycles it
-// once use returns: use must not keep it. Every entry point that scores a
-// block goes through here. A failed scoring, or a panic in use, drops the
-// triangle instead of recycling it.
+// once use returns: use must not keep it. The triangle goes back cleared,
+// so a triangle recycled while still in use reads as zeros, not as another
+// block's similarities. Every entry point that scores a block goes through
+// here. A failed scoring, or a panic in use, drops the triangle instead of
+// recycling it.
 func (e *Engine) scored(ctx context.Context, refs []reldb.TupleID, w weights, use func(cluster.Matrix) error) error {
 	buf := triangles.Get().(*[]cluster.Cell)
 	m, err := e.similarities(ctx, refs, w, *buf)
@@ -690,6 +693,7 @@ func (e *Engine) scored(ctx context.Context, refs []reldb.TupleID, w weights, us
 		return err
 	}
 	err = use(m)
+	clear(m.Cells)
 	*buf = m.Cells
 	triangles.Put(buf)
 	return err

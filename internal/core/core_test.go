@@ -264,9 +264,10 @@ func TestSimilaritiesSymmetryAndRange(t *testing.T) {
 	}
 }
 
-// A recycled triangle, dirty and larger than the name needs, is zeroed and
-// filled in place to the same bits as a fresh one; one too small is left
-// alone for a fresh triangle.
+// A zeroed triangle larger than the name needs is filled in place to the
+// same bits as a fresh one; one too small is left alone for a fresh
+// triangle. scored hands its triangle back all zeros, however dirty use
+// left it, so the pool only ever holds zeroed triangles.
 func TestSimilaritiesReuseBuffer(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
@@ -274,9 +275,6 @@ func TestSimilaritiesReuseBuffer(t *testing.T) {
 	fresh := e.Similarities(refs)
 	ctx := context.Background()
 	big := make([]cluster.Cell, len(fresh.Cells)+7)
-	for i := range big {
-		big[i] = cluster.Cell{R: math.NaN(), WAB: -1, WBA: math.Inf(1)}
-	}
 	m, err := e.similarities(ctx, refs, e.w, big)
 	if err != nil {
 		t.Fatal(err)
@@ -287,6 +285,25 @@ func TestSimilaritiesReuseBuffer(t *testing.T) {
 	for k, c := range m.Cells {
 		if c != fresh.Cells[k] {
 			t.Fatalf("cell %d: %+v in a recycled buffer, %+v fresh", k, c, fresh.Cells[k])
+		}
+	}
+	var handedBack []cluster.Cell
+	err = e.scored(ctx, refs, e.w, func(m cluster.Matrix) error {
+		if !slices.Equal(m.Cells, fresh.Cells) {
+			t.Error("a pooled triangle scored differently from a fresh one")
+		}
+		handedBack = m.Cells[:cap(m.Cells)]
+		for k := range m.Cells {
+			m.Cells[k] = cluster.Cell{R: math.NaN(), WAB: -1, WBA: math.Inf(1)}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, c := range handedBack {
+		if c != (cluster.Cell{}) {
+			t.Fatalf("cell %d of the recycled triangle is %+v, not zero", k, c)
 		}
 	}
 	small := make([]cluster.Cell, 3)

@@ -188,7 +188,9 @@ func TestWarmCallsReusePooledTriangle(t *testing.T) {
 // and NameAffinity concurrently on one engine. They share the triangle
 // pool, so a triangle recycled while still in use would change a result
 // (and, under -race, report a data race); every result must equal the
-// serial one.
+// serial one. The serial groups must equal cluster.Run over a fresh
+// Similarities matrix: scored clears each triangle it recycles, so one
+// recycled before its use clusters zeros, even in a plain run.
 func TestConcurrentEntryPointsSharePool(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
@@ -213,6 +215,19 @@ func TestConcurrentEntryPointsSharePool(t *testing.T) {
 	want, err := compute()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		refs   []reldb.TupleID
+		groups [][]reldb.TupleID
+	}{{refs, want.groups}, {small, want.smallGroups}} {
+		res, err := cluster.Run(context.Background(), e.Similarities(b.refs), cluster.Options{
+			Measure: e.cfg.Measure, MinSim: e.cfg.MinSim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh := groupRefs(b.refs, res.Clusters); !reflect.DeepEqual(b.groups, fresh) {
+			t.Fatalf("serial groups %v, %v over a fresh matrix", b.groups, fresh)
+		}
 	}
 	const goroutines, rounds = 4, 3
 	got := make([]results, goroutines*rounds)
