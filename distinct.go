@@ -7,6 +7,7 @@ import (
 	"distinct/internal/cluster"
 	"distinct/internal/core"
 	"distinct/internal/eval"
+	"distinct/internal/fault"
 	"distinct/internal/obs"
 	"distinct/internal/obs/trace"
 	"distinct/internal/reldb"
@@ -114,8 +115,11 @@ type Config struct {
 	Train TrainOptions
 	// SVM tunes the solver (defaults: C=1, dual coordinate descent).
 	SVM SVMOptions
-	// Workers bounds the goroutines used for feature extraction, the
-	// dominant cost (0 = GOMAXPROCS, 1 = sequential).
+	// Workers bounds the goroutines of each parallel stage on its own:
+	// plan compile, neighborhood prefetch, training features, the two
+	// SVMs, a name's similarity rows and a sweep's names (0 = GOMAXPROCS,
+	// 1 = sequential). Stages do not share the bound: a sweep runs up to
+	// Workers names at once, each scoring its rows on up to Workers more.
 	Workers int
 	// Metrics, when non-nil, collects per-stage spans and pipeline
 	// counters for every operation on the engine (see NewMetrics). Nil —
@@ -234,11 +238,9 @@ func (e *Engine) DisambiguateCtx(ctx context.Context, name string) ([][]TupleID,
 // DisambiguateRefs clusters an explicit set of references (expanded-DB IDs).
 func (e *Engine) DisambiguateRefs(refs []TupleID) [][]TupleID {
 	groups, err := e.inner.DisambiguateRefsCtx(context.Background(), refs)
-	if err != nil {
-		// A background run can fail only by a recovered worker panic
-		// (*fault.PanicError, stack attached): re-raise it.
-		panic(err)
-	}
+	// A background run can fail only by a recovered worker panic
+	// (*fault.PanicError): re-raise it with the worker's stack.
+	fault.Rethrow(err)
 	return groups
 }
 

@@ -71,8 +71,12 @@ type Config struct {
 	// SVM configures the linear SVM solver.
 	SVM svm.Options
 
-	// Workers bounds the goroutines used for feature extraction (the
-	// dominant cost). 0 means GOMAXPROCS; 1 forces sequential execution.
+	// Workers bounds the goroutines of each parallel stage on its own:
+	// plan compile, neighborhood prefetch, training features, the two
+	// SVMs, a name's similarity rows and a sweep's names. 0 means
+	// GOMAXPROCS; 1 forces sequential execution. Stages do not share the
+	// bound: DisambiguateAllCtx runs up to Workers names at once, and each
+	// scores its similarity rows on up to Workers more goroutines.
 	Workers int
 
 	// Obs, when non-nil, receives per-stage spans (wall time, items,
