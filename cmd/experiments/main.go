@@ -1,17 +1,21 @@
 // Command experiments regenerates the evaluation of the DISTINCT paper
 // (Yin, Han, Yu; ICDE 2007) on a generated DBLP-like world: Tables 1 and 2,
-// Figures 4 and 5, the training timing, and the extra ablation comparison.
+// Figures 4 and 5, the training timing, and the extra ablation comparison,
+// plus experiments beyond the paper.
 //
 // Usage:
 //
-//	experiments [-all] [-table1] [-table2] [-figure4] [-figure5] [-timing]
-//	            [-ablation] [-name "Wei Wang"] [-dot out.dot]
-//	            [-seed N] [-communities N] [-authors N] [-minsim X]
-//	            [-timeout D] [-name-timeout D]
+//	experiments [-all] [-table1] [-timing] [-table2] [-figure4] [-ablation]
+//	            [-scaling] [-noise] [-expansion] [-citations] [-seeds]
+//	            [-trainsize] [-music] [-figure5] [-name "Wei Wang"] [-dot out.dot]
+//	            [-seed N] [-communities N] [-authors N] [-minsim X] [-train N]
+//	            [-csv dir] [-timeout D] [-name-timeout D]
 //	            [-metrics out.json] [-obs addr]
 //	            [-trace out.json] [-tracetree out.json] [-tracesample N] [-v]
 //
-// With no experiment flags, -all is assumed.
+// Experiments print in the order above, whatever the order of the flags.
+// -all selects -table1 -timing -table2 -figure4 -ablation -figure5; with no
+// experiment flags, -all is assumed.
 //
 // SIGINT/SIGTERM cancel the run's context: in-flight pipeline work stops at
 // the next chunk boundary, trace and metrics artifacts still flush, and the
@@ -27,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"syscall"
 
 	"distinct/internal/dblp"
@@ -47,20 +52,7 @@ func main() {
 
 func run() error {
 	var (
-		all     = flag.Bool("all", false, "run every experiment")
-		table1  = flag.Bool("table1", false, "print Table 1 (the ambiguous-name dataset)")
-		table2  = flag.Bool("table2", false, "print Table 2 (DISTINCT accuracy per name)")
-		figure4 = flag.Bool("figure4", false, "print Figure 4 (six-variant comparison)")
-		figure5 = flag.Bool("figure5", false, "print Figure 5 (reference groups of one name)")
-		timing  = flag.Bool("timing", false, "print training timing (the paper's 62.1 s figure)")
-		ablate  = flag.Bool("ablation", false, "print the cluster-measure ablation (beyond the paper)")
-		scaling = flag.Bool("scaling", false, "print the scaling curve (beyond the paper)")
-		noise   = flag.Bool("noise", false, "print the noise-sensitivity curve (beyond the paper)")
-		musicF  = flag.Bool("music", false, "print the cross-domain music-catalog evaluation (beyond the paper)")
-		tsize   = flag.Bool("trainsize", false, "print the training-set size sensitivity curve (beyond the paper)")
-		seedsF  = flag.Bool("seeds", false, "print the seed-robustness sweep (beyond the paper)")
-		citesF  = flag.Bool("citations", false, "print the citation-linkage experiment (beyond the paper)")
-		expandF = flag.Bool("expansion", false, "print the attribute-expansion ablation (Section 2.1)")
+		all = flag.Bool("all", false, "run the paper's experiments and the ablation (-table1 -timing -table2 -figure4 -ablation -figure5)")
 
 		name    = flag.String("name", "Wei Wang", "name for -figure5")
 		dotPath = flag.String("dot", "", "also write -figure5 output as Graphviz DOT to this file")
@@ -83,6 +75,11 @@ func run() error {
 		traceSample = flag.Int("tracesample", 64, "with -trace/-tracetree: record an explanation for every Nth reference pair (0 disables pair provenance)")
 		verbose     = flag.Bool("v", false, "log progress to stderr (structured, span-stamped)")
 	)
+	exps := experimentTable(name, dotPath, seed)
+	on := make([]*bool, len(exps))
+	for i, e := range exps {
+		on[i] = flag.Bool(e.flag, false, e.usage)
+	}
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the run context; pipeline stages observe it at
@@ -150,12 +147,8 @@ func run() error {
 		}()
 	}
 
-	if !*table1 && !*table2 && !*figure4 && !*figure5 && !*timing && !*ablate && !*scaling && !*noise && !*musicF && !*tsize && !*seedsF && !*citesF && !*expandF {
-		*all = true
-	}
-	if *all {
-		*table1, *table2, *figure4, *figure5, *timing, *ablate = true, true, true, true, true, true
-	}
+	// With no experiment flags, -all is assumed.
+	*all = *all || !slices.ContainsFunc(on, func(b *bool) bool { return *b })
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
@@ -188,159 +181,27 @@ func run() error {
 		"papers", h.World.NumPapers(),
 		"references", h.World.NumReferences())
 
-	if *table1 {
-		fmt.Println("=== Table 1: names corresponding to multiple authors ===")
-		rows := h.Table1()
-		fmt.Println(experiments.FormatTable1(rows))
-		if err := writeCSV(*csvDir, "table1.csv", func(w io.Writer) error {
-			return experiments.WriteTable1CSV(w, rows)
-		}); err != nil {
-			return err
+	for i, e := range exps {
+		if !*on[i] && !(*all && e.all) {
+			continue
 		}
-	}
-	if *timing {
-		fmt.Println("=== Section 5 timing: training pipeline ===")
-		tm, err := h.Timing()
+		fmt.Printf("=== %s ===\n", e.heading())
+		text, write, err := e.run(h)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatTiming(tm))
-	}
-	if *table2 {
-		fmt.Println("=== Table 2: accuracy for distinguishing references ===")
-		res, err := h.Table2()
-		if err != nil {
+		fmt.Println(text)
+		if err := writeCSV(*csvDir, e.csv, write); err != nil {
 			return err
-		}
-		fmt.Println(experiments.FormatTable2(res))
-		if err := writeCSV(*csvDir, "table2.csv", func(w io.Writer) error {
-			return experiments.WriteTable2CSV(w, res)
-		}); err != nil {
-			return err
-		}
-	}
-	if *figure4 {
-		fmt.Println("=== Figure 4: accuracy and f-measure of six variants ===")
-		rows, err := h.Figure4()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFigure4(rows))
-		if err := writeCSV(*csvDir, "figure4.csv", func(w io.Writer) error {
-			return experiments.WriteFigure4CSV(w, rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if *ablate {
-		fmt.Println("=== Ablation: cluster-measure design choices (beyond the paper) ===")
-		rows, err := h.Ablation()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFigure4(rows))
-		if err := writeCSV(*csvDir, "ablation.csv", func(w io.Writer) error {
-			return experiments.WriteFigure4CSV(w, rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if *scaling {
-		fmt.Println("=== Scaling: pipeline cost vs database size (beyond the paper) ===")
-		rows, err := h.Scaling(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatScaling(rows))
-		if err := writeCSV(*csvDir, "scaling.csv", func(w io.Writer) error {
-			return experiments.WriteScalingCSV(w, rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if *noise {
-		fmt.Println("=== Noise sensitivity: quality vs cross-community collaboration (beyond the paper) ===")
-		rows, err := h.NoiseSensitivity(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatNoise(rows))
-		if err := writeCSV(*csvDir, "noise.csv", func(w io.Writer) error {
-			return experiments.WriteNoiseCSV(w, rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if *expandF {
-		fmt.Println("=== Attribute-expansion ablation (Section 2.1) ===")
-		rows, err := h.ExpansionAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatExpansion(rows))
-	}
-	if *citesF {
-		fmt.Println("=== Citation linkage: quality vs citation density (beyond the paper) ===")
-		rows, err := h.CitationLinkage(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCitations(rows))
-	}
-	if *seedsF {
-		fmt.Println("=== Seed robustness: Table 2 averages across generated worlds (beyond the paper) ===")
-		sum, err := h.SeedSweep(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSeeds(sum))
-		if err := writeCSV(*csvDir, "seeds.csv", func(w io.Writer) error {
-			return experiments.WriteSeedsCSV(w, sum)
-		}); err != nil {
-			return err
-		}
-	}
-	if *tsize {
-		fmt.Println("=== Training-set size sensitivity (beyond the paper) ===")
-		rows, err := h.TrainSizeSensitivity(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTrainSize(rows))
-		if err := writeCSV(*csvDir, "trainsize.csv", func(w io.Writer) error {
-			return experiments.WriteTrainSizeCSV(w, rows)
-		}); err != nil {
-			return err
-		}
-	}
-	if *musicF {
-		fmt.Println("=== Cross-domain: songs sharing a title, AllMusic-style (beyond the paper) ===")
-		mres, err := experiments.MusicEvaluation(music.DefaultConfig(), *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatMusic(mres))
-	}
-	if *figure5 {
-		fmt.Printf("=== Figure 5: groups of references of %s ===\n", *name)
-		res, err := h.Figure5(*name)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFigure5(res))
-		if *dotPath != "" {
-			if err := os.WriteFile(*dotPath, []byte(experiments.DOTFigure5(res)), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("DOT written to %s\n", *dotPath)
 		}
 	}
 	return nil
 }
 
-// writeCSV writes one experiment's CSV into dir, if a dir was requested.
+// writeCSV writes one experiment's CSV into dir, if a dir was requested
+// and the experiment has one.
 func writeCSV(dir, name string, write func(io.Writer) error) error {
-	if dir == "" {
+	if dir == "" || name == "" {
 		return nil
 	}
 	path := filepath.Join(dir, name)
@@ -357,4 +218,101 @@ func writeCSV(dir, name string, write func(io.Writer) error) error {
 	}
 	fmt.Printf("CSV written to %s\n\n", path)
 	return nil
+}
+
+// experiment is one section of the output: the flag that selects it,
+// whether -all includes it, its heading, its run and the CSV file, if any,
+// that its run's writer fills under -csv.
+type experiment struct {
+	flag, usage string
+	all         bool
+	heading     func() string
+	csv         string
+	run         func(*experiments.Harness) (text string, csv func(io.Writer) error, err error)
+}
+
+// section adapts an experiment's result, its text rendering and its CSV
+// writer (nil for none) to experiment.run.
+func section[T any](result func(*experiments.Harness) (T, error), format func(T) string, writeCSV func(io.Writer, T) error) func(*experiments.Harness) (string, func(io.Writer) error, error) {
+	return func(h *experiments.Harness) (string, func(io.Writer) error, error) {
+		v, err := result(h)
+		if err != nil {
+			return "", nil, err
+		}
+		if writeCSV == nil {
+			return format(v), nil, nil
+		}
+		return format(v), func(w io.Writer) error { return writeCSV(w, v) }, nil
+	}
+}
+
+// title is a fixed heading.
+func title(s string) func() string { return func() string { return s } }
+
+// experimentTable lists every experiment in print order; name, dot and
+// seed are the -name, -dot and -seed flags.
+func experimentTable(name, dot *string, seed *int64) []experiment {
+	type H = *experiments.Harness
+	return []experiment{
+		{flag: "table1", usage: "print Table 1 (the ambiguous-name dataset)", all: true,
+			heading: title("Table 1: names corresponding to multiple authors"), csv: "table1.csv",
+			run: section(func(h H) ([]experiments.Table1Row, error) { return h.Table1(), nil },
+				experiments.FormatTable1, experiments.WriteTable1CSV)},
+		{flag: "timing", usage: "print training timing (the paper's 62.1 s figure)", all: true,
+			heading: title("Section 5 timing: training pipeline"),
+			run:     section(H.Timing, experiments.FormatTiming, nil)},
+		{flag: "table2", usage: "print Table 2 (DISTINCT accuracy per name)", all: true,
+			heading: title("Table 2: accuracy for distinguishing references"), csv: "table2.csv",
+			run: section(H.Table2, experiments.FormatTable2, experiments.WriteTable2CSV)},
+		{flag: "figure4", usage: "print Figure 4 (six-variant comparison)", all: true,
+			heading: title("Figure 4: accuracy and f-measure of six variants"), csv: "figure4.csv",
+			run: section(H.Figure4, experiments.FormatFigure4, experiments.WriteFigure4CSV)},
+		{flag: "ablation", usage: "print the cluster-measure ablation (beyond the paper)", all: true,
+			heading: title("Ablation: cluster-measure design choices (beyond the paper)"), csv: "ablation.csv",
+			run: section(H.Ablation, experiments.FormatFigure4, experiments.WriteFigure4CSV)},
+		{flag: "scaling", usage: "print the scaling curve (beyond the paper)",
+			heading: title("Scaling: pipeline cost vs database size (beyond the paper)"), csv: "scaling.csv",
+			run: section(func(h H) ([]experiments.ScalingRow, error) { return h.Scaling(nil) },
+				experiments.FormatScaling, experiments.WriteScalingCSV)},
+		{flag: "noise", usage: "print the noise-sensitivity curve (beyond the paper)",
+			heading: title("Noise sensitivity: quality vs cross-community collaboration (beyond the paper)"), csv: "noise.csv",
+			run: section(func(h H) ([]experiments.NoiseRow, error) { return h.NoiseSensitivity(nil) },
+				experiments.FormatNoise, experiments.WriteNoiseCSV)},
+		{flag: "expansion", usage: "print the attribute-expansion ablation (Section 2.1)",
+			heading: title("Attribute-expansion ablation (Section 2.1)"),
+			run:     section(H.ExpansionAblation, experiments.FormatExpansion, nil)},
+		{flag: "citations", usage: "print the citation-linkage experiment (beyond the paper)",
+			heading: title("Citation linkage: quality vs citation density (beyond the paper)"),
+			run: section(func(h H) ([]experiments.CitationRow, error) { return h.CitationLinkage(nil) },
+				experiments.FormatCitations, nil)},
+		{flag: "seeds", usage: "print the seed-robustness sweep (beyond the paper)",
+			heading: title("Seed robustness: Table 2 averages across generated worlds (beyond the paper)"), csv: "seeds.csv",
+			run: section(func(h H) (*experiments.SeedSummary, error) { return h.SeedSweep(nil) },
+				experiments.FormatSeeds, experiments.WriteSeedsCSV)},
+		{flag: "trainsize", usage: "print the training-set size sensitivity curve (beyond the paper)",
+			heading: title("Training-set size sensitivity (beyond the paper)"), csv: "trainsize.csv",
+			run: section(func(h H) ([]experiments.TrainSizeRow, error) { return h.TrainSizeSensitivity(nil) },
+				experiments.FormatTrainSize, experiments.WriteTrainSizeCSV)},
+		{flag: "music", usage: "print the cross-domain music-catalog evaluation (beyond the paper)",
+			heading: title("Cross-domain: songs sharing a title, AllMusic-style (beyond the paper)"),
+			run: section(func(H) (*experiments.MusicResult, error) {
+				return experiments.MusicEvaluation(music.DefaultConfig(), *seed)
+			}, experiments.FormatMusic, nil)},
+		{flag: "figure5", usage: "print Figure 5 (reference groups of one name)", all: true,
+			heading: func() string { return "Figure 5: groups of references of " + *name },
+			run: func(h H) (string, func(io.Writer) error, error) {
+				res, err := h.Figure5(*name)
+				if err != nil {
+					return "", nil, err
+				}
+				text := experiments.FormatFigure5(res)
+				if *dot != "" {
+					if err := os.WriteFile(*dot, []byte(experiments.DOTFigure5(res)), 0o644); err != nil {
+						return "", nil, err
+					}
+					text += "\nDOT written to " + *dot
+				}
+				return text, nil, nil
+			}},
+	}
 }

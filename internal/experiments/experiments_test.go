@@ -10,6 +10,7 @@ import (
 
 	"distinct/internal/cluster"
 	"distinct/internal/dblp"
+	"distinct/internal/obs"
 )
 
 // smallOptions is a reduced world so tests stay fast; the full Table 1
@@ -234,6 +235,35 @@ func TestDefaultMinSimGrid(t *testing.T) {
 	for i := 1; i < len(g); i++ {
 		if g[i] <= g[i-1] {
 			t.Fatal("grid not increasing")
+		}
+	}
+}
+
+// TestSweepSharesWorld: a sweep point that leaves the world's
+// configuration as it is runs on this harness's world; one that changes it
+// runs on a regenerated world. Neither inherits the harness's
+// observability.
+func TestSweepSharesWorld(t *testing.T) {
+	h := newTestHarness(t)
+	h.Opts.Obs = obs.NewRegistry()
+	pts, err := h.sweep(2, func(i int, o *Options) {
+		o.TrainPositive, o.TrainNegative = 50, 50
+		if i == 1 {
+			o.World.Seed++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts[0].h.World != h.World {
+		t.Error("an unchanged world configuration regenerated the world")
+	}
+	if pts[1].h.World == h.World || pts[1].h.World.Config.Seed != h.World.Config.Seed+1 {
+		t.Error("a changed world configuration did not regenerate the world")
+	}
+	for i, p := range pts {
+		if p.h.Opts.Obs != nil || p.h.Opts.TrainPositive != 50 || p.train == nil || p.table2 == nil {
+			t.Errorf("point %d: %+v", i, p)
 		}
 	}
 }

@@ -62,25 +62,13 @@ func (h *Harness) Figure4() ([]Figure4Row, error) {
 
 // figure4 evaluates an explicit variant list (exposed for ablations).
 func (h *Harness) figure4(variants []Variant) ([]Figure4Row, error) {
-	var rows []Figure4Row
-	for _, v := range variants {
-		grid := []float64{h.Opts.MinSim}
-		if v.TuneMinSim {
-			grid = h.Opts.MinSimGrid
+	rows := make([]Figure4Row, len(variants))
+	for i, v := range variants {
+		avg, minSim, err := h.best(v)
+		if err != nil {
+			return nil, err
 		}
-		best := Figure4Row{Variant: v.Name, Accuracy: -1}
-		for _, ms := range grid {
-			_, avg, err := h.evaluateAll(v.Supervised, v.Measure, ms)
-			if err != nil {
-				return nil, err
-			}
-			if avg.Accuracy > best.Accuracy {
-				best.Accuracy = avg.Accuracy
-				best.F1 = avg.F1
-				best.MinSim = ms
-			}
-		}
-		rows = append(rows, best)
+		rows[i] = Figure4Row{Variant: v.Name, Accuracy: avg.Accuracy, F1: avg.F1, MinSim: minSim}
 	}
 	return rows, nil
 }
@@ -98,51 +86,27 @@ func AblationVariants() []Variant {
 	}
 }
 
-// Ablation runs the ablation variant list, plus the threshold-free
-// gap-cutting variant (which has no min-sim to tune or fix).
+// Ablation runs the ablation variant list, plus per-name gap cutting
+// (cluster.StopGap, falling back to the harness's min-sim) with supervised
+// weights, which has no min-sim to tune or fix.
 func (h *Harness) Ablation() ([]Figure4Row, error) {
 	rows, err := h.figure4(AblationVariants())
 	if err != nil {
 		return nil, err
 	}
-	auto, err := h.autoGapRow()
+	_, ms, err := h.evaluateAll(true, cluster.Options{
+		Measure: cluster.Combined, MinSim: h.Opts.MinSim, Stop: cluster.StopGap,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return append(rows, auto), nil
-}
-
-// autoGapRow evaluates per-name gap cutting (cluster.StopGap, falling back
-// to the harness's min-sim) with supervised weights over all ambiguous
-// names.
-func (h *Harness) autoGapRow() (Figure4Row, error) {
-	names := h.World.AmbiguousNames()
-	ms := make([]eval.Metrics, len(names))
-	for i, name := range names {
-		refs := h.refs[name]
-		m, err := h.matrix(name, true)
-		if err != nil {
-			return Figure4Row{}, err
-		}
-		pred, err := h.clusterRows(refs, m, cluster.Options{
-			Measure: cluster.Combined, MinSim: h.Opts.MinSim, Stop: cluster.StopGap,
-		})
-		if err != nil {
-			return Figure4Row{}, err
-		}
-		metrics, err := eval.Evaluate(pred, h.gold[name])
-		if err != nil {
-			return Figure4Row{}, err
-		}
-		ms[i] = metrics
-	}
 	avg := eval.Average(ms)
-	return Figure4Row{
+	return append(rows, Figure4Row{
 		Variant:  "Per-name gap cut (hybrid)",
 		Accuracy: avg.Accuracy,
 		F1:       avg.F1,
 		MinSim:   h.Opts.MinSim,
-	}, nil
+	}), nil
 }
 
 // FormatFigure4 renders the rows as a text bar chart like the paper's

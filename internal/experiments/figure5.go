@@ -52,21 +52,13 @@ type Figure5Result struct {
 // annotates the outcome with ground truth. With the default world and
 // name "Wei Wang" this is the reproduction of the paper's Figure 5.
 func (h *Harness) Figure5(name string) (*Figure5Result, error) {
-	refs, ok := h.refs[name]
-	if !ok {
-		return nil, fmt.Errorf("experiments: %q is not an ambiguous name of this world", name)
-	}
-	m, err := h.matrix(name, true)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := h.clusterRows(refs, m, cluster.Options{Measure: cluster.Combined, MinSim: h.Opts.MinSim})
+	pred, err := h.predict(name, true, cluster.Options{Measure: cluster.Combined, MinSim: h.Opts.MinSim})
 	if err != nil {
 		return nil, err
 	}
 
 	// Invert the expanded-DB mapping so ground truth can be read per ref.
-	origByExp := make(map[int64]dblp.AuthorID, len(refs))
+	origByExp := make(map[int64]dblp.AuthorID, len(h.refs[name]))
 	for _, orig := range h.World.Refs(name) {
 		origByExp[int64(h.engine.MapRef(orig))] = h.World.RefAuthor[orig]
 	}

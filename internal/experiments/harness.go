@@ -12,7 +12,11 @@
 //
 // The harness caches the expensive artifacts — the trained engine and each
 // name's combined similarity matrix per weighting (learned or uniform) — so
-// variant sweeps and min-sim grids only redo the clustering.
+// variant sweeps and min-sim grids only redo the clustering. Every
+// experiment runs on one path: a name is clustered by predict, every name
+// by evaluateAll, and a variant's threshold is picked by best. Experiments
+// that change the world, the training set or the expanded attributes run
+// that same path on sub-harnesses (sweep, ExpansionAblation).
 package experiments
 
 import (
@@ -132,12 +136,18 @@ func NewHarness(opts Options) (*Harness, error) {
 // NewHarnessWorld builds a harness over an existing world (e.g. one loaded
 // from disk, or shared across benchmark runs). opts.World is ignored.
 func NewHarnessWorld(world *dblp.World, opts Options) (*Harness, error) {
+	return newHarness(world, opts, []string{dblp.TitleAttr})
+}
+
+// newHarness builds a harness whose engine leaves the attributes in skip
+// unexpanded (Section 2.1); every other attribute value becomes a tuple.
+func newHarness(world *dblp.World, opts Options, skip []string) (*Harness, error) {
 	opts = opts.withDefaults()
 	opts.World = world.Config
 	engine, err := core.NewEngineCtx(opts.ctx(), world.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
-		SkipExpand:  []string{dblp.TitleAttr},
+		SkipExpand:  skip,
 		Supervised:  true,
 		Measure:     cluster.Combined,
 		MinSim:      opts.MinSim,
@@ -170,6 +180,15 @@ func NewHarnessWorld(world *dblp.World, opts Options) (*Harness, error) {
 		h.gold[name] = g
 	}
 	return h, nil
+}
+
+// subOptions returns the options a sub-harness inherits: thresholds, grid,
+// training set, run context and name budget, but not this harness's
+// observability, which reports on the main world only.
+func (h *Harness) subOptions() Options {
+	o := h.Opts
+	o.Obs, o.Trace = nil, nil
+	return o
 }
 
 // Engine exposes the underlying engine (e.g. for weight inspection).
@@ -243,36 +262,20 @@ func (h *Harness) variantWeights(supervised bool) (resemW, walkW []float64, err 
 	return rep.ResemWeights, rep.WalkWeights, nil
 }
 
-// clusterName clusters one name's references under the weights of a
-// supervision mode, a measure and a threshold, returning its metrics
-// against gold.
-func (h *Harness) clusterName(name string, supervised bool, measure cluster.Measure, minSim float64) (eval.Metrics, error) {
-	pred, err := h.clusterNamePred(name, supervised, measure, minSim)
-	if err != nil {
-		return eval.Metrics{}, err
-	}
-	return eval.Evaluate(pred, h.gold[name])
-}
-
-// clusterNamePred returns the predicted clustering itself.
-func (h *Harness) clusterNamePred(name string, supervised bool, measure cluster.Measure, minSim float64) (eval.Clustering, error) {
+// predict clusters one name's references under the weights of a
+// supervision mode and opts, on the run context.
+func (h *Harness) predict(name string, supervised bool, opts cluster.Options) (eval.Clustering, error) {
 	refs, ok := h.refs[name]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown name %q", name)
+		return nil, fmt.Errorf("experiments: %q is not an ambiguous name of this world", name)
 	}
 	m, err := h.matrix(name, supervised)
 	if err != nil {
 		return nil, err
 	}
-	return h.clusterRows(refs, m, cluster.Options{Measure: measure, MinSim: minSim})
-}
-
-// clusterRows clusters a matrix whose rows are refs under opts, on the run
-// context, and maps the rows back to references.
-func (h *Harness) clusterRows(refs []reldb.TupleID, m cluster.Matrix, opts cluster.Options) (eval.Clustering, error) {
 	res, err := cluster.Run(h.Opts.ctx(), m, opts)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: clustering: %w", err)
+		return nil, fmt.Errorf("experiments: clustering %q: %w", name, err)
 	}
 	pred := make(eval.Clustering, len(res.Clusters))
 	for i, c := range res.Clusters {
@@ -284,17 +287,45 @@ func (h *Harness) clusterRows(refs []reldb.TupleID, m cluster.Matrix, opts clust
 	return pred, nil
 }
 
-// evaluateAll scores every ambiguous name and returns per-name metrics in
-// Table 1 order plus their average.
-func (h *Harness) evaluateAll(supervised bool, measure cluster.Measure, minSim float64) ([]eval.Metrics, eval.Metrics, error) {
+// evaluateAll clusters every ambiguous name once under the weights of a
+// supervision mode and opts, and returns the predictions and their metrics
+// against gold, in Table 1 order.
+func (h *Harness) evaluateAll(supervised bool, opts cluster.Options) ([]eval.Clustering, []eval.Metrics, error) {
 	names := h.World.AmbiguousNames()
+	preds := make([]eval.Clustering, len(names))
 	ms := make([]eval.Metrics, len(names))
 	for i, name := range names {
-		m, err := h.clusterName(name, supervised, measure, minSim)
+		pred, err := h.predict(name, supervised, opts)
 		if err != nil {
-			return nil, eval.Metrics{}, fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, nil, err
 		}
-		ms[i] = m
+		if ms[i], err = eval.Evaluate(pred, h.gold[name]); err != nil {
+			return nil, nil, fmt.Errorf("experiments: %s: %w", name, err)
+		}
+		preds[i] = pred
 	}
-	return ms, eval.Average(ms), nil
+	return preds, ms, nil
+}
+
+// best evaluates a variant over every ambiguous name at each threshold it
+// may use — the harness's min-sim, or every grid point when the variant
+// tunes its threshold — and returns the average metrics of the threshold
+// with the highest average accuracy (the first on ties), and that
+// threshold.
+func (h *Harness) best(v Variant) (eval.Metrics, float64, error) {
+	grid := []float64{h.Opts.MinSim}
+	if v.TuneMinSim {
+		grid = h.Opts.MinSimGrid
+	}
+	best, bestMinSim := eval.Metrics{Accuracy: -1}, 0.0
+	for _, minSim := range grid {
+		_, ms, err := h.evaluateAll(v.Supervised, cluster.Options{Measure: v.Measure, MinSim: minSim})
+		if err != nil {
+			return eval.Metrics{}, 0, err
+		}
+		if avg := eval.Average(ms); avg.Accuracy > best.Accuracy {
+			best, bestMinSim = avg, minSim
+		}
+	}
+	return best, bestMinSim, nil
 }

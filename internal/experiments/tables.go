@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"distinct/internal/cluster"
 	"distinct/internal/eval"
 )
 
@@ -59,25 +60,21 @@ type Table2Result struct {
 }
 
 // Table2 runs the full DISTINCT configuration (supervised, combined
-// measure, fixed min-sim) on every ambiguous name.
+// measure, fixed min-sim) on every ambiguous name, clustering each once
+// for its metrics and the extension metrics alike.
 func (h *Harness) Table2() (*Table2Result, error) {
-	ms, avg, err := h.evaluateAll(true, DISTINCT().Measure, h.Opts.MinSim)
+	d := DISTINCT()
+	preds, ms, err := h.evaluateAll(d.Supervised, cluster.Options{Measure: d.Measure, MinSim: h.Opts.MinSim})
 	if err != nil {
 		return nil, err
 	}
-	names := h.World.AmbiguousNames()
-	res := &Table2Result{Average: avg, MinSim: h.Opts.MinSim}
-	for i, name := range names {
+	res := &Table2Result{Average: eval.Average(ms), MinSim: h.Opts.MinSim}
+	for i, name := range h.World.AmbiguousNames() {
 		row := Table2Row{Name: name, Metrics: ms[i]}
-		// Extension metrics on the same prediction.
-		pred, err := h.clusterNamePred(name, true, DISTINCT().Measure, h.Opts.MinSim)
-		if err != nil {
-			return nil, err
-		}
-		if b, err := eval.BCubed(pred, h.gold[name]); err == nil {
+		if b, err := eval.BCubed(preds[i], h.gold[name]); err == nil {
 			row.BCubedF = b.F1
 		}
-		if ari, err := eval.AdjustedRand(pred, h.gold[name]); err == nil {
+		if ari, err := eval.AdjustedRand(preds[i], h.gold[name]); err == nil {
 			row.ARI = ari
 		}
 		res.Rows = append(res.Rows, row)
