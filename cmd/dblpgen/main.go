@@ -5,14 +5,13 @@
 // Usage:
 //
 //	dblpgen -out world.json [-seed N] [-communities N] [-authors N]
-//	        [-papers F] [-stats]
+//	        [-papers F] [-stats] [-tsv dir]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"distinct/internal/dataio"
 	"distinct/internal/dblp"
@@ -26,7 +25,7 @@ func main() {
 		authors = flag.Int("authors", 0, "override authors per community")
 		papers  = flag.Float64("papers", 0, "override mean papers per author")
 		stats   = flag.Bool("stats", false, "print per-relation sizes and the ambiguous-name profile")
-		tsvDir  = flag.String("tsv", "", "also export every relation as <Relation>.tsv into this directory (for cmd/objdist)")
+		tsvDir  = flag.String("tsv", "", "also export the database into this directory as schema.json plus one <Relation>.tsv per relation (load with cmd/distinct -schema dir/schema.json)")
 	)
 	flag.Parse()
 
@@ -53,22 +52,8 @@ func main() {
 		*out, len(world.Identities), world.NumPapers(), world.NumReferences())
 
 	if *tsvDir != "" {
-		if err := os.MkdirAll(*tsvDir, 0o755); err != nil {
+		if err := dataio.SaveExport(world.DB, *tsvDir); err != nil {
 			fatal(err)
-		}
-		for _, rs := range world.DB.Schema.Relations() {
-			path := filepath.Join(*tsvDir, rs.Name+".tsv")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := dataio.SaveTSV(world.DB, rs.Name, f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
 		}
 		fmt.Printf("TSV export written to %s\n", *tsvDir)
 	}

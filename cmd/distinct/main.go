@@ -1,13 +1,19 @@
-// Command distinct disambiguates the references to one name in a saved
-// world (see cmd/dblpgen): it trains DISTINCT's join-path weights on
+// Command distinct disambiguates the references to one name in a
+// relational database: it trains DISTINCT's join-path weights on
 // automatically constructed examples, clusters the name's references, and
-// prints the groups with their papers — scored against the ground truth
-// when the name is one of the world's injected ambiguous names.
+// prints the groups with the objects they occur in (papers and titles on
+// DBLP) — scored against the ground truth when the database is a saved
+// world (see cmd/dblpgen) and the name one of its injected ambiguous names.
 //
 // Usage:
 //
 //	distinct -world world.json -name "Wei Wang" [-minsim X] [-unsupervised]
 //	         [-dblpxml dblp.xml]   load a real DBLP XML export instead
+//	         [-schema schema.json] load any schema plus one <Relation>.tsv
+//	                               per relation beside it (dblpgen -tsv)
+//	         [-refrel R -refattr A] where the names are (default Publish.author)
+//	         [-skip R.a,...]       attributes left unexpanded
+//	                               (default Publications.title; '' for none)
 //	         [-measure combined|resemblance|walk] [-weights]
 //	         [-batch N]            disambiguate every name with >= N refs
 //	         [-timeout D]          whole-run budget (context deadline)
@@ -36,6 +42,8 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -57,10 +65,15 @@ func main() {
 }
 
 func run() error {
+	var src source
+	flag.StringVar(&src.world, "world", "world.json", "world file written by dblpgen")
+	flag.StringVar(&src.dblpXML, "dblpxml", "", "load a DBLP XML export instead of a world file (no ground truth)")
+	flag.IntVar(&src.prune, "prune", 3, "with -dblpxml: drop authors with fewer references (paper: authors with <=2 papers removed); 1 disables")
+	flag.StringVar(&src.schema, "schema", "", "load this JSON schema document and one <Relation>.tsv per relation from its directory instead of a world file (no ground truth)")
+	flag.StringVar(&src.refRel, "refrel", "Publish", "relation holding the references")
+	flag.StringVar(&src.refAttr, "refattr", "author", "foreign-key attribute of -refrel holding the shared names")
+	flag.StringVar(&src.skip, "skip", "Publications.title", "comma-separated Relation.attr list left unexpanded ('' for none)")
 	var (
-		worldPath    = flag.String("world", "world.json", "world file written by dblpgen")
-		xmlPath      = flag.String("dblpxml", "", "load a DBLP XML export instead of a world file (no ground truth)")
-		prune        = flag.Int("prune", 3, "with -dblpxml: drop authors with fewer references (paper: authors with <=2 papers removed); 1 disables")
 		name         = flag.String("name", "Wei Wang", "name to disambiguate")
 		minSim       = flag.Float64("minsim", 0, "clustering threshold (0 = default)")
 		unsupervised = flag.Bool("unsupervised", false, "skip SVM weight learning")
@@ -157,64 +170,27 @@ func run() error {
 		}()
 	}
 
-	var measure distinct.Measure
-	switch *measureName {
-	case "combined":
-		measure = distinct.Combined
-	case "resemblance":
-		measure = distinct.ResemblanceOnly
-	case "walk":
-		measure = distinct.RandomWalkOnly
-	default:
+	measure, ok := map[string]distinct.Measure{
+		"combined": distinct.Combined, "resemblance": distinct.ResemblanceOnly, "walk": distinct.RandomWalkOnly,
+	}[*measureName]
+	if !ok {
 		return fmt.Errorf("unknown measure %q", *measureName)
 	}
 
-	var (
-		db        *distinct.Database
-		ambiguous []string
-		world     *dblp.World
-	)
-	if *xmlPath != "" {
-		f, err := os.Open(*xmlPath)
-		if err != nil {
-			return err
-		}
-		loaded, stats, err := dblpxml.Load(f, dblpxml.Options{})
-		f.Close()
-		if err != nil {
-			return err
-		}
-		lg.Info("loaded DBLP XML", "path", *xmlPath, "records", stats.Records,
-			"authors", stats.Authors, "refs", stats.Refs, "skipped", stats.Skipped)
-		if *prune > 1 {
-			pruned, ps, err := dblpxml.Prune(loaded, *prune)
-			if err != nil {
-				return err
-			}
-			loaded = pruned
-			lg.Info("pruned sparse authors", "min_refs", *prune,
-				"authors_kept", ps.AuthorsKept, "refs_kept", ps.RefsKept)
-		}
-		db = loaded
-	} else {
-		w, err := dataio.LoadWorldFile(*worldPath)
-		if err != nil {
-			return err
-		}
-		world = w
-		db = w.DB
-		ambiguous = w.AmbiguousNames()
+	in, err := src.load(lg)
+	if err != nil {
+		return err
 	}
-	eng, err := distinct.OpenCtx(ctx, db, distinct.Config{
-		RefRelation:  "Publish",
-		RefAttr:      "author",
-		SkipExpand:   []string{"Publications.title"},
+	eng, err := distinct.OpenCtx(ctx, in.db, distinct.Config{
+		RefRelation:  in.refRel,
+		RefAttr:      in.refAttr,
+		SkipExpand:   in.skip,
 		Unsupervised: *unsupervised,
 		Measure:      measure,
 		MinSim:       *minSim,
 		Train: distinct.TrainOptions{
 			NumPositive: *trainN, NumNegative: *trainN,
-			Exclude: ambiguous, Seed: *seed,
+			Exclude: in.ambiguous, Seed: *seed,
 		},
 		Metrics: reg,
 		Trace:   tr,
@@ -280,7 +256,7 @@ func run() error {
 			res.MinSim, res.F1, res.Cases)
 	}
 	if *dupNames > 0 {
-		pairs, err := linkage.FindDuplicateNames(db, "Publish", "author", linkage.Options{
+		pairs, err := linkage.FindDuplicateNames(in.db, in.refRel, in.refAttr, linkage.Options{
 			MinStringSim: 0.55,
 			MaxPairs:     *dupNames,
 			Verify:       func(a, b string) float64 { return eng.Affinity(a, b) },
@@ -341,29 +317,18 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\n%q: %d references in %d groups\n", *name, len(eng.Refs(*name)), len(groups))
+	render := newRenderer(in.db.Schema, in.refRel, in.refAttr)
 	for i, g := range groups {
 		fmt.Printf("group %d (%d refs):\n", i+1, len(g))
 		for _, r := range g {
-			paper := eng.DB().Tuple(r).Val("paper-key")
-			pt := eng.DB().LookupKey("Publications", paper)
-			title := ""
-			if pt != distinct.InvalidTuple {
-				title = eng.DB().Tuple(pt).Val("title")
-			}
-			fmt.Printf("  %-10s %s\n", paper, title)
+			fmt.Printf("  %s\n", render(eng.DB(), r))
 		}
 	}
 
 	// Score against ground truth when available.
-	if world == nil {
-		return nil
-	}
-	for _, amb := range world.AmbiguousNames() {
-		if amb != *name {
-			continue
-		}
+	if slices.Contains(in.ambiguous, *name) {
 		var gold [][]distinct.TupleID
-		for _, c := range world.GoldClusters(*name) {
+		for _, c := range in.world.GoldClusters(*name) {
 			gold = append(gold, eng.MapRefs(c))
 		}
 		m, err := distinct.Score(groups, gold)
@@ -373,6 +338,108 @@ func run() error {
 		fmt.Printf("\nground truth: %d authors; %s\n", len(gold), m)
 	}
 	return nil
+}
+
+// source names the database to load and where its references are; the
+// flags fill it.
+type source struct {
+	world, dblpXML, schema string
+	prune                  int
+	refRel, refAttr, skip  string
+}
+
+// input is a loaded database: its references' relation and attribute, the
+// attributes left unexpanded and, for a world file, the world whose ground
+// truth scores the groups of its ambiguous names (kept out of training).
+type input struct {
+	db              *distinct.Database
+	refRel, refAttr string
+	skip, ambiguous []string
+	world           *dblp.World
+}
+
+// load reads the database from -dblpxml, -schema or, when neither is
+// given, -world.
+func (s source) load(lg *slog.Logger) (input, error) {
+	in := input{refRel: s.refRel, refAttr: s.refAttr}
+	if s.skip != "" {
+		in.skip = strings.Split(s.skip, ",")
+	}
+	var err error
+	switch {
+	case s.dblpXML != "" && s.schema != "":
+		return in, fmt.Errorf("-dblpxml and -schema are two inputs; give one")
+	case s.schema != "":
+		if in.db, err = dataio.LoadExport(s.schema); err == nil {
+			lg.Info("loaded schema and TSV", "path", s.schema, "tuples", in.db.NumTuples())
+		}
+	case s.dblpXML != "":
+		in.db, err = loadDBLPXML(lg, s.dblpXML, s.prune)
+	default:
+		if in.world, err = dataio.LoadWorldFile(s.world); err == nil {
+			in.db, in.ambiguous = in.world.DB, in.world.AmbiguousNames()
+		}
+	}
+	return in, err
+}
+
+// loadDBLPXML reads a DBLP XML export and drops authors with fewer than
+// prune references.
+func loadDBLPXML(lg *slog.Logger, path string, prune int) (*distinct.Database, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	db, stats, err := dblpxml.Load(f, dblpxml.Options{})
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	lg.Info("loaded DBLP XML", "path", path, "records", stats.Records,
+		"authors", stats.Authors, "refs", stats.Refs, "skipped", stats.Skipped)
+	if prune <= 1 {
+		return db, nil
+	}
+	pruned, ps, err := dblpxml.Prune(db, prune)
+	if err != nil {
+		return nil, err
+	}
+	lg.Info("pruned sparse authors", "min_refs", prune,
+		"authors_kept", ps.AuthorsKept, "refs_kept", ps.RefsKept)
+	return pruned, nil
+}
+
+// newRenderer returns the printer of one reference under schema s: the key
+// of the object it occurs in (the reference relation's first foreign key
+// besides the name, the paper on DBLP) and that object's first plain
+// attribute (the title). A reference relation without such a key prints
+// its values.
+func newRenderer(s *distinct.Schema, refRel, refAttr string) func(*distinct.Database, distinct.TupleID) string {
+	var objAttr, objRel, text string
+	for _, a := range s.Relation(refRel).Attrs {
+		if a.FK != "" && a.Name != refAttr {
+			objAttr, objRel = a.Name, a.FK
+			break
+		}
+	}
+	if objAttr != "" {
+		for _, a := range s.Relation(objRel).Attrs {
+			if !a.Key && a.FK == "" {
+				text = a.Name
+				break
+			}
+		}
+	}
+	return func(db *distinct.Database, r distinct.TupleID) string {
+		if objAttr == "" {
+			return strings.Join(db.Tuple(r).Vals, "\t")
+		}
+		key, title := db.Tuple(r).Val(objAttr), ""
+		if obj := db.LookupKey(objRel, key); obj != distinct.InvalidTuple && text != "" {
+			title = db.Tuple(obj).Val(text)
+		}
+		return fmt.Sprintf("%-10s %s", key, title)
+	}
 }
 
 // printIncidents renders a batch's incident summary: which names could not

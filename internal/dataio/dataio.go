@@ -58,12 +58,8 @@ func SaveWorld(world *dblp.World, w io.Writer) error {
 		Config: world.Config,
 		Tuples: make(map[string][][]string),
 	}
+	doc.Schema = schemaJSON(world.DB.Schema)
 	for _, rs := range world.DB.Schema.Relations() {
-		rj := relationJSON{Name: rs.Name}
-		for _, a := range rs.Attrs {
-			rj.Attrs = append(rj.Attrs, attrJSON{Name: a.Name, Key: a.Key, FK: a.FK})
-		}
-		doc.Schema = append(doc.Schema, rj)
 		rel := world.DB.Relation(rs.Name)
 		rows := make([][]string, 0, rel.Size())
 		for _, id := range rel.TupleIDs() {
@@ -91,15 +87,7 @@ func SaveWorld(world *dblp.World, w io.Writer) error {
 
 // SaveWorldFile writes the world to a file path.
 func SaveWorldFile(world *dblp.World, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveWorld(world, f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error { return SaveWorld(world, w) })
 }
 
 // LoadWorld reads a world written by SaveWorld.
@@ -112,19 +100,7 @@ func LoadWorld(r io.Reader) (*dblp.World, error) {
 	if doc.Format != fileFormat {
 		return nil, fmt.Errorf("dataio: unsupported format %d (want %d)", doc.Format, fileFormat)
 	}
-	var rels []*reldb.RelationSchema
-	for _, rj := range doc.Schema {
-		attrs := make([]reldb.Attribute, len(rj.Attrs))
-		for i, a := range rj.Attrs {
-			attrs[i] = reldb.Attribute{Name: a.Name, Key: a.Key, FK: a.FK}
-		}
-		rs, err := reldb.NewRelationSchema(rj.Name, attrs...)
-		if err != nil {
-			return nil, fmt.Errorf("dataio: schema: %w", err)
-		}
-		rels = append(rels, rs)
-	}
-	schema, err := reldb.NewSchema(rels...)
+	schema, err := schemaFromJSON(doc.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("dataio: schema: %w", err)
 	}

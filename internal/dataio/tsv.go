@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"distinct/internal/reldb"
 )
@@ -34,6 +36,35 @@ func ParseSchema(r io.Reader) (*reldb.Schema, error) {
 	if len(doc) == 0 {
 		return nil, fmt.Errorf("dataio: schema document has no relations")
 	}
+	schema, err := schemaFromJSON(doc)
+	if err != nil {
+		return nil, fmt.Errorf("dataio: %w", err)
+	}
+	return schema, nil
+}
+
+// SaveSchema writes s as a schema document, the inverse of ParseSchema.
+func SaveSchema(s *reldb.Schema, w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(schemaJSON(s))
+}
+
+// schemaJSON is the document form of s, one entry per relation in order.
+func schemaJSON(s *reldb.Schema) []relationJSON {
+	var doc []relationJSON
+	for _, rs := range s.Relations() {
+		rj := relationJSON{Name: rs.Name}
+		for _, a := range rs.Attrs {
+			rj.Attrs = append(rj.Attrs, attrJSON{Name: a.Name, Key: a.Key, FK: a.FK})
+		}
+		doc = append(doc, rj)
+	}
+	return doc
+}
+
+// schemaFromJSON builds and validates the schema a document describes.
+func schemaFromJSON(doc []relationJSON) (*reldb.Schema, error) {
 	var rels []*reldb.RelationSchema
 	for _, rj := range doc {
 		attrs := make([]reldb.Attribute, len(rj.Attrs))
@@ -42,15 +73,77 @@ func ParseSchema(r io.Reader) (*reldb.Schema, error) {
 		}
 		rs, err := reldb.NewRelationSchema(rj.Name, attrs...)
 		if err != nil {
-			return nil, fmt.Errorf("dataio: %w", err)
+			return nil, err
 		}
 		rels = append(rels, rs)
 	}
-	schema, err := reldb.NewSchema(rels...)
-	if err != nil {
-		return nil, fmt.Errorf("dataio: %w", err)
+	return reldb.NewSchema(rels...)
+}
+
+// SchemaFile names the schema document of an export directory.
+const SchemaFile = "schema.json"
+
+// SaveExport writes db into dir, creating it if needed, as a loadable
+// export: the schema document SchemaFile and one <Relation>.tsv per
+// relation.
+func SaveExport(db *reldb.Database, dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	return schema, nil
+	if err := writeFile(filepath.Join(dir, SchemaFile), func(w io.Writer) error {
+		return SaveSchema(db.Schema, w)
+	}); err != nil {
+		return err
+	}
+	for _, rs := range db.Schema.Relations() {
+		if err := writeFile(filepath.Join(dir, rs.Name+".tsv"), func(w io.Writer) error {
+			return SaveTSV(db, rs.Name, w)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// LoadExport reads the schema document at path and loads every relation
+// of it from <Relation>.tsv in the same directory: the inverse of
+// SaveExport.
+func LoadExport(path string) (*reldb.Database, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	schema, err := ParseSchema(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	db := reldb.NewDatabase(schema)
+	for _, rs := range schema.Relations() {
+		f, err := os.Open(filepath.Join(filepath.Dir(path), rs.Name+".tsv"))
+		if err != nil {
+			return nil, fmt.Errorf("dataio: relation %s: %w", rs.Name, err)
+		}
+		_, err = LoadTSV(db, rs.Name, f)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // LoadTSV inserts the tab-separated rows of r into the named relation and

@@ -2,9 +2,14 @@ package dataio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"distinct/internal/dblp"
+	"distinct/internal/music"
 	"distinct/internal/reldb"
 )
 
@@ -133,5 +138,55 @@ func TestLoadTSVDrivesEngineSchema(t *testing.T) {
 	}
 	if ex.Relation(reldb.ValueRelationName("Papers", "year")) == nil {
 		t.Error("expansion failed on TSV-loaded data")
+	}
+}
+
+// TestSaveSchemaRoundTrip: ParseSchema inverts SaveSchema on the DBLP and
+// music schemas, keys and foreign keys included.
+func TestSaveSchemaRoundTrip(t *testing.T) {
+	for name, s := range map[string]*reldb.Schema{"dblp": dblp.Schema(), "music": music.Schema()} {
+		var buf bytes.Buffer
+		if err := SaveSchema(s, &buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseSchema(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(schemaJSON(got), schemaJSON(s)) {
+			t.Errorf("%s: round trip gave %v, want %v", name, schemaJSON(got), schemaJSON(s))
+		}
+	}
+}
+
+// TestExportRoundTrip: LoadExport reads back what SaveExport wrote, every
+// relation's tuples in order.
+func TestExportRoundTrip(t *testing.T) {
+	w := testWorld(t)
+	dir := t.TempDir()
+	if err := SaveExport(w.DB, dir); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadExport(filepath.Join(dir, SchemaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range w.DB.Schema.Relations() {
+		var want, got bytes.Buffer
+		if err := SaveTSV(w.DB, rs.Name, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveTSV(db, rs.Name, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s differs after the round trip", rs.Name)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, "Cites.tsv")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadExport(filepath.Join(dir, SchemaFile)); err == nil || !strings.Contains(err.Error(), "Cites") {
+		t.Errorf("export without Cites.tsv: err = %v", err)
 	}
 }
