@@ -376,8 +376,9 @@ func (e *Engine) SetMinSim(v float64) error { return e.inner.SetMinSim(v) }
 // MinSim returns the current clustering threshold.
 func (e *Engine) MinSim() float64 { return e.inner.MinSim() }
 
-// SetMeasure overrides the cluster similarity measure.
-func (e *Engine) SetMeasure(m Measure) { e.inner.SetMeasure(m) }
+// SetMeasure overrides the cluster similarity measure. An unknown measure
+// is an error and leaves the measure as it was.
+func (e *Engine) SetMeasure(m Measure) error { return e.inner.SetMeasure(m) }
 
 // DisambiguateGuarded is Disambiguate under the full per-name resilience
 // ladder — the serving-path entry point. A blown opts.NameTimeout budget

@@ -66,7 +66,9 @@ func TestPublicTuneMinSim(t *testing.T) {
 	if err := eng.SetMinSim(0.42); err != nil || eng.MinSim() != 0.42 {
 		t.Error("SetMinSim did not stick")
 	}
-	eng.SetMeasure(distinct.ResemblanceOnly)
+	if err := eng.SetMeasure(distinct.ResemblanceOnly); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestPublicModelPersistence(t *testing.T) {

@@ -89,6 +89,15 @@ func (m Measure) String() string {
 	}
 }
 
+// Validate rejects a measure outside the six above: the merge loop would
+// otherwise score it silently as Combined.
+func (m Measure) Validate() error {
+	if m < Combined || m > CompleteLink {
+		return fmt.Errorf("cluster: unknown measure %v", m)
+	}
+	return nil
+}
+
 // Stop selects where a run stops merging.
 type Stop int
 
@@ -157,6 +166,9 @@ type Result struct {
 // also exposes the "cluster.merge" fault point for chaos testing. Its
 // working buffers come from a pool.
 func Run(ctx context.Context, m Matrix, opts Options) (Result, error) {
+	if err := opts.Measure.Validate(); err != nil {
+		return Result{}, err
+	}
 	return run(ctx, m, opts, nil)
 }
 

@@ -35,13 +35,17 @@ func TestDisambiguateAuto(t *testing.T) {
 func TestSetMeasureChangesClustering(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
-	e.SetMeasure(cluster.SingleLink)
+	if err := e.SetMeasure(cluster.SingleLink); err != nil {
+		t.Fatal(err)
+	}
 	e.SetMinSim(0.15)
 	a, err := e.DisambiguateNameCtx(context.Background(), "Wei Wang")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetMeasure(cluster.Combined)
+	if err := e.SetMeasure(cluster.Combined); err != nil {
+		t.Fatal(err)
+	}
 	b, err := e.DisambiguateNameCtx(context.Background(), "Wei Wang")
 	if err != nil {
 		t.Fatal(err)

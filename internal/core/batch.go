@@ -467,5 +467,12 @@ func checkMinSim(v float64) error {
 // MinSim returns the current clustering threshold.
 func (e *Engine) MinSim() float64 { return e.cfg.MinSim }
 
-// SetMeasure overrides the cluster similarity measure.
-func (e *Engine) SetMeasure(m cluster.Measure) { e.cfg.Measure = m }
+// SetMeasure overrides the cluster similarity measure; an unknown one is
+// an error and leaves the measure as it was.
+func (e *Engine) SetMeasure(m cluster.Measure) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	e.cfg.Measure = m
+	return nil
+}

@@ -139,7 +139,9 @@ func TestGroupsConnectedInSharedNeighborGraph(t *testing.T) {
 			minSims := []float64{math.SmallestNonzeroFloat64, math.Pow(10, -1-5*rng.Float64())}
 			for _, minSim := range minSims {
 				e.SetMinSim(minSim)
-				e.SetMeasure(measures[rng.Intn(len(measures))])
+				if err := e.SetMeasure(measures[rng.Intn(len(measures))]); err != nil {
+					t.Fatal(err)
+				}
 				for _, g := range mustGroups(t, e, refs) {
 					sub := make([]*prop.Neighborhoods, len(g))
 					for k, r := range g {

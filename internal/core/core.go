@@ -164,6 +164,9 @@ func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine,
 	if err := checkMinSim(cfg.MinSim); err != nil {
 		return nil, err
 	}
+	if err := cfg.Measure.Validate(); err != nil {
+		return nil, err
+	}
 	rs := db.Schema.Relation(cfg.RefRelation)
 	if rs == nil {
 		return nil, fmt.Errorf("core: unknown reference relation %q", cfg.RefRelation)

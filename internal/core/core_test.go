@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"distinct/internal/cluster"
@@ -69,6 +70,42 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngineCtx(context.Background(), w.DB, Config{RefRelation: "Publications", RefAttr: "title"}); err == nil {
 		t.Error("non-FK reference attribute accepted")
+	}
+}
+
+// TestUnknownMeasureRejected: a measure outside the six is an error at
+// each entry point that takes one (Config.Measure, SetMeasure and
+// cluster.Run) instead of clustering as Combined, and SetMeasure leaves the
+// measure as it was.
+func TestUnknownMeasureRejected(t *testing.T) {
+	w := testWorld(t)
+	e := newTestEngine(t, w, false)
+	m := cluster.Matrix{N: 2, Cells: []cluster.Cell{{R: 1, WAB: 1, WBA: 1}}}
+	entries := []struct {
+		name string
+		call func(cluster.Measure) error
+	}{
+		{"Config.Measure", func(bad cluster.Measure) error {
+			cfg := engineConfig(w, false)
+			cfg.Measure = bad
+			_, err := NewEngineCtx(context.Background(), w.DB, cfg)
+			return err
+		}},
+		{"SetMeasure", e.SetMeasure},
+		{"cluster.Run", func(bad cluster.Measure) error {
+			_, err := cluster.Run(context.Background(), m, cluster.Options{Measure: bad})
+			return err
+		}},
+	}
+	for _, bad := range []cluster.Measure{99, -1} {
+		for _, entry := range entries {
+			if err := entry.call(bad); err == nil || !strings.Contains(err.Error(), "unknown measure") {
+				t.Errorf("%s(%v): err = %v", entry.name, bad, err)
+			}
+		}
+		if e.cfg.Measure != cluster.Combined {
+			t.Errorf("SetMeasure(%v) changed the measure to %v", bad, e.cfg.Measure)
+		}
 	}
 }
 

@@ -214,7 +214,9 @@ func checkEngineOracle(t *testing.T, seed int64) {
 		}
 		measure := cluster.Measure(rng.Intn(6))
 		minSim := math.Pow(10, -3.5+2.5*rng.Float64())
-		e.SetMeasure(measure)
+		if err := e.SetMeasure(measure); err != nil {
+			t.Fatal(err)
+		}
 		e.SetMinSim(minSim)
 		for _, name := range w.AmbiguousNames() {
 			refs := e.RefsForName(name)
