@@ -257,12 +257,21 @@ func TestDBLPXMLInput(t *testing.T) {
 	checkGolden(t, "dblpxml-name", mustRun(t, dir, "-dblpxml", "dblp.xml", "-prune", "1", "-unsupervised", "-name", "Wei Wang"))
 }
 
-// TestTwoInputs: -dblpxml and -schema together are refused before either
-// is read.
-func TestTwoInputs(t *testing.T) {
-	_, stderr, err := runCmd(t.TempDir(), "-dblpxml", "dblp.xml", "-schema", "schema.json")
-	if err == nil || !strings.Contains(string(stderr), "-dblpxml and -schema") {
-		t.Errorf("err = %v, stderr %q", err, stderr)
+// TestInputErrors: -dblpxml and -schema together are refused before either
+// is read, and a misspelt -skip entry is an error naming it.
+func TestInputErrors(t *testing.T) {
+	dir := fixtureDir(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-dblpxml", "dblp.xml", "-schema", "schema.json"}, "-dblpxml and -schema"},
+		{[]string{"-world", "w.json", "-skip", "Publications.titel"}, `"Publications.titel"`},
+	} {
+		_, stderr, err := runCmd(dir, c.args...)
+		if err == nil || !strings.Contains(string(stderr), c.want) {
+			t.Errorf("distinct %q: err = %v, stderr %q", c.args, err, stderr)
+		}
 	}
 }
 

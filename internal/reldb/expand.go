@@ -24,14 +24,17 @@ func ValueRelationName(rel, attr string) string {
 //
 // skip lists attributes to leave untouched, as "Relation.attr" strings;
 // DISTINCT skips free-text attributes such as paper titles, whose values are
-// near-unique and would only add noise. The input database is not modified;
+// near-unique and would only add noise. An entry that names no attribute
+// of the schema is an error, so a misspelt one cannot expand the attribute
+// it meant to keep. The input database is not modified;
 // a new database over the widened schema is returned, together with a map
 // from every original tuple ID to its ID in the new database (tuple IDs
 // shift because the virtual value tuples are inserted first).
 func ExpandAttributes(db *Database, skip ...string) (*Database, map[TupleID]TupleID, error) {
 	skipSet := make(map[string]bool, len(skip))
+	unknown := make(map[string]bool, len(skip))
 	for _, s := range skip {
-		skipSet[s] = true
+		skipSet[s], unknown[s] = true, true
 	}
 
 	type expansion struct {
@@ -45,6 +48,7 @@ func ExpandAttributes(db *Database, skip ...string) (*Database, map[TupleID]Tupl
 		attrs := make([]Attribute, len(rs.Attrs))
 		copy(attrs, rs.Attrs)
 		for i, a := range rs.Attrs {
+			delete(unknown, rs.Name+"."+a.Name)
 			if a.Key || a.FK != "" || skipSet[rs.Name+"."+a.Name] {
 				continue
 			}
@@ -62,6 +66,11 @@ func ExpandAttributes(db *Database, skip ...string) (*Database, map[TupleID]Tupl
 			return nil, nil, err
 		}
 		newRels = append(newRels, ns)
+	}
+	for _, s := range skip {
+		if unknown[s] {
+			return nil, nil, fmt.Errorf("reldb: skip entry %q names no attribute (want Relation.attr)", s)
+		}
 	}
 	schema, err := NewSchema(newRels...)
 	if err != nil {

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -386,6 +387,22 @@ func TestExpandAttributes(t *testing.T) {
 	// Original database untouched.
 	if db.Schema.Relation("Proceedings").Attrs[db.Schema.Relation("Proceedings").AttrIndex("year")].FK != "" {
 		t.Error("original schema mutated")
+	}
+}
+
+// TestExpandAttributesUnknownSkip: a skip entry that names no attribute
+// is an error naming it, where it used to leave the attribute it meant
+// expanded; an entry naming a key or foreign key is accepted, as before.
+func TestExpandAttributesUnknownSkip(t *testing.T) {
+	db := miniDBLP(t)
+	for _, bad := range []string{"Publications.titel", "Publication.title", "title", ""} {
+		_, _, err := ExpandAttributes(db, "Proceedings.year", bad)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("skip %q: err = %v", bad, err)
+		}
+	}
+	if _, _, err := ExpandAttributes(db, "Publications.paper-key", "Publish.author"); err != nil {
+		t.Errorf("skipping a key and a foreign key: %v", err)
 	}
 }
 
