@@ -170,10 +170,15 @@ func run() error {
 		}()
 	}
 
-	measure, ok := map[string]distinct.Measure{
-		"combined": distinct.Combined, "resemblance": distinct.ResemblanceOnly, "walk": distinct.RandomWalkOnly,
-	}[*measureName]
-	if !ok {
+	var measure distinct.Measure
+	switch *measureName {
+	case "combined":
+		measure = distinct.Combined
+	case "resemblance":
+		measure = distinct.ResemblanceOnly
+	case "walk":
+		measure = distinct.RandomWalkOnly
+	default:
 		return fmt.Errorf("unknown measure %q", *measureName)
 	}
 
@@ -415,30 +420,27 @@ func loadDBLPXML(lg *slog.Logger, path string, prune int) (*distinct.Database, e
 // attribute (the title). A reference relation without such a key prints
 // its values.
 func newRenderer(s *distinct.Schema, refRel, refAttr string) func(*distinct.Database, distinct.TupleID) string {
-	var objAttr, objRel, text string
-	for _, a := range s.Relation(refRel).Attrs {
-		if a.FK != "" && a.Name != refAttr {
-			objAttr, objRel = a.Name, a.FK
-			break
+	for _, obj := range s.Relation(refRel).Attrs {
+		if obj.FK == "" || obj.Name == refAttr {
+			continue
 		}
-	}
-	if objAttr != "" {
-		for _, a := range s.Relation(objRel).Attrs {
+		var text string
+		for _, a := range s.Relation(obj.FK).Attrs {
 			if !a.Key && a.FK == "" {
 				text = a.Name
 				break
 			}
 		}
+		return func(db *distinct.Database, r distinct.TupleID) string {
+			key, title := db.Tuple(r).Val(obj.Name), ""
+			if t := db.LookupKey(obj.FK, key); t != distinct.InvalidTuple {
+				title = db.Tuple(t).Val(text)
+			}
+			return fmt.Sprintf("%-10s %s", key, title)
+		}
 	}
 	return func(db *distinct.Database, r distinct.TupleID) string {
-		if objAttr == "" {
-			return strings.Join(db.Tuple(r).Vals, "\t")
-		}
-		key, title := db.Tuple(r).Val(objAttr), ""
-		if obj := db.LookupKey(objRel, key); obj != distinct.InvalidTuple && text != "" {
-			title = db.Tuple(obj).Val(text)
-		}
-		return fmt.Sprintf("%-10s %s", key, title)
+		return strings.Join(db.Tuple(r).Vals, "\t")
 	}
 }
 

@@ -80,17 +80,14 @@ func schemaFromJSON(doc []relationJSON) (*reldb.Schema, error) {
 	return reldb.NewSchema(rels...)
 }
 
-// SchemaFile names the schema document of an export directory.
-const SchemaFile = "schema.json"
-
 // SaveExport writes db into dir, creating it if needed, as a loadable
-// export: the schema document SchemaFile and one <Relation>.tsv per
+// export: the schema document schema.json and one <Relation>.tsv per
 // relation.
 func SaveExport(db *reldb.Database, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(dir, SchemaFile), func(w io.Writer) error {
+	if err := writeFile(filepath.Join(dir, "schema.json"), func(w io.Writer) error {
 		return SaveSchema(db.Schema, w)
 	}); err != nil {
 		return err

@@ -167,7 +167,7 @@ func TestExportRoundTrip(t *testing.T) {
 	if err := SaveExport(w.DB, dir); err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadExport(filepath.Join(dir, SchemaFile))
+	db, err := LoadExport(filepath.Join(dir, "schema.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestExportRoundTrip(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "Cites.tsv")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadExport(filepath.Join(dir, SchemaFile)); err == nil || !strings.Contains(err.Error(), "Cites") {
+	if _, err := LoadExport(filepath.Join(dir, "schema.json")); err == nil || !strings.Contains(err.Error(), "Cites") {
 		t.Errorf("export without Cites.tsv: err = %v", err)
 	}
 }

@@ -391,8 +391,7 @@ func TestExpandAttributes(t *testing.T) {
 }
 
 // TestExpandAttributesUnknownSkip: a skip entry that names no attribute
-// is an error naming it, where it used to leave the attribute it meant
-// expanded; an entry naming a key or foreign key is accepted, as before.
+// is an error naming it; an entry naming a key or foreign key is accepted.
 func TestExpandAttributesUnknownSkip(t *testing.T) {
 	db := miniDBLP(t)
 	for _, bad := range []string{"Publications.titel", "Publication.title", "title", ""} {
